@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every lemma verifier at default resolution and print a summary line each.
 
-Exits 2 if any verifier fails, mirroring the CLI convention.
+The verifiers are the CLI's ``khinsphere verify`` table, run with its default
+parameters.  Exits 2 if any verifier fails, mirroring the CLI convention.
 """
 import pathlib
 import sys
@@ -9,31 +10,14 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from khinsphere import phase, verify  # noqa: E402
+from khinsphere.cli import LEMMAS  # noqa: E402
 
 
 def main() -> int:
-    jobs = [
-        ("H_regions", lambda: verify.verify_H_regions()),
-        ("H_tilde", lambda: verify.verify_H_tilde_region()),
-        ("U_less_G_i", lambda: verify.verify_U_less_G("i")),
-        ("U_less_G_ii", lambda: verify.verify_U_less_G("ii")),
-        ("U_less_G_iii", lambda: verify.verify_U_less_G("iii")),
-        ("U_less_G_tilde", lambda: verify.verify_U_less_G("tilde")),
-        ("ind_base", lambda: verify.verify_ind_base()),
-        ("two_coeff", lambda: verify.verify_two_coeff_bounds(4, 1.0)),
-        ("bisubharmonic", lambda: verify.verify_bisubharmonic(5, 0.5)),
-        ("small_lemmas", lambda: verify.verify_small_lemmas()),
-        ("table2", lambda: verify.verify_table2()),
-        ("table3", lambda: verify.verify_table3()),
-        ("interpolation_tilde", lambda: verify.verify_interpolation_tilde()),
-        ("appendix_claims_d5", lambda: phase.verify_appendix_claims(5)),
-        ("asymptotics", lambda: phase.asymptotic_check(range(5, 61))),
-    ]
     any_failed = False
-    for name, job in jobs:
+    for name, job in LEMMAS.items():
         t0 = time.monotonic()
-        report = job()
+        report = job({})
         dt = time.monotonic() - t0
         status = "PASS" if report.passed else "FAIL"
         any_failed |= not report.passed

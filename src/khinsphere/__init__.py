@@ -32,7 +32,7 @@ from .quad import (
     product_moment,
 )
 from .sample import SampleStats, estimate_moment, polydisc_slice_volume, sample_sphere
-from .specfun import SeriesConfig, digamma, gamma, hyp2f1, jj, jj1, log_gamma, pochhammer
+from .specfun import digamma, gamma, hyp2f1, jj, jj1, log_gamma, pochhammer
 from .verify import VerificationReport
 
 __version__ = "0.1.0"

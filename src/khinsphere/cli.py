@@ -28,7 +28,7 @@ from .errors import (
 from .quad import product_moment
 from .specfun import hyp2f1
 
-__all__ = ["RunConfig", "run", "table_writer", "main"]
+__all__ = ["RunConfig", "LEMMAS", "run", "table_writer", "main"]
 
 _VERBS = ("constants", "qstar", "moment", "verify", "slice", "mc", "tables")
 
@@ -40,7 +40,6 @@ class RunConfig:
     output_format: str = "csv"
     output_path: str | None = None
     seed: int | None = None
-    threads: int | None = None  # accepted for interface stability; modules are pure
 
     def __post_init__(self) -> None:
         if self.command not in _VERBS:
@@ -55,9 +54,18 @@ def _jdump(obj) -> str:
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        coeffs = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise DomainError(f"could not parse coefficients {text!r}") from exc
+    if not all(math.isfinite(a) for a in coeffs):
+        raise DomainError(f"coefficients must be finite, got {text!r}")
+    return coeffs
+
+
+def _param(params: dict, key: str, default):
+    """params[key], or default when it is absent or None (0 is a value, not absent)."""
+    value = params.get(key)
+    return default if value is None else value
 
 
 # ----------------------------------------------------------------------------
@@ -80,7 +88,7 @@ def _run_constants(params: dict, fmt: str) -> tuple[int, str]:
 
 def _run_qstar(params: dict, fmt: str) -> tuple[int, str]:
     d_min, d_max = int(params["d_min"]), int(params["d_max"])
-    tol = float(params.get("tol") or 1e-12)
+    tol = float(_param(params, "tol", 1e-12))
     rows = []
     for d in range(d_min, d_max + 1):
         r = phase.q_star(d, tol=tol)
@@ -98,7 +106,7 @@ def _run_qstar(params: dict, fmt: str) -> tuple[int, str]:
 def _run_moment(params: dict, fmt: str, seed: int) -> tuple[int, str]:
     d, p = int(params["d"]), float(params["p"])
     coeffs = _parse_coeffs(params["coeffs"])
-    n = int(params.get("n") or 200_000)
+    n = int(_param(params, "n", 200_000))
     query = MomentQuery(d, -p, coeffs)
     routes: dict[str, float | None] = {}
     try:
@@ -125,7 +133,7 @@ def _run_moment(params: dict, fmt: str, seed: int) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-_LEMMAS = {
+LEMMAS = {
     "H_regions": lambda pr: verify.verify_H_regions(),
     "H_tilde": lambda pr: verify.verify_H_tilde_region(),
     "U_less_G_i": lambda pr: verify.verify_U_less_G("i"),
@@ -134,23 +142,23 @@ _LEMMAS = {
     "U_less_G_tilde": lambda pr: verify.verify_U_less_G("tilde"),
     "ind_base": lambda pr: verify.verify_ind_base(),
     "two_coeff": lambda pr: verify.verify_two_coeff_bounds(
-        int(pr.get("d") or 4), float(pr.get("p") or 1.0)),
+        int(_param(pr, "d", 4)), float(_param(pr, "p", 1.0))),
     "bisubharmonic": lambda pr: verify.verify_bisubharmonic(
-        int(pr.get("d") or 5), float(pr.get("p") or 0.5)),
+        int(_param(pr, "d", 5)), float(_param(pr, "p", 0.5))),
     "small_lemmas": lambda pr: verify.verify_small_lemmas(),
     "table2": lambda pr: verify.verify_table2(),
     "table3": lambda pr: verify.verify_table3(),
     "interpolation_tilde": lambda pr: verify.verify_interpolation_tilde(),
-    "appendix_claims": lambda pr: phase.verify_appendix_claims(int(pr.get("d") or 5)),
+    "appendix_claims": lambda pr: phase.verify_appendix_claims(int(_param(pr, "d", 5))),
     "asymptotics": lambda pr: phase.asymptotic_check(range(5, 61)),
 }
 
 
 def _run_verify(params: dict, fmt: str) -> tuple[int, str]:
     lemma = params["lemma"]
-    if lemma not in _LEMMAS:
-        raise DomainError(f"unknown lemma {lemma!r}; known: {', '.join(sorted(_LEMMAS))}")
-    report = _LEMMAS[lemma](params)
+    if lemma not in LEMMAS:
+        raise DomainError(f"unknown lemma {lemma!r}; known: {', '.join(sorted(LEMMAS))}")
+    report = LEMMAS[lemma](params)
     chart_path = params.get("chart")
     if chart_path:
         # long-format sign chart, including the divergent zone p >= 3s/2
@@ -191,7 +199,7 @@ def _run_slice(params: dict, fmt: str) -> tuple[int, str]:
 def _run_mc(params: dict, fmt: str, seed: int) -> tuple[int, str]:
     d, p = int(params["d"]), float(params["p"])
     coeffs = _parse_coeffs(params["coeffs"])
-    n = int(params.get("n") or 100_000)
+    n = int(_param(params, "n", 100_000))
     stats = sample.estimate_moment(MomentQuery(d, -p, coeffs), n, seed=seed)
     if fmt == "json":
         return 0, _jdump({"d": d, "p": p, "coeffs": list(coeffs),
@@ -262,32 +270,16 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _default_threads() -> int | None:
-    import os
-
-    raw = os.environ.get("KHINSPHERE_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     parser = _Parser(prog="khinsphere",
                      description="Sharp Khinchin constants for sphere-uniform sums")
     parser.add_argument("--format", choices=("json", "csv"), default="csv")
     parser.add_argument("--output", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker budget (default from KHINSPHERE_THREADS; "
-                             "execution is currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pc = sub.add_parser("constants", parents=[common], help="c_two / c_inf / min at (d, q)")
@@ -330,9 +322,9 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         params = {k: v for k, v in vars(ns).items()
-                  if k not in ("format", "output", "seed", "threads", "command") and v is not None}
+                  if k not in ("format", "output", "seed", "command") and v is not None}
         config = RunConfig(command=ns.command, params=params, output_format=ns.format,
-                           output_path=ns.output, seed=ns.seed, threads=ns.threads)
+                           output_path=ns.output, seed=ns.seed)
         code, text = run(config)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specfun import gamma, log_gamma
+from .specfun import _as_array, gamma, log_gamma
 
 __all__ = [
     "MomentQuery",
@@ -43,9 +43,11 @@ class MomentQuery:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.d != int(self.d):
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
+        _check_dim(self.d)
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        if not all(math.isfinite(x) for x in (self.q, *self.coeffs)):
+            raise DomainError(f"q and the coefficients must be finite, got q={self.q}, "
+                              f"coeffs={self.coeffs}")
         if not self.q > -(self.d - 1) and self.d > 1:
             raise DomainError(f"q={self.q} not above -(d-1)={-(self.d - 1)}")
         if self.q == 0:
@@ -76,10 +78,7 @@ def c_two(d: int, q) -> float:
     Valid for -(d-1) < q <= 2, q != 0 (the closed form extends to q = 2,
     where it equals 1).
     """
-    _check_dim(d)
-    qa, scalar = _as_q_array(q)
-    if np.any(qa == 0):
-        raise DomainError("q = 0 is excluded")
+    qa, scalar = _q_array(d, q)
     if np.any(qa <= -(d - 1) + _POLE_GUARD) or np.any(qa > 2):
         raise DomainError(f"c_two requires -(d-1) < q <= 2, got {q!r}")
     val = (log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
@@ -90,10 +89,7 @@ def c_two(d: int, q) -> float:
 
 def c_inf(d: int, q) -> float:
     """Gaussian-limit Khinchin constant, ||Z/sqrt(d)||_q."""
-    _check_dim(d)
-    qa, scalar = _as_q_array(q)
-    if np.any(qa == 0):
-        raise DomainError("q = 0 is excluded")
+    qa, scalar = _q_array(d, q)
     if np.any(qa <= -d + _POLE_GUARD):
         raise DomainError(f"c_inf requires q > -d, got {q!r}")
     val = log_gamma((d + qa) / 2.0) - log_gamma(d / 2.0)
@@ -168,6 +164,12 @@ def _check_dim(d: int) -> None:
         raise DomainError(f"dimension must be a positive integer, got {d}")
 
 
-def _as_q_array(q):
-    arr = np.asarray(q, dtype=float)
-    return arr, arr.ndim == 0
+def _q_array(d: int, q):
+    """Validated (d, q) of c_two / c_inf: q as an array plus its scalar flag."""
+    _check_dim(d)
+    qa, scalar = _as_array(q)
+    if not np.all(np.isfinite(qa)):
+        raise DomainError(f"q must be finite, got {q!r}")
+    if np.any(qa == 0):
+        raise DomainError("q = 0 is excluded")
+    return qa, scalar

@@ -31,7 +31,8 @@ _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 
 
 # ----------------------------------------------------------------------------
-# truncated power-series helpers (index = power of 1/t)
+# truncated power-series helpers (index = power of the series variable: 1/t
+# for the tails here, t^2 for the small-t heads in quad)
 # ----------------------------------------------------------------------------
 
 def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
@@ -149,13 +150,23 @@ def _exp_tail_ibp(mu: float, omega: float, T: float) -> complex:
     return phase * total
 
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _leggauss(n: int):
-    if n not in _GL_NODES:
-        _GL_NODES[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES[n]
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panel_quad(f, edges: np.ndarray, order: int = 16):
+    """Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
+
+    Returns the unreduced numpy sum, so f may be real or complex valued.
+    """
+    x, w = _leggauss(order)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    nodes = mid + half * x[None, :]
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return np.sum(vals * w[None, :] * half)
 
 
 def _exp_tail_numeric(mu: float, omega: float, T: float) -> complex:
@@ -167,16 +178,8 @@ def _exp_tail_numeric(mu: float, omega: float, T: float) -> complex:
     while t < L:
         t = min(t * 1.30, t + math.pi / (2.0 * w), L)
         edges.append(t)
-    edges = np.asarray(edges)
-    x, wts = _leggauss(24)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * x[None, :]
-    vals = nodes**mu * np.exp(1j * omega * nodes)
-    main = np.sum((vals * wts[None, :]) * half)
-    tail = _exp_tail_ibp(mu, omega, L)
-    return complex(main + tail)
+    main = _panel_quad(lambda x: x**mu * np.exp(1j * omega * x), np.asarray(edges), order=24)
+    return complex(main + _exp_tail_ibp(mu, omega, L))
 
 
 def exp_power_tail(mu: float, omega: float, T: float) -> complex:

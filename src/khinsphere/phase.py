@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c_inf, c_two
-from .errors import DomainError, MultipleRootsError, NoBracketError
+from .errors import DomainError, MultipleRootsError, NoBracketError, ToleranceError
 from .specfun import digamma, log_gamma, trigamma
 from .verify import VerificationReport, _make_report
 
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+_MAX_RESIDUAL = 1e-10  # |c_two - c_inf| accepted at a reported root
+
+
 @dataclass(frozen=True)
 class PhaseTransitionResult:
     d: int
@@ -40,8 +43,8 @@ class PhaseTransitionResult:
         lo, hi = self.bracket
         if not lo < self.q_star < hi:
             raise ValueError("root must lie strictly inside its bracket")
-        if not (self.residual <= 1e-10):
-            raise ValueError(f"residual {self.residual} exceeds 1e-10")
+        if not (self.residual <= _MAX_RESIDUAL):
+            raise ValueError(f"residual {self.residual} exceeds {_MAX_RESIDUAL:g}")
         if self.d > 1 and not -(self.d - 1) < self.q_star < 2:
             raise ValueError("root outside (-(d-1), 2)")
 
@@ -127,6 +130,9 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
         iterations += 1
     root = 0.5 * (a + b)
     residual = abs(c_two(d, root) - c_inf(d, root))
+    if not residual <= _MAX_RESIDUAL:
+        raise ToleranceError(f"q_star(d={d}, tol={tol}): residual {residual:.3e} above "
+                             f"{_MAX_RESIDUAL:g}; use a smaller tol")
     lo, hi = brackets[0]
     return PhaseTransitionResult(d=d, q_star=root, bracket=(lo, hi),
                                  residual=residual, iterations=iterations)

@@ -24,7 +24,8 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .specfun import gamma, jj1, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
+from .oscillatory import _panel_quad, series_pow
+from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
     "IntegralParams",
@@ -98,45 +99,15 @@ class CertifiedBound:
 # panel machinery
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _graded_edges(a: float, b: float, levels: int = 10, ratio: float = 0.25) -> np.ndarray:
     fracs = [0.0] + [ratio**k for k in range(levels, 0, -1)] + [0.5]
     fracs += [1.0 - f for f in reversed(fracs[:-1])]
     return a + (b - a) * np.asarray(fracs)
 
 
-def _panel_quad(f, edges: np.ndarray, order: int = 16) -> float:
-    x, w = _leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals * w[None, :] * half))
-
-
-def _pow_series(base_coeffs, exponent: float, n_terms: int) -> np.ndarray:
-    """Coefficients of (sum c_k x^k)^exponent with c_0 = 1."""
-    c = np.zeros(n_terms)
-    c[: min(len(base_coeffs), n_terms)] = base_coeffs[:n_terms]
-    out = np.zeros(n_terms)
-    out[0] = 1.0
-    for k in range(1, n_terms):
-        acc = 0.0
-        for j in range(1, k + 1):
-            if c[j] != 0.0:
-                acc += (exponent * j - (k - j)) * c[j] * out[k - j]
-        out[k] = acc / k
-    return out
-
-
 @lru_cache(maxsize=512)
 def _abs_pow_head_coeffs(s: float, n_terms: int) -> np.ndarray:
-    return _pow_series(np.asarray(_jj_series_coeffs(1.0, n_terms)), s, n_terms)
+    return series_pow(np.asarray(_jj_series_coeffs(1.0, n_terms)), s, n_terms - 1)
 
 
 def _head_abs_pow(p: float, s: float, a0: float = 1.0, n_terms: int = 56) -> float:
@@ -167,7 +138,7 @@ def F(params: IntegralParams, cfg: QuadratureConfig = _DEFAULT_CFG) -> float:
     edges = np.concatenate([_graded_edges(lo, hi)[:-1] for lo, hi in zip(pts[:-1], pts[1:])]
                            + [[T]])
     f = lambda t: np.abs(_jj_vec(1.0, t)) ** s * t ** (p - 1.0)
-    middle = _panel_quad(f, edges)
+    middle = float(_panel_quad(f, edges))
     tail = osc.tail_abs_pow(p, s, T, tol=cfg.abs_tol)
     total = head + middle + tail
     err_est = 2e-13 * (abs(head) + abs(middle) + abs(tail)) + 1e-14
@@ -184,19 +155,9 @@ def _F_gaussian_regime(p: float, s: float) -> float:
     (and the oscillatory region) is below e^(-60) and is dropped.
     """
     n_terms = 30
-    c = np.asarray(_jj_series_coeffs(1.0, n_terms))
-    # g = log jj_1 as a series in x = t^2, then scale x -> u^2/s and exponentiate
-    g = np.zeros(n_terms)
-    for k in range(1, n_terms):
-        acc = k * c[k]
-        for j in range(1, k):
-            acc -= j * g[j] * c[k - j]
-        g[k] = acc / k
-    gs = np.array([g[k] / s ** (k - 1) if k else 0.0 for k in range(n_terms)])
-    b = np.zeros(n_terms)
-    b[0] = 1.0
-    for k in range(1, n_terms):
-        b[k] = sum(j * gs[j] * b[k - j] for j in range(1, k + 1)) / k
+    # jj_1(u/sqrt(s))^s as a series in u^2
+    c = np.asarray(_jj_series_coeffs(1.0, n_terms)) / s ** np.arange(n_terms)
+    b = series_pow(c, s, n_terms - 1)
     u0 = 0.5
     k = np.arange(n_terms)
     head = float(np.sum(b * u0 ** (2 * k + p) / (2 * k + p)))
@@ -206,7 +167,7 @@ def _F_gaussian_regime(p: float, s: float) -> float:
         return np.exp(s * np.log(_jj_vec(1.0, t))) * u ** (p - 1.0)
 
     edges = np.linspace(u0, 22.0, 44)
-    middle = _panel_quad(integrand, edges, order=24)
+    middle = float(_panel_quad(integrand, edges, order=24))
     return s ** (-p / 2.0) * (head + middle)
 
 

@@ -126,6 +126,10 @@ def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0,
 def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0,
                      method: str = "auto") -> list[SampleStats]:
     """Estimates of E|sum a_k xi_k|^q for several q on shared samples."""
+    if method not in ("auto", "plain-mean", "median-of-means"):
+        raise DomainError(f"unknown method {method!r}")
+    if n_samples < 2:
+        raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
     qs = [float(q) for q in qs]
     for q in qs:
         MomentQuery(d, q, tuple(coeffs))  # validates domain
@@ -286,6 +290,8 @@ def polydisc_slice_volume(a, cfg: QuadratureConfig | None = None) -> float:
     pi^(n-1) (the minimal section).
     """
     a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"direction must be finite, got {a.tolist()}")
     n = len(a)
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-9:

@@ -8,7 +8,6 @@ uniform on the unit sphere S^(d-1) at radius t, with nu = d/2 - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 
 __all__ = [
-    "SeriesConfig",
     "gamma",
     "log_gamma",
     "digamma",
@@ -36,21 +34,10 @@ __all__ = [
 BESSEL_CROSSOVER = 12.0
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Termination policy for the power series evaluations."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_SERIES = SeriesConfig()
+# hyp2f1 series: stop once a decreasing term is below this relative size,
+# and give up (ConvergenceError) after this many terms
+_HYP2F1_REL_TOL = 1e-14
+_HYP2F1_MAX_TERMS = 10_000
 
 # Lanczos approximation, g = 7, 9 terms.
 _LANCZOS_G = 7.0
@@ -76,13 +63,18 @@ def _maybe_scalar(arr, scalar):
     return float(arr) if scalar else arr
 
 
-def _lanczos_gamma_pos(x):
-    """Gamma on x >= 0.5 via Lanczos; vectorized."""
+def _lanczos_sum(x):
+    """Lanczos pieces for x >= 0.5: z = x - 1, the series A(z) and t = z + g + 1/2."""
     z = x - 1.0
     acc = np.full_like(z, _LANCZOS[0])
     for i, c in enumerate(_LANCZOS[1:], start=1):
         acc = acc + c / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    return z, acc, z + _LANCZOS_G + 0.5
+
+
+def _lanczos_gamma_pos(x):
+    """Gamma on x >= 0.5 via Lanczos; vectorized."""
+    z, acc, t = _lanczos_sum(x)
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
 
 
@@ -113,11 +105,7 @@ def log_gamma(x):
         out[small] = np.log(_lanczos_gamma_pos(1.0 - arr[small]) * np.sin(math.pi * arr[small]) / math.pi) * -1.0
     big = ~small
     if np.any(big):
-        z = arr[big] - 1.0
-        acc = np.full_like(z, _LANCZOS[0])
-        for i, c in enumerate(_LANCZOS[1:], start=1):
-            acc = acc + c / (z + i)
-        t = z + _LANCZOS_G + 0.5
+        z, acc, t = _lanczos_sum(arr[big])
         out[big] = 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(acc)
     return _maybe_scalar(out, scalar)
 
@@ -323,16 +311,11 @@ def _jj_series_coeffs(nu: float, n_terms: int = 48) -> tuple:
     return tuple(cs)
 
 
-def _crossover(nu: float) -> float:
-    return BESSEL_CROSSOVER if nu == 1.0 else 10.0
-
-
 def _jj_vec(nu: float, t):
     """Vectorized jj_nu on t >= 0 (fixed-length series below the crossover)."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    cross = _crossover(nu)
-    lo = t < cross
+    lo = t < (BESSEL_CROSSOVER if nu == 1.0 else 10.0)
     if np.any(lo):
         x = t[lo] * t[lo]
         cs = _jj_series_coeffs(nu)
@@ -355,10 +338,7 @@ def _jj_norm_const(nu: float) -> float:
 
 def jj1(t):
     """jj_1(t) = 2 J1(t)/t, the d=4 characteristic function; array-capable."""
-    arr, scalar = _as_array(t)
-    if np.any(arr < 0):
-        raise DomainError("jj1 requires t >= 0")
-    return _maybe_scalar(_jj_vec(1.0, arr), scalar)
+    return jj(1.0, t)
 
 
 def jj1_prime(t):
@@ -383,11 +363,12 @@ def jj1_prime(t):
     return _maybe_scalar(out, scalar)
 
 
-def jj(nu: float, t, cfg: SeriesConfig = _DEFAULT_SERIES):
+def jj(nu: float, t):
     """Normalized Bessel jj_nu(t) = 2^nu Gamma(nu+1) t^(-nu) J_nu(t).
 
-    The power series is used for small t and a standard large-argument
-    J_nu evaluation beyond the crossover (12 for nu=1, 10 otherwise).
+    A fixed 48-term power series is used for small t and a standard
+    large-argument J_nu evaluation beyond the crossover (12 for nu=1, 10
+    otherwise); scalar and array input share this one evaluator.
     Orders are the sphere family nu = d/2 - 1, i.e. multiples of 1/2.
     """
     if nu < 0:
@@ -397,32 +378,10 @@ def jj(nu: float, t, cfg: SeriesConfig = _DEFAULT_SERIES):
     arr, scalar = _as_array(t)
     if np.any(arr < 0):
         raise DomainError("jj requires t >= 0")
-    if scalar:
-        tt = float(arr)
-        if tt >= _crossover(nu):
-            return float(2.0**nu * gamma(nu + 1.0) * tt ** (-nu)
-                         * _bessel_j_order(nu, np.asarray([tt]))[0])
-        return _jj_series_scalar(nu, tt, cfg)
-    return _jj_vec(nu, arr)
+    return _maybe_scalar(_jj_vec(nu, arr), scalar)
 
 
-def _jj_series_scalar(nu: float, t: float, cfg: SeriesConfig) -> float:
-    x = t * t
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    peak = 1.0
-    for k in range(1, cfg.max_terms + 1):
-        term *= -x / (4.0 * k * (nu + k))
-        total += term
-        peak = max(peak, abs(term))
-        if abs(term) < prev and abs(term) <= cfg.rel_tol * max(abs(total), 1e-14 * peak):
-            return total
-        prev = abs(term)
-    raise ConvergenceError(f"jj series did not converge for nu={nu}, t={t}")
-
-
-def hyp2f1(a: float, b: float, c: float, t: float, cfg: SeriesConfig = _DEFAULT_SERIES) -> float:
+def hyp2f1(a: float, b: float, c: float, t: float) -> float:
     """Gauss hypergeometric 2F1(a,b;c;t) on 0 <= t <= 1 by power series.
 
     At t=1 the Gauss summation Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))
@@ -439,12 +398,12 @@ def hyp2f1(a: float, b: float, c: float, t: float, cfg: SeriesConfig = _DEFAULT_
     term = 1.0
     total = 1.0
     prev = math.inf
-    for k in range(cfg.max_terms):
+    for k in range(_HYP2F1_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * t
         if term == 0.0:
             return total
         total += term
-        if abs(term) < prev and abs(term) <= cfg.rel_tol * max(abs(total), 1e-30):
+        if abs(term) < prev and abs(term) <= _HYP2F1_REL_TOL * max(abs(total), 1e-30):
             return total
         prev = abs(term)
     raise ConvergenceError(f"hyp2f1 series did not converge: a={a}, b={b}, c={c}, t={t}")

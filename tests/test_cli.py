@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestQstarVerb:
         b = _run(["qstar", "--d-min", "2", "--d-max", "4"], capsys)
         assert a == b
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-6"])
+    def test_loose_tol_is_numeric_failure(self, tol, capsys):
+        # the bisection stops short of a 1e-10 residual: exit 3, no traceback
+        code, out, err = _run(["qstar", "--d-min", "4", "--d-max", "4", "--tol", tol], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:") and "residual" in err
+
+    def test_zero_tol_is_not_the_default(self, capsys):
+        code, _, err = _run(["qstar", "--d-min", "4", "--d-max", "4", "--tol", "0"], capsys)
+        assert code == 1
+        assert "tol must be positive" in err
+
 
 class TestMomentVerb:
     def test_routes_agree(self, capsys):
@@ -71,7 +85,7 @@ class TestVerifyVerb:
         from khinsphere.verify import VerificationReport
         failing = VerificationReport("stub", "r", (1,), passed=False, min_margin=-1.0,
                                      witnesses=(((0.0,), -1.0),))
-        monkeypatch.setitem(cli_mod._LEMMAS, "stub", lambda pr: failing)
+        monkeypatch.setitem(cli_mod.LEMMAS, "stub", lambda pr: failing)
         code, out, _ = _run(["--format", "json", "verify", "--lemma", "stub"], capsys)
         assert code == 2
         assert json.loads(out)["passed"] is False
@@ -127,6 +141,11 @@ class TestMcVerb:
         assert d["n_samples"] == 20000
         assert d["method"] == "plain-mean"
 
+    def test_zero_samples_is_not_the_default(self, capsys):
+        code, _, err = _run(["mc", "--p", "1", "--coeffs", "1,1", "--n", "0"], capsys)
+        assert code == 1
+        assert "at least 2 samples" in err
+
     def test_seed_after_subcommand(self, capsys):
         a = _run(["mc", "--d", "4", "--p", "1", "--coeffs", "1,1", "--n", "10000",
                   "--seed", "9"], capsys)
@@ -163,6 +182,11 @@ class TestTablesVerb:
     def test_byte_stable(self):
         assert table_writer(2) == table_writer(2)
 
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_matches_committed_table(self, which):
+        golden = pathlib.Path(__file__).resolve().parents[1] / "out" / f"table{which}.csv"
+        assert table_writer(which) == golden.read_text()
+
     def test_bad_which(self, capsys):
         code, _, err = _run(["tables", "--which", "7"], capsys)
         assert code == 1
@@ -173,6 +197,19 @@ class TestErrors:
         assert _run(["bogus-verb"], capsys)[0] == 1
         assert _run(["constants", "--d", "4"], capsys)[0] == 1  # missing --q
         assert _run(["constants", "--d", "0", "--q", "1"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["slice", "--coeffs", "nan,1"],
+        ["mc", "--p", "1", "--coeffs", "nan,1"],
+        ["mc", "--p", "1", "--coeffs", "inf,1"],
+        ["constants", "--d", "4", "--q", "nan"],
+        ["constants", "--d", "4", "--q", "inf"],
+    ])
+    def test_non_finite_input_exit_one(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
@@ -187,13 +224,6 @@ class TestRunConfig:
             RunConfig(command="nope")
         with pytest.raises(DomainError):
             RunConfig(command="qstar", output_format="xml")
-
-    def test_threads_env_default(self, monkeypatch):
-        import khinsphere.cli as cli_mod
-        monkeypatch.setenv("KHINSPHERE_THREADS", "4")
-        parser = cli_mod._build_parser()
-        ns = parser.parse_args(["tables", "--which", "1"])
-        assert ns.threads == 4
 
     def test_programmatic_run(self):
         code, text = run(RunConfig(command="tables", params={"which": 1}))

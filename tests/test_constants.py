@@ -38,6 +38,9 @@ class TestCTwo:
             c_two(4, -3.0)
         with pytest.raises(DomainError):
             c_two(4, 2.5)
+        for q in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError, match="finite"):
+                c_two(4, q)
 
 
 class TestCInf:
@@ -57,6 +60,9 @@ class TestCInf:
             c_inf(3, -3.0)
         with pytest.raises(DomainError):
             c_inf(4, 0.0)
+        for q in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                c_inf(4, q)
 
 
 class TestC2Function:
@@ -175,6 +181,10 @@ class TestMomentQuery:
             MomentQuery(4, -1.0, (0.0, 0.0))
         with pytest.raises(DomainError):
             MomentQuery(0, -1.0, (1.0,))
+        for d, q, coeffs in [(1, math.nan, (1.0,)), (4, math.inf, (1.0,)),
+                             (4, -1.0, (math.nan, 1.0)), (4, -1.0, (1.0, -math.inf))]:
+            with pytest.raises(DomainError, match="finite"):
+                MomentQuery(d, q, coeffs)
 
 
 class TestStatus:

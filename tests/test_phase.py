@@ -5,7 +5,7 @@ import pytest
 
 from khinsphere import phase as P
 from khinsphere.constants import c_inf, c_two
-from khinsphere.errors import DomainError
+from khinsphere.errors import DomainError, ToleranceError
 
 # high-precision roots of c_two = c_inf, frozen from an independent
 # 40-digit bisection of the same closed forms
@@ -53,6 +53,12 @@ class TestQStar:
         r = P.q_star(55)
         alpha = (r.q_star + 54.0) / 2.0
         assert 0 < alpha < 1e-3
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_loose_tol_raises_tolerance_error(self, tol):
+        # the bracket shrinks only to ~tol, leaving a residual above 1e-10
+        with pytest.raises(ToleranceError, match="residual"):
+            P.q_star(4, tol=tol)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):

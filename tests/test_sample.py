@@ -71,6 +71,16 @@ class TestEstimateMoment:
             S.estimate_moment(q, 60_000, seed=1, method="plain-mean")
         assert any("infinite variance" in str(w.message) for w in rec)
 
+    @pytest.mark.parametrize("n_samples,method", [(0, "auto"), (1, "plain-mean"),
+                                                  (10_000, "trimmed-mean")])
+    def test_rejected_before_sampling(self, n_samples, method, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("samples drawn before validation")
+
+        monkeypatch.setattr(S, "_abs_sums", no_draws)
+        with pytest.raises(DomainError):
+            S.estimate_moments(4, (0.6, 0.8), [1.0], n_samples, method=method)
+
     def test_auto_method_switch(self):
         q = MomentQuery(4, -1.0, (0.6, 0.8))
         assert S.estimate_moment(q, 60_000, seed=1).method == "plain-mean"
@@ -202,6 +212,8 @@ class TestPolydisc:
     def test_requires_unit_vector(self):
         with pytest.raises(DomainError):
             S.polydisc_slice_volume([1.0, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            S.polydisc_slice_volume([math.nan, 1.0])
 
 
 class TestNormalIsf:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from khinsphere.errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from khinsphere.specfun import (
     BESSEL_CROSSOVER,
-    SeriesConfig,
     digamma,
     gamma,
     hyp2f1,
@@ -195,9 +194,15 @@ class TestJJ:
             jnup1 = jj(nu + 1.0, t) / (2.0 ** (nu + 1) * gamma(nu + 2) * t ** -(nu + 1))
             assert jnup1 == pytest.approx(2.0 * nu / t * jnu - jnum1, abs=1e-13)
 
-    def test_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            jj(1.0, 11.5, SeriesConfig(rel_tol=1e-14, max_terms=3))
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_scalar_matches_mpmath(self, nu):
+        # scalar input, up to and past the crossover (10, or 12 for nu = 1)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for t in np.linspace(0.0, 12.4, 249):
+                x = mpmath.mpf(float(t))
+                exact = 1 if t == 0 else 2**nu * mpmath.gamma(nu + 1) * x**-nu * mpmath.besselj(nu, x)
+                assert abs(jj(nu, float(t)) - float(exact)) <= 2e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -252,6 +257,11 @@ class TestHyp2f1:
         with pytest.raises(PoleError):
             hyp2f1(0.5, 0.5, -1.0, 0.3)
 
+    def test_term_budget_exhausted(self):
+        # t this close to 1 needs more series terms than the budget allows
+        with pytest.raises(ConvergenceError, match="hyp2f1"):
+            hyp2f1(1.0, 1.0, 3.0, 0.999)
+
     def test_divergence_at_one(self):
         with pytest.raises(DivergenceError):
             hyp2f1(1.5, 1.0, 2.0, 1.0)  # c - a - b = -0.5
@@ -276,11 +286,3 @@ class TestHyp2f1:
         lhs = (1.0 + t) ** (-p / 2.0) * hyp2f1(p / 4.0, (p + 2.0) / 4.0, 2.0, 4.0 * t / (1.0 + t) ** 2)
         rhs = hyp2f1(p / 2.0, (p - 2.0) / 2.0, 2.0, t)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-class TestSeriesConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SeriesConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesConfig(max_terms=0)
