@@ -1,14 +1,20 @@
-"""Monte Carlo machinery: sphere sampling and heavy-tail-aware moment checks.
+"""Monte Carlo machinery: sphere sampling and Rao-Blackwellised moment estimates.
 
 The sampling experiments are artifact plumbing (the underlying results are
 theorems); they provide statistical cross-checks of the quadrature and
 closed-form routes.  The RNG is Philox (counter-based) so that streams are
 reproducible: identical seed and configuration give bit-identical results.
+
+Moments E|sum a_k xi_k|^q are estimated by conditioning on every vector but
+the one with the largest weight A (Rao-Blackwellisation, Casella & Robert
+1996).  By rotation invariance, given v = the sum of the others,
+E[|v + A xi|^q | v] is the two-coefficient moment of (|v|, A), a bounded
+2F1 value for every q > -(d-1).  Each sample thus has finite variance, and
+the plain mean with its CLT standard error holds on the whole domain.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +22,7 @@ import numpy as np
 from .constants import C2, C_infty, MomentQuery
 from .errors import DomainError
 from .quad import QuadratureConfig, product_moment
-from .specfun import hyp2f1
+from .specfun import HYP2F1_RTOL, hyp2f1
 
 __all__ = [
     "SampleStats",
@@ -33,9 +39,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-_MOM_BLOCKS = 64
-# efficiency factor of the median of (asymptotically normal) block means
-_MEDIAN_FACTOR = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class SampleStats:
     def __post_init__(self) -> None:
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-        if self.method not in ("plain-mean", "median-of-means"):
+        if self.method != "plain-mean":
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -78,71 +81,72 @@ def sample_sphere(d: int, size: int | None = None, rng: np.random.Generator | No
     return x[0] if size is None else x
 
 
-def _abs_sums(d: int, coeffs, n: int, gen: np.random.Generator) -> np.ndarray:
-    """|sum_k a_k xi_k| for n independent draws, in fixed-size chunks."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = len(coeffs)
-    out = np.empty(n)
+def _unit_vectors(gen: np.random.Generator, n: int, k: int, d: int):
+    """n draws of k independent uniform vectors on S^(d-1), as (m, k, d) chunks of at most _CHUNK draws."""
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
         x = gen.standard_normal((m, k, d))
         x /= np.linalg.norm(x, axis=2)[:, :, None]
-        s = np.einsum("k,mkd->md", coeffs, x)
-        out[done:done + m] = np.linalg.norm(s, axis=1)
+        yield x
         done += m
-    return out
 
 
-def _stats_from_values(vals: np.ndarray, method: str, seed: int) -> SampleStats:
-    n = len(vals)
-    if method == "plain-mean":
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    else:
-        nb = _MOM_BLOCKS
-        if n < 8 * nb:
-            raise DomainError(f"median-of-means needs at least {8 * nb} samples")
-        block = n // nb
-        means = vals[: nb * block].reshape(nb, block).mean(axis=1)
-        est = float(np.median(means))
-        # widened error: the median of skewed block means is biased toward the
-        # bulk, so the observed median-mean gap is added to the normal term
-        se = float(_MEDIAN_FACTOR * np.std(means, ddof=1) / math.sqrt(nb)
-                   + abs(float(np.mean(means)) - est))
-    return SampleStats(n_samples=n, estimate=est, std_error=se, method=method, seed=seed)
+def _abs_sums(d: int, coeffs, n: int, gen: np.random.Generator, dims: int | None = None) -> np.ndarray:
+    """|sum_k a_k xi_k| for n independent draws; with ``dims``, of the first ``dims`` coordinates."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return np.concatenate([np.linalg.norm(np.einsum("k,mkd->md", coeffs, x[:, :, :dims]), axis=1)
+                           for x in _unit_vectors(gen, n, len(coeffs), d)])
 
 
-def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0,
-                    method: str = "auto") -> SampleStats:
-    """Monte Carlo estimate of E|sum a_k xi_k|^q.
+def _two_coeff_moment(d: int, q: float, a, b):
+    """E|a xi_1 + b xi_2|^q = M^q 2F1(-q/2, (-q-d+2)/2; d/2; (m/M)^2), M = max(|a|,|b|), m = min.
 
-    The plain mean needs 2q > -(d-1) for a finite variance; otherwise the
-    estimator switches to median of means over 64 blocks (and warns).
+    Array-capable in a and b; finite for q > -(d-1), where the 2F1 at 1 is a Gauss sum.
     """
-    return estimate_moments(query.d, query.coeffs, [query.q], n_samples, seed, method)[0]
+    a, b = np.abs(a), np.abs(b)
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return hi**q * hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, (lo / hi) ** 2)
 
 
-def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0,
-                     method: str = "auto") -> list[SampleStats]:
-    """Estimates of E|sum a_k xi_k|^q for several q on shared samples."""
-    if method not in ("auto", "plain-mean", "median-of-means"):
-        raise DomainError(f"unknown method {method!r}")
+def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> SampleStats:
+    """Monte Carlo estimate of E|sum a_k xi_k|^q (Rao-Blackwellised; see the module docstring)."""
+    return estimate_moments(query.d, query.coeffs, [query.q], n_samples, seed)[0]
+
+
+def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[SampleStats]:
+    """Estimates of E|sum a_k xi_k|^q for several q on shared samples.
+
+    Each sample draws the vectors of every weight but the largest, A, and
+    scores the exact conditional moment given their sum v,
+    _two_coeff_moment(d, q, |v|, A).  The standard error is the CLT one,
+    floored by the 2F1's relative accuracy: with two coefficients every
+    sample scores the same value.
+    """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
     qs = [float(q) for q in qs]
     for q in qs:
         MomentQuery(d, q, tuple(coeffs))  # validates domain
-    vals = _abs_sums(d, coeffs, n_samples, _rng(seed))
+    coeffs = np.asarray(coeffs, dtype=float)
+    top = int(np.argmax(np.abs(coeffs)))
+    big = abs(coeffs[top])
+    others = np.delete(coeffs, top)
+    others = others[others != 0.0]
+    if len(others) <= 1:
+        # |v| is the other weight (or 0) on every draw; a sampled |a xi|
+        # would be off by rounding, which the 2F1 magnifies near t = 1
+        r = np.full(n_samples, float(np.abs(others).sum()))
+    else:
+        r = _abs_sums(d, others, n_samples, _rng(seed))
     out = []
     for q in qs:
-        meth = method
-        if method == "auto":
-            meth = "plain-mean" if 2.0 * q > -(d - 1.0) else "median-of-means"
-        elif method == "plain-mean" and 2.0 * q <= -(d - 1.0):
-            warnings.warn(f"plain mean has infinite variance at q={q}, d={d}",
-                          RuntimeWarning, stacklevel=2)
-        out.append(_stats_from_values(vals**q, meth, seed))
+        vals = np.concatenate([_two_coeff_moment(d, q, big, r[i:i + _CHUNK])
+                               for i in range(0, n_samples, _CHUNK)])
+        est = float(np.mean(vals))
+        se = math.hypot(float(np.std(vals, ddof=1)) / math.sqrt(n_samples), HYP2F1_RTOL * abs(est))
+        out.append(SampleStats(n_samples=n_samples, estimate=est, std_error=se,
+                               method="plain-mean", seed=seed))
     return out
 
 
@@ -190,8 +194,8 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     """Check E|sum a_k xi_k|^(-p) <= C(p) (sum a_k^2)^(-p/2) at d=4.
 
     C(p) is C_infty for p <= 2 and C2 for p > 2.  Two-coefficient sets use the
-    exact hypergeometric route; the rest are Monte Carlo with the base 4-sigma
-    threshold Bonferroni-widened across the batch.
+    exact hypergeometric route; the rest are Rao-Blackwellised Monte Carlo
+    with the base 4-sigma threshold Bonferroni-widened across the batch.
     """
     if d != 4:
         raise DomainError("the sharp-constant check is stated for d = 4")
@@ -210,10 +214,7 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
         if len(nz) == 1:
             est, se, route = nz[0] ** (-p), 0.0, "exact"
         elif len(nz) == 2:
-            hi, lo = max(nz), min(nz)
-            t = (lo / hi) ** 2
-            est = hi ** (-p) * hyp2f1(p / 2.0, (p - 2.0) / 2.0, 2.0, t)
-            se, route = 0.0, "hypergeometric"
+            est, se, route = float(_two_coeff_moment(d, -p, *nz)), 0.0, "hypergeometric"
         else:
             stats = estimate_moment(MomentQuery(d, -p, coeffs), n_samples, seed=seed + i)
             est, se, route = stats.estimate, stats.std_error, stats.method
@@ -255,22 +256,10 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
         raise DomainError(f"requires q > -(d-2), got q={q}")
     if q == 0:
         raise DomainError("q = 0 is out of scope")
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = len(coeffs)
     gen = _rng(seed)
-
     sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
-
-    ball_vals = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        x = gen.standard_normal((m, k, d))
-        x /= np.linalg.norm(x, axis=2)[:, :, None]
-        u = x[:, :, : d - 2]  # projection of the sphere is uniform on the ball
-        s = np.einsum("k,mkd->md", coeffs, u)
-        ball_vals[done:done + m] = np.linalg.norm(s, axis=1) ** q
-        done += m
+    # the projection of the sphere to d-2 coordinates is uniform on the ball
+    ball_vals = _abs_sums(d, coeffs, n_samples, gen, dims=d - 2) ** q
 
     mb, ms = float(np.mean(ball_vals)), float(np.mean(sphere_vals))
     sb = float(np.std(ball_vals, ddof=1) / math.sqrt(n_samples))

@@ -357,7 +357,7 @@ def verify_two_coeff_bounds(d: int, p: float, n_grid: int = 200) -> Verification
     if not 0.0 < p <= d - 2:
         raise DomainError(f"requires 0 < p <= d-2, got p={p}, d={d}")
     ts = np.linspace(1e-3, 1.0 - 1e-3, n_grid)
-    mvals = np.array([hyp2f1(p / 2.0, (p - d + 2.0) / 2.0, d / 2.0, float(t)) for t in ts])
+    mvals = hyp2f1(p / 2.0, (p - d + 2.0) / 2.0, d / 2.0, ts)
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
     if d == 4 and p <= 2.0:

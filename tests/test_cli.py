@@ -71,6 +71,14 @@ class TestMomentVerb:
         assert quad_v == pytest.approx(hyp_v, abs=1e-7)
         assert mc_v == pytest.approx(quad_v, abs=5 * d["mc_std_error"])
 
+    def test_near_equal_pair(self, capsys):
+        # t = 0.9995^2, next to the 2F1 branch point at t = 1
+        code, out, _ = _run(["--format", "json", "moment", "--d", "4", "--p", "2.5",
+                             "--coeffs", "1,0.9995", "--n", "20000"], capsys)
+        assert code == 0
+        routes = json.loads(out)["routes"]
+        assert routes["hypergeometric"] == pytest.approx(routes["quadrature"], rel=1e-9)
+
 
 class TestVerifyVerb:
     def test_pass_exit_zero(self, capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khinsphere.errors import ConvergenceError, DivergenceError, DomainError, PoleError
+from khinsphere.errors import DivergenceError, DomainError, PoleError
 from khinsphere.specfun import (
     BESSEL_CROSSOVER,
+    HYP2F1_RTOL,
     digamma,
     gamma,
     hyp2f1,
@@ -257,10 +258,29 @@ class TestHyp2f1:
         with pytest.raises(PoleError):
             hyp2f1(0.5, 0.5, -1.0, 0.3)
 
-    def test_term_budget_exhausted(self):
-        # t this close to 1 needs more series terms than the budget allows
-        with pytest.raises(ConvergenceError, match="hyp2f1"):
-            hyp2f1(1.0, 1.0, 3.0, 0.999)
+    @pytest.mark.parametrize("t", [0.3, 0.999, 1.0 - 1e-9])
+    def test_log_closed_form_near_one(self, t):
+        # 2F1(1,1;3;t) = 2((1-t)log(1-t) + t)/t^2: c-a-b = 1, the logarithmic case
+        w = 1.0 - t
+        expected = 2.0 * (w * math.log(w) + t) / t**2
+        assert hyp2f1(1.0, 1.0, 3.0, t) == pytest.approx(expected, rel=1e-14)
+
+    def test_terminating_is_exact(self):
+        # d=4, q=-2 and d=3, q=-1: b = 0, the series is the constant 1
+        for d, q in ((4, -2.0), (3, -1.0)):
+            vals = hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, np.linspace(0.0, 1.0, 101))
+            assert np.all(vals == 1.0)
+        # a = -2: the polynomial 1 - 2bt/c + b(b+1)t^2/(c(c+1)) on all of [0, 1]
+        for t in (0.2, 0.9, 1.0):
+            assert hyp2f1(-2.0, 1.5, 0.5, t) == pytest.approx(1.0 - 6.0 * t + 5.0 * t * t, rel=1e-15)
+
+    def test_array_matches_scalar(self):
+        ts = np.array([0.0, 0.2, 0.5, 0.5000001, 0.9, 0.9999, 1.0 - 1e-12, 1.0])
+        for a, b, c in ((1.25, 0.25, 2.0), (0.5, -0.5, 2.0), (1.0, 0.5, 2.5)):
+            vals = hyp2f1(a, b, c, ts)
+            assert vals.shape == ts.shape
+            assert all(v == hyp2f1(a, b, c, float(t)) for v, t in zip(vals, ts))
+            assert isinstance(hyp2f1(a, b, c, 0.7), float)
 
     def test_divergence_at_one(self):
         with pytest.raises(DivergenceError):
@@ -269,6 +289,13 @@ class TestHyp2f1:
     def test_domain(self):
         with pytest.raises(DomainError):
             hyp2f1(0.5, 0.5, 2.0, 1.5)
+        with pytest.raises(DomainError):
+            hyp2f1(0.5, 0.5, 2.0, np.array([0.2, math.nan]))
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(math.nan, 0.5, 2.0, 0.3)
+        for t in (0.3, 0.9):
+            with pytest.raises(DomainError, match="overflow"):
+                hyp2f1(800.3, 800.6, 1.5, t)
 
     @pytest.mark.parametrize("p,direction", [(0.5, -1), (1.5, -1), (2.3, 1), (2.8, 1)])
     def test_monotone_in_t(self, p, direction):
@@ -286,3 +313,50 @@ class TestHyp2f1:
         lhs = (1.0 + t) ** (-p / 2.0) * hyp2f1(p / 4.0, (p + 2.0) / 4.0, 2.0, 4.0 * t / (1.0 + t) ** 2)
         rhs = hyp2f1(p / 2.0, (p - 2.0) / 2.0, 2.0, t)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _sphere_params(d, q):
+    return -q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0
+
+
+_NEAR_ONE = [0.0, 0.2, 0.5, 0.5000001, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-7,
+             1.0 - 1e-9, 1.0 - 1e-12]
+
+
+def _hyp2f1_grid():
+    """(d, q) over the sphere family: generic q, the log cases, the terminating
+    cases and c-a-b = d-1+q within 1e-3, 1e-6, 1e-9 of an integer."""
+    cases = [(4, -1.0), (2, 1.0), (4, -2.0), (3, -1.0)]
+    for d in (2, 3, 4, 5, 8):
+        cases += [(d, q) for q in np.linspace(-(d - 1) + 0.07, 8.0, 7)]
+        for m in (1, 2, 3, 7):
+            for gap in (1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9):
+                cases.append((d, m + gap - (d - 1)))
+    return cases
+
+
+class TestHyp2f1Mpmath:
+    @pytest.mark.parametrize("d,q", _hyp2f1_grid())
+    def test_matches_mpmath(self, d, q):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        a, b, c = _sphere_params(d, q)
+        ts = np.array(_NEAR_ONE + ([1.0] if c - a - b > 0 else []))
+        vals = hyp2f1(a, b, c, ts)
+        for t, v in zip(ts, vals):
+            ref = float(mpmath.hyp2f1(a, b, c, float(t)))
+            assert abs(v - ref) <= HYP2F1_RTOL * abs(ref), (t, v, ref)
+            assert v == hyp2f1(a, b, c, float(t))
+
+    # outside the sphere family: c-a <= 1/2 (Gamma ratios change sign along
+    # the series), c-a-b < 0 (Euler's transformation), c-a a nonpositive
+    # integer (a polynomial times (1-t)^(c-a-b)), c-a-b = 0
+    @pytest.mark.parametrize("a,b,c", [(1.5, 0.5, 1.2), (2.5, -0.5, 1.0), (0.3, 0.7, 0.5),
+                                       (2.2, 1.3, 1.7), (2.5, 1.0, 0.5), (0.75, 1.25, 2.0)])
+    def test_general_parameters(self, a, b, c):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for t in _NEAR_ONE:
+            ref = float(mpmath.hyp2f1(a, b, c, t))
+            assert hyp2f1(a, b, c, t) == pytest.approx(ref, rel=HYP2F1_RTOL)
+
