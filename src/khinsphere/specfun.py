@@ -412,11 +412,6 @@ def _ratio_coeffs(p1: float, p2: float, q1: float, q2: float, n_max: int | None 
 
 
 def _horner(cs, x):
-    if x.size == 1:  # the same arithmetic on Python floats, without numpy's per-call cost
-        acc, xf = cs[-1], float(x.flat[0])
-        for c in cs[-2::-1]:
-            acc = acc * xf + c
-        return np.full_like(x, acc)
     acc = np.full_like(x, cs[-1])
     for c in cs[-2::-1]:
         acc *= x

@@ -72,19 +72,21 @@ class TestEstimateMoment:
             raise AssertionError("samples drawn before validation")
 
         monkeypatch.setattr(S, "_unit_vectors", no_draws)
+        # three nonzero weights, so that two vectors are drawn
         with pytest.raises(DomainError):
-            S.estimate_moments(4, (0.6, 0.8), [1.0], n_samples)
+            S.estimate_moments(4, (0.6, 0.6, 0.5), [1.0], n_samples)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_rao_blackwell_heavy_tail(self, n):
+    @pytest.mark.parametrize("n, rel_se", [(3, 1e-3), (4, 2.2e-3), (5, 3e-3), (6, 3.7e-3)])
+    def test_rao_blackwell_heavy_tail(self, n, rel_se):
         # q = -2.5 at d = 4: |S|^q has infinite variance, the conditional 2F1
-        # value a bounded one, so the CLT error is honest and small (0.7e-3
-        # relative at n = 3, 3.2e-3 at n = 6)
+        # value a bounded one, so the CLT error is honest and small.  Over
+        # seeds 0..29 the relative se is 0.70e-3, 1.91e-3, 2.66e-3 and
+        # 3.23e-3 for n = 3..6, within 1% of these medians
         a = np.linspace(1.0, 0.5, n)
         q = MomentQuery(4, -2.5, tuple(a / np.linalg.norm(a)))
         st_ = S.estimate_moment(q, 50_000, seed=40 + n)
         assert st_.method == "plain-mean"
-        assert st_.std_error <= 5e-3 * st_.estimate
+        assert st_.std_error <= rel_se * st_.estimate
         assert abs(st_.estimate - product_moment(q)) < 4.0 * st_.std_error
 
     def test_two_coeff_moment_matches_check_khinchin_route(self):
