@@ -26,7 +26,6 @@ from .quad import (
     H,
     H_tilde,
     IntegralParams,
-    QuadratureConfig,
     U,
     certified_F_upper,
     product_moment,

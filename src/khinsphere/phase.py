@@ -29,6 +29,9 @@ __all__ = [
 
 
 _MAX_RESIDUAL = 1e-10  # |c_two - c_inf| accepted at a reported root
+_APPENDIX_GRID = 400  # grid size of the h_tilde claims
+_FIT_RANGE = (20, 60)  # dimensions fitted by asymptotic_check
+_SLOPE_TOL_REL = 0.15  # relative tolerance on the fitted decay slope
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
                                  residual=residual, iterations=iterations)
 
 
-def verify_appendix_claims(d: int, n_grid: int = 400) -> VerificationReport:
+def verify_appendix_claims(d: int) -> VerificationReport:
     """The three h_tilde claims plus their printed sub-certificates.
 
     Claim 1: h_tilde'' > 0.06 on (0, 1), with the analytic floor 5 - pi^2/2.
@@ -151,7 +154,7 @@ def verify_appendix_claims(d: int, n_grid: int = 400) -> VerificationReport:
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
 
-    xs = np.linspace(1e-3, 1.0 - 1e-3, n_grid)
+    xs = np.linspace(1e-3, 1.0 - 1e-3, _APPENDIX_GRID)
     h2 = trigamma(xs) - trigamma(xs + 0.5) - trigamma(xs + (d - 1) / 2.0)
     i = int(np.argmin(h2))
     points.append((1.0, float(xs[i])))
@@ -159,7 +162,7 @@ def verify_appendix_claims(d: int, n_grid: int = 400) -> VerificationReport:
     points.append((1.0, -1.0))
     margins.append(5.0 - math.pi**2 / 2.0 - 0.06)  # analytic floor of the claim
 
-    xs = np.linspace(1.0 + 1e-6, (d - 1) / 2.0 - 1e-9, n_grid)
+    xs = np.linspace(1.0 + 1e-6, (d - 1) / 2.0 - 1e-9, _APPENDIX_GRID)
     h1 = math.log(d) + digamma(xs) - digamma(xs + 0.5) - digamma(xs + (d - 1) / 2.0)
     i = int(np.argmin(h1))
     points.append((2.0, float(xs[i])))
@@ -186,16 +189,16 @@ def verify_appendix_claims(d: int, n_grid: int = 400) -> VerificationReport:
     margins.append(h_d(d, -eps) / (-eps))
 
     region = f"d={d}: claims 1-3 with printed floors, plus h_d'(0) > 0"
-    return _make_report("appendix_claims", region, (n_grid,), points, margins)
+    return _make_report("appendix_claims", region, (_APPENDIX_GRID,), points, margins)
 
 
-def asymptotic_check(d_range, fit_range: tuple[int, int] = (20, 60),
-                     tol_rel: float = 0.15) -> VerificationReport:
+def asymptotic_check(d_range) -> VerificationReport:
     """Decay rate of alpha_d = (q_d* + d - 1)/2 against the predicted exponent.
 
-    Fits log(alpha_d) - log(d) ~ slope * d + const over fit_range and passes
-    when the slope is within tol_rel of -(1 - log 2)/2; also records that
-    alpha_d < 1/2 for every d >= 10 in the range.
+    Fits log(alpha_d) - log(d) ~ slope * d + const over the dimensions of
+    d_range in [20, 60] and passes when the slope is within 15% of
+    -(1 - log 2)/2; also records that alpha_d < 1/2 for every d >= 10 in the
+    range.
     """
     d_range = sorted(int(d) for d in d_range)
     if any(d < 5 or d > 60 for d in d_range):
@@ -207,18 +210,19 @@ def asymptotic_check(d_range, fit_range: tuple[int, int] = (20, 60),
         alphas[d] = (res.q_star + d - 1.0) / 2.0
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
-    fit_ds = [d for d in d_range if fit_range[0] <= d <= fit_range[1]]
+    lo, hi = _FIT_RANGE
+    fit_ds = [d for d in d_range if lo <= d <= hi]
     if len(fit_ds) < 3:
         raise DomainError("need at least 3 dimensions inside the fit range")
     ys = np.array([math.log(alphas[d]) - math.log(d) for d in fit_ds])
     xs = np.array(fit_ds, dtype=float)
     slope, _ = np.polyfit(xs, ys, 1)
     points.append((float(slope), target))
-    margins.append(tol_rel - abs(slope / target - 1.0))
+    margins.append(_SLOPE_TOL_REL - abs(slope / target - 1.0))
     for d in d_range:
         if d >= 10:
             points.append((float(d), alphas[d]))
             margins.append(0.5 - alphas[d])
-    region = (f"d in {d_range[0]}..{d_range[-1]}, fit on [{fit_range[0]}, {fit_range[1]}]; "
+    region = (f"d in {d_range[0]}..{d_range[-1]}, fit on [{lo}, {hi}]; "
               f"slope={slope:.5f} vs target={target:.5f}")
     return _make_report("appendix_asymptotics", region, (len(d_range),), points, margins)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C2, C_infty, MomentQuery
 from .errors import DomainError
-from .quad import QuadratureConfig, product_moment
+from .quad import product_moment
 from .specfun import HYP2F1_RTOL, hyp2f1
 
 __all__ = [
@@ -272,7 +272,7 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
                             z=z, passed=abs(z) <= 4.0)
 
 
-def polydisc_slice_volume(a, cfg: QuadratureConfig | None = None) -> float:
+def polydisc_slice_volume(a) -> float:
     """vol_{2n-2}(D^n cut by the hyperplane orthogonal to a) = pi^(n-1) E|sum a_k xi_k|^(-2).
 
     a must be a unit vector in R^n; a single nonzero entry gives exactly
@@ -289,5 +289,4 @@ def polydisc_slice_volume(a, cfg: QuadratureConfig | None = None) -> float:
     if nz <= 1:
         return math.pi ** (n - 1)
     query = MomentQuery(4, -2.0, tuple(a))
-    moment = product_moment(query, cfg or QuadratureConfig())
-    return math.pi ** (n - 1) * moment
+    return math.pi ** (n - 1) * product_moment(query)

@@ -5,7 +5,11 @@ returns a VerificationReport whose min_margin is the smallest verified gap.
 Verification here is evidence-grade floating point, not proof-grade; default
 regions clip 1e-3 away from points where an inequality degenerates to
 equality (gamma poles, the s=2 line where H~ vanishes, the (2,2) corner
-where H vanishes at the phase transition).
+where H vanishes at the phase transition).  On the boundaries p = d-2
+(two-coefficient bounds) and p = d-4 (bisubharmonicity) the inequality
+becomes an identity, which is checked instead.  Only the region verifiers
+(H, H~, U < G, the inductive base) take a grid; the other grid sizes and the
+subdivision counts m of the certified bounds are module constants.
 """
 from __future__ import annotations
 
@@ -16,15 +20,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import D
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .quad import (
     G,
     G_tilde,
     H,
     H_tilde,
     IntegralParams,
-    QuadratureConfig,
     U,
+    _riemann_monotone,
     table2_log_bound,
     table3_scaled_bound,
 )
@@ -51,7 +55,10 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 
-_DEFAULT_CFG = QuadratureConfig()
+_N_GRID = 200  # grid size of the two-coefficient, bisubharmonic and small-lemma checks
+_BISUB_DELTAS = (0.1, 1.0, 10.0)
+_M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
+_M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,21 @@ class PhiFunction:
         return float(out) if out.ndim == 0 else out
 
 
+def _tangent_margins(R: Callable[[float], float], r_prime: Callable[[float], float],
+                     L: Callable[[float], float],
+                     edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """On each piece [u0, u1] of edges, R's tangent at the midpoint minus L at u0 and at u1."""
+    left, right = [], []
+    for u0, u1 in zip(edges[:-1], edges[1:]):
+        v = 0.5 * (u0 + u1)
+        rv, slope = R(v), r_prime(v)
+        if not (math.isfinite(rv) and math.isfinite(slope)):
+            raise ConvergenceError(f"tangent construction failed at v={v}")
+        left.append(rv + slope * (u0 - v) - L(u0))
+        right.append(rv + slope * (u1 - v) - L(u1))
+    return np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+
+
 def tangent_chord_dominates(pair: ConvexPair) -> VerificationReport:
     """Check R > L on [a,b] via tangents of R at subinterval midpoints.
 
@@ -156,21 +178,11 @@ def tangent_chord_dominates(pair: ConvexPair) -> VerificationReport:
     """
     a, b = pair.interval
     h = 1e-6 * (b - a)
+    r_prime = pair.r_prime or (lambda v: (pair.R(v + h) - pair.R(v - h)) / (2.0 * h))
     edges = pair.edges
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
-    for u0, u1 in zip(edges[:-1], edges[1:]):
-        v = 0.5 * (u0 + u1)
-        rv = pair.R(v)
-        slope = pair.r_prime(v) if pair.r_prime is not None else (pair.R(v + h) - pair.R(v - h)) / (2.0 * h)
-        if not (math.isfinite(rv) and math.isfinite(slope)):
-            raise ConvergenceError(f"tangent construction failed at v={v}")
-        for u in (u0, u1):
-            val = rv + slope * (u - v) - pair.L(u)
-            if not math.isfinite(val):
-                raise ConvergenceError(f"non-finite function value at {u}")
-            points.append((u,))
-            margins.append(val)
+    left, right = _tangent_margins(pair.R, r_prime, pair.L, edges)
+    points = [(u,) for u0, u1 in zip(edges[:-1], edges[1:]) for u in (u0, u1)]
+    margins = np.column_stack((left, right)).ravel()
     return _make_report("tangent_chord", f"[{a}, {b}]", (len(edges) - 1,), points, margins)
 
 
@@ -178,8 +190,7 @@ def tangent_chord_dominates(pair: ConvexPair) -> VerificationReport:
 # integral-inequality regions
 # ----------------------------------------------------------------------------
 
-def verify_H_regions(grid: tuple[int, int] = (60, 60),
-                     cfg: QuadratureConfig = _DEFAULT_CFG) -> VerificationReport:
+def verify_H_regions(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     """H(p,s) > 0 on (a) p in (0,2], s in [2,12] and (b) p in (0,1/4], s in [1.3,12].
 
     The corner (2,2) of region (a) is clipped: H(2,2) = 0 exactly (it is the
@@ -194,18 +205,17 @@ def verify_H_regions(grid: tuple[int, int] = (60, 60),
             if p > 2.0 - 1e-3 and s < 2.0 + 1e-3:
                 continue
             points.append((p, s))
-            margins.append(H(IntegralParams(p, s), cfg))
+            margins.append(H(IntegralParams(p, s)))
     for p in np.geomspace(1e-3, 0.25, np_):
         for s in np.geomspace(1.3, 12.0, ns):
             points.append((p, s))
-            margins.append(H(IntegralParams(p, s), cfg))
+            margins.append(H(IntegralParams(p, s)))
     region = ("(a) p in [1e-3, 2], s in [2, 12] minus the (2,2) corner; "
               "(b) p in [1e-3, 1/4], s in [1.3, 12]")
     return _make_report("H_regions", region, grid, points, margins)
 
 
-def verify_H_tilde_region(grid: tuple[int, int] = (60, 60),
-                          cfg: QuadratureConfig = _DEFAULT_CFG) -> VerificationReport:
+def verify_H_tilde_region(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     """H~(p,s) > 0 on p in (2,3), s in [2,12]; H~(.,2) = 0, so s starts at 2+1e-3."""
     np_, ns = grid
     points: list[tuple[float, float]] = []
@@ -215,7 +225,7 @@ def verify_H_tilde_region(grid: tuple[int, int] = (60, 60),
     for p in ps:
         for s in ss:
             points.append((p, s))
-            margins.append(H_tilde(IntegralParams(p, s), cfg))
+            margins.append(H_tilde(IntegralParams(p, s)))
     region = "p in [2+1e-3, 3-1e-3], s in [2+1e-3, 12]"
     return _make_report("H_tilde_region", region, grid, points, margins)
 
@@ -227,6 +237,11 @@ _UG_CASES = {
 }
 
 _LOG_A = 0.5 * math.log(2.0 * math.pi) + 0.25 * math.log(15.0)
+
+
+def _dlog_D(p: float) -> float:
+    """d/dp log D(p)."""
+    return -digamma(3.0 - p) + digamma(2.0 - p / 2.0) + 0.5 * digamma(3.0 - p / 2.0)
 
 
 def _ug_A(p: float, s: float) -> float:
@@ -272,8 +287,7 @@ def _verify_U_less_G_tilde(grid: tuple[int, int]) -> VerificationReport:
         return 0.88 * (8.0 / 3.0) ** 2 * (D(p) - 1.0) + 8.0 / 9.0
 
     def Rp(p: float) -> float:
-        dlogD = -digamma(3.0 - p) + digamma(2.0 - p / 2.0) + 0.5 * digamma(3.0 - p / 2.0)
-        return 0.88 * (8.0 / 3.0) ** 2 * D(p) * dlogD
+        return 0.88 * (8.0 / 3.0) ** 2 * D(p) * _dlog_D(p)
 
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
@@ -347,16 +361,19 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     return _make_report("ind_base", region, grid, points, margins)
 
 
-def verify_two_coeff_bounds(d: int, p: float, n_grid: int = 200) -> VerificationReport:
+def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:
     """Two-coefficient moment versus its quadratic and min-type bounds.
 
     For d=4, 0 < p <= 2: 2F1(p/2,(p-2)/2;2;t) <= 1 - p(2-p)/8 t - p^2(4-p^2)/192 t^2.
     For 0 < p <= d-2: the moment is <= 1 and nonincreasing in t (fp allowance
-    1e-13 on the monotonicity differences, which vanish identically at p = d-2).
+    1e-13 on the monotonicity differences).  At p = d-2 the moment is
+    identically 1 (degenerate boundary), so there "<= 1" is checked as
+    |moment - 1| <= 1e-13 and the differences vanish.
     """
     if not 0.0 < p <= d - 2:
         raise DomainError(f"requires 0 < p <= d-2, got p={p}, d={d}")
-    ts = np.linspace(1e-3, 1.0 - 1e-3, n_grid)
+    degenerate = abs(p - (d - 2.0)) < 1e-12
+    ts = np.linspace(1e-3, 1.0 - 1e-3, _N_GRID)
     mvals = hyp2f1(p / 2.0, (p - d + 2.0) / 2.0, d / 2.0, ts)
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
@@ -369,17 +386,17 @@ def verify_two_coeff_bounds(d: int, p: float, n_grid: int = 200) -> Verification
             margins.append(float(b - m) + 1e-15)
     for t, m in zip(ts, mvals):
         points.append((float(t), 1.0))
-        margins.append(float(1.0 - m))
+        margins.append(float(1e-13 - abs(1.0 - m)) if degenerate else float(1.0 - m))
     diffs = mvals[:-1] - mvals[1:] + 1e-13
     for t, dm in zip(ts[:-1], diffs):
         points.append((float(t), 2.0))
         margins.append(float(dm))
-    region = f"d={d}, p={p}, t in [1e-3, 1-1e-3]"
-    return _make_report("two_coeff_bounds", region, (n_grid,), points, margins)
+    tag = " (degenerate boundary p=d-2)" if degenerate else ""
+    region = f"d={d}, p={p}, t in [1e-3, 1-1e-3]{tag}"
+    return _make_report("two_coeff_bounds", region, (_N_GRID,), points, margins)
 
 
-def verify_bisubharmonic(d: int, p: float, deltas: Sequence[float] = (0.1, 1.0, 10.0),
-                         n_grid: int = 200) -> VerificationReport:
+def verify_bisubharmonic(d: int, p: float) -> VerificationReport:
     """Sign pattern of the radial quartic A|x|^4 + B|x|^2 + C for 0 < p < d-4.
 
     A = (p-d+2)(p-d+4) > 0 and B^2 - 4AC = 8 delta^2 (d+2)(p+4)(p-d+4) < 0,
@@ -394,8 +411,8 @@ def verify_bisubharmonic(d: int, p: float, deltas: Sequence[float] = (0.1, 1.0, 
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
     A = (p - d + 2.0) * (p - d + 4.0)
-    xs = np.linspace(0.0, 10.0, n_grid)
-    for delta in deltas:
+    xs = np.linspace(0.0, 10.0, _N_GRID)
+    for delta in _BISUB_DELTAS:
         B = 2.0 * delta * (d + 2.0) * (-p + d - 4.0)
         C = delta**2 * d * (d + 2.0)
         disc = B * B - 4.0 * A * C
@@ -413,16 +430,16 @@ def verify_bisubharmonic(d: int, p: float, deltas: Sequence[float] = (0.1, 1.0, 
             points.append((delta, 2.0))
             margins.append(-disc)
     tag = " (degenerate boundary p=d-4)" if degenerate else ""
-    region = f"d={d}, p={p}, deltas={tuple(deltas)}, |x| in [0, 10]{tag}"
-    return _make_report("bisubharmonic", region, (n_grid,), points, margins)
+    region = f"d={d}, p={p}, deltas={_BISUB_DELTAS}, |x| in [0, 10]{tag}"
+    return _make_report("bisubharmonic", region, (_N_GRID,), points, margins)
 
 
-def verify_small_lemmas(n_grid: int = 200) -> VerificationReport:
+def verify_small_lemmas() -> VerificationReport:
     """(13/20)^q < Gamma(2-q); extended midpoint concavity of Phi_p; the
     projection chain a1^(-p) <= (13/10)^(p/2) <= 2^(p/2) Gamma(2-p/2)."""
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
-    qs = np.linspace(1e-3, 2.0 - 1e-3, n_grid)
+    qs = np.linspace(1e-3, 2.0 - 1e-3, _N_GRID)
     vals = gamma(2.0 - qs) - 0.65**qs
     for q, v in zip(qs, vals):
         points.append((float(q), 0.0))
@@ -454,7 +471,7 @@ def verify_small_lemmas(n_grid: int = 200) -> VerificationReport:
         margins.append(float(1.3 ** (p / 2.0) - a1 ** (-p)))
 
     region = "Gamma lower bound on (0,2); Phi_p midpoint concavity; projection chain p in (0, 1/4]"
-    return _make_report("small_lemmas", region, (n_grid,), points, margins)
+    return _make_report("small_lemmas", region, (_N_GRID,), points, margins)
 
 
 # ----------------------------------------------------------------------------
@@ -472,16 +489,11 @@ TABLE3_FLOORS_RIGHT = (2, 3, 4, 3, 3, 2)
 _T3_LOG_C = 2.0 / 17.0 + 1.5 * math.log(2.0) - 0.5 * math.log(1.7)
 
 
-def table2_margins(m: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def table2_margins() -> tuple[np.ndarray, np.ndarray]:
     """Endpoint margins 1e3 (ell_i - L) of the s=8/3 interpolation bound."""
-    left, right = [], []
-    for u0, u1 in zip(TABLE2_EDGES[:-1], TABLE2_EDGES[1:]):
-        v = 0.5 * (u0 + u1)
-        rv = log_gamma(v / 2.0)
-        slope = 0.5 * digamma(v / 2.0)
-        left.append(1e3 * (rv + slope * (u0 - v) - table2_log_bound(u0, m)))
-        right.append(1e3 * (rv + slope * (u1 - v) - table2_log_bound(u1, m)))
-    return np.asarray(left), np.asarray(right)
+    left, right = _tangent_margins(lambda v: log_gamma(v / 2.0), lambda v: 0.5 * digamma(v / 2.0),
+                                   lambda u: table2_log_bound(u, _M_S83), TABLE2_EDGES)
+    return 1e3 * left, 1e3 * right
 
 
 def _table3_R(p: float) -> float:
@@ -492,22 +504,18 @@ def _table3_Rp(p: float) -> float:
     return _table3_R(p) * (_T3_LOG_C + 0.5 * digamma(p / 2.0 + 1.0))
 
 
-def table3_margins(m: int = 200) -> tuple[np.ndarray, np.ndarray, float]:
+def table3_margins() -> tuple[np.ndarray, np.ndarray, float]:
     """Endpoint margins 1e4 of the s=1.3 bound, plus the p<=0.02 tangent margin."""
-    left, right = [], []
-    for u0, u1 in zip(TABLE3_EDGES[:-1], TABLE3_EDGES[1:]):
-        v = 0.5 * (u0 + u1)
-        rv, slope = _table3_R(v), _table3_Rp(v)
-        left.append(1e4 * (rv + slope * (u0 - v) - table3_scaled_bound(u0, m)))
-        right.append(1e4 * (rv + slope * (u1 - v) - table3_scaled_bound(u1, m)))
+    left, right = _tangent_margins(_table3_R, _table3_Rp,
+                                   lambda u: table3_scaled_bound(u, _M_S13), TABLE3_EDGES)
     rp0 = _T3_LOG_C - 0.5 * EULER_GAMMA  # R(0)=1, R'(0)
-    ell0_margin = 1.0 + rp0 * 0.02 - table3_scaled_bound(0.02, m)
-    return np.asarray(left), np.asarray(right), float(ell0_margin)
+    ell0_margin = 1.0 + rp0 * 0.02 - table3_scaled_bound(0.02, _M_S13)
+    return 1e4 * left, 1e4 * right, float(ell0_margin)
 
 
-def verify_table2(m: int = 100) -> VerificationReport:
+def verify_table2() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-3-scaled) floors."""
-    left, right = table2_margins(m)
+    left, right = table2_margins()
     points, margins = [], []
     for i, (lv, fl) in enumerate(zip(left, TABLE2_FLOORS_LEFT)):
         points.append((float(i), 0.0))
@@ -515,13 +523,14 @@ def verify_table2(m: int = 100) -> VerificationReport:
     for i, (rv, fl) in enumerate(zip(right, TABLE2_FLOORS_RIGHT)):
         points.append((float(i), 1.0))
         margins.append(float(rv - fl))
-    return _make_report("table2", f"12 subintervals of [0.8, 2], m={m}", (12,), points, margins)
+    return _make_report("table2", f"12 subintervals of [0.8, 2], m={_M_S83}", (12,), points,
+                        margins)
 
 
-def verify_table3(m: int = 200) -> VerificationReport:
+def verify_table3() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-4-scaled) floors, and the
     p <= 0.02 tangent margin exceeds 1e-5."""
-    left, right, ell0 = table3_margins(m)
+    left, right, ell0 = table3_margins()
     points, margins = [], []
     for i, (lv, fl) in enumerate(zip(left, TABLE3_FLOORS_LEFT)):
         points.append((float(i + 1), 0.0))
@@ -531,17 +540,17 @@ def verify_table3(m: int = 200) -> VerificationReport:
         margins.append(float(rv - fl))
     points.append((0.02, 2.0))
     margins.append(ell0 - 1e-5)
-    return _make_report("table3", f"6 subintervals of [0.02, 0.25] plus ell_0, m={m}", (6,),
+    return _make_report("table3", f"6 subintervals of [0.02, 0.25] plus ell_0, m={_M_S13}", (6,),
                         points, margins)
 
 
-def verify_interpolation_tilde(m: int = 100) -> VerificationReport:
+def verify_interpolation_tilde() -> VerificationReport:
     """F(p, 8/3) < e^(-p/6) G~(p, 2) for 2 < p < 3 via the two-tangent scheme.
 
     Checks the certified bound values L(2) < 0.35, L(2.5) < 0.56, L(3) < 0.96
     and the tangent values r1(2) > 0.359, r1(2.5) > 0.58, r2(3) > 1.48.
     """
-    from .quad import _riemann_monotone
+    m = _M_S83
 
     def Lbound(p: float) -> float:
         # the m-subdivision construction with the t0=5 envelope tail, kept in
@@ -556,8 +565,7 @@ def verify_interpolation_tilde(m: int = 100) -> VerificationReport:
         return -p / 6.0 + (p - 1.0) * math.log(2.0) + log_gamma(p / 2.0) + math.log(D(p))
 
     def Rp(p: float) -> float:
-        dlogD = -digamma(3.0 - p) + digamma(2.0 - p / 2.0) + 0.5 * digamma(3.0 - p / 2.0)
-        return -1.0 / 6.0 + math.log(2.0) + 0.5 * digamma(p / 2.0) + dlogD
+        return -1.0 / 6.0 + math.log(2.0) + 0.5 * digamma(p / 2.0) + _dlog_D(p)
 
     points, margins = [], []
     for p, cap in ((2.0, 0.35), (2.5, 0.56), (3.0, 0.96)):
@@ -577,18 +585,15 @@ def verify_interpolation_tilde(m: int = 100) -> VerificationReport:
                         points, margins)
 
 
-def h_sign_chart(points: Sequence[tuple[float, float]],
-                 cfg: QuadratureConfig = _DEFAULT_CFG) -> list[dict]:
+def h_sign_chart(points: Sequence[tuple[float, float]]) -> list[dict]:
     """Record sign(H) at arbitrary (p, s) points; no pass/fail claim is made.
 
     Where F diverges (p >= 3s/2), H = -inf and the sign is recorded as -1.
     """
-    from .errors import DivergenceError
-
     out = []
     for p, s in points:
         try:
-            val = H(IntegralParams(p, s), cfg)
+            val = H(IntegralParams(p, s))
         except DivergenceError:
             val = -math.inf
         out.append({"p": p, "s": s, "H": val, "sign": int(np.sign(val))})

@@ -7,6 +7,8 @@ import pytest
 from khinsphere.cli import RunConfig, main, run, table_writer
 from khinsphere.errors import DomainError
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -110,12 +112,15 @@ class TestVerifyVerb:
         code, out, _ = _run(["--format", "json", "verify", "--lemma", lemma], capsys)
         assert code == 0
         assert json.loads(out)["passed"] is True
+        assert out == (GOLDEN / f"verify_{lemma}.json").read_text()
 
     def test_lemma_params_forwarded(self, capsys):
-        code, out, _ = _run(["--format", "json", "verify", "--lemma", "bisubharmonic",
-                             "--d", "7", "--p", "2.0"], capsys)
-        assert code == 0
-        assert "d=7" in json.loads(out)["region"]
+        # two_coeff at p = d-2 is the degenerate boundary, where the moment is 1
+        for lemma, d, p in (("bisubharmonic", "7", "2.0"), ("two_coeff", "4", "2")):
+            code, out, _ = _run(["--format", "json", "verify", "--lemma", lemma,
+                                 "--d", d, "--p", p], capsys)
+            assert code == 0
+            assert f"d={d}" in json.loads(out)["region"]
 
     def test_chart_written(self, tmp_path, capsys):
         chart = tmp_path / "chart.csv"

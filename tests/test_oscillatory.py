@@ -110,7 +110,7 @@ class TestTails:
         assert head_to_T == pytest.approx(direct, abs=2e-12 * max(1.0, closed))
 
     @pytest.mark.parametrize("p,s", [(0.2, 1.3), (1.5, 2.5), (2.7, 2.05), (2.0, 8.0 / 3.0),
-                                     (2.9, 2.001), (0.25, 1.7)])
+                                     (2.9, 2.001), (0.25, 1.7), (0.4, 1.4), (2.6, 2.2)])
     def test_abs_pow_T_stability(self, p, s):
         zs = jnu_zeros(1.0, 100.0)
         T1 = float(zs[zs > 45][0])

@@ -13,7 +13,6 @@ from khinsphere.quad import (
     H,
     H_tilde,
     IntegralParams,
-    QuadratureConfig,
     U,
     certified_F_upper,
     product_moment,
@@ -61,12 +60,6 @@ class TestF:
         s = 1e4
         limit = 2.0 ** (3 * 0.25 - 1.0) * gamma(0.25)
         assert s**0.25 * F(IP(0.5, s)) == pytest.approx(limit, abs=1e-3)
-
-    def test_tail_cut_stability(self):
-        for p, s in ((0.4, 1.4), (2.6, 2.2)):
-            a = F(IP(p, s), QuadratureConfig(tail_cut=44.0))
-            b = F(IP(p, s), QuadratureConfig(tail_cut=85.0))
-            assert a == pytest.approx(b, abs=1e-11 * max(1, a))
 
     def test_holder_interpolation(self):
         # F(p,s) <= F(p,2)^((8-3s)/2) F(p,8/3)^((3s-6)/2) for s in [2, 8/3]
@@ -204,13 +197,21 @@ class TestProductMoment:
         a = 1.0 / math.sqrt(2.0)
         assert product_moment(MomentQuery(4, -2.99, (a, a))) > 0
 
-    def test_three_coeff_consistency_with_mc_free_route(self):
-        # equal three coefficients at p=2: compare against two quadrature configs
-        a = 1.0 / math.sqrt(3.0)
-        q = MomentQuery(4, -2.0, (a, a, a))
-        v1 = product_moment(q, QuadratureConfig(tail_cut=44.0))
-        v2 = product_moment(q, QuadratureConfig(tail_cut=90.0))
-        assert v1 == pytest.approx(v2, abs=1e-9)
+    @pytest.mark.parametrize("d,coeffs,rel", [
+        pytest.param(3, (1.0, 0.3, 0.2, 0.1), 1e-12, id="d3"),
+        pytest.param(4, (1.0, 0.5, 0.5), 1e-12, id="d4"),
+        pytest.param(5, (1.0, 0.6, 0.3), 1e-12, id="d5"),
+        pytest.param(6, (1.0, 0.5, 0.3, 0.2), 1e-12, id="d6"),
+        pytest.param(8, (1.0, 0.5, 0.4), 1e-9, id="d8"),
+        pytest.param(8, (1.0, 0.2, 0.2, 0.2), 1e-9, id="d8-four"),
+        pytest.param(8, (1.0, 0.05, 0.05), 1e-9, id="d8-small-weight", marks=pytest.mark.xfail(
+            strict=True, reason="product_moment-small-weight (ROADMAP item 4): relative error 1.7e-7")),
+    ])
+    def test_newton_harmonic_moment(self, d, coeffs, rel):
+        # |x|^(2-d) is harmonic (Newton's theorem): the mean of |y + a_1 xi_1|^(2-d)
+        # over xi_1 is max(|y|, a_1)^(2-d), and |y| <= a_2 + ... + a_n <= a_1
+        val = product_moment(MomentQuery(d, 2.0 - d, coeffs))
+        assert val == pytest.approx(coeffs[0] ** (2.0 - d), rel=rel)
 
     def test_d3_two_coeff_matches_hypergeometric(self):
         # nu = 1/2 factors
@@ -272,14 +273,3 @@ class TestTypes:
             IP(-1.0, 2.0)
         with pytest.raises(DomainError):
             IP(1.0, 0.5)
-
-    def test_tolerance_not_met(self):
-        from khinsphere.errors import ToleranceError
-        with pytest.raises(ToleranceError):
-            F(IP(1.0, 2.0), QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16))
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(tail_cut=2.0)

@@ -158,6 +158,13 @@ class TestTwoCoeff:
     def test_min_bound_general_d(self):
         assert V.verify_two_coeff_bounds(6, 2.5).passed
 
+    @pytest.mark.parametrize("d,p", [(3, 1.0), (4, 2.0), (5, 3.0), (8, 6.0)])
+    def test_degenerate_boundary(self, d, p):
+        # at p = d-2 the moment is identically 1, so "<= 1" holds with equality
+        r = V.verify_two_coeff_bounds(d, p)
+        assert r.passed
+        assert "degenerate" in r.region
+
     def test_domain(self):
         with pytest.raises(DomainError):
             V.verify_two_coeff_bounds(4, 3.0)
