@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print khinsphere's main numbers as float-hex lines, one value a line.
+
+Run it in two checkouts and diff the outputs to see whether a change moved a
+number, and which:
+
+    python3 scripts/fingerprint.py > before.txt   # in the first checkout
+    python3 scripts/fingerprint.py > after.txt    # in the second
+    diff before.txt after.txt
+
+Covered: F on the 9x9 (p, s) grid over [0.01, 2.9] x [1.05, 12], close to the
+divergence line p = 3s/2 and at a few large s; tail_product and
+product_moment on seeded random queries; passed and min_margin of every
+verifier of ``khinsphere verify`` at its default parameters; the three
+tables.  An input that raises prints the exception's class name.  Takes
+under a minute.
+"""
+import pathlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from khinsphere import oscillatory  # noqa: E402
+from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
+from khinsphere.constants import MomentQuery  # noqa: E402
+from khinsphere.errors import KhinsphereError  # noqa: E402
+from khinsphere.quad import F, IntegralParams, product_moment  # noqa: E402
+
+SEED = 20221
+N_TAIL_PRODUCT = 60
+N_PRODUCT_MOMENT = 150
+
+
+def _line(label: str, fn) -> str:
+    try:
+        return f"{label} {float(fn()).hex()}"
+    except KhinsphereError as exc:
+        return f"{label} {type(exc).__name__}"
+
+
+def _args(*xs) -> str:
+    return " ".join(repr(float(x)) for x in xs)
+
+
+def f_points():
+    for p in np.linspace(0.01, 2.9, 9):
+        for s in np.linspace(1.05, 12.0, 9):
+            yield p, s
+    for s in (1.05, 1.3, 2.0, 8.0 / 3.0, 4.0, 12.0):
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8):
+            yield 1.5 * s - gap, s
+    for s in (16.0, 32.0, 64.0, 64.5, 200.0):
+        for p in (0.5, 2.5):
+            yield p, s
+
+
+def tail_product_queries(rng):
+    for _ in range(N_TAIL_PRODUCT):
+        n = int(rng.integers(2, 6))
+        nu = float(rng.choice([0.5, 1.0, 1.5, 3.0]))
+        amps = sorted(rng.uniform(0.1, 1.0, n), reverse=True)
+        p = rng.uniform(0.05, 0.98) * n * (nu + 0.5)
+        yield amps, nu, p, max(46.0, 25.0 / amps[-1])
+
+
+def product_moment_queries(rng):
+    for _ in range(N_PRODUCT_MOMENT):
+        d = int(rng.choice([3, 4, 5, 8]))
+        n = int(rng.integers(2, 6))
+        coeffs = tuple(rng.uniform(0.2, 1.0, n))
+        p = rng.uniform(0.05, 0.97) * (d - 1)  # MomentQuery needs q = -p > -(d-1)
+        yield d, p, coeffs
+
+
+def main() -> int:
+    rng = np.random.default_rng(SEED)
+    for p, s in f_points():
+        print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
+    for amps, nu, p, T in tail_product_queries(rng):
+        print(_line(f"tail_product {_args(*amps)} nu={nu!r} p={p!r} T={T!r}",
+                    lambda: oscillatory.tail_product(amps, nu, p, T)))
+    for d, p, coeffs in product_moment_queries(rng):
+        print(_line(f"product_moment d={d} p={p!r} {_args(*coeffs)}",
+                    lambda: product_moment(MomentQuery(d, -p, coeffs))))
+    for name, job in LEMMAS.items():
+        report = job({})
+        print(f"verify {name} passed={report.passed} min_margin {float(report.min_margin).hex()}")
+    for which in (1, 2, 3):
+        for row in table_writer(which).splitlines():
+            print(f"table{which} {row}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,11 +2,15 @@
 
 The integrals here all have the shape  int_T^inf  A(t) t^mu e^(i omega t) dt
 with A a truncated power series in 1/t coming from the large-argument
-(Hankel) expansion of J_nu.  Two consumers:
+(Hankel) expansion of J_nu, J_nu(t) ~ sqrt(2/(pi t)) Re[W(t) e^(i chi)] with
+W = P + iQ (DLMF 10.17).  ``_series_tail`` sums such a series term by term.
+Two consumers:
 
 * ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
-  expansion of |cos theta|^s (needed because truncating at any feasible T
-  and bounding the remainder fails when p is close to 3s/2).
+  expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
+  M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
+  non-oscillatory part: it is why truncating at any feasible T and bounding
+  the remainder fails when p is close to 3s/2.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
@@ -23,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .specfun import gamma, log_gamma
+from .specfun import gamma
 
 ORDER = 8  # highest power of 1/t kept in the asymptotic series
 
@@ -45,19 +49,6 @@ def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
     return out
 
 
-def series_inv(a: np.ndarray, order: int = ORDER) -> np.ndarray:
-    if a[0] == 0:
-        raise DomainError("series_inv needs a nonzero constant term")
-    out = np.zeros(order + 1, dtype=a.dtype)
-    out[0] = 1.0 / a[0]
-    for k in range(1, order + 1):
-        acc = 0.0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
 def series_pow(a: np.ndarray, exponent: float, order: int = ORDER) -> np.ndarray:
     """(series with a[0] = 1) ** exponent."""
     out = np.zeros(order + 1, dtype=a.dtype)
@@ -68,35 +59,6 @@ def series_pow(a: np.ndarray, exponent: float, order: int = ORDER) -> np.ndarray
             acc += (exponent * j - (k - j)) * a[j] * out[k - j]
         out[k] = acc / k
     return out
-
-
-def _series_map(fn_coeffs, eps: np.ndarray, order: int = ORDER) -> np.ndarray:
-    """Compose sum_m fn_coeffs[m] * eps^m for a series eps with eps[0] = 0."""
-    out = np.zeros(order + 1, dtype=eps.dtype)
-    out[0] = fn_coeffs[0]
-    power = np.zeros(order + 1, dtype=eps.dtype)
-    power[0] = 1.0
-    for m in range(1, len(fn_coeffs)):
-        power = series_mul(power, eps, order)
-        if not np.any(power):
-            break
-        out += fn_coeffs[m] * power
-    return out
-
-
-def series_cos(eps: np.ndarray, order: int = ORDER) -> np.ndarray:
-    coeffs = [1.0, 0.0, -0.5, 0.0, 1.0 / 24, 0.0, -1.0 / 720, 0.0, 1.0 / 40320]
-    return _series_map(coeffs, eps, order)
-
-
-def series_sin(eps: np.ndarray, order: int = ORDER) -> np.ndarray:
-    coeffs = [0.0, 1.0, 0.0, -1.0 / 6, 0.0, 1.0 / 120, 0.0, -1.0 / 5040, 0.0]
-    return _series_map(coeffs, eps, order)
-
-
-def series_atan(r: np.ndarray, order: int = ORDER) -> np.ndarray:
-    coeffs = [0.0, 1.0, 0.0, -1.0 / 3, 0.0, 1.0 / 5, 0.0, -1.0 / 7, 0.0]
-    return _series_map(coeffs, r, order)
 
 
 # ----------------------------------------------------------------------------
@@ -193,24 +155,40 @@ def exp_power_tail(mu: float, omega: float, T: float) -> complex:
     return _exp_tail_numeric(mu, omega, T)
 
 
+def _series_tail(ser: np.ndarray, mu0: float, omega: float, T: float) -> complex:
+    """sum_j ser[j] int_T^inf t^(mu0-j) e^(i omega t) dt."""
+    if abs(omega) < 1e-13 or abs(omega) * T >= _IBP_MIN_PHASE:
+        return sum(ser[j] * exp_power_tail(mu0 - j, omega, T) for j in range(ORDER + 1))
+    # one numeric evaluation at the top exponent, then the downward
+    # recurrence E(mu-1) = (-T^mu e^(i omega T) - i omega E(mu)) / mu,
+    # which is stable when |omega| < |mu|
+    base = exp_power_tail(mu0, omega, T)
+    total = ser[0] * base
+    phase = cmath.exp(1j * omega * T)
+    for j in range(1, ORDER + 1):
+        mu_prev = mu0 - j + 1.0
+        base = (-(T**mu_prev) * phase - 1j * omega * base) / mu_prev
+        total += ser[j] * base
+    return total
+
+
 # ----------------------------------------------------------------------------
 # Fourier coefficients of |cos(theta)|^s = sum_m c_m(s) cos(2 m theta)
 # ----------------------------------------------------------------------------
 
-def abs_cos_fourier(s: float, m: int) -> float:
-    if m == 0:
-        return float(gamma(s + 1.0) / (2.0**s * gamma(s / 2.0 + 1.0) ** 2))
-    arg = 1.0 + s / 2.0 - m
-    if arg <= 0 and abs(arg - round(arg)) < 1e-12:
-        return 0.0  # Gamma pole in the denominator: coefficient vanishes
-    if arg > 0:
-        return float(gamma(s + 1.0)
-                     / (2.0 ** (s - 1.0) * gamma(1.0 + s / 2.0 + m) * gamma(arg)))
-    # arg < 0: reflect 1/Gamma(arg) = sin(pi arg) Gamma(1-arg) / pi and work in
-    # logs so that large m does not overflow the intermediate Gammas
-    ln = (log_gamma(s + 1.0) + log_gamma(1.0 - arg) - log_gamma(1.0 + s / 2.0 + m)
-          - (s - 1.0) * math.log(2.0) - math.log(math.pi))
-    return float(math.sin(math.pi * arg) * math.exp(ln))
+def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
+    """c_0 .. c_m_max, c_m = Gamma(s+1) / (2^(s-1) Gamma(1+s/2+m) Gamma(1+s/2-m)) for m >= 1.
+
+    c_0 is the closed form; the rest come from the ratio recurrence
+    c_m = c_(m-1) (s/2-m+1)/(s/2+m), with the factor doubled at m = 1.  For
+    even s the factor vanishes at m = s/2+1, so every later c_m is exactly 0.
+    """
+    h = s / 2.0
+    m = np.arange(1, m_max + 1)
+    ratio = (h - m + 1.0) / (h + m)
+    ratio[:1] *= 2.0
+    c0 = float(gamma(s + 1.0) / (2.0**s * gamma(h + 1.0) ** 2))
+    return np.cumprod(np.concatenate([[c0], ratio]))
 
 
 # ----------------------------------------------------------------------------
@@ -219,50 +197,36 @@ def abs_cos_fourier(s: float, m: int) -> float:
 
 @lru_cache(maxsize=256)
 def _abs_pow_setup(s: float) -> tuple:
-    """The s-dependent (p-independent) pieces of the |jj_1|^s tail."""
+    """(m, c_m, series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2)) per nonzero c_m."""
     pser, qser = hankel_pq(1.0)
-    m2 = series_mul(pser, pser) + series_mul(qser, qser)
-    ms = series_pow(m2, s / 2.0)
-    phi = series_atan(series_mul(qser, series_inv(pser)))
+    w = pser + 1j * qser
     terms = []
-    for m in range(1, 81):
-        cm = abs_cos_fourier(s, m)
+    for m, cm in enumerate(abs_cos_fourier(s, 80)):
         if cm == 0.0:
-            if s / 2.0 == round(s / 2.0) and m > s / 2.0:
-                break  # even s: the Fourier series is a finite sum
-            continue
-        eps = 2.0 * m * phi
-        ca = series_mul(ms, series_cos(eps))
-        cb = series_mul(ms, series_sin(eps))
-        beta = cmath.exp(-1j * 1.5 * m * math.pi)
-        terms.append((m, cm, (ca + 1j * cb) * beta))
-    return ms, tuple(terms)
+            break  # even s: the Fourier series is a finite sum
+        ser = series_mul(series_pow(w, s / 2.0 + m), np.conj(series_pow(w, s / 2.0 - m)))
+        terms.append((m, float(cm), ser * 1j**m))  # e^(-3im pi/2) = i^m
+    return tuple(terms)
 
 
 def tail_abs_pow(p: float, s: float, T: float, tol: float = 1e-12) -> float:
-    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Watson expansion of J_1.
+    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1.
 
-    Writes jj_1 = sqrt(8/pi) t^(-3/2) M(t) cos(chi + phi(t)) with M, phi
-    given by the Hankel P/Q series, then integrates the Fourier series of
-    |cos|^s term by term (the m=0 term is exactly the slow non-oscillatory
-    part that makes naive truncation infeasible for p near 3s/2).
+    With W = P + iQ = M e^(i phi) from the Hankel series,
+    jj_1 = sqrt(8/pi) t^(-3/2) M(t) cos(chi + phi(t)), chi = t - 3 pi/4, so
+    |jj_1|^s = (8/pi)^(s/2) t^(-3s/2) sum_m c_m Re[W^(s/2+m) conj(W)^(s/2-m)
+    e^(2 i m chi)], integrated term by term.  The m = 0 term, M^s with no
+    oscillation, is exactly the slow part that makes naive truncation
+    infeasible for p near 3s/2, so it is always kept.
     """
     if p >= 1.5 * s:
         raise DomainError(f"tail diverges: p={p} >= 3s/2={1.5 * s}")
     mu = p - 1.0 - 1.5 * s
     pref = (8.0 / math.pi) ** (s / 2.0)
-    ms, terms = _abs_pow_setup(s)
-    total = pref * abs_cos_fourier(s, 0) * sum(
-        ms[j] * power_tail(mu - j, T) for j in range(ORDER + 1) if ms[j] != 0.0
-    )
-    for m, cm, cab in terms:
-        contrib = 0.0
-        for j in range(ORDER + 1):
-            if cab[j] == 0.0:
-                continue
-            contrib += (cab[j] * exp_power_tail(mu - j, 2.0 * m, T)).real
-        total += pref * cm * contrib
-        if pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol and m >= 2:
+    total = 0.0
+    for m, cm, ser in _abs_pow_setup(s):
+        total += pref * cm * _series_tail(ser, mu, 2.0 * m, T).real
+        if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
             break
     return float(total)
 
@@ -307,19 +271,5 @@ def tail_product(amps, nu: float, p: float, T: float) -> float:
                 amp *= consts[k].conjugate()
                 ser = series_mul(ser, wminus[k])
             omega += sigma[k] * amps[k]
-        if abs(omega) < 1e-13 or abs(omega) * T >= _IBP_MIN_PHASE:
-            contrib = sum(ser[j] * exp_power_tail(mu0 - j, omega, T)
-                          for j in range(ORDER + 1))
-        else:
-            # one numeric evaluation at the top exponent, then the downward
-            # recurrence E(mu-1) = (-T^mu e^(i omega T) - i omega E(mu)) / mu,
-            # which is stable when |omega| < |mu|
-            base = exp_power_tail(mu0, omega, T)
-            contrib = ser[0] * base
-            phase = cmath.exp(1j * omega * T)
-            for j in range(1, ORDER + 1):
-                mu_prev = mu0 - j + 1.0
-                base = (-(T**mu_prev) * phase - 1j * omega * base) / mu_prev
-                contrib += ser[j] * base
-        total += (amp * contrib).real
+        total += (amp * _series_tail(ser, mu0, omega, T)).real
     return float(total * 2.0 ** (1 - n))

@@ -50,6 +50,8 @@ _GAUSSIAN_REGIME_S = 64.0  # above this, |jj_1|^s is treated in the CLT scaling
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
+_M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
+_M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,15 @@ def _abs_pow_head_coeffs(s: float, n_terms: int) -> np.ndarray:
     return series_pow(np.asarray(_jj_series_coeffs(1.0, n_terms)), s, n_terms - 1)
 
 
+def _series_head(b: np.ndarray, p: float, a0: float) -> float:
+    """int_0^a0 sum_k b[k] t^(2k) t^(p-1) dt, integrated term by term."""
+    k = np.arange(len(b))
+    return float(np.sum(b * a0 ** (2 * k + p) / (2 * k + p)))
+
+
 def _head_abs_pow(p: float, s: float, a0: float = 1.0, n_terms: int = 56) -> float:
     """int_0^a0 jj_1(t)^s t^(p-1) dt by termwise integration (jj_1 > 0 there)."""
-    b = _abs_pow_head_coeffs(s, n_terms)
-    k = np.arange(n_terms)
-    return float(np.sum(b * a0 ** (2 * k + p) / (2 * k + p)))
+    return _series_head(_abs_pow_head_coeffs(s, n_terms), p, a0)
 
 
 def _zero_split_points(t_cut: float) -> tuple[np.ndarray, float]:
@@ -140,10 +146,8 @@ def _F_gaussian_regime(p: float, s: float) -> float:
     n_terms = 30
     # jj_1(u/sqrt(s))^s as a series in u^2
     c = np.asarray(_jj_series_coeffs(1.0, n_terms)) / s ** np.arange(n_terms)
-    b = series_pow(c, s, n_terms - 1)
     u0 = 0.5
-    k = np.arange(n_terms)
-    head = float(np.sum(b * u0 ** (2 * k + p) / (2 * k + p)))
+    head = _series_head(series_pow(c, s, n_terms - 1), p, u0)
 
     def integrand(u):
         t = u / math.sqrt(s)
@@ -253,8 +257,7 @@ def _head_product(amps, nu: float, p: float, a0: float, n_terms: int = 48) -> fl
     for a in amps:
         scaled = base * (a * a) ** np.arange(n_terms)
         prod = np.convolve(prod, scaled)[:n_terms]
-    k = np.arange(n_terms)
-    return float(np.sum(prod * a0 ** (2 * k + p) / (2 * k + p)))
+    return _series_head(prod, p, a0)
 
 
 # ----------------------------------------------------------------------------
@@ -365,12 +368,12 @@ def certified_F_upper(p: float, s: float, m: int, plan: str = "generic") -> Cert
                           segments=tuple(segments))
 
 
-def table2_log_bound(p: float, m: int = 100) -> float:
+def table2_log_bound(p: float) -> float:
     """log of the certified bound on e^(p/6) 2^(1-p) F(p, 8/3): convex in p."""
-    b = certified_F_upper(p, 8.0 / 3.0, m, plan="table2").bound
+    b = certified_F_upper(p, 8.0 / 3.0, _M_S83, plan="table2").bound
     return math.log(b) + p / 6.0 + (1.0 - p) * math.log(2.0)
 
 
-def table3_scaled_bound(p: float, m: int = 200) -> float:
+def table3_scaled_bound(p: float) -> float:
     """p times the certified bound on F(p, 1.3): convex in p, value 1 at 0+."""
-    return p * certified_F_upper(p, 1.3, m, plan="table3").bound
+    return p * certified_F_upper(p, 1.3, _M_S13, plan="table3").bound

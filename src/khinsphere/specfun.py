@@ -65,6 +65,15 @@ def _maybe_scalar(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _horner(cs, x):
+    """sum_k cs[k] x^k for coefficients cs in ascending order."""
+    acc = np.full_like(x, cs[-1])
+    for c in cs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _lanczos_sum(x):
     """Lanczos pieces for x >= 0.5: z = x - 1, the series A(z) and t = z + g + 1/2."""
     z = x - 1.0
@@ -140,9 +149,7 @@ def digamma(x):
         arr[small] += 1.0
     # sum B_{2n}/(2n x^{2n}) by Horner in 1/x^2
     inv2 = 1.0 / (arr * arr)
-    acc = np.zeros_like(arr)
-    for n in range(len(_BERNOULLI), 0, -1):
-        acc = acc * inv2 + _BERNOULLI[n - 1] / (2.0 * n)
+    acc = _horner([b / (2.0 * n) for n, b in enumerate(_BERNOULLI, start=1)], inv2)
     acc *= inv2
     out += np.log(arr) - 0.5 / arr - acc
     return _maybe_scalar(out, scalar)
@@ -162,9 +169,7 @@ def trigamma(x):
         out[small] += 1.0 / (arr[small] * arr[small])
         arr[small] += 1.0
     inv2 = 1.0 / (arr * arr)
-    acc = np.zeros_like(arr)
-    for n in range(len(_BERNOULLI), 0, -1):
-        acc = acc * inv2 + _BERNOULLI[n - 1]
+    acc = _horner(_BERNOULLI, inv2)
     acc *= inv2 / arr
     out += 1.0 / arr + 0.5 * inv2 + acc
     return _maybe_scalar(out, scalar)
@@ -184,65 +189,52 @@ def pochhammer(x, k: int):
 # ----------------------------------------------------------------------------
 # Bessel J0 / J1: Cephes-style rational approximations (large-argument branch
 # is the standard Hankel P/Q form with degree 6/6 and 7/7 rationals).
+# Coefficients are in ascending powers; a monic denominator ends in its 1.0.
 # ----------------------------------------------------------------------------
 
 _SQ2OPI = 7.9788456080286535587989e-1
 _PIO4 = 7.85398163397448309616e-1
 _THPIO4 = 2.35619449019234492885
 
-_PP0 = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
-        5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
-        9.99999999999999997821e-1)
-_PQ0 = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
-        5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
-        1.00000000000000000218e0)
-_QP0 = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
-        -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
-        -5.14105326766599330220e1, -6.05014350600728481186e0)
-_QQ0 = (6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
-        7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
-        2.42005740240291393179e2)
-_RP0 = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
-        9.70862251047306323952e15)
-_RQ0 = (4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
-        1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
-        3.18121955943204943306e16, 1.71086294081043136091e18)
+_PP0 = (9.99999999999999997821e-1, 5.30324038235394892183e0, 8.74716500199817011941e0,
+        5.44725003058768775090e0, 1.23953371646414299388e0, 8.28352392107440799803e-2,
+        7.96936729297347051624e-4)
+_PQ0 = (1.00000000000000000218e0, 5.30605288235394617618e0, 8.76190883237069594232e0,
+        5.47097740330417105182e0, 1.25352743901058953537e0, 8.56288474354474431428e-2,
+        9.24408810558863637013e-4)
+_QP0 = (-6.05014350600728481186e0, -5.14105326766599330220e1, -1.47077505154951170175e2,
+        -1.77681167980488050595e2, -9.32060152123768231369e1, -1.95539544257735972385e1,
+        -1.28252718670509318512e0, -1.13663838898469149931e-2)
+_QQ0 = (2.42005740240291393179e2, 2.06209331660327847417e3, 5.93072701187316984827e3,
+        7.24046774195652478189e3, 3.88240183605401609683e3, 8.56430025976980587198e2,
+        6.43178256118178023184e1, 1.0)
+_RP0 = (9.70862251047306323952e15, -2.49248344360967716204e14, 1.95617491946556577543e12,
+        -4.79443220978201773821e9)
+_RQ0 = (1.71086294081043136091e18, 3.18121955943204943306e16, 3.10518229857422583814e14,
+        2.11277520115489217587e12, 1.11855537045356834862e10, 4.84409658339962045305e7,
+        1.73785401676374683123e5, 4.99563147152651017219e2, 1.0)
 _DR1 = 5.78318596294678452118e0
 _DR2 = 3.04712623436620863991e1
 
-_RP1 = (-8.99971225705559398224e8, 4.52228297998194034323e11, -7.27494245221818276015e13,
-        3.68295732863852883286e15)
-_RQ1 = (6.20836478118054335476e2, 2.56987256757748830383e5, 8.35146791431949253037e7,
-        2.21511595479792499675e10, 4.74914122079991414898e12, 7.84369607876235854894e14,
-        8.95222336184627338078e16, 5.32278620332680085395e18)
-_PP1 = (7.62125616208173112003e-4, 7.31397056940917570436e-2, 1.12719608129684925192e0,
-        5.11207951146807644818e0, 8.42404590141772420927e0, 5.21451598682361504063e0,
-        1.00000000000000000254e0)
-_PQ1 = (5.71323128072548699714e-4, 6.88455908754495404082e-2, 1.10514232634061696926e0,
-        5.07386386128601488557e0, 8.39985554327604159757e0, 5.20982848682361821619e0,
-        9.99999999999999997461e-1)
-_QP1 = (5.10862594750176621635e-2, 4.98213872951233449420e0, 7.58238284132545283818e1,
-        3.66779609360150777800e2, 7.10856304998926107277e2, 5.97489612400613639965e2,
-        2.11688757100572135698e2, 2.52070205858023719784e1)
-_QQ1 = (7.42373277035675149943e1, 1.05644886038262816351e3, 4.98641058337653607651e3,
-        9.56231892404756170795e3, 7.99704160447350683650e3, 2.82619278517639096600e3,
-        3.36093607810698293419e2)
+_RP1 = (3.68295732863852883286e15, -7.27494245221818276015e13, 4.52228297998194034323e11,
+        -8.99971225705559398224e8)
+_RQ1 = (5.32278620332680085395e18, 8.95222336184627338078e16, 7.84369607876235854894e14,
+        4.74914122079991414898e12, 2.21511595479792499675e10, 8.35146791431949253037e7,
+        2.56987256757748830383e5, 6.20836478118054335476e2, 1.0)
+_PP1 = (1.00000000000000000254e0, 5.21451598682361504063e0, 8.42404590141772420927e0,
+        5.11207951146807644818e0, 1.12719608129684925192e0, 7.31397056940917570436e-2,
+        7.62125616208173112003e-4)
+_PQ1 = (9.99999999999999997461e-1, 5.20982848682361821619e0, 8.39985554327604159757e0,
+        5.07386386128601488557e0, 1.10514232634061696926e0, 6.88455908754495404082e-2,
+        5.71323128072548699714e-4)
+_QP1 = (2.52070205858023719784e1, 2.11688757100572135698e2, 5.97489612400613639965e2,
+        7.10856304998926107277e2, 3.66779609360150777800e2, 7.58238284132545283818e1,
+        4.98213872951233449420e0, 5.10862594750176621635e-2)
+_QQ1 = (3.36093607810698293419e2, 2.82619278517639096600e3, 7.99704160447350683650e3,
+        9.56231892404756170795e3, 4.98641058337653607651e3, 1.05644886038262816351e3,
+        7.42373277035675149943e1, 1.0)
 _Z1 = 1.46819706421238932572e1
 _Z2 = 4.92184563216946036703e1
-
-
-def _polevl(x, coef):
-    acc = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _p1evl(x, coef):
-    acc = x + coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
 
 
 def _bessel_j0(t):
@@ -251,14 +243,14 @@ def _bessel_j0(t):
     lo = t <= 5.0
     if np.any(lo):
         z = t[lo] * t[lo]
-        out[lo] = (z - _DR1) * (z - _DR2) * _polevl(z, _RP0) / _p1evl(z, _RQ0)
+        out[lo] = (z - _DR1) * (z - _DR2) * _horner(_RP0, z) / _horner(_RQ0, z)
     hi = ~lo
     if np.any(hi):
         x = t[hi]
         w = 5.0 / x
         q = 25.0 / (x * x)
-        p = _polevl(q, _PP0) / _polevl(q, _PQ0)
-        qq = _polevl(q, _QP0) / _p1evl(q, _QQ0)
+        p = _horner(_PP0, q) / _horner(_PQ0, q)
+        qq = _horner(_QP0, q) / _horner(_QQ0, q)
         xn = x - _PIO4
         out[hi] = _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(x)
     return out
@@ -271,14 +263,14 @@ def _bessel_j1(t):
     if np.any(lo):
         x = t[lo]
         z = x * x
-        out[lo] = _polevl(z, _RP1) / _p1evl(z, _RQ1) * x * (z - _Z1) * (z - _Z2)
+        out[lo] = _horner(_RP1, z) / _horner(_RQ1, z) * x * (z - _Z1) * (z - _Z2)
     hi = ~lo
     if np.any(hi):
         x = t[hi]
         w = 5.0 / x
         z = w * w
-        p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-        q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
+        p = _horner(_PP1, z) / _horner(_PQ1, z)
+        q = _horner(_QP1, z) / _horner(_QQ1, z)
         xn = x - _THPIO4
         out[hi] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
     return out
@@ -319,12 +311,7 @@ def _jj_vec(nu: float, t):
     out = np.empty_like(t)
     lo = t < (BESSEL_CROSSOVER if nu == 1.0 else 10.0)
     if np.any(lo):
-        x = t[lo] * t[lo]
-        cs = _jj_series_coeffs(nu)
-        acc = np.full_like(x, cs[-1])
-        for c in reversed(cs[:-1]):
-            acc = acc * x + c
-        out[lo] = acc
+        out[lo] = _horner(_jj_series_coeffs(nu), t[lo] * t[lo])
     hi = ~lo
     if np.any(hi):
         th = t[hi]
@@ -352,12 +339,9 @@ def jj1_prime(t):
     lo = arr < 1.0
     if np.any(lo):
         # series: sum_{k>=1} c_k 2k t^(2k-1), c_k from jj1
-        x = arr[lo] * arr[lo]
         cs = _jj_series_coeffs(1.0)
-        acc = np.zeros_like(x)
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * x + 2.0 * k * cs[k]
-        out[lo] = acc * arr[lo]
+        dcs = [2.0 * k * cs[k] for k in range(1, len(cs))]
+        out[lo] = _horner(dcs, arr[lo] * arr[lo]) * arr[lo]
     hi = ~lo
     if np.any(hi):
         th = arr[hi]
@@ -409,14 +393,6 @@ def _ratio_coeffs(p1: float, p2: float, q1: float, q2: float, n_max: int | None 
         if n_max is None and term < _SERIES_CUT * big and abs(r) < 1.5:
             break
     return np.asarray(cs)
-
-
-def _horner(cs, x):
-    acc = np.full_like(x, cs[-1])
-    for c in cs[-2::-1]:
-        acc *= x
-        acc += c
-    return acc
 
 
 def _exprel(z):
@@ -562,23 +538,17 @@ def _jnu_zeros_cached(nu: float, t_cap: int) -> tuple:
     step = 0.25
     grid = np.arange(step, t_cap + step, step)
     vals = _jj_vec(nu, grid)
-    zeros = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            zeros.append(grid[i])
-            continue
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            a, b = grid[i], grid[i + 1]
-            fa = float(_jj_vec(nu, np.asarray([a]))[0])
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = float(_jj_vec(nu, np.asarray([m]))[0])
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if np.sign(fm) == np.sign(fa):
-                    a, fa = m, fm
-                else:
-                    b = m
-            zeros.append(0.5 * (a + b))
-    return tuple(z for z in zeros if z <= t_cap)
+    on_grid = grid[:-1][vals[:-1] == 0.0]
+    # bisect every sign-change bracket at once; a zero hit ends its bracket as [m, m]
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    a, b = grid[i], grid[i + 1]
+    fa = _jj_vec(nu, a)
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = _jj_vec(nu, m)
+        hit = fm == 0.0
+        left = ~hit & (np.sign(fm) == np.sign(fa))
+        a, fa = np.where(left | hit, m, a), np.where(left, fm, fa)
+        b = np.where(left, b, m)
+    zeros = np.sort(np.concatenate([on_grid, 0.5 * (a + b)]))
+    return tuple(float(z) for z in zeros if z <= t_cap)

@@ -28,6 +28,8 @@ from .quad import (
     H_tilde,
     IntegralParams,
     U,
+    _M_S13,
+    _M_S83,
     _riemann_monotone,
     table2_log_bound,
     table3_scaled_bound,
@@ -57,8 +59,6 @@ EULER_GAMMA = 0.5772156649015329
 
 _N_GRID = 200  # grid size of the two-coefficient, bisubharmonic and small-lemma checks
 _BISUB_DELTAS = (0.1, 1.0, 10.0)
-_M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
-_M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
 
 @dataclass(frozen=True)
@@ -492,7 +492,7 @@ _T3_LOG_C = 2.0 / 17.0 + 1.5 * math.log(2.0) - 0.5 * math.log(1.7)
 def table2_margins() -> tuple[np.ndarray, np.ndarray]:
     """Endpoint margins 1e3 (ell_i - L) of the s=8/3 interpolation bound."""
     left, right = _tangent_margins(lambda v: log_gamma(v / 2.0), lambda v: 0.5 * digamma(v / 2.0),
-                                   lambda u: table2_log_bound(u, _M_S83), TABLE2_EDGES)
+                                   table2_log_bound, TABLE2_EDGES)
     return 1e3 * left, 1e3 * right
 
 
@@ -507,9 +507,9 @@ def _table3_Rp(p: float) -> float:
 def table3_margins() -> tuple[np.ndarray, np.ndarray, float]:
     """Endpoint margins 1e4 of the s=1.3 bound, plus the p<=0.02 tangent margin."""
     left, right = _tangent_margins(_table3_R, _table3_Rp,
-                                   lambda u: table3_scaled_bound(u, _M_S13), TABLE3_EDGES)
+                                   table3_scaled_bound, TABLE3_EDGES)
     rp0 = _T3_LOG_C - 0.5 * EULER_GAMMA  # R(0)=1, R'(0)
-    ell0_margin = 1.0 + rp0 * 0.02 - table3_scaled_bound(0.02, _M_S13)
+    ell0_margin = 1.0 + rp0 * 0.02 - table3_scaled_bound(0.02)
     return 1e4 * left, 1e4 * right, float(ell0_margin)
 
 

@@ -72,18 +72,35 @@ class TestHankel:
 
 class TestAbsCosFourier:
     def test_even_s_finite(self):
-        assert osc.abs_cos_fourier(2.0, 0) == pytest.approx(0.5)
-        assert osc.abs_cos_fourier(2.0, 1) == pytest.approx(0.5)
-        assert osc.abs_cos_fourier(2.0, 2) == 0.0
-        assert osc.abs_cos_fourier(4.0, 3) == 0.0
+        c2, c4 = osc.abs_cos_fourier(2.0, 2), osc.abs_cos_fourier(4.0, 3)
+        assert c2[0] == pytest.approx(0.5)
+        assert c2[1] == pytest.approx(0.5)
+        assert c2[2] == 0.0
+        assert c4[3] == 0.0
 
     @pytest.mark.parametrize("s", [1.0, 1.3, 2.5, 3.7])
     def test_series_reconstructs_abs_cos(self, s):
         thetas = np.linspace(0.0, math.pi, 70)
-        series = np.full_like(thetas, osc.abs_cos_fourier(s, 0))
+        cs = osc.abs_cos_fourier(s, 199)
+        series = np.full_like(thetas, cs[0])
         for m in range(1, 200):
-            series += osc.abs_cos_fourier(s, m) * np.cos(2 * m * thetas)
+            series += cs[m] * np.cos(2 * m * thetas)
         assert np.max(np.abs(series - np.abs(np.cos(thetas)) ** s)) < 5e-4
+
+    @pytest.mark.parametrize("s", [1.0, 1.05, 1.3, 2.5, 8.0 / 3.0, 3.7, 12.0, 64.0])
+    def test_against_mpmath(self, s):
+        # c_0 = Gamma(s+1) / (2^s Gamma(s/2+1)^2) and, for m >= 1,
+        # c_m = Gamma(s+1) / (2^(s-1) Gamma(1+s/2+m) Gamma(1+s/2-m)); rgamma is 0
+        # at the poles, where c_m vanishes for even s
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ms, h = mpmath.mpf(s), mpmath.mpf(s) / 2
+            top = mpmath.gamma(ms + 1) / mpmath.mpf(2) ** (ms - 1)
+            refs = [top / 2 * mpmath.rgamma(h + 1) ** 2]
+            refs += [top * mpmath.rgamma(1 + h + m) * mpmath.rgamma(1 + h - m) for m in range(1, 81)]
+            got = osc.abs_cos_fourier(s, 80)
+            for c, ref in zip(got, refs):
+                assert abs(c - ref) <= 1e-13 * abs(ref)
 
 
 def _quad_between(p, s, T1, T2):
@@ -119,13 +136,16 @@ class TestTails:
         rhs = _quad_between(p, s, T1, T2) + osc.tail_abs_pow(p, s, T2)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, lhs))
 
-    @pytest.mark.parametrize("p", [0.3, 1.2, 2.5, 2.9])
+    @pytest.mark.parametrize("p", [0.3, 1.2, 2.5, 2.9, 5.5])
     def test_product_equals_abs_pow_for_two_unit_factors(self, p):
-        # prod of two jj_1 factors == |jj_1|^2: two independent expansions
+        # prod of n jj_1 factors == |jj_1|^n: two independent expansions; four
+        # factors (s = 4) also exercise the m = 2 Fourier term
         T = 46.3
-        lhs = osc.tail_product([1.0, 1.0], 1.0, p, T)
-        rhs = osc.tail_abs_pow(p, 2.0, T)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
+        for n in (2, 4):
+            if p < 1.5 * n:
+                lhs = osc.tail_product([1.0] * n, 1.0, p, T)
+                rhs = osc.tail_abs_pow(p, float(n), T)
+                assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_product_resonant_vs_brute(self):
         # near-resonant frequencies exercise the numeric-base path

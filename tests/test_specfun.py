@@ -154,6 +154,8 @@ class TestJJ:
         assert zs[1] == pytest.approx(7.015586669815619, abs=1e-10)
         # spacing approaches pi
         assert np.all(np.abs(np.diff(zs)[5:] - math.pi) < 0.05)
+        # jj_(1/2)(t) = sin(t)/t: the zeros are k pi
+        assert np.max(np.abs(jnu_zeros(0.5, 50.0) - math.pi * np.arange(1, 16))) < 1e-12
 
     def test_bounded_by_one(self):
         t = np.linspace(0.0, 100.0, 20001)
