@@ -9,7 +9,8 @@ number, and which:
     diff before.txt after.txt
 
 Covered: F on the 9x9 (p, s) grid over [0.01, 2.9] x [1.05, 12], close to the
-divergence line p = 3s/2 and at a few large s; tail_product and
+divergence line p = 3s/2 and at a few large s; tail_product (n = 2..5, then
+n = 6..12 from a second seed, so the first lines keep their inputs) and
 product_moment on seeded random queries; passed and min_margin of every
 verifier of ``khinsphere verify`` at its default parameters; the three
 tables.  An input that raises prints the exception's class name.  Takes
@@ -30,6 +31,7 @@ from khinsphere.quad import F, IntegralParams, product_moment  # noqa: E402
 
 SEED = 20221
 N_TAIL_PRODUCT = 60
+N_TAIL_PRODUCT_LARGE = 20
 N_PRODUCT_MOMENT = 150
 
 
@@ -56,13 +58,18 @@ def f_points():
             yield p, s
 
 
-def tail_product_queries(rng):
-    for _ in range(N_TAIL_PRODUCT):
-        n = int(rng.integers(2, 6))
+def tail_product_queries(rng, count, n_lo, n_hi):
+    for _ in range(count):
+        n = int(rng.integers(n_lo, n_hi + 1))
         nu = float(rng.choice([0.5, 1.0, 1.5, 3.0]))
         amps = sorted(rng.uniform(0.1, 1.0, n), reverse=True)
         p = rng.uniform(0.05, 0.98) * n * (nu + 0.5)
         yield amps, nu, p, max(46.0, 25.0 / amps[-1])
+
+
+def _tail_product_line(amps, nu, p, T) -> str:
+    return _line(f"tail_product {_args(*amps)} nu={nu!r} p={p!r} T={T!r}",
+                 lambda: oscillatory.tail_product(amps, nu, p, T))
 
 
 def product_moment_queries(rng):
@@ -78,9 +85,8 @@ def main() -> int:
     rng = np.random.default_rng(SEED)
     for p, s in f_points():
         print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
-    for amps, nu, p, T in tail_product_queries(rng):
-        print(_line(f"tail_product {_args(*amps)} nu={nu!r} p={p!r} T={T!r}",
-                    lambda: oscillatory.tail_product(amps, nu, p, T)))
+    for amps, nu, p, T in tail_product_queries(rng, N_TAIL_PRODUCT, 2, 5):
+        print(_tail_product_line(amps, nu, p, T))
     for d, p, coeffs in product_moment_queries(rng):
         print(_line(f"product_moment d={d} p={p!r} {_args(*coeffs)}",
                     lambda: product_moment(MomentQuery(d, -p, coeffs))))
@@ -90,6 +96,9 @@ def main() -> int:
     for which in (1, 2, 3):
         for row in table_writer(which).splitlines():
             print(f"table{which} {row}")
+    large = tail_product_queries(np.random.default_rng(SEED + 1), N_TAIL_PRODUCT_LARGE, 6, 12)
+    for amps, nu, p, T in large:
+        print(_tail_product_line(amps, nu, p, T))
     return 0
 
 

@@ -14,9 +14,13 @@ Two consumers:
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
+  The 2^(n-1) pattern series are built together by doubling, which costs
+  n - 1 steps of two batched series products, then one scalar tail per
+  pattern.
 
-Series are represented as 1-d float/complex arrays c with c[j] the
-coefficient of t^(-j), truncated at ORDER.
+Series are represented as float/complex arrays c with c[j] the coefficient
+of t^(-j), truncated at ORDER; further axes, where present, index a batch of
+series.
 """
 from __future__ import annotations
 
@@ -40,10 +44,14 @@ _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 # ----------------------------------------------------------------------------
 
 def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
-    out = np.zeros(order + 1, dtype=np.result_type(a, b))
+    """Truncated product of the series a and b; a may carry trailing batch axes.
+
+    The batch axes trail so that a[i] is a scalar for one series and a
+    contiguous row for a batch, which keeps both cases fast.
+    """
+    out = np.zeros((order + 1,) + a.shape[1:], dtype=np.result_type(a, b))
+    b = b.reshape(b.shape + (1,) * (a.ndim - 1))
     for i in range(min(len(a), order + 1)):
-        if a[i] == 0:
-            continue
         hi = min(len(b), order + 1 - i)
         out[i:i + hi] += a[i] * b[:hi]
     return out
@@ -236,6 +244,10 @@ def tail_product(amps, nu: float, p: float, T: float) -> float:
 
     Each factor is Re[C_k W_k(t) t^(-nu-1/2) e^(i a_k t)]; the product over k
     expands into 2^(n-1) conjugate-paired terms with frequencies sum(+-a_k).
+    The sign patterns are built by doubling: factor 0 enters with sign +, and
+    factor k turns the P patterns so far into 2P, the first half multiplied
+    by conj(C_k W_k) and the second by C_k W_k.  That is n - 1 steps of two
+    batched series products, then 2^(n-1) scalar tails.
     """
     amps = [float(a) for a in amps]
     n = len(amps)
@@ -245,31 +257,17 @@ def tail_product(amps, nu: float, p: float, T: float) -> float:
     pser, qser = hankel_pq(nu)
     norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
     phase0 = cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
+    w0 = pser + 1j * qser
+    consts = [norm * a ** (-(nu + 0.5)) * phase0 for a in amps]
+    ws = [w0 * np.array([a ** (-j) for j in range(ORDER + 1)]) for a in amps]
 
-    consts = []
-    wplus = []
-    wminus = []
-    for a in amps:
-        consts.append(norm * a ** (-(nu + 0.5)) * phase0)
-        scale = np.array([a ** (-j) for j in range(ORDER + 1)])
-        w = (pser + 1j * qser) * scale
-        wplus.append(w)
-        wminus.append(np.conj(w))
+    amp, ser, omega = np.array(consts[:1]), ws[0][:, None], np.array(amps[:1])
+    for c, w, a in zip(consts[1:], ws[1:], amps[1:]):
+        amp = np.concatenate([amp * c.conjugate(), amp * c])
+        ser = np.concatenate([series_mul(ser, np.conj(w)), series_mul(ser, w)], axis=1)
+        omega = np.concatenate([omega - a, omega + a])
 
     total = 0.0
-    for bits in range(2 ** (n - 1)):
-        sigma = [1] + [1 if (bits >> i) & 1 else -1 for i in range(n - 1)]
-        amp = complex(1.0)
-        ser = np.zeros(ORDER + 1, dtype=complex)
-        ser[0] = 1.0
-        omega = 0.0
-        for k in range(n):
-            if sigma[k] > 0:
-                amp *= consts[k]
-                ser = series_mul(ser, wplus[k])
-            else:
-                amp *= consts[k].conjugate()
-                ser = series_mul(ser, wminus[k])
-            omega += sigma[k] * amps[k]
-        total += (amp * _series_tail(ser, mu0, omega, T)).real
+    for c, row, om in zip(amp.tolist(), ser.T, omega.tolist()):
+        total += (c * _series_tail(row, mu0, om, T)).real
     return float(total * 2.0 ** (1 - n))

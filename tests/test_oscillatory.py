@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +115,63 @@ def _quad_between(p, s, T1, T2):
     return total
 
 
+def _tail_product_by_sign(amps, nu, p, T):
+    """The sign-vector expansion one pattern at a time, with 1-d series products."""
+    n = len(amps)
+    mu0 = p - 1.0 - n * (nu + 0.5)
+    pser, qser = osc.hankel_pq(nu)
+    norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+    phase0 = cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
+    consts = [norm * a ** (-(nu + 0.5)) * phase0 for a in amps]
+    ws = [(pser + 1j * qser) * np.array([a ** (-j) for j in range(osc.ORDER + 1)]) for a in amps]
+    total = 0.0
+    for tail_signs in itertools.product((1, -1), repeat=n - 1):
+        amp, ser, omega = 1.0 + 0j, np.eye(1, osc.ORDER + 1, dtype=complex)[0], 0.0
+        for sign, c, w, a in zip((1,) + tail_signs, consts, ws, amps):
+            amp *= c if sign > 0 else c.conjugate()
+            ser = osc.series_mul(ser, w if sign > 0 else np.conj(w))
+            omega += sign * a
+        total += (amp * osc._series_tail(ser, mu0, omega, T)).real
+    return total * 2.0 ** (1 - n)
+
+
+def _tail_product_case(n, nu):
+    rng = np.random.default_rng(1000 * n + int(2 * nu))
+    amps = sorted(rng.uniform(0.1, 1.0, n), reverse=True)
+    p = rng.uniform(0.05, 0.98) * n * (nu + 0.5)
+    return amps, p, max(46.0, 25.0 / amps[-1]), rng
+
+
+class TestSeriesMul:
+    @staticmethod
+    def _double_sum(a, b, order):
+        out = np.zeros(order + 1, dtype=np.result_type(a, b))
+        for i in range(min(len(a), order + 1)):
+            for j in range(min(len(b), order + 1 - i)):
+                out[i + j] += a[i] * b[j]
+        return out
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("la,lb,order",
+                             [(9, 9, 8), (4, 9, 8), (9, 3, 8), (12, 12, 8), (6, 6, 5)])
+    def test_1d_equals_double_sum(self, dtype, la, lb, order):
+        rng = np.random.default_rng(la * 100 + lb * 10 + order)
+        a, b = rng.standard_normal((2, la)), rng.standard_normal((2, lb))
+        a, b = (a[0] + 1j * a[1], b[0] + 1j * b[1]) if dtype is complex else (a[0], b[0])
+        got = osc.series_mul(a, b, order)
+        assert got.shape == (order + 1,) and got.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(got, self._double_sum(a, b, order), rtol=1e-15, atol=0.0)
+
+    def test_batched_equals_columns(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+        b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        got = osc.series_mul(a, b)
+        assert got.shape == a.shape
+        for col, ref_col in zip(got.T, a.T):
+            np.testing.assert_allclose(col, osc.series_mul(ref_col, b), rtol=1e-15, atol=0.0)
+
+
 class TestTails:
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 2.0, 2.5, 2.9, 2.99])
     def test_abs_pow_matches_closed_form_s2(self, p):
@@ -138,10 +196,11 @@ class TestTails:
 
     @pytest.mark.parametrize("p", [0.3, 1.2, 2.5, 2.9, 5.5])
     def test_product_equals_abs_pow_for_two_unit_factors(self, p):
-        # prod of n jj_1 factors == |jj_1|^n: two independent expansions; four
-        # factors (s = 4) also exercise the m = 2 Fourier term
+        # prod of n jj_1 factors == |jj_1|^n for even n: two independent
+        # expansions; n >= 4 also exercises the m >= 2 Fourier terms, and
+        # n = 12 the largest sign-pattern batch the benchmark builds
         T = 46.3
-        for n in (2, 4):
+        for n in (2, 4, 6, 8, 12):
             if p < 1.5 * n:
                 lhs = osc.tail_product([1.0] * n, 1.0, p, T)
                 rhs = osc.tail_abs_pow(p, float(n), T)
@@ -168,3 +227,27 @@ class TestTails:
         got = osc.tail_product(amps, nu, p, T)
         # brute remainder beyond 24000: envelope ~ t^-3 * t^(p-1) integral ~ 6e-7
         assert got == pytest.approx(total, abs=2e-6)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_product_matches_sign_by_sign(self, n, nu):
+        amps, p, T, _ = _tail_product_case(n, nu)
+        ref = _tail_product_by_sign(amps, nu, p, T)
+        assert osc.tail_product(amps, nu, p, T) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_product_symmetric_in_amps(self, n, nu):
+        # factor 0 is the one held at sign +, so a permutation changes every
+        # pattern's series and frequency but not the sum.  The patterns cancel
+        # (the n = 8 sums are 1e-3 to 1e-2 of the envelope integral), so
+        # rounding is bounded by the envelope int_T^inf prod_k |C_k| t^(mu0)
+        # dt, not by the sum itself
+        amps, p, T, rng = _tail_product_case(n, nu)
+        mu0 = p - 1.0 - n * (nu + 0.5)
+        norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+        envelope = norm**n * math.prod(amps) ** (-(nu + 0.5)) * T ** (mu0 + 1.0) / -(mu0 + 1.0)
+        ref = osc.tail_product(amps, nu, p, T)
+        for _ in range(3):
+            got = osc.tail_product(list(rng.permutation(amps)), nu, p, T)
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-14 * envelope)

@@ -205,7 +205,7 @@ class TestProductMoment:
         pytest.param(8, (1.0, 0.5, 0.4), 1e-9, id="d8"),
         pytest.param(8, (1.0, 0.2, 0.2, 0.2), 1e-9, id="d8-four"),
         pytest.param(8, (1.0, 0.05, 0.05), 1e-9, id="d8-small-weight", marks=pytest.mark.xfail(
-            strict=True, reason="product_moment-small-weight (ROADMAP item 4): relative error 1.7e-7")),
+            strict=True, reason="product_moment-small-weight (ROADMAP item 5): relative error 1.7e-7")),
     ])
     def test_newton_harmonic_moment(self, d, coeffs, rel):
         # |x|^(2-d) is harmonic (Newton's theorem): the mean of |y + a_1 xi_1|^(2-d)
