@@ -13,7 +13,8 @@ divergence line p = 3s/2 and at a few large s; tail_product (n = 2..5, then
 n = 6..12 from a second seed, so the first lines keep their inputs) and
 product_moment on seeded random queries; passed and min_margin of every
 verifier of ``khinsphere verify`` at its default parameters; the three
-tables.  An input that raises prints the exception's class name.  Takes
+tables; last, product_moment with n = 6..12 and one small weight, from a
+third seed.  An input that raises prints the exception's class name.  Takes
 under a minute.
 """
 import pathlib
@@ -33,6 +34,7 @@ SEED = 20221
 N_TAIL_PRODUCT = 60
 N_TAIL_PRODUCT_LARGE = 20
 N_PRODUCT_MOMENT = 150
+N_PRODUCT_MOMENT_SMALL = 12
 
 
 def _line(label: str, fn) -> str:
@@ -81,6 +83,22 @@ def product_moment_queries(rng):
         yield d, p, coeffs
 
 
+def small_weight_queries(rng):
+    """n = 6..12 weights in [0.5, 1], one of them 1e-3..1e-1 times the largest."""
+    for _ in range(N_PRODUCT_MOMENT_SMALL):
+        d = int(rng.choice([3, 4, 5, 8]))
+        n = int(rng.integers(6, 13))
+        w = rng.uniform(0.5, 1.0, n)
+        w[rng.integers(n)] = 10.0 ** rng.uniform(-3.0, -1.0) * w.max()
+        p = rng.uniform(0.05, 0.97) * (d - 1)
+        yield d, p, tuple(w)
+
+
+def _product_moment_line(d, p, coeffs) -> str:
+    return _line(f"product_moment d={d} p={p!r} {_args(*coeffs)}",
+                 lambda: product_moment(MomentQuery(d, -p, coeffs)))
+
+
 def main() -> int:
     rng = np.random.default_rng(SEED)
     for p, s in f_points():
@@ -88,8 +106,7 @@ def main() -> int:
     for amps, nu, p, T in tail_product_queries(rng, N_TAIL_PRODUCT, 2, 5):
         print(_tail_product_line(amps, nu, p, T))
     for d, p, coeffs in product_moment_queries(rng):
-        print(_line(f"product_moment d={d} p={p!r} {_args(*coeffs)}",
-                    lambda: product_moment(MomentQuery(d, -p, coeffs))))
+        print(_product_moment_line(d, p, coeffs))
     for name, job in LEMMAS.items():
         report = job({})
         print(f"verify {name} passed={report.passed} min_margin {float(report.min_margin).hex()}")
@@ -99,6 +116,8 @@ def main() -> int:
     large = tail_product_queries(np.random.default_rng(SEED + 1), N_TAIL_PRODUCT_LARGE, 6, 12)
     for amps, nu, p, T in large:
         print(_tail_product_line(amps, nu, p, T))
+    for d, p, coeffs in small_weight_queries(np.random.default_rng(SEED + 2)):
+        print(_product_moment_line(d, p, coeffs))
     return 0
 
 

@@ -36,6 +36,7 @@ from .specfun import gamma
 ORDER = 8  # highest power of 1/t kept in the asymptotic series
 
 _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
+_PANEL_BLOCK = 4096  # panels per block of _panel_quad
 
 
 # ----------------------------------------------------------------------------
@@ -128,8 +129,14 @@ def _leggauss(n: int):
 def _panel_quad(f, edges: np.ndarray, order: int = 16):
     """Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
 
-    Returns the unreduced numpy sum, so f may be real or complex valued.
+    The panels are evaluated in blocks of at most _PANEL_BLOCK, so memory
+    stays bounded however many there are, and the block sums are added up.
+    Returns an unreduced numpy sum, so f may be real or complex valued.
     """
+    n = len(edges) - 1
+    if n > _PANEL_BLOCK:
+        return sum(_panel_quad(f, edges[lo:lo + _PANEL_BLOCK + 1], order)
+                   for lo in range(0, n, _PANEL_BLOCK))
     x, w = _leggauss(order)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)[:, None]

@@ -8,7 +8,9 @@ asymptotic Watson-expansion tail from ``oscillatory``.  The split point and
 the tail tolerance are fixed: the panels end at the first zero of J_1 at or
 beyond t = 46 and the tail is summed to 1e-10 absolute.  No error estimate
 is returned.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
-product formula, with at most 200,000 panels (ToleranceError beyond).
+product formula, with at most 200,000 panels (ToleranceError beyond).  There
+the panels stop early, and the asymptotic tail is skipped, where an explicit
+Bessel-envelope bound puts everything beyond below 1e-13 of the result.
 
 ``certified_F_upper`` assembles one-sided bounds the way the paper's hand
 computations do (endpoint-max Riemann sums on the monotone range, midpoint
@@ -50,6 +52,7 @@ _GAUSSIAN_REGIME_S = 64.0  # above this, |jj_1|^s is treated in the CLT scaling
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
+_CUT_REL = 1e-13  # product_moment's dropped tail, relative to the Jensen floor |a|^(-p)
 _M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
 _M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
@@ -213,6 +216,14 @@ def product_moment(query: MomentQuery) -> float:
     Requires q = -p with 0 < p < d and absolute convergence p < n(d-1)/2
     (n = number of nonzero coefficients); otherwise a ConvergenceError asks
     the caller to fall back to the hypergeometric route (n=2) or Monte Carlo.
+
+    The integral is a series head on [0, 1], Gauss panels up to T, and the
+    sign-pattern tail beyond T = max(46, 25/a_min) (weights scaled to |a| = 1).
+    When ``_envelope_cut`` finds a smaller T_env at which an explicit bound on
+    everything beyond is at most 1e-13/kappa, the panels end at T_env and that
+    rest is dropped.  By Jensen the result is at least |a|^(-p), so the
+    dropped part is below 1e-13 of it, a priori.  More than 200,000 panels
+    raise ToleranceError.
     """
     d, p = query.d, -query.q
     if not 0.0 < p < d:
@@ -229,8 +240,12 @@ def product_moment(query: MomentQuery) -> float:
         )
     nu = d / 2.0 - 1.0
     a_min, a_max = amps[-1], amps[0]
-    T = max(46.0, 25.0 / a_min)
+    kappa = normalizers(p, d).kappa
     a0 = 1.0
+    T_full = max(46.0, 25.0 / a_min)
+    T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+    cut = T_env < T_full
+    T = max(T_env, a0) if cut else T_full
     head = _head_product(amps, nu, p, a0)
 
     def integrand(t):
@@ -245,9 +260,58 @@ def product_moment(query: MomentQuery) -> float:
         raise ToleranceError(f"panel budget exceeded: {n_panels} > {_MAX_PANELS}")
     edges = np.linspace(a0, T, n_panels + 1)
     middle = _panel_quad(integrand, edges, order=24)
-    tail = osc.tail_product(amps, nu, p, T)
-    kappa = normalizers(p, d).kappa
+    tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
     return float(kappa * (head + middle + tail) * norm ** (-p))
+
+
+def _bessel_envelope(nu: float) -> tuple[float, float] | None:
+    """(C, x0) with |jj_nu(x)| <= C x^(-nu-1/2) for every x >= x0; None for nu < 0.
+
+    Source: Watson, A Treatise on the Theory of Bessel Functions (2nd ed.,
+    1944), section 13.74, from Nicholson's formula for J_nu^2 + Y_nu^2:
+    (x^2 - nu^2)^(1/2) (J_nu^2 + Y_nu^2) increases to 2/pi for x > nu > 1/2,
+    and x (J_nu^2 + Y_nu^2) does for |nu| < 1/2 (it is 2/pi at nu = 1/2).
+    So, with jj_nu(x) = 2^nu Gamma(nu+1) x^(-nu) J_nu(x):
+    * nu > 1/2: J_nu(x)^2 <= (2/pi) (x^2 - nu^2)^(-1/2), and for x >= x0 = 2 nu
+      the factor (x^2/(x^2 - nu^2))^(1/4) is at most (4/3)^(1/4);
+    * 0 <= nu <= 1/2: J_nu(x)^2 <= 2/(pi x) for all x > 0, so x0 = 0.
+    At nu = 1 this is the envelope of the paper's jj_1 tail bounds (``_watson_tail``).
+    """
+    if nu < 0.0:
+        return None
+    c = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+    if nu <= 0.5:
+        return c, 0.0
+    return c * (4.0 / 3.0) ** 0.25, 2.0 * nu
+
+
+def _envelope_cut(amps, nu: float, p: float, tol: float) -> float:
+    """Smallest T at which an explicit bound on the tail of product_moment's integral is <= tol.
+
+    The tail is int_T^inf prod_k |jj_nu(a_k t)| t^(p-1) dt, with ``amps``
+    sorted in decreasing order.  For each j, the j largest factors take the
+    envelope C (a_k t)^(-nu-1/2) of ``_bessel_envelope``, valid once
+    a_j T >= x0, and the others |jj_nu| <= 1 (DLMF 10.14.4, nu >= -1/2).  The
+    bound is then K_j T^(-e_j) / e_j with e_j = j (nu+1/2) - p > 0 and
+    K_j = prod_(k<=j) C a_k^(-nu-1/2), which equals tol at
+    log T_j = (log K_j - log e_j - log tol) / e_j; T_j is raised to x0/a_j.
+    Returns min_j T_j, or inf when no j qualifies (nu < 0, or T_j beyond
+    e^700).  The work is in logs: K_j itself can overflow.
+    """
+    env = _bessel_envelope(nu)
+    if env is None:
+        return math.inf
+    c, x0 = env
+    log_t, log_k = math.inf, 0.0
+    for j, a in enumerate(amps, start=1):
+        log_k += math.log(c) - (nu + 0.5) * math.log(a)
+        e = j * (nu + 0.5) - p
+        if e > 0.0:
+            lt = (log_k - math.log(e) - math.log(tol)) / e
+            if x0 > 0.0:
+                lt = max(lt, math.log(x0 / a))
+            log_t = min(log_t, lt)
+    return math.exp(log_t) if log_t < 700.0 else math.inf
 
 
 def _head_product(amps, nu: float, p: float, a0: float, n_terms: int = 48) -> float:

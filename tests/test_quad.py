@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from khinsphere import oscillatory as osc
 from khinsphere.constants import C2, MomentQuery, normalizers
 from khinsphere.errors import DivergenceError, DomainError
+from khinsphere.oscillatory import _panel_quad
 from khinsphere.quad import (
+    _CUT_REL,
+    _bessel_envelope,
+    _envelope_cut,
+    _head_product,
     CertifiedBound,
     F,
     G,
@@ -17,7 +23,7 @@ from khinsphere.quad import (
     certified_F_upper,
     product_moment,
 )
-from khinsphere.specfun import gamma, hyp2f1
+from khinsphere.specfun import _jj_vec, gamma, hyp2f1
 
 IP = IntegralParams
 
@@ -161,6 +167,25 @@ class TestHTilde:
         assert H_tilde(IP(2.9, 2.01)) > 0
 
 
+def _cut_queries(count=10):
+    """Seeded queries on which product_moment's envelope cut fires: n = 3..12,
+    d in {3, 4, 5, 8}, weights in [0.5, 1], every other one with a single weight
+    1e-3..1e-1 times the largest."""
+    rng = np.random.default_rng(20231)
+    out = []
+    while len(out) < count:
+        d, n = int(rng.choice([3, 4, 5, 8])), int(rng.integers(3, 13))
+        w = rng.uniform(0.5, 1.0, n)
+        if len(out) % 2:
+            w[rng.integers(n)] = 10.0 ** rng.uniform(-3.0, -1.0) * w.max()
+        p = rng.uniform(0.05, 0.97) * (d - 1)
+        amps = sorted(w / np.linalg.norm(w), reverse=True)
+        kappa = normalizers(p, d).kappa
+        if _envelope_cut(amps, d / 2.0 - 1.0, p, _CUT_REL / kappa) < max(46.0, 25.0 / amps[-1]):
+            out.append(MomentQuery(d, -p, tuple(w)))
+    return out
+
+
 class TestProductMoment:
     def test_single_unit_vector(self):
         assert product_moment(MomentQuery(4, -1.0, (1.0,))) == 1.0
@@ -206,6 +231,11 @@ class TestProductMoment:
         pytest.param(8, (1.0, 0.2, 0.2, 0.2), 1e-9, id="d8-four"),
         pytest.param(8, (1.0, 0.05, 0.05), 1e-9, id="d8-small-weight", marks=pytest.mark.xfail(
             strict=True, reason="product_moment-small-weight (ROADMAP item 5): relative error 1.7e-7")),
+        *[pytest.param(d, (1.0,) + (0.99 / (n - 1),) * (n - 1), 1e-12, id=f"d{d}-n{n}")
+          for n in (12, 20, 32) for d in (3, 4, 8)],
+        pytest.param(3, (1.0, 0.3, 0.2, 0.2, 0.2, 1e-8), 1e-12, id="d3-tiny-weight"),
+        pytest.param(4, (1.0, 0.4, 0.3, 0.2, 1e-8), 1e-12, id="d4-tiny-weight"),
+        pytest.param(8, (1.0, 0.3, 0.3, 1e-8), 1e-12, id="d8-tiny-weight"),
     ])
     def test_newton_harmonic_moment(self, d, coeffs, rel):
         # |x|^(2-d) is harmonic (Newton's theorem): the mean of |y + a_1 xi_1|^(2-d)
@@ -218,6 +248,51 @@ class TestProductMoment:
         val = product_moment(MomentQuery(3, -0.8, (1.0, 0.7)))
         expected = hyp2f1(0.4, (0.8 - 1.0) / 2.0, 1.5, 0.49)
         assert val == pytest.approx(expected, abs=1e-7)
+
+    @pytest.mark.parametrize("query", [
+        pytest.param(q, id=f"q{i}-d{q.d}-n{len(q.coeffs)}") for i, q in enumerate(_cut_queries())])
+    def test_dropped_tail_within_bound(self, query):
+        # the piece the envelope cut drops, recomputed the uncut way: panels
+        # from T_env to the asymptotic start, then the sign-pattern tail there
+        d, p = query.d, -query.q
+        norm = query.norm
+        amps = sorted((abs(a) / norm for a in query.coeffs), reverse=True)
+        nu, kappa = d / 2.0 - 1.0, normalizers(p, d).kappa
+        T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+        T_asym = max(46.0, 25.0 / amps[-1])
+        assert T_env < T_asym
+
+        def integrand(t):
+            return t ** (p - 1.0) * np.prod([_jj_vec(nu, a * t) for a in amps], axis=0)
+
+        def panels(lo, hi):
+            n = math.ceil((hi - lo) / min(2.0, math.pi / (2.0 * amps[0])))
+            return float(_panel_quad(integrand, np.linspace(lo, hi, n + 1), order=24))
+
+        tail = osc.tail_product(amps, nu, p, T_asym)
+        dropped = panels(T_env, T_asym) + tail
+        assert abs(dropped) <= _CUT_REL / kappa
+        uncut = _head_product(amps, nu, p, 1.0) + panels(1.0, T_asym) + tail
+        val = product_moment(query) + kappa * dropped * norm ** (-p)
+        assert val == pytest.approx(kappa * uncut * norm ** (-p), rel=1e-13)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 3.0])
+    def test_envelope_bounds_jj(self, nu):
+        # the inequality _envelope_cut rests on: |jj_nu(x)| <= C x^(-nu-1/2) for x >= x0
+        mpmath = pytest.importorskip("mpmath")
+        c, x0 = _bessel_envelope(nu)
+        x = np.linspace(max(x0, 1e-3), 3000.0, 600_001)
+        ratio = np.abs(_jj_vec(nu, x)) * x ** (nu + 0.5) / c
+        assert ratio.max() <= 1.0 + 1e-12
+        # in mpmath: the first 20 units of the grid, and every local maximum
+        # of the ratio on it, where the envelope is tightest
+        peaks = np.flatnonzero((ratio[1:-1] >= ratio[:-2]) & (ratio[1:-1] >= ratio[2:])) + 1
+        norm = mpmath.mpf(2) ** nu * mpmath.gamma(nu + 1)
+        for t in np.concatenate([x[:4000:10], x[peaks]]):
+            t = mpmath.mpf(t)
+            assert abs(norm * mpmath.besselj(nu, t)) * mpmath.sqrt(t) <= c
 
 
 class TestCertified:
