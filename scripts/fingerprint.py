@@ -13,9 +13,10 @@ divergence line p = 3s/2 and at a few large s; tail_product (n = 2..5, then
 n = 6..12 from a second seed, so the first lines keep their inputs) and
 product_moment on seeded random queries; passed and min_margin of every
 verifier of ``khinsphere verify`` at its default parameters; the three
-tables; last, product_moment with n = 6..12 and one small weight, from a
-third seed.  An input that raises prints the exception's class name.  Takes
-under a minute.
+tables; product_moment with n = 6..12 and one small weight, from a third
+seed; last, the certified bounds behind Tables 2 and 3 (table2_log_bound at
+TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES).  An input that raises
+prints the exception's class name.  Takes under a minute.
 """
 import pathlib
 import sys
@@ -28,7 +29,14 @@ from khinsphere import oscillatory  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import MomentQuery  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
-from khinsphere.quad import F, IntegralParams, product_moment  # noqa: E402
+from khinsphere.quad import (  # noqa: E402
+    F,
+    IntegralParams,
+    product_moment,
+    table2_log_bound,
+    table3_scaled_bound,
+)
+from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
 N_TAIL_PRODUCT = 60
@@ -118,6 +126,10 @@ def main() -> int:
         print(_tail_product_line(amps, nu, p, T))
     for d, p, coeffs in small_weight_queries(np.random.default_rng(SEED + 2)):
         print(_product_moment_line(d, p, coeffs))
+    for p in TABLE2_EDGES:
+        print(_line(f"table2_log_bound {_args(p)}", lambda: table2_log_bound(p)))
+    for p in TABLE3_EDGES:
+        print(_line(f"table3_scaled_bound {_args(p)}", lambda: table3_scaled_bound(p)))
     return 0
 
 

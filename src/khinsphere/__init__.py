@@ -19,7 +19,6 @@ from .errors import (
 )
 from .phase import PhaseTransitionResult, q_star
 from .quad import (
-    CertifiedBound,
     F,
     G,
     G_tilde,
@@ -27,7 +26,6 @@ from .quad import (
     H_tilde,
     IntegralParams,
     U,
-    certified_F_upper,
     product_moment,
 )
 from .sample import SampleStats, estimate_moment, polydisc_slice_volume, sample_sphere

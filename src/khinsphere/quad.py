@@ -12,16 +12,17 @@ product formula, with at most 200,000 panels (ToleranceError beyond).  There
 the panels stop early, and the asymptotic tail is skipped, where an explicit
 Bessel-envelope bound puts everything beyond below 1e-13 of the result.
 
-``certified_F_upper`` assembles one-sided bounds the way the paper's hand
-computations do (endpoint-max Riemann sums on the monotone range, midpoint
-sums with a derivative sup, envelope tails); those bounds are quasi-certified:
-evaluated in double precision with a cumulative-rounding inflation rather
-than directed rounding.
+The one-sided bounds on F behind Tables 2-3 (``table2_log_bound``,
+``table3_scaled_bound``) and interpolation~ follow the paper's hand
+computations (endpoint-max Riemann sums on the monotone range, midpoint sums
+with a derivative constant, envelope tails); the table bounds are
+quasi-certified: evaluated in double precision with a cumulative-rounding
+inflation rather than directed rounding.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +35,6 @@ from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
     "IntegralParams",
-    "CertifiedBound",
-    "Segment",
     "F",
     "G",
     "H",
@@ -43,7 +42,6 @@ __all__ = [
     "G_tilde",
     "H_tilde",
     "product_moment",
-    "certified_F_upper",
     "table2_log_bound",
     "table3_scaled_bound",
 ]
@@ -65,27 +63,12 @@ class IntegralParams:
     s: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p) and math.isfinite(self.s)):
+            raise DomainError(f"p and s must be finite, got p={self.p}, s={self.s}")
         if not self.p > 0:
             raise DomainError(f"p must be positive, got {self.p}")
         if not self.s >= 1:
             raise DomainError(f"s must be >= 1, got {self.s}")
-
-
-@dataclass(frozen=True)
-class Segment:
-    lo: float
-    hi: float
-    scheme: str
-    contribution: float
-
-
-@dataclass(frozen=True)
-class CertifiedBound:
-    bound: float
-    side: str
-    scheme: str
-    m: int
-    segments: tuple[Segment, ...] = field(default_factory=tuple)
 
 
 # ----------------------------------------------------------------------------
@@ -275,7 +258,7 @@ def _bessel_envelope(nu: float) -> tuple[float, float] | None:
     * nu > 1/2: J_nu(x)^2 <= (2/pi) (x^2 - nu^2)^(-1/2), and for x >= x0 = 2 nu
       the factor (x^2/(x^2 - nu^2))^(1/4) is at most (4/3)^(1/4);
     * 0 <= nu <= 1/2: J_nu(x)^2 <= 2/(pi x) for all x > 0, so x0 = 0.
-    At nu = 1 this is the envelope of the paper's jj_1 tail bounds (``_watson_tail``).
+    At nu = 1 this is the envelope of the paper's jj_1 tail bounds (Tables 2-3, interpolation~).
     """
     if nu < 0.0:
         return None
@@ -325,7 +308,7 @@ def _head_product(amps, nu: float, p: float, a0: float, n_terms: int = 48) -> fl
 
 
 # ----------------------------------------------------------------------------
-# certified (one-sided) bounds on F
+# certified (one-sided) bounds on F: Tables 2-3 and interpolation~
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -350,94 +333,69 @@ def _riemann_monotone(p: float, s: float, lo: float, hi: float, m: int) -> float
     return float(np.sum(sup_j * sup_t) / m)
 
 
-def _midpoint_deriv(p: float, s: float, lo: float, hi: float, m: int, dsup: float,
-                    relaxed_error: bool = False) -> float:
+def _midpoint_deriv(p: float, s: float, lo: float, hi: float, m: int, dsup: float) -> float:
+    """Midpoint Riemann sum plus dsup/(2m) times (hi - lo) lo^(p-1); valid for p <= 1."""
     vals = _abs_jj1_midgrid(lo, hi, m) ** s
     k = np.arange(len(vals))
     tl = lo + k / m
     sup_t = np.maximum(tl ** (p - 1.0), (lo + (k + 1) / m) ** (p - 1.0))
     main = float(np.sum(vals * sup_t) / m)
-    if relaxed_error:
-        # (hi - lo) * lo^(p-1) bound of the weight integral; valid for p <= 1
-        weight = (hi - lo) * lo ** (p - 1.0)
-    else:
-        weight = (hi**p - lo**p) / p
-    return main + dsup / (2.0 * m) * weight
-
-
-def _watson_tail(p: float, s: float, t0: float) -> float:
-    if p >= 1.5 * s:
-        raise DivergenceError("watson tail diverges")
-    env = math.sqrt(8.0 / math.pi) * (t0 * t0 / (t0 * t0 - 1.0)) ** 0.25
-    return env**s * t0 ** (p - 1.5 * s) / (1.5 * s - p)
+    return main + dsup / (2.0 * m) * ((hi - lo) * lo ** (p - 1.0))
 
 
 @lru_cache(maxsize=4)
 def _deriv_sup_abs_pow(s: float) -> float:
+    """Sampled max of |d/dt |jj_1(t)|^s| on [5, 10], times 1.05; not a bound.
+
+    No certificate uses it.  It backs the test that the paper's 0.06 (Table 3,
+    s = 1.3) sits above the sampled sup, until a rigorous enclosure of that
+    constant replaces the test.
+    """
     t = np.linspace(5.0, 10.0, 8001)
     vals = s * np.abs(_jj_vec(1.0, t)) ** (s - 1.0) * np.abs(jj1_prime(t))
     return float(np.max(vals) * 1.05)
 
 
-def certified_F_upper(p: float, s: float, m: int, plan: str = "generic") -> CertifiedBound:
-    """Rigorous upper bound on F(p, s) assembled from elementary segment bounds.
+def _s83_head_riemann(p: float) -> float:
+    """Bound on int_0^5 |jj_1|^(8/3) t^(p-1) dt, p >= 0.8: 1/(0.8 m^p) on [0, 1/m], then Riemann."""
+    m = _M_S83
+    return 1.0 / (0.8 * m**p) + _riemann_monotone(p, 8.0 / 3.0, 1.0 / m, 5.0, m)
 
-    plan="table2": the s=8/3 construction (head 1/(0.8 m^p), Riemann on
-    [1/m, 5], envelope tail from t0=5); requires 0.8 <= p <= 2.
-    plan="table3": the s=1.3 construction (polynomial head on [0,1], Riemann
-    on [1,5], midpoint+0.06-derivative on [5,10], tail from t0=10); requires
-    0 < p <= 1/4.
-    plan="generic": exact power head on [0,1/m], Riemann to 5, midpoint with
-    a numerically derived derivative sup on [5,10], tail from t0=10.
-    """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if p >= 1.5 * s:
-        raise DivergenceError(f"F(p,s) diverges for p={p} >= 3s/2")
-    segments: list[Segment] = []
-    if plan == "table2":
-        if not (0.8 <= p <= 2.0 and abs(s - 8.0 / 3.0) < 1e-12):
-            raise DomainError("table2 plan is the s=8/3, 0.8<=p<=2 construction")
-        segments.append(Segment(0.0, 1.0 / m, "smallt-power", 1.0 / (0.8 * m**p)))
-        segments.append(Segment(1.0 / m, 5.0, "riemann-monotone",
-                                _riemann_monotone(p, s, 1.0 / m, 5.0, m)))
-        tail = 2.0 / (3.0 ** (2.0 / 3.0) * 5.0 ** (8.0 / 3.0) * math.pi ** (4.0 / 3.0)) * 5.0**p
-        segments.append(Segment(5.0, math.inf, "tail-watson", tail))
-    elif plan == "table3":
-        if not (0.0 < p <= 0.25 and abs(s - 1.3) < 1e-12):
-            raise DomainError("table3 plan is the s=1.3, 0<p<=1/4 construction")
-        head = 1.0 / p - 13.0 / (80.0 * (p + 2.0)) + 377.0 / (38400.0 * 4.0)
-        segments.append(Segment(0.0, 1.0, "smallt-power", head))
-        segments.append(Segment(1.0, 5.0, "riemann-monotone",
-                                _riemann_monotone(p, s, 1.0, 5.0, m)))
-        segments.append(Segment(5.0, 10.0, "riemann-midpoint-deriv",
-                                _midpoint_deriv(p, s, 5.0, 10.0, m, 0.06, relaxed_error=True)))
-        c4 = (2.0 ** (53.0 / 20.0)
-              / (11.0 ** (13.0 / 40.0) * 5.0 ** (3.0 / 10.0) * (3.0 * math.pi) ** (13.0 / 20.0)))
-        segments.append(Segment(10.0, math.inf, "tail-watson", c4 * 10.0**p / 34.0))
-    elif plan == "generic":
-        segments.append(Segment(0.0, 1.0 / m, "smallt-power", 1.0 / (p * m**p)))
-        segments.append(Segment(1.0 / m, 5.0, "riemann-monotone",
-                                _riemann_monotone(p, s, 1.0 / m, 5.0, m)))
-        segments.append(Segment(5.0, 10.0, "riemann-midpoint-deriv",
-                                _midpoint_deriv(p, s, 5.0, 10.0, m, _deriv_sup_abs_pow(s))))
-        segments.append(Segment(10.0, math.inf, "tail-watson", _watson_tail(p, s, 10.0)))
-    else:
-        raise DomainError(f"unknown scheme plan {plan!r}")
-    n_sub = sum(int(round((seg.hi - seg.lo) * m)) for seg in segments if math.isfinite(seg.hi))
-    # quasi-certified: inflate by accumulated-rounding ulps instead of
-    # directed rounding
-    bound = sum(seg.contribution for seg in segments) * (1.0 + 2e-16 * max(4, n_sub))
-    return CertifiedBound(bound=bound, side="upper", scheme=plan, m=m,
-                          segments=tuple(segments))
+
+def _table2_F_upper(p: float) -> float:
+    """Table 2's bound on F(p, 8/3), 0.8 <= p <= 2: the tail from t0 = 5 uses p <= 2."""
+    if not 0.8 <= p <= 2.0:
+        raise DomainError(f"the Table 2 bound needs 0.8 <= p <= 2, got p={p}")
+    tail = 2.0 / (3.0 ** (2.0 / 3.0) * 5.0 ** (8.0 / 3.0) * math.pi ** (4.0 / 3.0)) * 5.0**p
+    return (_s83_head_riemann(p) + tail) * (1.0 + 2e-16 * 500)  # 2e-16 per subinterval
+
+
+def _tilde_F_upper(p: float) -> float:
+    """interpolation~'s bound on F(p, 8/3), 2 <= p <= 3: the tail from t0 = 5 is p-uniform."""
+    tail = ((8.0 / math.pi) ** (4.0 / 3.0) * (25.0 / 24.0) ** (2.0 / 3.0)
+            * 5.0 ** (p - 4.0) / (4.0 - p))
+    return _s83_head_riemann(p) + tail
+
+
+def _table3_F_upper(p: float) -> float:
+    """Table 3's bound on F(p, 1.3), 0 < p <= 1/4: polynomial head, Riemann to 5, then midpoint
+    with the paper's derivative constant 0.06 to 10, and the tail from t0 = 10."""
+    if not 0.0 < p <= 0.25:
+        raise DomainError(f"the Table 3 bound needs 0 < p <= 1/4, got p={p}")
+    m = _M_S13
+    head = 1.0 / p - 13.0 / (80.0 * (p + 2.0)) + 377.0 / (38400.0 * 4.0)
+    c4 = (2.0 ** (53.0 / 20.0)
+          / (11.0 ** (13.0 / 40.0) * 5.0 ** (3.0 / 10.0) * (3.0 * math.pi) ** (13.0 / 20.0)))
+    bound = (head + _riemann_monotone(p, 1.3, 1.0, 5.0, m)
+             + _midpoint_deriv(p, 1.3, 5.0, 10.0, m, 0.06) + c4 * 10.0**p / 34.0)
+    return bound * (1.0 + 2e-16 * 2000)  # 2e-16 per subinterval
 
 
 def table2_log_bound(p: float) -> float:
     """log of the certified bound on e^(p/6) 2^(1-p) F(p, 8/3): convex in p."""
-    b = certified_F_upper(p, 8.0 / 3.0, _M_S83, plan="table2").bound
-    return math.log(b) + p / 6.0 + (1.0 - p) * math.log(2.0)
+    return math.log(_table2_F_upper(p)) + p / 6.0 + (1.0 - p) * math.log(2.0)
 
 
 def table3_scaled_bound(p: float) -> float:
     """p times the certified bound on F(p, 1.3): convex in p, value 1 at 0+."""
-    return p * certified_F_upper(p, 1.3, _M_S13, plan="table3").bound
+    return p * _table3_F_upper(p)

@@ -207,7 +207,8 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     threshold = normal_isf(base_alpha / n_comp)
     entries = []
     for i, coeffs in enumerate(coeff_sets):
-        coeffs = tuple(float(a) for a in coeffs)
+        query = MomentQuery(d, -p, coeffs)  # finite weights, not all zero
+        coeffs = query.coeffs
         norm2 = sum(a * a for a in coeffs)
         bound = const * norm2 ** (-p / 2.0)
         nz = [abs(a) for a in coeffs if a != 0.0]
@@ -216,7 +217,7 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
         elif len(nz) == 2:
             est, se, route = float(_two_coeff_moment(d, -p, *nz)), 0.0, "hypergeometric"
         else:
-            stats = estimate_moment(MomentQuery(d, -p, coeffs), n_samples, seed=seed + i)
+            stats = estimate_moment(query, n_samples, seed=seed + i)
             est, se, route = stats.estimate, stats.std_error, stats.method
         if route in ("exact", "hypergeometric"):
             violated = est > bound * (1.0 + 1e-9) + 1e-12
@@ -254,8 +255,7 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
         raise DomainError(f"requires d >= 3, got {d}")
     if not q > -(d - 2):
         raise DomainError(f"requires q > -(d-2), got q={q}")
-    if q == 0:
-        raise DomainError("q = 0 is out of scope")
+    coeffs = MomentQuery(d, q, coeffs).coeffs  # q = 0, non-finite or all-zero weights raise
     gen = _rng(seed)
     sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
     # the projection of the sphere to d-2 coordinates is uniform on the ball

@@ -8,8 +8,10 @@ equality (gamma poles, the s=2 line where H~ vanishes, the (2,2) corner
 where H vanishes at the phase transition).  On the boundaries p = d-2
 (two-coefficient bounds) and p = d-4 (bisubharmonicity) the inequality
 becomes an identity, which is checked instead.  Only the region verifiers
-(H, H~, U < G, the inductive base) take a grid; the other grid sizes and the
-subdivision counts m of the certified bounds are module constants.
+(H, H~, U < G, the inductive base) take a grid; the other grid sizes are
+module constants.  The interpolation verifiers (Tables 2-3, interpolation~)
+compare tangent lines, built by ``_tangent_margins``, with the one-sided
+bounds on F that ``quad`` constructs at fixed subdivision counts.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .quad import (
     U,
     _M_S13,
     _M_S83,
-    _riemann_monotone,
+    _tilde_F_upper,
     table2_log_bound,
     table3_scaled_bound,
 )
@@ -38,9 +40,7 @@ from .specfun import digamma, gamma, hyp2f1, log_gamma
 
 __all__ = [
     "VerificationReport",
-    "ConvexPair",
     "PhiFunction",
-    "tangent_chord_dominates",
     "verify_H_regions",
     "verify_H_tilde_region",
     "verify_U_less_G",
@@ -103,30 +103,6 @@ def _make_report(lemma_id: str, region: str, grid: tuple[int, ...],
 
 
 @dataclass(frozen=True)
-class ConvexPair:
-    """Dominated convex L, dominating convex R, and a partition of [a, b]."""
-
-    L: Callable[[float], float]
-    R: Callable[[float], float]
-    interval: tuple[float, float]
-    subdivisions: tuple[float, ...]
-    r_prime: Callable[[float], float] | None = None
-
-    def __post_init__(self) -> None:
-        a, b = self.interval
-        pts = list(self.subdivisions)
-        if any(not a < u < b for u in pts):
-            raise DomainError("subdivision breakpoints must lie strictly inside [a, b]")
-        if any(u >= v for u, v in zip(pts, pts[1:])):
-            raise DomainError("subdivision breakpoints must be strictly increasing")
-
-    @property
-    def edges(self) -> tuple[float, ...]:
-        a, b = self.interval
-        return (a, *self.subdivisions, b)
-
-
-@dataclass(frozen=True)
 class PhiFunction:
     """phi_p(x) = (1+x)^(-p/2) and its reflection about (1, phi_p(1)).
 
@@ -167,23 +143,6 @@ def _tangent_margins(R: Callable[[float], float], r_prime: Callable[[float], flo
         left.append(rv + slope * (u0 - v) - L(u0))
         right.append(rv + slope * (u1 - v) - L(u1))
     return np.asarray(left, dtype=float), np.asarray(right, dtype=float)
-
-
-def tangent_chord_dominates(pair: ConvexPair) -> VerificationReport:
-    """Check R > L on [a,b] via tangents of R at subinterval midpoints.
-
-    On each piece the tangent ell_i lies below the convex R; if ell_i beats
-    the convex L at both endpoints it beats it on the whole piece, so the
-    collected endpoint margins certify R > L on [a, b].
-    """
-    a, b = pair.interval
-    h = 1e-6 * (b - a)
-    r_prime = pair.r_prime or (lambda v: (pair.R(v + h) - pair.R(v - h)) / (2.0 * h))
-    edges = pair.edges
-    left, right = _tangent_margins(pair.R, r_prime, pair.L, edges)
-    points = [(u,) for u0, u1 in zip(edges[:-1], edges[1:]) for u in (u0, u1)]
-    margins = np.column_stack((left, right)).ravel()
-    return _make_report("tangent_chord", f"[{a}, {b}]", (len(edges) - 1,), points, margins)
 
 
 # ----------------------------------------------------------------------------
@@ -550,16 +509,6 @@ def verify_interpolation_tilde() -> VerificationReport:
     Checks the certified bound values L(2) < 0.35, L(2.5) < 0.56, L(3) < 0.96
     and the tangent values r1(2) > 0.359, r1(2.5) > 0.58, r2(3) > 1.48.
     """
-    m = _M_S83
-
-    def Lbound(p: float) -> float:
-        # the m-subdivision construction with the t0=5 envelope tail, kept in
-        # its p-uniform form (no p<=2 shortcut) so it is valid up to p=3
-        head = 1.0 / (0.8 * m**p)
-        mid = _riemann_monotone(p, 8.0 / 3.0, 1.0 / m, 5.0, m)
-        tail = (8.0 / math.pi) ** (4.0 / 3.0) * (25.0 / 24.0) ** (2.0 / 3.0) * 5.0 ** (p - 4.0) / (4.0 - p)
-        return math.log(head + mid + tail)
-
     def R(p: float) -> float:
         # log(e^(-p/6) G~(p,2)); only evaluated at p = 2, 2.5 where D is finite
         return -p / 6.0 + (p - 1.0) * math.log(2.0) + log_gamma(p / 2.0) + math.log(D(p))
@@ -570,7 +519,7 @@ def verify_interpolation_tilde() -> VerificationReport:
     points, margins = [], []
     for p, cap in ((2.0, 0.35), (2.5, 0.56), (3.0, 0.96)):
         points.append((p, 0.0))
-        margins.append(cap - Lbound(p))
+        margins.append(cap - math.log(_tilde_F_upper(p)))
     r1 = lambda p: R(2.0) + Rp(2.0) * (p - 2.0)
     r2 = lambda p: R(2.5) + Rp(2.5) * (p - 2.5)
     for val, floor, pt in ((r1(2.0), 0.359, 2.0), (r1(2.5), 0.58, 2.5), (r2(3.0), 1.48, 3.0)):
@@ -580,7 +529,7 @@ def verify_interpolation_tilde() -> VerificationReport:
     for fn, pts in ((r1, (2.0, 2.5)), (r2, (2.5, 3.0))):
         for p in pts:
             points.append((p, 2.0))
-            margins.append(fn(p) - Lbound(p))
+            margins.append(fn(p) - math.log(_tilde_F_upper(p)))
     return _make_report("interpolation_tilde", "p in [2, 3], two tangents at 2 and 2.5", (2,),
                         points, margins)
 

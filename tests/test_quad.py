@@ -9,10 +9,14 @@ from khinsphere.errors import DivergenceError, DomainError
 from khinsphere.oscillatory import _panel_quad
 from khinsphere.quad import (
     _CUT_REL,
+    _M_S13,
+    _M_S83,
     _bessel_envelope,
     _envelope_cut,
     _head_product,
-    CertifiedBound,
+    _table2_F_upper,
+    _table3_F_upper,
+    _tilde_F_upper,
     F,
     G,
     G_tilde,
@@ -20,8 +24,9 @@ from khinsphere.quad import (
     H_tilde,
     IntegralParams,
     U,
-    certified_F_upper,
     product_moment,
+    table2_log_bound,
+    table3_scaled_bound,
 )
 from khinsphere.specfun import _jj_vec, gamma, hyp2f1
 
@@ -301,31 +306,34 @@ class TestCertified:
         (1.9, 8.0 / 3.0, 100, "table2"),
         (0.2, 1.3, 200, "table3"),
         (0.02, 1.3, 200, "table3"),
-        (1.5, 2.0, 100, "generic"),
-        (0.9, 8.0 / 3.0, 50, "generic"),
-        (2.5, 2.2, 150, "generic"),
     ])
     def test_upper_bound_holds(self, p, s, m, plan):
-        cb = certified_F_upper(p, s, m, plan)
-        assert isinstance(cb, CertifiedBound)
-        assert cb.side == "upper"
-        assert cb.bound >= F(IP(p, s)) - 1e-12
-        assert cb.bound == pytest.approx(
-            sum(seg.contribution for seg in cb.segments), rel=1e-12)
+        # the public forms the tables print: log(e^(p/6) 2^(1-p) F) and p F,
+        # built with m subdivisions per unit
+        f = F(IP(p, s))
+        if plan == "table2":
+            assert _M_S83 == m
+            assert table2_log_bound(p) >= math.log(f) + p / 6.0 + (1.0 - p) * math.log(2.0)
+        else:
+            assert _M_S13 == m
+            assert table3_scaled_bound(p) >= p * f
 
-    def test_schemes_present(self):
-        cb = certified_F_upper(0.2, 1.3, 200, "table3")
-        schemes = [seg.scheme for seg in cb.segments]
-        assert schemes == ["smallt-power", "riemann-monotone",
-                           "riemann-midpoint-deriv", "tail-watson"]
+    @pytest.mark.parametrize("upper,s,ps", [
+        (_table2_F_upper, 8.0 / 3.0, np.linspace(0.8, 2.0, 25)),
+        (_table3_F_upper, 1.3, np.geomspace(1e-3, 0.25, 25)),
+        (_tilde_F_upper, 8.0 / 3.0, np.linspace(2.0, 2.99, 25)),
+    ], ids=["table2", "table3", "interpolation_tilde"])
+    def test_upper_bound_holds_on_p_range(self, upper, s, ps):
+        # smallest relative slacks: 1.1e-2 (Table 2), 8.6e-6 (Table 3),
+        # 3.6e-2 (interpolation~, 3.5e-2 in log)
+        for p in ps:
+            assert upper(p) > F(IP(p, s))
 
     def test_plan_domains(self):
         with pytest.raises(DomainError):
-            certified_F_upper(0.5, 8.0 / 3.0, 100, "table2")
+            table2_log_bound(0.5)
         with pytest.raises(DomainError):
-            certified_F_upper(0.5, 1.3, 200, "table3")
-        with pytest.raises(DomainError):
-            certified_F_upper(1.0, 2.0, 100, "bogus")
+            table3_scaled_bound(0.5)
 
     def test_derivative_sup_below_paper_constant(self):
         # sup_{[5,10]} |d/dt |jj_1|^1.3| is re-derived numerically and must
@@ -344,7 +352,7 @@ class TestEq23:
 
 class TestTypes:
     def test_integral_params_validation(self):
-        with pytest.raises(DomainError):
-            IP(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            IP(1.0, 0.5)
+        for p, s in ((-1.0, 2.0), (1.0, 0.5), (1.0, math.inf), (1.0, math.nan),
+                     (math.inf, 2.0), (math.nan, 2.0)):
+            with pytest.raises(DomainError):
+                IP(p, s)

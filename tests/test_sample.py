@@ -209,6 +209,9 @@ class TestKhinchin:
     def test_domain(self):
         with pytest.raises(DomainError):
             S.check_khinchin(5, 1.0, [(1.0,)], 1000)
+        for coeffs in ((math.nan,), (math.inf, 1.0), (0.0, 0.0), ()):
+            with pytest.raises(DomainError):
+                S.check_khinchin(4, 1.0, [coeffs], 1000)
 
     def test_near_equal_pair(self):
         # a near-equal pair: t = 0.9999^2, next to the 2F1 branch point at t = 1
@@ -234,6 +237,11 @@ class TestBallSphere:
     def test_q_zero_rejected(self):
         with pytest.raises(DomainError):
             S.ball_sphere_identity(4, 0.0, (1.0,), 1000)
+
+    def test_degenerate_weights_rejected(self):
+        for coeffs in ((0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0), ()):
+            with pytest.raises(DomainError):
+                S.ball_sphere_identity(4, -1.0, coeffs, 1000)
 
     def test_q_too_negative(self):
         with pytest.raises(DomainError):

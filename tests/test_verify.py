@@ -27,35 +27,22 @@ class TestReport:
 
 class TestTangentChord:
     def test_constant_gap(self):
-        pair = V.ConvexPair(L=lambda x: x * x - 1.0, R=lambda x: x * x,
-                            interval=(0.0, 1.0), subdivisions=())
-        r = V.tangent_chord_dominates(pair)
-        assert r.passed
         # gap R - L is 1; the midpoint tangent sits (x-v)^2 below R, so the
         # endpoint margins are 1 - 1/4
-        assert r.min_margin == pytest.approx(0.75, abs=1e-9)
+        left, right = V._tangent_margins(lambda x: x * x, lambda x: 2.0 * x,
+                                         lambda x: x * x - 1.0, (0.0, 1.0))
+        assert np.allclose(left, 0.75, atol=1e-12) and np.allclose(right, 0.75, atol=1e-12)
 
     def test_analytic_derivative(self):
-        pair = V.ConvexPair(L=lambda x: x * x - 1.0, R=lambda x: x * x,
-                            interval=(0.0, 1.0), subdivisions=(0.5,),
-                            r_prime=lambda x: 2.0 * x)
-        r = V.tangent_chord_dominates(pair)
-        assert r.passed
-        assert r.min_margin == pytest.approx(1.0 - 1.0 / 16.0, abs=1e-12)
+        left, right = V._tangent_margins(lambda x: x * x, lambda x: 2.0 * x,
+                                         lambda x: x * x - 1.0, (0.0, 0.5, 1.0))
+        assert min(left.min(), right.min()) == pytest.approx(1.0 - 1.0 / 16.0, abs=1e-12)
 
     def test_soundness_never_passes_crossing(self):
-        # L above R at the midpoints: must fail
-        pair = V.ConvexPair(L=lambda x: x * x + 0.1, R=lambda x: x * x,
-                            interval=(0.0, 1.0), subdivisions=(0.3, 0.6))
-        r = V.tangent_chord_dominates(pair)
-        assert not r.passed
-        assert r.min_margin < 0
-
-    def test_bad_subdivisions(self):
-        with pytest.raises(DomainError):
-            V.ConvexPair(L=abs, R=abs, interval=(0.0, 1.0), subdivisions=(0.9, 0.2))
-        with pytest.raises(DomainError):
-            V.ConvexPair(L=abs, R=abs, interval=(0.0, 1.0), subdivisions=(1.5,))
+        # L above R at the midpoints: some endpoint margin must be negative
+        left, right = V._tangent_margins(lambda x: x * x, lambda x: 2.0 * x,
+                                         lambda x: x * x + 0.1, (0.0, 0.3, 0.6, 1.0))
+        assert min(left.min(), right.min()) < 0
 
 
 class TestPhi:
