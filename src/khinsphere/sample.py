@@ -11,6 +11,13 @@ the one with the largest weight A (Rao-Blackwellisation, Casella & Robert
 E[|v + A xi|^q | v] is the two-coefficient moment of (|v|, A), a bounded
 2F1 value for every q > -(d-1).  Each sample thus has finite variance, and
 the plain mean with its CLT standard error holds on the whole domain.
+
+Only norms of sums are ever needed, so no vector is drawn: the radial chain
+adds one weighted vector at a time through |v + a xi|^2 = |v|^2 + a^2 +
+2a|v|x, where the cosine x between xi and v is independent of v and, by
+Archimedes' projection, distributed as the first coordinate of a uniform
+point in B^(d-2): x = 2 Beta((d-1)/2, (d-1)/2) - 1.  A vector thus costs
+one scalar draw, not d normals and a norm.
 """
 from __future__ import annotations
 
@@ -68,6 +75,8 @@ def sample_sphere(d: int, size: int | None = None, rng: np.random.Generator | No
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    if size is not None and size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
     gen = rng if rng is not None else _rng(seed)
     n = 1 if size is None else int(size)
     x = gen.standard_normal((n, d))
@@ -81,22 +90,45 @@ def sample_sphere(d: int, size: int | None = None, rng: np.random.Generator | No
     return x[0] if size is None else x
 
 
-def _unit_vectors(gen: np.random.Generator, n: int, k: int, d: int):
-    """n draws of k independent uniform vectors on S^(d-1), as (m, k, d) chunks of at most _CHUNK draws."""
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        x = gen.standard_normal((m, k, d))
-        x /= np.linalg.norm(x, axis=2)[:, :, None]
-        yield x
-        done += m
+def _cosine_betas(gen: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n draws of B = (1 + x)/2, x the cosine between a uniform vector on S^(d-1) and a fixed axis.
+
+    By Archimedes' projection x is distributed as the first coordinate of a
+    uniform point in the ball B^(d-2), with density proportional to
+    (1 - x^2)^((d-3)/2) on [-1, 1]; so B ~ Beta((d-1)/2, (d-1)/2).  At d = 1
+    the sphere S^0 is {-1, 1} and B is 0 or 1 with equal odds.
+    """
+    if d == 1:
+        return gen.integers(0, 2, n).astype(float)
+    h = 0.5 * (d - 1)
+    return gen.beta(h, h, n)
 
 
-def _abs_sums(d: int, coeffs, n: int, gen: np.random.Generator, dims: int | None = None) -> np.ndarray:
-    """|sum_k a_k xi_k| for n independent draws; with ``dims``, of the first ``dims`` coordinates."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return np.concatenate([np.linalg.norm(np.einsum("k,mkd->md", coeffs, x[:, :, :dims]), axis=1)
-                           for x in _unit_vectors(gen, n, len(coeffs), d)])
+def _abs_sums(d: int, weights, n: int, gen: np.random.Generator) -> np.ndarray:
+    """|sum_k w_k xi_k| for n independent draws of xi_k uniform on S^(d-1): the radial chain.
+
+    Each w_k is a scalar or an array of n per-draw weights; by the symmetry
+    of xi_k only |w_k| matters.  The chain starts at |w_1| and adds each
+    further vector through its cosine x = 2B - 1 to the partial sum v (see
+    the module docstring): |v + w xi|^2 = ((|v| - w) + 2wB)^2 + 4w^2 B(1 - B).
+    Both terms are nonnegative, so the update keeps its relative accuracy
+    when |v| = w, where |v| + wx alone would cancel.
+    """
+    if len(weights) == 0:
+        return np.zeros(n)
+    r = np.abs(weights[0]) + np.zeros(n)
+    for w in weights[1:]:
+        w = np.abs(w)
+        b = _cosine_betas(gen, d, n)
+        # in place, as the arrays hold every draw: r <- sqrt(((r - w) + 2wb)^2 + 4w^2 b(1 - b))
+        r -= w
+        r += 2.0 * w * b
+        r *= r
+        b *= 1.0 - b
+        b *= 4.0 * w * w
+        r += b
+        np.sqrt(r, out=r)
+    return r
 
 
 def _two_coeff_moment(d: int, q: float, a, b):
@@ -117,9 +149,12 @@ def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> Sample
 def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[SampleStats]:
     """Estimates of E|sum a_k xi_k|^q for several q on shared samples.
 
-    Each sample draws the vectors of every weight but the largest, A, and
-    scores the exact conditional moment given their sum v,
-    _two_coeff_moment(d, q, |v|, A).  The standard error is the CLT one,
+    Each sample draws |v|, the norm of the sum of every weighted vector but
+    the one with the largest weight A, and scores the exact conditional
+    moment given v, _two_coeff_moment(d, q, |v|, A).  |v| comes from the
+    radial chain (_abs_sums): one cosine x ~ 2 Beta((d-1)/2, (d-1)/2) - 1 per
+    vector after the first, by Archimedes' projection, so n nonzero weights
+    cost n - 2 scalar draws per sample.  The standard error is the CLT one,
     floored by the 2F1's relative accuracy: with two coefficients every
     sample scores the same value.
     """
@@ -132,13 +167,7 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     top = int(np.argmax(np.abs(coeffs)))
     big = abs(coeffs[top])
     others = np.delete(coeffs, top)
-    others = others[others != 0.0]
-    if len(others) <= 1:
-        # |v| is the other weight (or 0) on every draw; a sampled |a xi|
-        # would be off by rounding, which the 2F1 magnifies near t = 1
-        r = np.full(n_samples, float(np.abs(others).sum()))
-    else:
-        r = _abs_sums(d, others, n_samples, _rng(seed))
+    r = _abs_sums(d, others[others != 0.0], n_samples, _rng(seed))
     out = []
     for q in qs:
         vals = np.concatenate([_two_coeff_moment(d, q, big, r[i:i + _CHUNK])
@@ -248,18 +277,24 @@ class BallSphereReport:
 def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0) -> BallSphereReport:
     """Ratio E|sum a_k U_k|^q / E|sum a_k xi_k|^q against (d-2)/(d-2+q).
 
-    U_k are uniform on the unit ball B^(d-2), obtained by projecting
-    S^(d-1)-uniform vectors to their first d-2 coordinates.
+    U_k are uniform on the unit ball B^(d-2), xi_k uniform on S^(d-1); the
+    identity is Archimedes' projection (the first d-2 coordinates of xi are
+    uniform on B^(d-2)).  Both sums come from the radial chain: U_k = rho_k
+    theta_k with rho_k = V_k^(1/(d-2)), V_k uniform on [0, 1], and theta_k
+    uniform on S^(d-3), so the ball chain runs with weights a_k rho_k and
+    the cosine of S^(d-3), which at d = 3 is -1 or 1.
     """
     if d < 3:
         raise DomainError(f"requires d >= 3, got {d}")
     if not q > -(d - 2):
         raise DomainError(f"requires q > -(d-2), got q={q}")
+    if n_samples < 2:
+        raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
     coeffs = MomentQuery(d, q, coeffs).coeffs  # q = 0, non-finite or all-zero weights raise
     gen = _rng(seed)
     sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
-    # the projection of the sphere to d-2 coordinates is uniform on the ball
-    ball_vals = _abs_sums(d, coeffs, n_samples, gen, dims=d - 2) ** q
+    radii = gen.random((len(coeffs), n_samples)) ** (1.0 / (d - 2))
+    ball_vals = _abs_sums(d - 2, [a * rho for a, rho in zip(coeffs, radii)], n_samples, gen) ** q
 
     mb, ms = float(np.mean(ball_vals)), float(np.mean(sphere_vals))
     sb = float(np.std(ball_vals, ddof=1) / math.sqrt(n_samples))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,69 @@ class TestSampleSphere:
         v = S.sample_sphere(3, seed=1)
         assert v.shape == (3,)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(DomainError, match="size"):
+            S.sample_sphere(3, -1)
+
+
+# CDF of the cosine x between a uniform vector on S^(d-1) and a fixed axis;
+# the density is proportional to (1 - x^2)^((d-3)/2)
+COSINE_CDF = {
+    3: lambda x: 0.5 * (1.0 + x),
+    4: lambda x: 0.5 + (x * np.sqrt(1.0 - x**2) + np.arcsin(x)) / math.pi,
+    5: lambda x: (2.0 + 3.0 * x - x**3) / 4.0,
+}
+
+
+class TestRadialChain:
+    @pytest.mark.parametrize("d", sorted(COSINE_CDF))
+    def test_cosine_ks(self, d):
+        n = 100_000
+        x = np.sort(2.0 * S._cosine_betas(S._rng(5), d, n) - 1.0)
+        cdf = COSINE_CDF[d](x)
+        emp_hi = np.arange(1, n + 1) / n
+        emp_lo = np.arange(0, n) / n
+        ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(cdf - emp_lo)))
+        assert ks < KS_CRITICAL_1PCT / math.sqrt(n)
+
+    def test_cosine_d8_two_sample_ks(self):
+        n = 100_000
+        x = np.sort(2.0 * S._cosine_betas(S._rng(5), 8, n) - 1.0)
+        y = np.sort(S.sample_sphere(8, n, seed=6)[:, 0])
+        grid = np.concatenate([x, y])
+        counts = np.searchsorted(x, grid, side="right") - np.searchsorted(y, grid, side="right")
+        ks = np.max(np.abs(counts)) / n
+        assert ks < KS_CRITICAL_1PCT * math.sqrt(2.0 / n)
+
+    def test_equal_weights_exact(self, monkeypatch):
+        # |v| = w and cosine x = 2B - 1: |v + w xi|^2 = 2w^2 (1 + x) = 4 w^2 B,
+        # which the update keeps to rounding even as x -> -1
+        b = np.array([1e-12, 1e-6, 0.25, 0.5, 1.0 - 1e-9])
+        monkeypatch.setattr(S, "_cosine_betas", lambda gen, d, n: b.copy())
+        r = S._abs_sums(4, [0.7, -0.7], len(b), None)
+        assert r == pytest.approx(1.4 * np.sqrt(b), rel=1e-15)
+
+    @pytest.mark.parametrize("d, q", [(3, -1.5), (3, -0.5), (4, -2.5), (4, -1.0),
+                                      (5, -3.5), (5, -1.5), (8, -6.5), (8, -3.0)])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_matches_product_moment(self, d, q, n):
+        a = np.linspace(1.0, 0.5, n)
+        query = MomentQuery(d, q, tuple(a / np.linalg.norm(a)))
+        st_ = S.estimate_moment(query, 100_000, seed=60 + n)
+        assert abs(st_.estimate - product_moment(query)) < 4.0 * st_.std_error
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_equal_weights_finite(self, coeffs):
+        qs = [-2.5, -1.0, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = S.estimate_moments(4, coeffs, qs, 100_000, seed=3)
+        # E|S|^2 = sum a_k^2
+        exact = [product_moment(MomentQuery(4, q, coeffs)) for q in qs[:2]] + [float(len(coeffs))]
+        for st_, ex in zip(stats, exact):
+            assert math.isfinite(st_.estimate) and math.isfinite(st_.std_error)
+            assert abs(st_.estimate - ex) < 4.0 * st_.std_error
+
 
 class TestEstimateMoment:
     def test_unit_vector_exact(self):
@@ -71,10 +135,12 @@ class TestEstimateMoment:
         def no_draws(*args):
             raise AssertionError("samples drawn before validation")
 
-        monkeypatch.setattr(S, "_unit_vectors", no_draws)
-        # three nonzero weights, so that two vectors are drawn
+        monkeypatch.setattr(S, "_cosine_betas", no_draws)
+        # three nonzero weights, so that the radial chain draws one cosine
         with pytest.raises(DomainError):
             S.estimate_moments(4, (0.6, 0.6, 0.5), [1.0], n_samples)
+        with pytest.raises(AssertionError, match="drawn"):  # the patched draw is the one used
+            S.estimate_moments(4, (0.6, 0.6, 0.5), [1.0], 2)
 
     @pytest.mark.parametrize("n, rel_se", [(3, 1e-3), (4, 2.2e-3), (5, 3e-3), (6, 3.7e-3)])
     def test_rao_blackwell_heavy_tail(self, n, rel_se):
@@ -233,6 +299,20 @@ class TestBallSphere:
         rep = S.ball_sphere_identity(5, 2.0, (0.3, 0.9), 200_000, seed=14)
         assert rep.expected == pytest.approx(0.6)
         assert rep.passed
+
+    @pytest.mark.parametrize("q", [-0.4, 1.0])
+    def test_d3(self, q):
+        # B^1 = [-1, 1]: the ball chain's cosine of S^0 is -1 or 1
+        rep = S.ball_sphere_identity(3, q, (0.6, 0.8), 200_000, seed=15)
+        assert rep.expected == pytest.approx(1.0 / (1.0 + q))
+        assert rep.passed
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least 2 samples"):
+                S.ball_sphere_identity(4, -1.0, (0.6, 0.8), n_samples)
 
     def test_q_zero_rejected(self):
         with pytest.raises(DomainError):
