@@ -14,8 +14,9 @@ n = 6..12 from a second seed, so the first lines keep their inputs) and
 product_moment on seeded random queries; passed and min_margin of every
 verifier of ``khinsphere verify`` at its default parameters; the three
 tables; product_moment with n = 6..12 and one small weight, from a third
-seed; last, the certified bounds behind Tables 2 and 3 (table2_log_bound at
-TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES).  An input that raises
+seed; the certified bounds behind Tables 2 and 3 (table2_log_bound at
+TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); last, F at s in
+{64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}.  An input that raises
 prints the exception's class name.  Takes under a minute.
 """
 import pathlib
@@ -65,6 +66,13 @@ def f_points():
             yield 1.5 * s - gap, s
     for s in (16.0, 32.0, 64.0, 64.5, 200.0):
         for p in (0.5, 2.5):
+            yield p, s
+
+
+def large_s_points():
+    """F where s > 64 and p is large: the large-s route's cut-off matters there."""
+    for s in (64.5, 70.0, 200.0):
+        for p in (60.0, 90.0, 0.97 * 1.5 * s):
             yield p, s
 
 
@@ -130,6 +138,8 @@ def main() -> int:
         print(_line(f"table2_log_bound {_args(p)}", lambda: table2_log_bound(p)))
     for p in TABLE3_EDGES:
         print(_line(f"table3_scaled_bound {_args(p)}", lambda: table3_scaled_bound(p)))
+    for p, s in large_s_points():
+        print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
     return 0
 
 

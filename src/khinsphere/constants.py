@@ -131,11 +131,11 @@ def normalizers(p: float, d: int) -> NormalizerSet:
     return NormalizerSet(K=K, kappa=kappa, beta=beta)
 
 
-def D(p: float) -> float:
-    """Ratio Gamma(3-p) / (Gamma(2-p/2)^2 Gamma(3-p/2)); D(2) = 1, pole at 3."""
-    if not 2.0 <= p < 3.0:
+def D(p):
+    """Ratio Gamma(3-p) / (Gamma(2-p/2)^2 Gamma(3-p/2)); D(2) = 1, pole at 3.  p may be an array."""
+    if not np.all((2.0 <= p) & (p < 3.0)):
         raise DomainError(f"D requires 2 <= p < 3, got {p}")
-    _check_pole(3.0 - p, "D")
+    _check_pole(float(np.min(3.0 - p)), "D")
     return gamma(3.0 - p) / (gamma(2.0 - p / 2.0) ** 2 * gamma(3.0 - p / 2.0))
 
 

@@ -45,22 +45,29 @@ _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 # ----------------------------------------------------------------------------
 
 def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
-    """Truncated product of the series a and b; a may carry trailing batch axes.
+    """Truncated product of the series a and b; either may carry trailing batch axes.
 
     The batch axes trail so that a[i] is a scalar for one series and a
-    contiguous row for a batch, which keeps both cases fast.
+    contiguous row for a batch, which keeps both cases fast.  The batch axes
+    of a and b broadcast against each other.
     """
-    out = np.zeros((order + 1,) + a.shape[1:], dtype=np.result_type(a, b))
-    b = b.reshape(b.shape + (1,) * (a.ndim - 1))
+    batch = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((order + 1,) + batch, dtype=np.result_type(a, b))
+    b = b.reshape(b.shape[:1] + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
     for i in range(min(len(a), order + 1)):
         hi = min(len(b), order + 1 - i)
         out[i:i + hi] += a[i] * b[:hi]
     return out
 
 
-def series_pow(a: np.ndarray, exponent: float, order: int = ORDER) -> np.ndarray:
-    """(series with a[0] = 1) ** exponent."""
-    out = np.zeros(order + 1, dtype=a.dtype)
+def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
+    """(series with a[0] = 1) ** exponent, by Miller's recurrence.
+
+    An array of exponents adds its shape as trailing batch axes; each lane
+    does the same arithmetic as the scalar call with that exponent.
+    """
+    exponent = np.asarray(exponent, dtype=float)[()]  # one exponent: a scalar, not a 0-d array
+    out = np.zeros((order + 1,) + np.shape(exponent), dtype=np.result_type(a, exponent))
     out[0] = 1.0
     for k in range(1, order + 1):
         acc = 0.0
@@ -126,6 +133,16 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on the panels [edges[i], edges[i+1]], one row a panel,
+    with the weights (one row) and the panel half-widths (one column)."""
+    x, w = _leggauss(order)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    return mid + half * x[None, :], w[None, :], half
+
+
 def _panel_quad(f, edges: np.ndarray, order: int = 16):
     """Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
 
@@ -137,13 +154,9 @@ def _panel_quad(f, edges: np.ndarray, order: int = 16):
     if n > _PANEL_BLOCK:
         return sum(_panel_quad(f, edges[lo:lo + _PANEL_BLOCK + 1], order)
                    for lo in range(0, n, _PANEL_BLOCK))
-    x, w = _leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * x[None, :]
+    nodes, w, half = _panel_rule(edges, order)
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return np.sum(vals * w[None, :] * half)
+    return np.sum(vals * w * half)
 
 
 def _exp_tail_numeric(mu: float, omega: float, T: float) -> complex:
@@ -212,16 +225,19 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _abs_pow_setup(s: float) -> tuple:
-    """(m, c_m, series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2)) per nonzero c_m."""
+    """(m, c_m, series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2)) per nonzero c_m.
+
+    The series of all modes are built together: two batched powers of W and
+    one batched product.
+    """
     pser, qser = hankel_pq(1.0)
     w = pser + 1j * qser
-    terms = []
-    for m, cm in enumerate(abs_cos_fourier(s, 80)):
-        if cm == 0.0:
-            break  # even s: the Fourier series is a finite sum
-        ser = series_mul(series_pow(w, s / 2.0 + m), np.conj(series_pow(w, s / 2.0 - m)))
-        terms.append((m, float(cm), ser * 1j**m))  # e^(-3im pi/2) = i^m
-    return tuple(terms)
+    cms = abs_cos_fourier(s, 80)
+    zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
+    m = np.arange(zero[0] if len(zero) else len(cms))
+    sers = series_mul(series_pow(w, s / 2.0 + m), np.conj(series_pow(w, s / 2.0 - m)))
+    sers = sers * np.array([1j**k for k in m])  # e^(-3im pi/2) = i^m
+    return tuple((int(k), float(cms[k]), np.ascontiguousarray(sers[:, k])) for k in m)
 
 
 def tail_abs_pow(p: float, s: float, T: float, tol: float = 1e-12) -> float:

@@ -6,8 +6,15 @@ Gauss-Legendre panels between consecutive zeros of J_1 with grading toward
 the zeros (|jj_1|^s has limited smoothness there for non-even s), and the
 asymptotic Watson-expansion tail from ``oscillatory``.  The split point and
 the tail tolerance are fixed: the panels end at the first zero of J_1 at or
-beyond t = 46 and the tail is summed to 1e-10 absolute.  No error estimate
-is returned.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
+beyond t = 46 and the tail is summed to 1e-10 absolute.  The panel nodes,
+their weights and |jj_1| there depend on neither p nor s and are built once,
+on first use.  Per distinct s, F then builds a plan (|jj_1|^s at the nodes,
+the head series, the tail's Fourier-mode series) and evaluates the head and
+the panels for every p of that s in one array operation; the tail is one
+call per p.  For s > 64 the same pieces are summed in logs, the first arch
+in the variable t sqrt(s).  No error estimate is returned.  G, U, H,
+G_tilde and H_tilde are closed forms (or differences with F) that take
+arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
 product formula, with at most 200,000 panels (ToleranceError beyond).  There
 the panels stop early, and the asymptotic tail is skipped, where an explicit
 Bessel-envelope bound puts everything beyond below 1e-13 of the result.
@@ -30,7 +37,7 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import _panel_quad, series_pow
+from .oscillatory import _panel_quad, _panel_rule, series_pow
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -46,7 +53,12 @@ __all__ = [
     "table3_scaled_bound",
 ]
 
-_GAUSSIAN_REGIME_S = 64.0  # above this, |jj_1|^s is treated in the CLT scaling
+_LARGE_S = 64.0  # above this, F takes the large-s route
+_J11 = 3.831705970207512  # the first zero of J_1: the end of jj_1's first arch
+_REL_CUT = 1e-13  # the large-s route drops a tail below this fraction of F
+_TAIL_S_MAX = 141.0  # abs_cos_fourier overflows beyond, in Gamma(s+1)
+_LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
+_BLOCK_BYTES = 1 << 17  # F's per-p temporaries: glibc's default mmap threshold, so RSS stays
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
@@ -57,18 +69,33 @@ _M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
 @dataclass(frozen=True)
 class IntegralParams:
-    """(p, s) pair for the F/G/H/U family."""
+    """(p, s) for the F/G/H/U family: two floats, or arrays that broadcast together.
 
-    p: float
-    s: float
+    Arrays evaluate elementwise, as the scalar calls would; an element outside
+    the domain raises the error its scalar call raises.
+    """
+
+    p: float | np.ndarray
+    s: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.s)):
-            raise DomainError(f"p and s must be finite, got p={self.p}, s={self.s}")
-        if not self.p > 0:
-            raise DomainError(f"p must be positive, got {self.p}")
-        if not self.s >= 1:
-            raise DomainError(f"s must be >= 1, got {self.s}")
+        if np.ndim(self.p) or np.ndim(self.s):
+            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+            object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
+        p, s = self.p, self.s
+        _require(np.isfinite(p) & np.isfinite(s), DomainError,
+                 "p and s must be finite, got p={p}, s={s}", p, s)
+        _require(p > 0, DomainError, "p must be positive, got {p}", p, s)
+        _require(s >= 1, DomainError, "s must be >= 1, got {s}", p, s)
+
+
+def _require(ok, error: type, message: str, p, s) -> None:
+    """Raise error, quoting the first (p, s) element where ok fails, if any does."""
+    ok = np.asarray(ok)
+    if not np.all(ok):
+        ok, p, s = np.broadcast_arrays(ok, p, s)
+        i = int(np.argmin(ok))
+        raise error(message.format(p=p.flat[i], s=s.flat[i]))
 
 
 # ----------------------------------------------------------------------------
@@ -86,85 +113,157 @@ def _abs_pow_head_coeffs(s: float, n_terms: int) -> np.ndarray:
     return series_pow(np.asarray(_jj_series_coeffs(1.0, n_terms)), s, n_terms - 1)
 
 
-def _series_head(b: np.ndarray, p: float, a0: float) -> float:
-    """int_0^a0 sum_k b[k] t^(2k) t^(p-1) dt, integrated term by term."""
-    k = np.arange(len(b))
-    return float(np.sum(b * a0 ** (2 * k + p) / (2 * k + p)))
+def _series_head(b: np.ndarray, p, a0: float):
+    """int_0^a0 sum_k b[k] t^(2k) t^(p-1) dt, integrated term by term; p may be an array."""
+    e = 2 * np.arange(len(b)) + np.asarray(p, dtype=float)[..., None]
+    return np.sum(b * a0**e / e, axis=-1)
 
 
-def _head_abs_pow(p: float, s: float, a0: float = 1.0, n_terms: int = 56) -> float:
+def _head_abs_pow(p, s: float, a0: float = 1.0, n_terms: int = 56):
     """int_0^a0 jj_1(t)^s t^(p-1) dt by termwise integration (jj_1 > 0 there)."""
     return _series_head(_abs_pow_head_coeffs(s, n_terms), p, a0)
 
 
-def _zero_split_points(t_cut: float) -> tuple[np.ndarray, float]:
-    zs = jnu_zeros(1.0, t_cut + 4.5)
-    T = float(zs[zs >= t_cut][0]) if np.any(zs >= t_cut) else float(zs[-1])
-    inner = zs[(zs > 1.0) & (zs < T)]
-    return inner, T
+@lru_cache(maxsize=1)
+def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """F's panel rule on [1, T], which neither p nor s changes: nodes, weights,
+    half-widths and |jj_1| at the nodes, one row a panel, and T.
 
-
-def F(params: IntegralParams) -> float:
-    """F(p, s) = int_0^inf |jj_1(t)|^s t^(p-1) dt, finite for p < 3s/2."""
-    p, s = params.p, params.s
-    if p >= 1.5 * s:
-        raise DivergenceError(f"F diverges for p={p} >= 3s/2={1.5 * s}")
-    if s > _GAUSSIAN_REGIME_S:
-        return _F_gaussian_regime(p, s)
-    inner, T = _zero_split_points(_TAIL_START)
-    head = _head_abs_pow(p, s)
-    pts = np.concatenate([[1.0], inner, [T]])
+    The panels are graded toward each zero of J_1 in (1, T), and T is the
+    first zero at or beyond _TAIL_START.
+    """
+    zs = jnu_zeros(1.0, _TAIL_START + 4.5)
+    T = float(zs[zs >= _TAIL_START][0])
+    pts = np.concatenate([[1.0], zs[(zs > 1.0) & (zs < T)], [T]])
     edges = np.concatenate([_graded_edges(lo, hi)[:-1] for lo, hi in zip(pts[:-1], pts[1:])]
                            + [[T]])
-    f = lambda t: np.abs(_jj_vec(1.0, t)) ** s * t ** (p - 1.0)
-    middle = float(_panel_quad(f, edges))
-    tail = osc.tail_abs_pow(p, s, T, tol=_TAIL_TOL)
+    nodes, w, half = _panel_rule(edges)
+    return nodes, w, half, np.abs(_jj_vec(1.0, nodes)), T
+
+
+def _in_blocks(fn, p: np.ndarray, n_nodes: int) -> np.ndarray:
+    """fn over blocks of p whose len x n_nodes temporaries stay within _BLOCK_BYTES, joined."""
+    step = max(1, _BLOCK_BYTES // (8 * n_nodes))
+    return np.concatenate([fn(p[lo:lo + step]) for lo in range(0, len(p), step)])
+
+
+def _panel_sum(g: np.ndarray, nodes: np.ndarray, w: np.ndarray, half: np.ndarray,
+               p: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre sum of g(t) t^(p-1) for each p, g given at the nodes."""
+    def block(pb):
+        vals = nodes ** (pb[:, None, None] - 1.0)
+        vals *= g
+        vals *= w
+        vals *= half
+        return np.sum(vals.reshape(len(pb), -1), axis=-1)
+    return _in_blocks(block, p, nodes.size)
+
+
+def F(params: IntegralParams):
+    """F(p, s) = int_0^inf |jj_1(t)|^s t^(p-1) dt, finite for p < 3s/2.
+
+    The work that depends only on s (|jj_1|^s at the panel nodes, the head
+    series, the tail's Fourier-mode series) is done once per distinct s of
+    ``params``, and the head and panel sums for all p of that s in one array
+    operation; the tail is one call per (p, s).  Returns a float for scalar
+    params, else an array of their broadcast shape.
+
+    s <= 64 takes the panel route, s > 64 the large-s route.  The large-s
+    route raises DomainError where F exceeds the float range, and where
+    s > 141 and its bound on the tail beyond T ~ 47 is above 1e-13 of F:
+    the tail's Fourier coefficients overflow there.  That is a band just
+    below p = 3s/2: 3s/2 - p below about 8 at s = 150, 5 at s = 500 and 0.3
+    at s = 1000.  F is never inf or nan.
+    """
+    p, s = np.broadcast_arrays(params.p, params.s)
+    _require(p < 1.5 * s, DivergenceError, "F diverges for p={p} >= 3s/2={s}", p, 1.5 * s)
+    pf, sf = p.ravel(), s.ravel()
+    out = np.empty(pf.shape)
+    for s_val in sorted(set(sf.tolist())):  # not np.unique, which imports numpy.ma
+        at = sf == s_val
+        route = _F_panels if s_val <= _LARGE_S else _F_large_s
+        out[at] = route(pf[at], float(s_val))
+    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
+
+
+def _F_panels(p: np.ndarray, s: float) -> np.ndarray:
+    """F at one s for every p of a 1-d array: the series head on [0, 1], the
+    panels on [1, T] and the tail beyond T."""
+    nodes, w, half, abs_jj, T = _middle_plan()
+    head = _head_abs_pow(p, s)
+    middle = _panel_sum(abs_jj**s, nodes, w, half, p)
+    tail = np.array([osc.tail_abs_pow(float(pk), s, T, tol=_TAIL_TOL) for pk in p])
     return head + middle + tail
 
 
-def _F_gaussian_regime(p: float, s: float) -> float:
-    """F for very large s via u = t sqrt(s); the integrand is then ~ e^(-u^2/8).
+def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
+    """F at one s > 64 for every p of a 1-d array, summed in logs.
 
-    jj_1(u/sqrt(s)) stays within the first positive arch on the effective
-    support, so s*log(jj_1) is well defined; everything beyond u = 22
-    (and the oscillatory region) is below e^(-60) and is dropped.
+    On jj_1's first arch, t <= j_1,1, the variable is u = t sqrt(s), where
+    jj_1(u/sqrt(s))^s ~ e^(-u^2/8): a series head on u <= 1/2, then Gauss
+    panels of width about 1/2.  On [j_1,1, T] come the panel route's panels.
+    Each piece is scaled by its largest term before it is summed, so large p
+    neither overflows nor underflows.  Beyond T, |jj_1(t)| <= C t^(-3/2)
+    with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4) (Watson 13.74, as in
+    ``_bessel_envelope``), so the tail is at most C^s T^(p-3s/2) / (3s/2-p);
+    it is dropped where that is at most 1e-13 of the rest, and otherwise
+    taken from ``tail_abs_pow``, which needs s <= 141.
     """
+    nodes, w, half, abs_jj, T = _middle_plan()
+    later = nodes[:, 0] > _J11  # the panels beyond the first arch
+    log_rest = _log_panel_sum(s * np.log(abs_jj[later]), nodes[later], w, half[later], p)
+
     n_terms = 30
     # jj_1(u/sqrt(s))^s as a series in u^2
     c = np.asarray(_jj_series_coeffs(1.0, n_terms)) / s ** np.arange(n_terms)
-    u0 = 0.5
-    head = _series_head(series_pow(c, s, n_terms - 1), p, u0)
+    u0, u1 = 0.5, _J11 * math.sqrt(s)
+    un, uw, uh = _panel_rule(np.linspace(u0, u1, math.ceil(2.0 * (u1 - u0)) + 1), order=24)
+    head = _series_head(series_pow(c, s, n_terms - 1), p, u0)  # 0 where it underflows
+    log_head = np.log(head, out=np.full(len(p), -np.inf), where=head > 0.0)
+    log_arch = np.logaddexp(log_head, _log_panel_sum(s * np.log(_jj_vec(1.0, un / math.sqrt(s))),
+                                                     un, uw, uh, p))
+    log_main = np.logaddexp(log_arch - 0.5 * p * math.log(s), log_rest)
 
-    def integrand(u):
-        t = u / math.sqrt(s)
-        return np.exp(s * np.log(_jj_vec(1.0, t))) * u ** (p - 1.0)
+    c_env = math.sqrt(8.0 / math.pi) * (T * T / (T * T - 1.0)) ** 0.25
+    log_tail_bound = s * math.log(c_env) + (p - 1.5 * s) * math.log(T) - np.log(1.5 * s - p)
+    need_tail = log_tail_bound - log_main > math.log(_REL_CUT)
+    _require((log_main < _LOG_FLOAT_MAX) & ~(need_tail & (s > _TAIL_S_MAX)), DomainError,
+             "F(p={p}, s={s}) is out of reach: beyond the float range, or the tail is needed"
+             " and s > 141", p, s)
+    vals = np.exp(log_main)
+    vals[need_tail] += [osc.tail_abs_pow(float(pk), s, T, tol=_TAIL_TOL) for pk in p[need_tail]]
+    return vals
 
-    edges = np.linspace(u0, 22.0, 44)
-    middle = float(_panel_quad(integrand, edges, order=24))
-    return s ** (-p / 2.0) * (head + middle)
+
+def _log_panel_sum(log_g: np.ndarray, nodes: np.ndarray, w: np.ndarray, half: np.ndarray,
+                   p: np.ndarray) -> np.ndarray:
+    """log of the Gauss-Legendre sum of e^log_g t^(p-1) for each p, scaled by its largest term."""
+    def block(pb):
+        log_f = log_g + (pb[:, None, None] - 1.0) * np.log(nodes)
+        scale = np.max(log_f.reshape(len(pb), -1), axis=-1)
+        terms = np.exp(log_f - scale[:, None, None]) * w * half
+        return np.log(np.sum(terms.reshape(len(pb), -1), axis=-1)) + scale
+    return _in_blocks(block, p, nodes.size)
 
 
-def G(params: IntegralParams) -> float:
+def G(params: IntegralParams):
     """G(p, s) = int_0^inf e^(-s t^2/8) t^(p-1) dt = s^(-p/2) 2^(3p/2-1) Gamma(p/2)."""
     p, s = params.p, params.s
-    if p <= 0 or s <= 0:
-        raise DomainError(f"G requires p, s > 0, got {params}")
     return s ** (-p / 2.0) * 2.0 ** (1.5 * p - 1.0) * gamma(p / 2.0)
 
 
-def H(params: IntegralParams) -> float:
+def H(params: IntegralParams):
     """H(p, s) = G(p, s) - F(p, s), defined for 0 < p < 3, s > 1, p < 3s/2."""
     p, s = params.p, params.s
-    if not (0.0 < p < 3.0 and s > 1.0):
-        raise DomainError(f"H requires 0 < p < 3 and s > 1, got {params}")
+    _require((p < 3.0) & (s > 1.0), DomainError,
+             "H requires 0 < p < 3 and s > 1, got IntegralParams(p={p}, s={s})", p, s)
     return G(params) - F(params)
 
 
-def U(params: IntegralParams) -> float:
+def U(params: IntegralParams):
     """The explicit upper envelope of F built from the two jj_1 bounds."""
     p, s = params.p, params.s
-    if p >= 1.5 * s:
-        raise DivergenceError(f"U has a pole at p = 3s/2; got p={p}, s={s}")
+    _require(p < 1.5 * s, DivergenceError, "U has a pole at p = 3s/2; got p={p}, s={s}", p, s)
     first = 4.0**p * (2.0 * math.pi * math.sqrt(15.0)) ** (-s / 2.0) / (1.5 * s - p)
     second = 2.0 ** (1.5 * p - 1.0) * s ** (-p / 2.0) * (
         gamma(p / 2.0) - gamma(p / 2.0 + 2.0) / (6.0 * s)
@@ -173,19 +272,19 @@ def U(params: IntegralParams) -> float:
     return first + second
 
 
-def G_tilde(params: IntegralParams) -> float:
+def G_tilde(params: IntegralParams):
     """G~(p, s) = s^(-p/2) 2^(3p/2-1) Gamma(p/2) D(p); equals F(p,2) at s=2."""
-    p, s = params.p, params.s
-    if not 2.0 <= p < 3.0:
-        raise DomainError(f"G_tilde requires 2 <= p < 3, got {p}")
+    p = params.p
+    _require((2.0 <= p) & (p < 3.0), DomainError, "G_tilde requires 2 <= p < 3, got {p}",
+             p, params.s)
     return G(params) * D(p)
 
 
-def H_tilde(params: IntegralParams) -> float:
+def H_tilde(params: IntegralParams):
     """H~(p, s) = G~(p, s) - F(p, s); vanishes identically at s = 2."""
     p, s = params.p, params.s
-    if not (2.0 <= p < 3.0 and s > 1.0):
-        raise DomainError(f"H_tilde requires 2 <= p < 3 and s > 1, got {params}")
+    _require((2.0 <= p) & (p < 3.0) & (s > 1.0), DomainError,
+             "H_tilde requires 2 <= p < 3 and s > 1, got IntegralParams(p={p}, s={s})", p, s)
     return G_tilde(params) - F(params)
 
 

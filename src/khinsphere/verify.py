@@ -157,36 +157,29 @@ def verify_H_regions(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     1e-3 inside.
     """
     np_, ns = grid
-    points: list[tuple[float, float]] = []
-    margins: list[float] = []
-    for p in np.geomspace(1e-3, 2.0, np_):
-        for s in np.geomspace(2.0, 12.0, ns):
-            if p > 2.0 - 1e-3 and s < 2.0 + 1e-3:
-                continue
-            points.append((p, s))
-            margins.append(H(IntegralParams(p, s)))
-    for p in np.geomspace(1e-3, 0.25, np_):
-        for s in np.geomspace(1.3, 12.0, ns):
-            points.append((p, s))
-            margins.append(H(IntegralParams(p, s)))
+    pa, sa = _mesh(np.geomspace(1e-3, 2.0, np_), np.geomspace(2.0, 12.0, ns))
+    keep = ~((pa > 2.0 - 1e-3) & (sa < 2.0 + 1e-3))
+    pb, sb = _mesh(np.geomspace(1e-3, 0.25, np_), np.geomspace(1.3, 12.0, ns))
+    p, s = np.concatenate([pa[keep], pb]), np.concatenate([sa[keep], sb])
     region = ("(a) p in [1e-3, 2], s in [2, 12] minus the (2,2) corner; "
               "(b) p in [1e-3, 1/4], s in [1.3, 12]")
-    return _make_report("H_regions", region, grid, points, margins)
+    return _make_report("H_regions", region, grid, list(zip(p, s)), H(IntegralParams(p, s)))
 
 
 def verify_H_tilde_region(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     """H~(p,s) > 0 on p in (2,3), s in [2,12]; H~(.,2) = 0, so s starts at 2+1e-3."""
     np_, ns = grid
-    points: list[tuple[float, float]] = []
-    margins: list[float] = []
-    ps = 2.0 + np.geomspace(1e-3, 1.0 - 1e-3, np_)
-    ss = np.concatenate([[2.0 + 1e-3], np.geomspace(2.0 + 1e-2, 12.0, ns - 1)])
-    for p in ps:
-        for s in ss:
-            points.append((p, s))
-            margins.append(H_tilde(IntegralParams(p, s)))
+    p, s = _mesh(2.0 + np.geomspace(1e-3, 1.0 - 1e-3, np_),
+                 np.concatenate([[2.0 + 1e-3], np.geomspace(2.0 + 1e-2, 12.0, ns - 1)]))
     region = "p in [2+1e-3, 3-1e-3], s in [2+1e-3, 12]"
-    return _make_report("H_tilde_region", region, grid, points, margins)
+    return _make_report("H_tilde_region", region, grid, list(zip(p, s)),
+                        H_tilde(IntegralParams(p, s)))
+
+
+def _mesh(ps: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (p, s) pair, p the outer loop: the two coordinates as flat arrays."""
+    p, s = np.meshgrid(ps, ss, indexing="ij")
+    return p.ravel(), s.ravel()
 
 
 _UG_CASES = {
@@ -219,12 +212,9 @@ def verify_U_less_G(case: str, grid: tuple[int, int] = (50, 50)) -> Verification
     if case not in _UG_CASES:
         raise DomainError(f"case must be one of i, ii, iii, tilde; got {case!r}")
     pk, sk, dp_floor, ds_floor, corner_floor = _UG_CASES[case]
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
-    for p in np.geomspace(1e-3, pk, grid[0]):
-        for s in np.geomspace(sk, 12.0, grid[1]):
-            points.append((p, s))
-            margins.append(G(IntegralParams(p, s)) - U(IntegralParams(p, s)))
+    p, s = _mesh(np.geomspace(1e-3, pk, grid[0]), np.geomspace(sk, 12.0, grid[1]))
+    points: list[tuple[float, ...]] = list(zip(p, s))
+    margins = list(G(IntegralParams(p, s)) - U(IntegralParams(p, s)))
     # certificate pieces (floors from the monotonicity proof)
     ak = _ug_A(pk, sk)
     dp_bound = -0.5 * math.log(sk) + 0.5 * digamma(pk / 2.0 + 2.0)
@@ -248,12 +238,10 @@ def _verify_U_less_G_tilde(grid: tuple[int, int]) -> VerificationReport:
     def Rp(p: float) -> float:
         return 0.88 * (8.0 / 3.0) ** 2 * D(p) * _dlog_D(p)
 
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
-    for p in 2.0 + np.geomspace(1e-3, 1.0 - 1e-3, grid[0]):
-        for s in np.geomspace(8.0 / 3.0, 12.0, grid[1]):
-            points.append((p, s))
-            margins.append(G_tilde(IntegralParams(p, s)) - U(IntegralParams(p, s)))
+    p, s = _mesh(2.0 + np.geomspace(1e-3, 1.0 - 1e-3, grid[0]),
+                 np.geomspace(8.0 / 3.0, 12.0, grid[1]))
+    points: list[tuple[float, ...]] = list(zip(p, s))
+    margins = list(G_tilde(IntegralParams(p, s)) - U(IntegralParams(p, s)))
     # the paper's two tangents with their printed difference floors
     floors = ((2.0, 2.0, 0.017), (2.0, 2.5, 0.076), (2.5, 2.5, 1.19), (2.5, 3.0, 3.77))
     for v, u, floor in floors:
@@ -538,12 +526,17 @@ def h_sign_chart(points: Sequence[tuple[float, float]]) -> list[dict]:
     """Record sign(H) at arbitrary (p, s) points; no pass/fail claim is made.
 
     Where F diverges (p >= 3s/2), H = -inf and the sign is recorded as -1.
+    The convergent points are evaluated together, grouped by s.
     """
-    out = []
-    for p, s in points:
+    p, s = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 1))
+    vals = np.full(len(points), -math.inf)
+    conv = p < 1.5 * s
+    if np.any(conv):
+        vals[conv] = H(IntegralParams(p[conv], s[conv]))
+    for i in np.flatnonzero(~conv):
         try:
-            val = H(IntegralParams(p, s))
+            H(IntegralParams(p[i], s[i]))  # H's domain check; inside it, F diverges
         except DivergenceError:
-            val = -math.inf
-        out.append({"p": p, "s": s, "H": val, "sign": int(np.sign(val))})
-    return out
+            pass
+    return [{"p": pt[0], "s": pt[1], "H": float(v), "sign": int(np.sign(v))}
+            for pt, v in zip(points, vals)]

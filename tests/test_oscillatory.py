@@ -172,6 +172,58 @@ class TestSeriesMul:
             np.testing.assert_allclose(col, osc.series_mul(ref_col, b), rtol=1e-15, atol=0.0)
 
 
+    @pytest.mark.parametrize("a_batch", [False, True])
+    def test_batched_b_equals_columns(self, a_batch):
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        a = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        a = a if a_batch else a[:, 0]
+        got = osc.series_mul(a, b)
+        assert got.shape == (9, 5)
+        for k in range(5):
+            assert np.array_equal(got[:, k], osc.series_mul(a[:, k] if a_batch else a, b[:, k]))
+
+
+class TestSeriesPow:
+    @pytest.mark.parametrize("kind", ["hankel", "jj_head"])
+    def test_array_exponents_equal_scalar_calls(self, kind):
+        if kind == "hankel":
+            pser, qser = osc.hankel_pq(1.0)
+            a, order = pser + 1j * qser, osc.ORDER
+        else:
+            from khinsphere.specfun import _jj_series_coeffs
+            a, order = np.asarray(_jj_series_coeffs(1.0, 56)), 55
+        exps = np.array([-40.3, -2.0, -0.5, 0.0, 0.65, 1.0, 2.5, 5.65, 81.0])
+        got = osc.series_pow(a, exps, order)
+        assert got.shape == (order + 1, len(exps))
+        for k, e in enumerate(exps):
+            assert np.array_equal(got[:, k], osc.series_pow(a, float(e), order))
+
+
+def _abs_pow_setup_by_mode(s):
+    """_abs_pow_setup one Fourier mode at a time, with scalar series powers."""
+    pser, qser = osc.hankel_pq(1.0)
+    w = pser + 1j * qser
+    terms = []
+    for m, cm in enumerate(osc.abs_cos_fourier(s, 80)):
+        if cm == 0.0:
+            break
+        ser = osc.series_mul(osc.series_pow(w, s / 2.0 + m),
+                             np.conj(osc.series_pow(w, s / 2.0 - m)))
+        terms.append((m, float(cm), ser * 1j**m))
+    return terms
+
+
+class TestAbsPowSetup:
+    @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.5, 4.0, 11.3])
+    def test_batched_equals_mode_by_mode(self, s):
+        got, ref = osc._abs_pow_setup(s), _abs_pow_setup_by_mode(s)
+        assert len(got) == len(ref) == (s / 2 + 1 if s in (2.0, 4.0) else 81)
+        for (m, cm, ser), (m_ref, cm_ref, ser_ref) in zip(got, ref):
+            assert (m, cm) == (m_ref, cm_ref)
+            assert np.array_equal(ser, ser_ref)
+
+
 class TestTails:
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 2.0, 2.5, 2.9, 2.99])
     def test_abs_pow_matches_closed_form_s2(self, p):

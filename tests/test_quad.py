@@ -82,6 +82,101 @@ class TestF:
                 assert F(IP(p, float(s))) <= bound + 1e-8
 
 
+def _raised(fn, params):
+    """(error class, message) that fn(params) raises, or None."""
+    try:
+        fn(params)
+    except (DomainError, DivergenceError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestBatch:
+    @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 8.0 / 3.0, 12.0, 70.0])
+    def test_F_batch_equals_scalar_calls(self, s):
+        ps = np.array([1e-3, 0.05, 0.3, 1.0, 1.5, 0.5 * s, 0.9 * 1.5 * s, 1.5 * s * (1.0 - 1e-8)])
+        got = F(IP(ps, s))
+        assert got.shape == ps.shape
+        for p, v in zip(ps, got):
+            assert v == F(IP(float(p), s))
+
+    def test_F_groups_by_s_and_keeps_shape(self):
+        p, s = np.meshgrid([0.2, 1.0, 1.9], [1.3, 2.0, 70.0], indexing="ij")
+        got = F(IP(p, s))
+        assert got.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert got[i, j] == F(IP(float(p[i, j]), float(s[i, j])))
+        assert isinstance(F(IP(1.0, 2.0)), float)
+
+    @pytest.mark.parametrize("fn, bad", [
+        (F, (2.0, 1.2)), (H, (3.5, 4.0)), (H, (2.0, 1.2)), (U, (3.0, 2.0)),
+        (G_tilde, (1.5, 2.0)), (H_tilde, (2.5, 1.0)), (H_tilde, (3.2, 4.0)),
+    ])
+    def test_out_of_domain_element_raises_scalar_error(self, fn, bad):
+        ps, ss = np.array([2.5, bad[0], 2.2]), np.array([4.0, bad[1], 5.0])
+        expected = _raised(fn, IP(*bad))
+        assert expected is not None
+        assert _raised(fn, IP(ps, ss)) == expected
+
+    def test_params_element_raises_scalar_error(self):
+        for p, s in ((-1.0, 2.0), (1.0, 0.5), (1.0, math.nan), (math.inf, 2.0)):
+            with pytest.raises(DomainError) as scalar:
+                IP(p, s)
+            with pytest.raises(DomainError) as batch:
+                IP(np.array([1.0, p]), np.array([2.0, s]))
+            assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("fn, p_lo, s_lo", [(G, 1e-3, 1.0), (U, 1e-3, 1.0), (H, 1e-3, 1.3),
+                                                 (G_tilde, 2.0, 1.0), (H_tilde, 2.0, 1.3)])
+    def test_closed_forms_broadcast(self, fn, p_lo, s_lo):
+        # numpy's array power is not libm's pow, and H = G - F cancels: not bit for bit
+        p, s = np.meshgrid(np.geomspace(p_lo, 2.95, 7), np.geomspace(s_lo, 12.0, 5), indexing="ij")
+        keep = p < 1.5 * s
+        got = fn(IP(p[keep], s[keep]))
+        ref = np.array([fn(IP(float(a), float(b))) for a, b in zip(p[keep], s[keep])])
+        scale = np.abs(ref) if fn not in (H, H_tilde) else G(IP(p[keep], s[keep]))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+def _F_mpmath(p, s, n_zeros=30):
+    """F by mpmath: quadrature between the first n_zeros zeros of J_1, then the
+    non-oscillatory Fourier mode beyond, with M(t)^s ~ 1 + 3s/(16 t^2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        p, s = mp.mpf(p), mp.mpf(s)
+        pts = [mp.mpf(0)] + [mp.besseljzero(1, k) for k in range(1, n_zeros + 1)]
+        body = mp.quad(lambda t: abs(2 * mp.besselj(1, t) / t) ** s * t ** (p - 1), pts)
+        T, a = pts[-1], p - 1 - 3 * s / 2
+        c0 = mp.gamma(s + 1) / (2**s * mp.gamma(s / 2 + 1) ** 2)
+        rest = c0 * (8 / mp.pi) ** (s / 2) * (T ** (a + 1) / (-a - 1)
+                                              + 3 * s / 16 * T ** (a - 1) / (1 - a))
+        return float(body + rest)
+
+
+class TestLargeS:
+    @pytest.mark.parametrize("p, s", [(90.0, 64.5), (95.0, 70.0), (0.97 * 150.0, 100.0)])
+    def test_against_mpmath(self, p, s):
+        # the large-s route used to drop everything beyond u = t sqrt(s) = 22:
+        # 1.2e-4 too low at (90, 64.5), 1.4e-5 at (95, 70), 0.28 at (145.5, 100)
+        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s), rel=1e-12)
+
+    def test_integer_s(self):
+        # s ** arange(n) in the large-s head overflowed int64 for an integer s
+        assert F(IP(1, 200)) == F(IP(1.0, 200.0))
+
+    def test_finite_or_domain_error_up_to_s_1000(self):
+        for s in np.geomspace(1.0, 1000.0, 25):
+            for frac in (1e-3, 0.1, 0.5, 0.9, 0.97, 0.99, 0.999, 1.0 - 1e-6):
+                p = frac * 1.5 * float(s)
+                try:
+                    v = F(IP(p, float(s)))
+                except DomainError:
+                    assert s > 141.0 and frac > 0.96, (p, s)
+                    continue
+                assert math.isfinite(v) and v > 0.0, (p, s, v)
+
+
 class TestHead:
     @pytest.mark.parametrize("p,s", [(0.2, 1.4), (0.05, 2.0), (1.0, 3.0), (0.25, 1.7)])
     def test_series_head_vs_substitution_oracle(self, p, s):

@@ -199,6 +199,42 @@ class TestHRegions:
         r2 = V.verify_H_regions(grid=(6, 6))
         assert r1 == r2
 
+    def test_region_verifiers_match_point_loops(self):
+        from khinsphere.quad import G, H, IntegralParams, U
+        grid = (5, 4)
+        rep = V.verify_H_regions(grid)
+        pts, margins = [], []
+        for ps, ss in ((np.geomspace(1e-3, 2.0, 5), np.geomspace(2.0, 12.0, 4)),
+                       (np.geomspace(1e-3, 0.25, 5), np.geomspace(1.3, 12.0, 4))):
+            for p in ps:
+                for s in ss:
+                    if ps[-1] == 2.0 and p > 2.0 - 1e-3 and s < 2.0 + 1e-3:
+                        continue
+                    pts.append((p, s))
+                    margins.append(H(IntegralParams(float(p), float(s))))
+        i = int(np.argmin(margins))
+        assert rep.witnesses[0][0] == pts[i]
+        assert rep.min_margin == pytest.approx(margins[i], rel=0, abs=1e-13)
+        rep = V.verify_U_less_G("i", grid)
+        gaps = {(p, s): G(IntegralParams(float(p), float(s)))
+                - U(IntegralParams(float(p), float(s)))
+                for p in np.geomspace(1e-3, 0.25, 5) for s in np.geomspace(1.7, 12.0, 4)}
+        grid_witnesses = [(pt, m) for pt, m in rep.witnesses if len(pt) == 2]
+        assert grid_witnesses
+        for pt, margin in grid_witnesses:
+            assert margin == pytest.approx(gaps[pt], rel=1e-12)
+
+    def test_sign_chart_batch_equals_single_points(self):
+        pts = [(1.0, 3.0), (0.4, 1.3), (1.9, 1.05), (2.5, 3.0), (0.2, 1.3), (2.0, 1.3)]
+        rows = V.h_sign_chart(pts)
+        for pt, row in zip(pts, rows):
+            single = V.h_sign_chart([pt])[0]
+            assert (row["p"], row["s"], row["sign"]) == (single["p"], single["s"], single["sign"])
+            assert row["H"] == pytest.approx(single["H"], rel=0, abs=1e-13)
+        assert rows[2]["H"] == -math.inf and rows[5]["H"] == -math.inf
+        with pytest.raises(DomainError):  # outside H's domain, divergent or not
+            V.h_sign_chart([(1.0, 3.0), (3.5, 2.0)])
+
     def test_sign_chart_records_without_claim(self):
         rows = V.h_sign_chart([(1.9, 1.05), (1.0, 2.0)])
         assert {"p", "s", "H", "sign"} <= set(rows[0])
