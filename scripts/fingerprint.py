@@ -16,8 +16,9 @@ verifier of ``khinsphere verify`` at its default parameters; the three
 tables; product_moment with n = 6..12 and one small weight, from a third
 seed; the certified bounds behind Tables 2 and 3 (table2_log_bound at
 TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); last, F at s in
-{64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}.  An input that raises
-prints the exception's class name.  Takes under a minute.
+{64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}; then the root of q_star for
+d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}.  An input that
+raises prints the exception's class name.  Takes under a minute.
 """
 import pathlib
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from khinsphere import oscillatory  # noqa: E402
+from khinsphere import oscillatory, phase  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import MomentQuery  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
@@ -37,6 +38,7 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
+from khinsphere.specfun import gamma  # noqa: E402
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -140,6 +142,10 @@ def main() -> int:
         print(_line(f"table3_scaled_bound {_args(p)}", lambda: table3_scaled_bound(p)))
     for p, s in large_s_points():
         print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
+    for d in range(1, 61):
+        print(_line(f"q_star d={d}", lambda: phase.q_star(d).q_star))
+    for x in (0.5, 10.0, 100.0, 141.0, 150.0, 171.0):
+        print(_line(f"gamma {_args(x)}", lambda: gamma(x)))
     return 0
 
 

@@ -89,10 +89,7 @@ def _run_constants(params: dict, fmt: str) -> tuple[int, str]:
 def _run_qstar(params: dict, fmt: str) -> tuple[int, str]:
     d_min, d_max = int(params["d_min"]), int(params["d_max"])
     tol = float(_param(params, "tol", 1e-12))
-    rows = []
-    for d in range(d_min, d_max + 1):
-        r = phase.q_star(d, tol=tol)
-        rows.append(r)
+    rows = phase._q_star_batch(range(d_min, d_max + 1), tol)
     if fmt == "json":
         return 0, _jdump([{"d": r.d, "q_star": r.q_star, "residual": r.residual,
                            "iterations": r.iterations, "bracket": list(r.bracket)}
@@ -214,10 +211,7 @@ def _run_mc(params: dict, fmt: str, seed: int) -> tuple[int, str]:
 def table_writer(which: int) -> str:
     """Byte-stable CSV reproduction of the three numeric tables."""
     if which == 1:
-        lines = ["d,q_star"]
-        for d in range(1, 13):
-            r = phase.q_star(d)
-            lines.append(f"{d},{r.q_star:.6f}")
+        lines = ["d,q_star"] + [f"{r.d},{r.q_star:.6f}" for r in phase._q_star_batch(range(1, 13))]
         return "\n".join(lines) + "\n"
     if which == 2:
         left, right = verify.table2_margins()

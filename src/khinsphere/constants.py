@@ -72,28 +72,28 @@ class NormalizerSet:
     beta: float | None = field(default=None)
 
 
-def c_two(d: int, q) -> float:
+def c_two(d, q) -> float:
     """Khinchin constant of two equal weights, ||(xi_1+xi_2)/sqrt(2)||_q.
 
     Valid for -(d-1) < q <= 2, q != 0 (the closed form extends to q = 2,
-    where it equals 1).
+    where it equals 1).  d and q broadcast against each other.
     """
-    qa, scalar = _q_array(d, q)
-    if np.any(qa <= -(d - 1) + _POLE_GUARD) or np.any(qa > 2):
+    da, qa, scalar = _dq_arrays(d, q)
+    if np.any(qa <= -(da - 1) + _POLE_GUARD) or np.any(qa > 2):
         raise DomainError(f"c_two requires -(d-1) < q <= 2, got {q!r}")
-    val = (log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
-           - log_gamma((d + qa) / 2.0) - log_gamma(d + qa / 2.0 - 1.0))
+    val = (log_gamma(da / 2.0) + log_gamma(da + qa - 1.0)
+           - log_gamma((da + qa) / 2.0) - log_gamma(da + qa / 2.0 - 1.0))
     out = np.exp(val / qa) / math.sqrt(2.0)
     return float(out) if scalar else out
 
 
-def c_inf(d: int, q) -> float:
-    """Gaussian-limit Khinchin constant, ||Z/sqrt(d)||_q."""
-    qa, scalar = _q_array(d, q)
-    if np.any(qa <= -d + _POLE_GUARD):
+def c_inf(d, q) -> float:
+    """Gaussian-limit Khinchin constant, ||Z/sqrt(d)||_q; d and q broadcast."""
+    da, qa, scalar = _dq_arrays(d, q)
+    if np.any(qa <= -da + _POLE_GUARD):
         raise DomainError(f"c_inf requires q > -d, got {q!r}")
-    val = log_gamma((d + qa) / 2.0) - log_gamma(d / 2.0)
-    out = math.sqrt(2.0 / d) * np.exp(val / qa)
+    val = log_gamma((da + qa) / 2.0) - log_gamma(da / 2.0)
+    out = np.sqrt(2.0 / da) * np.exp(val / qa)
     return float(out) if scalar else out
 
 
@@ -159,17 +159,20 @@ def best_constant_status(d: int, q: float) -> str:
     return "proven" if -(d - 4.0) <= q < 2.0 else "conjectural"
 
 
-def _check_dim(d: int) -> None:
-    if d < 1 or d != int(d):
+def _check_dim(d) -> None:
+    """Every entry of d (a scalar or an array) is a positive integer."""
+    da = np.asarray(d)
+    if not ((da >= 1) & (da == np.floor(da))).all():
         raise DomainError(f"dimension must be a positive integer, got {d}")
 
 
-def _q_array(d: int, q):
-    """Validated (d, q) of c_two / c_inf: q as an array plus its scalar flag."""
-    _check_dim(d)
+def _dq_arrays(d, q):
+    """Validated (d, q) of c_two / c_inf as arrays, plus whether both were scalars."""
+    da = np.asarray(d)
+    _check_dim(da)
     qa, scalar = _as_array(q)
     if not np.all(np.isfinite(qa)):
         raise DomainError(f"q must be finite, got {q!r}")
     if np.any(qa == 0):
         raise DomainError("q = 0 is excluded")
-    return qa, scalar
+    return da, qa, scalar and da.ndim == 0

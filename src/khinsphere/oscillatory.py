@@ -34,6 +34,7 @@ from .errors import DomainError
 from .specfun import gamma
 
 ORDER = 8  # highest power of 1/t kept in the asymptotic series
+_TAIL_S_MAX = 141.0  # largest s the |jj_1|^s tail kernel (abs_cos_fourier, tail_abs_pow) supports
 
 _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
@@ -210,7 +211,10 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
     c_0 is the closed form; the rest come from the ratio recurrence
     c_m = c_(m-1) (s/2-m+1)/(s/2+m), with the factor doubled at m = 1.  For
     even s the factor vanishes at m = s/2+1, so every later c_m is exactly 0.
+    Supported for s <= _TAIL_S_MAX (141); above, DomainError.
     """
+    if s > _TAIL_S_MAX:
+        raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s}")
     h = s / 2.0
     m = np.arange(1, m_max + 1)
     ratio = (h - m + 1.0) / (h + m)
@@ -248,7 +252,8 @@ def tail_abs_pow(p: float, s: float, T: float, tol: float = 1e-12) -> float:
     |jj_1|^s = (8/pi)^(s/2) t^(-3s/2) sum_m c_m Re[W^(s/2+m) conj(W)^(s/2-m)
     e^(2 i m chi)], integrated term by term.  The m = 0 term, M^s with no
     oscillation, is exactly the slow part that makes naive truncation
-    infeasible for p near 3s/2, so it is always kept.
+    infeasible for p near 3s/2, so it is always kept.  Supported for
+    s <= _TAIL_S_MAX (141); above, DomainError.
     """
     if p >= 1.5 * s:
         raise DomainError(f"tail diverges: p={p} >= 3s/2={1.5 * s}")

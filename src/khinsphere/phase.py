@@ -3,7 +3,10 @@
 For each dimension d the two candidate extremizers exchange roles at the
 unique root q_d* of c_{d,2}(q) = c_{d,inf}(q).  Everything is evaluated in
 log space (log_gamma) so that dimensions up to 60 and roots exponentially
-close to -(d-1) remain representable.
+close to -(d-1) remain representable.  The roots of many dimensions are
+found together: each d is scanned for its bracket, then one bisection halves
+every bracket per step, with one array evaluation of log c_two - log c_inf
+over the dimensions still open.  q_star(d) is its one-dimension case.
 """
 from __future__ import annotations
 
@@ -109,36 +112,62 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
     For d = 1 the scan runs over (0, 2) (the two-point constant involves a
     vanishing sum for q <= 0); a single sign change is required, otherwise
     the uniqueness asserted by the phase-transition proposition would fail.
+    This is the one-dimension case of the batched solver `_q_star_batch`.
+    """
+    return _q_star_batch([d], tol)[0]
+
+
+def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
+    """q_star for every d of ds, with one bisection over all of them at once.
+
+    Each d is scanned for its own bracket.  Then every bracket is halved in
+    the same step: one array _log_ratio call per step over the lanes still
+    open.  Lane by lane this is the scalar rule: keep the half whose ends
+    differ in sign, stop at an exact zero, at width tol or after 200 steps.
+    So each root is the one a bisection of its d alone would give.  The
+    error raised is the one a loop of single solves over ds, in order, would
+    raise first.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    brackets = scan_sign_changes(d)
-    if not brackets:
-        raise NoBracketError(f"no sign change found for d={d}")
-    if len(brackets) > 1:
-        raise MultipleRootsError(f"multiple sign changes for d={d}: {brackets}")
-    a, b = brackets[0]
-    fa = _log_ratio(d, a)
-    iterations = 0
-    while b - a > tol and iterations < 200:
-        mid = 0.5 * (a + b)
-        fm = _log_ratio(d, mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-        iterations += 1
-    root = 0.5 * (a + b)
-    residual = abs(c_two(d, root) - c_inf(d, root))
-    if not residual <= _MAX_RESIDUAL:
-        raise ToleranceError(f"q_star(d={d}, tol={tol}): residual {residual:.3e} above "
-                             f"{_MAX_RESIDUAL:g}; use a smaller tol")
-    lo, hi = brackets[0]
-    return PhaseTransitionResult(d=d, q_star=root, bracket=(lo, hi),
-                                 residual=residual, iterations=iterations)
+    ds = list(ds)
+    brackets: list[tuple[float, float]] = []
+    scan_error = None
+    for d in ds:
+        found = scan_sign_changes(d)
+        if len(found) != 1:
+            scan_error = (MultipleRootsError(f"multiple sign changes for d={d}: {found}") if found
+                          else NoBracketError(f"no sign change found for d={d}"))
+            break  # the dimensions after it cannot raise first
+        brackets.append(found[0])
+    results = []
+    if brackets:
+        dd = np.array(ds[:len(brackets)])
+        a, b = np.array(brackets, dtype=float).T.copy()
+        sign_a = np.sign(_log_ratio(dd, a))
+        iterations = np.zeros(len(dd), dtype=int)
+        lanes = np.flatnonzero(b - a > tol)
+        while lanes.size:
+            mid = 0.5 * (a[lanes] + b[lanes])
+            fm = _log_ratio(dd[lanes], mid)
+            zero = fm == 0.0
+            left = np.sign(fm) == sign_a[lanes]
+            a[lanes] = np.where(zero | left, mid, a[lanes])
+            b[lanes] = np.where(zero | ~left, mid, b[lanes])
+            iterations[lanes] += ~zero
+            lanes = lanes[~zero & (b[lanes] - a[lanes] > tol) & (iterations[lanes] < 200)]
+        roots = 0.5 * (a + b)
+        residuals = np.abs(c_two(dd, roots) - c_inf(dd, roots))
+        for d, bracket, root, residual, n in zip(ds, brackets, roots.tolist(),
+                                                 residuals.tolist(), iterations.tolist()):
+            if not residual <= _MAX_RESIDUAL:
+                raise ToleranceError(f"q_star(d={d}, tol={tol}): residual {residual:.3e} above "
+                                     f"{_MAX_RESIDUAL:g}; use a smaller tol")
+            results.append(PhaseTransitionResult(d=d, q_star=root, bracket=bracket,
+                                                 residual=residual, iterations=n))
+    if scan_error is not None:
+        raise scan_error
+    return results
 
 
 def verify_appendix_claims(d: int) -> VerificationReport:
@@ -204,10 +233,7 @@ def asymptotic_check(d_range) -> VerificationReport:
     if any(d < 5 or d > 60 for d in d_range):
         raise DomainError("asymptotic check supports 5 <= d <= 60")
     target = -(1.0 - math.log(2.0)) / 2.0
-    alphas = {}
-    for d in d_range:
-        res = q_star(d, tol=1e-12)
-        alphas[d] = (res.q_star + d - 1.0) / 2.0
+    alphas = {r.d: (r.q_star + r.d - 1.0) / 2.0 for r in _q_star_batch(d_range, tol=1e-12)}
     points: list[tuple[float, ...]] = []
     margins: list[float] = []
     lo, hi = _FIT_RANGE

@@ -37,7 +37,7 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import _panel_quad, _panel_rule, series_pow
+from .oscillatory import _TAIL_S_MAX, _panel_quad, _panel_rule, series_pow
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
 _LARGE_S = 64.0  # above this, F takes the large-s route
 _J11 = 3.831705970207512  # the first zero of J_1: the end of jj_1's first arch
 _REL_CUT = 1e-13  # the large-s route drops a tail below this fraction of F
-_TAIL_S_MAX = 141.0  # abs_cos_fourier overflows beyond, in Gamma(s+1)
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
 _BLOCK_BYTES = 1 << 17  # F's per-p temporaries: glibc's default mmap threshold, so RSS stays
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this

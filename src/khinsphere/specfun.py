@@ -41,6 +41,10 @@ BESSEL_CROSSOVER = 12.0
 HYP2F1_RTOL = 1e-13
 _SERIES_CUT = 1e-18
 
+# _lanczos_gamma_pos splits t^(z+1/2) above this x; Gamma overflows above _GAMMA_X_MAX
+_POW_SPLIT = 142.0
+_GAMMA_X_MAX = 171.62437695630272
+
 # Lanczos approximation, g = 7, 9 terms.
 _LANCZOS_G = 7.0
 _LANCZOS = (
@@ -84,13 +88,28 @@ def _lanczos_sum(x):
 
 
 def _lanczos_gamma_pos(x):
-    """Gamma on x >= 0.5 via Lanczos; vectorized."""
+    """Gamma on x >= 0.5 via Lanczos; vectorized.
+
+    t^(z+1/2) alone overflows from x = 142.4 on, where Gamma does not: above
+    _POW_SPLIT it is taken as two half powers around e^(-t).  Below, the
+    unsplit form is kept, so those values keep their last bits.
+    """
     z, acc, t = _lanczos_sum(x)
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
+    split = x > _POW_SPLIT
+    if not split.any():
+        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = t ** np.where(split, 0.5 * (z + 0.5), z + 0.5)
+        out = math.sqrt(2.0 * math.pi) * pw * np.exp(-t) * np.where(split, pw, 1.0) * acc
+    return np.where(x > _GAMMA_X_MAX, np.inf, out)  # inf * 0 = nan once e^(-t) underflows
 
 
 def gamma(x):
-    """Gamma function on the real line (poles at nonpositive integers)."""
+    """Gamma function on the real line (poles at nonpositive integers).
+
+    Gamma(x) exceeds the largest float for x > 171.62 and is inf there,
+    without a warning.
+    """
     arr, scalar = _as_array(x)
     if np.any((arr <= 0) & (arr == np.floor(arr))):
         raise PoleError(f"gamma pole at nonpositive integer in {x!r}")

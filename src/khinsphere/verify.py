@@ -397,15 +397,16 @@ def verify_small_lemmas() -> VerificationReport:
 
     # midpoint concavity is non-strict: reflection pairs a+ = 2 - a- give exact
     # equality, so the margins carry a 1e-14 rounding allowance
+    ams = np.linspace(0.0, 0.98, 25)
+    am = np.repeat(ams, 25)
+    ap = np.linspace(ams + 0.02, 2.0 - ams, 25, axis=1).ravel()  # row i: a+ for a- = ams[i]
+    mid = 0.5 * (am + ap)
+    keep = mid <= 1.0
+    am, ap, mid = am[keep].tolist(), ap[keep].tolist(), mid[keep]
     for p in (0.3, 1.0, 2.5):
         phi = PhiFunction(p)
-        for am in np.linspace(0.0, 0.98, 25):
-            for ap in np.linspace(am + 0.02, 2.0 - am, 25):
-                mid = 0.5 * (am + ap)
-                if mid > 1.0:
-                    continue
-                points.append((p, float(am), float(ap)))
-                margins.append(float(phi(mid) - 0.5 * (phi(am) + phi(ap))) + 1e-14)
+        points += [(p, a, b) for a, b in zip(am, ap)]
+        margins += (phi(mid) - 0.5 * (phi(am) + phi(ap)) + 1e-14).tolist()
 
     ps = np.linspace(1e-3, 0.25, 100)
     chain = 2.0 ** (ps / 2.0) * gamma(2.0 - ps / 2.0) - 1.3 ** (ps / 2.0)

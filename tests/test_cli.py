@@ -107,7 +107,7 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize("lemma", ["two_coeff", "bisubharmonic", "small_lemmas",
                                        "ind_base", "table2", "table3",
-                                       "interpolation_tilde", "appendix_claims"])
+                                       "interpolation_tilde", "appendix_claims", "asymptotics"])
     def test_cheap_lemmas_pass(self, lemma, capsys):
         code, out, _ = _run(["--format", "json", "verify", "--lemma", lemma], capsys)
         assert code == 0

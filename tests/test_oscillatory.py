@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from khinsphere import oscillatory as osc
+from khinsphere.errors import DomainError
 from khinsphere.specfun import gamma, jj1, jnu_zeros
 
 
@@ -102,6 +103,14 @@ class TestAbsCosFourier:
             got = osc.abs_cos_fourier(s, 80)
             for c, ref in zip(got, refs):
                 assert abs(c - ref) <= 1e-13 * abs(ref)
+
+
+    def test_s_above_limit_is_domain_error(self):
+        with pytest.raises(DomainError, match="s <= 141"):
+            osc.abs_cos_fourier(200.0, 80)
+        with pytest.raises(DomainError, match="s <= 141"):
+            osc.tail_abs_pow(1.0, 200.0, 46.0)
+        assert osc.abs_cos_fourier(141.0, 80)[0] > 0.0
 
 
 def _quad_between(p, s, T1, T2):

@@ -5,7 +5,7 @@ import pytest
 
 from khinsphere import phase as P
 from khinsphere.constants import c_inf, c_two
-from khinsphere.errors import DomainError, ToleranceError
+from khinsphere.errors import DomainError, MultipleRootsError, NoBracketError, ToleranceError
 
 # high-precision roots of c_two = c_inf, frozen from an independent
 # 40-digit bisection of the same closed forms
@@ -18,6 +18,71 @@ ROOTS = {
     6: -4.29497260052,
     8: -6.49116462332,
     12: -10.723510269,
+}
+
+# float.hex of q_star(d)'s root, iterations and bracket for d = 1..60, recorded from a
+# bisection of each d on its own; the batched solver must reproduce them bit for bit
+PINNED = {
+    1: ("0x1.d8f046e98b74bp+0", 34, "0x1.d74bc6a7ef9d9p+0", "0x1.d9db22d0e5602p+0"),
+    2: ("0x1.e708252b23970p-2", 34, "0x1.e24dd2f1a9fd6p-2", "0x1.ec8b43958107ap-2"),
+    3: ("-0x1.9634c6bee167fp-1", 34, "-0x1.9916872b020bcp-1", "-0x1.93f7ced91686ap-1"),
+    4: ("-0x1.00000000000b4p+1", 34, "-0x1.0126e978d500fp+1", "-0x1.ffbe76c8b43f6p+0"),
+    5: ("-0x1.94e9428fd0ae9p+1", 34, "-0x1.95a1cac08314fp+1", "-0x1.945a1cac0833bp+1"),
+    6: ("-0x1.12e0d4c21c052p+2", 34, "-0x1.1322d0e560429p+2", "-0x1.127ef9db22d1fp+2"),
+    7: ("-0x1.59c1bd29e5f08p+2", 34, "-0x1.5a2d0e5604197p+2", "-0x1.5989374bc6a8dp+2"),
+    8: ("-0x1.9f6f3dbe882dep+2", 34, "-0x1.9fef9db22d0f1p+2", "-0x1.9f4bc6a7ef9e7p+2"),
+    9: ("-0x1.e42963ce766b2p+2", 34, "-0x1.e46a7ef9db237p+2", "-0x1.e3c6a7ef9db2dp+2"),
+    10: ("-0x1.14101271695eap+3", 34, "-0x1.1420c49ba5e3ap+3", "-0x1.13ced916872b5p+3"),
+    11: ("-0x1.35bc16277abaap+3", 34, "-0x1.360c49ba5e358p+3", "-0x1.35ba5e353f7d3p+3"),
+    12: ("-0x1.5726ff01fb5e6p+3", 34, "-0x1.5753f7ced916cp+3", "-0x1.57020c49ba5e7p+3"),
+    13: ("-0x1.785c0bb6bd49ep+3", 34, "-0x1.789ba5e353f80p+3", "-0x1.7849ba5e353fbp+3"),
+    14: ("-0x1.996436492149cp+3", 34, "-0x1.99916872b020fp+3", "-0x1.993f7ced9168ap+3"),
+    15: ("-0x1.ba46bc9ab7210p+3", 34, "-0x1.ba872b020c49ep+3", "-0x1.ba353f7ced919p+3"),
+    16: ("-0x1.db09843ffa68ap+3", 34, "-0x1.db2b020c49ba8p+3", "-0x1.dad916872b023p+3"),
+    17: ("-0x1.fbb164b491b02p+3", 34, "-0x1.fbced916872b2p+3", "-0x1.fb7ced916872dp+3"),
+    18: ("-0x1.0e212fa7293e2p+4", 34, "-0x1.0e395810624d8p+4", "-0x1.0e10624dd2f15p+4"),
+    19: ("-0x1.1e5fe4fa4f85cp+4", 34, "-0x1.1e624dd2f1a9bp+4", "-0x1.1e395810624d8p+4"),
+    20: ("-0x1.2e96380d90e22p+4", 34, "-0x1.2eb4395810621p+4", "-0x1.2e8b43958105ep+4"),
+    21: ("-0x1.3ec5563d48154p+4", 34, "-0x1.3edd2f1a9fbe4p+4", "-0x1.3eb4395810621p+4"),
+    22: ("-0x1.4eee3ea84e906p+4", 34, "-0x1.4f0624dd2f1a7p+4", "-0x1.4edd2f1a9fbe4p+4"),
+    23: ("-0x1.5f11ca3a73488p+4", 34, "-0x1.5f2f1a9fbe76ap+4", "-0x1.5f0624dd2f1a7p+4"),
+    24: ("-0x1.6f30b21cbd718p+4", 34, "-0x1.6f5810624dd2dp+4", "-0x1.6f2f1a9fbe76ap+4"),
+    25: ("-0x1.7f4b94e789c38p+4", 34, "-0x1.7f5810624dd2dp+4", "-0x1.7f2f1a9fbe76ap+4"),
+    26: ("-0x1.8f62fadbe3a4cp+4", 34, "-0x1.8f810624dd2f0p+4", "-0x1.8f5810624dd2dp+4"),
+    27: ("-0x1.9f775958d4b92p+4", 34, "-0x1.9f810624dd2f0p+4", "-0x1.9f5810624dd2dp+4"),
+    28: ("-0x1.af8915b5117bcp+4", 34, "-0x1.afa9fbe76c8b3p+4", "-0x1.af810624dd2f0p+4"),
+    29: ("-0x1.bf98879c2f862p+4", 34, "-0x1.bfa9fbe76c8b3p+4", "-0x1.bf810624dd2f0p+4"),
+    30: ("-0x1.cfa5fb07a05d0p+4", 34, "-0x1.cfa9fbe76c8b3p+4", "-0x1.cf810624dd2f0p+4"),
+    31: ("-0x1.dfb1b1e6663e8p+4", 34, "-0x1.dfd2f1a9fbe76p+4", "-0x1.dfa9fbe76c8b3p+4"),
+    32: ("-0x1.efbbe58270c38p+4", 34, "-0x1.efd2f1a9fbe76p+4", "-0x1.efa9fbe76c8b3p+4"),
+    33: ("-0x1.ffc4c7af7752ep+4", 34, "-0x1.ffd2f1a9fbe76p+4", "-0x1.ffa9fbe76c8b3p+4"),
+    34: ("-0x1.07e641e6614d7p+5", 34, "-0x1.07e978d4fdf3cp+5", "-0x1.07d4fdf3b645bp+5"),
+    35: ("-0x1.0fe99fd0bc7b7p+5", 34, "-0x1.0ffdf3b645a1dp+5", "-0x1.0fe978d4fdf3cp+5"),
+    36: ("-0x1.17ec8e0cc766ep+5", 34, "-0x1.17fdf3b645a1dp+5", "-0x1.17e978d4fdf3cp+5"),
+    37: ("-0x1.1fef1af42aa47p+5", 34, "-0x1.1ffdf3b645a1dp+5", "-0x1.1fe978d4fdf3cp+5"),
+    38: ("-0x1.27f1530a5d809p+5", 34, "-0x1.27fdf3b645a1dp+5", "-0x1.27e978d4fdf3cp+5"),
+    39: ("-0x1.2ff341394d3ddp+5", 34, "-0x1.2ffdf3b645a1dp+5", "-0x1.2fe978d4fdf3cp+5"),
+    40: ("-0x1.37f4ef05eee1dp+5", 34, "-0x1.37fdf3b645a1dp+5", "-0x1.37e978d4fdf3cp+5"),
+    41: ("-0x1.3ff664bde4b8dp+5", 34, "-0x1.3ffdf3b645a1dp+5", "-0x1.3fe978d4fdf3cp+5"),
+    42: ("-0x1.47f7a99f3033cp+5", 34, "-0x1.47fdf3b645a1dp+5", "-0x1.47e978d4fdf3cp+5"),
+    43: ("-0x1.4ff8c3fac1fb5p+5", 34, "-0x1.4ffdf3b645a1dp+5", "-0x1.4fe978d4fdf3cp+5"),
+    44: ("-0x1.57f9b9529a007p+5", 34, "-0x1.57fdf3b645a1dp+5", "-0x1.57e978d4fdf3cp+5"),
+    45: ("-0x1.5ffa8e740ed27p+5", 34, "-0x1.5ffdf3b645a1dp+5", "-0x1.5fe978d4fdf3cp+5"),
+    46: ("-0x1.67fb478ebdd79p+5", 34, "-0x1.67fdf3b645a1dp+5", "-0x1.67e978d4fdf3cp+5"),
+    47: ("-0x1.6ffbe848938abp+5", 34, "-0x1.6ffdf3b645a1dp+5", "-0x1.6fe978d4fdf3cp+5"),
+    48: ("-0x1.77fc73cf4b4d3p+5", 34, "-0x1.77fdf3b645a1dp+5", "-0x1.77e978d4fdf3cp+5"),
+    49: ("-0x1.7ffcece7b9e6fp+5", 34, "-0x1.7ffdf3b645a1dp+5", "-0x1.7fe978d4fdf3cp+5"),
+    50: ("-0x1.87fd55fb2a579p+5", 34, "-0x1.87fdf3b645a1dp+5", "-0x1.87e978d4fdf3cp+5"),
+    51: ("-0x1.8ffdb1230b3dfp+5", 34, "-0x1.8ffdf3b645a1dp+5", "-0x1.8fe978d4fdf3cp+5"),
+    52: ("-0x1.97fe003323233p+5", 34, "-0x1.97ff7ced91687p+5", "-0x1.97eb020c49ba6p+5"),
+    53: ("-0x1.9ffe44c27b233p+5", 34, "-0x1.9fff7ced91687p+5", "-0x1.9feb020c49ba6p+5"),
+    54: ("-0x1.a7fe803328e5dp+5", 34, "-0x1.a7ff7ced91687p+5", "-0x1.a7eb020c49ba6p+5"),
+    55: ("-0x1.affeb3b91c7f7p+5", 34, "-0x1.afff7ced91687p+5", "-0x1.afeb020c49ba6p+5"),
+    56: ("-0x1.b7fee06011473p+5", 34, "-0x1.b7ff7ced91687p+5", "-0x1.b7eb020c49ba6p+5"),
+    57: ("-0x1.bfff0710bdad9p+5", 34, "-0x1.bfff7ced91687p+5", "-0x1.bfeb020c49ba6p+5"),
+    58: ("-0x1.c7ff28955a191p+5", 34, "-0x1.c7ff7ced91687p+5", "-0x1.c7eb020c49ba6p+5"),
+    59: ("-0x1.cfff459d93f03p+5", 34, "-0x1.cfff7ced91687p+5", "-0x1.cfeb020c49ba6p+5"),
+    60: ("-0x1.d7ff5ec1ff7f9p+5", 34, "-0x1.d7ff7ced91687p+5", "-0x1.d7eb020c49ba6p+5"),
 }
 
 
@@ -59,6 +124,17 @@ class TestQStar:
         # the bracket shrinks only to ~tol, leaving a residual above 1e-10
         with pytest.raises(ToleranceError, match="residual"):
             P.q_star(4, tol=tol)
+
+    def test_pinned_bits(self):
+        for r in P._q_star_batch(range(1, 61)):
+            root, iterations, lo, hi = PINNED[r.d]
+            assert (r.q_star.hex(), r.iterations) == (root, iterations)
+            assert (r.bracket[0].hex(), r.bracket[1].hex()) == (lo, hi)
+
+    def test_batch_equals_single(self):
+        ds = [1, 4, 7, 30]
+        assert P._q_star_batch(ds) == [P.q_star(d) for d in ds]
+        assert P._q_star_batch([]) == []
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
@@ -135,3 +211,61 @@ class TestAsymptotics:
     def test_domain(self):
         with pytest.raises(DomainError):
             P.asymptotic_check([3, 20, 40])
+
+    def test_alphas_equal_q_star(self, monkeypatch):
+        seen = {}
+        make = P._make_report
+
+        def spy(lemma_id, region, grid, points, margins):
+            seen["points"] = points
+            return make(lemma_id, region, grid, points, margins)
+
+        monkeypatch.setattr(P, "_make_report", spy)
+        P.asymptotic_check(range(5, 61))
+        # the fitted slope comes first, then (d, alpha_d) for d >= 10
+        assert seen["points"][1:] == [(float(d), (P.q_star(d).q_star + d - 1.0) / 2.0)
+                                      for d in range(10, 61)]
+
+    def test_loose_tol_raises_tolerance_error(self, monkeypatch):
+        batch = P._q_star_batch
+        monkeypatch.setattr(P, "_q_star_batch", lambda ds, tol: batch(ds, tol=1e-3))
+        with pytest.raises(ToleranceError, match=r"q_star\(d=5, tol=0.001\)"):
+            P.asymptotic_check(range(5, 61))
+
+
+def _no_bracket_at(bad, monkeypatch):
+    scan = P.scan_sign_changes
+    monkeypatch.setattr(P, "scan_sign_changes", lambda d: [] if d == bad else scan(d))
+
+
+class TestBatchErrors:
+    """The batch raises what a loop of q_star over ascending d would raise first."""
+
+    def test_no_bracket_inside_range(self, monkeypatch):
+        _no_bracket_at(9, monkeypatch)
+        with pytest.raises(NoBracketError, match="no sign change found for d=9$"):
+            P._q_star_batch(range(5, 13))
+        with pytest.raises(NoBracketError, match="d=9"):
+            P.asymptotic_check(range(5, 61))
+
+    def test_multiple_roots_inside_range(self, monkeypatch):
+        scan = P.scan_sign_changes
+        monkeypatch.setattr(P, "scan_sign_changes",
+                            lambda d: scan(d) * 2 if d == 7 else scan(d))
+        with pytest.raises(MultipleRootsError, match="multiple sign changes for d=7: "):
+            P._q_star_batch(range(5, 13))
+
+    def test_earlier_tolerance_error_first(self, monkeypatch):
+        # at tol = 1e-3 every d fails its residual; d = 5 comes before d = 9
+        _no_bracket_at(9, monkeypatch)
+        with pytest.raises(ToleranceError, match=r"q_star\(d=5, tol=0.001\)"):
+            P._q_star_batch(range(5, 13), tol=1e-3)
+
+    def test_earlier_scan_error_first(self, monkeypatch):
+        _no_bracket_at(9, monkeypatch)
+        with pytest.raises(NoBracketError, match="d=9"):
+            P._q_star_batch(range(9, 13), tol=1e-3)
+
+    def test_bad_tol(self):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            P._q_star_batch(range(5, 8), tol=0.0)

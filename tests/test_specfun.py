@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ class TestGamma:
     def test_vectorized(self):
         xs = np.array([0.5, 1.0, 3.0])
         np.testing.assert_allclose(gamma(xs), [math.sqrt(math.pi), 1.0, 2.0], rtol=1e-13)
+
+    def test_against_math_gamma_up_to_overflow(self):
+        xs = np.linspace(0.5, 171.6, 20001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma(xs)
+            assert [gamma(float(x)) for x in xs[::50]] == got[::50].tolist()
+            assert gamma(171.7) == math.inf and gamma(1000.0) == math.inf
+        rel = np.abs(got / [math.gamma(x) for x in xs] - 1.0)
+        assert rel[xs <= 141.0].max() <= 9.1e-14
+        assert rel[xs > 141.0].max() <= 2e-13
+
+    def test_unsplit_power_below_142(self):
+        # below the split, Gamma keeps the one-power Lanczos form bit for bit
+        from khinsphere.specfun import _lanczos_sum
+        xs = np.linspace(0.5, 142.0, 4001)
+        z, acc, t = _lanczos_sum(xs)
+        assert np.array_equal(gamma(xs), math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc)
+
+    def test_negative_beyond_split(self):
+        # reflection through Gamma(1 - x) with 1 - x > 142
+        assert gamma(-150.5) == pytest.approx(math.gamma(-150.5), rel=1e-12)
 
 
 class TestLogGamma:

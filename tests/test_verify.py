@@ -179,6 +179,33 @@ class TestSmallLemmas:
         r = V.verify_small_lemmas()
         assert r.passed
 
+    def test_concavity_matches_scalar_loop(self, monkeypatch):
+        seen = {}
+        make = V._make_report
+
+        def spy(lemma_id, region, grid, points, margins):
+            seen.update(points=points, margins=margins)
+            return make(lemma_id, region, grid, points, margins)
+
+        monkeypatch.setattr(V, "_make_report", spy)
+        V.verify_small_lemmas()
+        ref_points, ref_margins = [], []
+        for p in (0.3, 1.0, 2.5):
+            phi = V.PhiFunction(p)
+            for am in np.linspace(0.0, 0.98, 25):
+                for ap in np.linspace(am + 0.02, 2.0 - am, 25):
+                    mid = 0.5 * (am + ap)
+                    if mid > 1.0:
+                        continue
+                    ref_points.append((p, float(am), float(ap)))
+                    ref_margins.append(float(phi(mid) - 0.5 * (phi(am) + phi(ap))) + 1e-14)
+        i = seen["points"].index(ref_points[0])
+        assert seen["points"][i:i + len(ref_points)] == ref_points
+        # array and scalar powers may round differently: a few ulps of values near 1
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(seen["margins"][i:i + len(ref_margins)], ref_margins,
+                                   rtol=0.0, atol=4.0 * eps)
+
     def test_gamma_bound_example(self):
         from khinsphere.specfun import gamma
         assert gamma(1.0) == pytest.approx(1.0, abs=1e-14)
