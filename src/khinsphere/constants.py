@@ -122,12 +122,13 @@ def normalizers(p: float, d: int) -> NormalizerSet:
     _check_dim(d)
     if not 0.0 < p < d:
         raise DomainError(f"normalizers require 0 < p < d, got p={p}, d={d}")
-    K = 2.0 ** (-p) * math.pi ** (-d / 2.0) * gamma((d - p) / 2.0) / gamma(p / 2.0)
-    kappa = 2.0 ** (1.0 - p) * gamma((d - p) / 2.0) / (gamma(d / 2.0) * gamma(p / 2.0))
+    args = [(d - p) / 2.0, p / 2.0, d / 2.0] + ([(1.0 - p) / 2.0] if p < 1.0 else [])
+    g_dp, g_p, g_d, *g_beta = gamma(np.array(args)).tolist()  # one call: gamma's cost is per call
+    K = 2.0 ** (-p) * math.pi ** (-d / 2.0) * g_dp / g_p
+    kappa = 2.0 ** (1.0 - p) * g_dp / (g_d * g_p)
     beta = None
-    if 0.0 < p < 1.0:
-        beta = (math.sqrt(math.pi) * gamma((d - p) / 2.0)
-                / (gamma((1.0 - p) / 2.0) * gamma(d / 2.0)))
+    if g_beta:
+        beta = math.sqrt(math.pi) * g_dp / (g_beta[0] * g_d)
     return NormalizerSet(K=K, kappa=kappa, beta=beta)
 
 

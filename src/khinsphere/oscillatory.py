@@ -10,13 +10,18 @@ Two consumers:
   expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
   M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
   non-oscillatory part: it is why truncating at any feasible T and bounding
-  the remainder fails when p is close to 3s/2.
+  the remainder fails when p is close to 3s/2.  Every p of one s is summed
+  at once, as array operations over modes x powers of 1/t x p: closed-form
+  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
+  for every other mode, lane by lane with the scalar loop's arithmetic.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
   The 2^(n-1) pattern series are built together by doubling, which costs
   n - 1 steps of two batched series products, then one scalar tail per
-  pattern.
+  pattern (``_series_tail``): the pattern frequencies take every branch of
+  ``exp_power_tail``, and an array IBP was measured slower than the scalar
+  loop there.
 
 Series are represented as float/complex arrays c with c[j] the coefficient
 of t^(-j), truncated at ORDER; further axes, where present, index a batch of
@@ -38,6 +43,7 @@ _TAIL_S_MAX = 141.0  # largest s the |jj_1|^s tail kernel (abs_cos_fourier, tail
 
 _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
+_BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
 
 
 # ----------------------------------------------------------------------------
@@ -64,18 +70,24 @@ def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
 def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
     """(series with a[0] = 1) ** exponent, by Miller's recurrence.
 
-    An array of exponents adds its shape as trailing batch axes; each lane
-    does the same arithmetic as the scalar call with that exponent.
+    An array of exponents adds its shape as trailing batch axes; a scalar
+    exponent runs as a one-lane batch.  Each lane does the same arithmetic as
+    the scalar call with its exponent.
     """
-    exponent = np.asarray(exponent, dtype=float)[()]  # one exponent: a scalar, not a 0-d array
-    out = np.zeros((order + 1,) + np.shape(exponent), dtype=np.result_type(a, exponent))
+    exponent = np.asarray(exponent, dtype=float)
+    lanes = exponent.reshape(-1)
+    out = np.zeros((order + 1, lanes.size), dtype=np.result_type(a, lanes))
     out[0] = 1.0
+    n = min(order, len(a) - 1)
+    j = np.arange(1, n + 1)[:, None]
+    # coef[k - 1, j - 1] = (exponent j - (k - j)) a_j, for every step k at once
+    coef = (lanes * j - (np.arange(1, order + 1)[:, None, None] - j)) * a[1:n + 1, None]
     for k in range(1, order + 1):
-        acc = 0.0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += (exponent * j - (k - j)) * a[j] * out[k - j]
-        out[k] = acc / k
-    return out
+        # the j terms of step k, added in the order j = 1, 2, ... in every lane:
+        # add.accumulate is sequential, where add.reduce would pair up a lone lane
+        terms = coef[k - 1, :k] * out[k - 1::-1][:n]
+        np.divide(np.add.accumulate(terms)[-1], k, out=out[k])
+    return out.reshape((order + 1,) + exponent.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -219,7 +231,8 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
     m = np.arange(1, m_max + 1)
     ratio = (h - m + 1.0) / (h + m)
     ratio[:1] *= 2.0
-    c0 = float(gamma(s + 1.0) / (2.0**s * gamma(h + 1.0) ** 2))
+    g_top, g_half = gamma(np.array([s + 1.0, h + 1.0])).tolist()
+    c0 = g_top / (2.0**s * g_half**2)
     return np.cumprod(np.concatenate([[c0], ratio]))
 
 
@@ -228,10 +241,11 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _abs_pow_setup(s: float) -> tuple:
-    """(m, c_m, series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2)) per nonzero c_m.
+def _abs_pow_setup(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The modes m = 0, 1, ... with nonzero c_m, their c_m, and the series of
+    W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2), one column a mode.
 
-    The series of all modes are built together: two batched powers of W and
+    The series of all modes are built together: one batched power of W and
     one batched product.
     """
     pser, qser = hankel_pq(1.0)
@@ -239,32 +253,115 @@ def _abs_pow_setup(s: float) -> tuple:
     cms = abs_cos_fourier(s, 80)
     zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
     m = np.arange(zero[0] if len(zero) else len(cms))
-    sers = series_mul(series_pow(w, s / 2.0 + m), np.conj(series_pow(w, s / 2.0 - m)))
-    sers = sers * np.array([1j**k for k in m])  # e^(-3im pi/2) = i^m
-    return tuple((int(k), float(cms[k]), np.ascontiguousarray(sers[:, k])) for k in m)
+    powers = series_pow(w, np.concatenate([s / 2.0 + m, s / 2.0 - m]))
+    sers = series_mul(powers[:, :len(m)], np.conj(powers[:, len(m):]))
+    sers *= np.array([1, 1j, -1, -1j])[m % 4]  # e^(-3im pi/2) = i^m
+    return m, cms[m], sers
 
 
-def tail_abs_pow(p: float, s: float, T: float, tol: float = 1e-12) -> float:
-    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1.
+def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
+    """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined."""
+    step = max(1, _BLOCK_BYTES // (8 * per_p))
+    return np.concatenate([fn(p[lo:lo + step]) for lo in range(0, len(p), step)])
+
+
+def _ibp_sums(mu: np.ndarray, omega: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of _exp_tail_ibp(mu, omega, T) / e^(i omega T), elementwise.
+
+    The k-th IBP term is i^(k+1) g_k with g_0 = T^mu / omega and
+    g_(k+1) = g_k (mu-k)/omega/T, so each lane keeps one real number and adds
+    it to the real or the imaginary sum by k mod 4: the same floating-point
+    steps as the scalar loop, stopped by its rules (1e-18 of the running sum,
+    or the asymptotic series turning).  Finished lanes leave the arrays.
+    """
+    g = T**mu / omega
+    re, im = np.zeros_like(g), np.zeros_like(g)
+    out_re, out_im = np.empty_like(g), np.empty_like(g)
+    live, prev = np.arange(len(g)), np.full_like(g, math.inf)
+    for k in range(200):
+        if k % 4 == 0:
+            im += g
+        elif k % 4 == 1:
+            re -= g
+        elif k % 4 == 2:
+            im -= g
+        else:
+            re += g
+        g = g * ((mu - k) / omega / T)
+        mag = np.abs(g)
+        done = (mag < 1e-18 * np.maximum(1.0, np.hypot(re, im))) | (mag > prev)
+        if done.any():
+            out = live[done]
+            out_re[out], out_im[out] = re[done], im[done]
+            keep = ~done
+            live, g, mu, omega, re, im, mag = (x[keep] for x in (live, g, mu, omega, re, im, mag))
+            if not len(live):
+                break
+        prev = mag
+    out_re[live], out_im[live] = re, im
+    return out_re, out_im
+
+
+def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
+    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1, for a
+    scalar p (a float back) or every p of a 1-d array (an array back) at one s.
 
     With W = P + iQ = M e^(i phi) from the Hankel series,
     jj_1 = sqrt(8/pi) t^(-3/2) M(t) cos(chi + phi(t)), chi = t - 3 pi/4, so
     |jj_1|^s = (8/pi)^(s/2) t^(-3s/2) sum_m c_m Re[W^(s/2+m) conj(W)^(s/2-m)
     e^(2 i m chi)], integrated term by term.  The m = 0 term, M^s with no
     oscillation, is exactly the slow part that makes naive truncation
-    infeasible for p near 3s/2, so it is always kept.  Supported for
-    s <= _TAIL_S_MAX (141); above, DomainError.
+    infeasible for p near 3s/2, so it is always kept.  Each p stops after the
+    first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
+    and at m = 80 at the latest.  The modes x powers of 1/t x p block is
+    evaluated as array operations, p in blocks of bounded memory.
+
+    Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
+    the IBP expansion; T < 20 raises DomainError.  So do p >= 3s/2 (naming the
+    first such element) and s > _TAIL_S_MAX (141).  tol does not hold
+    everywhere: for s <= 1.3 and p near 3s/2 the 80-mode cap leaves errors up
+    to 4.7e-9.
     """
-    if p >= 1.5 * s:
-        raise DomainError(f"tail diverges: p={p} >= 3s/2={1.5 * s}")
+    if 2.0 * T < _IBP_MIN_PHASE:
+        raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g}, got T={T}")
+    pa = np.asarray(p, dtype=float)
+    diverges = pa >= 1.5 * s
+    if diverges.any():
+        raise DomainError(f"tail diverges: p={pa.flat[np.argmax(diverges)]} >= 3s/2={1.5 * s}")
+    modes = _abs_pow_setup(s)
+    out = _in_blocks(lambda pb: _abs_pow_block(pb, s, T, tol, *modes), pa.reshape(-1),
+                     (ORDER + 1) * len(modes[0]))
+    return float(out[0]) if pa.ndim == 0 else out
+
+
+def _abs_pow_block(p: np.ndarray, s: float, T: float, tol: float, ms: np.ndarray,
+                   cms: np.ndarray, sers: np.ndarray) -> np.ndarray:
+    """tail_abs_pow for a 1-d block of p, with _abs_pow_setup(s) given."""
     mu = p - 1.0 - 1.5 * s
     pref = (8.0 / math.pi) ** (s / 2.0)
-    total = 0.0
-    for m, cm, ser in _abs_pow_setup(s):
-        total += pref * cm * _series_tail(ser, mu, 2.0 * m, T).real
-        if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
-            break
-    return float(total)
+    mcol = ms[:, None]
+    # the last mode of each p: the first m >= 2 whose bound is below tol/10, else the last
+    # (the bound's m = 0 row divides by 1, not 0, and is never read)
+    bound = pref * np.abs(cms)[:, None] * T**mu / (2.0 * np.maximum(mcol, 1))
+    small = (mcol >= 2) & (bound < 0.1 * tol)
+    last = np.where(small.any(axis=0), np.argmax(small, axis=0), len(ms) - 1)
+    # per mode and p: sum_j Re[ser_j E(mu - j, 2m, T)], summed over j in order
+    j = np.arange(ORDER + 1.0)[:, None]
+    per_mode = np.zeros((len(ms), len(p)))
+    e = mu - j + 1.0
+    per_mode[0] = np.add.accumulate(sers[:, :1].real * (-(T**e) / e))[-1]  # m = 0: power tails
+    mi, pi = np.nonzero(mcol[1:] <= last)
+    mi += 1
+    omega = 2.0 * ms[mi]
+    lanes = (ORDER + 1, len(mi))  # (j, (m, p) pair)
+    re, im = _ibp_sums((mu[pi] - j).ravel(), np.broadcast_to(omega, lanes).ravel(), T)
+    re, im = re.reshape(lanes), im.reshape(lanes)
+    cos, sin = np.cos(omega * T), np.sin(omega * T)  # the IBP phase e^(i omega T)
+    e_re, e_im = cos * re - sin * im, cos * im + sin * re
+    ser = sers[:, mi]
+    per_mode[mi, pi] = np.add.accumulate(ser.real * e_re - ser.imag * e_im)[-1]
+    # sum over modes in order; the modes beyond each p's last add exact zeros
+    return np.add.accumulate((pref * cms)[:, None] * per_mode)[-1]
 
 
 def tail_product(amps, nu: float, p: float, T: float) -> float:

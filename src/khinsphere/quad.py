@@ -9,10 +9,10 @@ the tail tolerance are fixed: the panels end at the first zero of J_1 at or
 beyond t = 46 and the tail is summed to 1e-10 absolute.  The panel nodes,
 their weights and |jj_1| there depend on neither p nor s and are built once,
 on first use.  Per distinct s, F then builds a plan (|jj_1|^s at the nodes,
-the head series, the tail's Fourier-mode series) and evaluates the head and
-the panels for every p of that s in one array operation; the tail is one
-call per p.  For s > 64 the same pieces are summed in logs, the first arch
-in the variable t sqrt(s).  No error estimate is returned.  G, U, H,
+the head series, the tail's Fourier-mode series) and evaluates the head,
+the panels and the tail for every p of that s as array operations.  For
+s > 64 the same pieces are summed in logs, the first arch in the variable
+t sqrt(s).  No error estimate is returned.  G, U, H,
 G_tilde and H_tilde are closed forms (or differences with F) that take
 arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
 product formula, with at most 200,000 panels (ToleranceError beyond).  There
@@ -37,7 +37,7 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import _TAIL_S_MAX, _panel_quad, _panel_rule, series_pow
+from .oscillatory import _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule, series_pow
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -57,7 +57,6 @@ _LARGE_S = 64.0  # above this, F takes the large-s route
 _J11 = 3.831705970207512  # the first zero of J_1: the end of jj_1's first arch
 _REL_CUT = 1e-13  # the large-s route drops a tail below this fraction of F
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
-_BLOCK_BYTES = 1 << 17  # F's per-p temporaries: glibc's default mmap threshold, so RSS stays
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
@@ -140,12 +139,6 @@ def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, floa
     return nodes, w, half, np.abs(_jj_vec(1.0, nodes)), T
 
 
-def _in_blocks(fn, p: np.ndarray, n_nodes: int) -> np.ndarray:
-    """fn over blocks of p whose len x n_nodes temporaries stay within _BLOCK_BYTES, joined."""
-    step = max(1, _BLOCK_BYTES // (8 * n_nodes))
-    return np.concatenate([fn(p[lo:lo + step]) for lo in range(0, len(p), step)])
-
-
 def _panel_sum(g: np.ndarray, nodes: np.ndarray, w: np.ndarray, half: np.ndarray,
                p: np.ndarray) -> np.ndarray:
     """The Gauss-Legendre sum of g(t) t^(p-1) for each p, g given at the nodes."""
@@ -163,8 +156,8 @@ def F(params: IntegralParams):
 
     The work that depends only on s (|jj_1|^s at the panel nodes, the head
     series, the tail's Fourier-mode series) is done once per distinct s of
-    ``params``, and the head and panel sums for all p of that s in one array
-    operation; the tail is one call per (p, s).  Returns a float for scalar
+    ``params``, and the head, panel and tail sums for all p of that s as
+    array operations, one call each.  Returns a float for scalar
     params, else an array of their broadcast shape.
 
     s <= 64 takes the panel route, s > 64 the large-s route.  The large-s
@@ -191,8 +184,7 @@ def _F_panels(p: np.ndarray, s: float) -> np.ndarray:
     nodes, w, half, abs_jj, T = _middle_plan()
     head = _head_abs_pow(p, s)
     middle = _panel_sum(abs_jj**s, nodes, w, half, p)
-    tail = np.array([osc.tail_abs_pow(float(pk), s, T, tol=_TAIL_TOL) for pk in p])
-    return head + middle + tail
+    return head + middle + osc.tail_abs_pow(p, s, T, tol=_TAIL_TOL)
 
 
 def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
@@ -206,7 +198,7 @@ def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
     with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4) (Watson 13.74, as in
     ``_bessel_envelope``), so the tail is at most C^s T^(p-3s/2) / (3s/2-p);
     it is dropped where that is at most 1e-13 of the rest, and otherwise
-    taken from ``tail_abs_pow``, which needs s <= 141.
+    taken from one ``tail_abs_pow`` call for all such p, which needs s <= 141.
     """
     nodes, w, half, abs_jj, T = _middle_plan()
     later = nodes[:, 0] > _J11  # the panels beyond the first arch
@@ -230,7 +222,8 @@ def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
              "F(p={p}, s={s}) is out of reach: beyond the float range, or the tail is needed"
              " and s > 141", p, s)
     vals = np.exp(log_main)
-    vals[need_tail] += [osc.tail_abs_pow(float(pk), s, T, tol=_TAIL_TOL) for pk in p[need_tail]]
+    if need_tail.any():
+        vals[need_tail] += osc.tail_abs_pow(p[need_tail], s, T, tol=_TAIL_TOL)
     return vals
 
 

@@ -124,6 +124,21 @@ class TestNormalizers:
         assert 1.0 / beta == pytest.approx(1.0 / (1.0 - p), rel=1e-12)
         assert 1.0 / beta == pytest.approx(brute, rel=1e-6)
 
+    @pytest.mark.parametrize("p,d", [(0.3, 1), (0.5, 3), (0.999, 4), (1.0, 4), (1.5, 4),
+                                     (2.5, 6), (7.25, 10)])
+    def test_equal_to_scalar_gamma_formulas(self, p, d):
+        # one array gamma call gives the bits of the scalar calls it replaces
+        ns = normalizers(p, d)
+        assert ns.K == (2.0 ** (-p) * math.pi ** (-d / 2.0) * gamma((d - p) / 2.0)
+                        / gamma(p / 2.0))
+        assert ns.kappa == (2.0 ** (1.0 - p) * gamma((d - p) / 2.0)
+                            / (gamma(d / 2.0) * gamma(p / 2.0)))
+        if p < 1.0:
+            assert ns.beta == (math.sqrt(math.pi) * gamma((d - p) / 2.0)
+                               / (gamma((1.0 - p) / 2.0) * gamma(d / 2.0)))
+        else:
+            assert ns.beta is None
+
     def test_beta_d1(self):
         assert normalizers(0.5, 1).beta == pytest.approx(1.0, abs=1e-13)
 

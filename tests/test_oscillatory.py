@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 
@@ -209,6 +210,7 @@ class TestSeriesPow:
             assert np.array_equal(got[:, k], osc.series_pow(a, float(e), order))
 
 
+@functools.lru_cache(maxsize=None)
 def _abs_pow_setup_by_mode(s):
     """_abs_pow_setup one Fourier mode at a time, with scalar series powers."""
     pser, qser = osc.hankel_pq(1.0)
@@ -226,11 +228,84 @@ def _abs_pow_setup_by_mode(s):
 class TestAbsPowSetup:
     @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.5, 4.0, 11.3])
     def test_batched_equals_mode_by_mode(self, s):
-        got, ref = osc._abs_pow_setup(s), _abs_pow_setup_by_mode(s)
-        assert len(got) == len(ref) == (s / 2 + 1 if s in (2.0, 4.0) else 81)
-        for (m, cm, ser), (m_ref, cm_ref, ser_ref) in zip(got, ref):
+        ms, cms, sers = osc._abs_pow_setup(s)
+        ref = _abs_pow_setup_by_mode(s)
+        assert len(ms) == len(cms) == sers.shape[1] == len(ref)
+        assert len(ref) == (s / 2 + 1 if s in (2.0, 4.0) else 81)
+        assert sers.shape[0] == osc.ORDER + 1
+        for m, cm, ser, (m_ref, cm_ref, ser_ref) in zip(ms, cms, sers.T, ref):
             assert (m, cm) == (m_ref, cm_ref)
             assert np.array_equal(ser, ser_ref)
+
+
+def _tail_abs_pow_by_mode(p, s, T, tol=1e-12):
+    """tail_abs_pow one p and one Fourier mode at a time, with the scalar series tails."""
+    mu = p - 1.0 - 1.5 * s
+    pref = (8.0 / math.pi) ** (s / 2.0)
+    total = 0.0
+    for m, cm, ser in _abs_pow_setup_by_mode(s):
+        total += pref * cm * osc._series_tail(ser, mu, 2.0 * m, T).real
+        if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
+            break
+    return total
+
+
+# 15 s over both routes of F (s <= 64 and 64 < s <= 141), with even s where the
+# Fourier sum is finite, and 19 p from 0.01 to within 1e-4 of 3s/2
+S_GRID = [1.0, 1.05, 1.3, 1.37, 1.7, 2.0, 2.5, 8.0 / 3.0, 4.0, 11.3, 25.0, 64.0, 70.5, 100.0,
+          141.0]
+
+
+def _p_grid(s):
+    return np.linspace(0.01, 1.5 * s - 1e-4, 19)
+
+
+class TestTailAbsPowArray:
+    T = 47.90146088705  # about where F's panels end
+
+    @pytest.mark.parametrize("s", S_GRID)
+    def test_matches_per_p_reference(self, s):
+        ps = _p_grid(s)
+        got = osc.tail_abs_pow(ps, s, self.T, tol=1e-10)
+        ref = np.array([_tail_abs_pow_by_mode(float(p), s, self.T, tol=1e-10) for p in ps])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("s", [1.3, 2.0, 100.0])
+    def test_scalar_p_is_a_float_equal_to_its_array_element(self, s):
+        ps = _p_grid(s)
+        got = osc.tail_abs_pow(ps, s, self.T)
+        for k in (0, 7, 18):
+            one = osc.tail_abs_pow(float(ps[k]), s, self.T)
+            assert type(one) is float
+            assert one == got[k]
+
+    def test_blocks_do_not_change_values(self):
+        ps = np.linspace(0.01, 1.95, 301)  # several blocks of p at s = 1.3
+        got = osc.tail_abs_pow(ps, 1.3, self.T)
+        assert np.array_equal(got[250:], osc.tail_abs_pow(ps[250:], 1.3, self.T))
+
+    def test_divergent_element_is_named(self):
+        with pytest.raises(DomainError, match=r"p=3\.5 >= 3s/2=3"):
+            osc.tail_abs_pow(np.array([1.0, 3.5, 2.9, 4.0]), 2.0, self.T)
+        with pytest.raises(DomainError, match="s <= 141"):
+            osc.tail_abs_pow(np.array([1.0, 2.0]), 150.0, self.T)
+
+    def test_short_T_is_domain_error(self):
+        with pytest.raises(DomainError, match="T >= 20"):
+            osc.tail_abs_pow(1.0, 2.0, 10.0)
+
+    @pytest.mark.parametrize("s", [1.37, 8.0 / 3.0, 70.5, 141.0])
+    def test_F_routes_match_per_p_tails(self, s, monkeypatch):
+        # F's panel route (s <= 64) and large-s route with the per-p reference tail
+        from khinsphere.quad import F, IntegralParams
+        ps = _p_grid(s)
+        got = F(IntegralParams(ps, s))
+
+        def per_p(p, s, T, tol):
+            return np.array([_tail_abs_pow_by_mode(float(pk), s, T, tol) for pk in p])
+        monkeypatch.setattr(osc, "tail_abs_pow", per_p)
+        ref = F(IntegralParams(ps, s))
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 class TestTails:
