@@ -15,10 +15,13 @@ product_moment on seeded random queries; passed and min_margin of every
 verifier of ``khinsphere verify`` at its default parameters; the three
 tables; product_moment with n = 6..12 and one small weight, from a third
 seed; the certified bounds behind Tables 2 and 3 (table2_log_bound at
-TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); last, F at s in
+TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); then F at s in
 {64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}; then the root of q_star for
-d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}.  An input that
-raises prints the exception's class name.  Takes under a minute.
+d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}; last,
+product_moment at (d, p) = (4, 1) with weights (1, 2.5e-4), where the panels
+reach far out, and at (4, 2) with (1, 0.6, 0.3, 1e-8), near the panel budget.
+An input that raises prints the exception's class name.  Takes under a
+minute.
 """
 import pathlib
 import sys
@@ -146,6 +149,8 @@ def main() -> int:
         print(_line(f"q_star d={d}", lambda: phase.q_star(d).q_star))
     for x in (0.5, 10.0, 100.0, 141.0, 150.0, 171.0):
         print(_line(f"gamma {_args(x)}", lambda: gamma(x)))
+    print(_product_moment_line(4, 1.0, (1.0, 2.5e-4)))
+    print(_product_moment_line(4, 2.0, (1.0, 0.6, 0.3, 1e-8)))
     return 0
 
 

@@ -156,17 +156,17 @@ def _panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndar
     return mid + half * x[None, :], w[None, :], half
 
 
-def _panel_quad(f, edges: np.ndarray, order: int = 16):
+def _panel_quad(f, edges: np.ndarray, order: int = 16, block: int = _PANEL_BLOCK):
     """Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
 
-    The panels are evaluated in blocks of at most _PANEL_BLOCK, so memory
-    stays bounded however many there are, and the block sums are added up.
+    The panels are evaluated in blocks of at most ``block``, so memory stays
+    bounded however many there are, and the block sums are added up.
     Returns an unreduced numpy sum, so f may be real or complex valued.
     """
     n = len(edges) - 1
-    if n > _PANEL_BLOCK:
-        return sum(_panel_quad(f, edges[lo:lo + _PANEL_BLOCK + 1], order)
-                   for lo in range(0, n, _PANEL_BLOCK))
+    if n > block:
+        return sum(_panel_quad(f, edges[lo:lo + block + 1], order, block)
+                   for lo in range(0, n, block))
     nodes, w, half = _panel_rule(edges, order)
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return np.sum(vals * w * half)

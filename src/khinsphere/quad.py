@@ -15,9 +15,12 @@ s > 64 the same pieces are summed in logs, the first arch in the variable
 t sqrt(s).  No error estimate is returned.  G, U, H,
 G_tilde and H_tilde are closed forms (or differences with F) that take
 arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
-product formula, with at most 200,000 panels (ToleranceError beyond).  There
-the panels stop early, and the asymptotic tail is skipped, where an explicit
-Bessel-envelope bound puts everything beyond below 1e-13 of the result.
+product formula.  There the panels are sized by the integrand's bandwidth
+sum_k a_k (width 12/sum_k a_k, graded by 1.5 from t = 1 up to that width),
+all factors are evaluated in one call per block of panels, and there are at
+most 200,000 panels (ToleranceError beyond).  The panels stop early, and the
+asymptotic tail is skipped, where an explicit Bessel-envelope bound puts
+everything beyond below 1e-13 of the result.
 
 The one-sided bounds on F behind Tables 2-3 (``table2_log_bound``,
 ``table3_scaled_bound``) and interpolation~ follow the paper's hand
@@ -37,7 +40,8 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule, series_pow
+from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
+                          series_pow)
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -60,6 +64,8 @@ _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
+_PANEL_OMEGA_H = 12.0  # product_moment's panel width times the bandwidth sum_k a_k
+_PANEL_GROWTH = 1.5  # ratio of consecutive panel edges near t = 1 in product_moment
 _CUT_REL = 1e-13  # product_moment's dropped tail, relative to the Jensen floor |a|^(-p)
 _M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
 _M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
@@ -293,6 +299,14 @@ def product_moment(query: MomentQuery) -> float:
 
     The integral is a series head on [0, 1], Gauss panels up to T, and the
     sign-pattern tail beyond T = max(46, 25/a_min) (weights scaled to |a| = 1).
+    The panels are sized by the integrand's bandwidth: its frequencies are at
+    most sum_k a_k, so a panel of width 12/sum_k a_k spans at most 6 radians
+    of every factor on each side of its centre, well within what 24 nodes
+    resolve.  From t = 1 the panels grow by half their left end until they
+    reach that width, which keeps the branch point of t^(p-1) at 0 far from
+    each of them; beyond, they are even.  All n factors are evaluated in one
+    ``_jj_vec`` call per block of panels, with n x panels per block within
+    one block of ``_panel_quad``.
     When ``_envelope_cut`` finds a smaller T_env at which an explicit bound on
     everything beyond is at most 1e-13/kappa, the panels end at T_env and that
     rest is dropped.  By Jensen the result is at least |a|^(-p), so the
@@ -313,31 +327,41 @@ def product_moment(query: MomentQuery) -> float:
             " use the hypergeometric route (n=2) or Monte Carlo"
         )
     nu = d / 2.0 - 1.0
-    a_min, a_max = amps[-1], amps[0]
     kappa = normalizers(p, d).kappa
     a0 = 1.0
-    T_full = max(46.0, 25.0 / a_min)
+    T_full = max(46.0, 25.0 / amps[-1])
     T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
     cut = T_env < T_full
     T = max(T_env, a0) if cut else T_full
     head = _head_product(amps, nu, p, a0)
+    col = np.asarray(amps)[:, None]
 
     def integrand(t):
-        acc = t ** (p - 1.0)
-        for a in amps:
-            acc = acc * _jj_vec(nu, a * t)
-        return acc
+        return t ** (p - 1.0) * np.prod(_jj_vec(nu, col * t), axis=0)
 
-    width = min(2.0, math.pi / (2.0 * a_max))
-    n_panels = int(math.ceil((T - a0) / width))
-    if n_panels > _MAX_PANELS:
-        raise ToleranceError(f"panel budget exceeded: {n_panels} > {_MAX_PANELS}")
-    edges = np.linspace(a0, T, n_panels + 1)
-    middle = _panel_quad(integrand, edges, order=24)
+    edges = _moment_edges(a0, T, _PANEL_OMEGA_H / sum(amps))
+    middle = _panel_quad(integrand, edges, order=24, block=max(1, _PANEL_BLOCK // n))
     tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
     return float(kappa * (head + middle + tail) * norm ** (-p))
 
 
+def _moment_edges(a0: float, T: float, width: float) -> np.ndarray:
+    """product_moment's panel edges on [a0, T]: panels [t, 1.5 t] from a0 while
+    their width t/2 is below ``width``, then even panels of at most ``width``.
+    Raises ToleranceError beyond _MAX_PANELS panels."""
+    graded = [a0]
+    while graded[-1] < T and graded[-1] * (_PANEL_GROWTH - 1.0) < width:
+        graded.append(graded[-1] * _PANEL_GROWTH)
+    start = graded.pop()
+    if start >= T:
+        return np.asarray(graded + [T])
+    n_panels = len(graded) + math.ceil((T - start) / width)
+    if n_panels > _MAX_PANELS:
+        raise ToleranceError(f"panel budget exceeded: {n_panels} > {_MAX_PANELS}")
+    return np.concatenate([graded, np.linspace(start, T, n_panels - len(graded) + 1)])
+
+
+@lru_cache(maxsize=32)
 def _bessel_envelope(nu: float) -> tuple[float, float] | None:
     """(C, x0) with |jj_nu(x)| <= C x^(-nu-1/2) for every x >= x0; None for nu < 0.
 

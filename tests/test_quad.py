@@ -5,7 +5,7 @@ import pytest
 
 from khinsphere import oscillatory as osc
 from khinsphere.constants import C2, MomentQuery, normalizers
-from khinsphere.errors import DivergenceError, DomainError
+from khinsphere.errors import DivergenceError, DomainError, ToleranceError
 from khinsphere.oscillatory import _panel_quad
 from khinsphere.quad import (
     _CUT_REL,
@@ -14,6 +14,7 @@ from khinsphere.quad import (
     _bessel_envelope,
     _envelope_cut,
     _head_product,
+    _moment_edges,
     _table2_F_upper,
     _table3_F_upper,
     _tilde_F_upper,
@@ -286,6 +287,55 @@ def _cut_queries(count=10):
     return out
 
 
+def _small_weight_queries(count=24):
+    """Seeded queries with n = 2..6, d in {3, 4, 5, 8}, weights in [0.2, 1] and
+    one of them 1e-4..1e-1 times the largest.
+
+    Left out: p > (n-1)(d-1)/2 + 1/2.  There t^(p-1) times the n-1 large
+    factors decays slower than t^(-3/2) out to t ~ 1/a_min, so the panels and
+    the tail cancel pieces far larger than the result.  The two rules then
+    differ by the rounding noise of their nodes, up to 5e-8 (d = 8) and 5e-10
+    (d = 5), and for n = 2 both are further off the 2F1 value, through the
+    tail they share.
+    """
+    rng = np.random.default_rng(20241)
+    out = []
+    while len(out) < count:
+        d, n = int(rng.choice([3, 4, 5, 8])), int(rng.integers(2, 7))
+        w = rng.uniform(0.2, 1.0, n)
+        w[rng.integers(n)] = 10.0 ** rng.uniform(-4.0, -1.0) * w.max()
+        p = rng.uniform(0.05, 0.97) * (d - 1)
+        if p <= (n - 1) * (d - 1) / 2.0 + 0.5:
+            out.append(MomentQuery(d, -p, tuple(w)))
+    return out
+
+
+def _product_moment_quarter_period(query):
+    """product_moment with its earlier panel rule, the reference for the
+    bandwidth-sized one: even panels of a quarter period of the largest
+    weight, min(2, pi/(2 a_max)), from 1 to T, and one _jj_vec call per
+    factor.  The head, the envelope cut and the tail are product_moment's."""
+    d, p = query.d, -query.q
+    norm = query.norm
+    amps = sorted((abs(a) / norm for a in query.coeffs if abs(a) > 1e-12 * norm), reverse=True)
+    nu, kappa = d / 2.0 - 1.0, normalizers(p, d).kappa
+    T_full = max(46.0, 25.0 / amps[-1])
+    T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+    cut = T_env < T_full
+    T = max(T_env, 1.0) if cut else T_full
+
+    def integrand(t):
+        acc = t ** (p - 1.0)
+        for a in amps:
+            acc = acc * _jj_vec(nu, a * t)
+        return acc
+
+    n_panels = math.ceil((T - 1.0) / min(2.0, math.pi / (2.0 * amps[0])))
+    middle = _panel_quad(integrand, np.linspace(1.0, T, n_panels + 1), order=24)
+    tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
+    return float(kappa * (_head_product(amps, nu, p, 1.0) + middle + tail) * norm ** (-p))
+
+
 class TestProductMoment:
     def test_single_unit_vector(self):
         assert product_moment(MomentQuery(4, -1.0, (1.0,))) == 1.0
@@ -336,6 +386,7 @@ class TestProductMoment:
         pytest.param(3, (1.0, 0.3, 0.2, 0.2, 0.2, 1e-8), 1e-12, id="d3-tiny-weight"),
         pytest.param(4, (1.0, 0.4, 0.3, 0.2, 1e-8), 1e-12, id="d4-tiny-weight"),
         pytest.param(8, (1.0, 0.3, 0.3, 1e-8), 1e-12, id="d8-tiny-weight"),
+        pytest.param(4, (1.0, 0.6, 0.3, 1e-8), 1e-12, id="d4-budget"),
     ])
     def test_newton_harmonic_moment(self, d, coeffs, rel):
         # |x|^(2-d) is harmonic (Newton's theorem): the mean of |y + a_1 xi_1|^(2-d)
@@ -375,6 +426,28 @@ class TestProductMoment:
         uncut = _head_product(amps, nu, p, 1.0) + panels(1.0, T_asym) + tail
         val = product_moment(query) + kappa * dropped * norm ** (-p)
         assert val == pytest.approx(kappa * uncut * norm ** (-p), rel=1e-13)
+
+    @pytest.mark.parametrize("query", [
+        *[pytest.param(q, id=f"cut{i}-d{q.d}-n{len(q.coeffs)}") for i, q in enumerate(_cut_queries())],
+        *[pytest.param(q, id=f"small{i}-d{q.d}-n{len(q.coeffs)}")
+          for i, q in enumerate(_small_weight_queries())]])
+    def test_matches_quarter_period_rule(self, query):
+        expected = _product_moment_quarter_period(query)
+        assert product_moment(query) == pytest.approx(expected, rel=1e-12)
+
+    def test_panel_edges(self):
+        # graded by 1.5 from a0 while narrower than width, then even at <= width
+        edges = _moment_edges(1.0, 100.0, 6.0)
+        assert edges[0] == 1.0 and edges[-1] == 100.0
+        widths = np.diff(edges)
+        assert np.all(widths > 0) and np.all(widths <= 6.0 + 1e-12)
+        # 1.5^6 / 2 < 6 <= 1.5^7 / 2: seven graded panels end at 1.5^7
+        assert np.array_equal(edges[:8], 1.5 ** np.arange(8))
+        assert np.allclose(widths[7:], widths[-1])
+        assert list(_moment_edges(1.0, 2.0, 6.0)) == [1.0, 1.5, 2.0]
+        assert list(_moment_edges(1.0, 1.0, 6.0)) == [1.0]
+        with pytest.raises(ToleranceError):
+            _moment_edges(1.0, 1e7, 6.0)
 
 
 class TestEnvelope:
