@@ -19,7 +19,10 @@ TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); then F at s in
 {64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}; then the root of q_star for
 d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}; last,
 product_moment at (d, p) = (4, 1) with weights (1, 2.5e-4), where the panels
-reach far out, and at (4, 2) with (1, 0.6, 0.3, 1e-8), near the panel budget.
+reach far out, at (4, 2) with (1, 0.6, 0.3, 1e-8) and (3, 1) with
+(1, 0.5, 1e-5), near the panel budget, at (8, 6) with (1, 0.05, 0.05), a
+small weight where Newton's theorem gives 1, and at d = 8, p = 6.3121 with
+two weights of ratio 2.7e-3, just below the convergence edge p = 7.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -151,6 +154,9 @@ def main() -> int:
         print(_line(f"gamma {_args(x)}", lambda: gamma(x)))
     print(_product_moment_line(4, 1.0, (1.0, 2.5e-4)))
     print(_product_moment_line(4, 2.0, (1.0, 0.6, 0.3, 1e-8)))
+    print(_product_moment_line(8, 6.0, (1.0, 0.05, 0.05)))
+    print(_product_moment_line(3, 1.0, (1.0, 0.5, 1e-5)))
+    print(_product_moment_line(8, 6.312086216129032, (-0.007106736291156288, -2.6792541602425355)))
     return 0
 
 

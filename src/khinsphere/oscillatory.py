@@ -3,8 +3,10 @@
 The integrals here all have the shape  int_T^inf  A(t) t^mu e^(i omega t) dt
 with A a truncated power series in 1/t coming from the large-argument
 (Hankel) expansion of J_nu, J_nu(t) ~ sqrt(2/(pi t)) Re[W(t) e^(i chi)] with
-W = P + iQ (DLMF 10.17).  ``_series_tail`` sums such a series term by term.
-Two consumers:
+W = P + iQ (DLMF 10.17), integrated term by term.  The power integrals
+E(mu, omega, T) = int_T^inf t^mu e^(i omega t) dt are closed-form power tails
+at omega = 0, the integration-by-parts (IBP) expansion where |omega| T >= 40,
+and Gauss panels up to |omega| t = 40 in between.  Two consumers:
 
 * ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
   expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
@@ -13,15 +15,17 @@ Two consumers:
   the remainder fails when p is close to 3s/2.  Every p of one s is summed
   at once, as array operations over modes x powers of 1/t x p: closed-form
   power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
-  for every other mode, lane by lane with the scalar loop's arithmetic.
+  for every other mode (``_ibp_sums``), each series stopped at 1e-18
+  absolute, which suits F's absolute tail tolerance.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
   The 2^(n-1) pattern series are built together by doubling, which costs
-  n - 1 steps of two batched series products, then one scalar tail per
-  pattern (``_series_tail``): the pattern frequencies take every branch of
-  ``exp_power_tail``, and an array IBP was measured slower than the scalar
-  loop there.
+  n - 1 steps of two Toeplitz-matrix products, and all their power
+  integrals come from one array pass (``_exp_tails``): one block of IBP
+  terms for every pattern with |omega| T >= 40, each series stopped
+  relative to its own first term, and one panel grid for every
+  near-resonant pattern.
 
 Series are represented as float/complex arrays c with c[j] the coefficient
 of t^(-j), truncated at ORDER; further axes, where present, index a batch of
@@ -42,6 +46,12 @@ ORDER = 8  # highest power of 1/t kept in the asymptotic series
 _TAIL_S_MAX = 141.0  # largest s the |jj_1|^s tail kernel (abs_cos_fourier, tail_abs_pow) supports
 
 _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
+_IBP_REL = 1e-18  # tail_product's IBP series stop at a term below this fraction of their first
+_IBP_CAP = 200  # terms at most in one IBP series
+_IBP_K = np.arange(_IBP_CAP, dtype=float)
+_I_RE = np.array([0.0, -1.0, 0.0, 1.0])[np.arange(_IBP_CAP) % 4]  # Re i^(k+1), k = 0, 1, ...
+_I_IM = np.array([1.0, 0.0, -1.0, 0.0])[np.arange(_IBP_CAP) % 4]  # Im i^(k+1)
+_RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 _BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
 
@@ -117,28 +127,11 @@ def hankel_pq(nu: float, order: int = ORDER) -> tuple[np.ndarray, np.ndarray]:
 # E(mu, omega, T) = int_T^inf t^mu e^(i omega t) dt  (mu < -1 for omega = 0)
 # ----------------------------------------------------------------------------
 
-def power_tail(mu: float, T: float) -> float:
-    if mu >= -1.0:
+def power_tail(mu, T: float):
+    """E(mu, 0, T) = -T^(mu+1)/(mu+1) for a scalar or an array of mu < -1."""
+    if np.any(np.asarray(mu) >= -1.0):
         raise DomainError(f"power tail diverges for mu={mu} >= -1")
     return -(T ** (mu + 1.0)) / (mu + 1.0)
-
-
-def _exp_tail_ibp(mu: float, omega: float, T: float) -> complex:
-    """IBP expansion, reliable when |omega| T is large."""
-    phase = cmath.exp(1j * omega * T)
-    coef = 1j * T**mu / omega
-    total = 0j
-    prev = math.inf
-    for k in range(200):
-        total += coef
-        coef *= 1j * (mu - k) / omega / T
-        mag = abs(coef)
-        if mag < 1e-18 * max(1.0, abs(total)):
-            break
-        if mag > prev:  # asymptotic series turned; remainder ~ first omitted
-            break
-        prev = mag
-    return phase * total
 
 
 @lru_cache(maxsize=8)
@@ -172,45 +165,92 @@ def _panel_quad(f, edges: np.ndarray, order: int = 16, block: int = _PANEL_BLOCK
     return np.sum(vals * w * half)
 
 
-def _exp_tail_numeric(mu: float, omega: float, T: float) -> complex:
-    """Quadrature on [T, L] with omega L ~ large, then IBP beyond L."""
-    w = abs(omega)
-    L = _IBP_MIN_PHASE / w
-    edges = [T]
-    t = T
-    while t < L:
-        t = min(t * 1.30, t + math.pi / (2.0 * w), L)
-        edges.append(t)
-    main = _panel_quad(lambda x: x**mu * np.exp(1j * omega * x), np.asarray(edges), order=24)
-    return complex(main + _exp_tail_ibp(mu, omega, L))
+def _ibp_series(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, for a column of mu < 0 and a
+    row of |x| >= 40: the IBP expansion E(mu, omega, T) = e^(ix) T^mu/omega sum_k ...
+    at x = omega T.
+
+    A lane stops after the term k where the series turns (|mu-k| > |x|, k >= 1)
+    or where c_(k+1) falls below _IBP_REL of its first term, so tiny integrals
+    keep their digits; |c_k| decreases up to the turn.  All lanes run as one
+    cumulative-product block of 50 + 1.5 max|mu| terms (at most _IBP_CAP), in
+    which every lane with |x| >= 40 and 0 < -mu <= 160 was measured to stop.
+    """
+    size = min(_IBP_CAP, math.ceil(50.0 - 1.5 * mu.min()))
+    k = _IBP_K[:size, None, None]
+    c = np.empty((size, len(mu), len(x)))
+    c[0] = 1.0
+    np.cumprod((mu - k[:-1]) / x, axis=0, out=c[1:])
+    turn = np.maximum(np.floor(np.abs(x) + mu) + 1.0, 1.0)  # the first k >= 1 with k - mu > |x|
+    c *= (k <= turn) & (np.abs(c) >= _IBP_REL)
+    c = c.reshape(size, -1)
+    return (_I_RE[:size] @ c + 1j * (_I_IM[:size] @ c)).reshape(len(mu), len(x))
+
+
+def _near_resonant(mu0: float, w: np.ndarray, T: float, beyond: complex) -> np.ndarray:
+    """E(mu0 - j, w_k, T) for j = 0..ORDER (rows) and every 0 < w_k < 40/T (columns).
+
+    In u = w t, E(mu0, w, T) = T^mu0/w J(U), U = w T, J(U) = int_U^inf (u/U)^mu0 e^(iu) du.
+    One grid of 24-point panels on [min U, 40], growing as u -> min(1.3 u, u + pi/2, 40),
+    serves every lane: a lane adds its own first panel [U, next edge], the later panels
+    and ``beyond`` = int_40^inf (u/40)^mu0 e^(iu) du, each piece in units of its left
+    end's u^mu0 and rescaled to U^mu0 by a factor <= 1.  The downward recurrence
+    E(mu-1) = (-T^mu e^(iwT) - iw E(mu)) / mu, stable for w < |mu|, gives the rest.
+    """
+    U = w * T
+    u0, top = float(U.min()), math.pi / 0.6  # 1.3 u <= u + pi/2 up to u = top
+    geo = u0 * 1.3 ** np.arange(math.floor(math.log(top / u0, 1.3)) + 2 if u0 <= top else 1)
+    steps = np.arange(1.0, math.ceil((_IBP_MIN_PHASE - geo[-1]) / (math.pi / 2.0)))
+    edges = np.concatenate([geo, geo[-1] + steps * (math.pi / 2.0), [_IBP_MIN_PHASE]])
+    cell = np.searchsorted(edges, U, side="right") - 1  # edges[cell] <= U < edges[cell + 1]
+    left = np.concatenate([edges[:-1], U])  # the grid panels, then each lane's first
+    half = 0.5 * (np.concatenate([edges[1:], edges[cell + 1]]) - left)
+    x, gw = _leggauss(24)
+    nodes = (left + half)[:, None] + half[:, None] * x
+    pieces = ((nodes / left[:, None]) ** mu0 * np.exp(1j * nodes)) @ gw * half
+    grid = np.append(pieces[:len(edges) - 1], beyond)  # grid[i] in units of edges[i]^mu0
+    later = np.arange(len(edges)) > cell[:, None]
+    rest = np.where(later, edges / U[:, None], np.inf) ** mu0 @ grid  # inf^mu0 = 0
+    e0 = T**mu0 / w * (pieces[len(edges) - 1:] + rest)
+    # E_j = a_j E_(j-1) + b_j, j = 1..ORDER, as E_j = A_j (E_0 + sum_(i<=j) b_i/A_i), A_j = a_1..a_j
+    m = mu0 - np.arange(ORDER)[:, None]
+    a = np.cumprod(-1j * w / m, axis=0)
+    b = -(T**m) * np.exp(1j * U) / m
+    return np.concatenate([e0[None], a * (e0 + np.cumsum(b / a, axis=0))])
+
+
+def _exp_tails(mu0: float, omega: np.ndarray, T: float) -> np.ndarray:
+    """E(mu0 - j, omega_k, T) for j = 0..ORDER (rows) and every omega_k (columns).
+
+    By x = |omega| T: x >= 40 takes the IBP expansion, |omega| below 1e-13 the
+    power tail (which needs mu0 < -1), and 0 < x < 40 ``_near_resonant``.
+    One ``_ibp_series`` call serves every IBP lane, (mu0 - j, omega T) for
+    each j and IBP pattern, and _near_resonant's int_40^inf.
+    """
+    w = np.abs(omega)
+    mu = mu0 - np.arange(ORDER + 1.0)[:, None]
+    out = np.empty((ORDER + 1, len(w)), dtype=complex)
+    ibp = w * T >= _IBP_MIN_PHASE
+    near = ~ibp & (w >= _RESONANT)
+    if not (ibp | near).all():
+        out[:, ~(ibp | near)] = power_tail(mu, T)
+    oi = omega[ibp]
+    series = _ibp_series(mu, np.append(oi * T, _IBP_MIN_PHASE))
+    out[:, ibp] = np.exp(1j * oi * T) * T**mu / oi * series[:, :-1]
+    if near.any():
+        e = _near_resonant(mu0, w[near], T, cmath.exp(1j * _IBP_MIN_PHASE) * series[0, -1])
+        out[:, near] = np.where(omega[near] < 0.0, e.conj(), e)
+    return out
 
 
 def exp_power_tail(mu: float, omega: float, T: float) -> complex:
-    """int_T^inf t^mu e^(i omega t) dt; needs mu < -1 when omega ~ 0."""
-    if abs(omega) < 1e-13:
+    """int_T^inf t^mu e^(i omega t) dt for mu < 0, and mu < -1 when omega ~ 0: the
+    one-lane case of the kernel behind ``tail_product``."""
+    if abs(omega) < _RESONANT:
         return complex(power_tail(mu, T))
     if omega < 0:
         return exp_power_tail(mu, -omega, T).conjugate()
-    if omega * T >= _IBP_MIN_PHASE:
-        return _exp_tail_ibp(mu, omega, T)
-    return _exp_tail_numeric(mu, omega, T)
-
-
-def _series_tail(ser: np.ndarray, mu0: float, omega: float, T: float) -> complex:
-    """sum_j ser[j] int_T^inf t^(mu0-j) e^(i omega t) dt."""
-    if abs(omega) < 1e-13 or abs(omega) * T >= _IBP_MIN_PHASE:
-        return sum(ser[j] * exp_power_tail(mu0 - j, omega, T) for j in range(ORDER + 1))
-    # one numeric evaluation at the top exponent, then the downward
-    # recurrence E(mu-1) = (-T^mu e^(i omega T) - i omega E(mu)) / mu,
-    # which is stable when |omega| < |mu|
-    base = exp_power_tail(mu0, omega, T)
-    total = ser[0] * base
-    phase = cmath.exp(1j * omega * T)
-    for j in range(1, ORDER + 1):
-        mu_prev = mu0 - j + 1.0
-        base = (-(T**mu_prev) * phase - 1j * omega * base) / mu_prev
-        total += ser[j] * base
-    return total
+    return complex(_exp_tails(mu, np.array([omega]), T)[0, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -266,13 +306,15 @@ def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
 
 
 def _ibp_sums(mu: np.ndarray, omega: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of _exp_tail_ibp(mu, omega, T) / e^(i omega T), elementwise.
+    """Real and imaginary parts of the IBP expansion of E(mu, omega, T) / e^(i omega T),
+    elementwise, for F's tail.
 
     The k-th IBP term is i^(k+1) g_k with g_0 = T^mu / omega and
     g_(k+1) = g_k (mu-k)/omega/T, so each lane keeps one real number and adds
-    it to the real or the imaginary sum by k mod 4: the same floating-point
-    steps as the scalar loop, stopped by its rules (1e-18 of the running sum,
-    or the asymptotic series turning).  Finished lanes leave the arrays.
+    it to the real or the imaginary sum by k mod 4.  A lane stops where a
+    term falls below 1e-18 of max(1, |running sum|), an absolute floor that
+    suits F's absolute tail tolerance, or where the asymptotic series turns.
+    Finished lanes leave the arrays.
     """
     g = T**mu / omega
     re, im = np.zeros_like(g), np.zeros_like(g)
@@ -364,6 +406,15 @@ def _abs_pow_block(p: np.ndarray, s: float, T: float, tol: float, ms: np.ndarray
     return np.add.accumulate((pref * cms)[:, None] * per_mode)[-1]
 
 
+@lru_cache(maxsize=32)
+def _hankel_w(nu: float) -> tuple[np.ndarray, complex]:
+    """(W, C): the series W = P + iQ of J_nu's Hankel expansion and the constant
+    C with jj_nu(x) ~ Re[C W(x) x^(-nu-1/2) e^(ix)]."""
+    pser, qser = hankel_pq(nu)
+    norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+    return pser + 1j * qser, norm * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
+
+
 def tail_product(amps, nu: float, p: float, T: float) -> float:
     """int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt via sign-vector expansion.
 
@@ -372,27 +423,26 @@ def tail_product(amps, nu: float, p: float, T: float) -> float:
     The sign patterns are built by doubling: factor 0 enters with sign +, and
     factor k turns the P patterns so far into 2P, the first half multiplied
     by conj(C_k W_k) and the second by C_k W_k.  That is n - 1 steps of two
-    batched series products, then 2^(n-1) scalar tails.
+    products with W_k's Toeplitz matrix, then the power integrals of every
+    pattern from one ``_exp_tails`` call.
     """
-    amps = [float(a) for a in amps]
-    n = len(amps)
+    a = np.asarray(amps, dtype=float)
+    n = len(a)
     mu0 = p - 1.0 - n * (nu + 0.5)
     if mu0 >= -1.0:
         raise DomainError("tail_product: integral not absolutely convergent")
-    pser, qser = hankel_pq(nu)
-    norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
-    phase0 = cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
-    w0 = pser + 1j * qser
-    consts = [norm * a ** (-(nu + 0.5)) * phase0 for a in amps]
-    ws = [w0 * np.array([a ** (-j) for j in range(ORDER + 1)]) for a in amps]
+    w0, c0 = _hankel_w(float(nu))
+    consts = c0 * a ** (-(nu + 0.5))
+    j = np.arange(ORDER + 1)
+    ws = w0[:, None] * a ** -j[:, None]  # column k: factor k's W(a_k t)
+    # multiplying a series by W(a_k t) is a product with its lower-triangular Toeplitz matrix
+    toe = np.where((j[:, None] >= j)[..., None], ws[j[:, None] - j], 0.0)
 
-    amp, ser, omega = np.array(consts[:1]), ws[0][:, None], np.array(amps[:1])
-    for c, w, a in zip(consts[1:], ws[1:], amps[1:]):
-        amp = np.concatenate([amp * c.conjugate(), amp * c])
-        ser = np.concatenate([series_mul(ser, np.conj(w)), series_mul(ser, w)], axis=1)
-        omega = np.concatenate([omega - a, omega + a])
+    amp, ser, omega = consts[:1], ws[:, :1], a[:1]
+    for k in range(1, n):
+        amp = np.concatenate([amp * consts[k].conjugate(), amp * consts[k]])
+        ser = np.concatenate([toe[:, :, k].conj() @ ser, toe[:, :, k] @ ser], axis=1)
+        omega = np.concatenate([omega - a[k], omega + a[k]])
 
-    total = 0.0
-    for c, row, om in zip(amp.tolist(), ser.T, omega.tolist()):
-        total += (c * _series_tail(row, mu0, om, T)).real
-    return float(total * 2.0 ** (1 - n))
+    per_pattern = (ser * _exp_tails(mu0, omega, T)).sum(axis=0)
+    return float((per_pattern @ amp).real * 2.0 ** (1 - n))

@@ -16,9 +16,10 @@ t sqrt(s).  No error estimate is returned.  G, U, H,
 G_tilde and H_tilde are closed forms (or differences with F) that take
 arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
 product formula.  There the panels are sized by the integrand's bandwidth
-sum_k a_k (width 12/sum_k a_k, graded by 1.5 from t = 1 up to that width),
-all factors are evaluated in one call per block of panels, and there are at
-most 200,000 panels (ToleranceError beyond).  The panels stop early, and the
+sum_k a_k (width 32/sum_k a_k, where the 24-point Gauss-Legendre remainder
+is below 5.6e-18 of the half-width, graded by 1.5 from t = 1 up to that
+width), all factors are evaluated in one call per block of panels, and
+there are at most 200,000 panels (ToleranceError beyond).  The panels stop early, and the
 asymptotic tail is skipped, where an explicit Bessel-envelope bound puts
 everything beyond below 1e-13 of the result.
 
@@ -64,7 +65,10 @@ _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
-_PANEL_OMEGA_H = 12.0  # product_moment's panel width times the bandwidth sum_k a_k
+# product_moment's panel width times the bandwidth Omega = sum_k a_k.  The 24-point
+# Gauss-Legendre remainder on a panel of half-width h (DLMF 3.5(v)) is at most
+# 8.9e-76 (Omega h)^48 h for a factor e^(i Omega t); at Omega h = 16 that is 5.6e-18 h.
+_PANEL_OMEGA_H = 32.0
 _PANEL_GROWTH = 1.5  # ratio of consecutive panel edges near t = 1 in product_moment
 _CUT_REL = 1e-13  # product_moment's dropped tail, relative to the Jensen floor |a|^(-p)
 _M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
@@ -300,11 +304,13 @@ def product_moment(query: MomentQuery) -> float:
     The integral is a series head on [0, 1], Gauss panels up to T, and the
     sign-pattern tail beyond T = max(46, 25/a_min) (weights scaled to |a| = 1).
     The panels are sized by the integrand's bandwidth: its frequencies are at
-    most sum_k a_k, so a panel of width 12/sum_k a_k spans at most 6 radians
-    of every factor on each side of its centre, well within what 24 nodes
-    resolve.  From t = 1 the panels grow by half their left end until they
-    reach that width, which keeps the branch point of t^(p-1) at 0 far from
-    each of them; beyond, they are even.  All n factors are evaluated in one
+    most Omega = sum_k a_k, and a panel of width 32/Omega spans at most 16
+    radians of every factor on each side of its centre.  There the 24-point
+    Gauss-Legendre remainder (DLMF 3.5(v)) of a factor e^(i Omega t) is at
+    most 8.9e-76 (Omega h)^48 h = 5.6e-18 h, h the half-width.  From t = 1
+    the panels grow by half their left end until they reach that width,
+    which keeps the branch point of t^(p-1) at 0 far from each of them;
+    beyond, they are even.  All n factors are evaluated in one
     ``_jj_vec`` call per block of panels, with n x panels per block within
     one block of ``_panel_quad``.
     When ``_envelope_cut`` finds a smaller T_env at which an explicit bound on

@@ -23,7 +23,62 @@ def brute_exp_tail(mu, om, T):
         nodes = mid + half * x
         total += np.sum(nodes**mu * np.exp(1j * om * nodes) * w) * half
         L = nxt
-    return total + osc._exp_tail_ibp(mu, om, L)
+    return total + _ibp_ref(mu, om, L)
+
+
+def _ibp_ref(mu, om, T, relative=True):
+    """The IBP expansion of int_T^inf t^mu e^(i om t) dt, om T large, term by term.
+
+    It stops where the series turns, or at a term below 1e-18 of the first
+    term (relative) or of max(1, |running sum|) (absolute, F's rule).
+    """
+    coef = first = 1j * T**mu / om
+    total, prev = 0j, math.inf
+    for k in range(200):
+        total += coef
+        coef *= 1j * (mu - k) / om / T
+        mag = abs(coef)
+        if mag < 1e-18 * (abs(first) if relative else max(1.0, abs(total))) or mag > prev:
+            break
+        prev = mag
+    return cmath.exp(1j * om * T) * total
+
+
+def _exp_tail_ref(mu, om, T, relative=True):
+    """int_T^inf t^mu e^(i om t) dt for one (mu, om, T): the power tail at om ~ 0,
+    IBP at |om| T >= 40, else 24-point panels growing by min(1.3 t, t + pi/(2|om|))
+    up to L = 40/|om|, then IBP beyond L."""
+    if abs(om) < 1e-13:
+        return complex(-(T ** (mu + 1.0)) / (mu + 1.0))
+    if om < 0:
+        return _exp_tail_ref(mu, -om, T, relative).conjugate()
+    if om * T >= 40.0:
+        return _ibp_ref(mu, om, T, relative)
+    L = 40.0 / om
+    edges = [T]
+    while edges[-1] < L:
+        edges.append(min(edges[-1] * 1.3, edges[-1] + math.pi / (2.0 * om), L))
+    x, w = np.polynomial.legendre.leggauss(24)
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    nodes = (a + b) / 2 + (b - a) / 2 * x
+    main = np.sum(nodes**mu * np.exp(1j * om * nodes) * w * (b - a) / 2)
+    return complex(main) + _ibp_ref(mu, om, L, relative)
+
+
+def _series_tail_ref(ser, mu0, om, T, relative=True):
+    """sum_j ser[j] int_T^inf t^(mu0-j) e^(i om t) dt, one scalar tail per j, except
+    for 0 < |om| T < 40: there one tail at mu0 and the downward recurrence
+    E(mu-1) = (-T^mu e^(i om T) - i om E(mu)) / mu."""
+    if abs(om) < 1e-13 or abs(om) * T >= 40.0:
+        return sum(ser[j] * _exp_tail_ref(mu0 - j, om, T, relative) for j in range(len(ser)))
+    base = _exp_tail_ref(mu0, om, T, relative)
+    total = ser[0] * base
+    phase = cmath.exp(1j * om * T)
+    for j in range(1, len(ser)):
+        mu_prev = mu0 - j + 1.0
+        base = (-(T**mu_prev) * phase - 1j * om * base) / mu_prev
+        total += ser[j] * base
+    return total
 
 
 CASES = [(-2.0, 2.0, 46.0), (-1.5, 3.0, 46.0), (-4.0, 0.05, 46.0), (-2.2, 0.004, 50.0),
@@ -50,6 +105,31 @@ class TestExpPowerTail:
     def test_negative_frequency_conjugate(self):
         e = osc.exp_power_tail(-2.0, 1.3, 30.0)
         assert osc.exp_power_tail(-2.0, -1.3, 30.0) == pytest.approx(e.conjugate(), abs=1e-16)
+
+    @pytest.mark.parametrize("mu,om,T", [(-9.000272328201687, 0.4163, 69.61968716408978),
+                                         (-20.0, 2.0, 47.9)])
+    def test_tiny_tails_against_mpmath(self, mu, om, T):
+        # integrals of size 6e-17 (the panels, then IBP beyond u = 40) and 1.2e-34 (IBP),
+        # at +-om: they need the IBP stop relative to the first term; one at 1e-18
+        # absolute is 1.3e-2 and 0.21 off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = complex(mpmath.quadosc(lambda x: x**mu * mpmath.expj(om * x), [T, mpmath.inf],
+                                         omega=om))
+        assert abs(osc.exp_power_tail(mu, om, T) - ref) <= 1e-9 * abs(ref)
+        assert abs(osc.exp_power_tail(mu, -om, T) - ref.conjugate()) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("mu", -np.geomspace(0.01, 160.0, 60))
+    def test_ibp_block_holds_every_series(self, mu):
+        # the terms each IBP series takes under the scalar rules (stop after term k when
+        # |c_(k+1)| < 1e-18 or, for k >= 1, |c_(k+1)| > |c_k|) fit in _ibp_series's block
+        # of 50 + 1.5|mu| terms, over x >= 40
+        x = np.concatenate([np.linspace(40.0, 400.0, 721), np.geomspace(400.0, 1e7, 50)])
+        c = np.cumprod((mu - np.arange(osc._IBP_CAP)[:, None]) / x, axis=0)  # row k: c_(k+1)
+        stop = np.abs(c) < 1e-18
+        stop[1:] |= np.abs(c[1:]) > np.abs(c[:-1])
+        assert stop.any(axis=0).all()
+        assert np.argmax(stop, axis=0).max() < math.ceil(50.0 - 1.5 * mu)
 
 
 class TestHankel:
@@ -126,7 +206,8 @@ def _quad_between(p, s, T1, T2):
 
 
 def _tail_product_by_sign(amps, nu, p, T):
-    """The sign-vector expansion one pattern at a time, with 1-d series products."""
+    """The sign-vector expansion one pattern at a time, with 1-d series products
+    and one scalar series tail (``_series_tail_ref``, relative IBP stop) a pattern."""
     n = len(amps)
     mu0 = p - 1.0 - n * (nu + 0.5)
     pser, qser = osc.hankel_pq(nu)
@@ -141,7 +222,7 @@ def _tail_product_by_sign(amps, nu, p, T):
             amp *= c if sign > 0 else c.conjugate()
             ser = osc.series_mul(ser, w if sign > 0 else np.conj(w))
             omega += sign * a
-        total += (amp * osc._series_tail(ser, mu0, omega, T)).real
+        total += (amp * _series_tail_ref(ser, mu0, omega, T)).real
     return total * 2.0 ** (1 - n)
 
 
@@ -244,7 +325,7 @@ def _tail_abs_pow_by_mode(p, s, T, tol=1e-12):
     pref = (8.0 / math.pi) ** (s / 2.0)
     total = 0.0
     for m, cm, ser in _abs_pow_setup_by_mode(s):
-        total += pref * cm * osc._series_tail(ser, mu, 2.0 * m, T).real
+        total += pref * cm * _series_tail_ref(ser, mu, 2.0 * m, T, relative=False).real
         if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
             break
     return total
@@ -370,6 +451,23 @@ class TestTails:
         amps, p, T, _ = _tail_product_case(n, nu)
         ref = _tail_product_by_sign(amps, nu, p, T)
         assert osc.tail_product(amps, nu, p, T) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_product_all_branches_in_one_call(self, nu, p):
+        # dyadic weights, so that one call meets every branch: the pattern
+        # 1 + 2^-10 - 1 - 1/2 + (1/2 - 2^-10) is exactly 0 (the power tail), flipping the
+        # last two signs gives 2^-9 (near resonance, |omega| T = 0.09), and the other six
+        # patterns have |omega| T >= 40 (IBP)
+        amps, T = [1.0 + 2.0**-10, 1.0, 0.5, 0.5 - 2.0**-10], 46.0
+        omega = np.array([amps[0]])
+        for a in amps[1:]:
+            omega = np.concatenate([omega - a, omega + a])
+        x = np.abs(omega) * T
+        assert np.sum(omega == 0.0) == 1 and np.sum((0.0 < x) & (x < 40.0)) == 1
+        assert np.sum(x >= 40.0) == 6
+        ref = _tail_product_by_sign(amps, nu, p, T)
+        assert osc.tail_product(amps, nu, p, T) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("n", [3, 5, 8])

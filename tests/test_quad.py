@@ -29,6 +29,7 @@ from khinsphere.quad import (
     table2_log_bound,
     table3_scaled_bound,
 )
+from khinsphere.sample import _two_coeff_moment
 from khinsphere.specfun import _jj_vec, gamma, hyp2f1
 
 IP = IntegralParams
@@ -377,22 +378,30 @@ class TestProductMoment:
         pytest.param(4, (1.0, 0.5, 0.5), 1e-12, id="d4"),
         pytest.param(5, (1.0, 0.6, 0.3), 1e-12, id="d5"),
         pytest.param(6, (1.0, 0.5, 0.3, 0.2), 1e-12, id="d6"),
-        pytest.param(8, (1.0, 0.5, 0.4), 1e-9, id="d8"),
-        pytest.param(8, (1.0, 0.2, 0.2, 0.2), 1e-9, id="d8-four"),
-        pytest.param(8, (1.0, 0.05, 0.05), 1e-9, id="d8-small-weight", marks=pytest.mark.xfail(
-            strict=True, reason="product_moment-small-weight (ROADMAP item 5): relative error 1.7e-7")),
+        pytest.param(8, (1.0, 0.5, 0.4), 1e-12, id="d8"),
+        pytest.param(8, (1.0, 0.2, 0.2, 0.2), 1e-12, id="d8-four"),
+        pytest.param(8, (1.0, 0.05, 0.05), 1e-9, id="d8-small-weight"),
         *[pytest.param(d, (1.0,) + (0.99 / (n - 1),) * (n - 1), 1e-12, id=f"d{d}-n{n}")
           for n in (12, 20, 32) for d in (3, 4, 8)],
         pytest.param(3, (1.0, 0.3, 0.2, 0.2, 0.2, 1e-8), 1e-12, id="d3-tiny-weight"),
         pytest.param(4, (1.0, 0.4, 0.3, 0.2, 1e-8), 1e-12, id="d4-tiny-weight"),
         pytest.param(8, (1.0, 0.3, 0.3, 1e-8), 1e-12, id="d8-tiny-weight"),
         pytest.param(4, (1.0, 0.6, 0.3, 1e-8), 1e-12, id="d4-budget"),
+        pytest.param(3, (1.0, 0.5, 1e-5), 1e-12, id="d3-budget"),
     ])
     def test_newton_harmonic_moment(self, d, coeffs, rel):
         # |x|^(2-d) is harmonic (Newton's theorem): the mean of |y + a_1 xi_1|^(2-d)
         # over xi_1 is max(|y|, a_1)^(2-d), and |y| <= a_2 + ... + a_n <= a_1
         val = product_moment(MomentQuery(d, 2.0 - d, coeffs))
         assert val == pytest.approx(coeffs[0] ** (2.0 - d), rel=rel)
+
+    def test_two_coeff_near_convergence_edge(self):
+        # d = 8, n = 2, p just below n(d-1)/2 = 7, weight ratio 2.7e-3: the sign-pattern
+        # tail's per-pattern integrals are tiny, and an IBP stop at 1e-18 absolute
+        # leaves it 1.07e-3 off the 2F1 value
+        d, p, a, b = 8, 6.312086216129032, -0.007106736291156288, -2.6792541602425355
+        val = product_moment(MomentQuery(d, -p, (a, b)))
+        assert val == pytest.approx(float(_two_coeff_moment(d, -p, a, b)), rel=1e-8)
 
     def test_d3_two_coeff_matches_hypergeometric(self):
         # nu = 1/2 factors
