@@ -22,7 +22,8 @@ product_moment at (d, p) = (4, 1) with weights (1, 2.5e-4), where the panels
 reach far out, at (4, 2) with (1, 0.6, 0.3, 1e-8) and (3, 1) with
 (1, 0.5, 1e-5), near the panel budget, at (8, 6) with (1, 0.05, 0.05), a
 small weight where Newton's theorem gives 1, and at d = 8, p = 6.3121 with
-two weights of ratio 2.7e-3, just below the convergence edge p = 7.
+two weights of ratio 2.7e-3, just below the convergence edge p = 7; then F
+at the points that tests/test_quad.py checks against mpmath.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -78,10 +79,16 @@ def f_points():
 
 
 def large_s_points():
-    """F where s > 64 and p is large: the large-s route's cut-off matters there."""
+    """F where s > 64 and p is large: the log-space panel sums keep these in range, and
+    the tail bound decides whether the tail is added."""
     for s in (64.5, 70.0, 200.0):
         for p in (60.0, 90.0, 0.97 * 1.5 * s):
             yield p, s
+
+
+def mpmath_points():
+    """F where tests/test_quad.py checks it against mpmath: moderate s, then small p."""
+    yield from ((16.0, 64.0), (10.0, 40.0), (1e-3, 4.0), (0.05, 1.3), (0.5, 6.1))
 
 
 def tail_product_queries(rng, count, n_lo, n_hi):
@@ -157,6 +164,8 @@ def main() -> int:
     print(_product_moment_line(8, 6.0, (1.0, 0.05, 0.05)))
     print(_product_moment_line(3, 1.0, (1.0, 0.5, 1e-5)))
     print(_product_moment_line(8, 6.312086216129032, (-0.007106736291156288, -2.6792541602425355)))
+    for p, s in mpmath_points():
+        print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
     return 0
 
 

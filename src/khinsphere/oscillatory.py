@@ -109,13 +109,13 @@ def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def hankel_pq(nu: float, order: int = ORDER) -> tuple[np.ndarray, np.ndarray]:
+def hankel_pq(nu: float) -> tuple[np.ndarray, np.ndarray]:
     a = [1.0]
-    for m in range(1, order + 1):
+    for m in range(1, ORDER + 1):
         a.append(a[-1] * (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m))
-    p = np.zeros(order + 1)
-    q = np.zeros(order + 1)
-    for m in range(order + 1):
+    p = np.zeros(ORDER + 1)
+    q = np.zeros(ORDER + 1)
+    for m in range(ORDER + 1):
         if m % 2 == 0:
             p[m] = (-1.0) ** (m // 2) * a[m]
         else:
@@ -288,8 +288,7 @@ def _abs_pow_setup(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The series of all modes are built together: one batched power of W and
     one batched product.
     """
-    pser, qser = hankel_pq(1.0)
-    w = pser + 1j * qser
+    w = _hankel_w(1.0)[0]
     cms = abs_cos_fourier(s, 80)
     zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
     m = np.arange(zero[0] if len(zero) else len(cms))

@@ -1,27 +1,25 @@
 """The section-3 integral functionals and the product-Bessel moment integral.
 
-F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt is evaluated in three pieces:
-a power-series head on [0,1] (handles the t^(p-1) singularity exactly),
-Gauss-Legendre panels between consecutive zeros of J_1 with grading toward
-the zeros (|jj_1|^s has limited smoothness there for non-even s), and the
-asymptotic Watson-expansion tail from ``oscillatory``.  The split point and
-the tail tolerance are fixed: the panels end at the first zero of J_1 at or
-beyond t = 46 and the tail is summed to 1e-10 absolute.  The panel nodes,
-their weights and |jj_1| there depend on neither p nor s and are built once,
-on first use.  Per distinct s, F then builds a plan (|jj_1|^s at the nodes,
-the head series, the tail's Fourier-mode series) and evaluates the head,
-the panels and the tail for every p of that s as array operations.  For
-s > 64 the same pieces are summed in logs, the first arch in the variable
-t sqrt(s).  No error estimate is returned.  G, U, H,
-G_tilde and H_tilde are closed forms (or differences with F) that take
-arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p) through the
-product formula.  There the panels are sized by the integrand's bandwidth
-sum_k a_k (width 32/sum_k a_k, where the 24-point Gauss-Legendre remainder
-is below 5.6e-18 of the half-width, graded by 1.5 from t = 1 up to that
-width), all factors are evaluated in one call per block of panels, and
-there are at most 200,000 panels (ToleranceError beyond).  The panels stop early, and the
-asymptotic tail is skipped, where an explicit Bessel-envelope bound puts
-everything beyond below 1e-13 of the result.
+F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt takes one route for every s: on
+jj_1's first arch, in u = t sqrt(s), a power-series head on u <= 1/2 (it
+handles the t^(p-1) singularity exactly) and Gauss-Legendre panels graded
+toward the zero j_1,1 sqrt(s); fixed panels graded toward the zeros of J_1
+up to T ~ 47, built once; all panels summed in logs; and beyond T the
+asymptotic Watson-expansion tail from ``oscillatory``, summed to 1e-10
+absolute and dropped where Watson's envelope bounds it below 1e-13 of F.
+Where the tail is needed and s > 141, F raises DomainError.  Per distinct
+s, F sums every p of that s as array operations.  No error estimate is
+returned.
+
+G, U, H, G_tilde and H_tilde are closed forms (or differences with F) that
+take arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p)
+through the product formula.  There the panels are sized by the integrand's
+bandwidth sum_k a_k (width 32/sum_k a_k, where the 24-point Gauss-Legendre
+remainder is below 5.6e-18 of the half-width, graded by 1.5 from t = 1 up
+to that width), all factors are evaluated in one call per block of panels,
+and there are at most 200,000 panels (ToleranceError beyond).  The panels
+stop early, and the asymptotic tail is skipped, where an explicit
+Bessel-envelope bound puts everything beyond below 1e-13 of the result.
 
 The one-sided bounds on F behind Tables 2-3 (``table2_log_bound``,
 ``table3_scaled_bound``) and interpolation~ follow the paper's hand
@@ -58,9 +56,12 @@ __all__ = [
     "table3_scaled_bound",
 ]
 
-_LARGE_S = 64.0  # above this, F takes the large-s route
 _J11 = 3.831705970207512  # the first zero of J_1: the end of jj_1's first arch
-_REL_CUT = 1e-13  # the large-s route drops a tail below this fraction of F
+_HEAD_U = 0.5  # F's series head covers u = t sqrt(s) <= this
+_HEAD_TERMS = 12  # terms of F's head series in u^2: at u = 1/2 the 13th is below 1e-25
+_GRADE_LEVELS = 10  # F's panels next to a zero of J_1 shrink this many times toward it,
+_GRADE_RATIO = 0.25  # by this ratio each time
+_REL_CUT = 1e-13  # F drops a tail below this fraction of F
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
 _TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
@@ -71,6 +72,7 @@ _MAX_PANELS = 200_000  # product_moment's panel budget
 _PANEL_OMEGA_H = 32.0
 _PANEL_GROWTH = 1.5  # ratio of consecutive panel edges near t = 1 in product_moment
 _CUT_REL = 1e-13  # product_moment's dropped tail, relative to the Jensen floor |a|^(-p)
+_HEAD_PRODUCT_TERMS = 48  # terms of product_moment's head series in t^2
 _M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
 _M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
 
@@ -110,15 +112,12 @@ def _require(ok, error: type, message: str, p, s) -> None:
 # panel machinery
 # ----------------------------------------------------------------------------
 
-def _graded_edges(a: float, b: float, levels: int = 10, ratio: float = 0.25) -> np.ndarray:
-    fracs = [0.0] + [ratio**k for k in range(levels, 0, -1)] + [0.5]
+def _graded_edges(a: float, b: float) -> np.ndarray:
+    """Edges on [a, b] graded toward both ends: _GRADE_RATIO^k of the width from
+    each end, k = _GRADE_LEVELS..1, and the midpoint."""
+    fracs = [0.0] + [_GRADE_RATIO**k for k in range(_GRADE_LEVELS, 0, -1)] + [0.5]
     fracs += [1.0 - f for f in reversed(fracs[:-1])]
     return a + (b - a) * np.asarray(fracs)
-
-
-@lru_cache(maxsize=512)
-def _abs_pow_head_coeffs(s: float, n_terms: int) -> np.ndarray:
-    return series_pow(np.asarray(_jj_series_coeffs(1.0, n_terms)), s, n_terms - 1)
 
 
 def _series_head(b: np.ndarray, p, a0: float):
@@ -127,55 +126,77 @@ def _series_head(b: np.ndarray, p, a0: float):
     return np.sum(b * a0**e / e, axis=-1)
 
 
-def _head_abs_pow(p, s: float, a0: float = 1.0, n_terms: int = 56):
-    """int_0^a0 jj_1(t)^s t^(p-1) dt by termwise integration (jj_1 > 0 there)."""
-    return _series_head(_abs_pow_head_coeffs(s, n_terms), p, a0)
+@lru_cache(maxsize=512)
+def _arch_head_coeffs(s: float) -> np.ndarray:
+    """The series of jj_1(u/sqrt(s))^s in u^2."""
+    c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS)) / s ** np.arange(_HEAD_TERMS)
+    return series_pow(c, s, _HEAD_TERMS - 1)
+
+
+def _arch_head(p, s: float):
+    """int_0^(1/2) jj_1(u/sqrt(s))^s u^(p-1) du, F's head in u = t sqrt(s), integrated
+    term by term; p may be an array."""
+    return _series_head(_arch_head_coeffs(s), p, _HEAD_U)
 
 
 @lru_cache(maxsize=1)
-def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """F's panel rule on [1, T], which neither p nor s changes: nodes, weights,
-    half-widths and |jj_1| at the nodes, one row a panel, and T.
+def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """F's panels on [j_1,1, T], which neither p nor s changes: log t, log|jj_1| and
+    log(w half) at the nodes, flat, and T.
 
-    The panels are graded toward each zero of J_1 in (1, T), and T is the
+    The panels are graded toward each zero of J_1 in [j_1,1, T], and T is the
     first zero at or beyond _TAIL_START.
     """
     zs = jnu_zeros(1.0, _TAIL_START + 4.5)
     T = float(zs[zs >= _TAIL_START][0])
-    pts = np.concatenate([[1.0], zs[(zs > 1.0) & (zs < T)], [T]])
+    pts = zs[zs <= T]
     edges = np.concatenate([_graded_edges(lo, hi)[:-1] for lo, hi in zip(pts[:-1], pts[1:])]
                            + [[T]])
     nodes, w, half = _panel_rule(edges)
-    return nodes, w, half, np.abs(_jj_vec(1.0, nodes)), T
+    return (np.log(nodes).ravel(), np.log(np.abs(_jj_vec(1.0, nodes))).ravel(),
+            np.log(w * half).ravel(), T)
 
 
-def _panel_sum(g: np.ndarray, nodes: np.ndarray, w: np.ndarray, half: np.ndarray,
-               p: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre sum of g(t) t^(p-1) for each p, g given at the nodes."""
-    def block(pb):
-        vals = nodes ** (pb[:, None, None] - 1.0)
-        vals *= g
-        vals *= w
-        vals *= half
-        return np.sum(vals.reshape(len(pb), -1), axis=-1)
-    return _in_blocks(block, p, nodes.size)
+def _arch_panels(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """F's panels on jj_1's first arch beyond the head, u in [1/2, u1], u1 = j_1,1 sqrt(s):
+    log t and s log jj_1 + log(w half) at the nodes, flat, in t = u/sqrt(s).
+
+    The panels are about 1/2 wide in u.  The last is graded toward u1, where
+    jj_1^s ~ (j_1,1 - t)^s: it is split at u1 - L _GRADE_RATIO^k,
+    k = 1.._GRADE_LEVELS, L its width.
+    """
+    u1 = _J11 * math.sqrt(s)
+    edges = np.linspace(_HEAD_U, u1, math.ceil(2.0 * (u1 - _HEAD_U)) + 1)
+    grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
+    un, uw, uh = _panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24)
+    log_root_s = 0.5 * math.log(s)
+    log_g = s * np.log(_jj_vec(1.0, un / math.sqrt(s))) + (np.log(uw * uh) - log_root_s)
+    return (np.log(un) - log_root_s).ravel(), log_g.ravel()
 
 
 def F(params: IntegralParams):
     """F(p, s) = int_0^inf |jj_1(t)|^s t^(p-1) dt, finite for p < 3s/2.
 
-    The work that depends only on s (|jj_1|^s at the panel nodes, the head
-    series, the tail's Fourier-mode series) is done once per distinct s of
-    ``params``, and the head, panel and tail sums for all p of that s as
-    array operations, one call each.  Returns a float for scalar
-    params, else an array of their broadcast shape.
+    One route for every s.  On jj_1's first arch, t <= j_1,1, the variable
+    is u = t sqrt(s), where jj_1(u/sqrt(s))^s ~ e^(-u^2/8): a series head on
+    u <= 1/2, then Gauss panels about 1/2 wide, the last graded toward the
+    zero u = j_1,1 sqrt(s).  On [j_1,1, T] come fixed panels graded toward
+    each zero of J_1, T ~ 47.  All panels are summed in logs, scaled by their
+    largest term, so large p neither overflows nor underflows.  Beyond T,
+    |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4) (Watson
+    13.74, as in ``_bessel_envelope``), so the tail is at most
+    C^s T^(p-3s/2) / (3s/2-p).  It is dropped where that is at most 1e-13 of
+    the rest, and otherwise taken from one ``tail_abs_pow`` call for all
+    such p of one s.
 
-    s <= 64 takes the panel route, s > 64 the large-s route.  The large-s
-    route raises DomainError where F exceeds the float range, and where
-    s > 141 and its bound on the tail beyond T ~ 47 is above 1e-13 of F:
-    the tail's Fourier coefficients overflow there.  That is a band just
-    below p = 3s/2: 3s/2 - p below about 8 at s = 150, 5 at s = 500 and 0.3
-    at s = 1000.  F is never inf or nan.
+    The work that depends only on s is done once per distinct s of
+    ``params``, and the sums for all p of that s as array operations.
+    Returns a float for scalar params, else an array of their broadcast shape.
+
+    F raises DomainError where it exceeds the float range, and where s > 141
+    and the tail is needed: the tail's Fourier coefficients overflow there.
+    That is a band just below p = 3s/2: 3s/2 - p below about 8 at s = 150,
+    5 at s = 500 and 0.3 at s = 1000.  F is never inf or nan.
     """
     p, s = np.broadcast_arrays(params.p, params.s)
     _require(p < 1.5 * s, DivergenceError, "F diverges for p={p} >= 3s/2={s}", p, 1.5 * s)
@@ -183,47 +204,19 @@ def F(params: IntegralParams):
     out = np.empty(pf.shape)
     for s_val in sorted(set(sf.tolist())):  # not np.unique, which imports numpy.ma
         at = sf == s_val
-        route = _F_panels if s_val <= _LARGE_S else _F_large_s
-        out[at] = route(pf[at], float(s_val))
+        out[at] = _F_at_s(pf[at], float(s_val))
     return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
 
 
-def _F_panels(p: np.ndarray, s: float) -> np.ndarray:
-    """F at one s for every p of a 1-d array: the series head on [0, 1], the
-    panels on [1, T] and the tail beyond T."""
-    nodes, w, half, abs_jj, T = _middle_plan()
-    head = _head_abs_pow(p, s)
-    middle = _panel_sum(abs_jj**s, nodes, w, half, p)
-    return head + middle + osc.tail_abs_pow(p, s, T, tol=_TAIL_TOL)
-
-
-def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
-    """F at one s > 64 for every p of a 1-d array, summed in logs.
-
-    On jj_1's first arch, t <= j_1,1, the variable is u = t sqrt(s), where
-    jj_1(u/sqrt(s))^s ~ e^(-u^2/8): a series head on u <= 1/2, then Gauss
-    panels of width about 1/2.  On [j_1,1, T] come the panel route's panels.
-    Each piece is scaled by its largest term before it is summed, so large p
-    neither overflows nor underflows.  Beyond T, |jj_1(t)| <= C t^(-3/2)
-    with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4) (Watson 13.74, as in
-    ``_bessel_envelope``), so the tail is at most C^s T^(p-3s/2) / (3s/2-p);
-    it is dropped where that is at most 1e-13 of the rest, and otherwise
-    taken from one ``tail_abs_pow`` call for all such p, which needs s <= 141.
-    """
-    nodes, w, half, abs_jj, T = _middle_plan()
-    later = nodes[:, 0] > _J11  # the panels beyond the first arch
-    log_rest = _log_panel_sum(s * np.log(abs_jj[later]), nodes[later], w, half[later], p)
-
-    n_terms = 30
-    # jj_1(u/sqrt(s))^s as a series in u^2
-    c = np.asarray(_jj_series_coeffs(1.0, n_terms)) / s ** np.arange(n_terms)
-    u0, u1 = 0.5, _J11 * math.sqrt(s)
-    un, uw, uh = _panel_rule(np.linspace(u0, u1, math.ceil(2.0 * (u1 - u0)) + 1), order=24)
-    head = _series_head(series_pow(c, s, n_terms - 1), p, u0)  # 0 where it underflows
+def _F_at_s(p: np.ndarray, s: float) -> np.ndarray:
+    """F at one s for every p of a 1-d array: the head, all panels in one log sum, the tail."""
+    log_t_mid, log_jj_mid, log_wh_mid, T = _middle_plan()
+    log_t_arch, log_g_arch = _arch_panels(s)
+    log_panels = _log_panel_sum(np.concatenate([log_g_arch, s * log_jj_mid + log_wh_mid]),
+                                np.concatenate([log_t_arch, log_t_mid]), p)
+    head = _arch_head(p, s)  # 0 where it underflows
     log_head = np.log(head, out=np.full(len(p), -np.inf), where=head > 0.0)
-    log_arch = np.logaddexp(log_head, _log_panel_sum(s * np.log(_jj_vec(1.0, un / math.sqrt(s))),
-                                                     un, uw, uh, p))
-    log_main = np.logaddexp(log_arch - 0.5 * p * math.log(s), log_rest)
+    log_main = np.logaddexp(log_head - 0.5 * p * math.log(s), log_panels)
 
     c_env = math.sqrt(8.0 / math.pi) * (T * T / (T * T - 1.0)) ** 0.25
     log_tail_bound = s * math.log(c_env) + (p - 1.5 * s) * math.log(T) - np.log(1.5 * s - p)
@@ -231,21 +224,22 @@ def _F_large_s(p: np.ndarray, s: float) -> np.ndarray:
     _require((log_main < _LOG_FLOAT_MAX) & ~(need_tail & (s > _TAIL_S_MAX)), DomainError,
              "F(p={p}, s={s}) is out of reach: beyond the float range, or the tail is needed"
              " and s > 141", p, s)
-    vals = np.exp(log_main)
+    # the head is added outside the logs: a round trip through them costs |log F| ulps
+    vals = head * s ** (-0.5 * p) + np.exp(log_panels)
     if need_tail.any():
         vals[need_tail] += osc.tail_abs_pow(p[need_tail], s, T, tol=_TAIL_TOL)
     return vals
 
 
-def _log_panel_sum(log_g: np.ndarray, nodes: np.ndarray, w: np.ndarray, half: np.ndarray,
-                   p: np.ndarray) -> np.ndarray:
-    """log of the Gauss-Legendre sum of e^log_g t^(p-1) for each p, scaled by its largest term."""
+def _log_panel_sum(log_g: np.ndarray, log_t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """log sum_i e^(log_g[i] + (p-1) log_t[i]) for each p, each sum scaled by its largest term."""
     def block(pb):
-        log_f = log_g + (pb[:, None, None] - 1.0) * np.log(nodes)
-        scale = np.max(log_f.reshape(len(pb), -1), axis=-1)
-        terms = np.exp(log_f - scale[:, None, None]) * w * half
-        return np.log(np.sum(terms.reshape(len(pb), -1), axis=-1)) + scale
-    return _in_blocks(block, p, nodes.size)
+        log_f = np.multiply.outer(pb - 1.0, log_t)
+        log_f += log_g
+        scale = np.max(log_f, axis=1, keepdims=True)
+        log_f -= scale
+        return np.log(np.sum(np.exp(log_f, out=log_f), axis=1)) + scale[:, 0]
+    return _in_blocks(block, p, len(log_t))
 
 
 def G(params: IntegralParams):
@@ -418,13 +412,13 @@ def _envelope_cut(amps, nu: float, p: float, tol: float) -> float:
     return math.exp(log_t) if log_t < 700.0 else math.inf
 
 
-def _head_product(amps, nu: float, p: float, a0: float, n_terms: int = 48) -> float:
-    base = np.asarray(_jj_series_coeffs(nu, n_terms))
-    prod = np.zeros(n_terms)
+def _head_product(amps, nu: float, p: float, a0: float) -> float:
+    base = np.asarray(_jj_series_coeffs(nu, _HEAD_PRODUCT_TERMS))
+    prod = np.zeros(_HEAD_PRODUCT_TERMS)
     prod[0] = 1.0
     for a in amps:
-        scaled = base * (a * a) ** np.arange(n_terms)
-        prod = np.convolve(prod, scaled)[:n_terms]
+        scaled = base * (a * a) ** np.arange(_HEAD_PRODUCT_TERMS)
+        prod = np.convolve(prod, scaled)[:_HEAD_PRODUCT_TERMS]
     return _series_head(prod, p, a0)
 
 

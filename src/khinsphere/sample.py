@@ -22,6 +22,7 @@ one scalar draw, not d normals and a norm.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,22 +181,10 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
 
 
 def normal_isf(alpha: float) -> float:
-    """z with P(N(0,1) > z) = alpha: bisection on erfc, then Newton polish."""
+    """z with P(N(0,1) > z) = alpha, for 0 < alpha < 1/2."""
     if not 0.0 < alpha < 0.5:
         raise DomainError("normal_isf needs 0 < alpha < 1/2")
-    lo, hi = 0.0, 40.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * math.erfc(mid / math.sqrt(2.0)) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(4):
-        tail = 0.5 * math.erfc(z / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        z += (tail - alpha) / pdf
-    return z
+    return -statistics.NormalDist().inv_cdf(alpha)
 
 
 @dataclass(frozen=True)

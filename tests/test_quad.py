@@ -142,18 +142,48 @@ class TestBatch:
 
 
 def _F_mpmath(p, s, n_zeros=30):
-    """F by mpmath: quadrature between the first n_zeros zeros of J_1, then the
-    non-oscillatory Fourier mode beyond, with M(t)^s ~ 1 + 3s/(16 t^2)."""
+    """F by mpmath: quadrature up to the n_zeros-th zero T of J_1, then the rest
+    from the Fourier modes of |cos|^s beyond T.
+
+    The head is int_0^1 t^(p-1) (|jj_1|^s - 1) dt + 1/p, so that no quadrature
+    meets the t^(p-1) singularity.  Beyond T, |jj_1|^s t^(p-1) ~ (8/pi)^(s/2)
+    t^a M^s |cos theta|^s with a = p - 1 - 3s/2, M^s ~ 1 + 3s/(16 t^2) and
+    |cos theta|^s = sum_m c_m cos(2 m theta).  The mode m = 0 gives power
+    tails.  A mode m >= 1, integrated by parts twice from a zero T of J_1
+    (where sin(2 m theta) = 0 and cos(2 m theta) = (-1)^m), gives
+    -(-1)^m a T^(a-1) / (4 m^2), up to O(T^(a-3)).
+    """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(20):
         p, s = mp.mpf(p), mp.mpf(s)
-        pts = [mp.mpf(0)] + [mp.besseljzero(1, k) for k in range(1, n_zeros + 1)]
-        body = mp.quad(lambda t: abs(2 * mp.besselj(1, t) / t) ** s * t ** (p - 1), pts)
+
+        def abs_pow(t):
+            return abs(2 * mp.besselj(1, t) / t) ** s
+
+        head = mp.quad(lambda t: t ** (p - 1) * (abs_pow(t) - 1), [0, 1]) + 1 / p
+        pts = [mp.mpf(1)] + [mp.besseljzero(1, k) for k in range(1, n_zeros + 1)]
+        body = mp.quad(lambda t: abs_pow(t) * t ** (p - 1), pts)
         T, a = pts[-1], p - 1 - 3 * s / 2
         c0 = mp.gamma(s + 1) / (2**s * mp.gamma(s / 2 + 1) ** 2)
-        rest = c0 * (8 / mp.pi) ** (s / 2) * (T ** (a + 1) / (-a - 1)
-                                              + 3 * s / 16 * T ** (a - 1) / (1 - a))
-        return float(body + rest)
+        cm = (mp.gamma(s + 1) * mp.rgamma(s / 2 + 1 + m) * mp.rgamma(s / 2 + 1 - m) / 2 ** (s - 1)
+              for m in range(1, 400))
+        modes = mp.fsum((-1) ** m * c / m**2 for m, c in enumerate(cm, start=1))
+        rest = (c0 * (T ** (a + 1) / (-a - 1) + 3 * s / 16 * T ** (a - 1) / (1 - a))
+                - a * T ** (a - 1) / 4 * modes)
+        return float(head + body + (8 / mp.pi) ** (s / 2) * rest)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("p, s", [(16.0, 64.0), (10.0, 40.0)])
+    def test_moderate_s(self, p, s):
+        # moderate p and s up to 64, where a direct panel sum was 1.6e-11 off at (16, 64);
+        # abs=0.0, since approx's default abs of 1e-12 would pass that
+        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p, s, n_zeros", [(1e-3, 4.0, 30), (0.05, 1.3, 60), (0.5, 6.1, 30)])
+    def test_small_p(self, p, s, n_zeros):
+        # at s = 1.3 the rest beyond T decays only as T^(-3.9): 60 zeros keep it below 1e-14
+        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s, n_zeros), rel=1e-13, abs=0.0)
 
 
 class TestLargeS:
@@ -182,17 +212,17 @@ class TestLargeS:
 class TestHead:
     @pytest.mark.parametrize("p,s", [(0.2, 1.4), (0.05, 2.0), (1.0, 3.0), (0.25, 1.7)])
     def test_series_head_vs_substitution_oracle(self, p, s):
-        # int_0^1 jj_1(t)^s t^(p-1) dt = (1/p) int_0^1 jj_1(u^(1/p))^s du;
-        # for these p the power 1/p is an integer, so the substituted
-        # integrand is smooth and plain panels nail it
-        from khinsphere.quad import _head_abs_pow, _panel_quad
+        # int_0^(1/2) g(u) u^(p-1) du = (2^(-p)/p) int_0^1 g(v^(1/p)/2) dv with
+        # g(u) = jj_1(u/sqrt(s))^s; for these p the power 1/p is an integer, so
+        # the substituted integrand is smooth and plain panels nail it
+        from khinsphere.quad import _arch_head, _panel_quad
         from khinsphere.specfun import jj1
 
-        def smooth(u):
-            return jj1(u ** (1.0 / p)) ** s / p
+        def smooth(v):
+            return jj1(0.5 * v ** (1.0 / p) / math.sqrt(s)) ** s * 0.5**p / p
 
         oracle = _panel_quad(smooth, np.linspace(0.0, 1.0, 80), order=24)
-        assert _head_abs_pow(p, s) == pytest.approx(oracle, rel=1e-11)
+        assert _arch_head(p, s) == pytest.approx(oracle, rel=1e-11)
 
 
 class TestG:

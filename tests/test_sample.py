@@ -360,3 +360,21 @@ class TestNormalIsf:
         # Phi^-1 checks: P(Z > 1.6448536...) = 0.05
         assert S.normal_isf(0.05) == pytest.approx(1.6448536269514722, abs=1e-9)
         assert S.normal_isf(0.5 * math.erfc(4.0 / math.sqrt(2.0))) == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, z", [(0.025, 1.9599639845400543), (0.005, 2.575829303548901),
+                                          (1e-3, 3.0902323061678136)])
+    def test_fixed_quantiles(self, alpha, z):
+        # z correctly rounded from 40 digits
+        assert S.normal_isf(alpha) == pytest.approx(z, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.1, 1e-3, 1e-6, 1e-12, 1e-20])
+    def test_against_mpmath_erfinv(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            z = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(alpha))
+        assert S.normal_isf(alpha) == pytest.approx(float(z), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1])
+    def test_outside_domain(self, alpha):
+        with pytest.raises(DomainError):
+            S.normal_isf(alpha)
