@@ -17,13 +17,16 @@ tables; product_moment with n = 6..12 and one small weight, from a third
 seed; the certified bounds behind Tables 2 and 3 (table2_log_bound at
 TABLE2_EDGES, table3_scaled_bound at TABLE3_EDGES); then F at s in
 {64.5, 70, 200} with p in {60, 90, 0.97 (3s/2)}; then the root of q_star for
-d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}; last,
+d = 1..60, and gamma at x in {0.5, 10, 100, 141, 150, 171}; then
 product_moment at (d, p) = (4, 1) with weights (1, 2.5e-4), where the panels
 reach far out, at (4, 2) with (1, 0.6, 0.3, 1e-8) and (3, 1) with
 (1, 0.5, 1e-5), near the panel budget, at (8, 6) with (1, 0.05, 0.05), a
 small weight where Newton's theorem gives 1, and at d = 8, p = 6.3121 with
 two weights of ratio 2.7e-3, just below the convergence edge p = 7; then F
-at the points that tests/test_quad.py checks against mpmath.
+at the points that tests/test_quad.py checks against mpmath; last, gamma
+on the negative axis and just past its overflow at 171.62 (x in {-0.5,
+-10.5, -11.3, -150.5, 171.7}) and log_gamma below 1/2 (x in {1e-9, 0.1,
+0.49}).
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -45,7 +48,7 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
-from khinsphere.specfun import gamma  # noqa: E402
+from khinsphere.specfun import gamma, log_gamma  # noqa: E402
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -166,6 +169,10 @@ def main() -> int:
     print(_product_moment_line(8, 6.312086216129032, (-0.007106736291156288, -2.6792541602425355)))
     for p, s in mpmath_points():
         print(_line(f"F {_args(p, s)}", lambda: F(IntegralParams(p, s))))
+    for x in (-0.5, -10.5, -11.3, -150.5, 171.7):
+        print(_line(f"gamma {_args(x)}", lambda: gamma(x)))
+    for x in (1e-9, 0.1, 0.49):
+        print(_line(f"log_gamma {_args(x)}", lambda: log_gamma(x)))
     return 0
 
 

@@ -123,7 +123,7 @@ def normalizers(p: float, d: int) -> NormalizerSet:
     if not 0.0 < p < d:
         raise DomainError(f"normalizers require 0 < p < d, got p={p}, d={d}")
     args = [(d - p) / 2.0, p / 2.0, d / 2.0] + ([(1.0 - p) / 2.0] if p < 1.0 else [])
-    g_dp, g_p, g_d, *g_beta = gamma(np.array(args)).tolist()  # one call: gamma's cost is per call
+    g_dp, g_p, g_d, *g_beta = gamma(np.array(args)).tolist()
     K = 2.0 ** (-p) * math.pi ** (-d / 2.0) * g_dp / g_p
     kappa = 2.0 ** (1.0 - p) * g_dp / (g_d * g_p)
     beta = None

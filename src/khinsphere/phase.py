@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import c_inf, c_two
+from .constants import _check_dim, c_inf, c_two
 from .errors import DomainError, MultipleRootsError, NoBracketError, ToleranceError
 from .specfun import digamma, log_gamma, trigamma
 from .verify import VerificationReport, _make_report
@@ -55,10 +55,13 @@ class PhaseTransitionResult:
             raise ValueError("root outside (-(d-1), 2)")
 
 
-def h_d(d: int, q) -> float:
-    """log(c_{d,2}(q)^q) - log(c_{d,inf}(q)^q); opposite sign to c2-cinf for q<0."""
+def h_d(d, q) -> float:
+    """log(c_{d,2}(q)^q) - log(c_{d,inf}(q)^q); opposite sign to c2-cinf for q<0.
+
+    d and q broadcast against each other.
+    """
     qa = np.asarray(q, dtype=float)
-    val = (-qa * math.log(2.0) + qa / 2.0 * math.log(d)
+    val = (-qa * math.log(2.0) + qa / 2.0 * np.log(d)
            + 2.0 * log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
            - 2.0 * log_gamma((d + qa) / 2.0) - log_gamma(d + qa / 2.0 - 1.0))
     return float(val) if val.ndim == 0 else val
@@ -78,9 +81,9 @@ def h_tilde(d: int, x) -> float:
     return float(val) if val.ndim == 0 else val
 
 
-def _log_ratio(d: int, q):
-    """log c_two - log c_inf, vectorized over q."""
-    return np.log(c_two(d, q)) - np.log(c_inf(d, q))
+def _log_ratio(d, q):
+    """log c_two - log c_inf = h_d / q; d and q broadcast."""
+    return h_d(d, q) / q
 
 
 def _scan_grid(d: int) -> np.ndarray:
@@ -99,6 +102,7 @@ def _scan_grid(d: int) -> np.ndarray:
 
 def scan_sign_changes(d: int) -> list[tuple[float, float]]:
     """Brackets where c_two - c_inf changes sign over the standard scan grid."""
+    _check_dim(d)
     qs = _scan_grid(d)
     vals = _log_ratio(d, qs)
     sgn = np.sign(vals)

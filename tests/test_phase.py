@@ -136,6 +136,13 @@ class TestQStar:
         assert P._q_star_batch(ds) == [P.q_star(d) for d in ds]
         assert P._q_star_batch([]) == []
 
+    def test_non_integer_d(self):
+        for d in (4.5, 0):
+            with pytest.raises(DomainError):
+                P.q_star(d)
+            with pytest.raises(DomainError):
+                P.scan_sign_changes(d)
+
     def test_result_invariants(self):
         with pytest.raises(ValueError):
             P.PhaseTransitionResult(4, -2.0, (-2.1, -2.05), 0.0, 10)
@@ -158,6 +165,14 @@ class TestHTilde:
         for d, q in ((7, -3.0), (5, -3.5), (10, -1.0)):
             x = (q + d - 1.0) / 2.0
             assert P.h_d(d, q) == pytest.approx(P.h_tilde(d, x), abs=1e-12)
+
+    def test_array_d_is_log_ratio_times_q(self):
+        # h_d / q = log c_two - log c_inf, with d broadcast against q like a scalar d
+        ds, qs = np.array([2, 5, 12, 40]), np.array([0.3, -3.5, -1.0, -38.5])
+        got = P.h_d(ds, qs)
+        assert got.tolist() == [P.h_d(int(d), float(q)) for d, q in zip(ds, qs)]
+        np.testing.assert_allclose(got / qs, np.log(c_two(ds, qs)) - np.log(c_inf(ds, qs)),
+                                   rtol=1e-12, atol=1e-14)
 
     def test_sign_opposite_to_constant_gap(self):
         # for q < 0 the sign of h_d is opposite to sign(c_two - c_inf)

@@ -185,6 +185,12 @@ class TestAgainstMpmath:
         # at s = 1.3 the rest beyond T decays only as T^(-3.9): 60 zeros keep it below 1e-14
         assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s, n_zeros), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("p, s", [(0.5, 1.0), (1.5, 1.05), (1.57, 1.05), (1.9, 1.3)])
+    def test_near_s_one(self, p, s):
+        # s near 1 with p near 3s/2, where the tail's modes decay slowest: F holds its
+        # 1e-10 absolute tail tolerance (1.7e-11 off at most with 120 zeros, 2.2e-11 with 400)
+        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s, 120), abs=1e-10, rel=0.0)
+
 
 class TestLargeS:
     @pytest.mark.parametrize("p, s", [(90.0, 64.5), (95.0, 70.0), (0.97 * 150.0, 100.0)])

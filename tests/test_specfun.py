@@ -38,7 +38,7 @@ class TestGamma:
 
     def test_factorial(self):
         assert gamma(3.0) == pytest.approx(2.0, abs=1e-14)
-        assert gamma(6.0) == pytest.approx(120.0, rel=1e-14)
+        assert gamma(6.0) == pytest.approx(120.0, rel=1e-14, abs=0.0)
 
     def test_pole(self):
         for x in (0.0, -1.0, -7.0):
@@ -47,7 +47,7 @@ class TestGamma:
 
     def test_negative_argument(self):
         # Gamma(-0.5) = -2 sqrt(pi)
-        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
+        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
 
     @given(st.floats(min_value=0.1, max_value=30.0))
     @settings(max_examples=60, deadline=None)
@@ -65,20 +65,30 @@ class TestGamma:
             got = gamma(xs)
             assert [gamma(float(x)) for x in xs[::50]] == got[::50].tolist()
             assert gamma(171.7) == math.inf and gamma(1000.0) == math.inf
-        rel = np.abs(got / [math.gamma(x) for x in xs] - 1.0)
-        assert rel[xs <= 141.0].max() <= 9.1e-14
-        assert rel[xs > 141.0].max() <= 2e-13
+        assert got.tolist() == [math.gamma(x) for x in xs]
 
-    def test_unsplit_power_below_142(self):
-        # below the split, Gamma keeps the one-power Lanczos form bit for bit
-        from khinsphere.specfun import _lanczos_sum
-        xs = np.linspace(0.5, 142.0, 4001)
-        z, acc, t = _lanczos_sum(xs)
-        assert np.array_equal(gamma(xs), math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * acc)
+    def test_bitwise_math_gamma(self):
+        # on [0.5, 171.6] and at negative non-integers, scalar and array alike
+        xs = np.concatenate([np.linspace(0.5, 171.6, 997), np.linspace(-170.75, -0.25, 683)])
+        xs = xs[xs != np.round(xs)]
+        expected = [math.gamma(x) for x in xs]
+        assert gamma(xs).tolist() == expected
+        assert [gamma(float(x)) for x in xs] == expected
+        assert all(type(gamma(float(x))) is float for x in xs[::100])
+        assert gamma(xs.reshape(2, -1)).tolist() == np.reshape(expected, (2, -1)).tolist()
 
     def test_negative_beyond_split(self):
-        # reflection through Gamma(1 - x) with 1 - x > 142
-        assert gamma(-150.5) == pytest.approx(math.gamma(-150.5), rel=1e-12)
+        # far out on the negative axis, Gamma(-150.5) = -4.5e-264
+        assert gamma(-150.5) == math.gamma(-150.5)
+
+    def test_against_mpmath_on_negative_axis(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-20.5, -0.01, 2051)
+        xs = xs[xs != np.round(xs)]
+        got = gamma(xs)
+        with mpmath.workdps(30):
+            for x, g in zip(xs.tolist(), got.tolist()):
+                assert g == pytest.approx(float(mpmath.gamma(x)), rel=1e-15, abs=0.0)
 
 
 class TestLogGamma:
@@ -86,6 +96,15 @@ class TestLogGamma:
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
         assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
         assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-13)
+
+    def test_against_mpmath_below_half(self):
+        # below 1/2, log Gamma(x+1) - log x: within 3.6e-15 of mpmath from x = 1e-9 on
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate([np.geomspace(1e-9, 0.4999, 300), np.linspace(0.001, 0.4999, 300)])
+        got = log_gamma(xs)
+        with mpmath.workdps(30):
+            for x, g in zip(xs.tolist(), got.tolist()):
+                assert g == pytest.approx(float(mpmath.loggamma(x)), abs=3.6e-15, rel=0.0)
 
     def test_matches_gamma(self):
         for x in np.geomspace(0.05, 100.0, 50):
@@ -276,8 +295,8 @@ class TestHyp2f1:
         # Gamma(2)Gamma(2)/(Gamma(1.5)Gamma(2.5)) = 8/(3 pi)
         val = hyp2f1(0.5, -0.5, 2.0, 1.0)
         expected = gamma(2.0) * gamma(2.0) / (gamma(1.5) * gamma(2.5))
-        assert val == pytest.approx(expected, rel=1e-13)
-        assert val == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-13)
+        assert val == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert val == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-13, abs=0.0)
 
     def test_parameter_pole(self):
         with pytest.raises(PoleError):
@@ -288,16 +307,18 @@ class TestHyp2f1:
         # 2F1(1,1;3;t) = 2((1-t)log(1-t) + t)/t^2: c-a-b = 1, the logarithmic case
         w = 1.0 - t
         expected = 2.0 * (w * math.log(w) + t) / t**2
-        assert hyp2f1(1.0, 1.0, 3.0, t) == pytest.approx(expected, rel=1e-14)
+        assert hyp2f1(1.0, 1.0, 3.0, t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_terminating_is_exact(self):
         # d=4, q=-2 and d=3, q=-1: b = 0, the series is the constant 1
         for d, q in ((4, -2.0), (3, -1.0)):
             vals = hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, np.linspace(0.0, 1.0, 101))
             assert np.all(vals == 1.0)
-        # a = -2: the polynomial 1 - 2bt/c + b(b+1)t^2/(c(c+1)) on all of [0, 1]
+        # a = -2: the polynomial 1 - 2bt/c + b(b+1)t^2/(c(c+1)) = (1 - t)(1 - 5t) on all of
+        # [0, 1]; the factored form, since 1 - 6t + 5t^2 rounds to -1.7e-16 at t = 0.2
         for t in (0.2, 0.9, 1.0):
-            assert hyp2f1(-2.0, 1.5, 0.5, t) == pytest.approx(1.0 - 6.0 * t + 5.0 * t * t, rel=1e-15)
+            assert hyp2f1(-2.0, 1.5, 0.5, t) == pytest.approx((1.0 - t) * (1.0 - 5.0 * t), rel=1e-15,
+                                                              abs=0.0)
 
     def test_array_matches_scalar(self):
         ts = np.array([0.0, 0.2, 0.5, 0.5000001, 0.9, 0.9999, 1.0 - 1e-12, 1.0])
