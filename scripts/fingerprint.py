@@ -23,10 +23,12 @@ reach far out, at (4, 2) with (1, 0.6, 0.3, 1e-8) and (3, 1) with
 (1, 0.5, 1e-5), near the panel budget, at (8, 6) with (1, 0.05, 0.05), a
 small weight where Newton's theorem gives 1, and at d = 8, p = 6.3121 with
 two weights of ratio 2.7e-3, just below the convergence edge p = 7; then F
-at the points that tests/test_quad.py checks against mpmath; last, gamma
+at the points that tests/test_quad.py checks against mpmath; then gamma
 on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 -10.5, -11.3, -150.5, 171.7}) and log_gamma below 1/2 (x in {1e-9, 0.1,
-0.49}).
+0.49}); last, F's tail alone, tail_abs_pow at F's own T and tolerance, near
+s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
+apart from F's.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -42,8 +44,10 @@ from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import MomentQuery  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
 from khinsphere.quad import (  # noqa: E402
+    _TAIL_TOL,
     F,
     IntegralParams,
+    _middle_plan,
     product_moment,
     table2_log_bound,
     table3_scaled_bound,
@@ -92,6 +96,13 @@ def large_s_points():
 def mpmath_points():
     """F where tests/test_quad.py checks it against mpmath: moderate s, then small p."""
     yield from ((16.0, 64.0), (10.0, 40.0), (1e-3, 4.0), (0.05, 1.3), (0.5, 6.1))
+
+
+def tail_abs_pow_points():
+    """tail_abs_pow near s = 1, close to p = 3s/2, and at s = 141, where T^mu alone is
+    subnormal at p = 23.51."""
+    yield from ((0.5, 1.0), (1.5749, 1.05), (1.9499, 1.3), (17.99, 12.0), (23.51, 141.0),
+                (188.0, 141.0))
 
 
 def tail_product_queries(rng, count, n_lo, n_hi):
@@ -173,6 +184,10 @@ def main() -> int:
         print(_line(f"gamma {_args(x)}", lambda: gamma(x)))
     for x in (1e-9, 0.1, 0.49):
         print(_line(f"log_gamma {_args(x)}", lambda: log_gamma(x)))
+    T = _middle_plan()[3]
+    for p, s in tail_abs_pow_points():
+        print(_line(f"tail_abs_pow {_args(p, s)} T={T!r}",
+                    lambda: oscillatory.tail_abs_pow(p, s, T, tol=_TAIL_TOL)))
     return 0
 
 

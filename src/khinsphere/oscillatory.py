@@ -15,17 +15,15 @@ and Gauss panels up to |omega| t = 40 in between.  Two consumers:
   the remainder fails when p is close to 3s/2.  Every p of one s is summed
   at once, as array operations over modes x powers of 1/t x p: closed-form
   power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
-  for every other mode (``_ibp_sums``), each series stopped at 1e-18
-  absolute, which suits F's absolute tail tolerance.
+  (``_ibp_series``) for every other mode.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
   The 2^(n-1) pattern series are built together by doubling, which costs
   n - 1 steps of two Toeplitz-matrix products, and all their power
   integrals come from one array pass (``_exp_tails``): one block of IBP
-  terms for every pattern with |omega| T >= 40, each series stopped
-  relative to its own first term, and one panel grid for every
-  near-resonant pattern.
+  terms for every pattern with |omega| T >= 40 and one panel grid for every
+  near-resonant pattern.  Both stop each IBP series relative to its first term.
 
 Series are represented as float/complex arrays c with c[j] the coefficient
 of t^(-j), truncated at ORDER; further axes, where present, index a batch of
@@ -46,7 +44,7 @@ ORDER = 8  # highest power of 1/t kept in the asymptotic series
 _TAIL_S_MAX = 141.0  # largest s the |jj_1|^s tail kernel (abs_cos_fourier, tail_abs_pow) supports
 
 _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
-_IBP_REL = 1e-18  # tail_product's IBP series stop at a term below this fraction of their first
+_IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its first
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
 _I_RE = np.array([0.0, -1.0, 0.0, 1.0])[np.arange(_IBP_CAP) % 4]  # Re i^(k+1), k = 0, 1, ...
@@ -165,26 +163,33 @@ def _panel_quad(f, edges: np.ndarray, order: int = 16, block: int = _PANEL_BLOCK
     return np.sum(vals * w * half)
 
 
-def _ibp_series(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, for a column of mu < 0 and a
-    row of |x| >= 40: the IBP expansion E(mu, omega, T) = e^(ix) T^mu/omega sum_k ...
+def _ibp_series(mu, x) -> np.ndarray:
+    """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, for mu < 0 and |x| >= 40
+    broadcast together: the IBP expansion E(mu, omega, T) = e^(ix) T^mu/omega sum_k ...
     at x = omega T.
 
     A lane stops after the term k where the series turns (|mu-k| > |x|, k >= 1)
     or where c_(k+1) falls below _IBP_REL of its first term, so tiny integrals
     keep their digits; |c_k| decreases up to the turn.  All lanes run as one
-    cumulative-product block of 50 + 1.5 max|mu| terms (at most _IBP_CAP), in
-    which every lane with |x| >= 40 and 0 < -mu <= 160 was measured to stop.
+    cumulative-product block.  The slowest lane, of largest |mu| and smallest
+    |x|, bounds every lane's |c_k|, so the block ends where its |c_k| falls
+    below _IBP_REL; where that never happens, at 50 + 1.5 max|mu| terms (at
+    most _IBP_CAP), in which every lane with |x| >= 40 and 0 < -mu <= 160 was
+    measured to stop.
     """
-    size = min(_IBP_CAP, math.ceil(50.0 - 1.5 * mu.min()))
-    k = _IBP_K[:size, None, None]
-    c = np.empty((size, len(mu), len(x)))
+    shape = np.broadcast_shapes(np.shape(mu), np.shape(x))
+    mu_slow = np.min(mu)
+    slow = np.abs(np.cumprod((mu_slow - _IBP_K[:-1]) / np.min(np.abs(x))))  # |c_1|, |c_2|, ...
+    below = np.flatnonzero(slow < _IBP_REL)
+    size = int(below[0]) + 1 if len(below) else min(_IBP_CAP, math.ceil(50.0 - 1.5 * mu_slow))
+    k = _IBP_K[:size].reshape((size,) + (1,) * len(shape))
+    c = np.empty((size,) + shape)
     c[0] = 1.0
     np.cumprod((mu - k[:-1]) / x, axis=0, out=c[1:])
     turn = np.maximum(np.floor(np.abs(x) + mu) + 1.0, 1.0)  # the first k >= 1 with k - mu > |x|
     c *= (k <= turn) & (np.abs(c) >= _IBP_REL)
     c = c.reshape(size, -1)
-    return (_I_RE[:size] @ c + 1j * (_I_IM[:size] @ c)).reshape(len(mu), len(x))
+    return (_I_RE[:size] @ c + 1j * (_I_IM[:size] @ c)).reshape(shape)
 
 
 def _near_resonant(mu0: float, w: np.ndarray, T: float, beyond: complex) -> np.ndarray:
@@ -303,45 +308,6 @@ def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
     return np.concatenate([fn(p[lo:lo + step]) for lo in range(0, len(p), step)])
 
 
-def _ibp_sums(mu: np.ndarray, omega: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the IBP expansion of E(mu, omega, T) / e^(i omega T),
-    elementwise, for F's tail.
-
-    The k-th IBP term is i^(k+1) g_k with g_0 = T^mu / omega and
-    g_(k+1) = g_k (mu-k)/omega/T, so each lane keeps one real number and adds
-    it to the real or the imaginary sum by k mod 4.  A lane stops where a
-    term falls below 1e-18 of max(1, |running sum|), an absolute floor that
-    suits F's absolute tail tolerance, or where the asymptotic series turns.
-    Finished lanes leave the arrays.
-    """
-    g = T**mu / omega
-    re, im = np.zeros_like(g), np.zeros_like(g)
-    out_re, out_im = np.empty_like(g), np.empty_like(g)
-    live, prev = np.arange(len(g)), np.full_like(g, math.inf)
-    for k in range(200):
-        if k % 4 == 0:
-            im += g
-        elif k % 4 == 1:
-            re -= g
-        elif k % 4 == 2:
-            im -= g
-        else:
-            re += g
-        g = g * ((mu - k) / omega / T)
-        mag = np.abs(g)
-        done = (mag < 1e-18 * np.maximum(1.0, np.hypot(re, im))) | (mag > prev)
-        if done.any():
-            out = live[done]
-            out_re[out], out_im[out] = re[done], im[done]
-            keep = ~done
-            live, g, mu, omega, re, im, mag = (x[keep] for x in (live, g, mu, omega, re, im, mag))
-            if not len(live):
-                break
-        prev = mag
-    out_re[live], out_im[live] = re, im
-    return out_re, out_im
-
-
 def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1, for a
     scalar p (a float back) or every p of a 1-d array (an array back) at one s.
@@ -357,11 +323,12 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     evaluated as array operations, p in blocks of bounded memory.
 
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
-    the IBP expansion; T < 20 raises DomainError.  So do p >= 3s/2 (naming the
-    first such element) and s > _TAIL_S_MAX (141).  Near s = 1 with p near
-    3s/2, where the modes decay slowest, F with this tail at F's tol of 1e-10
-    was at most 2.2e-11 off an mpmath oracle, at (p, s) = (1.5, 1.05) and
-    (1.57, 1.05) (tests/test_quad.py).
+    the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
+    exp, so no intermediate is subnormal where the result is not.  T < 20 raises
+    DomainError, and so do p >= 3s/2 (naming the first such element) and
+    s > _TAIL_S_MAX (141).  Near s = 1 with p near 3s/2, where the modes decay
+    slowest, F with this tail at F's tol of 1e-10 was at most 2.2e-11 off an
+    mpmath oracle, at (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
     """
     if 2.0 * T < _IBP_MIN_PHASE:
         raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g}, got T={T}")
@@ -386,23 +353,23 @@ def _abs_pow_block(p: np.ndarray, s: float, T: float, tol: float, ms: np.ndarray
     bound = pref * np.abs(cms)[:, None] * T**mu / (2.0 * np.maximum(mcol, 1))
     small = (mcol >= 2) & (bound < 0.1 * tol)
     last = np.where(small.any(axis=0), np.argmax(small, axis=0), len(ms) - 1)
-    # per mode and p: sum_j Re[ser_j E(mu - j, 2m, T)], summed over j in order
+    # per mode and p: sum_j Re[ser_j E(mu - j, 2m, T)] / T^mu, summed over j in order
     j = np.arange(ORDER + 1.0)[:, None]
     per_mode = np.zeros((len(ms), len(p)))
-    e = mu - j + 1.0
-    per_mode[0] = np.add.accumulate(sers[:, :1].real * (-(T**e) / e))[-1]  # m = 0: power tails
-    mi, pi = np.nonzero(mcol[1:] <= last)
+    per_mode[0] = np.add.accumulate(sers[:, :1].real * (-T ** (1.0 - j) / (mu - j + 1.0)))[-1]
+    mi, pi = np.nonzero(mcol[1:] <= last)  # the (m, p) pairs, sorted by m
     mi += 1
     omega = 2.0 * ms[mi]
-    lanes = (ORDER + 1, len(mi))  # (j, (m, p) pair)
-    re, im = _ibp_sums((mu[pi] - j).ravel(), np.broadcast_to(omega, lanes).ravel(), T)
-    re, im = re.reshape(lanes), im.reshape(lanes)
-    cos, sin = np.cos(omega * T), np.sin(omega * T)  # the IBP phase e^(i omega T)
-    e_re, e_im = cos * re - sin * im, cos * im + sin * re
-    ser = sers[:, mi]
-    per_mode[mi, pi] = np.add.accumulate(ser.real * e_re - ser.imag * e_im)[-1]
-    # sum over modes in order; the modes beyond each p's last add exact zeros
-    return np.add.accumulate((pref * cms)[:, None] * per_mode)[-1]
+    # one IBP block per octave of m: a block runs as deep as its lowest m needs
+    cuts = np.searchsorted(mi, [1, 2, 4, 8, 16, 32, 64, math.inf])
+    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T)
+                             for a, b in zip(cuts[:-1], cuts[1:]) if b > a], axis=1)
+    tails = np.exp(1j * omega * T) / omega * T**-j * series
+    per_mode[mi, pi] = np.add.accumulate((sers[:, mi] * tails).real)[-1]
+    # sum over modes in order (the modes beyond each p's last add exact zeros), then scale
+    # by pref T^mu as one exp: at s = 141, p = 23.51, T^mu alone is subnormal
+    scale = np.exp(mu * math.log(T) + math.log(pref))
+    return scale * np.add.accumulate(cms[:, None] * per_mode)[-1]
 
 
 @lru_cache(maxsize=32)

@@ -261,10 +261,9 @@ def U(params: IntegralParams):
     p, s = params.p, params.s
     _require(p < 1.5 * s, DivergenceError, "U has a pole at p = 3s/2; got p={p}, s={s}", p, s)
     first = 4.0**p * (2.0 * math.pi * math.sqrt(15.0)) ** (-s / 2.0) / (1.5 * s - p)
-    second = 2.0 ** (1.5 * p - 1.0) * s ** (-p / 2.0) * (
-        gamma(p / 2.0) - gamma(p / 2.0 + 2.0) / (6.0 * s)
-        + gamma(p / 2.0 + 4.0) / (72.0 * s * s)
-    )
+    h = p / 2.0  # Gamma(h + 2) = Gamma(h) h (h+1), and Gamma(h + 4) on from it
+    rise = h * (h + 1.0)
+    second = G(params) * (1.0 - rise / (6.0 * s) + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
     return first + second
 
 

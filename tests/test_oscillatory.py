@@ -26,34 +26,38 @@ def brute_exp_tail(mu, om, T):
     return total + _ibp_ref(mu, om, L)
 
 
-def _ibp_ref(mu, om, T, relative=True):
-    """The IBP expansion of int_T^inf t^mu e^(i om t) dt, om T large, term by term.
+def _ibp_sum_ref(mu, x):
+    """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, term by term: the series of the
+    IBP expansion E(mu, om, T) = e^(ix) T^mu/om sum_k ..., x = om T large.
 
-    It stops where the series turns, or at a term below 1e-18 of the first
-    term (relative) or of max(1, |running sum|) (absolute, F's rule).
+    It stops where the series turns, or at a term below 1e-18 of the first term.
     """
-    coef = first = 1j * T**mu / om
-    total, prev = 0j, math.inf
+    term, total, prev = 1j, 0j, math.inf
     for k in range(200):
-        total += coef
-        coef *= 1j * (mu - k) / om / T
-        mag = abs(coef)
-        if mag < 1e-18 * (abs(first) if relative else max(1.0, abs(total))) or mag > prev:
+        total += term
+        term *= 1j * (mu - k) / x
+        mag = abs(term)
+        if mag < 1e-18 or mag > prev:
             break
         prev = mag
-    return cmath.exp(1j * om * T) * total
+    return total
 
 
-def _exp_tail_ref(mu, om, T, relative=True):
+def _ibp_ref(mu, om, T):
+    """The IBP expansion of int_T^inf t^mu e^(i om t) dt, om T large."""
+    return cmath.exp(1j * om * T) * T**mu / om * _ibp_sum_ref(mu, om * T)
+
+
+def _exp_tail_ref(mu, om, T):
     """int_T^inf t^mu e^(i om t) dt for one (mu, om, T): the power tail at om ~ 0,
     IBP at |om| T >= 40, else 24-point panels growing by min(1.3 t, t + pi/(2|om|))
     up to L = 40/|om|, then IBP beyond L."""
     if abs(om) < 1e-13:
         return complex(-(T ** (mu + 1.0)) / (mu + 1.0))
     if om < 0:
-        return _exp_tail_ref(mu, -om, T, relative).conjugate()
+        return _exp_tail_ref(mu, -om, T).conjugate()
     if om * T >= 40.0:
-        return _ibp_ref(mu, om, T, relative)
+        return _ibp_ref(mu, om, T)
     L = 40.0 / om
     edges = [T]
     while edges[-1] < L:
@@ -62,16 +66,16 @@ def _exp_tail_ref(mu, om, T, relative=True):
     a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     nodes = (a + b) / 2 + (b - a) / 2 * x
     main = np.sum(nodes**mu * np.exp(1j * om * nodes) * w * (b - a) / 2)
-    return complex(main) + _ibp_ref(mu, om, L, relative)
+    return complex(main) + _ibp_ref(mu, om, L)
 
 
-def _series_tail_ref(ser, mu0, om, T, relative=True):
+def _series_tail_ref(ser, mu0, om, T):
     """sum_j ser[j] int_T^inf t^(mu0-j) e^(i om t) dt, one scalar tail per j, except
     for 0 < |om| T < 40: there one tail at mu0 and the downward recurrence
     E(mu-1) = (-T^mu e^(i om T) - i om E(mu)) / mu."""
     if abs(om) < 1e-13 or abs(om) * T >= 40.0:
-        return sum(ser[j] * _exp_tail_ref(mu0 - j, om, T, relative) for j in range(len(ser)))
-    base = _exp_tail_ref(mu0, om, T, relative)
+        return sum(ser[j] * _exp_tail_ref(mu0 - j, om, T) for j in range(len(ser)))
+    base = _exp_tail_ref(mu0, om, T)
     total = ser[0] * base
     phase = cmath.exp(1j * om * T)
     for j in range(1, len(ser)):
@@ -122,14 +126,55 @@ class TestExpPowerTail:
     @pytest.mark.parametrize("mu", -np.geomspace(0.01, 160.0, 60))
     def test_ibp_block_holds_every_series(self, mu):
         # the terms each IBP series takes under the scalar rules (stop after term k when
-        # |c_(k+1)| < 1e-18 or, for k >= 1, |c_(k+1)| > |c_k|) fit in _ibp_series's block
-        # of 50 + 1.5|mu| terms, over x >= 40
+        # |c_(k+1)| < 1e-18 or, for k >= 1, |c_(k+1)| > |c_k|) fit in the block of
+        # 50 + 1.5|mu| terms that _ibp_series falls back to, over x >= 40
         x = np.concatenate([np.linspace(40.0, 400.0, 721), np.geomspace(400.0, 1e7, 50)])
         c = np.cumprod((mu - np.arange(osc._IBP_CAP)[:, None]) / x, axis=0)  # row k: c_(k+1)
         stop = np.abs(c) < 1e-18
         stop[1:] |= np.abs(c[1:]) > np.abs(c[:-1])
         assert stop.any(axis=0).all()
         assert np.argmax(stop, axis=0).max() < math.ceil(50.0 - 1.5 * mu)
+
+
+def _ibp_full_block(mu, x):
+    """_ibp_series over a block of 50 + 1.5 max|mu| terms, whatever the slowest lane, with
+    the same masks."""
+    mu, x = (a.ravel() for a in np.broadcast_arrays(mu, x))
+    size = math.ceil(50.0 - 1.5 * mu.min())
+    k = np.arange(size, dtype=float)[:, None]
+    c = np.cumprod(np.concatenate([np.ones((1, mu.size)), (mu - k[:-1]) / x]), axis=0)
+    turn = np.maximum(np.floor(np.abs(x) + mu) + 1.0, 1.0)
+    c *= (k <= turn) & (np.abs(c) >= 1e-18)
+    i_re = np.array([0.0, -1.0, 0.0, 1.0])[np.arange(size) % 4]
+    i_im = np.array([1.0, 0.0, -1.0, 0.0])[np.arange(size) % 4]
+    return i_re @ c + 1j * (i_im @ c)
+
+
+class TestIbpSeries:
+    T = 47.90146088705  # about where F's panels end
+
+    @pytest.mark.parametrize("mu_lo", [-10.0, -20.0, -40.0, -80.0, -150.0, -220.0])
+    def test_depth_matches_full_block_in_F_regime(self, mu_lo):
+        # F's lanes: (j, (m, p) pair), mu = p - 1 - 3s/2 - j from -1 down to mu_lo, x = 2 m T
+        rng = np.random.default_rng(int(-mu_lo))
+        mu = rng.uniform(mu_lo + osc.ORDER, -1.0, 60) - np.arange(osc.ORDER + 1.0)[:, None]
+        x = 2.0 * self.T * rng.integers(1, 81, 60)
+        self._check(mu, x)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_depth_matches_full_block_in_tail_product_regime(self, seed):
+        # _exp_tails' lanes: a column of mu0 - j and a row of |x| >= 40 of both signs
+        rng = np.random.default_rng(100 + seed)
+        mu0 = -(10.0 ** rng.uniform(-2.0, math.log10(160.0 - osc.ORDER)))
+        mu = mu0 - np.arange(osc.ORDER + 1.0)[:, None]
+        x = rng.choice([-1.0, 1.0], 30) * np.geomspace(40.0, 10.0 ** rng.uniform(2.0, 5.0), 30)
+        self._check(mu, x)
+
+    @staticmethod
+    def _check(mu, x):
+        got = osc._ibp_series(mu, x)
+        assert got.shape == np.broadcast_shapes(mu.shape, x.shape)
+        np.testing.assert_allclose(got.ravel(), _ibp_full_block(mu, x), rtol=1e-15, atol=0.0)
 
 
 class TestHankel:
@@ -328,15 +373,23 @@ class TestAbsPowSetup:
 
 
 def _tail_abs_pow_by_mode(p, s, T, tol=1e-12):
-    """tail_abs_pow one p and one Fourier mode at a time, with the scalar series tails."""
+    """tail_abs_pow one p and one Fourier mode at a time, with scalar power tails and IBP
+    series.  As in the kernel, the power integrals are taken in units of T^mu, and the sum
+    is scaled by (8/pi)^(s/2) T^mu as one exp at the end: at s = 141, p = 23.51, T^mu
+    alone is subnormal."""
     mu = p - 1.0 - 1.5 * s
     pref = (8.0 / math.pi) ** (s / 2.0)
     total = 0.0
     for m, cm, ser in _abs_pow_setup_by_mode(s):
-        total += pref * cm * _series_tail_ref(ser, mu, 2.0 * m, T, relative=False).real
+        if m == 0:
+            e = [-T ** (1.0 - j) / (mu - j + 1.0) for j in range(len(ser))]
+        else:
+            e = [cmath.exp(2j * m * T) / (2.0 * m) * T**-j * _ibp_sum_ref(mu - j, 2.0 * m * T)
+                 for j in range(len(ser))]
+        total += cm * sum(ser[j] * e[j] for j in range(len(ser))).real
         if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
             break
-    return total
+    return math.exp(mu * math.log(T) + math.log(pref)) * total
 
 
 # 15 s from 1 to 141, the largest s the tail supports, with even s where the

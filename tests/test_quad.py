@@ -197,7 +197,7 @@ class TestLargeS:
     def test_against_mpmath(self, p, s):
         # the large-s route used to drop everything beyond u = t sqrt(s) = 22:
         # 1.2e-4 too low at (90, 64.5), 1.4e-5 at (95, 70), 0.28 at (145.5, 100)
-        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s), rel=1e-12)
+        assert F(IP(p, s)) == pytest.approx(_F_mpmath(p, s), rel=1e-12, abs=0.0)
 
     def test_integer_s(self):
         # s ** arange(n) in the large-s head overflowed int64 for an integer s
@@ -235,8 +235,9 @@ class TestG:
     def test_examples(self):
         assert G(IP(2.0, 2.0)) == pytest.approx(2.0, abs=1e-14)
         assert G(IP(1.0, 2.0)) == pytest.approx(math.sqrt(math.pi), abs=1e-13)
-        assert G(IP(0.5, 8.0)) == pytest.approx(8.0**-0.25 * 2.0**-0.25 * gamma(0.25), rel=1e-13)
-        assert G(IP(0.5, 8.0)) == pytest.approx(1.8128049541109542, rel=1e-12)
+        assert G(IP(0.5, 8.0)) == pytest.approx(8.0**-0.25 * 2.0**-0.25 * gamma(0.25),
+                                                rel=1e-13, abs=0.0)
+        assert G(IP(0.5, 8.0)) == pytest.approx(1.8128049541109542, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p,s", [(2.0, 2.0), (1.0, 2.0), (0.5, 8.0), (2.9, 3.3)])
     def test_against_quadrature_oracle(self, p, s):
@@ -244,7 +245,7 @@ class TestG:
 
     def test_s_scaling_identity(self):
         for p, s in ((0.7, 3.3), (2.1, 1.6)):
-            assert G(IP(p, s)) == pytest.approx(s ** (-p / 2.0) * G(IP(p, 1.0)), rel=1e-14)
+            assert G(IP(p, s)) == pytest.approx(s ** (-p / 2.0) * G(IP(p, 1.0)), rel=1e-14, abs=0.0)
 
 
 class TestH:
@@ -470,7 +471,7 @@ class TestProductMoment:
         assert abs(dropped) <= _CUT_REL / kappa
         uncut = _head_product(amps, nu, p, 1.0) + panels(1.0, T_asym) + tail
         val = product_moment(query) + kappa * dropped * norm ** (-p)
-        assert val == pytest.approx(kappa * uncut * norm ** (-p), rel=1e-13)
+        assert val == pytest.approx(kappa * uncut * norm ** (-p), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("query", [
         *[pytest.param(q, id=f"cut{i}-d{q.d}-n{len(q.coeffs)}") for i, q in enumerate(_cut_queries())],
@@ -478,7 +479,7 @@ class TestProductMoment:
           for i, q in enumerate(_small_weight_queries())]])
     def test_matches_quarter_period_rule(self, query):
         expected = _product_moment_quarter_period(query)
-        assert product_moment(query) == pytest.approx(expected, rel=1e-12)
+        assert product_moment(query) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_panel_edges(self):
         # graded by 1.5 from a0 while narrower than width, then even at <= width

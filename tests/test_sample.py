@@ -82,7 +82,7 @@ class TestRadialChain:
         b = np.array([1e-12, 1e-6, 0.25, 0.5, 1.0 - 1e-9])
         monkeypatch.setattr(S, "_cosine_betas", lambda gen, d, n: b.copy())
         r = S._abs_sums(4, [0.7, -0.7], len(b), None)
-        assert r == pytest.approx(1.4 * np.sqrt(b), rel=1e-15)
+        assert r == pytest.approx(1.4 * np.sqrt(b), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("d, q", [(3, -1.5), (3, -0.5), (4, -2.5), (4, -1.0),
                                       (5, -3.5), (5, -1.5), (8, -6.5), (8, -3.0)])
@@ -237,9 +237,11 @@ class TestNearEqualPairs:
         hi, lo = sorted(mpmath.mpf(abs(a)) for a in coeffs)[::-1]
         p_ = mpmath.mpf(p)
         exact = float(hi ** (-p_) * mpmath.hyp2f1(p_ / 2, (p_ - d + 2) / 2, mpmath.mpf(d) / 2, (lo / hi) ** 2))
-        assert float(S._two_coeff_moment(d, -p, *coeffs)) == pytest.approx(exact, rel=2e-13)
+        assert float(S._two_coeff_moment(d, -p, *coeffs)) == pytest.approx(exact, rel=2e-13,
+                                                                           abs=0.0)
         # the quadrature's own error reaches 2.3e-13 at d = 8, p = 6.6
-        assert product_moment(MomentQuery(d, -p, coeffs)) == pytest.approx(exact, rel=5e-13)
+        assert product_moment(MomentQuery(d, -p, coeffs)) == pytest.approx(exact, rel=5e-13,
+                                                                           abs=0.0)
 
 
 class TestKhinchin:

@@ -249,7 +249,7 @@ class TestHRegions:
         grid_witnesses = [(pt, m) for pt, m in rep.witnesses if len(pt) == 2]
         assert grid_witnesses
         for pt, margin in grid_witnesses:
-            assert margin == pytest.approx(gaps[pt], rel=1e-12)
+            assert margin == pytest.approx(gaps[pt], rel=1e-12, abs=0.0)
 
     def test_sign_chart_batch_equals_single_points(self):
         pts = [(1.0, 3.0), (0.4, 1.3), (1.9, 1.05), (2.5, 3.0), (0.2, 1.3), (2.0, 1.3)]
