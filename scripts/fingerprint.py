@@ -26,9 +26,11 @@ two weights of ratio 2.7e-3, just below the convergence edge p = 7; then F
 at the points that tests/test_quad.py checks against mpmath; then gamma
 on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 -10.5, -11.3, -150.5, 171.7}) and log_gamma below 1/2 (x in {1e-9, 0.1,
-0.49}); last, F's tail alone, tail_abs_pow at F's own T and tolerance, near
+0.49}); then F's tail alone, tail_abs_pow at F's own T and tolerance, near
 s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
-apart from F's.
+apart from F's; last, the Monte Carlo estimate_moments, estimate and
+standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
+sampler's stream shows.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -39,7 +41,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from khinsphere import oscillatory, phase  # noqa: E402
+from khinsphere import oscillatory, phase, sample  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import MomentQuery  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
@@ -103,6 +105,17 @@ def tail_abs_pow_points():
     subnormal at p = 23.51."""
     yield from ((0.5, 1.0), (1.5749, 1.05), (1.9499, 1.3), (17.99, 12.0), (23.51, 141.0),
                 (188.0, 141.0))
+
+
+def estimate_moments_lines():
+    """estimate_moments at 10^4 samples, seed d: four weights, q = -(d-1)/2 and q = 1."""
+    coeffs = (1.0, 0.8, 0.6, 0.5)
+    for d in (3, 4, 5, 8):
+        qs = (-0.5 * (d - 1), 1.0)
+        for q, st in zip(qs, sample.estimate_moments(d, coeffs, qs, 10_000, seed=d)):
+            label = f"estimate_moments d={d} q={q!r} {_args(*coeffs)} seed={d}"
+            yield f"{label} estimate {st.estimate.hex()}"
+            yield f"{label} se {st.std_error.hex()}"
 
 
 def tail_product_queries(rng, count, n_lo, n_hi):
@@ -188,6 +201,8 @@ def main() -> int:
     for p, s in tail_abs_pow_points():
         print(_line(f"tail_abs_pow {_args(p, s)} T={T!r}",
                     lambda: oscillatory.tail_abs_pow(p, s, T, tol=_TAIL_TOL)))
+    for line in estimate_moments_lines():
+        print(line)
     return 0
 
 

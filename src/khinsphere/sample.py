@@ -17,7 +17,8 @@ adds one weighted vector at a time through |v + a xi|^2 = |v|^2 + a^2 +
 2a|v|x, where the cosine x between xi and v is independent of v and, by
 Archimedes' projection, distributed as the first coordinate of a uniform
 point in B^(d-2): x = 2 Beta((d-1)/2, (d-1)/2) - 1.  A vector thus costs
-one scalar draw, not d normals and a norm.
+two uniforms (Ulrich's form of the symmetric Beta; G. Ulrich, JRSS C 33(2),
+1984), not d normals and a norm.
 """
 from __future__ import annotations
 
@@ -91,6 +92,21 @@ def sample_sphere(d: int, size: int | None = None, rng: np.random.Generator | No
     return x[0] if size is None else x
 
 
+def _sin2_pi_offset(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of cos^2(pi V) = sin^2(pi (V - 1/2)), V uniform on [0, 1).
+
+    V - 1/2 is exact for the generator's multiples of 2^-53, so the sine
+    form keeps its relative accuracy next to V = 1/2, where cos(pi V) would
+    take the rounding error of pi V as its whole value.
+    """
+    c = gen.random(n)
+    c -= 0.5
+    c *= np.pi
+    np.sin(c, out=c)
+    c *= c
+    return c
+
+
 def _cosine_betas(gen: np.random.Generator, d: int, n: int) -> np.ndarray:
     """n draws of B = (1 + x)/2, x the cosine between a uniform vector on S^(d-1) and a fixed axis.
 
@@ -98,11 +114,35 @@ def _cosine_betas(gen: np.random.Generator, d: int, n: int) -> np.ndarray:
     uniform point in the ball B^(d-2), with density proportional to
     (1 - x^2)^((d-3)/2) on [-1, 1]; so B ~ Beta((d-1)/2, (d-1)/2).  At d = 1
     the sphere S^0 is {-1, 1} and B is 0 or 1 with equal odds.
+
+    For d >= 2, B comes from two uniforms U and V by Ulrich's form of the
+    symmetric Beta (G. Ulrich, "Computer generation of distributions on the
+    m-sphere", JRSS C 33(2), 1984): x = R cos(2 pi V) is the first
+    coordinate of a point of the unit disc with angle 2 pi V and radius
+    R = sqrt(1 - u), u = U^(2/(d-2)), or u = 0 at d = 2.  B is summed as
+    u/(2(1 + R)) + R cos^2(pi V), two nonnegative terms, so it keeps its
+    relative accuracy near 0.  All U come first, then the V a chunk at a
+    time, so the temporaries stay small and the stream does not depend on
+    the chunk size.
     """
     if d == 1:
         return gen.integers(0, 2, n).astype(float)
-    h = 0.5 * (d - 1)
-    return gen.beta(h, h, n)
+    if d == 2:
+        return _sin2_pi_offset(gen, n)
+    b = gen.random(n)
+    if d != 4:
+        np.power(b, 2.0 / (d - 2), out=b)
+    for i in range(0, n, _CHUNK):
+        u = b[i:i + _CHUNK]  # a view: B overwrites u in place
+        c = _sin2_pi_offset(gen, len(u))
+        r = 1.0 - u
+        np.sqrt(r, out=r)
+        c *= r
+        r += 1.0
+        r *= 2.0
+        u /= r
+        u += c
+    return b
 
 
 def _abs_sums(d: int, weights, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -154,10 +194,11 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     the one with the largest weight A, and scores the exact conditional
     moment given v, _two_coeff_moment(d, q, |v|, A).  |v| comes from the
     radial chain (_abs_sums): one cosine x ~ 2 Beta((d-1)/2, (d-1)/2) - 1 per
-    vector after the first, by Archimedes' projection, so n nonzero weights
-    cost n - 2 scalar draws per sample.  The standard error is the CLT one,
-    floored by the 2F1's relative accuracy: with two coefficients every
-    sample scores the same value.
+    vector after the first, by Archimedes' projection, drawn from two
+    uniforms (_cosine_betas), so n nonzero weights cost 2(n - 2) uniforms
+    per sample.  The standard error is the CLT one, floored by the 2F1's
+    relative accuracy: with two coefficients every sample scores the same
+    value.
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")

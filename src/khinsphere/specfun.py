@@ -96,6 +96,10 @@ def gamma(x):
     Gamma(x) exceeds the largest float for x > 171.62 and is inf there,
     without a warning.
     """
+    if isinstance(x, float):  # np.float64 too: the array set-up costs 100 times math.gamma
+        if x <= 0.0 and (math.isinf(x) or x == math.floor(x)):  # math.floor(-inf) raises
+            raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
+        return _gamma1(x)
     arr, scalar = _as_array(x)
     if np.any((arr <= 0) & (arr == np.floor(arr))):
         raise PoleError(f"gamma pole at nonpositive integer in {x!r}")

@@ -48,12 +48,37 @@ class TestSampleSphere:
 
 
 # CDF of the cosine x between a uniform vector on S^(d-1) and a fixed axis;
-# the density is proportional to (1 - x^2)^((d-3)/2)
+# the density is proportional to (1 - x^2)^((d-3)/2).  d = 2 (the arcsine law)
+# and d = 4 take the sampler's two special branches, the rest its power branch
 COSINE_CDF = {
+    2: lambda x: 0.5 + np.arcsin(x) / math.pi,
     3: lambda x: 0.5 * (1.0 + x),
     4: lambda x: 0.5 + (x * np.sqrt(1.0 - x**2) + np.arcsin(x)) / math.pi,
     5: lambda x: (2.0 + 3.0 * x - x**3) / 4.0,
+    6: lambda x: 0.5 + (2.0 * x * (1.0 - x**2) ** 1.5 / 3.0 + x * np.sqrt(1.0 - x**2)
+                        + np.arcsin(x)) / math.pi,
 }
+
+
+class FixedUniforms:
+    """A stand-in generator whose random(n) hands out the next n of fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def random(self, n):
+        out = self.values[self.used:self.used + n].copy()
+        self.used += n
+        assert len(out) == n
+        return out
+
+
+TINY = 2.0**-53  # the generator's smallest positive uniform
+# (U, V) giving B near 0 (V near 1/2), near 1 (V near 0 or 1) and in between
+BETA_UV = [(TINY, 0.5), (TINY, 0.5 + 2.0**-30), (2.0**-40, 0.5 - 2.0**-27),
+           (1e-3, 0.5 + 2.0**-20), (TINY, 2.0**-30), (2.0**-40, 1.0 - TINY), (TINY, 0.0),
+           (0.3, 0.7), (1.0 - TINY, 0.25), (0.999, 0.5)]
 
 
 class TestRadialChain:
@@ -66,6 +91,22 @@ class TestRadialChain:
         emp_lo = np.arange(0, n) / n
         ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(cdf - emp_lo)))
         assert ks < KS_CRITICAL_1PCT / math.sqrt(n)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+    def test_cosine_betas_relative_accuracy(self, d):
+        # B = u/(2(1 + R)) + R cos^2(pi V) at 30 digits from the same (U, V);
+        # near 0 a cancelling (1 + R cos(2 pi V))/2 or an inexact pi V would lose
+        # most digits.  U^(2/(d-2)) with a rounded exponent costs up to 1.4e-15
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        us, vs = zip(*BETA_UV)
+        draws = vs if d == 2 else us + vs
+        got = S._cosine_betas(FixedUniforms(draws), d, len(BETA_UV))
+        for (u_, v_), b in zip(BETA_UV, got):
+            u = mpmath.mpf(0) if d == 2 else mpmath.mpf(u_) ** (mpmath.mpf(2) / (d - 2))
+            r = mpmath.sqrt(1 - u)
+            exact = float(u / (2 * (1 + r)) + r * mpmath.cospi(mpmath.mpf(v_)) ** 2)
+            assert b == pytest.approx(exact, rel=4e-15, abs=0.0)
 
     def test_cosine_d8_two_sample_ks(self):
         n = 100_000

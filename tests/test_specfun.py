@@ -45,6 +45,22 @@ class TestGamma:
             with pytest.raises(PoleError):
                 gamma(x)
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -0.5, 2.5, 171.7, math.inf, -math.inf,
+                                   math.nan, np.float64(-3.0), np.float64(0.1)])
+    def test_float_path_matches_array_path(self, x):
+        # a float skips the array set-up; a 0-d array takes the array path
+        def outcome(arg):
+            try:
+                return gamma(arg)
+            except Exception as exc:
+                return type(exc)
+
+        fast, slow = outcome(x), outcome(np.array(x))
+        if isinstance(slow, type):
+            assert fast is slow
+        else:
+            assert type(fast) is float and fast.hex() == slow.hex()
+
     def test_negative_argument(self):
         # Gamma(-0.5) = -2 sqrt(pi)
         assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13, abs=0.0)
