@@ -28,9 +28,11 @@ on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 -10.5, -11.3, -150.5, 171.7}) and log_gamma below 1/2 (x in {1e-9, 0.1,
 0.49}); then F's tail alone, tail_abs_pow at F's own T and tolerance, near
 s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
-apart from F's; last, the Monte Carlo estimate_moments, estimate and
+apart from F's; then the Monte Carlo estimate_moments, estimate and
 standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
-sampler's stream shows.
+sampler's stream shows; last, every entry of check_khinchin (estimate,
+standard error and route) at p in {0.5, 1.5, 2.5} on five unit sets with
+n = 2..6, whose sampled sets run concurrently.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -118,6 +120,19 @@ def estimate_moments_lines():
             yield f"{label} se {st.std_error.hex()}"
 
 
+def check_khinchin_lines():
+    """check_khinchin at d = 4, 10^4 samples, seed 3: five unit sets with n = 2..6 weights,
+    from a fourth seed, at each p; every entry's estimate, se and route."""
+    rng = np.random.default_rng(SEED + 3)
+    sets = [tuple(a / np.linalg.norm(a)) for a in (rng.uniform(0.1, 1.0, n) for n in range(2, 7))]
+    for p in (0.5, 1.5, 2.5):
+        for coeffs, e in zip(sets, sample.check_khinchin(4, p, sets, 10_000, seed=3).entries):
+            label = f"check_khinchin p={p!r} {_args(*coeffs)} seed=3"
+            yield f"{label} estimate {e.estimate.hex()}"
+            yield f"{label} se {e.std_error.hex()}"
+            yield f"{label} route {e.route}"
+
+
 def tail_product_queries(rng, count, n_lo, n_hi):
     for _ in range(count):
         n = int(rng.integers(n_lo, n_hi + 1))
@@ -202,6 +217,8 @@ def main() -> int:
         print(_line(f"tail_abs_pow {_args(p, s)} T={T!r}",
                     lambda: oscillatory.tail_abs_pow(p, s, T, tol=_TAIL_TOL)))
     for line in estimate_moments_lines():
+        print(line)
+    for line in check_khinchin_lines():
         print(line)
     return 0
 

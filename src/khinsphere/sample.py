@@ -19,11 +19,19 @@ Archimedes' projection, distributed as the first coordinate of a uniform
 point in B^(d-2): x = 2 Beta((d-1)/2, (d-1)/2) - 1.  A vector thus costs
 two uniforms (Ulrich's form of the symmetric Beta; G. Ulrich, JRSS C 33(2),
 1984), not d normals and a norm.
+
+check_khinchin runs its sampled sets concurrently, one thread a set, up to
+the number of usable CPUs.  Each set draws from its own generator, and numpy
+releases the interpreter lock in its fills and ufuncs, so every result is
+the same whatever the scheduling or the core count; peak memory covers up
+to that many sets in flight, each scored _CHUNK samples at a time.
 """
 from __future__ import annotations
 
 import math
+import os
 import statistics
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +55,9 @@ __all__ = [
     "normal_isf",
 ]
 
-_CHUNK = 1 << 17
+# samples a pass of the cosine draws and of the 2F1 scoring holds at once;
+# check_khinchin keeps up to one set a usable CPU in flight
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -178,8 +188,13 @@ def _two_coeff_moment(d: int, q: float, a, b):
     Array-capable in a and b; finite for q > -(d-1), where the 2F1 at 1 is a Gauss sum.
     """
     a, b = np.abs(a), np.abs(b)
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    return hi**q * hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, (lo / hi) ** 2)
+    hi, t = np.maximum(a, b), np.minimum(a, b)
+    t /= hi
+    t *= t  # (m/M)^2, in place, as the Monte Carlo scoring holds a chunk of samples
+    f = hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, t)
+    hi **= q
+    hi *= f
+    return hi
 
 
 def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> SampleStats:
@@ -212,8 +227,9 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     r = _abs_sums(d, others[others != 0.0], n_samples, _rng(seed))
     out = []
     for q in qs:
-        vals = np.concatenate([_two_coeff_moment(d, q, big, r[i:i + _CHUNK])
-                               for i in range(0, n_samples, _CHUNK)])
+        vals = np.empty(n_samples)
+        for i in range(0, n_samples, _CHUNK):
+            vals[i:i + _CHUNK] = _two_coeff_moment(d, q, big, r[i:i + _CHUNK])
         est = float(np.mean(vals))
         se = math.hypot(float(np.std(vals, ddof=1)) / math.sqrt(n_samples), HYP2F1_RTOL * abs(est))
         out.append(SampleStats(n_samples=n_samples, estimate=est, std_error=se,
@@ -249,12 +265,58 @@ class KhinchinReport:
     passed: bool
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_threads(fn, jobs: list) -> list:
+    """[fn(*job) for job in jobs] on min(len(jobs), usable CPUs) threads, the caller's included.
+
+    Jobs are handed out in order; the first failed job in list order has its
+    error re-raised here, once every thread has stopped.
+    """
+    results, errors = [None] * len(jobs), [None] * len(jobs)
+    todo, lock = iter(range(len(jobs))), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*jobs[i])
+            except Exception as exc:  # re-raised in the caller below
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(len(jobs), _usable_cpus()) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) -> KhinchinReport:
     """Check E|sum a_k xi_k|^(-p) <= C(p) (sum a_k^2)^(-p/2) at d=4.
 
-    C(p) is C_infty for p <= 2 and C2 for p > 2.  Two-coefficient sets use the
-    exact hypergeometric route; the rest are Rao-Blackwellised Monte Carlo
-    with the base 4-sigma threshold Bonferroni-widened across the batch.
+    C(p) is C_infty for p <= 2 and C2 for p > 2.  Sets with one or two
+    nonzero weights use the exact and the hypergeometric route.  The rest are
+    Rao-Blackwellised Monte Carlo, set i on its own stream seed + i, with the
+    base 4-sigma threshold Bonferroni-widened across the batch.  The sampled
+    sets run concurrently on min(their number, usable CPUs) threads, so peak
+    memory covers that many sets in flight; each entry is bit-identical
+    whatever the scheduling or the core count, and entries are judged in set
+    order.  A failed set's error is re-raised here.
     """
     if d != 4:
         raise DomainError("the sharp-constant check is stated for d = 4")
@@ -264,20 +326,22 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     n_comp = max(1, len(coeff_sets))
     base_alpha = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
     threshold = normal_isf(base_alpha / n_comp)
+    queries = [MomentQuery(d, -p, coeffs) for coeffs in coeff_sets]  # finite weights, not all zero
+    nzs = [[abs(a) for a in query.coeffs if a != 0.0] for query in queries]
+    sampled = [i for i, nz in enumerate(nzs) if len(nz) > 2]
+    stats = dict(zip(sampled, _map_threads(estimate_moment,
+                                           [(queries[i], n_samples, seed + i) for i in sampled])))
     entries = []
-    for i, coeffs in enumerate(coeff_sets):
-        query = MomentQuery(d, -p, coeffs)  # finite weights, not all zero
+    for i, (query, nz) in enumerate(zip(queries, nzs)):
         coeffs = query.coeffs
         norm2 = sum(a * a for a in coeffs)
         bound = const * norm2 ** (-p / 2.0)
-        nz = [abs(a) for a in coeffs if a != 0.0]
         if len(nz) == 1:
             est, se, route = nz[0] ** (-p), 0.0, "exact"
         elif len(nz) == 2:
             est, se, route = float(_two_coeff_moment(d, -p, *nz)), 0.0, "hypergeometric"
         else:
-            stats = estimate_moment(query, n_samples, seed=seed + i)
-            est, se, route = stats.estimate, stats.std_error, stats.method
+            est, se, route = stats[i].estimate, stats[i].std_error, stats[i].method
         if route in ("exact", "hypergeometric"):
             violated = est > bound * (1.0 + 1e-9) + 1e-12
             margin_sigma = math.inf if est <= bound else -math.inf

@@ -40,6 +40,9 @@ BESSEL_CROSSOVER = 12.0
 # _SERIES_CUT times its largest term
 HYP2F1_RTOL = 1e-13
 _SERIES_CUT = 1e-18
+# hyp2f1's parameter-only set-up is cached per parameter set; a Monte Carlo
+# batch or a verifier grid reuses a handful of sets, each a few KB
+_SETUP_CACHE = 32
 
 # Lanczos approximation of log_gamma, g = 7, 9 terms.
 _LANCZOS_G = 7.0
@@ -382,13 +385,15 @@ def _nonpos_int(x: float) -> bool:
     return x <= 0 and x == round(x)
 
 
+@lru_cache(maxsize=2 * _SETUP_CACHE, typed=True)
 def _ratio_coeffs(p1: float, p2: float, q1: float, q2: float, n_max: int | None = None) -> np.ndarray:
     """c_j = prod_{i<j} (p1+i)(p2+i) / ((q1+i)(q2+i)), j = 0, 1, ...
 
     With ``n_max`` the list stops after c_n_max (a terminating series).  Else
     it stops once c_j 2^-j is below _SERIES_CUT of the largest such term and
     the ratio is below 3/2, so that the rest, summed at x <= 1/2, is smaller
-    still; the ratio tends to 1, so the list is always finite.
+    still; the ratio tends to 1, so the list is always finite.  Cached, so
+    the array is read-only.
     """
     cs = [1.0]
     big = 1.0
@@ -403,7 +408,9 @@ def _ratio_coeffs(p1: float, p2: float, q1: float, q2: float, n_max: int | None 
         big = max(big, term)
         if n_max is None and term < _SERIES_CUT * big and abs(r) < 1.5:
             break
-    return np.asarray(cs)
+    out = np.asarray(cs)
+    out.setflags(write=False)
+    return out
 
 
 def _exprel(z):
@@ -447,27 +454,22 @@ def _lgamma_slopes(x0, h, n: int):
     return top - below, sign
 
 
-def _hyp2f1_near_one(a: float, b: float, c: float, w):
-    """2F1(a, b; c; 1-w) for 0 < w <= 1/2, non-terminating: DLMF 15.8.4 in 1-z.
+@lru_cache(maxsize=_SETUP_CACHE, typed=True)
+def _near_one_setup(a: float, b: float, c: float):
+    """The parameter-only part of _hyp2f1_near_one for c-a-b >= -1/2.
 
-    With c-a-b = m + eps, m the nearest integer, the terms of the two series of
-    15.8.4 that carry w^(m+j) are paired.  The 1/eps of Gamma(+-eps) is
-    cancelled analytically, each pair being written through divided
-    differences of log Gamma in eps (_lgamma_slopes) and expm1.  The result is
-    one formula, as accurate at eps = 1e-9 as at eps = 1/2, and at eps = 0 it
-    is the logarithmic case 15.8.10 with its digamma terms.
+    Returns (m, eps, h, head, k, cs, cs_nu), the arrays read-only: the
+    regular head is h * sum_j head_j w^j (m > 0 only), and the paired terms
+    are k w^m sum_j w^j (cs_j (w^eps - 1)/eps + cs_nu_j w^eps).
     """
     s = math.fsum((c, -a, -b))  # exact c-a-b, which may be tiny
     m = round(s)
-    if m < 0:  # Euler's transformation makes c-a-b positive
-        return w**s * _hyp2f1_near_one(c - a, c - b, c, w)
     eps = s - m
     ca, cb = c - a, c - b  # = b + m + eps and a + m + eps
     pre = math.gamma(c) / (math.gamma(ca) * math.gamma(cb))
-    out = np.zeros_like(w)
+    h, head = 0.0, None
     if m > 0:  # the first m terms of the series in w are regular
-        head = _ratio_coeffs(a, b, 1.0 - m - eps, 1.0, n_max=m - 1)
-        out += pre * math.gamma(m + eps) * _horner(head, w)
+        h, head = pre * math.gamma(m + eps), _ratio_coeffs(a, b, 1.0 - m - eps, 1.0, n_max=m - 1)
     # paired terms: K w^m sum_j c_j w^j (sigma_j w^eps e^(eps mu_j) - 1)/eps
     cs = _ratio_coeffs(a + m, b + m, 1.0 - eps, m + 1.0)
     slope, sgn = _lgamma_slopes((cb - eps, ca - eps, m + 1.0, 1.0), (eps, eps, eps, -eps), len(cs))
@@ -479,9 +481,42 @@ def _hyp2f1_near_one(a: float, b: float, c: float, w):
                       -(np.exp(eps * mu) + 1.0) / (eps if eps else 1.0))
     k = -((-1) ** m) * pre * math.gamma(1.0 + eps) * (pochhammer(a, m) * pochhammer(b, m)
                                                      / math.factorial(m))
-    ell = np.log(w)
-    e = ell * _exprel(eps * ell)  # (w^eps - 1)/eps
-    out += k * w**m * (e * _horner(cs, w) + w**eps * _horner(cs * nu, w))
+    cs_nu = cs * nu
+    cs_nu.setflags(write=False)
+    return m, eps, h, head, k, cs, cs_nu
+
+
+def _hyp2f1_near_one(a: float, b: float, c: float, w):
+    """2F1(a, b; c; 1-w) for 0 < w <= 1/2, non-terminating: DLMF 15.8.4 in 1-z.
+
+    With c-a-b = m + eps, m the nearest integer, the terms of the two series of
+    15.8.4 that carry w^(m+j) are paired.  The 1/eps of Gamma(+-eps) is
+    cancelled analytically, each pair being written through divided
+    differences of log Gamma in eps (_lgamma_slopes) and expm1.  The result is
+    one formula, as accurate at eps = 1e-9 as at eps = 1/2, and at eps = 0 it
+    is the logarithmic case 15.8.10 with its digamma terms.  Everything that
+    depends on (a, b, c) alone comes from _near_one_setup's cache.
+    """
+    s = math.fsum((c, -a, -b))
+    if round(s) < 0:  # Euler's transformation makes c-a-b positive
+        return w**s * _hyp2f1_near_one(c - a, c - b, c, w)
+    m, eps, h, head, k, cs, cs_nu = _near_one_setup(a, b, c)
+    # k w^m (e sum cs_j w^j + w^eps sum cs_nu_j w^j), e = (w^eps - 1)/eps,
+    # in place, so that few arrays of len(w) are alive at once
+    e = np.log(w)
+    e *= _exprel(eps * e)
+    tail = _horner(cs, w)
+    tail *= e
+    e = w**eps
+    e *= _horner(cs_nu, w)
+    tail += e
+    e = w**m
+    e *= k
+    tail *= e
+    out = np.zeros_like(w)
+    if m > 0:
+        out += h * _horner(head, w)
+    out += tail
     return out
 
 
@@ -503,6 +538,13 @@ def hyp2f1(a: float, b: float, c: float, t):
     relative error is below HYP2F1_RTOL = 1e-13 on all of [0, 1],
     including c-a-b within 1e-9 of an integer (checked against mpmath up to
     t = 1 - 1e-12).  Scalar t returns a float.
+
+    What depends on (a, b, c) alone (the series coefficients of both
+    branches, and the 1 - t branch's log-Gamma slopes, pair weights and
+    prefactors) is computed once per parameter set and kept, read-only, in a
+    small bounded cache (_SETUP_CACHE sets), so repeated calls with the same
+    parameters, such as the chunks of a Monte Carlo scoring, pay it once.
+    The values do not depend on whether the cache was warm.
     """
     if not all(math.isfinite(x) for x in (a, b, c)):
         raise DomainError(f"hyp2f1 parameters must be finite, got a={a}, b={b}, c={c}")
@@ -521,19 +563,21 @@ def hyp2f1(a: float, b: float, c: float, t):
                 raise DivergenceError(f"hyp2f1 diverges at t=1 when c-a-b={s} < 0")
             poly = _horner(_ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1)), arr)
             return _maybe_scalar((1.0 - arr) ** s * poly, scalar)
-    out = np.empty_like(arr)
-    lo, one = arr <= 0.5, arr == 1.0
-    hi = ~lo & ~one
-    if np.any(one) and s <= 0:
+    # each branch gathers its t by index (take) and scatters by index (put),
+    # which costs a fraction of boolean-mask indexing on large arrays
+    flat, out = arr.ravel(), np.empty(arr.shape)
+    lo, one = np.flatnonzero(flat <= 0.5), np.flatnonzero(flat == 1.0)
+    hi = np.flatnonzero((flat > 0.5) & (flat < 1.0))
+    if len(one) and s <= 0:
         raise DivergenceError(f"hyp2f1 diverges at t=1 when c-a-b={s} <= 0")
-    if np.any(lo):
-        out[lo] = _horner(_ratio_coeffs(a, b, c, 1.0), arr[lo])
+    if len(lo):
+        out.put(lo, _horner(_ratio_coeffs(a, b, c, 1.0), flat.take(lo)))
     try:
-        if np.any(one):
-            out[one] = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-        if np.any(hi):
+        if len(one):
+            out.put(one, math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b)))
+        if len(hi):
             with np.errstate(over="raise"):
-                out[hi] = _hyp2f1_near_one(a, b, c, 1.0 - arr[hi])
+                out.put(hi, _hyp2f1_near_one(a, b, c, 1.0 - flat.take(hi)))
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(f"hyp2f1 gamma factors overflow for a={a}, b={b}, c={c}") from exc
     return _maybe_scalar(out, scalar)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -321,6 +322,73 @@ class TestKhinchin:
         for coeffs in ((math.nan,), (math.inf, 1.0), (0.0, 0.0), ()):
             with pytest.raises(DomainError):
                 S.check_khinchin(4, 1.0, [coeffs], 1000)
+
+    # 1, 2, 3, 4 and 6 nonzero weights; the zero in (0.6, 0.0, 0.8) leaves two
+    MIXED = [(1.0,), (0.6, 0.0, 0.8), (0.6, 0.8), (0.5, 0.5, math.sqrt(0.5)),
+             (0.5, 0.5, 0.5, 0.5), tuple([1.0 / math.sqrt(6.0)] * 6)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("p", [0.5, 2.5])
+    def test_sampled_sets_match_serial(self, p, cpus, monkeypatch):
+        # the sampled sets run concurrently; each entry is the one estimate_moment gives alone
+        started = []
+
+        class CountedThread(S.threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(S, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(S.threading, "Thread", CountedThread)
+        rep = S.check_khinchin(4, p, self.MIXED, 2000, seed=5)
+        assert [e.route for e in rep.entries] == ["exact", "hypergeometric", "hypergeometric"] + [
+            "plain-mean"] * 3
+        for i, (coeffs, e) in enumerate(zip(self.MIXED, rep.entries)):
+            if e.route == "plain-mean":
+                alone = S.estimate_moment(MomentQuery(4, -p, coeffs), 2000, seed=5 + i)
+                assert (e.estimate, e.std_error) == (alone.estimate, alone.std_error)
+        assert len(started) == min(3, cpus) - 1  # the calling thread is one of the workers
+        assert all(not t.is_alive() for t in started)
+
+    def test_worker_error_reraised(self, monkeypatch):
+        # n_samples = 1 fails in every sampled set; the caller gets the workers' DomainError
+        monkeypatch.setattr(S, "_usable_cpus", lambda: 2)
+        done = []
+
+        def call():
+            with pytest.raises(DomainError, match="at least 2 samples"):
+                S.check_khinchin(4, 1.5, [(0.6, 0.6, 0.5), (0.5, 0.5, 0.5, 0.5)], 1)
+            done.append(True)
+
+        t = S.threading.Thread(target=call)
+        t.start()
+        t.join(timeout=60.0)
+        assert not t.is_alive() and done == [True]
+
+    def test_map_threads_stress(self, monkeypatch):
+        # more workers than cores and a short switch interval: every job runs once, in
+        # its slot, and the shared hyp2f1 cache gives each thread the serial values
+        from khinsphere import specfun
+        monkeypatch.setattr(S, "_usable_cpus", lambda: 8)
+        ts = np.linspace(0.0, 1.0 - 1e-9, 257)
+        params = [(p / 2.0, (p - 2.0) / 2.0, 2.0) for p in (0.5, 1.5, 2.5, 1.0, 2.9)]
+        calls = []
+
+        def job(i):
+            calls.append(i)
+            return specfun.hyp2f1(*params[i % len(params)], ts)
+
+        specfun._ratio_coeffs.cache_clear()
+        specfun._near_one_setup.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = S._map_threads(job, [(i,) for i in range(200)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(200))
+        serial = [specfun.hyp2f1(*a, ts) for a in params]
+        assert all(np.array_equal(v, serial[i % len(params)]) for i, v in enumerate(out))
 
     def test_near_equal_pair(self):
         # a near-equal pair: t = 0.9999^2, next to the 2F1 branch point at t = 1

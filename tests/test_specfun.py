@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khinsphere import specfun
 from khinsphere.errors import DivergenceError, DomainError, PoleError
 from khinsphere.specfun import (
     BESSEL_CROSSOVER,
@@ -343,6 +344,38 @@ class TestHyp2f1:
             assert vals.shape == ts.shape
             assert all(v == hyp2f1(a, b, c, float(t)) for v, t in zip(vals, ts))
             assert isinstance(hyp2f1(a, b, c, 0.7), float)
+
+    # (a, b, c) and whether c-a-b > 0: generic, the log case (m = 2, eps = 0), Euler's
+    # transformation inside the 1/2 < t < 1 branch (c-a-b < 0), a terminating series
+    # (a = -2), and an Euler polynomial (c-b = -1, so (1-t)^(1/2) times a polynomial)
+    BRANCH_PARAMS = [((1.25, 0.25, 2.0), True), ((0.25, -0.25, 2.0), True),
+                     ((1.5, 0.5, 1.2), False), ((-2.0, 1.5, 0.5), True), ((-1.5, 3.0, 2.0), True)]
+
+    @pytest.mark.parametrize("params,finite_at_one", BRANCH_PARAMS)
+    def test_mixed_branches_match_scalar_cold_and_warm(self, params, finite_at_one):
+        ts = [0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.9, 1.0 - 1e-12] + [1.0] * finite_at_one
+        ts = np.array(ts)
+
+        def cold(t):
+            specfun._ratio_coeffs.cache_clear()
+            specfun._near_one_setup.cache_clear()
+            return hyp2f1(*params, t)
+
+        arr_cold, one_cold = cold(ts), [cold(float(t)) for t in ts]
+        arr_warm, one_warm = hyp2f1(*params, ts), [hyp2f1(*params, float(t)) for t in ts]
+        assert arr_cold.tobytes() == arr_warm.tobytes() == np.array(one_cold).tobytes()
+        assert np.array(one_warm).tobytes() == arr_warm.tobytes()
+
+    def test_cached_setup_is_read_only(self):
+        a, b, c = 1.25, 0.25, 2.0
+        hyp2f1(a, b, c, np.array([0.3, 0.9]))
+        assert not specfun._ratio_coeffs(a, b, c, 1.0).flags.writeable
+        m, eps, h, head, k, cs, cs_nu = specfun._near_one_setup(a, b, c)
+        assert not cs.flags.writeable and not cs_nu.flags.writeable
+        head = specfun._near_one_setup(0.25, -0.25, 2.0)[3]  # m = 2: a regular head
+        assert head is not None and not head.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cs[0] = 2.0
 
     def test_divergence_at_one(self):
         with pytest.raises(DivergenceError):
