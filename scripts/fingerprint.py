@@ -30,9 +30,13 @@ on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
 apart from F's; then the Monte Carlo estimate_moments, estimate and
 standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
-sampler's stream shows; last, every entry of check_khinchin (estimate,
+sampler's stream shows; then every entry of check_khinchin (estimate,
 standard error and route) at p in {0.5, 1.5, 2.5} on five unit sets with
-n = 2..6, whose sampled sets run concurrently.
+n = 2..6, whose sampled sets run concurrently; last, jj at nu in {0, 0.5, 1,
+1.5, 2, 3} on both sides of the switch to the large-argument Bessel kernel
+(t in {9.99, 10, 12, 25, 60, 200}) and jj1_prime at t in {0, 0.5, 2, 5, 8,
+9.91, 10, 12, 20}, so that a move of the Bessel code shows apart from how
+product_moment amplifies it.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -56,7 +60,7 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
-from khinsphere.specfun import gamma, log_gamma  # noqa: E402
+from khinsphere.specfun import gamma, jj, jj1_prime, log_gamma  # noqa: E402
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -220,6 +224,11 @@ def main() -> int:
         print(line)
     for line in check_khinchin_lines():
         print(line)
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+        for t in (9.99, 10.0, 12.0, 25.0, 60.0, 200.0):
+            print(_line(f"jj nu={nu!r} t={t!r}", lambda: jj(nu, t)))
+    for t in (0.0, 0.5, 2.0, 5.0, 8.0, 9.91, 10.0, 12.0, 20.0):
+        print(_line(f"jj1_prime {_args(t)}", lambda: jj1_prime(t)))
     return 0
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .specfun import gamma
+from .specfun import _jj_norm_const, gamma
 
 ORDER = 8  # highest power of 1/t kept in the asymptotic series
 _TAIL_S_MAX = 141.0  # largest s the |jj_1|^s tail kernel (abs_cos_fourier, tail_abs_pow) supports
@@ -377,7 +377,7 @@ def _hankel_w(nu: float) -> tuple[np.ndarray, complex]:
     """(W, C): the series W = P + iQ of J_nu's Hankel expansion and the constant
     C with jj_nu(x) ~ Re[C W(x) x^(-nu-1/2) e^(ix)]."""
     pser, qser = hankel_pq(nu)
-    norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+    norm = _jj_norm_const(nu) * math.sqrt(2.0 / math.pi)
     return pser + 1j * qser, norm * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
 
 

@@ -41,7 +41,7 @@ from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
 from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
                           series_pow)
-from .specfun import gamma, jj1_prime, jnu_zeros, _jj_series_coeffs, _jj_vec
+from .specfun import gamma, jj1_prime, jnu_zeros, _jj_norm_const, _jj_series_coeffs, _jj_vec
 
 __all__ = [
     "IntegralParams",
@@ -376,7 +376,7 @@ def _bessel_envelope(nu: float) -> tuple[float, float] | None:
     """
     if nu < 0.0:
         return None
-    c = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
+    c = _jj_norm_const(nu) * math.sqrt(2.0 / math.pi)
     if nu <= 0.5:
         return c, 0.0
     return c * (4.0 / 3.0) ** 0.25, 2.0 * nu

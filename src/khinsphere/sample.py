@@ -310,7 +310,9 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     """Check E|sum a_k xi_k|^(-p) <= C(p) (sum a_k^2)^(-p/2) at d=4.
 
     C(p) is C_infty for p <= 2 and C2 for p > 2.  Sets with one or two
-    nonzero weights use the exact and the hypergeometric route.  The rest are
+    nonzero weights use the exact and the hypergeometric route; such an entry
+    is violated when it exceeds the bound by more than 1e-9 relative plus
+    1e-12, and its margin_sigma is then -inf, else +inf.  The rest are
     Rao-Blackwellised Monte Carlo, set i on its own stream seed + i, with the
     base 4-sigma threshold Bonferroni-widened across the batch.  The sampled
     sets run concurrently on min(their number, usable CPUs) threads, so peak
@@ -344,7 +346,7 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
             est, se, route = stats[i].estimate, stats[i].std_error, stats[i].method
         if route in ("exact", "hypergeometric"):
             violated = est > bound * (1.0 + 1e-9) + 1e-12
-            margin_sigma = math.inf if est <= bound else -math.inf
+            margin_sigma = -math.inf if violated else math.inf
         else:
             margin_sigma = (bound - est) / se if se > 0 else math.inf
             violated = margin_sigma < -threshold

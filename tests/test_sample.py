@@ -295,6 +295,16 @@ class TestKhinchin:
         assert entry.estimate == pytest.approx(entry.bound, rel=1e-9)
         assert rep.passed
 
+    @pytest.mark.parametrize("p", [2.1, 2.5, 2.9])
+    def test_exact_margin_follows_violated(self, p):
+        # at the extremal pair the 2F1 value can round above the bound (at p = 2.9 by
+        # 4e-15) inside the 1e-9 allowance; the margin is -inf only for a violation
+        a = 1.0 / math.sqrt(2.0)
+        rep = S.check_khinchin(4, p, [(a, a), (0.6, 0.8)], 100, seed=1)
+        for e in rep.entries:
+            assert e.route == "hypergeometric"
+            assert (e.margin_sigma == -math.inf) == e.violated
+
     def test_clt_regime(self):
         # 50 equal coefficients: the moment is within 2% of the Gaussian limit
         from khinsphere.constants import C_infty

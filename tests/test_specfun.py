@@ -240,10 +240,10 @@ class TestJJ:
 
     def test_series_vs_large_branch(self):
         # the two evaluation routes agree where both are valid
-        from khinsphere.specfun import _bessel_j1
+        from khinsphere.specfun import _bessel_j01
         t = np.linspace(6.0, 11.9, 200)
         series = jj1(t)
-        cephes = 2.0 * _bessel_j1(t) / t
+        cephes = 2.0 * _bessel_j01(1, t) / t
         np.testing.assert_allclose(series, cephes, rtol=0, atol=5e-13)
 
     def test_integer_orders_recurrence_consistency(self):
@@ -271,6 +271,29 @@ class TestJJ:
             jj(1.0, -1.0)
         with pytest.raises(DomainError):
             jj(-1.0, 1.0)
+
+    def test_prime_matches_mpmath(self):
+        # jj_1' = -(t/4) jj_2 = -2 J2(t)/t, across jj_2's switch to the recurrence at t = 10
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.concatenate([np.linspace(0.0, 30.0, 601), [9.91, 10.0, 12.0]])
+        got = jj1_prime(ts)
+        with mpmath.workdps(30):
+            for t, g in zip(ts, got):
+                x = mpmath.mpf(float(t))
+                exact = 0.0 if t == 0 else float(-2 * mpmath.besselj(2, x) / x)
+                assert g == pytest.approx(exact, rel=0, abs=5e-14)
+                assert jj1_prime(float(t)) == g
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_large_argument_kernel_matches_mpmath(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        from khinsphere.specfun import _bessel_j01
+        ts = np.linspace(10.0, 500.0, 981)
+        got = _bessel_j01(nu, ts)
+        with mpmath.workdps(30):
+            for t, g in zip(ts, got):
+                assert g == pytest.approx(float(mpmath.besselj(nu, mpmath.mpf(float(t)))), rel=0,
+                                          abs=2e-15)
 
     def test_prime(self):
         # central difference cross-check of jj_1'
