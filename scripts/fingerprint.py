@@ -36,7 +36,9 @@ n = 2..6, whose sampled sets run concurrently; last, jj at nu in {0, 0.5, 1,
 1.5, 2, 3} on both sides of the switch to the large-argument Bessel kernel
 (t in {9.99, 10, 12, 25, 60, 200}) and jj1_prime at t in {0, 0.5, 2, 5, 8,
 9.91, 10, 12, 20}, so that a move of the Bessel code shows apart from how
-product_moment amplifies it.
+product_moment amplifies it; then the witnesses (point and margin) of every
+verifier of ``khinsphere verify``, and q_star's bracket and iteration count
+for d = 1..60, which pin the verifiers' arrays and the scan grid.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -184,8 +186,9 @@ def main() -> int:
         print(_tail_product_line(amps, nu, p, T))
     for d, p, coeffs in product_moment_queries(rng):
         print(_product_moment_line(d, p, coeffs))
+    reports = {}
     for name, job in LEMMAS.items():
-        report = job({})
+        report = reports[name] = job({})
         print(f"verify {name} passed={report.passed} min_margin {float(report.min_margin).hex()}")
     for which in (1, 2, 3):
         for row in table_writer(which).splitlines():
@@ -229,6 +232,17 @@ def main() -> int:
             print(_line(f"jj nu={nu!r} t={t!r}", lambda: jj(nu, t)))
     for t in (0.0, 0.5, 2.0, 5.0, 8.0, 9.91, 10.0, 12.0, 20.0):
         print(_line(f"jj1_prime {_args(t)}", lambda: jj1_prime(t)))
+    for name, report in reports.items():
+        for k, (point, margin) in enumerate(report.witnesses):
+            print(f"verify {name} witness {k} point {' '.join(float(x).hex() for x in point)} "
+                  f"margin {float(margin).hex()}")
+    for d in range(1, 61):
+        try:
+            r = phase.q_star(d)
+            print(f"q_star d={d} bracket {r.bracket[0].hex()} {r.bracket[1].hex()} "
+                  f"iterations {r.iterations}")
+        except KhinsphereError as exc:
+            print(f"q_star d={d} bracket {type(exc).__name__}")
     return 0
 
 

@@ -88,15 +88,20 @@ class VerificationReport:
 
 
 def _make_report(lemma_id: str, region: str, grid: tuple[int, ...],
-                 points: Sequence[tuple[float, ...]], margins: Sequence[float]) -> VerificationReport:
+                 points: Sequence[Sequence[float]], margins: Sequence[float]) -> VerificationReport:
+    """The report of margins[i] at points[i]: min_margin and its min/max witnesses.
+
+    points is a sequence of tuples or an (N, k) float array, margins a list or
+    an array; only the two witness points become tuples of floats.
+    """
     margins = np.asarray(margins, dtype=float)
     if not np.all(np.isfinite(margins)):
         raise ConvergenceError(f"{lemma_id}: non-finite margin encountered")
     i_min = int(np.argmin(margins))
     i_max = int(np.argmax(margins))
-    witnesses = [(tuple(points[i_min]), float(margins[i_min]))]
+    witnesses = [(tuple(map(float, points[i_min])), float(margins[i_min]))]
     if i_max != i_min:
-        witnesses.append((tuple(points[i_max]), float(margins[i_max])))
+        witnesses.append((tuple(map(float, points[i_max])), float(margins[i_max])))
     mm = float(margins[i_min])
     return VerificationReport(lemma_id=lemma_id, region=region, grid=grid,
                               passed=mm > 0, min_margin=mm, witnesses=tuple(witnesses))
@@ -269,11 +274,11 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     qs = np.linspace(0.125, 1.0 - 1e-3, nq)
     ts = np.linspace(0.0, 1.0, nt)
     Q, T = np.meshgrid(qs, ts, indexing="ij")
-    R = gamma(2.0 - Q) * (2.0 - ((3.0 - T) / 2.0) ** (-Q))
+    R = gamma(2.0 - qs)[:, None] * (2.0 - ((3.0 - T) / 2.0) ** (-Q))  # Gamma once per q row
     poly = 1.0 - Q * (1.0 - Q) / 2.0 * T - Q**2 * (1.0 - Q**2) / 12.0 * T**2
     hvals = R - poly
-    points = [(float(q), float(t)) for q, t in zip(Q.ravel(), T.ravel())]
-    margins = list(hvals.ravel())
+    points: list[tuple[float, float]] = []  # the certificates, after the grid points
+    margins: list[float] = []
 
     # concavity floor: Gamma(2-q) - (3/2)^(q+1) q(1-q) > 0.3175 on (0,1)
     qg = np.linspace(1e-3, 1.0 - 1e-3, 400)
@@ -305,7 +310,9 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     margins.append(float(fb[i]))
 
     region = "q in [1/8, 1-1e-3], t in [0, 1]; plus concavity/tangent/part-(B) certificates"
-    return _make_report("ind_base", region, grid, points, margins)
+    return _make_report("ind_base", region, grid,
+                        np.vstack((np.column_stack((Q.ravel(), T.ravel())), points)),
+                        np.concatenate((hvals.ravel(), margins)))
 
 
 def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:

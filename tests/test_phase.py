@@ -131,6 +131,16 @@ class TestQStar:
             assert (r.q_star.hex(), r.iterations) == (root, iterations)
             assert (r.bracket[0].hex(), r.bracket[1].hex()) == (lo, hi)
 
+    def test_scan_grid_equals_array_walk(self):
+        # reference: the left-edge walk with every h_tilde taken on the array path
+        for d in range(2, 61):
+            x_left = 5e-4
+            while P.h_tilde(d, np.array([x_left]))[0] <= 0 and x_left > 1e-9:
+                x_left /= 4.0
+            qs = np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
+            ref = qs[np.abs(qs) > 1e-6]
+            assert np.array_equal(P._scan_grid(d).view(np.int64), ref.view(np.int64)), d
+
     def test_batch_equals_single(self):
         ds = [1, 4, 7, 30]
         assert P._q_star_batch(ds) == [P.q_star(d) for d in ds]

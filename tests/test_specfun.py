@@ -108,7 +108,36 @@ class TestGamma:
                 assert g == pytest.approx(float(mpmath.gamma(x)), rel=1e-15, abs=0.0)
 
 
+def _lanczos_array_reference(x):
+    """log Gamma on x >= 1/2 as the array path summed it before the float path existed."""
+    z = x - 1.0
+    acc = np.full_like(z, specfun._LANCZOS[0])
+    for i, c in enumerate(specfun._LANCZOS[1:], start=1):
+        acc = acc + c / (z + i)
+    t = z + specfun._LANCZOS_G + 0.5
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(acc)
+
+
 class TestLogGamma:
+    def test_float_path_equals_array_path_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([[0.5, 1.0, 2.0, 171.6], rng.uniform(0.5, 10.0, 4000),
+                             np.exp(rng.uniform(math.log(0.5), math.log(1e6), 8000))])
+        ref = _lanczos_array_reference(xs).view(np.int64)
+        assert np.array_equal(log_gamma(xs).view(np.int64), ref)
+        for wrap in (float, np.float64, np.array):
+            got = np.array([log_gamma(wrap(x)) for x in xs.tolist()])
+            assert np.array_equal(got.view(np.int64), ref), wrap
+
+    @pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.array([2.0, v])])
+    def test_infinity_and_nan(self, wrap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_gamma(wrap(math.inf))
+            assert np.ravel(got)[-1] == math.inf
+            with pytest.raises(DomainError):
+                log_gamma(wrap(math.nan))
+
     def test_values(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
         assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)

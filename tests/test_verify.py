@@ -110,6 +110,36 @@ class TestIndBase:
         r = V.verify_ind_base(grid=(120, 120))
         assert r.passed
 
+    def test_equals_per_point_reference(self, monkeypatch):
+        # reference: Gamma at every mesh point and a list of point tuples, as the grid once ran
+        from khinsphere.specfun import gamma
+        seen = {}
+        make = V._make_report
+
+        def spy(lemma_id, region, grid, points, margins):
+            seen.update(points=points, margins=margins)
+            return make(lemma_id, region, grid, points, margins)
+
+        monkeypatch.setattr(V, "_make_report", spy)
+        r = V.verify_ind_base()
+        Q, T = np.meshgrid(np.linspace(0.125, 1.0 - 1e-3, 200), np.linspace(0.0, 1.0, 200),
+                           indexing="ij")
+        R = np.fromiter((gamma(float(2.0 - q)) for q in Q.ravel()), float).reshape(Q.shape)
+        h = (R * (2.0 - ((3.0 - T) / 2.0) ** (-Q))
+             - (1.0 - Q * (1.0 - Q) / 2.0 * T - Q**2 * (1.0 - Q**2) / 12.0 * T**2))
+        ref_points = [(float(q), float(t)) for q, t in zip(Q.ravel(), T.ravel())]
+        ref_margins = list(h.ravel())
+        n = len(ref_points)
+        assert np.array_equal(seen["margins"][:n], ref_margins)
+        # the certificate rows after the grid come from unchanged scalar code
+        ref_points += [tuple(row) for row in seen["points"][n:].tolist()]
+        ref_margins += list(seen["margins"][n:])
+        i_min, i_max = int(np.argmin(ref_margins)), int(np.argmax(ref_margins))
+        assert r.min_margin == ref_margins[i_min]
+        assert r.witnesses == ((ref_points[i_min], ref_margins[i_min]),
+                               (ref_points[i_max], ref_margins[i_max]))
+        assert all(type(x) is float for point, _ in r.witnesses for x in point)
+
     def test_minimum_on_t_boundary(self):
         # concavity in t forces the grid minimum of h_q onto t in {0, 1}
         import numpy as np
