@@ -32,13 +32,16 @@ apart from F's; then the Monte Carlo estimate_moments, estimate and
 standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
 sampler's stream shows; then every entry of check_khinchin (estimate,
 standard error and route) at p in {0.5, 1.5, 2.5} on five unit sets with
-n = 2..6, whose sampled sets run concurrently; last, jj at nu in {0, 0.5, 1,
-1.5, 2, 3} on both sides of the switch to the large-argument Bessel kernel
-(t in {9.99, 10, 12, 25, 60, 200}) and jj1_prime at t in {0, 0.5, 2, 5, 8,
-9.91, 10, 12, 20}, so that a move of the Bessel code shows apart from how
-product_moment amplifies it; then the witnesses (point and margin) of every
-verifier of ``khinsphere verify``, and q_star's bracket and iteration count
-for d = 1..60, which pin the verifiers' arrays and the scan grid.
+n = 2..6, whose sampled sets run concurrently; then jj at nu in {0, 0.5, 1,
+1.5, 2, 3} and t in {9.99, 10, 12, 25, 60, 200}, and jj1_prime at t in {0,
+0.5, 2, 5, 8, 9.91, 10, 12, 20}, so that a move of the Bessel code shows
+apart from how product_moment amplifies it; then the witnesses (point and
+margin) of every verifier of ``khinsphere verify``, and q_star's bracket and
+iteration count for d = 1..60, which pin the verifiers' arrays and the scan
+grid; last, jj on both sides of its switch to the large-argument kernel at
+t = max(5, nu): nu in {0, 1, 3} at t in {4.99, 5}, and nu in {9.5, 19.5,
+29.5} at t in {nu - 0.01, nu + 0.01, 2 nu}, then product_moment at d in
+{20, 40, 62}, p = 2, weights (1, 0.3), where the order nu = d/2 - 1 is high.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -137,6 +140,15 @@ def check_khinchin_lines():
             yield f"{label} estimate {e.estimate.hex()}"
             yield f"{label} se {e.std_error.hex()}"
             yield f"{label} route {e.route}"
+
+
+def jj_switch_points():
+    """jj on both sides of its switch at t = max(5, nu): at t = 5 for low orders, and at
+    t = nu, where the forward recurrence turns stable, for high ones."""
+    for nu in (0.0, 1.0, 3.0):
+        yield nu, (4.99, 5.0)
+    for nu in (9.5, 19.5, 29.5):
+        yield nu, (nu - 0.01, nu + 0.01, 2.0 * nu)
 
 
 def tail_product_queries(rng, count, n_lo, n_hi):
@@ -243,6 +255,11 @@ def main() -> int:
                   f"iterations {r.iterations}")
         except KhinsphereError as exc:
             print(f"q_star d={d} bracket {type(exc).__name__}")
+    for nu, ts in jj_switch_points():
+        for t in ts:
+            print(_line(f"jj nu={nu!r} t={t!r}", lambda: jj(nu, t)))
+    for d in (20, 40, 62):
+        print(_product_moment_line(d, 2.0, (1.0, 0.3)))
     return 0
 
 

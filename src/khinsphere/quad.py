@@ -311,6 +311,11 @@ def product_moment(query: MomentQuery) -> float:
     rest is dropped.  By Jensen the result is at least |a|^(-p), so the
     dropped part is below 1e-13 of it, a priori.  More than 200,000 panels
     raise ToleranceError.
+
+    At large d the sign-pattern tail limits accuracy: its 8-term Hankel
+    expansion at T = 46 has coefficients a_k(nu) growing like (4 nu^2)^k.
+    With weights (1, 0.7) at p = 2, the result is off the 2F1 value by
+    2.6e-15 at d = 20, 1.8e-10 at d = 40 and 1.4e-3 at d = 60.
     """
     d, p = query.d, -query.q
     if not 0.0 < p < d:

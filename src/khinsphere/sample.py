@@ -407,7 +407,9 @@ def polydisc_slice_volume(a) -> float:
     """vol_{2n-2}(D^n cut by the hyperplane orthogonal to a) = pi^(n-1) E|sum a_k xi_k|^(-2).
 
     a must be a unit vector in R^n; a single nonzero entry gives exactly
-    pi^(n-1) (the minimal section).
+    pi^(n-1) (the minimal section).  Two nonzero entries take the terminating
+    2F1 of _two_coeff_moment, pi^(n-1)/max|a_k|^2 (Newton's theorem), with no
+    quadrature.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -416,8 +418,10 @@ def polydisc_slice_volume(a) -> float:
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"direction must be a unit vector, got |a| = {norm}")
-    nz = int(np.sum(np.abs(a) > 1e-12))
-    if nz <= 1:
+    nz = a[np.abs(a) > 1e-12]
+    if len(nz) <= 1:
         return math.pi ** (n - 1)
+    if len(nz) == 2:
+        return math.pi ** (n - 1) * float(_two_coeff_moment(4, -2.0, *nz))
     query = MomentQuery(4, -2.0, tuple(a))
     return math.pi ** (n - 1) * product_moment(query)

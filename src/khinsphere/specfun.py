@@ -4,8 +4,8 @@ Everything here is pure and array-capable (numpy broadcasting); scalar inputs
 give scalar outputs. The normalized Bessel function ``jj(nu, t)`` is
 2^nu Gamma(nu+1) t^(-nu) J_nu(t), the characteristic function of a vector
 uniform on the unit sphere S^(d-1) at radius t, with nu = d/2 - 1.  It has
-one evaluator: a power series below t = 10 (12 for nu = 1) and, above,
-Cephes' large-argument J0/J1 with forward recurrence for higher orders.
+one evaluator on one switch: a power series where t < max(5, nu) and, above,
+Cephes' large-argument J0/J1 with forward recurrence, stable there as t > nu.
 jj_1' = -(t/4) jj_2 (DLMF 10.6.6) comes from the same evaluator.
 """
 from __future__ import annotations
@@ -29,14 +29,7 @@ __all__ = [
     "hyp2f1",
     "HYP2F1_RTOL",
     "jnu_zeros",
-    "BESSEL_CROSSOVER",
 ]
-
-# Crossover between the power series (below) and the large-argument Bessel
-# routine (above) for jj1; the series loses ~3 digits to cancellation here
-# while the asymptotic branch is already at machine precision.
-BESSEL_CROSSOVER = 12.0
-
 
 # hyp2f1: relative accuracy on all of [0, 1] (see its docstring); each series is
 # summed at an argument x <= 1/2 and cut where c_j 2^-j falls below
@@ -101,13 +94,17 @@ def gamma(x):
     """Gamma function on the real line (poles at nonpositive integers): math.gamma elementwise.
 
     Gamma(x) exceeds the largest float for x > 171.62 and is inf there,
-    without a warning.
+    without a warning.  A NaN raises DomainError.
     """
     if isinstance(x, float):  # np.float64 too: the array set-up costs 100 times math.gamma
+        if x != x:
+            raise DomainError(f"gamma is undefined at {x!r}")
         if x <= 0.0 and (math.isinf(x) or x == math.floor(x)):  # math.floor(-inf) raises
             raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
         return _gamma1(x)
     arr, scalar = _as_array(x)
+    if np.isnan(arr).any():
+        raise DomainError(f"gamma is undefined at NaN, in {x!r}")
     if np.any((arr <= 0) & (arr == np.floor(arr))):
         raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
     if scalar:
@@ -165,7 +162,7 @@ _BERNOULLI = (
 def digamma(x):
     """psi(x) = (log Gamma)'(x) for x > 0."""
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):  # NaN too
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     arr = arr.copy()
     out = np.zeros_like(arr)
@@ -187,7 +184,7 @@ def digamma(x):
 def trigamma(x):
     """psi'(x) for x > 0."""
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):  # NaN too
         raise DomainError(f"trigamma requires x > 0, got {x!r}")
     arr = arr.copy()
     out = np.zeros_like(arr)
@@ -217,8 +214,8 @@ def pochhammer(x, k: int):
 
 # ----------------------------------------------------------------------------
 # Bessel J0 / J1 at large argument: Cephes' Hankel P/Q form, degree 6/6 and
-# 7/7 rationals in z = (5/x)^2, accurate for x > 5.  jj reaches it only at
-# t >= 10 (12 for nu = 1); below, jj is its power series.
+# 7/7 rationals in z = (5/x)^2, accurate for x > 5 (within 2.5e-16 of mpmath
+# on [5, 10]).  jj reaches it at t >= max(5, nu); below, jj is its power series.
 # Coefficients are in ascending powers; a monic denominator ends in its 1.0.
 # ----------------------------------------------------------------------------
 
@@ -262,12 +259,15 @@ def _bessel_j01(nu: int, x):
     z = w * w
     p = _horner(pp, z) / _horner(pq, z)
     q = _horner(qp, z) / _horner(qq, z)
+    q *= w
+    del w, z  # as long as x: freed before the last temporaries, which set product_moment's peak
     xn = x - phase
-    return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(x)
+    return _SQ2OPI * (p * np.cos(xn) - q * np.sin(xn)) / np.sqrt(x)
 
 
 def _bessel_j_order(nu: float, t):
-    """J_nu(t) for t >= 10 via forward recurrence; nu a multiple of 1/2."""
+    """J_nu(t) for t >= max(5, nu) via forward recurrence, stable while the order
+    stays below t (DLMF 10.74(iv)); nu a multiple of 1/2."""
     if nu in (0.0, 1.0):
         return _bessel_j01(int(nu), t)
     if nu == int(nu):
@@ -294,10 +294,10 @@ def _jj_series_coeffs(nu: float, n_terms: int = 48) -> tuple:
 
 
 def _jj_vec(nu: float, t):
-    """Vectorized jj_nu on t >= 0 (fixed-length series below the crossover)."""
+    """jj_nu on t >= 0, array input: the series where t < max(5, nu), else the recurrence."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    lo = t < (BESSEL_CROSSOVER if nu == 1.0 else 10.0)
+    lo = t < max(5.0, nu)
     if np.any(lo):
         out[lo] = _horner(_jj_series_coeffs(nu), t[lo] * t[lo])
     hi = ~lo
@@ -320,7 +320,7 @@ def jj1(t):
 
 def jj1_prime(t):
     """d/dt jj_1(t) = -(t/4) jj_2(t) = -2 J2(t)/t, from DLMF 10.6.6,
-    (t^-nu J_nu)' = -t^-nu J_(nu+1); within 2e-14 of mpmath on [0, 30]."""
+    (t^-nu J_nu)' = -t^-nu J_(nu+1); within 3e-16 of mpmath on [0, 30]."""
     arr, scalar = _as_array(t)
     if np.any(arr < 0):
         raise DomainError("jj1_prime requires t >= 0")
@@ -330,10 +330,12 @@ def jj1_prime(t):
 def jj(nu: float, t):
     """Normalized Bessel jj_nu(t) = 2^nu Gamma(nu+1) t^(-nu) J_nu(t).
 
-    A fixed 48-term power series is used for small t and a standard
-    large-argument J_nu evaluation beyond the crossover (12 for nu=1, 10
-    otherwise); scalar and array input share this one evaluator.
-    Orders are the sphere family nu = d/2 - 1, i.e. multiples of 1/2.
+    A fixed 48-term power series where t < max(5, nu), for every order, and
+    beyond it large-argument J0/J1 with forward recurrence; scalar and array
+    input share this one evaluator.  Orders are the sphere family
+    nu = d/2 - 1, i.e. multiples of 1/2.  Against mpmath: within 2e-15 absolute
+    for nu <= 9, about 1e-14 up to nu = 30, and worse beyond, as the series
+    cancels near t = nu (1e-12 at nu = 50).
     """
     if nu < 0:
         raise DomainError(f"jj requires nu >= 0, got {nu}")

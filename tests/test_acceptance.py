@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from khinsphere import phase, sample, verify
+from khinsphere.cli import LEMMAS
 from khinsphere.constants import C2, MomentQuery, normalizers
 from khinsphere.quad import F, H_tilde, IntegralParams, product_moment
 from khinsphere.specfun import gamma, jj1
@@ -69,16 +70,7 @@ class TestAcceptance:
 
     def test_criterion_04_lemma_suite(self):
         t0 = time.monotonic()
-        reports = [
-            verify.verify_H_regions(),
-            verify.verify_H_tilde_region(),
-            verify.verify_U_less_G("i"),
-            verify.verify_U_less_G("ii"),
-            verify.verify_U_less_G("iii"),
-            verify.verify_U_less_G("tilde"),
-            verify.verify_ind_base(),
-            verify.verify_small_lemmas(),
-        ]
+        reports = [run({}) for run in LEMMAS.values()]  # every verifier of `khinsphere verify`
         for d in range(5, 11):
             reports.append(verify.verify_bisubharmonic(d, 0.5 * (d - 4.0)))
         elapsed = time.monotonic() - t0

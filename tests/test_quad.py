@@ -62,7 +62,14 @@ class TestF:
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.5, 2.2, 2.7, 2.95])
     def test_closed_form_s2(self, p):
-        assert F(IP(p, 2.0)) == pytest.approx(F2_closed(p), abs=1e-10 * max(1, F2_closed(p)))
+        f = F(IP(p, 2.0))
+        assert f == pytest.approx(F2_closed(p), abs=1e-10 * max(1, F2_closed(p)))
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            q = mp.mpf(p)
+            exact = (2 ** (q - 1) * mp.gamma(q / 2) * mp.gamma(3 - q)
+                     / (mp.gamma(2 - q / 2) ** 2 * mp.gamma(3 - q / 2)))
+        assert f == pytest.approx(float(exact), rel=2e-15, abs=0.0)
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):

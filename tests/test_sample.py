@@ -469,6 +469,21 @@ class TestPolydisc:
                 vol = S.polydisc_slice_volume(a)
                 assert math.pi ** (n - 1) - 1e-9 <= vol <= 2.0 * math.pi ** (n - 1) + 1e-9
 
+    def test_two_entries_tiny_weight(self):
+        # Newton's theorem: pi / max|a_k|^2, where the quadrature's panel budget ran out
+        a = np.array([1.0, 1e-6]) / math.hypot(1.0, 1e-6)
+        vol = S.polydisc_slice_volume(a)
+        assert type(vol) is float
+        assert vol == pytest.approx(math.pi * (1.0 + 1e-12), rel=1e-15, abs=0.0)
+
+    def test_two_entries_match_product_moment(self):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            a = rng.standard_normal(2)
+            a /= np.linalg.norm(a)
+            pm = product_moment(MomentQuery(4, -2.0, tuple(a)))
+            assert S.polydisc_slice_volume(a) == pytest.approx(math.pi * pm, rel=1e-12, abs=0.0)
+
     def test_requires_unit_vector(self):
         with pytest.raises(DomainError):
             S.polydisc_slice_volume([1.0, 1.0])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from khinsphere import specfun
 from khinsphere.errors import DivergenceError, DomainError, PoleError
 from khinsphere.specfun import (
-    BESSEL_CROSSOVER,
     HYP2F1_RTOL,
     digamma,
     gamma,
@@ -61,6 +60,13 @@ class TestGamma:
             assert fast is slow
         else:
             assert type(fast) is float and fast.hex() == slow.hex()
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([2.0, math.nan, 3.0])])
+    def test_nan(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                gamma(x)
 
     def test_negative_argument(self):
         # Gamma(-0.5) = -2 sqrt(pi)
@@ -183,6 +189,13 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(-0.3)
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([2.0, math.nan, 3.0])])
+    def test_nan(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                digamma(x)
+
 
 class TestTrigamma:
     def test_basel(self):
@@ -191,6 +204,13 @@ class TestTrigamma:
     def test_recurrence(self):
         for x in (0.3, 1.7, 9.5):
             assert trigamma(x) - trigamma(x + 1.0) == pytest.approx(1.0 / x**2, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([2.0, math.nan, 3.0])])
+    def test_nan(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                trigamma(x)
 
 
 class TestPochhammer:
@@ -262,16 +282,19 @@ class TestJJ:
         assert np.min(bound - np.abs(jj1(t))) >= 0.0
 
     def test_crossover_continuity(self):
+        # the series below max(5, nu) and the recurrence above meet continuously: the
+        # step across the switch is the slope's, jj_nu' = -t/(2(nu+1)) jj_(nu+1)
         eps = 1e-9
-        lo = jj1(BESSEL_CROSSOVER - eps)
-        hi = jj1(BESSEL_CROSSOVER + eps)
-        assert abs(lo - hi) < 1e-10
+        for nu, edge in ((0.0, 5.0), (1.0, 5.0), (3.0, 5.0), (9.5, 9.5), (19.5, 19.5)):
+            slope = -edge / (2.0 * (nu + 1.0)) * jj(nu + 1.0, edge)
+            step = jj(nu, edge + eps) - jj(nu, edge - eps)
+            assert step == pytest.approx(2.0 * eps * slope, rel=0, abs=2e-14), nu
 
     def test_series_vs_large_branch(self):
-        # the two evaluation routes agree where both are valid
-        from khinsphere.specfun import _bessel_j01
+        # the two evaluation routes agree where both are valid (jj_1 is the kernel above t = 5)
+        from khinsphere.specfun import _bessel_j01, _horner, _jj_series_coeffs
         t = np.linspace(6.0, 11.9, 200)
-        series = jj1(t)
+        series = _horner(_jj_series_coeffs(1.0), t * t)
         cephes = 2.0 * _bessel_j01(1, t) / t
         np.testing.assert_allclose(series, cephes, rtol=0, atol=5e-13)
 
@@ -287,13 +310,35 @@ class TestJJ:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_scalar_matches_mpmath(self, nu):
-        # scalar input, up to and past the crossover (10, or 12 for nu = 1)
+        # scalar input, up to and past the switch at t = 5
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             for t in np.linspace(0.0, 12.4, 249):
                 x = mpmath.mpf(float(t))
                 exact = 1 if t == 0 else 2**nu * mpmath.gamma(nu + 1) * x**-nu * mpmath.besselj(nu, x)
-                assert abs(jj(nu, float(t)) - float(exact)) <= 2e-13
+                assert abs(jj(nu, float(t)) - float(exact)) <= 2e-15
+
+    @staticmethod
+    def _assert_matches_mpmath(nu, ts, tol):
+        mpmath = pytest.importorskip("mpmath")
+        got = jj(nu, ts)
+        with mpmath.workdps(30):
+            norm = 2**mpmath.mpf(nu) * mpmath.gamma(nu + 1)
+            for t, g in zip(ts, got):
+                x = mpmath.mpf(float(t))
+                exact = 1 if t == 0 else norm * x**-nu * mpmath.besselj(nu, x)
+                assert g == pytest.approx(float(exact), rel=0, abs=tol)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_low_orders_match_mpmath(self, nu):
+        # both sides of the switch at t = 5
+        self._assert_matches_mpmath(nu, np.concatenate([np.linspace(0.0, 30.0, 601), [5.0]]), 2e-15)
+
+    @pytest.mark.parametrize("nu", [9.5, 19.5, 29.5])
+    def test_high_orders_match_mpmath(self, nu):
+        # the switch is at t = nu, below which the forward recurrence is unstable
+        ts = np.concatenate([np.linspace(0.0, nu + 30.0, 401), [nu, 2.0 * nu]])
+        self._assert_matches_mpmath(nu, ts, 2e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -302,22 +347,22 @@ class TestJJ:
             jj(-1.0, 1.0)
 
     def test_prime_matches_mpmath(self):
-        # jj_1' = -(t/4) jj_2 = -2 J2(t)/t, across jj_2's switch to the recurrence at t = 10
+        # jj_1' = -(t/4) jj_2 = -2 J2(t)/t, across jj_2's switch to the recurrence at t = 5
         mpmath = pytest.importorskip("mpmath")
-        ts = np.concatenate([np.linspace(0.0, 30.0, 601), [9.91, 10.0, 12.0]])
+        ts = np.concatenate([np.linspace(0.0, 30.0, 601), [4.99, 5.0, 9.91, 10.0, 12.0]])
         got = jj1_prime(ts)
         with mpmath.workdps(30):
             for t, g in zip(ts, got):
                 x = mpmath.mpf(float(t))
                 exact = 0.0 if t == 0 else float(-2 * mpmath.besselj(2, x) / x)
-                assert g == pytest.approx(exact, rel=0, abs=5e-14)
+                assert g == pytest.approx(exact, rel=0, abs=1e-15)
                 assert jj1_prime(float(t)) == g
 
     @pytest.mark.parametrize("nu", [0, 1])
     def test_large_argument_kernel_matches_mpmath(self, nu):
         mpmath = pytest.importorskip("mpmath")
         from khinsphere.specfun import _bessel_j01
-        ts = np.linspace(10.0, 500.0, 981)
+        ts = np.linspace(5.0, 500.0, 991)
         got = _bessel_j01(nu, ts)
         with mpmath.workdps(30):
             for t, g in zip(ts, got):
