@@ -30,7 +30,7 @@ on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
 apart from F's; then the Monte Carlo estimate_moments, estimate and
 standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
-sampler's stream shows; then every entry of check_khinchin (estimate,
+sampler's stream or to its control variates shows; then every entry of check_khinchin (estimate,
 standard error and route) at p in {0.5, 1.5, 2.5} on five unit sets with
 n = 2..6, whose sampled sets run concurrently; then jj at nu in {0, 0.5, 1,
 1.5, 2, 3} and t in {9.99, 10, 12, 25, 60, 200}, and jj1_prime at t in {0,
@@ -38,11 +38,13 @@ n = 2..6, whose sampled sets run concurrently; then jj at nu in {0, 0.5, 1,
 apart from how product_moment amplifies it; then the witnesses (point and
 margin) of every verifier of ``khinsphere verify``, and q_star's bracket and
 iteration count for d = 1..60, which pin the verifiers' arrays and the scan
-grid; last, jj on both sides of its switch to the large-argument kernel at
+grid; then jj on both sides of its switch to the large-argument kernel at
 t = max(5, nu): nu in {0, 1, 3} at t in {4.99, 5}, and nu in {9.5, 19.5,
 29.5} at t in {nu - 0.01, nu + 0.01, 2 nu}, then product_moment at d in
-{20, 40, 62}, p = 2, weights (1, 0.3), where the order nu = d/2 - 1 is high.
-An input that raises prints the exception's class name.  Takes under a
+{20, 40, 62}, p = 2, weights (1, 0.3), where the order nu = d/2 - 1 is high;
+last, the exact even moments E|v|^(2k), k = 0..4, behind the control
+variates of estimate_moments, at d in {3, 4, 5, 8} for the weights of the
+estimate_moments lines.  An input that raises prints the exception's class name.  Takes under a
 minute.
 """
 import pathlib
@@ -140,6 +142,14 @@ def check_khinchin_lines():
             yield f"{label} estimate {e.estimate.hex()}"
             yield f"{label} se {e.std_error.hex()}"
             yield f"{label} route {e.route}"
+
+
+def even_moments_lines():
+    """_even_moments to k = 4 at d in {3, 4, 5, 8}, for the weights of estimate_moments_lines."""
+    coeffs = (1.0, 0.8, 0.6, 0.5)
+    for d in (3, 4, 5, 8):
+        for k, m in enumerate(sample._even_moments(d, coeffs, 4)):
+            yield f"_even_moments d={d} k={k} {_args(*coeffs)} {m.hex()}"
 
 
 def jj_switch_points():
@@ -260,6 +270,8 @@ def main() -> int:
             print(_line(f"jj nu={nu!r} t={t!r}", lambda: jj(nu, t)))
     for d in (20, 40, 62):
         print(_product_moment_line(d, 2.0, (1.0, 0.3)))
+    for line in even_moments_lines():
+        print(line)
     return 0
 
 

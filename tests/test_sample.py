@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,9 +188,11 @@ class TestEstimateMoment:
     @pytest.mark.parametrize("n, rel_se", [(3, 1e-3), (4, 2.2e-3), (5, 3e-3), (6, 3.7e-3)])
     def test_rao_blackwell_heavy_tail(self, n, rel_se):
         # q = -2.5 at d = 4: |S|^q has infinite variance, the conditional 2F1
-        # value a bounded one, so the CLT error is honest and small.  Over
-        # seeds 0..29 the relative se is 0.70e-3, 1.91e-3, 2.66e-3 and
-        # 3.23e-3 for n = 3..6, within 1% of these medians
+        # value a bounded one, so the CLT error is honest and small.  The
+        # bounds are the plain mean's medians over seeds 0..29 (0.70e-3,
+        # 1.91e-3, 2.66e-3 and 3.23e-3 for n = 3..6) with some room; with the
+        # control variates the medians are 0.39e-3, 0.90e-3, 1.01e-3 and
+        # 1.15e-3, every seed within 2% of them
         a = np.linspace(1.0, 0.5, n)
         q = MomentQuery(4, -2.5, tuple(a / np.linalg.norm(a)))
         st_ = S.estimate_moment(q, 50_000, seed=40 + n)
@@ -232,6 +235,122 @@ class TestEstimateMoment:
         for x in (0.65, 0.8, 0.95):
             other = S.estimate_moments(4, (math.sqrt(x), math.sqrt(1 - x)), [q], 200_000, seed=32)[0]
             assert base.estimate <= other.estimate + 4.0 * (base.std_error + other.std_error)
+
+
+def _exact_even_moments_d3(weights, K):
+    """E|V|^(2k), k = 0..K, at d = 3, in exact rationals: by Archimedes the first coordinate of
+    V is X = sum w_j U_j, U_j uniform on [-1, 1], and E|V|^(2k) = (2k + 1) E X^(2k)."""
+    mx = [Fraction(1)] + [Fraction(0)] * (2 * K)  # E X^m of the partial sum
+    for w in map(Fraction, weights):
+        mx = [sum(math.comb(m, j) * w**j * mx[m - j] / (j + 1) for j in range(0, m + 1, 2))
+              for m in range(2 * K + 1)]
+    return [(2 * k + 1) * mx[2 * k] for k in range(K + 1)]
+
+
+class TestEvenMoments:
+    WEIGHTS = ((0.3, 0.7, 1.1), (1.0, 1.0), (0.5, 0.25, 0.125, 1.0, 0.75), (2.0e-3, 1.0, 3.0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_second_moment_is_sum_of_squares(self, d, w):
+        assert S._even_moments(d, w, 1)[1] == pytest.approx(math.fsum(x * x for x in w),
+                                                            rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_fourth_moment_identity(self, d, w):
+        # E|V|^4 = (sum w^2)^2 + (4/d) sum_(j<l) w_j^2 w_l^2, as E x^2 = 1/d; exact rationals
+        w2 = [Fraction(x) ** 2 for x in w]
+        exact = sum(w2) ** 2 + Fraction(4, d) * sum(w2[j] * w2[l] for j in range(len(w2))
+                                                    for l in range(j + 1, len(w2)))
+        assert S._even_moments(d, w, 2)[2] == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("w", [(1.0, 0.5), (0.75, 0.5, 0.25), (1.0, 0.625, 0.375, 0.125),
+                                   (1.0, 1.0, 1.0, 1.0, 1.0, 1.0), (0.5,)])
+    def test_archimedes_d3(self, w):
+        # dyadic weights, so the float weights are the rationals of the oracle
+        got = S._even_moments(3, w, 4)
+        for k, exact in enumerate(_exact_even_moments_d3(w, 4)):
+            assert got[k] == pytest.approx(float(exact), rel=2e-16 * (k + 1), abs=0.0)
+
+    def test_no_weights_and_one(self):
+        assert S._even_moments(4, (), 3) == [1.0, 0.0, 0.0, 0.0]
+        assert S._even_moments(5, (0.7,), 3) == [1.0, 0.7**2, (0.7**2) ** 2, (0.7**2) ** 3]
+        assert S._even_moments(5, (0.0, 0.7), 2) == S._even_moments(5, (0.7,), 2)
+
+
+class TestControlVariates:
+    def test_standard_errors_honest(self):
+        # z against the quadrature over 150 seeded entries: the fitted beta and the
+        # residual degrees of freedom leave the standard error calibrated
+        rng = np.random.default_rng(2023)
+        zs = []
+        for i in range(150):
+            d = int(rng.choice([3, 4, 5, 8]))
+            coeffs = tuple(rng.uniform(0.2, 1.0, int(rng.integers(3, 7))))
+            q = MomentQuery(d, -rng.uniform(0.05, 0.95) * (d - 1), coeffs)
+            st_ = S.estimate_moment(q, 20_000, seed=i)
+            zs.append((st_.estimate - product_moment(q)) / st_.std_error)
+        zs = np.array(zs)
+        assert abs(zs.mean()) < 0.3
+        assert 0.8 <= zs.std(ddof=1) <= 1.2
+        assert np.abs(zs).max() < 4.5
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5])
+    def test_gain_over_plain_mean(self, p):
+        # the plain mean of the same Rao-Blackwellised scores, from the same draws
+        d, n_samples = 4, 50_000
+        rng = np.random.default_rng(int(10 * p))
+        for n in range(3, 7):
+            coeffs = rng.uniform(0.5, 1.0, n)
+            coeffs /= np.linalg.norm(coeffs)
+            st_ = S.estimate_moments(d, coeffs, [-p], n_samples, seed=n)[0]
+            top = int(np.argmax(coeffs))
+            r = S._abs_sums(d, np.delete(coeffs, top), n_samples, S._rng(n))
+            g = S._two_coeff_moment(d, -p, coeffs[top], r)
+            assert st_.std_error ** 2 * 3.0 <= np.var(g, ddof=1) / n_samples
+
+    def test_two_samples_give_plain_mean(self):
+        d, q, coeffs = 4, -1.5, (0.5, 0.6, 0.7)
+        st_ = S.estimate_moments(d, coeffs, [q], 2, seed=5)[0]
+        g = S._two_coeff_moment(d, q, 0.7, S._abs_sums(d, np.array([0.5, 0.6]), 2, S._rng(5)))
+        est = float(np.mean(g))
+        se = math.hypot(float(np.std(g, ddof=1)) / math.sqrt(2), HYP2F1_RTOL * abs(est))
+        assert (st_.estimate, st_.std_error) == (est, se)  # bit for bit
+
+    def test_three_samples_finite_se(self):
+        st_ = S.estimate_moments(4, (0.5, 0.6, 0.7), [-1.5], 3, seed=5)[0]
+        assert math.isfinite(st_.estimate)
+        assert math.isfinite(st_.std_error) and st_.std_error > 0.0
+
+    def test_two_weights_at_the_floor(self):
+        # |v| is constant, so both columns drop and every sample scores the exact moment
+        st_ = S.estimate_moment(MomentQuery(4, -1.5, (0.6, 0.8)), 100_000, seed=3)
+        exact = float(S._two_coeff_moment(4, -1.5, 0.6, 0.8))
+        assert st_.std_error <= 2.0 * HYP2F1_RTOL * st_.estimate
+        assert abs(st_.estimate - exact) < 4.0 * st_.std_error
+
+    @pytest.mark.parametrize("q", [-0.5, 1.0])
+    def test_collinear_columns_d1(self, q):
+        # at d = 1, |v| = |b +- c| takes two values, so u^2 is affine in u and the score
+        # a function of u: the second column drops and the first leaves no residual
+        w = (1.0, 0.7, 0.4)
+        exact = np.mean([abs(1.0 + s * 0.7 + t * 0.4) ** q for s in (-1, 1) for t in (-1, 1)])
+        st_ = S.estimate_moment(MomentQuery(1, q, w), 20_000, seed=1)
+        assert abs(st_.estimate - exact) <= st_.std_error <= 2.0 * HYP2F1_RTOL * exact
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_q2_residual_vanishes(self, d):
+        # E[|v + A xi|^2 | v] = A^2 (1 + u) is linear in the first column, so the estimate is
+        # sum a^2 within the se floor; the residual sum of squares, a difference of sums of
+        # squares, vanishes to sqrt(machine epsilon) of the plain mean's
+        coeffs, n_samples = (0.9, 0.5, 0.4, 0.3), 50_000
+        st_ = S.estimate_moments(d, coeffs, [2.0], n_samples, seed=d)[0]
+        norm2 = math.fsum(a * a for a in coeffs)
+        assert abs(st_.estimate - norm2) <= HYP2F1_RTOL * norm2
+        g = S._two_coeff_moment(d, 2.0, 0.9, S._abs_sums(d, np.array(coeffs[1:]), n_samples,
+                                                         S._rng(d)))
+        assert st_.std_error <= 1e-7 * float(np.std(g, ddof=1)) / math.sqrt(n_samples)
 
 
 class TestSteinhausCrossCheck:
