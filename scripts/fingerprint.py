@@ -30,9 +30,10 @@ on the negative axis and just past its overflow at 171.62 (x in {-0.5,
 s = 1, close to p = 3s/2 and at s = 141, so that a move of the tail shows
 apart from F's; then the Monte Carlo estimate_moments, estimate and
 standard error, at d in {3, 4, 5, 8} on fixed seeds, so that a change to the
-sampler's stream or to its control variates shows; then every entry of check_khinchin (estimate,
-standard error and route) at p in {0.5, 1.5, 2.5} on five unit sets with
-n = 2..6, whose sampled sets run concurrently; then jj at nu in {0, 0.5, 1,
+sampler's stream, to its strata of the last cosine or to its control
+variates shows; then every entry of check_khinchin (estimate, standard error
+and route) at p in {0.5, 1.5, 2.5} on five unit sets with n = 2..6, whose
+sampled sets run concurrently; then jj at nu in {0, 0.5, 1,
 1.5, 2, 3} and t in {9.99, 10, 12, 25, 60, 200}, and jj1_prime at t in {0,
 0.5, 2, 5, 8, 9.91, 10, 12, 20}, so that a move of the Bessel code shows
 apart from how product_moment amplifies it; then the witnesses (point and

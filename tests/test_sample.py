@@ -353,6 +353,81 @@ class TestControlVariates:
         assert st_.std_error <= 1e-7 * float(np.std(g, ddof=1)) / math.sqrt(n_samples)
 
 
+
+def _z_scores(entries, n_samples):
+    """(estimate - product_moment)/std_error of estimate_moment for each (query, seed)."""
+    return np.array([(st_.estimate - product_moment(q)) / st_.std_error
+                     for q, seed in entries
+                     for st_ in [S.estimate_moment(q, n_samples, seed=seed)]])
+
+
+class TestStrata:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_weights_average_to_one(self, d):
+        # omega is the angle's density over the uniform one: its mean over V is 1.  Each
+        # stratum maps V to an arc of [0, pi] where sin^(d-2) is analytic, so 24
+        # Gauss-Legendre nodes in V integrate it to rounding.  At even d the m equally
+        # spaced angles integrate the trigonometric polynomial sin^(d-2) exactly for every V
+        x, wts = np.polynomial.legendre.leggauss(24)
+        v = 0.5 * (x + 1.0)
+        omega = S._last_step(d, np.zeros((len(v), S._STRATA)), 1.0, v)
+        assert abs(0.5 * np.dot(wts, omega.mean(axis=1)) - 1.0) <= 1e-14
+        if d % 2 == 0:
+            assert np.max(np.abs(omega.mean(axis=1) - 1.0)) <= 1e-14
+
+    def test_last_step_matches_chain_update(self):
+        # the stratified step is the chain's own update at the cosine -cos(theta_j)
+        v = np.array([0.0, 0.3, 0.999])
+        r = np.repeat(np.array([[0.4], [0.7], [1.3]]), S._STRATA, axis=1)
+        S._last_step(4, r, 0.7, v)
+        theta = np.pi * (np.arange(S._STRATA) + v[:, None]) / S._STRATA
+        w = np.array([[0.4], [0.7], [1.3]])
+        direct = np.sqrt(w**2 + 0.49 - 2.0 * 0.7 * w * np.cos(theta))
+        assert r == pytest.approx(direct, rel=1e-13, abs=1e-15)
+
+    def test_scores_taken(self):
+        # n_samples counts 2F1 scores: whole groups of _STRATA, or one a group when m = 1
+        coeffs = (0.5, 0.6, 0.7, 0.8)
+        assert S.estimate_moments(4, coeffs, [-1.0], 1001, seed=1)[0].n_samples == 1000
+        assert S.estimate_moments(4, coeffs, [-1.0], 15, seed=1)[0].n_samples == 15
+        assert S.estimate_moments(1, coeffs, [-0.5], 1001, seed=1)[0].n_samples == 1001
+
+    def test_near_exact_fit_calibrated(self):
+        # three weights with the other two summing below A: the chain's partial sum is
+        # constant, every group score and column a smooth function of V, and the fit near
+        # exact.  A residual sum of squares taken as a difference of sums once gave z = 15
+        # at the first input, and a normal-equation solve z = 25 at the third
+        cases = [(3, -0.588950260534853, (0.24469704131566525, 0.25325531209419516,
+                                          0.549695683100917)),
+                 (3, -1.5, (1.0, 0.5, 0.3)),
+                 (5, -2.94, (0.355, 0.923, 0.455)),
+                 (5, -3.5, (1.0, 0.6, 0.3))]
+        zs = _z_scores([(MomentQuery(d, q, c), seed) for d, q, c in cases for seed in range(10)],
+                       20_000)
+        assert np.abs(zs).max() < 4.5
+        assert zs.std(ddof=1) <= 1.5
+
+    def test_unbiased(self):
+        # the stratified, weighted group scores and their fitted control variates add no
+        # bias that 200 estimates can see
+        q = MomentQuery(4, -2.5, (1.0, 0.8, 0.6, 0.5))
+        ests = np.array([S.estimate_moment(q, 20_000, seed=s).estimate for s in range(200)])
+        se = ests.std(ddof=1) / math.sqrt(len(ests))
+        assert abs(ests.mean() - product_moment(q)) < 3.0 * se
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_standard_errors_honest_even_d(self, d):
+        # at even d mean(omega) is 1 to rounding; kept as a column, it inflated z's sd at
+        # d = 8 to 1.4 over these entries
+        rng = np.random.default_rng(2025 + d)
+        entries = [(MomentQuery(d, -rng.uniform(0.05, 0.95) * (d - 1),
+                                tuple(rng.uniform(0.2, 1.0, int(rng.integers(3, 7))))), i)
+                   for i in range(150)]
+        zs = _z_scores(entries, 20_000)
+        assert abs(zs.mean()) < 0.3
+        assert 0.8 <= zs.std(ddof=1) <= 1.2
+        assert np.abs(zs).max() < 4.5
+
 class TestSteinhausCrossCheck:
     def test_d2_product_moment_vs_mc(self):
         # d=2 (Steinhaus): the nu=0 quadrature route against sampling
