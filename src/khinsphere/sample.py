@@ -270,8 +270,8 @@ def _last_step(d: int, r, w, v):
 
     r holds one row of m copies of |v| per uniform V.  Stratum j takes the
     angle theta_j = pi (j + V)/m and the cosine -cos(theta_j), so
-    B_j = sin^2(theta_j/2), and 1 - B_j = cos^2(theta_j/2) is the sine of
-    pi (m - j - V)/(2m): both keep their relative accuracy.  The angle of
+    B_j = sin^2(theta_j/2), and 1 - B_j = cos^2(theta_j/2) is the square of
+    sin(pi (m - j - V)/(2m)): both keep their relative accuracy.  The angle of
     the cosine has density sin^(d-2)(theta)/I_(d-2) on [0, pi], I_k the
     Wallis integral of sin^k, so the score at theta_j takes the weight
     omega_j = pi sin^(d-2)(theta_j)/I_(d-2)
