@@ -43,10 +43,12 @@ grid; then jj on both sides of its switch to the large-argument kernel at
 t = max(5, nu): nu in {0, 1, 3} at t in {4.99, 5}, and nu in {9.5, 19.5,
 29.5} at t in {nu - 0.01, nu + 0.01, 2 nu}, then product_moment at d in
 {20, 40, 62}, p = 2, weights (1, 0.3), where the order nu = d/2 - 1 is high;
-last, the exact even moments E|v|^(2k), k = 0..4, behind the control
+then the exact even moments E|v|^(2k), k = 0..4, behind the control
 variates of estimate_moments, at d in {3, 4, 5, 8} for the weights of the
-estimate_moments lines.  An input that raises prints the exception's class name.  Takes under a
-minute.
+estimate_moments lines; last, product_moment and the 2F1 moment
+_two_coeff_moment at d in {30, 40, 60}, p = 2, weights (1, 0.7), where the
+sign-pattern tail starts at nu^2/2.  An input that raises prints the
+exception's class name.  Takes under a minute.
 """
 import pathlib
 import sys
@@ -57,7 +59,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from khinsphere import oscillatory, phase, sample  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
-from khinsphere.constants import MomentQuery  # noqa: E402
+from khinsphere.constants import MomentQuery, _even_moments, _two_coeff_moment  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
 from khinsphere.quad import (  # noqa: E402
     _TAIL_TOL,
@@ -149,7 +151,7 @@ def even_moments_lines():
     """_even_moments to k = 4 at d in {3, 4, 5, 8}, for the weights of estimate_moments_lines."""
     coeffs = (1.0, 0.8, 0.6, 0.5)
     for d in (3, 4, 5, 8):
-        for k, m in enumerate(sample._even_moments(d, coeffs, 4)):
+        for k, m in enumerate(_even_moments(d, coeffs, 4)):
             yield f"_even_moments d={d} k={k} {_args(*coeffs)} {m.hex()}"
 
 
@@ -273,6 +275,10 @@ def main() -> int:
         print(_product_moment_line(d, 2.0, (1.0, 0.3)))
     for line in even_moments_lines():
         print(line)
+    for d in (30, 40, 60):
+        print(_product_moment_line(d, 2.0, (1.0, 0.7)))
+        print(_line(f"_two_coeff_moment d={d} q=-2.0 {_args(1.0, 0.7)}",
+                    lambda: _two_coeff_moment(d, -2.0, 1.0, 0.7)))
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase, sample, verify
-from .constants import MomentQuery, best_constant_status, c_inf, c_two
+from .constants import MomentQuery, _two_coeff_moment, best_constant_status, c_inf, c_two
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -26,7 +26,6 @@ from .errors import (
     ToleranceError,
 )
 from .quad import product_moment
-from .specfun import hyp2f1
 
 __all__ = ["RunConfig", "LEMMAS", "run", "table_writer", "main"]
 
@@ -110,12 +109,8 @@ def _run_moment(params: dict, fmt: str, seed: int) -> tuple[int, str]:
         routes["quadrature"] = product_moment(query)
     except (ConvergenceError, DomainError):
         routes["quadrature"] = None
-    nz = sorted((abs(a) for a in coeffs if a != 0.0), reverse=True)
-    if len(nz) == 2:
-        t = (nz[1] / nz[0]) ** 2
-        routes["hypergeometric"] = nz[0] ** (-p) * hyp2f1(p / 2.0, (p - d + 2.0) / 2.0, d / 2.0, t)
-    else:
-        routes["hypergeometric"] = None
+    nz = [a for a in coeffs if a != 0.0]
+    routes["hypergeometric"] = float(_two_coeff_moment(d, -p, *nz)) if len(nz) == 2 else None
     stats = sample.estimate_moment(query, n, seed=seed)
     routes["monte_carlo"] = stats.estimate
     if fmt == "json":

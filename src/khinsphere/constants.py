@@ -1,8 +1,9 @@
-"""Closed-form sharp constants and normalizing factors for sphere-uniform sums.
+"""Closed-form sharp constants, normalizing factors and exact moments for sphere-uniform sums.
 
 Conventions: xi_k are i.i.d. uniform on S^(d-1); c_two / c_inf are the
 two-equal-weights and Gaussian-limit Khinchin constants; for d=4 and
 negative exponent q = -p the corresponding moment constants are C2 / C_infty.
+The exact moments E|a xi_1 + b xi_2|^q and E|v|^(2k) live here, below quad and sample.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specfun import _as_array, gamma, log_gamma
+from .specfun import _as_array, gamma, hyp2f1, log_gamma
 
 __all__ = [
     "MomentQuery",
@@ -58,6 +59,50 @@ class MomentQuery:
     @property
     def norm(self) -> float:
         return math.sqrt(sum(a * a for a in self.coeffs))
+
+
+def _two_coeff_2f1(d: int, q: float, t):
+    """2F1(-q/2, (-q-d+2)/2; d/2; t) = E|xi_1 + sqrt(t) xi_2|^q; t in [0, 1] may be an array."""
+    return hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, t)
+
+
+def _two_coeff_moment(d: int, q: float, a, b):
+    """E|a xi_1 + b xi_2|^q = M^q 2F1(-q/2, (-q-d+2)/2; d/2; (m/M)^2), M = max(|a|,|b|), m = min.
+
+    Array-capable in a and b, which are taken as floats; finite for q > -(d-1),
+    where the 2F1 at 1 is a Gauss sum.
+    """
+    a, b = np.abs(a, dtype=float), np.abs(b, dtype=float)
+    hi, t = np.maximum(a, b), np.minimum(a, b)
+    t /= hi
+    t *= t  # (m/M)^2, in place, as the Monte Carlo scoring holds a chunk of samples
+    f = _two_coeff_2f1(d, q, t)
+    hi **= q
+    hi *= f
+    return hi
+
+
+def _even_moments(d: int, weights, K: int) -> list[float]:
+    """E|v|^(2k) for k = 0..K, v = sum_j w_j xi_j with xi_j uniform on S^(d-1).
+
+    The radial chain in moments: adding b xi to v gives |v + b xi|^2 =
+    (|v|^2 + b^2) + 2b|v|x, with the cosine x independent of v (see
+    sample._abs_sums), its odd moments 0 and E x^(2i) = (1/2)_i/(d/2)_i.  So
+    E|v + b xi|^(2k) = sum over i, l of C(k, 2i) C(k - 2i, l) (4b^2)^i E x^(2i)
+    b^(2(k - 2i - l)) E|v|^(2(l + i)): positive terms only, nothing cancels.
+    No weights give 1, 0, ..., 0.
+    """
+    ex = [1.0]
+    for i in range(1, K // 2 + 1):
+        ex.append(ex[-1] * (i - 0.5) / (0.5 * d + i - 1))
+    m = [1.0] + [0.0] * K
+    for w in weights:
+        b2 = float(w) ** 2
+        m = [math.fsum(math.comb(k, 2 * i) * math.comb(k - 2 * i, l) * (4.0 * b2) ** i * ex[i]
+                       * b2 ** (k - 2 * i - l) * m[l + i]
+                       for i in range(k // 2 + 1) for l in range(k - 2 * i + 1))
+             for k in range(K + 1)]
+    return m
 
 
 @dataclass(frozen=True)

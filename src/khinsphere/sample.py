@@ -22,7 +22,7 @@ means are exact (E|v|^(2k) from the radial chain's even moments), regressed
 out on the same groups.  On unit sets of 3 to 6 weights at d = 4 the two
 together cut the variance per score below the plain mean's by a median
 factor of 2200 at q = -0.5, 320 at q = -1.5 and 31 at q = -2.5, with no
-extra 2F1 call.
+extra 2F1 call.  Both exact moments are imported from constants.
 
 Only norms of sums are ever needed, so no vector is drawn: the radial chain
 adds one weighted vector at a time through |v + a xi|^2 = |v|^2 + a^2 +
@@ -48,10 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C2, C_infty, MomentQuery
+from .constants import C2, C_infty, MomentQuery, _even_moments, _two_coeff_moment
 from .errors import DomainError
 from .quad import product_moment
-from .specfun import HYP2F1_RTOL, hyp2f1
+from .specfun import HYP2F1_RTOL
 
 __all__ = [
     "SampleStats",
@@ -221,48 +221,10 @@ def _abs_sums(d: int, weights, n: int, gen: np.random.Generator) -> np.ndarray:
     return r
 
 
-def _two_coeff_moment(d: int, q: float, a, b):
-    """E|a xi_1 + b xi_2|^q = M^q 2F1(-q/2, (-q-d+2)/2; d/2; (m/M)^2), M = max(|a|,|b|), m = min.
-
-    Array-capable in a and b; finite for q > -(d-1), where the 2F1 at 1 is a Gauss sum.
-    """
-    a, b = np.abs(a), np.abs(b)
-    hi, t = np.maximum(a, b), np.minimum(a, b)
-    t /= hi
-    t *= t  # (m/M)^2, in place, as the Monte Carlo scoring holds a chunk of samples
-    f = hyp2f1(-q / 2.0, (-q - d + 2.0) / 2.0, d / 2.0, t)
-    hi **= q
-    hi *= f
-    return hi
-
-
 def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> SampleStats:
     """Monte Carlo estimate of E|sum a_k xi_k|^q (Rao-Blackwellised, stratified, with control
     variates; see estimate_moments)."""
     return estimate_moments(query.d, query.coeffs, [query.q], n_samples, seed)[0]
-
-
-def _even_moments(d: int, weights, K: int) -> list[float]:
-    """E|v|^(2k) for k = 0..K, v = sum_j w_j xi_j with xi_j uniform on S^(d-1).
-
-    The radial chain in moments: adding b xi to v gives |v + b xi|^2 =
-    (|v|^2 + b^2) + 2b|v|x, with the cosine x independent of v (see
-    _abs_sums), its odd moments 0 and E x^(2i) = (1/2)_i/(d/2)_i.  So
-    E|v + b xi|^(2k) = sum over i, l of C(k, 2i) C(k - 2i, l) (4b^2)^i E x^(2i)
-    b^(2(k - 2i - l)) E|v|^(2(l + i)): positive terms only, nothing cancels.
-    No weights give 1, 0, ..., 0.
-    """
-    ex = [1.0]
-    for i in range(1, K // 2 + 1):
-        ex.append(ex[-1] * (i - 0.5) / (0.5 * d + i - 1))
-    m = [1.0] + [0.0] * K
-    for w in weights:
-        b2 = float(w) ** 2
-        m = [math.fsum(math.comb(k, 2 * i) * math.comb(k - 2 * i, l) * (4.0 * b2) ** i * ex[i]
-                       * b2 ** (k - 2 * i - l) * m[l + i]
-                       for i in range(k // 2 + 1) for l in range(k - 2 * i + 1))
-             for k in range(K + 1)]
-    return m
 
 
 def _last_step(d: int, r, w, v):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import D
+from .constants import D, _two_coeff_2f1
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quad import (
     G,
@@ -36,7 +36,7 @@ from .quad import (
     table2_log_bound,
     table3_scaled_bound,
 )
-from .specfun import digamma, gamma, hyp2f1, log_gamma
+from .specfun import digamma, gamma, log_gamma
 
 __all__ = [
     "VerificationReport",
@@ -328,23 +328,17 @@ def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:
         raise DomainError(f"requires 0 < p <= d-2, got p={p}, d={d}")
     degenerate = abs(p - (d - 2.0)) < 1e-12
     ts = np.linspace(1e-3, 1.0 - 1e-3, _N_GRID)
-    mvals = hyp2f1(p / 2.0, (p - d + 2.0) / 2.0, d / 2.0, ts)
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
+    mvals = _two_coeff_2f1(d, -p, ts)
+    blocks = []  # (tag, t, margins): the quadratic bound, "<= 1", then monotonicity
     if d == 4 and p <= 2.0:
         # the gap is O(p^2 t^3); below double resolution for tiny p, hence the
         # 1e-15 rounding allowance
         quad_bound = 1.0 - p * (2.0 - p) / 8.0 * ts - p**2 * (4.0 - p**2) / 192.0 * ts**2
-        for t, m, b in zip(ts, mvals, quad_bound):
-            points.append((float(t), 0.0))
-            margins.append(float(b - m) + 1e-15)
-    for t, m in zip(ts, mvals):
-        points.append((float(t), 1.0))
-        margins.append(float(1e-13 - abs(1.0 - m)) if degenerate else float(1.0 - m))
-    diffs = mvals[:-1] - mvals[1:] + 1e-13
-    for t, dm in zip(ts[:-1], diffs):
-        points.append((float(t), 2.0))
-        margins.append(float(dm))
+        blocks.append((0.0, ts, quad_bound - mvals + 1e-15))
+    blocks.append((1.0, ts, 1e-13 - np.abs(1.0 - mvals) if degenerate else 1.0 - mvals))
+    blocks.append((2.0, ts[:-1], mvals[:-1] - mvals[1:] + 1e-13))
+    points = np.vstack([np.column_stack((t, np.full(len(t), tag))) for tag, t, _ in blocks])
+    margins = np.concatenate([m for _, _, m in blocks])
     tag = " (degenerate boundary p=d-2)" if degenerate else ""
     region = f"d={d}, p={p}, t in [1e-3, 1-1e-3]{tag}"
     return _make_report("two_coeff_bounds", region, (_N_GRID,), points, margins)

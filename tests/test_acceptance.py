@@ -97,8 +97,8 @@ class TestAcceptance:
         t0 = time.monotonic()
         ok = 5.0 - math.pi**2 / 2.0 > 0.06
         for d in (5, 10, 20, 40):
-            ok &= phase.verify_appendix_claims(d).passed
-        asym = phase.asymptotic_check(range(5, 61))
+            ok &= LEMMAS["appendix_claims"]({"d": d}).passed
+        asym = LEMMAS["asymptotics"]({})
         ok &= asym.passed
         elapsed = time.monotonic() - t0
         ok &= elapsed < 120.0

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from khinsphere.cli import RunConfig, main, run, table_writer
+from khinsphere.constants import _two_coeff_moment
 from khinsphere.errors import DomainError
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -80,6 +81,16 @@ class TestMomentVerb:
         assert code == 0
         routes = json.loads(out)["routes"]
         assert routes["hypergeometric"] == pytest.approx(routes["quadrature"], rel=1e-9)
+
+    def test_two_coeff_routes_agree_to_the_bit(self, capsys):
+        # at n = 2 every Monte Carlo score is the 2F1 itself; squaring b/a with ** 2 once
+        # put the hypergeometric route 1 ulp off it here
+        p, a, b = 0.5515085575750972, 0.0012957873312975817, 0.0012194248857395641
+        code, out, _ = _run(["--format", "json", "moment", "--d", "2", "--p", repr(p),
+                             "--coeffs", f"{a!r},{b!r}", "--n", "1000"], capsys)
+        assert code == 0
+        routes = json.loads(out)["routes"]
+        assert routes["hypergeometric"] == float(_two_coeff_moment(2, -p, a, b))
 
 
 class TestVerifyVerb:

@@ -447,6 +447,28 @@ class TestProductMoment:
         val = product_moment(MomentQuery(d, -p, (a, b)))
         assert val == pytest.approx(float(_two_coeff_moment(d, -p, a, b)), rel=1e-8)
 
+    @pytest.mark.parametrize("d", range(12, 63, 2))
+    def test_high_d_matches_two_coeff(self, d):
+        # the tail's Hankel expansion holds only for t >> nu^2, so it starts at nu^2/2 from
+        # d = 22 on; starting at 46 left d = 40 2.4e-9 and d = 62 8.0e-2 off the 2F1
+        for b in (1.0, 0.95, 0.7, 0.3, 0.05):
+            for p in (0.5, 1.0, 2.0, 3.5):
+                exact = float(_two_coeff_moment(d, -p, 1.0, b))
+                assert product_moment(MomentQuery(d, -p, (1.0, b))) == pytest.approx(
+                    exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [22, 40, 62])
+    def test_high_d_two_coeff_against_mpmath(self, d):
+        # the reference of test_high_d_matches_two_coeff, at 40 digits (worst 7.8e-16)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for b in (1.0, 0.95, 0.7, 0.3, 0.05):
+                for p in (0.5, 1.0, 2.0, 3.5):
+                    pm = mpmath.mpf(p)
+                    ref = mpmath.hyp2f1(pm / 2, (pm - d + 2) / 2, mpmath.mpf(d) / 2, mpmath.mpf(b) ** 2)
+                    assert float(_two_coeff_moment(d, -p, 1.0, b)) == pytest.approx(
+                        float(ref), rel=1e-14, abs=0.0)
+
     def test_d3_two_coeff_matches_hypergeometric(self):
         # nu = 1/2 factors
         val = product_moment(MomentQuery(3, -0.8, (1.0, 0.7)))

@@ -329,6 +329,8 @@ class TestControlVariates:
         exact = float(S._two_coeff_moment(4, -1.5, 0.6, 0.8))
         assert st_.std_error <= 2.0 * HYP2F1_RTOL * st_.estimate
         assert abs(st_.estimate - exact) < 4.0 * st_.std_error
+        # integer arguments are taken as floats: 1^-2 times 2F1(1, 0; 2; 1)
+        assert S._two_coeff_moment(4, -2, 1, 1) == S._two_coeff_moment(4, -2.0, 1.0, 1.0) == 1.0
 
     @pytest.mark.parametrize("q", [-0.5, 1.0])
     def test_collinear_columns_d1(self, q):
