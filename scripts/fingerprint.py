@@ -45,10 +45,14 @@ t = max(5, nu): nu in {0, 1, 3} at t in {4.99, 5}, and nu in {9.5, 19.5,
 {20, 40, 62}, p = 2, weights (1, 0.3), where the order nu = d/2 - 1 is high;
 then the exact even moments E|v|^(2k), k = 0..4, behind the control
 variates of estimate_moments, at d in {3, 4, 5, 8} for the weights of the
-estimate_moments lines; last, product_moment and the 2F1 moment
+estimate_moments lines; then product_moment and the 2F1 moment
 _two_coeff_moment at d in {30, 40, 60}, p = 2, weights (1, 0.7), where the
-sign-pattern tail starts at nu^2/2.  An input that raises prints the
-exception's class name.  Takes under a minute.
+sign-pattern tail starts at nu^2/2; last, a 1e-13 weight next to a pair:
+product_moment with (1, 1, 1e-13) where p > d - 2, which raises, and its
+controls at p <= d - 2 and with the pair (1, 0.9), polydisc_slice_volume at
+(0.6, 0.8, 5e-13), and the check_khinchin entry of (1, 1, 1e-13) at p = 2.9.
+An input that raises prints the exception's class name.  Takes under a
+minute.
 """
 import pathlib
 import sys
@@ -153,6 +157,20 @@ def even_moments_lines():
     for d in (3, 4, 5, 8):
         for k, m in enumerate(_even_moments(d, coeffs, 4)):
             yield f"_even_moments d={d} k={k} {_args(*coeffs)} {m.hex()}"
+
+
+def tiny_weight_lines():
+    """A 1e-13 weight next to a pair: an equal pair where p > d - 2, then the controls."""
+    for d, p in ((3, 1.9), (4, 2.9), (5, 3.9), (8, 6.9), (4, 2.5), (5, 3.5), (4, 1.5), (4, 2.0)):
+        yield _product_moment_line(d, p, (1.0, 1.0, 1e-13))
+    yield _product_moment_line(4, 2.9, (1.0, 0.9, 1e-13))
+    a = (0.6, 0.8, 5e-13)
+    yield _line(f"polydisc_slice_volume {_args(*a)}", lambda: sample.polydisc_slice_volume(a))
+    coeffs = (1.0, 1.0, 1e-13)
+    e = sample.check_khinchin(4, 2.9, [coeffs], 50_000, seed=1).entries[0]
+    label = f"check_khinchin p=2.9 {_args(*coeffs)} seed=1"
+    yield from (f"{label} estimate {e.estimate.hex()}", f"{label} se {e.std_error.hex()}",
+                f"{label} route {e.route}")
 
 
 def jj_switch_points():
@@ -279,6 +297,8 @@ def main() -> int:
         print(_product_moment_line(d, 2.0, (1.0, 0.7)))
         print(_line(f"_two_coeff_moment d={d} q=-2.0 {_args(1.0, 0.7)}",
                     lambda: _two_coeff_moment(d, -2.0, 1.0, 0.7)))
+    for line in tiny_weight_lines():
+        print(line)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase, sample, verify
-from .constants import MomentQuery, _two_coeff_moment, best_constant_status, c_inf, c_two
+from .constants import MomentQuery, _closed_moment, best_constant_status, c_inf, c_two
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -107,10 +107,10 @@ def _run_moment(params: dict, fmt: str, seed: int) -> tuple[int, str]:
     routes: dict[str, float | None] = {}
     try:
         routes["quadrature"] = product_moment(query)
-    except (ConvergenceError, DomainError):
+    except (ConvergenceError, DomainError, ToleranceError):
         routes["quadrature"] = None
-    nz = [a for a in coeffs if a != 0.0]
-    routes["hypergeometric"] = float(_two_coeff_moment(d, -p, *nz)) if len(nz) == 2 else None
+    closed = _closed_moment(query)
+    routes["hypergeometric"] = closed[0] if closed and closed[1] == "hypergeometric" else None
     stats = sample.estimate_moment(query, n, seed=seed)
     routes["monte_carlo"] = stats.estimate
     if fmt == "json":

@@ -3,7 +3,8 @@
 Conventions: xi_k are i.i.d. uniform on S^(d-1); c_two / c_inf are the
 two-equal-weights and Gaussian-limit Khinchin constants; for d=4 and
 negative exponent q = -p the corresponding moment constants are C2 / C_infty.
-The exact moments E|a xi_1 + b xi_2|^q and E|v|^(2k) live here, below quad and sample.
+The exact moments E|a xi_1 + b xi_2|^q and E|v|^(2k) live here, below quad and sample, and
+so does _closed_moment, the one choice of a closed route for E|sum a_k xi_k|^q.
 """
 from __future__ import annotations
 
@@ -80,6 +81,17 @@ def _two_coeff_moment(d: int, q: float, a, b):
     hi **= q
     hi *= f
     return hi
+
+
+def _closed_moment(query: MomentQuery) -> tuple[float, str] | None:
+    """(E|sum a_k xi_k|^q, route): |a|^q ("exact") for one nonzero weight, however small,
+    the 2F1 of _two_coeff_moment ("hypergeometric") for two, None for more."""
+    nz = [a for a in query.coeffs if a != 0.0]
+    if len(nz) == 1:
+        return float(np.abs(nz[0]) ** query.q), "exact"
+    if len(nz) == 2:
+        return float(_two_coeff_moment(query.d, query.q, *nz)), "hypergeometric"
+    return None
 
 
 def _even_moments(d: int, weights, K: int) -> list[float]:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C2, C_infty, MomentQuery, _even_moments, _two_coeff_moment
+from .constants import C2, C_infty, MomentQuery, _closed_moment, _even_moments, _two_coeff_moment
 from .errors import DomainError
 from .quad import product_moment
 from .specfun import HYP2F1_RTOL
@@ -443,17 +443,17 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     """Check E|sum a_k xi_k|^(-p) <= C(p) (sum a_k^2)^(-p/2) at d=4.
 
     C(p) is C_infty for p <= 2 and C2 for p > 2.  Sets with one or two
-    nonzero weights use the exact and the hypergeometric route; such an entry
-    is violated when it exceeds the bound by more than 1e-9 relative plus
-    1e-12, and its margin_sigma is then -inf, else +inf.  The rest are
-    Rao-Blackwellised Monte Carlo, with the last cosine stratified and with
-    control variates (estimate_moment), n_samples 2F1 scores each, set i on
-    its own stream seed + i, with the base 4-sigma threshold
-    Bonferroni-widened across the batch.  The sampled
-    sets run concurrently on min(their number, usable CPUs) threads, so peak
-    memory covers that many sets in flight; each entry is bit-identical
-    whatever the scheduling or the core count, and entries are judged in set
-    order.  A failed set's error is re-raised here.
+    nonzero weights, however small, take the exact or the hypergeometric route
+    of constants._closed_moment; such an entry is violated when it exceeds the
+    bound by more than 1e-9 relative plus 1e-12, and its margin_sigma is then
+    -inf, else +inf.  The rest are Rao-Blackwellised Monte Carlo, with the last
+    cosine stratified and with control variates (estimate_moment), n_samples
+    2F1 scores each, set i on its own stream seed + i, with the base 4-sigma
+    threshold Bonferroni-widened across the batch.  The sampled sets run
+    concurrently on min(their number, usable CPUs) threads, so peak memory
+    covers that many sets in flight; each entry is bit-identical whatever the
+    scheduling or the core count, and entries are judged in set order.  A
+    failed set's error is re-raised here.
     """
     if d != 4:
         raise DomainError("the sharp-constant check is stated for d = 4")
@@ -464,25 +464,22 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     base_alpha = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
     threshold = normal_isf(base_alpha / n_comp)
     queries = [MomentQuery(d, -p, coeffs) for coeffs in coeff_sets]  # finite weights, not all zero
-    nzs = [[abs(a) for a in query.coeffs if a != 0.0] for query in queries]
-    sampled = [i for i, nz in enumerate(nzs) if len(nz) > 2]
+    closed = [_closed_moment(query) for query in queries]
+    sampled = [i for i, c in enumerate(closed) if c is None]
     stats = dict(zip(sampled, _map_threads(estimate_moment,
                                            [(queries[i], n_samples, seed + i) for i in sampled])))
     entries = []
-    for i, (query, nz) in enumerate(zip(queries, nzs)):
+    for i, (query, c) in enumerate(zip(queries, closed)):
         coeffs = query.coeffs
         norm2 = sum(a * a for a in coeffs)
         bound = const * norm2 ** (-p / 2.0)
-        if len(nz) == 1:
-            est, se, route = nz[0] ** (-p), 0.0, "exact"
-        elif len(nz) == 2:
-            est, se, route = float(_two_coeff_moment(d, -p, *nz)), 0.0, "hypergeometric"
-        else:
-            est, se, route = stats[i].estimate, stats[i].std_error, stats[i].method
-        if route in ("exact", "hypergeometric"):
+        if c is not None:
+            est, route = c
+            se = 0.0
             violated = est > bound * (1.0 + 1e-9) + 1e-12
             margin_sigma = -math.inf if violated else math.inf
         else:
+            est, se, route = stats[i].estimate, stats[i].std_error, stats[i].method
             margin_sigma = (bound - est) / se if se > 0 else math.inf
             violated = margin_sigma < -threshold
         entries.append(KhinchinEntry(coeffs=coeffs, estimate=est, std_error=se,
@@ -541,22 +538,14 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
 def polydisc_slice_volume(a) -> float:
     """vol_{2n-2}(D^n cut by the hyperplane orthogonal to a) = pi^(n-1) E|sum a_k xi_k|^(-2).
 
-    a must be a unit vector in R^n; a single nonzero entry gives exactly
-    pi^(n-1) (the minimal section).  Two nonzero entries take the terminating
-    2F1 of _two_coeff_moment, pi^(n-1)/max|a_k|^2 (Newton's theorem), with no
-    quadrature.
+    a must be a unit vector in R^n.  One or two nonzero entries, however small,
+    take the closed route of constants._closed_moment: a unit entry gives exactly
+    pi^(n-1) (the minimal section), and two entries the terminating 2F1,
+    pi^(n-1)/max|a_k|^2 (Newton's theorem).  More take product_moment.
     """
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"direction must be finite, got {a.tolist()}")
-    n = len(a)
-    norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"direction must be a unit vector, got |a| = {norm}")
-    nz = a[np.abs(a) > 1e-12]
-    if len(nz) <= 1:
-        return math.pi ** (n - 1)
-    if len(nz) == 2:
-        return math.pi ** (n - 1) * float(_two_coeff_moment(4, -2.0, *nz))
-    query = MomentQuery(4, -2.0, tuple(a))
-    return math.pi ** (n - 1) * product_moment(query)
+    query = MomentQuery(4, -2.0, tuple(np.asarray(a, dtype=float)))  # finite, not all zero
+    if abs(query.norm - 1.0) > 1e-9:
+        raise DomainError(f"direction must be a unit vector, got |a| = {query.norm}")
+    closed = _closed_moment(query)
+    n = len(query.coeffs)
+    return math.pi ** (n - 1) * (product_moment(query) if closed is None else closed[0])

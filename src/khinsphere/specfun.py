@@ -159,20 +159,25 @@ _BERNOULLI = (
 )
 
 
+def _shift_up(arr, term):
+    """(x, s): a copy of arr shifted up by 1 until >= 8, where the asymptotic series of
+    digamma and trigamma has ~1e-16 error, and s, the sum of term(x) over the steps."""
+    arr = arr.copy()
+    out = np.zeros_like(arr)
+    while True:
+        small = arr < 8.0
+        if not np.any(small):
+            return arr, out
+        out[small] += term(arr[small])
+        arr[small] += 1.0
+
+
 def digamma(x):
     """psi(x) = (log Gamma)'(x) for x > 0."""
     arr, scalar = _as_array(x)
     if not np.all(arr > 0):  # NaN too
         raise DomainError(f"digamma requires x > 0, got {x!r}")
-    arr = arr.copy()
-    out = np.zeros_like(arr)
-    # shift up to >= 8 where the asymptotic series has ~1e-16 error
-    while True:
-        small = arr < 8.0
-        if not np.any(small):
-            break
-        out[small] -= 1.0 / arr[small]
-        arr[small] += 1.0
+    arr, out = _shift_up(arr, lambda x: -1.0 / x)
     # sum B_{2n}/(2n x^{2n}) by Horner in 1/x^2
     inv2 = 1.0 / (arr * arr)
     acc = _horner([b / (2.0 * n) for n, b in enumerate(_BERNOULLI, start=1)], inv2)
@@ -186,14 +191,7 @@ def trigamma(x):
     arr, scalar = _as_array(x)
     if not np.all(arr > 0):  # NaN too
         raise DomainError(f"trigamma requires x > 0, got {x!r}")
-    arr = arr.copy()
-    out = np.zeros_like(arr)
-    while True:
-        small = arr < 8.0
-        if not np.any(small):
-            break
-        out[small] += 1.0 / (arr[small] * arr[small])
-        arr[small] += 1.0
+    arr, out = _shift_up(arr, lambda x: 1.0 / (x * x))
     inv2 = 1.0 / (arr * arr)
     acc = _horner(_BERNOULLI, inv2)
     acc *= inv2 / arr

@@ -462,16 +462,20 @@ def table3_margins() -> tuple[np.ndarray, np.ndarray, float]:
     return 1e4 * left, 1e4 * right, float(ell0_margin)
 
 
+def _floor_margins(columns, offset: int) -> tuple[list, list]:
+    """Points (row + offset, side) and margins value - floor of (values, floors) columns."""
+    points, margins = [], []
+    for side, (values, floors) in enumerate(columns):
+        for i, (v, fl) in enumerate(zip(values, floors)):
+            points.append((float(i + offset), float(side)))
+            margins.append(float(v - fl))
+    return points, margins
+
+
 def verify_table2() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-3-scaled) floors."""
     left, right = table2_margins()
-    points, margins = [], []
-    for i, (lv, fl) in enumerate(zip(left, TABLE2_FLOORS_LEFT)):
-        points.append((float(i), 0.0))
-        margins.append(float(lv - fl))
-    for i, (rv, fl) in enumerate(zip(right, TABLE2_FLOORS_RIGHT)):
-        points.append((float(i), 1.0))
-        margins.append(float(rv - fl))
+    points, margins = _floor_margins(((left, TABLE2_FLOORS_LEFT), (right, TABLE2_FLOORS_RIGHT)), 0)
     return _make_report("table2", f"12 subintervals of [0.8, 2], m={_M_S83}", (12,), points,
                         margins)
 
@@ -480,13 +484,7 @@ def verify_table3() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-4-scaled) floors, and the
     p <= 0.02 tangent margin exceeds 1e-5."""
     left, right, ell0 = table3_margins()
-    points, margins = [], []
-    for i, (lv, fl) in enumerate(zip(left, TABLE3_FLOORS_LEFT)):
-        points.append((float(i + 1), 0.0))
-        margins.append(float(lv - fl))
-    for i, (rv, fl) in enumerate(zip(right, TABLE3_FLOORS_RIGHT)):
-        points.append((float(i + 1), 1.0))
-        margins.append(float(rv - fl))
+    points, margins = _floor_margins(((left, TABLE3_FLOORS_LEFT), (right, TABLE3_FLOORS_RIGHT)), 1)
     points.append((0.02, 2.0))
     margins.append(ell0 - 1e-5)
     return _make_report("table3", f"6 subintervals of [0.02, 0.25] plus ell_0, m={_M_S13}", (6,),

@@ -92,6 +92,24 @@ class TestMomentVerb:
         routes = json.loads(out)["routes"]
         assert routes["hypergeometric"] == float(_two_coeff_moment(2, -p, a, b))
 
+    def test_panel_budget_leaves_quadrature_empty(self, capsys):
+        # the 1e-8 weight takes the panels past their budget (ToleranceError); the other
+        # routes still print
+        code, out, _ = _run(["moment", "--d", "4", "--p", "0.5", "--coeffs", "1,1e-8",
+                             "--n", "1000"], capsys)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert rows["quadrature"] == ""
+        assert rows["hypergeometric"] == "1.000000000000"
+
+    def test_tiny_weight_next_to_equal_pair(self, capsys):
+        # three nonzero weights: no 2F1, and the quadrature raises rather than give the pair's
+        code, out, _ = _run(["--format", "json", "moment", "--d", "4", "--p", "2.9",
+                             "--coeffs", "1,1,1e-13", "--n", "1000"], capsys)
+        assert code == 0
+        routes = json.loads(out)["routes"]
+        assert routes["quadrature"] is None and routes["hypergeometric"] is None
+
 
 class TestVerifyVerb:
     def test_pass_exit_zero(self, capsys):

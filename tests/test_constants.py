@@ -8,6 +8,8 @@ from khinsphere.constants import (
     C_infty,
     D,
     MomentQuery,
+    _closed_moment,
+    _two_coeff_moment,
     best_constant_status,
     c_inf,
     c_two,
@@ -200,6 +202,20 @@ class TestMomentQuery:
                              (4, -1.0, (math.nan, 1.0)), (4, -1.0, (1.0, -math.inf))]:
             with pytest.raises(DomainError, match="finite"):
                 MomentQuery(d, q, coeffs)
+
+
+class TestClosedMoment:
+    def test_routes_by_nonzero_weights(self):
+        assert _closed_moment(MomentQuery(4, -2.5, (0.0, -0.5))) == (0.5 ** -2.5, "exact")
+        pair = _closed_moment(MomentQuery(4, -2.5, (0.6, 0.0, -0.8)))
+        assert pair == (float(_two_coeff_moment(4, -2.5, 0.6, 0.8)), "hypergeometric")
+        assert _closed_moment(MomentQuery(4, -2.5, (0.6, 0.8, 1e-300))) is None
+
+    def test_tiny_weight_counts(self):
+        # no cut: a 1e-13 partner makes a pair, whose moment at d = 4, q = -2 is
+        # 1/max^2 exactly (Newton's theorem)
+        assert _closed_moment(MomentQuery(4, -2.0, (1.0, 1e-13))) == (1.0, "hypergeometric")
+        assert _closed_moment(MomentQuery(4, -2.0, (-2.0, 1e-13))) == (0.25, "hypergeometric")
 
 
 class TestStatus:

@@ -447,6 +447,21 @@ class TestProductMoment:
         val = product_moment(MomentQuery(d, -p, (a, b)))
         assert val == pytest.approx(float(_two_coeff_moment(d, -p, a, b)), rel=1e-8)
 
+    @pytest.mark.parametrize("d,p", [(3, 1.9), (4, 2.9), (5, 3.9), (8, 6.9), (4, 2.5), (5, 3.5)])
+    def test_tiny_weight_next_to_equal_pair_raises(self, d, p):
+        # xi_1 + xi_2 has density ~|v|^(d-2) at 0, so for p > d - 2 a weight eps moves the
+        # moment by O(eps^(d-1-p)): the (1, 1) value alone is 4.6% high at (4, 2.9).  Every
+        # weight counts there, and the panels exceed their budget.
+        with pytest.raises(ToleranceError):
+            product_moment(MomentQuery(d, -p, (1.0, 1.0, 1e-13)))
+
+    @pytest.mark.parametrize("d,p,pair", [(4, 1.5, (1.0, 1.0)), (4, 2.0, (1.0, 1.0)),
+                                          (4, 2.9, (1.0, 0.9))])
+    def test_tiny_weight_dropped_where_harmless(self, d, p, pair):
+        # p <= d - 2, or a pair 0.1 apart: the 1e-13 weight moves the moment by under 1e-13
+        val = product_moment(MomentQuery(d, -p, (*pair, 1e-13)))
+        assert val == pytest.approx(float(_two_coeff_moment(d, -p, *pair)), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("d", range(12, 63, 2))
     def test_high_d_matches_two_coeff(self, d):
         # the tail's Hankel expansion holds only for t >> nu^2, so it starts at nu^2/2 from

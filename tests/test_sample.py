@@ -481,6 +481,14 @@ class TestNearEqualPairs:
         assert product_moment(MomentQuery(d, -p, coeffs)) == pytest.approx(exact, rel=5e-13,
                                                                            abs=0.0)
 
+    def test_tiny_weight_law(self):
+        # the law behind product_moment's equal-pair rule: at (4, 2.9) a third weight eps takes
+        # O(eps^(d-1-p)) = O(eps^0.1) off the pair's moment, so 1000 eps doubles the deficit
+        pair = float(S._two_coeff_moment(4, -2.9, 1.0, 1.0))
+        deficit = [pair - S.estimate_moment(MomentQuery(4, -2.9, (1.0, 1.0, eps)), 200_000,
+                                            seed=3).estimate for eps in (1e-13, 1e-10)]
+        assert deficit[1] / deficit[0] == pytest.approx(10.0 ** 0.3, rel=0.01)
+
 
 class TestKhinchin:
     def test_extremizer_equality(self):
@@ -596,6 +604,14 @@ class TestKhinchin:
         serial = [specfun.hyp2f1(*a, ts) for a in params]
         assert all(np.array_equal(v, serial[i % len(params)]) for i, v in enumerate(out))
 
+    def test_tiny_weights_count(self):
+        # every nonzero weight counts: (1, 1e-13) and (1, 0, 1e-300) are pairs, and
+        # (1, 1, 1e-13), whose pair alone is 4.6% off, is sampled
+        sets = [(1.0, 1e-13), (1.0, 0.0, 1e-300), (1.0, 1.0, 1e-13)]
+        rep = S.check_khinchin(4, 2.9, sets, 2000, seed=1)
+        assert [e.route for e in rep.entries] == ["hypergeometric"] * 2 + ["plain-mean"]
+        assert rep.entries[0].estimate == 1.0 and rep.entries[1].estimate == 1.0
+
     def test_near_equal_pair(self):
         # a near-equal pair: t = 0.9999^2, next to the 2F1 branch point at t = 1
         entry = S.check_khinchin(4, 2.5, [(1.0, 0.9999)], 1000).entries[0]
@@ -647,10 +663,10 @@ class TestBallSphere:
 
 class TestPolydisc:
     def test_axis_direction(self):
-        for n in (2, 3, 5):
-            a = [0.0] * n
-            a[0] = 1.0
-            assert S.polydisc_slice_volume(a) == pytest.approx(math.pi ** (n - 1), abs=1e-10)
+        # the minimal section, to the bit, also with a 1e-13 partner (Newton's theorem)
+        for a in ([1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], [-1.0],
+                  [0.0, 0.0, 0.0, 0.0, -1.0], [1.0, 1e-13]):
+            assert S.polydisc_slice_volume(a) == math.pi ** (len(a) - 1)
 
     def test_diagonal_two(self):
         a = [1.0 / math.sqrt(2.0)] * 2
@@ -679,6 +695,11 @@ class TestPolydisc:
             a /= np.linalg.norm(a)
             pm = product_moment(MomentQuery(4, -2.0, tuple(a)))
             assert S.polydisc_slice_volume(a) == pytest.approx(math.pi * pm, rel=1e-12, abs=0.0)
+
+    def test_three_entries_one_tiny(self):
+        # product_moment drops the 5e-13 entry; at p = 2, d = 4 it moves the volume by O(eps)
+        vol = S.polydisc_slice_volume((0.6, 0.8, 5e-13))
+        assert vol == pytest.approx(math.pi ** 2 / 0.64, rel=1e-14, abs=0.0)
 
     def test_requires_unit_vector(self):
         with pytest.raises(DomainError):
