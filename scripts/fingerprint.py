@@ -50,7 +50,9 @@ _two_coeff_moment at d in {30, 40, 60}, p = 2, weights (1, 0.7), where the
 sign-pattern tail starts at nu^2/2; last, a 1e-13 weight next to a pair:
 product_moment with (1, 1, 1e-13) where p > d - 2, which raises, and its
 controls at p <= d - 2 and with the pair (1, 0.9), polydisc_slice_volume at
-(0.6, 0.8, 5e-13), and the check_khinchin entry of (1, 1, 1e-13) at p = 2.9.
+(0.6, 0.8, 5e-13), and the check_khinchin entry of (1, 1, 1e-13) at p = 2.9;
+then q_star's root for d = 61..80 and its bracket and iteration count, at the
+edge of its reach (d = 80 raises ToleranceError at the default tol).
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -173,6 +175,16 @@ def tiny_weight_lines():
                 f"{label} route {e.route}")
 
 
+def q_star_bracket_lines(ds):
+    for d in ds:
+        try:
+            r = phase.q_star(d)
+            yield (f"q_star d={d} bracket {r.bracket[0].hex()} {r.bracket[1].hex()} "
+                   f"iterations {r.iterations}")
+        except KhinsphereError as exc:
+            yield f"q_star d={d} bracket {type(exc).__name__}"
+
+
 def jj_switch_points():
     """jj on both sides of its switch at t = max(5, nu): at t = 5 for low orders, and at
     t = nu, where the forward recurrence turns stable, for high ones."""
@@ -279,13 +291,8 @@ def main() -> int:
         for k, (point, margin) in enumerate(report.witnesses):
             print(f"verify {name} witness {k} point {' '.join(float(x).hex() for x in point)} "
                   f"margin {float(margin).hex()}")
-    for d in range(1, 61):
-        try:
-            r = phase.q_star(d)
-            print(f"q_star d={d} bracket {r.bracket[0].hex()} {r.bracket[1].hex()} "
-                  f"iterations {r.iterations}")
-        except KhinsphereError as exc:
-            print(f"q_star d={d} bracket {type(exc).__name__}")
+    for line in q_star_bracket_lines(range(1, 61)):
+        print(line)
     for nu, ts in jj_switch_points():
         for t in ts:
             print(_line(f"jj nu={nu!r} t={t!r}", lambda: jj(nu, t)))
@@ -298,6 +305,10 @@ def main() -> int:
         print(_line(f"_two_coeff_moment d={d} q=-2.0 {_args(1.0, 0.7)}",
                     lambda: _two_coeff_moment(d, -2.0, 1.0, 0.7)))
     for line in tiny_weight_lines():
+        print(line)
+    for d in range(61, 81):
+        print(_line(f"q_star d={d}", lambda: phase.q_star(d).q_star))
+    for line in q_star_bracket_lines(range(61, 81)):
         print(line)
     return 0
 

@@ -7,6 +7,14 @@ close to -(d-1) remain representable.  The roots of many dimensions are
 found together: each d is scanned for its bracket, then one bisection halves
 every bracket per step, with one array evaluation of log c_two - log c_inf
 over the dimensions still open.  q_star(d) is its one-dimension case.
+
+The scans share their log Gamma values.  d's grid, 0.01 apart in q, is
+x_left + j/200 in x = (q + d - 1)/2, and the three log Gamma arguments of
+h_tilde's x form lie on the lattice x_left + k/200.  Every d with the same
+left edge reads them from one lazily built table: the 188k grid points of
+d = 5..60 take log Gamma at 26k points, in two tables.  The sign at
+each grid point is that of log c_two - log c_inf (_log_ratio), which the
+tests check at every point for d = 2..160.
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ __all__ = [
 
 
 _MAX_RESIDUAL = 1e-10  # |c_two - c_inf| accepted at a reported root
+_MAX_STEPS = 200  # bisection steps a lane may take
 _APPENDIX_GRID = 400  # grid size of the h_tilde claims
 _FIT_RANGE = (20, 60)  # dimensions fitted by asymptotic_check
 _SLOPE_TOL_REL = 0.15  # relative tolerance on the fitted decay slope
@@ -58,12 +67,19 @@ class PhaseTransitionResult:
 def h_d(d, q) -> float:
     """log(c_{d,2}(q)^q) - log(c_{d,inf}(q)^q); opposite sign to c2-cinf for q<0.
 
-    d and q broadcast against each other.
+    d and q broadcast against each other.  On arrays its four log Gamma
+    arguments go to log_gamma stacked, in one call; one point takes
+    log_gamma's float path four times, about 4 times faster than one
+    array call.
     """
     qa = q if isinstance(q, float) else np.asarray(q, dtype=float)
+    args = (d / 2.0, d + qa - 1.0, (d + qa) / 2.0, d + qa / 2.0 - 1.0)
+    if np.ndim(args[1]) == 0:
+        half_d, twice_x, x_half, x_shift = (log_gamma(float(a)) for a in args)
+    else:
+        half_d, twice_x, x_half, x_shift = log_gamma(np.stack(np.broadcast_arrays(*args)))
     val = (-qa * math.log(2.0) + qa / 2.0 * np.log(d)
-           + 2.0 * log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
-           - 2.0 * log_gamma((d + qa) / 2.0) - log_gamma(d + qa / 2.0 - 1.0))
+           + 2.0 * half_d + twice_x - 2.0 * x_half - x_shift)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -74,11 +90,15 @@ def h_tilde(d: int, x) -> float:
     xa = x if isinstance(x, float) else np.asarray(x, dtype=float)  # a float: log_gamma's float path
     if not np.all((xa > 0) & (xa <= (d - 1) / 2.0)):
         raise DomainError(f"h_tilde requires 0 < x <= (d-1)/2, got {x!r}")
+    val = _h_x(d, xa, log_gamma(xa), log_gamma(xa + 0.5), log_gamma(xa + (d - 1.0) / 2.0))
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _h_x(d: int, x, lg_x, lg_half, lg_shift):
+    """h_tilde's formula, given log Gamma at x, x + 1/2 and x + (d-1)/2; no domain check."""
     const = ((d - 2.0) * math.log(2.0) + 2.0 * log_gamma(d / 2.0)
              - 0.5 * math.log(math.pi) - (d - 1.0) / 2.0 * math.log(d))
-    val = (xa * math.log(d) + log_gamma(xa) - log_gamma(xa + 0.5)
-           - log_gamma(xa + (d - 1.0) / 2.0) + const)
-    return float(val) if np.ndim(val) == 0 else val
+    return x * math.log(d) + lg_x - lg_half - lg_shift + const
 
 
 def _log_ratio(d, q):
@@ -86,28 +106,92 @@ def _log_ratio(d, q):
     return h_d(d, q) / q
 
 
+def _left_edge(d: int) -> float:
+    """x = (q + d - 1)/2 at the left edge of d's scan, for d >= 2.
+
+    The root approaches -(d-1) exponentially fast, so the left edge must
+    adapt: walk x = 5e-4 / 4^k toward 0 until h_tilde is positive (left of
+    the root), one scalar h_tilde call a step, on log_gamma's float path
+    (about 1.2 steps a d over 5..60).
+    """
+    x_left = 5e-4
+    while h_tilde(d, x_left) <= 0 and x_left > 1e-9:
+        x_left /= 4.0
+    return x_left
+
+
+def _lattice(d: int) -> tuple[float, np.ndarray]:
+    """(x_left, qs): d's scan grid qs = -(d-1) + 2 x_left + 0.01 j up to 2, for d >= 2.
+
+    In x = (q + d - 1)/2 the grid is x_left + j/200, so all three log Gamma
+    arguments of h_tilde lie on the lattice x_left + k/200 (see _lattice_log_gamma).
+    """
+    x_left = _left_edge(d)
+    return x_left, np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
+
+
 def _scan_grid(d: int) -> np.ndarray:
-    if d == 1:
-        lo = 1e-3
-    else:
-        # the root approaches -(d-1) exponentially fast, so the left edge must
-        # adapt: walk x = 5e-4 / 4^k toward 0 until h_tilde is positive (left
-        # of the root), one scalar h_tilde call a step, on log_gamma's float
-        # path (about 1.2 steps a d over 5..60)
-        x_left = 5e-4
-        while h_tilde(d, x_left) <= 0 and x_left > 1e-9:
-            x_left /= 4.0
-        lo = -(d - 1) + 2.0 * x_left
-    qs = np.arange(lo, 2.0 - 1e-3, 0.01)
+    """The points of d's sign scan, 0.01 apart up to 2."""
+    qs = np.arange(1e-3, 2.0 - 1e-3, 0.01) if d == 1 else _lattice(d)[1]
     return qs[np.abs(qs) > 1e-6]  # skip the removable singularity at q = 0
 
 
+_LATTICE_STEPS = 200  # lattice points per unit of x: the grid's 0.01 in q
+_LATTICE_CHUNK = 2000  # a table grows by whole chunks, about 10 dimensions each
+# log_gamma(x_left + k/200) for k < len, one table per left edge.  The walk of
+# _left_edge gives at most 11 edges (two for d <= 60), and a table grows only
+# when a larger d asks, to the 200 d + 200 points that d needs, rounded up to
+# a whole chunk.
+_LATTICE_LOG_GAMMA: dict[float, np.ndarray] = {}
+
+
+def _lattice_log_gamma(x_left: float, n: int) -> np.ndarray:
+    """log_gamma(x_left + k/200) for k < n (the table may be longer), built lazily.
+
+    A larger d extends the table by the entries it lacks, up to a whole
+    chunk, so that a scan over ascending d extends it about once in 10
+    dimensions (one extension a d cost 2-4 ms more over d = 5..60).
+    log_gamma is elementwise, so each entry is the one a single call over
+    all k would give.
+    """
+    table = _LATTICE_LOG_GAMMA.get(x_left, np.empty(0))
+    if table.size < n:
+        k = np.arange(table.size, -(-n // _LATTICE_CHUNK) * _LATTICE_CHUNK)
+        table = _LATTICE_LOG_GAMMA[x_left] = np.concatenate(
+            (table, log_gamma(x_left + k / _LATTICE_STEPS)))
+    return table
+
+
+def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, signs): d's scan grid and the sign of log c_two - log c_inf on it.
+
+    For d >= 2 the sign is sign(h) sign(q), with h in h_tilde's x form, whose
+    three log Gamma columns are slices of one table per left edge, shared by
+    every d with that edge: they sit at lattice offsets 0, 100 and 100 (d-1).
+    The grid runs to q < 2, that is x up to (d+1)/2, past h_tilde's domain
+    check, so its formula is taken directly.  d = 1 keeps _log_ratio, as
+    h_tilde needs d >= 2.
+    """
+    if d == 1:
+        qs = _scan_grid(d)
+        return qs, np.sign(_log_ratio(d, qs))
+    x_left, qs = _lattice(d)
+    n, half = qs.size, _LATTICE_STEPS // 2
+    table = _lattice_log_gamma(x_left, n + half * (d - 1))
+    h = _h_x(d, x_left + np.arange(n) / _LATTICE_STEPS,
+             *(table[k:k + n] for k in (0, half, half * (d - 1))))
+    keep = np.abs(qs) > 1e-6  # skip the removable singularity at q = 0
+    return qs[keep], (np.sign(h) * np.sign(qs))[keep]
+
+
 def scan_sign_changes(d: int) -> list[tuple[float, float]]:
-    """Brackets where c_two - c_inf changes sign over the standard scan grid."""
+    """Brackets where c_two - c_inf changes sign over the standard scan grid.
+
+    One sign a grid point (_scan_signs); the log Gamma values behind them
+    come from a table shared by the dimensions with the same left edge.
+    """
     _check_dim(d)
-    qs = _scan_grid(d)
-    vals = _log_ratio(d, qs)
-    sgn = np.sign(vals)
+    qs, sgn = _scan_signs(d)
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     return [(float(qs[i]), float(qs[i + 1])) for i in idx]
 
@@ -119,6 +203,15 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
     vanishing sum for q <= 0); a single sign change is required, otherwise
     the uniqueness asserted by the phase-transition proposition would fail.
     This is the one-dimension case of the batched solver `_q_star_batch`.
+
+    Reach: at the default tol every d <= 79 succeeds.  For 80 <= d <= 145
+    most d (63 of the 66) raise ToleranceError: the root nears -(d-1), where
+    c_two - c_inf is steep, so a bracket at tol, or one float wide, leaves
+    a residual above 1e-10 (d = 80: 1.1e-10, d = 145: 1.0e-6).  A smaller
+    tol rescues some (d = 80 and 100 at 1e-13); for others (d = 120, 140,
+    145) the bisection reaches float resolution first, and the message says
+    so.  From d = 146 the root lies left of x = (q + d - 1)/2 = 1e-9, where
+    the scan's left edge stops, so NoBracketError is raised.
     """
     return _q_star_batch([d], tol)[0]
 
@@ -126,10 +219,13 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
 def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
     """q_star for every d of ds, with one bisection over all of them at once.
 
-    Each d is scanned for its own bracket.  Then every bracket is halved in
-    the same step: one array _log_ratio call per step over the lanes still
-    open.  Lane by lane this is the scalar rule: keep the half whose ends
-    differ in sign, stop at an exact zero, at width tol or after 200 steps.
+    Each d is scanned for its own bracket, by one scan_sign_changes call a d;
+    the scans read log Gamma from the tables they share (_lattice_log_gamma).
+    Then every bracket is halved in the same step: one array _log_ratio call
+    per step over the lanes still open, with one log_gamma call on its four
+    stacked arguments.  Lane by lane this is the scalar rule: keep the half
+    whose ends differ in sign, stop at an exact zero, at width tol or after
+    200 steps.
     So each root is the one a bisection of its d alone would give.  The
     error raised is the one a loop of single solves over ds, in order, would
     raise first.
@@ -161,14 +257,16 @@ def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
             a[lanes] = np.where(zero | left, mid, a[lanes])
             b[lanes] = np.where(zero | ~left, mid, b[lanes])
             iterations[lanes] += ~zero
-            lanes = lanes[~zero & (b[lanes] - a[lanes] > tol) & (iterations[lanes] < 200)]
+            lanes = lanes[~zero & (b[lanes] - a[lanes] > tol) & (iterations[lanes] < _MAX_STEPS)]
         roots = 0.5 * (a + b)
         residuals = np.abs(c_two(dd, roots) - c_inf(dd, roots))
         for d, bracket, root, residual, n in zip(ds, brackets, roots.tolist(),
                                                  residuals.tolist(), iterations.tolist()):
             if not residual <= _MAX_RESIDUAL:
+                hint = ("the residual bound is out of reach at float resolution" if n == _MAX_STEPS
+                        else "use a smaller tol")
                 raise ToleranceError(f"q_star(d={d}, tol={tol}): residual {residual:.3e} above "
-                                     f"{_MAX_RESIDUAL:g}; use a smaller tol")
+                                     f"{_MAX_RESIDUAL:g}; {hint}")
             results.append(PhaseTransitionResult(d=d, q_star=root, bracket=bracket,
                                                  residual=residual, iterations=n))
     if scan_error is not None:

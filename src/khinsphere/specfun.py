@@ -117,12 +117,16 @@ def log_gamma(x):
 
     The Lanczos sum on x >= 1/2; below, log Gamma(x+1) - log x, taken as
     -log(x / Gamma(x+1)) with Gamma(x+1) in [0.88, 1] from gamma.  It stays
-    on Lanczos rather than math.lgamma because the q_star scans call it on
-    about 190k points a pass, where math.lgamma elementwise made the lemma
-    sweep about 25% slower.  A float (np.float64 too) takes a scalar path
-    that sums the same series in Python floats, about 20 times faster than
-    a 0-d array; it takes its logs with np.log, not math.log, which differs
-    in the last bit on about 2 points in 10^4, so both paths agree bit for bit.
+    on Lanczos rather than math.lgamma because a switch would move last bits
+    (by up to 3e-15 relative on the q_star scan lattice) in constants, verify
+    and the goldens.  Speed no longer decides it: the q_star scans read about
+    22k points a pass from shared tables, which Lanczos builds 3-4 times
+    faster than math.lgamma elementwise, but the rest of asymptotic_check
+    makes small calls, and over all of it math.lgamma was about 15% faster.
+    A float (np.float64 too) takes a scalar path that sums the same series
+    in Python floats, about 20 times faster than a 0-d array; it takes its
+    logs with np.log, not math.log, which differs in the last bit on about 2
+    points in 10^4, so both paths agree bit for bit.
     """
     if isinstance(x, float):
         if not x > 0.0:  # NaN too

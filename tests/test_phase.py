@@ -6,6 +6,7 @@ import pytest
 from khinsphere import phase as P
 from khinsphere.constants import c_inf, c_two
 from khinsphere.errors import DomainError, MultipleRootsError, NoBracketError, ToleranceError
+from khinsphere.specfun import log_gamma
 
 # high-precision roots of c_two = c_inf, frozen from an independent
 # 40-digit bisection of the same closed forms
@@ -141,6 +142,34 @@ class TestQStar:
             ref = qs[np.abs(qs) > 1e-6]
             assert np.array_equal(P._scan_grid(d).view(np.int64), ref.view(np.int64)), d
 
+    def test_lattice_signs_equal_log_ratio(self):
+        # every sign of every scan grid, not only at the brackets; about 0.7 s
+        for d in range(2, 161):
+            qs, sgn = P._scan_signs(d)
+            assert np.array_equal(qs.view(np.int64), P._scan_grid(d).view(np.int64)), d
+            assert np.array_equal(sgn, np.sign(P._log_ratio(d, qs))), d
+
+    def test_lattice_table_grows_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(P, "_LATTICE_LOG_GAMMA", {})
+        small = P._lattice_log_gamma(5e-4, 150).copy()
+        table = P._lattice_log_gamma(5e-4, 10_001)
+        assert P._lattice_log_gamma(5e-4, 400) is table
+        assert small.size >= 150 and table.size >= 10_001
+        ref = log_gamma(5e-4 + np.arange(table.size) / 200)  # one call over all k
+        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(small.view(np.int64), ref[:small.size].view(np.int64))
+
+    def test_reach_at_default_tol(self):
+        results = P._q_star_batch(range(1, 80))
+        assert [r.d for r in results] == list(range(1, 80))
+
+    def test_float_resolution_message(self):
+        # at d = 120 no tol reaches the residual bound: the bracket is one float wide
+        with pytest.raises(ToleranceError, match="out of reach at float resolution"):
+            P.q_star(120, tol=1e-15)
+        with pytest.raises(ToleranceError, match="use a smaller tol"):
+            P.q_star(80)
+
     def test_batch_equals_single(self):
         ds = [1, 4, 7, 30]
         assert P._q_star_batch(ds) == [P.q_star(d) for d in ds]
@@ -183,6 +212,18 @@ class TestHTilde:
         assert got.tolist() == [P.h_d(int(d), float(q)) for d, q in zip(ds, qs)]
         np.testing.assert_allclose(got / qs, np.log(c_two(ds, qs)) - np.log(c_inf(ds, qs)),
                                    rtol=1e-12, atol=1e-14)
+
+    def test_stacked_log_gamma_equals_four_calls(self):
+        def four_calls(d, q):
+            return (-q * math.log(2.0) + q / 2.0 * np.log(d)
+                    + 2.0 * log_gamma(d / 2.0) + log_gamma(d + q - 1.0)
+                    - 2.0 * log_gamma((d + q) / 2.0) - log_gamma(d + q / 2.0 - 1.0))
+
+        ds, qs = np.arange(2, 62), np.linspace(-0.9, 1.9, 60) - np.arange(0, 60)
+        assert np.array_equal(P.h_d(ds, qs), four_calls(ds, qs))
+        qs = np.linspace(-38.99, 1.99, 500)
+        assert np.array_equal(P.h_d(40, qs), four_calls(40, qs))
+        assert P.h_d(7, -3.0) == float(four_calls(7, -3.0))
 
     def test_sign_opposite_to_constant_gap(self):
         # for q < 0 the sign of h_d is opposite to sign(c_two - c_inf)
