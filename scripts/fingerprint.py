@@ -52,7 +52,11 @@ product_moment with (1, 1, 1e-13) where p > d - 2, which raises, and its
 controls at p <= d - 2 and with the pair (1, 0.9), polydisc_slice_volume at
 (0.6, 0.8, 5e-13), and the check_khinchin entry of (1, 1, 1e-13) at p = 2.9;
 then q_star's root for d = 61..80 and its bracket and iteration count, at the
-edge of its reach (d = 80 raises ToleranceError at the default tol).
+edge of its reach (d = 80 raises ToleranceError at the default tol); then
+the zeros of jnu_zeros up to t = 51 at nu in {0, 0.5, 1, 1.5, 2, 3, 9.5,
+29.5}, and q_star's root and iteration count below the default tol, at tol
+in {1e-13, 1e-14, 1e-16} for d in {1, 4, 10, 30}, where the bisection's
+stops show.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -76,7 +80,7 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
-from khinsphere.specfun import gamma, jj, jj1_prime, log_gamma  # noqa: E402
+from khinsphere.specfun import gamma, jj, jj1_prime, jnu_zeros, log_gamma  # noqa: E402
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -183,6 +187,16 @@ def q_star_bracket_lines(ds):
                    f"iterations {r.iterations}")
         except KhinsphereError as exc:
             yield f"q_star d={d} bracket {type(exc).__name__}"
+
+
+def q_star_tol_lines():
+    for tol in (1e-13, 1e-14, 1e-16):
+        for d in (1, 4, 10, 30):
+            try:
+                r = phase.q_star(d, tol)
+                yield f"q_star d={d} tol={tol!r} {r.q_star.hex()} iterations {r.iterations}"
+            except KhinsphereError as exc:
+                yield f"q_star d={d} tol={tol!r} {type(exc).__name__}"
 
 
 def jj_switch_points():
@@ -309,6 +323,11 @@ def main() -> int:
     for d in range(61, 81):
         print(_line(f"q_star d={d}", lambda: phase.q_star(d).q_star))
     for line in q_star_bracket_lines(range(61, 81)):
+        print(line)
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 9.5, 29.5):
+        for k, z in enumerate(jnu_zeros(nu, 51.0).tolist()):
+            print(f"jnu_zeros nu={nu!r} t_max=51.0 k={k} {z.hex()}")
+    for line in q_star_tol_lines():
         print(line)
     return 0
 

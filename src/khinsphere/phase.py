@@ -4,17 +4,18 @@ For each dimension d the two candidate extremizers exchange roles at the
 unique root q_d* of c_{d,2}(q) = c_{d,inf}(q).  Everything is evaluated in
 log space (log_gamma) so that dimensions up to 60 and roots exponentially
 close to -(d-1) remain representable.  The roots of many dimensions are
-found together: each d is scanned for its bracket, then one bisection halves
-every bracket per step, with one array evaluation of log c_two - log c_inf
-over the dimensions still open.  q_star(d) is its one-dimension case.
+found together: each d is scanned for its bracket, then one bisection
+(specfun._bisect) halves every bracket per step.  Both take the sign of
+log c_two - log c_inf as sign(h) sign(q), with h in h_tilde's x form,
+x = (q + d - 1)/2, which holds for every d >= 1.  q_star(d) is the batch's
+one-dimension case.
 
 The scans share their log Gamma values.  d's grid, 0.01 apart in q, is
-x_left + j/200 in x = (q + d - 1)/2, and the three log Gamma arguments of
-h_tilde's x form lie on the lattice x_left + k/200.  Every d with the same
-left edge reads them from one lazily built table: the 188k grid points of
-d = 5..60 take log Gamma at 26k points, in two tables.  The sign at
-each grid point is that of log c_two - log c_inf (_log_ratio), which the
-tests check at every point for d = 2..160.
+x_left + j/200 in x, and the three log Gamma arguments of the x form lie on
+the lattice x_left + k/200.  Every d with the same left edge reads them from
+one lazily built table: the 188k grid points of d = 5..60 take log Gamma at
+26k points, in two tables.  The tests check every grid point's sign for
+d = 1..160 against the q form, h_d / q.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .constants import _check_dim, c_inf, c_two
 from .errors import DomainError, MultipleRootsError, NoBracketError, ToleranceError
-from .specfun import digamma, log_gamma, trigamma
+from .specfun import _bisect, digamma, log_gamma, trigamma
 from .verify import VerificationReport, _make_report
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
 
 
 _MAX_RESIDUAL = 1e-10  # |c_two - c_inf| accepted at a reported root
-_MAX_STEPS = 200  # bisection steps a lane may take
 _APPENDIX_GRID = 400  # grid size of the h_tilde claims
 _FIT_RANGE = (20, 60)  # dimensions fitted by asymptotic_check
 _SLOPE_TOL_REL = 0.15  # relative tolerance on the fitted decay slope
@@ -67,19 +67,13 @@ class PhaseTransitionResult:
 def h_d(d, q) -> float:
     """log(c_{d,2}(q)^q) - log(c_{d,inf}(q)^q); opposite sign to c2-cinf for q<0.
 
-    d and q broadcast against each other.  On arrays its four log Gamma
-    arguments go to log_gamma stacked, in one call; one point takes
-    log_gamma's float path four times, about 4 times faster than one
-    array call.
+    d and q broadcast against each other.  A float q takes log_gamma's
+    float path for each of the four log Gamma terms.
     """
     qa = q if isinstance(q, float) else np.asarray(q, dtype=float)
-    args = (d / 2.0, d + qa - 1.0, (d + qa) / 2.0, d + qa / 2.0 - 1.0)
-    if np.ndim(args[1]) == 0:
-        half_d, twice_x, x_half, x_shift = (log_gamma(float(a)) for a in args)
-    else:
-        half_d, twice_x, x_half, x_shift = log_gamma(np.stack(np.broadcast_arrays(*args)))
     val = (-qa * math.log(2.0) + qa / 2.0 * np.log(d)
-           + 2.0 * half_d + twice_x - 2.0 * x_half - x_shift)
+           + 2.0 * log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
+           - 2.0 * log_gamma((d + qa) / 2.0) - log_gamma(d + qa / 2.0 - 1.0))
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -90,50 +84,36 @@ def h_tilde(d: int, x) -> float:
     xa = x if isinstance(x, float) else np.asarray(x, dtype=float)  # a float: log_gamma's float path
     if not np.all((xa > 0) & (xa <= (d - 1) / 2.0)):
         raise DomainError(f"h_tilde requires 0 < x <= (d-1)/2, got {x!r}")
-    val = _h_x(d, xa, log_gamma(xa), log_gamma(xa + 0.5), log_gamma(xa + (d - 1.0) / 2.0))
+    val = _h_x(xa, *_h_x_consts(d), *(log_gamma(xa + s) for s in (0.0, 0.5, (d - 1.0) / 2.0)))
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _h_x(d: int, x, lg_x, lg_half, lg_shift):
-    """h_tilde's formula, given log Gamma at x, x + 1/2 and x + (d-1)/2; no domain check."""
-    const = ((d - 2.0) * math.log(2.0) + 2.0 * log_gamma(d / 2.0)
-             - 0.5 * math.log(math.pi) - (d - 1.0) / 2.0 * math.log(d))
-    return x * math.log(d) + lg_x - lg_half - lg_shift + const
+def _h_x_consts(d: int) -> tuple[float, float]:
+    """(log d, the x-free term) of h_tilde's x form, on float paths."""
+    log_d = math.log(d)
+    return log_d, ((d - 2.0) * math.log(2.0) + 2.0 * log_gamma(d / 2.0)
+                   - 0.5 * math.log(math.pi) - (d - 1.0) / 2.0 * log_d)
 
 
-def _log_ratio(d, q):
-    """log c_two - log c_inf = h_d / q; d and q broadcast."""
-    return h_d(d, q) / q
+def _h_x(x, log_d, const, lg_x, lg_half, lg_shift):
+    """h_tilde's formula from _h_x_consts(d) and log Gamma at x, x + 1/2, x + (d-1)/2."""
+    return x * log_d + lg_x - lg_half - lg_shift + const
 
 
 def _left_edge(d: int) -> float:
-    """x = (q + d - 1)/2 at the left edge of d's scan, for d >= 2.
+    """x = (q + d - 1)/2 at the left edge of d's scan.
 
     The root approaches -(d-1) exponentially fast, so the left edge must
-    adapt: walk x = 5e-4 / 4^k toward 0 until h_tilde is positive (left of
-    the root), one scalar h_tilde call a step, on log_gamma's float path
-    (about 1.2 steps a d over 5..60).
+    adapt: walk x = 5e-4 / 4^k toward 0 until h q < 0 there (left of the
+    root), one scalar h a step, on log_gamma's float path (about 1.2 steps
+    a d over 5..60).  For d = 1, q = 2x > 0 and h < 0 at 5e-4: no step.
     """
+    consts, shifts = _h_x_consts(d), (0.0, 0.5, (d - 1.0) / 2.0)
     x_left = 5e-4
-    while h_tilde(d, x_left) <= 0 and x_left > 1e-9:
+    while x_left > 1e-9 and (2.0 * x_left - (d - 1)) * _h_x(
+            x_left, *consts, *(log_gamma(x_left + s) for s in shifts)) >= 0:
         x_left /= 4.0
     return x_left
-
-
-def _lattice(d: int) -> tuple[float, np.ndarray]:
-    """(x_left, qs): d's scan grid qs = -(d-1) + 2 x_left + 0.01 j up to 2, for d >= 2.
-
-    In x = (q + d - 1)/2 the grid is x_left + j/200, so all three log Gamma
-    arguments of h_tilde lie on the lattice x_left + k/200 (see _lattice_log_gamma).
-    """
-    x_left = _left_edge(d)
-    return x_left, np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
-
-
-def _scan_grid(d: int) -> np.ndarray:
-    """The points of d's sign scan, 0.01 apart up to 2."""
-    qs = np.arange(1e-3, 2.0 - 1e-3, 0.01) if d == 1 else _lattice(d)[1]
-    return qs[np.abs(qs) > 1e-6]  # skip the removable singularity at q = 0
 
 
 _LATTICE_STEPS = 200  # lattice points per unit of x: the grid's 0.01 in q
@@ -165,20 +145,18 @@ def _lattice_log_gamma(x_left: float, n: int) -> np.ndarray:
 def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(qs, signs): d's scan grid and the sign of log c_two - log c_inf on it.
 
-    For d >= 2 the sign is sign(h) sign(q), with h in h_tilde's x form, whose
-    three log Gamma columns are slices of one table per left edge, shared by
-    every d with that edge: they sit at lattice offsets 0, 100 and 100 (d-1).
+    The grid is qs = -(d-1) + 2 x_left + 0.01 j up to 2 (1e-3 + 0.01 j for
+    d = 1), x_left + j/200 in x, so the three log Gamma columns of h_tilde's
+    x form are slices, at offsets 0, 100 and 100 (d-1), of one table per left
+    edge, shared by every d with that edge.  The sign is sign(h) sign(q).
     The grid runs to q < 2, that is x up to (d+1)/2, past h_tilde's domain
-    check, so its formula is taken directly.  d = 1 keeps _log_ratio, as
-    h_tilde needs d >= 2.
+    check, so its formula is taken directly.
     """
-    if d == 1:
-        qs = _scan_grid(d)
-        return qs, np.sign(_log_ratio(d, qs))
-    x_left, qs = _lattice(d)
+    x_left = _left_edge(d)
+    qs = np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
     n, half = qs.size, _LATTICE_STEPS // 2
     table = _lattice_log_gamma(x_left, n + half * (d - 1))
-    h = _h_x(d, x_left + np.arange(n) / _LATTICE_STEPS,
+    h = _h_x(x_left + np.arange(n) / _LATTICE_STEPS, *_h_x_consts(d),
              *(table[k:k + n] for k in (0, half, half * (d - 1))))
     keep = np.abs(qs) > 1e-6  # skip the removable singularity at q = 0
     return qs[keep], (np.sign(h) * np.sign(qs))[keep]
@@ -187,8 +165,8 @@ def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
 def scan_sign_changes(d: int) -> list[tuple[float, float]]:
     """Brackets where c_two - c_inf changes sign over the standard scan grid.
 
-    One sign a grid point (_scan_signs); the log Gamma values behind them
-    come from a table shared by the dimensions with the same left edge.
+    One sign a grid point (_scan_signs), for every d from a log Gamma table
+    shared by the dimensions with the same left edge.
     """
     _check_dim(d)
     qs, sgn = _scan_signs(d)
@@ -209,7 +187,7 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
     c_two - c_inf is steep, so a bracket at tol, or one float wide, leaves
     a residual above 1e-10 (d = 80: 1.1e-10, d = 145: 1.0e-6).  A smaller
     tol rescues some (d = 80 and 100 at 1e-13); for others (d = 120, 140,
-    145) the bisection reaches float resolution first, and the message says
+    145) the bracket becomes one float wide first, and the message says
     so.  From d = 146 the root lies left of x = (q + d - 1)/2 = 1e-9, where
     the scan's left edge stops, so NoBracketError is raised.
     """
@@ -221,14 +199,14 @@ def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
 
     Each d is scanned for its own bracket, by one scan_sign_changes call a d;
     the scans read log Gamma from the tables they share (_lattice_log_gamma).
-    Then every bracket is halved in the same step: one array _log_ratio call
-    per step over the lanes still open, with one log_gamma call on its four
-    stacked arguments.  Lane by lane this is the scalar rule: keep the half
-    whose ends differ in sign, stop at an exact zero, at width tol or after
-    200 steps.
-    So each root is the one a bisection of its d alone would give.  The
-    error raised is the one a loop of single solves over ds, in order, would
-    raise first.
+    Then specfun._bisect halves every bracket in the same step, on the
+    scan's formula: the sign of log c_two - log c_inf is sign(h) sign(q), with
+    h in h_tilde's x form, x = (q + d - 1)/2, and one log_gamma call a step
+    on x, x + 1/2 and x + (d-1)/2 stacked over the lanes still open.  A lane
+    stops at an exact zero, at width tol or when its bracket is one float
+    wide, so each root is the one a bisection of its d alone would give.
+    The error raised is the one a loop of single solves over ds, in order,
+    would raise first.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -245,26 +223,23 @@ def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
     results = []
     if brackets:
         dd = np.array(ds[:len(brackets)])
-        a, b = np.array(brackets, dtype=float).T.copy()
-        sign_a = np.sign(_log_ratio(dd, a))
-        iterations = np.zeros(len(dd), dtype=int)
-        lanes = np.flatnonzero(b - a > tol)
-        while lanes.size:
-            mid = 0.5 * (a[lanes] + b[lanes])
-            fm = _log_ratio(dd[lanes], mid)
-            zero = fm == 0.0
-            left = np.sign(fm) == sign_a[lanes]
-            a[lanes] = np.where(zero | left, mid, a[lanes])
-            b[lanes] = np.where(zero | ~left, mid, b[lanes])
-            iterations[lanes] += ~zero
-            lanes = lanes[~zero & (b[lanes] - a[lanes] > tol) & (iterations[lanes] < _MAX_STEPS)]
+        shift = dd - 1.0
+        log_d, const = np.array([_h_x_consts(d) for d in dd.tolist()]).T
+
+        def ratio_sign(lanes, q):
+            x = (q + shift[lanes]) / 2.0
+            lgs = log_gamma(np.stack((x, x + 0.5, x + shift[lanes] / 2.0)))
+            return np.sign(_h_x(x, log_d[lanes], const[lanes], *lgs)) * np.sign(q)
+
+        a, b, iterations = _bisect(ratio_sign, *np.array(brackets, dtype=float).T, tol)
         roots = 0.5 * (a + b)
         residuals = np.abs(c_two(dd, roots) - c_inf(dd, roots))
-        for d, bracket, root, residual, n in zip(ds, brackets, roots.tolist(),
-                                                 residuals.tolist(), iterations.tolist()):
+        for d, bracket, root, residual, n, lo, hi in zip(
+                ds, brackets, roots.tolist(), residuals.tolist(), iterations.tolist(),
+                a.tolist(), b.tolist()):
             if not residual <= _MAX_RESIDUAL:
-                hint = ("the residual bound is out of reach at float resolution" if n == _MAX_STEPS
-                        else "use a smaller tol")
+                hint = ("the residual bound is out of reach at float resolution"
+                        if root in (lo, hi) else "use a smaller tol")
                 raise ToleranceError(f"q_star(d={d}, tol={tol}): residual {residual:.3e} above "
                                      f"{_MAX_RESIDUAL:g}; {hint}")
             results.append(PhaseTransitionResult(d=d, q_star=root, bracket=bracket,

@@ -551,8 +551,37 @@ def hyp2f1(a: float, b: float, c: float, t):
     return _maybe_scalar(out, scalar)
 
 
+def _bisect(f, a, b, tol: float):
+    """(a, b, steps): every bracket [a_i, b_i] bisected at once, one f(lanes, t) call a step.
+
+    A lane keeps the half whose ends differ in sign and stops at an exact
+    zero z (the bracket ends as [z, z], that step not counted), at width tol,
+    or when its midpoint equals an end: it is one float wide.  Each lane is
+    the one a bisection of it alone would give; the inputs are not changed.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    sign_a = np.sign(f(np.arange(a.size), a))
+    steps = np.zeros(a.size, dtype=int)
+    lanes = np.flatnonzero(b - a > tol)
+    while lanes.size:
+        mid = 0.5 * (a[lanes] + b[lanes])
+        inside = (mid != a[lanes]) & (mid != b[lanes])
+        lanes, mid = lanes[inside], mid[inside]
+        if not lanes.size:
+            break
+        fm = f(lanes, mid)
+        zero = fm == 0.0
+        left = np.sign(fm) == sign_a[lanes]
+        a[lanes] = np.where(zero | left, mid, a[lanes])
+        b[lanes] = np.where(zero | ~left, mid, b[lanes])
+        steps[lanes] += ~zero
+        lanes = lanes[~zero & (b[lanes] - a[lanes] > tol)]
+    return a, b, steps
+
+
 def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
-    """Positive zeros of J_nu (equivalently of jj_nu) up to t_max, ascending."""
+    """Positive zeros of J_nu (equivalently of jj_nu) up to t_max, ascending; each
+    bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide."""
     return np.asarray(_jnu_zeros_cached(float(nu), math.ceil(t_max)))
 
 
@@ -562,16 +591,7 @@ def _jnu_zeros_cached(nu: float, t_cap: int) -> tuple:
     grid = np.arange(step, t_cap + step, step)
     vals = _jj_vec(nu, grid)
     on_grid = grid[:-1][vals[:-1] == 0.0]
-    # bisect every sign-change bracket at once; a zero hit ends its bracket as [m, m]
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    a, b = grid[i], grid[i + 1]
-    fa = _jj_vec(nu, a)
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = _jj_vec(nu, m)
-        hit = fm == 0.0
-        left = ~hit & (np.sign(fm) == np.sign(fa))
-        a, fa = np.where(left | hit, m, a), np.where(left, fm, fa)
-        b = np.where(left, b, m)
+    a, b, _ = _bisect(lambda lanes, t: _jj_vec(nu, t), grid[i], grid[i + 1], 0.0)
     zeros = np.sort(np.concatenate([on_grid, 0.5 * (a + b)]))
     return tuple(float(z) for z in zeros if z <= t_cap)

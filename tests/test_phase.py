@@ -133,21 +133,22 @@ class TestQStar:
             assert (r.bracket[0].hex(), r.bracket[1].hex()) == (lo, hi)
 
     def test_scan_grid_equals_array_walk(self):
-        # reference: the left-edge walk with every h_tilde taken on the array path
-        for d in range(2, 61):
+        # reference: the left-edge walk with every h_tilde taken on the array path;
+        # d = 1 keeps its edge at 5e-4, q = 1e-3, with no walk
+        for d in range(1, 61):
             x_left = 5e-4
-            while P.h_tilde(d, np.array([x_left]))[0] <= 0 and x_left > 1e-9:
+            while d > 1 and P.h_tilde(d, np.array([x_left]))[0] <= 0 and x_left > 1e-9:
                 x_left /= 4.0
             qs = np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
             ref = qs[np.abs(qs) > 1e-6]
-            assert np.array_equal(P._scan_grid(d).view(np.int64), ref.view(np.int64)), d
+            assert np.array_equal(P._scan_signs(d)[0].view(np.int64), ref.view(np.int64)), d
 
     def test_lattice_signs_equal_log_ratio(self):
-        # every sign of every scan grid, not only at the brackets; about 0.7 s
-        for d in range(2, 161):
+        # every sign of every scan grid, not only at the brackets, against the q form
+        # log c_two - log c_inf = h_d / q; about 0.7 s
+        for d in range(1, 161):
             qs, sgn = P._scan_signs(d)
-            assert np.array_equal(qs.view(np.int64), P._scan_grid(d).view(np.int64)), d
-            assert np.array_equal(sgn, np.sign(P._log_ratio(d, qs))), d
+            assert np.array_equal(sgn, np.sign(P.h_d(d, qs) / qs)), d
 
     def test_lattice_table_grows_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(P, "_LATTICE_LOG_GAMMA", {})
@@ -169,6 +170,22 @@ class TestQStar:
             P.q_star(120, tol=1e-15)
         with pytest.raises(ToleranceError, match="use a smaller tol"):
             P.q_star(80)
+
+    def test_float_wide_stop_keeps_root(self, monkeypatch):
+        # below float resolution the bisection stops one float wide, after 43 steps
+        # where it used to run 200, with the root it gave then
+        seen = []
+        bisect = P._bisect
+
+        def spy(*args):
+            seen.append(bisect(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(P, "_bisect", spy)
+        r = P.q_star(10, tol=1e-16)
+        (a,), (b,), _ = seen[0]
+        assert (r.q_star.hex(), r.iterations) == ("-0x1.1410127169606p+3", 43)
+        assert b == np.nextafter(a, math.inf)
 
     def test_batch_equals_single(self):
         ds = [1, 4, 7, 30]
@@ -214,16 +231,19 @@ class TestHTilde:
                                    rtol=1e-12, atol=1e-14)
 
     def test_stacked_log_gamma_equals_four_calls(self):
-        def four_calls(d, q):
+        # h_d's four log_gamma calls against one call on the four arguments stacked
+        def stacked(d, q):
+            args = np.stack(np.broadcast_arrays(d / 2.0, d + q - 1.0, (d + q) / 2.0,
+                                                d + q / 2.0 - 1.0))
+            half_d, twice_x, x_half, x_shift = log_gamma(args)
             return (-q * math.log(2.0) + q / 2.0 * np.log(d)
-                    + 2.0 * log_gamma(d / 2.0) + log_gamma(d + q - 1.0)
-                    - 2.0 * log_gamma((d + q) / 2.0) - log_gamma(d + q / 2.0 - 1.0))
+                    + 2.0 * half_d + twice_x - 2.0 * x_half - x_shift)
 
         ds, qs = np.arange(2, 62), np.linspace(-0.9, 1.9, 60) - np.arange(0, 60)
-        assert np.array_equal(P.h_d(ds, qs), four_calls(ds, qs))
+        assert np.array_equal(P.h_d(ds, qs), stacked(ds, qs))
         qs = np.linspace(-38.99, 1.99, 500)
-        assert np.array_equal(P.h_d(40, qs), four_calls(40, qs))
-        assert P.h_d(7, -3.0) == float(four_calls(7, -3.0))
+        assert np.array_equal(P.h_d(40, qs), stacked(40, qs))
+        assert P.h_d(7, -3.0) == float(stacked(7, -3.0))
 
     def test_sign_opposite_to_constant_gap(self):
         # for q < 0 the sign of h_d is opposite to sign(c_two - c_inf)

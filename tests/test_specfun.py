@@ -29,6 +29,34 @@ GAMMA_MIN_X = 1.46163214496836226
 GAMMA_MIN_VALUE = 0.885603194410888689
 
 
+# float.hex of jnu_zeros(nu, 51), recorded from a fixed 80-step bisection of every
+# bracket; the bisection that stops one float wide must reproduce them bit for bit
+JNU_ZEROS_51 = {
+    0.0: (
+        "0x1.33d152e971b40p+1", "0x1.6148f5b2c2e46p+2", "0x1.14eb56cccdecap+3",
+        "0x1.79544008272b6p+3", "0x1.ddca13ef271d2p+3", "0x1.212313f8a19f6p+4",
+        "0x1.5362dd173f792p+4", "0x1.85a3b930156dep+4", "0x1.b7e54a5fd5f12p+4",
+        "0x1.ea27591cbbed2p+4", "0x1.0e34e13a66fe6p+5", "0x1.275637a9619ecp+5",
+        "0x1.4077a7ed6293ap+5", "0x1.59992c65d0d8cp+5", "0x1.72bac0f810810p+5",
+        "0x1.8bdc6293f0656p+5",
+    ),
+    1.0: (
+        "0x1.ea75575af6f08p+1", "0x1.c0ff5f3b47250p+2", "0x1.458d0d0bdfc2ap+3",
+        "0x1.aa5baf310e5a2p+3", "0x1.0787b360508c4p+4", "0x1.39da8e7416ca4p+4",
+        "0x1.6c294e3d4d8acp+4", "0x1.9e7570dcea106p+4", "0x1.d0bfcf471fcccp+4",
+        "0x1.018476e6b2bf0p+5", "0x1.1aa890dc5e97cp+5", "0x1.33cc523d5cb68p+5",
+        "0x1.4cefcf1734b62p+5", "0x1.661315d6b1340p+5", "0x1.7f36312028ad6p+5",
+    ),
+    3.0: (
+        "0x1.9854928f8b728p+2", "0x1.385a4d2dd8aaap+3", "0x1.a07c863952408p+3",
+        "0x1.03935140a54f0p+4", "0x1.368cf6fb005d6p+4", "0x1.6952dc440cb82p+4",
+        "0x1.9bf87da516d9ep+4", "0x1.ce889ad415ae2p+4", "0x1.0084d156bc698p+5",
+        "0x1.19bfd671b7618p+5", "0x1.32f6ba407ace0p+5", "0x1.4c2a6f13163f8p+5",
+        "0x1.655ba24774bcep+5", "0x1.7e8ad339822dap+5", "0x1.97b8619976818p+5",
+    ),
+}
+
+
 class TestGamma:
     def test_half_integer(self):
         assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), abs=1e-14)
@@ -375,6 +403,60 @@ class TestJJ:
             h = 1e-6
             fd = (jj1(t + h) - jj1(t - h)) / (2.0 * h)
             assert jj1_prime(t) == pytest.approx(fd, abs=5e-9)
+
+
+    def test_zeros_pinned_bits(self):
+        for nu, hexes in JNU_ZEROS_51.items():
+            assert [z.hex() for z in jnu_zeros(nu, 51.0).tolist()] == list(hexes), nu
+
+
+def _step_at(root):
+    """f(lanes, t) = -1 left of root[lane], +1 from it on: no zero, a float-wide stop."""
+    root = np.asarray(root, dtype=float)
+    return lambda lanes, t: np.where(t < root[lanes], -1.0, 1.0)
+
+
+class TestBisect:
+    def test_exact_zero_ends_as_point(self):
+        # 0.5 at the first step, 0.25 at the second; the zero's step is not counted
+        for z, steps in ((0.5, 0), (0.25, 1)):
+            a, b, n = specfun._bisect(lambda lanes, t: t - z, [0.0], [1.0], 1e-12)
+            assert (a[0], b[0], n[0]) == (z, z, steps)
+
+    def test_stops_at_tol(self):
+        a, b, n = specfun._bisect(lambda lanes, t: t - 1.0 / 3.0, [0.0], [1.0], 1e-3)
+        assert n[0] == 10 and b[0] - a[0] == 2.0**-10
+        assert a[0] < 1.0 / 3.0 < b[0]
+
+    def test_stops_one_float_wide(self):
+        # the sign changes at the float pi: the bracket ends as [pi-, pi] after 51 halvings
+        a, b, n = specfun._bisect(_step_at([math.pi]), [3.0], [4.0], 0.0)
+        assert (a[0], b[0]) == (np.nextafter(math.pi, 0.0), math.pi)
+        assert n[0] == 51
+
+    def test_within_tol_takes_no_step(self):
+        a0, b0 = np.array([0.0, 1.0]), np.array([1e-4, 1.0 + 1e-4])
+        a, b, n = specfun._bisect(lambda lanes, t: t - 5e-5 - lanes, a0, b0, 1e-3)
+        assert a.tolist() == a0.tolist() and b.tolist() == b0.tolist()
+        assert n.tolist() == [0, 0]
+        assert a is not a0 and b is not b0
+
+    def test_lanes_equal_solo_runs(self):
+        # exact zeros (0.25 at the second step), float-wide stops and stops at tol, mixed
+        roots = [0.25, math.pi, 1.0 / 3.0, -7.7, 1e-9]
+        lo, hi = np.array([0.0, 3.0, 0.0, -8.0, -1.0]), np.array([1.0, 4.0, 1.0, -7.0, 1.0])
+
+        def line(rs):
+            return lambda lanes, t: t - np.asarray(rs)[lanes]
+
+        for make in (_step_at, line):
+            for tol in (0.0, 1e-9, 0.3):
+                a, b, n = specfun._bisect(make(roots), lo, hi, tol)
+                for i, root in enumerate(roots):
+                    solo = specfun._bisect(make([root]), lo[i:i + 1], hi[i:i + 1], tol)
+                    assert (a[i], b[i], n[i]) == tuple(x[0] for x in solo), (tol, i)
+        a, b, n = specfun._bisect(line(roots), lo, hi, 0.0)
+        assert (a[0], b[0], n[0]) == (0.25, 0.25, 1)
 
 
 class TestJJOrderZero:
