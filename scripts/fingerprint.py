@@ -56,7 +56,12 @@ edge of its reach (d = 80 raises ToleranceError at the default tol); then
 the zeros of jnu_zeros up to t = 51 at nu in {0, 0.5, 1, 1.5, 2, 3, 9.5,
 29.5}, and q_star's root and iteration count below the default tol, at tol
 in {1e-13, 1e-14, 1e-16} for d in {1, 4, 10, 30}, where the bisection's
-stops show.
+stops show; last, the single-sourced constants of the large-argument
+toolkit, so that a move of one shows apart from F and product_moment: the
+Hankel coefficients W_m = i^m a_m(nu) of oscillatory._hankel_w, real and
+imaginary parts, at nu in {0, 0.5, 1, 1.5, 2, 3, 9.5, 29.5}, and Watson's
+envelope constant C of quad._bessel_envelope at F's (1, T) and at
+product_moment's (nu, 2 nu) for nu in {1.5, 3, 9.5}.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -75,6 +80,7 @@ from khinsphere.quad import (  # noqa: E402
     _TAIL_TOL,
     F,
     IntegralParams,
+    _bessel_envelope,
     _middle_plan,
     product_moment,
     table2_log_bound,
@@ -329,6 +335,11 @@ def main() -> int:
             print(f"jnu_zeros nu={nu!r} t_max=51.0 k={k} {z.hex()}")
     for line in q_star_tol_lines():
         print(line)
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 9.5, 29.5):
+        for m, w in enumerate(oscillatory._hankel_w(nu)[0].tolist()):
+            print(f"_hankel_w nu={nu!r} m={m} {w.real.hex()} {w.imag.hex()}")
+    for nu, x0 in [(1.0, T)] + [(nu, 2.0 * nu) for nu in (1.5, 3.0, 9.5)]:
+        print(_line(f"_bessel_envelope nu={nu!r} x0={x0!r}", lambda: _bessel_envelope(nu, x0)))
     return 0
 
 

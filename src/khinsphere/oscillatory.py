@@ -3,10 +3,10 @@
 The integrals here all have the shape  int_T^inf  A(t) t^mu e^(i omega t) dt
 with A a truncated power series in 1/t coming from the large-argument
 (Hankel) expansion of J_nu, J_nu(t) ~ sqrt(2/(pi t)) Re[W(t) e^(i chi)] with
-W = P + iQ (DLMF 10.17), integrated term by term.  The power integrals
-E(mu, omega, T) = int_T^inf t^mu e^(i omega t) dt are closed-form power tails
-at omega = 0, the integration-by-parts (IBP) expansion where |omega| T >= 40,
-and Gauss panels up to |omega| t = 40 in between.  Two consumers:
+W = P + iQ = sum_m i^m a_m(nu) t^(-m) (DLMF 10.17), integrated term by term.  The
+power integrals E(mu, omega, T) = int_T^inf t^mu e^(i omega t) dt are closed-form
+power tails at omega = 0, the integration-by-parts (IBP) expansion where
+|omega| T >= 40, and Gauss panels up to |omega| t = 40 in between.  Two consumers:
 
 * ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
   expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
@@ -100,25 +100,21 @@ def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
 
 # ----------------------------------------------------------------------------
 # Hankel expansion of J_nu:
-#   J_nu(t) ~ sqrt(2/(pi t)) [P(t) cos chi - Q(t) sin chi],
-#   chi = t - nu pi/2 - pi/4,
-#   P ~ sum (-1)^k a_{2k} t^(-2k),  Q ~ sum (-1)^k a_{2k+1} t^(-2k-1),
+#   J_nu(t) ~ sqrt(2/(pi t)) Re[W(t) e^(i chi)],  chi = t - nu pi/2 - pi/4,
+#   W = P + iQ ~ sum_m i^m a_m(nu) t^(-m),
 #   a_m(nu) = prod_{j=1..m} (4 nu^2 - (2j-1)^2) / (m! 8^m).
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def hankel_pq(nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _hankel_w(nu: float) -> tuple[np.ndarray, complex]:
+    """(W, C): W_m = i^m a_m(nu), m = 0..ORDER, its vanishing parts +0.0, and the
+    constant C with jj_nu(x) ~ Re[C W(x) x^(-nu-1/2) e^(ix)]."""
     a = [1.0]
     for m in range(1, ORDER + 1):
         a.append(a[-1] * (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m))
-    p = np.zeros(ORDER + 1)
-    q = np.zeros(ORDER + 1)
-    for m in range(ORDER + 1):
-        if m % 2 == 0:
-            p[m] = (-1.0) ** (m // 2) * a[m]
-        else:
-            q[m] = (-1.0) ** ((m - 1) // 2) * a[m]
-    return p, q
+    w = np.asarray(a) * np.array([1, 1j, -1, -1j])[np.arange(ORDER + 1) % 4] + 0.0  # -0.0 -> +0.0
+    norm = _jj_norm_const(nu) * math.sqrt(2.0 / math.pi)
+    return w, norm * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
 
 
 # ----------------------------------------------------------------------------
@@ -126,9 +122,9 @@ def hankel_pq(nu: float) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------------
 
 def power_tail(mu, T: float):
-    """E(mu, 0, T) = -T^(mu+1)/(mu+1) for a scalar or an array of mu < -1."""
-    if np.any(np.asarray(mu) >= -1.0):
-        raise DomainError(f"power tail diverges for mu={mu} >= -1")
+    """E(mu, 0, T) = -T^(mu+1)/(mu+1) for a scalar or an array of mu < -1, and T > 0."""
+    if not (np.all(np.asarray(mu) < -1.0) and T > 0.0):  # NaN too
+        raise DomainError(f"power tail needs mu < -1 and T > 0, got mu={mu}, T={T}")
     return -(T ** (mu + 1.0)) / (mu + 1.0)
 
 
@@ -147,8 +143,8 @@ def _panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndar
     return mid + half * x[None, :], w[None, :], half
 
 
-def _panel_quad(f, edges: np.ndarray, order: int = 16, block: int = _PANEL_BLOCK):
-    """Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
+def _panel_quad(f, edges: np.ndarray, block: int = _PANEL_BLOCK):
+    """24-point Gauss-Legendre sum of f over the panels [edges[i], edges[i+1]].
 
     The panels are evaluated in blocks of at most ``block``, so memory stays
     bounded however many there are, and the block sums are added up.
@@ -156,9 +152,9 @@ def _panel_quad(f, edges: np.ndarray, order: int = 16, block: int = _PANEL_BLOCK
     """
     n = len(edges) - 1
     if n > block:
-        return sum(_panel_quad(f, edges[lo:lo + block + 1], order, block)
+        return sum(_panel_quad(f, edges[lo:lo + block + 1], block)
                    for lo in range(0, n, block))
-    nodes, w, half = _panel_rule(edges, order)
+    nodes, w, half = _panel_rule(edges, 24)
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return np.sum(vals * w * half)
 
@@ -250,7 +246,10 @@ def _exp_tails(mu0: float, omega: np.ndarray, T: float) -> np.ndarray:
 
 def exp_power_tail(mu: float, omega: float, T: float) -> complex:
     """int_T^inf t^mu e^(i omega t) dt for mu < 0, and mu < -1 when omega ~ 0: the
-    one-lane case of the kernel behind ``tail_product``."""
+    one-lane case of the kernel behind ``tail_product``, for finite omega and finite T > 0.
+    Any other input, NaN too, raises DomainError."""
+    if not (mu < 0.0 and math.isfinite(omega) and 0.0 < T < math.inf):
+        raise DomainError(f"exp_power_tail needs mu < 0, finite omega, 0 < T < inf: {mu}, {omega}, {T}")
     if abs(omega) < _RESONANT:
         return complex(power_tail(mu, T))
     if omega < 0:
@@ -305,7 +304,8 @@ def _abs_pow_setup(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
     """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined."""
     step = max(1, _BLOCK_BYTES // (8 * per_p))
-    return np.concatenate([fn(p[lo:lo + step]) for lo in range(0, len(p), step)])
+    blocks = [fn(p[lo:lo + step]) for lo in range(0, len(p), step)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
@@ -325,14 +325,17 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
     the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
     exp, so no intermediate is subnormal where the result is not.  T < 20 raises
-    DomainError, and so do p >= 3s/2 (naming the first such element) and
-    s > _TAIL_S_MAX (141).  Near s = 1 with p near 3s/2, where the modes decay
-    slowest, F with this tail at F's tol of 1e-10 was at most 2.2e-11 off an
-    mpmath oracle, at (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
+    DomainError, and so do NaN, p >= 3s/2 (naming the first such element), an
+    infinite p and s > _TAIL_S_MAX (141); an empty p gives an empty array.
+    Near s = 1 with p near 3s/2, where the modes decay slowest, F with this
+    tail at F's tol of 1e-10 was at most 2.2e-11 off an mpmath oracle, at
+    (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
     """
-    if 2.0 * T < _IBP_MIN_PHASE:
+    if not 2.0 * T >= _IBP_MIN_PHASE:  # NaN too
         raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g}, got T={T}")
     pa = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(pa)):
+        raise DomainError(f"tail_abs_pow needs finite p, got p={p!r}")
     diverges = pa >= 1.5 * s
     if diverges.any():
         raise DomainError(f"tail diverges: p={pa.flat[np.argmax(diverges)]} >= 3s/2={1.5 * s}")
@@ -370,15 +373,6 @@ def _abs_pow_block(p: np.ndarray, s: float, T: float, tol: float, ms: np.ndarray
     # by pref T^mu as one exp: at s = 141, p = 23.51, T^mu alone is subnormal
     scale = np.exp(mu * math.log(T) + math.log(pref))
     return scale * np.add.accumulate(cms[:, None] * per_mode)[-1]
-
-
-@lru_cache(maxsize=32)
-def _hankel_w(nu: float) -> tuple[np.ndarray, complex]:
-    """(W, C): the series W = P + iQ of J_nu's Hankel expansion and the constant
-    C with jj_nu(x) ~ Re[C W(x) x^(-nu-1/2) e^(ix)]."""
-    pser, qser = hankel_pq(nu)
-    norm = _jj_norm_const(nu) * math.sqrt(2.0 / math.pi)
-    return pser + 1j * qser, norm * cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
 
 
 def tail_product(amps, nu: float, p: float, T: float) -> float:

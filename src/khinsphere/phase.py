@@ -84,8 +84,13 @@ def h_tilde(d: int, x) -> float:
     xa = x if isinstance(x, float) else np.asarray(x, dtype=float)  # a float: log_gamma's float path
     if not np.all((xa > 0) & (xa <= (d - 1) / 2.0)):
         raise DomainError(f"h_tilde requires 0 < x <= (d-1)/2, got {x!r}")
-    val = _h_x(xa, *_h_x_consts(d), *(log_gamma(xa + s) for s in (0.0, 0.5, (d - 1.0) / 2.0)))
+    val = _h_at(d, xa)
     return float(val) if np.ndim(val) == 0 else val
+
+
+def _h_at(d: int, x):
+    """h_tilde's x form at x, a float (log_gamma's float path) or an array, unchecked."""
+    return _h_x(x, *_h_x_consts(d), *(log_gamma(x + s) for s in (0.0, 0.5, (d - 1.0) / 2.0)))
 
 
 def _h_x_consts(d: int) -> tuple[float, float]:
@@ -108,10 +113,8 @@ def _left_edge(d: int) -> float:
     root), one scalar h a step, on log_gamma's float path (about 1.2 steps
     a d over 5..60).  For d = 1, q = 2x > 0 and h < 0 at 5e-4: no step.
     """
-    consts, shifts = _h_x_consts(d), (0.0, 0.5, (d - 1.0) / 2.0)
     x_left = 5e-4
-    while x_left > 1e-9 and (2.0 * x_left - (d - 1)) * _h_x(
-            x_left, *consts, *(log_gamma(x_left + s) for s in shifts)) >= 0:
+    while x_left > 1e-9 and (2.0 * x_left - (d - 1)) * _h_at(d, x_left) >= 0:
         x_left /= 4.0
     return x_left
 
@@ -189,7 +192,8 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
     tol rescues some (d = 80 and 100 at 1e-13); for others (d = 120, 140,
     145) the bracket becomes one float wide first, and the message says
     so.  From d = 146 the root lies left of x = (q + d - 1)/2 = 1e-9, where
-    the scan's left edge stops, so NoBracketError is raised.
+    the scan's left edge stops, so NoBracketError is raised.  A tol not in
+    (0, inf), NaN too, raises DomainError.
     """
     return _q_star_batch([d], tol)[0]
 
@@ -208,8 +212,8 @@ def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
     The error raised is the one a loop of single solves over ds, in order,
     would raise first.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN too
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     ds = list(ds)
     brackets: list[tuple[float, float]] = []
     scan_error = None

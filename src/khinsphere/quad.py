@@ -56,14 +56,13 @@ __all__ = [
     "table3_scaled_bound",
 ]
 
-_J11 = 3.831705970207512  # the first zero of J_1: the end of jj_1's first arch
 _HEAD_U = 0.5  # F's series head covers u = t sqrt(s) <= this
 _HEAD_TERMS = 12  # terms of F's head series in u^2: at u = 1/2 the 13th is below 1e-25
 _GRADE_LEVELS = 10  # F's panels next to a zero of J_1 shrink this many times toward it,
 _GRADE_RATIO = 0.25  # by this ratio each time
-_REL_CUT = 1e-13  # F drops a tail below this fraction of F
+_REL_CUT = 1e-13  # a dropped tail is at most this fraction of the result (F, product_moment)
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
-_TAIL_START = 46.0  # F's panels end at the first zero of J_1 at or beyond this
+_TAIL_START = 46.0  # F's panels end at the first J_1 zero past this; product_moment's tail, past it
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 _MAX_PANELS = 200_000  # product_moment's panel budget
 # product_moment's panel width times the bandwidth Omega = sum_k a_k.  The 24-point
@@ -71,7 +70,6 @@ _MAX_PANELS = 200_000  # product_moment's panel budget
 # 8.9e-76 (Omega h)^48 h for a factor e^(i Omega t); at Omega h = 16 that is 5.6e-18 h.
 _PANEL_OMEGA_H = 32.0
 _PANEL_GROWTH = 1.5  # ratio of consecutive panel edges near t = 1 in product_moment
-_CUT_REL = 1e-13  # product_moment's dropped tail, relative to the Jensen floor |a|^(-p)
 _HEAD_PRODUCT_TERMS = 48  # terms of product_moment's head series in t^2
 _M_S83 = 100  # subdivisions per unit of the s = 8/3 bounds (Table 2, interpolation~)
 _M_S13 = 200  # subdivisions per unit of the s = 1.3 bound (Table 3)
@@ -165,7 +163,7 @@ def _arch_panels(s: float) -> tuple[np.ndarray, np.ndarray]:
     jj_1^s ~ (j_1,1 - t)^s: it is split at u1 - L _GRADE_RATIO^k,
     k = 1.._GRADE_LEVELS, L its width.
     """
-    u1 = _J11 * math.sqrt(s)
+    u1 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0]) * math.sqrt(s)  # j_1,1, cached
     edges = np.linspace(_HEAD_U, u1, math.ceil(2.0 * (u1 - _HEAD_U)) + 1)
     grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
     un, uw, uh = _panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24)
@@ -183,8 +181,8 @@ def F(params: IntegralParams):
     zero u = j_1,1 sqrt(s).  On [j_1,1, T] come fixed panels graded toward
     each zero of J_1, T ~ 47.  All panels are summed in logs, scaled by their
     largest term, so large p neither overflows nor underflows.  Beyond T,
-    |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4) (Watson
-    13.74, as in ``_bessel_envelope``), so the tail is at most
+    |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4), Watson's
+    envelope ``_bessel_envelope(1, T)``, so the tail is at most
     C^s T^(p-3s/2) / (3s/2-p).  It is dropped where that is at most 1e-13 of
     the rest, and otherwise taken from one ``tail_abs_pow`` call for all
     such p of one s.
@@ -218,7 +216,7 @@ def _F_at_s(p: np.ndarray, s: float) -> np.ndarray:
     log_head = np.log(head, out=np.full(len(p), -np.inf), where=head > 0.0)
     log_main = np.logaddexp(log_head - 0.5 * p * math.log(s), log_panels)
 
-    c_env = math.sqrt(8.0 / math.pi) * (T * T / (T * T - 1.0)) ** 0.25
+    c_env = _bessel_envelope(1.0, T)
     log_tail_bound = s * math.log(c_env) + (p - 1.5 * s) * math.log(T) - np.log(1.5 * s - p)
     need_tail = log_tail_bound - log_main > math.log(_REL_CUT)
     _require((log_main < _LOG_FLOAT_MAX) & ~(need_tail & (s > _TAIL_S_MAX)), DomainError,
@@ -342,8 +340,8 @@ def product_moment(query: MomentQuery) -> float:
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
     a0 = 1.0
-    T_full = max(46.0, 0.5 * nu * nu, 25.0 / amps[-1])
-    T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+    T_full = max(_TAIL_START, 0.5 * nu * nu, 25.0 / amps[-1])
+    T_env = _envelope_cut(amps, nu, p, _REL_CUT / kappa)
     cut = T_env < T_full
     T = max(T_env, a0) if cut else T_full
     head = _head_product(amps, nu, p, a0)
@@ -353,7 +351,7 @@ def product_moment(query: MomentQuery) -> float:
         return t ** (p - 1.0) * np.prod(_jj_vec(nu, col * t), axis=0)
 
     edges = _moment_edges(a0, T, _PANEL_OMEGA_H / sum(amps))
-    middle = _panel_quad(integrand, edges, order=24, block=max(1, _PANEL_BLOCK // n))
+    middle = _panel_quad(integrand, edges, block=max(1, _PANEL_BLOCK // n))
     tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
     return float(kappa * (head + middle + tail) * norm ** (-p))
 
@@ -374,24 +372,24 @@ def _moment_edges(a0: float, T: float, width: float) -> np.ndarray:
     return np.concatenate([graded, np.linspace(start, T, n_panels - len(graded) + 1)])
 
 
-@lru_cache(maxsize=32)
-def _bessel_envelope(nu: float) -> tuple[float, float]:
-    """(C, x0) with |jj_nu(x)| <= C x^(-nu-1/2) for every x >= x0, nu >= 0.
+def _bessel_envelope(nu: float, x0: float) -> float:
+    """C with |jj_nu(x)| <= C x^(-nu-1/2) for every x >= x0, nu >= 0 (x0 > nu for nu > 1/2).
 
     Source: Watson, A Treatise on the Theory of Bessel Functions (2nd ed.,
     1944), section 13.74, from Nicholson's formula for J_nu^2 + Y_nu^2:
     (x^2 - nu^2)^(1/2) (J_nu^2 + Y_nu^2) increases to 2/pi for x > nu > 1/2,
     and x (J_nu^2 + Y_nu^2) does for |nu| < 1/2 (it is 2/pi at nu = 1/2).
-    So, with jj_nu(x) = 2^nu Gamma(nu+1) x^(-nu) J_nu(x):
-    * nu > 1/2: J_nu(x)^2 <= (2/pi) (x^2 - nu^2)^(-1/2), and for x >= x0 = 2 nu
-      the factor (x^2/(x^2 - nu^2))^(1/4) is at most (4/3)^(1/4);
-    * 0 <= nu <= 1/2: J_nu(x)^2 <= 2/(pi x) for all x > 0, so x0 = 0.
-    At nu = 1 this is the envelope of the paper's jj_1 tail bounds (Tables 2-3, interpolation~).
+    So, with jj_nu(x) = 2^nu Gamma(nu+1) x^(-nu) J_nu(x) and c = 2^nu Gamma(nu+1) sqrt(2/pi):
+    * nu > 1/2: J_nu(x)^2 <= (2/pi) (x^2 - nu^2)^(-1/2), and (x^2/(x^2 - nu^2))^(1/4)
+      falls in x, so C = c (x0^2/(x0^2 - nu^2))^(1/4), c (4/3)^(1/4) at x0 = 2 nu;
+    * 0 <= nu <= 1/2: J_nu(x)^2 <= 2/(pi x) for all x > 0, so C = c for any x0.
+    At nu = 1 this is the envelope of the paper's jj_1 tail bounds (Tables 2-3,
+    interpolation~), and at x0 = T that of F's tail.
     """
     c = _jj_norm_const(nu) * math.sqrt(2.0 / math.pi)
     if nu <= 0.5:
-        return c, 0.0
-    return c * (4.0 / 3.0) ** 0.25, 2.0 * nu
+        return c
+    return c * (x0 * x0 / (x0 * x0 - nu * nu)) ** 0.25
 
 
 def _envelope_cut(amps, nu: float, p: float, tol: float) -> float:
@@ -399,15 +397,16 @@ def _envelope_cut(amps, nu: float, p: float, tol: float) -> float:
 
     The tail is int_T^inf prod_k |jj_nu(a_k t)| t^(p-1) dt, with ``amps``
     sorted in decreasing order.  For each j, the j largest factors take the
-    envelope C (a_k t)^(-nu-1/2) of ``_bessel_envelope``, valid once
-    a_j T >= x0, and the others |jj_nu| <= 1 (DLMF 10.14.4, nu >= -1/2).  The
-    bound is then K_j T^(-e_j) / e_j with e_j = j (nu+1/2) - p > 0 and
-    K_j = prod_(k<=j) C a_k^(-nu-1/2), which equals tol at
-    log T_j = (log K_j - log e_j - log tol) / e_j; T_j is raised to x0/a_j.
-    Returns min_j T_j, or inf when no j qualifies (T_j beyond e^700).  The
-    work is in logs: K_j itself can overflow.
+    envelope C (a_k t)^(-nu-1/2) of ``_bessel_envelope`` at x0 = 2 nu (x0 = 0
+    for nu <= 1/2), valid once a_j T >= x0, and the others |jj_nu| <= 1
+    (DLMF 10.14.4, nu >= -1/2).  The bound is then K_j T^(-e_j) / e_j with
+    e_j = j (nu+1/2) - p > 0 and K_j = prod_(k<=j) C a_k^(-nu-1/2), which
+    equals tol at log T_j = (log K_j - log e_j - log tol) / e_j; T_j is
+    raised to x0/a_j.  Returns min_j T_j, or inf when no j qualifies (T_j
+    beyond e^700).  The work is in logs: K_j itself can overflow.
     """
-    c, x0 = _bessel_envelope(nu)
+    x0 = 2.0 * nu if nu > 0.5 else 0.0
+    c = _bessel_envelope(nu, x0)
     log_t, log_k = math.inf, 0.0
     for j, a in enumerate(amps, start=1):
         log_k += math.log(c) - (nu + 0.5) * math.log(a)
@@ -435,20 +434,15 @@ def _head_product(amps, nu: float, p: float, a0: float) -> float:
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _abs_jj1_grid(lo: float, hi: float, m: int) -> np.ndarray:
+def _abs_jj1_grid(lo: float, hi: float, m: int, offset: float) -> np.ndarray:
+    """|jj_1| at lo + (k + offset)/m, k = 0..(hi - lo) m: the grid at offset 0, midpoints at 1/2."""
     k = np.arange(int(round((hi - lo) * m)) + 1)
-    return np.abs(_jj_vec(1.0, lo + k / m))
-
-
-@lru_cache(maxsize=8)
-def _abs_jj1_midgrid(lo: float, hi: float, m: int) -> np.ndarray:
-    k = np.arange(int(round((hi - lo) * m)))
-    return np.abs(_jj_vec(1.0, lo + (k + 0.5) / m))
+    return np.abs(_jj_vec(1.0, lo + (k + offset) / m))
 
 
 def _riemann_monotone(p: float, s: float, lo: float, hi: float, m: int) -> float:
     """Endpoint-max Riemann upper bound; valid where jj_1 is monotone (<= 5.13)."""
-    vals = _abs_jj1_grid(lo, hi, m) ** s
+    vals = _abs_jj1_grid(lo, hi, m, 0.0) ** s
     sup_j = np.maximum(vals[:-1], vals[1:])
     k = np.arange(len(sup_j))
     tl, tr = lo + k / m, lo + (k + 1) / m
@@ -458,7 +452,7 @@ def _riemann_monotone(p: float, s: float, lo: float, hi: float, m: int) -> float
 
 def _midpoint_deriv(p: float, s: float, lo: float, hi: float, m: int, dsup: float) -> float:
     """Midpoint Riemann sum plus dsup/(2m) times (hi - lo) lo^(p-1); valid for p <= 1."""
-    vals = _abs_jj1_midgrid(lo, hi, m) ** s
+    vals = _abs_jj1_grid(lo, hi, m, 0.5)[:-1] ** s
     k = np.arange(len(vals))
     tl = lo + k / m
     sup_t = np.maximum(tl ** (p - 1.0), (lo + (k + 1) / m) ** (p - 1.0))

@@ -321,12 +321,9 @@ def jj1(t):
 
 
 def jj1_prime(t):
-    """d/dt jj_1(t) = -(t/4) jj_2(t) = -2 J2(t)/t, from DLMF 10.6.6,
-    (t^-nu J_nu)' = -t^-nu J_(nu+1); within 3e-16 of mpmath on [0, 30]."""
-    arr, scalar = _as_array(t)
-    if np.any(arr < 0):
-        raise DomainError("jj1_prime requires t >= 0")
-    return _maybe_scalar(-(arr / 4.0) * _jj_vec(2.0, arr), scalar)
+    """d/dt jj_1(t) = -(t/4) jj_2(t) = -2 J2(t)/t, from DLMF 10.6.6, for a float or an array
+    of finite t >= 0 (jj's check); within 3e-16 of mpmath on [0, 30]."""
+    return -(t / 4.0) * jj(2.0, t)
 
 
 def jj(nu: float, t):
@@ -334,18 +331,17 @@ def jj(nu: float, t):
 
     A fixed 48-term power series where t < max(5, nu), for every order, and
     beyond it large-argument J0/J1 with forward recurrence; scalar and array
-    input share this one evaluator.  Orders are the sphere family
-    nu = d/2 - 1, i.e. multiples of 1/2.  Against mpmath: within 2e-15 absolute
-    for nu <= 9, about 1e-14 up to nu = 30, and worse beyond, as the series
-    cancels near t = nu (1e-12 at nu = 50).
+    input share this one evaluator.  Orders are the sphere family nu = d/2 - 1,
+    multiples of 1/2, and t is finite and >= 0; any other nu or t (NaN and inf
+    too) raises DomainError.  Against mpmath: within 2e-15 absolute for nu <= 9,
+    about 1e-14 up to nu = 30, and worse beyond, as the series cancels near
+    t = nu (1e-12 at nu = 50).
     """
-    if nu < 0:
-        raise DomainError(f"jj requires nu >= 0, got {nu}")
-    if 2.0 * nu != round(2.0 * nu):
-        raise DomainError(f"jj supports half-integer orders only, got nu={nu}")
+    if not (0.0 <= nu < math.inf and 2.0 * nu == round(2.0 * nu)):  # NaN too
+        raise DomainError(f"jj's order must be a multiple of 1/2 with nu >= 0, got nu={nu}")
     arr, scalar = _as_array(t)
-    if np.any(arr < 0):
-        raise DomainError("jj requires t >= 0")
+    if not np.all((arr >= 0.0) & (arr < math.inf)):  # NaN too
+        raise DomainError(f"jj requires finite t >= 0, got {t!r}")
     return _maybe_scalar(_jj_vec(nu, arr), scalar)
 
 
@@ -581,7 +577,10 @@ def _bisect(f, a, b, tol: float):
 
 def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
     """Positive zeros of J_nu (equivalently of jj_nu) up to t_max, ascending; each
-    bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide."""
+    bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide.
+    nu is one of jj's orders, as jj checks on that grid, and t_max finite, else DomainError."""
+    if not math.isfinite(t_max):
+        raise DomainError(f"jnu_zeros requires a finite t_max, got {t_max}")
     return np.asarray(_jnu_zeros_cached(float(nu), math.ceil(t_max)))
 
 
@@ -589,7 +588,7 @@ def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
 def _jnu_zeros_cached(nu: float, t_cap: int) -> tuple:
     step = 0.25
     grid = np.arange(step, t_cap + step, step)
-    vals = _jj_vec(nu, grid)
+    vals = jj(nu, grid)  # jj's order check
     on_grid = grid[:-1][vals[:-1] == 0.0]
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     a, b, _ = _bisect(lambda lanes, t: _jj_vec(nu, t), grid[i], grid[i + 1], 0.0)

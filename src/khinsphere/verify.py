@@ -10,7 +10,7 @@ where H vanishes at the phase transition).  On the boundaries p = d-2
 becomes an identity, which is checked instead.  Only the region verifiers
 (H, H~, U < G, the inductive base) take a grid; the other grid sizes are
 module constants.  The interpolation verifiers (Tables 2-3, interpolation~)
-compare tangent lines, built by ``_tangent_margins``, with the one-sided
+compare tangent lines, each built by ``_tangent``, with the one-sided
 bounds on F that ``quad`` constructs at fixed subdivision counts.
 """
 from __future__ import annotations
@@ -135,18 +135,23 @@ class PhiFunction:
         return float(out) if out.ndim == 0 else out
 
 
+def _tangent(R: Callable, r_prime: Callable, v: float) -> Callable[[float], float]:
+    """R's tangent line at v, u -> R(v) + R'(v) (u - v); ConvergenceError if either is not finite."""
+    rv, slope = R(v), r_prime(v)
+    if not (math.isfinite(rv) and math.isfinite(slope)):
+        raise ConvergenceError(f"tangent construction failed at v={v}")
+    return lambda u: rv + slope * (u - v)
+
+
 def _tangent_margins(R: Callable[[float], float], r_prime: Callable[[float], float],
                      L: Callable[[float], float],
                      edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """On each piece [u0, u1] of edges, R's tangent at the midpoint minus L at u0 and at u1."""
     left, right = [], []
     for u0, u1 in zip(edges[:-1], edges[1:]):
-        v = 0.5 * (u0 + u1)
-        rv, slope = R(v), r_prime(v)
-        if not (math.isfinite(rv) and math.isfinite(slope)):
-            raise ConvergenceError(f"tangent construction failed at v={v}")
-        left.append(rv + slope * (u0 - v) - L(u0))
-        right.append(rv + slope * (u1 - v) - L(u1))
+        ell = _tangent(R, r_prime, 0.5 * (u0 + u1))
+        left.append(ell(u0) - L(u0))
+        right.append(ell(u1) - L(u1))
     return np.asarray(left, dtype=float), np.asarray(right, dtype=float)
 
 
@@ -250,9 +255,8 @@ def _verify_U_less_G_tilde(grid: tuple[int, int]) -> VerificationReport:
     # the paper's two tangents with their printed difference floors
     floors = ((2.0, 2.0, 0.017), (2.0, 2.5, 0.076), (2.5, 2.5, 1.19), (2.5, 3.0, 3.77))
     for v, u, floor in floors:
-        ell = R(v) + Rp(v) * (u - v)
         points.append((v, u))
-        margins.append((ell - L(u)) - floor)
+        margins.append((_tangent(R, Rp, v)(u) - L(u)) - floor)
     region = "case tilde: p in (2,3), s in [8/3, 12] with the two tangent certificates"
     return _make_report("U_less_G_tilde", region, grid, points, margins)
 
@@ -508,8 +512,7 @@ def verify_interpolation_tilde() -> VerificationReport:
     for p, cap in ((2.0, 0.35), (2.5, 0.56), (3.0, 0.96)):
         points.append((p, 0.0))
         margins.append(cap - math.log(_tilde_F_upper(p)))
-    r1 = lambda p: R(2.0) + Rp(2.0) * (p - 2.0)
-    r2 = lambda p: R(2.5) + Rp(2.5) * (p - 2.5)
+    r1, r2 = _tangent(R, Rp, 2.0), _tangent(R, Rp, 2.5)
     for val, floor, pt in ((r1(2.0), 0.359, 2.0), (r1(2.5), 0.58, 2.5), (r2(3.0), 1.48, 3.0)):
         points.append((pt, 1.0))
         margins.append(val - floor)

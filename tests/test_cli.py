@@ -60,6 +60,13 @@ class TestQstarVerb:
         assert code == 1
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_one(self, tol, capsys):
+        # a NaN tol used to pass the check and end as a residual failure (exit 3)
+        code, out, err = _run(["qstar", "--d-min", "4", "--d-max", "4", "--tol", tol], capsys)
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
 
 class TestMomentVerb:
     def test_routes_agree(self, capsys):

@@ -10,6 +10,53 @@ from khinsphere import oscillatory as osc
 from khinsphere.errors import DomainError
 from khinsphere.specfun import gamma, jj1, jnu_zeros
 
+# float.hex of (Re W_m, Im W_m), m = 0..8, of _hankel_w(nu)[0], recorded from the P + iQ
+# form it replaced; a part that vanishes is +0.0
+HANKEL_W_HEX = {
+    0.0: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '-0x1.0000000000000p-3'),
+        ('-0x1.2000000000000p-4', '0x0.0p+0'), ('0x0.0p+0', '0x1.2c00000000000p-4'),
+        ('0x1.cb60000000000p-4', '0x0.0p+0'), ('0x0.0p+0', '-0x1.d11e000000000p-3'),
+        ('-0x1.251ee80000000p-1', '0x0.0p+0'), ('0x0.0p+0', '0x1.ba4c598000000p+0'),
+        ('0x1.84bd1aa980000p+2', '0x0.0p+0'),
+    ),
+    0.5: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'),
+    ),
+    1.0: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.8000000000000p-2'),
+        ('0x1.e000000000000p-4', '0x0.0p+0'), ('0x0.0p+0', '-0x1.a400000000000p-4'),
+        ('-0x1.2750000000000p-3', '0x0.0p+0'), ('0x0.0p+0', '0x1.1c3d000000000p-2'),
+        ('0x1.5a6a580000000p-1', '0x0.0p+0'), ('0x0.0p+0', '-0x1.fe58188000000p+0'),
+        ('-0x1.b8920d2680000p+2', '0x0.0p+0'),
+    ),
+    1.5: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.0000000000000p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'),
+        ('0x0.0p+0', '0x0.0p+0'),
+    ),
+    3.0: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.1800000000000p+2'),
+        ('-0x1.d880000000000p+2', '0x0.0p+0'), ('0x0.0p+0', '-0x1.b120000000000p+1'),
+        ('-0x1.5fea000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.8be7400000000p+0'),
+        ('0x1.5e8a160000000p+1', '0x0.0p+0'), ('0x0.0p+0', '-0x1.a043fa2000000p+2'),
+        ('-0x1.33522fa9a0000p+4', '0x0.0p+0'),
+    ),
+    9.5: (
+        ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.6800000000000p+5'),
+        ('-0x1.ef00000000000p+9', '0x0.0p+0'), ('0x0.0p+0', '-0x1.b120000000000p+13'),
+        ('0x1.07ef800000000p+17', '0x0.0p+0'), ('0x0.0p+0', '0x1.cde3200000000p+19'),
+        ('-0x1.20adf40000000p+22', '0x0.0p+0'), ('0x0.0p+0', '-0x1.eee1100000000p+23'),
+        ('0x1.06e7908000000p+25', '0x0.0p+0'),
+    ),
+}
+
 
 def brute_exp_tail(mu, om, T):
     """Fine-panel quadrature to a large L plus the (certifiably tiny) IBP rest."""
@@ -179,16 +226,24 @@ class TestIbpSeries:
 
 class TestHankel:
     def test_leading_coefficients_nu1(self):
-        p, q = osc.hankel_pq(1.0)
+        w = osc._hankel_w(1.0)[0]
+        p, q = w.real, w.imag
         # a_1 = 3/8, a_2 = -15/128, a_3 = 105/1024 with alternating signs folded in
         assert p[0] == 1.0
         assert q[1] == pytest.approx(3.0 / 8.0)
         assert p[2] == pytest.approx(15.0 / 128.0)
         assert q[3] == pytest.approx(-105.0 / 1024.0)
 
+    @pytest.mark.parametrize("nu", sorted(HANKEL_W_HEX))
+    def test_pinned_bits(self, nu):
+        # signed zeros included: float.hex tells +0.0 from -0.0
+        w = osc._hankel_w(nu)[0]
+        assert [(z.real.hex(), z.imag.hex()) for z in w.tolist()] == list(HANKEL_W_HEX[nu])
+
     def test_expansion_matches_jj1(self):
         # sqrt(8/pi) t^(-3/2) (P cos chi - Q sin chi) reproduces jj_1 at large t
-        p, q = osc.hankel_pq(1.0)
+        w = osc._hankel_w(1.0)[0]
+        p, q = w.real, w.imag
         for t in (30.0, 60.0, 120.0):
             v = 1.0 / t
             P = sum(p[j] * v**j for j in range(len(p)))
@@ -263,11 +318,11 @@ def _tail_product_by_sign(amps, nu, p, T):
     and one scalar series tail (``_series_tail_ref``, relative IBP stop) a pattern."""
     n = len(amps)
     mu0 = p - 1.0 - n * (nu + 0.5)
-    pser, qser = osc.hankel_pq(nu)
+    w0 = osc._hankel_w(nu)[0]
     norm = 2.0**nu * float(gamma(nu + 1.0)) * math.sqrt(2.0 / math.pi)
     phase0 = cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
     consts = [norm * a ** (-(nu + 0.5)) * phase0 for a in amps]
-    ws = [(pser + 1j * qser) * np.array([a ** (-j) for j in range(osc.ORDER + 1)]) for a in amps]
+    ws = [w0 * np.array([a ** (-j) for j in range(osc.ORDER + 1)]) for a in amps]
     total = 0.0
     for tail_signs in itertools.product((1, -1), repeat=n - 1):
         amp, ser, omega = 1.0 + 0j, np.eye(1, osc.ORDER + 1, dtype=complex)[0], 0.0
@@ -332,8 +387,7 @@ class TestSeriesPow:
     @pytest.mark.parametrize("kind", ["hankel", "jj_head"])
     def test_array_exponents_equal_scalar_calls(self, kind):
         if kind == "hankel":
-            pser, qser = osc.hankel_pq(1.0)
-            a, order = pser + 1j * qser, osc.ORDER
+            a, order = osc._hankel_w(1.0)[0], osc.ORDER
         else:
             from khinsphere.specfun import _jj_series_coeffs
             a, order = np.asarray(_jj_series_coeffs(1.0, 56)), 55
@@ -347,8 +401,7 @@ class TestSeriesPow:
 @functools.lru_cache(maxsize=None)
 def _abs_pow_setup_by_mode(s):
     """_abs_pow_setup one Fourier mode at a time, with scalar series powers."""
-    pser, qser = osc.hankel_pq(1.0)
-    w = pser + 1j * qser
+    w = osc._hankel_w(1.0)[0]
     terms = []
     for m, cm in enumerate(osc.abs_cos_fourier(s, 80)):
         if cm == 0.0:
@@ -435,6 +488,10 @@ class TestTailAbsPowArray:
     def test_short_T_is_domain_error(self):
         with pytest.raises(DomainError, match="T >= 20"):
             osc.tail_abs_pow(1.0, 2.0, 10.0)
+
+    def test_empty_p_gives_empty_array(self):
+        got = osc.tail_abs_pow(np.array([]), 2.0, 47.0)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     @pytest.mark.parametrize("s", [1.37, 8.0 / 3.0, 70.5, 141.0])
     def test_F_routes_match_per_p_tails(self, s, monkeypatch):
@@ -545,3 +602,22 @@ class TestTails:
         for _ in range(3):
             got = osc.tail_product(list(rng.permutation(amps)), nu, p, T)
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-14 * envelope)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: osc.tail_abs_pow(math.nan, 2.0, 47.0),
+    lambda: osc.tail_abs_pow(np.array([1.0, math.nan]), 2.0, 47.0),
+    lambda: osc.tail_abs_pow(-math.inf, 2.0, 47.0),
+    lambda: osc.tail_abs_pow(1.0, 2.0, math.nan),
+    lambda: osc.exp_power_tail(math.nan, 1.0, 47.0),
+    lambda: osc.exp_power_tail(-2.0, math.nan, 47.0),
+    lambda: osc.exp_power_tail(-2.0, 1.0, math.nan),
+    lambda: osc.power_tail(math.nan, 47.0),
+    lambda: osc.power_tail(-2.0, math.nan),
+    lambda: osc.power_tail(np.array([-2.0, math.nan]), 47.0),
+], ids=["tail_abs_pow-p", "tail_abs_pow-p-array", "tail_abs_pow-p-inf", "tail_abs_pow-T",
+        "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T", "power_tail",
+        "power_tail-T", "power_tail-array"])
+def test_non_finite_input_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -355,3 +355,8 @@ class TestBatchErrors:
     def test_bad_tol(self):
         with pytest.raises(DomainError, match="tol must be positive"):
             P._q_star_batch(range(5, 8), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            P.q_star(4, tol=tol)

@@ -8,12 +8,13 @@ from khinsphere.constants import C2, MomentQuery, normalizers
 from khinsphere.errors import DivergenceError, DomainError, ToleranceError
 from khinsphere.oscillatory import _panel_quad
 from khinsphere.quad import (
-    _CUT_REL,
     _M_S13,
     _M_S83,
+    _REL_CUT,
     _bessel_envelope,
     _envelope_cut,
     _head_product,
+    _middle_plan,
     _moment_edges,
     _table2_F_upper,
     _table3_F_upper,
@@ -234,7 +235,7 @@ class TestHead:
         def smooth(v):
             return jj1(0.5 * v ** (1.0 / p) / math.sqrt(s)) ** s * 0.5**p / p
 
-        oracle = _panel_quad(smooth, np.linspace(0.0, 1.0, 80), order=24)
+        oracle = _panel_quad(smooth, np.linspace(0.0, 1.0, 80))
         assert _arch_head(p, s) == pytest.approx(oracle, rel=1e-11)
 
 
@@ -327,7 +328,7 @@ def _cut_queries(count=10):
         p = rng.uniform(0.05, 0.97) * (d - 1)
         amps = sorted(w / np.linalg.norm(w), reverse=True)
         kappa = normalizers(p, d).kappa
-        if _envelope_cut(amps, d / 2.0 - 1.0, p, _CUT_REL / kappa) < max(46.0, 25.0 / amps[-1]):
+        if _envelope_cut(amps, d / 2.0 - 1.0, p, _REL_CUT / kappa) < max(46.0, 25.0 / amps[-1]):
             out.append(MomentQuery(d, -p, tuple(w)))
     return out
 
@@ -365,7 +366,7 @@ def _product_moment_quarter_period(query):
     amps = sorted((abs(a) / norm for a in query.coeffs if abs(a) > 1e-12 * norm), reverse=True)
     nu, kappa = d / 2.0 - 1.0, normalizers(p, d).kappa
     T_full = max(46.0, 25.0 / amps[-1])
-    T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+    T_env = _envelope_cut(amps, nu, p, _REL_CUT / kappa)
     cut = T_env < T_full
     T = max(T_env, 1.0) if cut else T_full
 
@@ -376,7 +377,7 @@ def _product_moment_quarter_period(query):
         return acc
 
     n_panels = math.ceil((T - 1.0) / min(2.0, math.pi / (2.0 * amps[0])))
-    middle = _panel_quad(integrand, np.linspace(1.0, T, n_panels + 1), order=24)
+    middle = _panel_quad(integrand, np.linspace(1.0, T, n_panels + 1))
     tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
     return float(kappa * (_head_product(amps, nu, p, 1.0) + middle + tail) * norm ** (-p))
 
@@ -499,7 +500,7 @@ class TestProductMoment:
         norm = query.norm
         amps = sorted((abs(a) / norm for a in query.coeffs), reverse=True)
         nu, kappa = d / 2.0 - 1.0, normalizers(p, d).kappa
-        T_env = _envelope_cut(amps, nu, p, _CUT_REL / kappa)
+        T_env = _envelope_cut(amps, nu, p, _REL_CUT / kappa)
         T_asym = max(46.0, 25.0 / amps[-1])
         assert T_env < T_asym
 
@@ -508,11 +509,11 @@ class TestProductMoment:
 
         def panels(lo, hi):
             n = math.ceil((hi - lo) / min(2.0, math.pi / (2.0 * amps[0])))
-            return float(_panel_quad(integrand, np.linspace(lo, hi, n + 1), order=24))
+            return float(_panel_quad(integrand, np.linspace(lo, hi, n + 1)))
 
         tail = osc.tail_product(amps, nu, p, T_asym)
         dropped = panels(T_env, T_asym) + tail
-        assert abs(dropped) <= _CUT_REL / kappa
+        assert abs(dropped) <= _REL_CUT / kappa
         uncut = _head_product(amps, nu, p, 1.0) + panels(1.0, T_asym) + tail
         val = product_moment(query) + kappa * dropped * norm ** (-p)
         assert val == pytest.approx(kappa * uncut * norm ** (-p), rel=1e-13, abs=0.0)
@@ -541,11 +542,15 @@ class TestProductMoment:
 
 
 class TestEnvelope:
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 3.0])
-    def test_envelope_bounds_jj(self, nu):
-        # the inequality _envelope_cut rests on: |jj_nu(x)| <= C x^(-nu-1/2) for x >= x0
+    @pytest.mark.parametrize("nu,x0", [
+        *[pytest.param(nu, 2.0 * nu if nu > 0.5 else 0.0, id=repr(nu))
+          for nu in (0.0, 0.5, 1.0, 1.5, 3.0)],
+        pytest.param(1.0, _middle_plan()[3], id="1.0-F-tail")])
+    def test_envelope_bounds_jj(self, nu, x0):
+        # the inequality _envelope_cut rests on, |jj_nu(x)| <= C x^(-nu-1/2) for x >= x0,
+        # at its x0 = 2 nu (0 for nu <= 1/2), and F's tail bound at nu = 1, x0 = T ~ 47.9
         mpmath = pytest.importorskip("mpmath")
-        c, x0 = _bessel_envelope(nu)
+        c = _bessel_envelope(nu, x0)
         x = np.linspace(max(x0, 1e-3), 3000.0, 600_001)
         ratio = np.abs(_jj_vec(nu, x)) * x ** (nu + 0.5) / c
         assert ratio.max() <= 1.0 + 1e-12

@@ -374,6 +374,13 @@ class TestJJ:
         with pytest.raises(DomainError):
             jj(-1.0, 1.0)
 
+    @pytest.mark.parametrize("nu", [0.3, 2.7, -1.0])
+    def test_zeros_need_a_sphere_order(self, nu):
+        # jnu_zeros(0.3, 12) gave 2.854, 6.283, 9.425 where J_0.3's zeros are 2.854,
+        # 5.982, 9.119, and nu = -1 divided by zero; jj's order check now raises
+        with pytest.raises(DomainError):
+            jnu_zeros(nu, 12.0)
+
     def test_prime_matches_mpmath(self):
         # jj_1' = -(t/4) jj_2 = -2 J2(t)/t, across jj_2's switch to the recurrence at t = 5
         mpmath = pytest.importorskip("mpmath")
@@ -634,3 +641,21 @@ class TestHyp2f1Mpmath:
             ref = float(mpmath.hyp2f1(a, b, c, t))
             assert hyp2f1(a, b, c, t) == pytest.approx(ref, rel=HYP2F1_RTOL)
 
+
+@pytest.mark.parametrize("call", [
+    lambda: jj(1.0, math.nan),
+    lambda: jj(1.0, np.array([1.0, math.nan])),
+    lambda: jj(1.0, math.inf),
+    lambda: jj(math.nan, 1.0),
+    lambda: jj(math.inf, 1.0),
+    lambda: jj1(math.nan),
+    lambda: jj1_prime(math.nan),
+    lambda: jj1_prime(np.array([1.0, math.inf])),
+    lambda: jnu_zeros(1.0, math.nan),
+    lambda: jnu_zeros(1.0, math.inf),
+    lambda: jnu_zeros(math.nan, 12.0),
+], ids=["jj-t", "jj-t-array", "jj-t-inf", "jj-nu", "jj-nu-inf", "jj1", "jj1_prime",
+        "jj1_prime-inf", "jnu_zeros-t_max", "jnu_zeros-t_max-inf", "jnu_zeros-nu"])
+def test_bessel_non_finite_input_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
