@@ -47,7 +47,8 @@ then the exact even moments E|v|^(2k), k = 0..4, behind the control
 variates of estimate_moments, at d in {3, 4, 5, 8} for the weights of the
 estimate_moments lines; then product_moment and the 2F1 moment
 _two_coeff_moment at d in {30, 40, 60}, p = 2, weights (1, 0.7), where the
-sign-pattern tail starts at nu^2/2; last, a 1e-13 weight next to a pair:
+panels end at the envelope cut, short of the sign-pattern tail's start at
+4 nu^2; last, a 1e-13 weight next to a pair:
 product_moment with (1, 1, 1e-13) where p > d - 2, which raises, and its
 controls at p <= d - 2 and with the pair (1, 0.9), polydisc_slice_volume at
 (0.6, 0.8, 5e-13), and the check_khinchin entry of (1, 1, 1e-13) at p = 2.9;

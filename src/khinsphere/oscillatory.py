@@ -13,9 +13,9 @@ power tails at omega = 0, the integration-by-parts (IBP) expansion where
   M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
   non-oscillatory part: it is why truncating at any feasible T and bounding
   the remainder fails when p is close to 3s/2.  Every p of one s is summed
-  at once, as array operations over modes x powers of 1/t x p: closed-form
-  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
-  (``_ibp_series``) for every other mode.
+  at once, over the modes its p need, built per call with no cache, as array
+  operations over modes x powers of 1/t x p: closed-form power tails for
+  m = 0 and, since omega T = 2 m T >= 40, the IBP expansion for the others.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
@@ -80,9 +80,12 @@ def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
 
     An array of exponents adds its shape as trailing batch axes; a scalar
     exponent runs as a one-lane batch.  Each lane does the same arithmetic as
-    the scalar call with its exponent.
+    the scalar call with its exponent.  A NaN or infinite exponent raises
+    DomainError.
     """
     exponent = np.asarray(exponent, dtype=float)
+    if not np.all(np.isfinite(exponent)):
+        raise DomainError(f"series_pow needs a finite exponent, got {exponent!r}")
     lanes = exponent.reshape(-1)
     out = np.zeros((order + 1, lanes.size), dtype=np.result_type(a, lanes))
     out[0] = 1.0
@@ -283,24 +286,6 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
 # tails
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _abs_pow_setup(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The modes m = 0, 1, ... with nonzero c_m, their c_m, and the series of
-    W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2), one column a mode.
-
-    The series of all modes are built together: one batched power of W and
-    one batched product.
-    """
-    w = _hankel_w(1.0)[0]
-    cms = abs_cos_fourier(s, 80)
-    zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
-    m = np.arange(zero[0] if len(zero) else len(cms))
-    powers = series_pow(w, np.concatenate([s / 2.0 + m, s / 2.0 - m]))
-    sers = series_mul(powers[:, :len(m)], np.conj(powers[:, len(m):]))
-    sers *= np.array([1, 1j, -1, -1j])[m % 4]  # e^(-3im pi/2) = i^m
-    return m, cms[m], sers
-
-
 def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
     """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined."""
     step = max(1, _BLOCK_BYTES // (8 * per_p))
@@ -319,7 +304,8 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     oscillation, is exactly the slow part that makes naive truncation
     infeasible for p near 3s/2, so it is always kept.  Each p stops after the
     first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
-    and at m = 80 at the latest.  The modes x powers of 1/t x p block is
+    and at m = 80 at the latest; each call builds only the modes up to its
+    largest last mode, with no cache.  The modes x powers of 1/t x p block is
     evaluated as array operations, p in blocks of bounded memory.
 
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
@@ -339,28 +325,46 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     diverges = pa >= 1.5 * s
     if diverges.any():
         raise DomainError(f"tail diverges: p={pa.flat[np.argmax(diverges)]} >= 3s/2={1.5 * s}")
-    modes = _abs_pow_setup(s)
-    out = _in_blocks(lambda pb: _abs_pow_block(pb, s, T, tol, *modes), pa.reshape(-1),
-                     (ORDER + 1) * len(modes[0]))
+    mu = pa.reshape(-1) - 1.0 - 1.5 * s
+    pref = (8.0 / math.pi) ** (s / 2.0)
+    last, ms, cms, sers = _abs_pow_plan(mu, s, T, tol, pref)
+    out = _in_blocks(lambda k: _abs_pow_block(mu[k], last[k], T, pref, ms, cms, sers),
+                     np.arange(len(mu)), (ORDER + 1) * len(ms))
     return float(out[0]) if pa.ndim == 0 else out
 
 
-def _abs_pow_block(p: np.ndarray, s: float, T: float, tol: float, ms: np.ndarray,
+def _abs_pow_plan(mu: np.ndarray, s: float, T: float, tol: float,
+                  pref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The last mode of each mu = p - 1 - 3s/2 (pref = (8/pi)^(s/2)), the modes m = 0..(largest
+    last), their c_m, and the series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2), one column a
+    mode, built together: one batched power of W and one batched product."""
+    cms = abs_cos_fourier(s, 80)
+    zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
+    cms = cms[:zero[0] if len(zero) else len(cms)]
+    mcol = np.arange(len(cms))[:, None]
+
+    def last_modes(mub):  # the first m >= 2 whose bound is below tol/10, else the last
+        # (the bound's m = 0 row divides by 1, not 0, and is never read)
+        bound = pref * np.abs(cms)[:, None] * T**mub / (2.0 * np.maximum(mcol, 1))
+        small = (mcol >= 2) & (bound < 0.1 * tol)
+        return np.where(small.any(axis=0), np.argmax(small, axis=0), len(cms) - 1)
+
+    last = _in_blocks(last_modes, mu, len(cms))
+    m = np.arange(int(last.max(initial=0)) + 1)
+    powers = series_pow(_hankel_w(1.0)[0], np.concatenate([s / 2.0 + m, s / 2.0 - m]))
+    sers = series_mul(powers[:, :len(m)], np.conj(powers[:, len(m):]))
+    sers *= np.array([1, 1j, -1, -1j])[m % 4]  # e^(-3im pi/2) = i^m
+    return last, m, cms[m], sers
+
+
+def _abs_pow_block(mu: np.ndarray, last: np.ndarray, T: float, pref: float, ms: np.ndarray,
                    cms: np.ndarray, sers: np.ndarray) -> np.ndarray:
-    """tail_abs_pow for a 1-d block of p, with _abs_pow_setup(s) given."""
-    mu = p - 1.0 - 1.5 * s
-    pref = (8.0 / math.pi) ** (s / 2.0)
-    mcol = ms[:, None]
-    # the last mode of each p: the first m >= 2 whose bound is below tol/10, else the last
-    # (the bound's m = 0 row divides by 1, not 0, and is never read)
-    bound = pref * np.abs(cms)[:, None] * T**mu / (2.0 * np.maximum(mcol, 1))
-    small = (mcol >= 2) & (bound < 0.1 * tol)
-    last = np.where(small.any(axis=0), np.argmax(small, axis=0), len(ms) - 1)
+    """tail_abs_pow for a 1-d block of mu = p - 1 - 3s/2, their last modes and the plan."""
     # per mode and p: sum_j Re[ser_j E(mu - j, 2m, T)] / T^mu, summed over j in order
     j = np.arange(ORDER + 1.0)[:, None]
-    per_mode = np.zeros((len(ms), len(p)))
+    per_mode = np.zeros((len(ms), len(mu)))
     per_mode[0] = np.add.accumulate(sers[:, :1].real * (-T ** (1.0 - j) / (mu - j + 1.0)))[-1]
-    mi, pi = np.nonzero(mcol[1:] <= last)  # the (m, p) pairs, sorted by m
+    mi, pi = np.nonzero(ms[1:, None] <= last)  # the (m, p) pairs, sorted by m
     mi += 1
     omega = 2.0 * ms[mi]
     # one IBP block per octave of m: a block runs as deep as its lowest m needs
@@ -384,9 +388,12 @@ def tail_product(amps, nu: float, p: float, T: float) -> float:
     factor k turns the P patterns so far into 2P, the first half multiplied
     by conj(C_k W_k) and the second by C_k W_k.  That is n - 1 steps of two
     products with W_k's Toeplitz matrix, then the power integrals of every
-    pattern from one ``_exp_tails`` call.
+    pattern from one ``_exp_tails`` call.  A NaN or infinite amplitude, nu,
+    p or T raises DomainError.
     """
     a = np.asarray(amps, dtype=float)
+    if not np.all(np.isfinite(np.append(a, [nu, p, T]))):
+        raise DomainError(f"tail_product needs finite inputs, got {amps!r}, {nu}, {p}, {T}")
     n = len(a)
     mu0 = p - 1.0 - n * (nu + 0.5)
     if mu0 >= -1.0:

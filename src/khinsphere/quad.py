@@ -64,6 +64,10 @@ _REL_CUT = 1e-13  # a dropped tail is at most this fraction of the result (F, pr
 _LOG_FLOAT_MAX = 709.0  # just below the log of the largest float
 _TAIL_START = 46.0  # F's panels end at the first J_1 zero past this; product_moment's tail, past it
 _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
+# product_moment's sign-pattern tail starts at t >= this times nu^2.  The Hankel term m of
+# J_nu(t) is about (4 nu^2/(8t))^m/m! of the first while 2m - 1 < 2 nu: at t = 4 nu^2 the
+# first one dropped, m = ORDER + 1 = 9, is about 8^-9/9! = 2e-14 of it (at nu^2/2, 1/9! = 2.8e-6)
+_TAIL_NU2 = 4.0
 _MAX_PANELS = 200_000  # product_moment's panel budget
 # product_moment's panel width times the bandwidth Omega = sum_k a_k.  The 24-point
 # Gauss-Legendre remainder on a panel of half-width h (DLMF 3.5(v)) is at most
@@ -124,7 +128,6 @@ def _series_head(b: np.ndarray, p, a0: float):
     return np.sum(b * a0**e / e, axis=-1)
 
 
-@lru_cache(maxsize=512)
 def _arch_head_coeffs(s: float) -> np.ndarray:
     """The series of jj_1(u/sqrt(s))^s in u^2."""
     c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS)) / s ** np.arange(_HEAD_TERMS)
@@ -298,7 +301,7 @@ def product_moment(query: MomentQuery) -> float:
     There the panels reach 25/eps and raise ToleranceError.
 
     The integral is a series head on [0, 1], Gauss panels up to T, and the
-    sign-pattern tail beyond T = max(46, nu^2/2, 25/a_min) (weights scaled to |a| = 1).
+    sign-pattern tail beyond T = max(46, 4 nu^2, 25/a_min) (weights scaled to |a| = 1).
     The panels are sized by the integrand's bandwidth: its frequencies are at
     most Omega = sum_k a_k, and a panel of width 32/Omega spans at most 16
     radians of every factor on each side of its centre.  There the 24-point
@@ -316,11 +319,14 @@ def product_moment(query: MomentQuery) -> float:
     raise ToleranceError.
 
     The tail's Hankel expansion holds only for t >> nu^2, nu = d/2 - 1 (DLMF
-    10.17), hence nu^2/2 (from d = 22).  For weights (1, b), b in {1, 0.95, 0.7,
-    0.3, 0.05}, p in {0.5, 1, 2, 3.5} and even d in [12, 62] the result is within
-    6.4e-14 of the 2F1 (T = max(46, 25/a_min) gave 2.4e-9 at d = 40, 8.0e-2 at
-    d = 62).  Near p = n(d-1)/2 it degrades from d ~ 12 whatever T: (1, 0.7) at
-    d = 16, p = 13.5 is 2.1e-7 off.
+    10.17), hence 4 nu^2 (_TAIL_NU2; above 46 from d = 9).  For weights (1, b),
+    b in {1, 0.95, 0.7, 0.3, 0.05}, p in {0.5, 1, 2, 3.5} and even d in [12, 62]
+    the result is within 6.4e-14 of the 2F1 (T = max(46, 25/a_min) gave 2.4e-9 at
+    d = 40, 8.0e-2 at d = 62).  Near p = n(d-1)/2, with b in {1, 0.95},
+    p = f (d-1) for f in {0.5, 0.6, 0.8, 0.9, 0.95, 0.99}, even d in [6, 62] and
+    d in {7, 9, 15, 31}, it is within 7.5e-14 for d <= 31 and about 1e-11 for
+    d >= 32 (a start at nu^2/2 gave 1.5e-4 and 1.0e-4); (1, 0.7) is 3.9e-15 off at
+    (d, p) = (16, 13.5) and 2.1e-15 at (22, 18.9) (2.1e-7 and 1.4e-4 at nu^2/2).
     """
     d, p = query.d, -query.q
     if not 0.0 < p < d:
@@ -340,7 +346,7 @@ def product_moment(query: MomentQuery) -> float:
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
     a0 = 1.0
-    T_full = max(_TAIL_START, 0.5 * nu * nu, 25.0 / amps[-1])
+    T_full = max(_TAIL_START, _TAIL_NU2 * nu * nu, 25.0 / amps[-1])
     T_env = _envelope_cut(amps, nu, p, _REL_CUT / kappa)
     cut = T_env < T_full
     T = max(T_env, a0) if cut else T_full
@@ -460,7 +466,6 @@ def _midpoint_deriv(p: float, s: float, lo: float, hi: float, m: int, dsup: floa
     return main + dsup / (2.0 * m) * ((hi - lo) * lo ** (p - 1.0))
 
 
-@lru_cache(maxsize=4)
 def _deriv_sup_abs_pow(s: float) -> float:
     """Sampled max of |d/dt |jj_1(t)|^s| on [5, 10], times 1.05; not a bound.
 

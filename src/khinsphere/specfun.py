@@ -94,7 +94,7 @@ def gamma(x):
     """Gamma function on the real line (poles at nonpositive integers): math.gamma elementwise.
 
     Gamma(x) exceeds the largest float for x > 171.62 and is inf there,
-    without a warning.  A NaN raises DomainError.
+    gamma(inf) = inf included, without a warning.  A NaN raises DomainError.
     """
     if isinstance(x, float):  # np.float64 too: the array set-up costs 100 times math.gamma
         if x != x:
@@ -204,10 +204,12 @@ def trigamma(x):
 
 
 def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1; a NaN x raises DomainError."""
     if k < 0 or k != int(k):
         raise DomainError(f"pochhammer requires integer k >= 0, got {k!r}")
     arr, scalar = _as_array(x)
+    if not np.all(arr == arr):  # NaN
+        raise DomainError(f"pochhammer is undefined at NaN, in {x!r}")
     out = np.ones_like(arr)
     for j in range(int(k)):
         out = out * (arr + j)

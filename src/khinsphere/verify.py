@@ -8,10 +8,11 @@ equality (gamma poles, the s=2 line where H~ vanishes, the (2,2) corner
 where H vanishes at the phase transition).  On the boundaries p = d-2
 (two-coefficient bounds) and p = d-4 (bisubharmonicity) the inequality
 becomes an identity, which is checked instead.  Only the region verifiers
-(H, H~, U < G, the inductive base) take a grid; the other grid sizes are
-module constants.  The interpolation verifiers (Tables 2-3, interpolation~)
-compare tangent lines, each built by ``_tangent``, with the one-sided
-bounds on F that ``quad`` constructs at fixed subdivision counts.
+(H, H~, U < G, the inductive base) take a grid, two integer sizes >= 1
+(else DomainError); the other grid sizes are module constants.  The
+interpolation verifiers (Tables 2-3, interpolation~) compare tangent lines,
+each built by ``_tangent``, with the one-sided bounds on F that ``quad``
+constructs at fixed subdivision counts.
 """
 from __future__ import annotations
 
@@ -166,7 +167,7 @@ def verify_H_regions(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     phase transition, F(2,2) = G(2,2) = 2), so the strict inequality starts
     1e-3 inside.
     """
-    np_, ns = grid
+    np_, ns = _check_grid(grid)
     pa, sa = _mesh(np.geomspace(1e-3, 2.0, np_), np.geomspace(2.0, 12.0, ns))
     keep = ~((pa > 2.0 - 1e-3) & (sa < 2.0 + 1e-3))
     pb, sb = _mesh(np.geomspace(1e-3, 0.25, np_), np.geomspace(1.3, 12.0, ns))
@@ -178,12 +179,19 @@ def verify_H_regions(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
 
 def verify_H_tilde_region(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     """H~(p,s) > 0 on p in (2,3), s in [2,12]; H~(.,2) = 0, so s starts at 2+1e-3."""
-    np_, ns = grid
+    np_, ns = _check_grid(grid)
     p, s = _mesh(2.0 + np.geomspace(1e-3, 1.0 - 1e-3, np_),
                  np.concatenate([[2.0 + 1e-3], np.geomspace(2.0 + 1e-2, 12.0, ns - 1)]))
     region = "p in [2+1e-3, 3-1e-3], s in [2+1e-3, 12]"
     return _make_report("H_tilde_region", region, grid, list(zip(p, s)),
                         H_tilde(IntegralParams(p, s)))
+
+
+def _check_grid(grid: tuple[int, int]) -> tuple[int, int]:
+    """grid itself, if it is two integer sizes >= 1; else DomainError."""
+    if not (len(grid) == 2 and all(isinstance(n, (int, np.integer)) and n >= 1 for n in grid)):
+        raise DomainError(f"grid must be two integers >= 1, got {grid!r}")
+    return grid
 
 
 def _mesh(ps: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +225,7 @@ def verify_U_less_G(case: str, grid: tuple[int, int] = (50, 50)) -> Verification
     the partial-derivative bounds of f = log(A_k a^s) - log(s^(p/2+2)/Gamma(p/2+2))
     and the corner values, checked against the printed floors.
     """
+    _check_grid(grid)
     if case == "tilde":
         return _verify_U_less_G_tilde(grid)
     if case not in _UG_CASES:
@@ -274,7 +283,7 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     0.0005 / 0.0003, the -0.124 bound, and part (B) on all of [0,1]) are
     included as extra margin entries.
     """
-    nq, nt = grid
+    nq, nt = _check_grid(grid)
     qs = np.linspace(0.125, 1.0 - 1e-3, nq)
     ts = np.linspace(0.0, 1.0, nt)
     Q, T = np.meshgrid(qs, ts, indexing="ij")

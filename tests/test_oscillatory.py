@@ -400,7 +400,8 @@ class TestSeriesPow:
 
 @functools.lru_cache(maxsize=None)
 def _abs_pow_setup_by_mode(s):
-    """_abs_pow_setup one Fourier mode at a time, with scalar series powers."""
+    """Every nonzero Fourier mode of s, (m, c_m, series), one at a time with scalar series
+    powers: the reference for _abs_pow_plan's batch."""
     w = osc._hankel_w(1.0)[0]
     terms = []
     for m, cm in enumerate(osc.abs_cos_fourier(s, 80)):
@@ -412,15 +413,47 @@ def _abs_pow_setup_by_mode(s):
     return terms
 
 
+def _plan(p, s, T, tol):
+    """_abs_pow_plan for the p of an array, as tail_abs_pow calls it."""
+    mu = np.asarray(p, dtype=float) - 1.0 - 1.5 * s
+    return osc._abs_pow_plan(mu, s, T, tol, (8.0 / math.pi) ** (s / 2.0))
+
+
+def _last_mode_by_mode(p, s, T, tol):
+    """The last Fourier mode that tail_abs_pow sums for p, as _tail_abs_pow_by_mode stops."""
+    mu = p - 1.0 - 1.5 * s
+    pref = (8.0 / math.pi) ** (s / 2.0)
+    for m, cm, _ in _abs_pow_setup_by_mode(s):
+        if m >= 2 and pref * abs(cm) * T**mu / (2.0 * m) < 0.1 * tol:
+            break
+    return m
+
+
 class TestAbsPowSetup:
     @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.5, 4.0, 11.3])
     def test_batched_equals_mode_by_mode(self, s):
-        ms, cms, sers = osc._abs_pow_setup(s)
+        # p just below 3s/2 and tol 0: no bound is below tol/10, so every nonzero mode is built
+        _, ms, cms, sers = _plan([1.5 * s - 1e-4], s, 47.90146088705, 0.0)
         ref = _abs_pow_setup_by_mode(s)
         assert len(ms) == len(cms) == sers.shape[1] == len(ref)
         assert len(ref) == (s / 2 + 1 if s in (2.0, 4.0) else 81)
         assert sers.shape[0] == osc.ORDER + 1
         for m, cm, ser, (m_ref, cm_ref, ser_ref) in zip(ms, cms, sers.T, ref):
+            assert (m, cm) == (m_ref, cm_ref)
+            assert np.array_equal(ser, ser_ref)
+
+    @pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.5, 11.3, 141.0])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_plan_builds_modes_up_to_the_largest_last(self, s, tol):
+        T = 47.90146088705
+        ps = np.linspace(0.01, 1.5 * s - 1e-4, 19)
+        last, ms, cms, sers = _plan(ps, s, T, tol)
+        ref = [_last_mode_by_mode(float(p), s, T, tol) for p in ps]
+        assert list(last) == ref
+        assert np.array_equal(ms, np.arange(max(ref) + 1))
+        assert sers.shape == (osc.ORDER + 1, max(ref) + 1)
+        for m, cm, ser in zip(ms, cms, sers.T):
+            m_ref, cm_ref, ser_ref = _abs_pow_setup_by_mode(s)[m]
             assert (m, cm) == (m_ref, cm_ref)
             assert np.array_equal(ser, ser_ref)
 
@@ -455,6 +488,48 @@ def _p_grid(s):
     return np.linspace(0.01, 1.5 * s - 1e-4, 19)
 
 
+# tail_abs_pow(_p_grid(s), s, TestTailAbsPowArray.T, tol=1e-10) as float.hex, recorded with
+# every nonzero Fourier mode of s built: building only the modes the p sum moves no bit
+TAIL_PINS = {
+    1.05: [
+        "0x1.9255b60fbad03p-10", "0x1.2a2e229bbb2fap-9", "0x1.bb82e1395b5b0p-9",
+        "0x1.4b2175b107541p-8", "0x1.f0a895ff33853p-8", "0x1.766003c9f40f7p-7",
+        "0x1.1be0dd607d459p-6", "0x1.b1861d5d517c9p-6", "0x1.4dc8e884debe7p-5",
+        "0x1.039653e21330ap-4", "0x1.98cfbf6fd0af4p-4", "0x1.4704402f32a1cp-3",
+        "0x1.0b08e51b74878p-2", "0x1.c0907f900def2p-2", "0x1.88704b391974ep-1",
+        "0x1.6e35c09c621d4p+0", "0x1.8069e84da259ap+1", "0x1.0ce955f47bb8ep+3",
+        "0x1.3ff8d9bfcf003p+13",
+    ],
+    2.0: [
+        "0x1.0deeb8b15b013p-18", "0x1.0fc75f8526ceap-17", "0x1.12960b17c0a89p-16",
+        "0x1.16823021dd689p-15", "0x1.1bbf0b7e48ee7p-14", "0x1.22902353db464p-13",
+        "0x1.2b500928c853ap-12", "0x1.367acbf5597afp-11", "0x1.44beaef315159p-10",
+        "0x1.5718052e321ebp-9", "0x1.6f01f1cd436c3p-8", "0x1.8ed0f148e787dp-7",
+        "0x1.ba67ea0e059b1p-6", "0x1.f8c67e2eaa3c6p-5", "0x1.2bf660a4f606fp-3",
+        "0x1.7c42fa6bdea89p-2", "0x1.0f2432114de5fp+0", "0x1.01b9bfaf5abacp+2",
+        "0x1.8dbbc297a0b72p+13",
+    ],
+    2.5: [
+        "0x1.b63188702ccefp-23", "0x1.0334cf33ccfa5p-21", "0x1.33b85bfaef221p-20",
+        "0x1.6ebe2399a5066p-19", "0x1.b70863d6b5950p-18", "0x1.08217fb6fb493p-16",
+        "0x1.3fb37519364bcp-15", "0x1.85aa084ead67dp-14", "0x1.dee3f520948aap-13",
+        "0x1.293e345e8adb2p-11", "0x1.759996447d027p-10", "0x1.dd04ea3dd81dep-9",
+        "0x1.36df9e31d5a13p-7", "0x1.a0c353b562e25p-6", "0x1.22fe9cbaf9ef1p-4",
+        "0x1.b170349f47aadp-3", "0x1.6b22db9152abfp-1", "0x1.95942df7f15e6p+1",
+        "0x1.cbe1b8f0f35a1p+13",
+    ],
+    141.0: [
+        "-0x0.0p+0", "-0x0.0218889e1928cp-1022", "-0x1.fbc57473d6df2p-964",
+        "-0x1.47b8eacbcdbacp-898", "-0x1.9c86cb4ae257cp-833", "-0x1.08683afea1529p-767",
+        "-0x1.576dd3ce9da40p-702", "-0x1.afc95697d5410p-637", "-0x1.0365de012ce28p-571",
+        "-0x1.2072229ac26a4p-506", "-0x1.10e43a5a61caep-441", "0x1.d7b4d5f7ce7b2p-378",
+        "0x1.7ee1351442dd3p-310", "0x1.a1c721932d5eap-244", "0x1.c5f9fd9bf2ea1p-178",
+        "0x1.026cb925d3077p-111", "0x1.41f2cef00ba87p-45", "0x1.01440475f93bfp+22",
+        "0x1.5fcbd50b5200dp+104",
+    ],
+}
+
+
 class TestTailAbsPowArray:
     T = 47.90146088705  # about where F's panels end
 
@@ -473,6 +548,11 @@ class TestTailAbsPowArray:
             one = osc.tail_abs_pow(float(ps[k]), s, self.T)
             assert type(one) is float
             assert one == got[k]
+
+    @pytest.mark.parametrize("s", sorted(TAIL_PINS))
+    def test_pinned_bits(self, s):
+        got = osc.tail_abs_pow(_p_grid(s), s, self.T, tol=1e-10)
+        assert [float(v).hex() for v in got] == TAIL_PINS[s]
 
     def test_blocks_do_not_change_values(self):
         ps = np.linspace(0.01, 1.95, 301)  # several blocks of p at s = 1.3
@@ -615,9 +695,14 @@ class TestTails:
     lambda: osc.power_tail(math.nan, 47.0),
     lambda: osc.power_tail(-2.0, math.nan),
     lambda: osc.power_tail(np.array([-2.0, math.nan]), 47.0),
+    lambda: osc.tail_product([1.0, 0.5], 1.0, math.nan, 47.0),
+    lambda: osc.tail_product([1.0, 0.5], 1.0, 1.0, math.nan),
+    lambda: osc.tail_product([1.0, math.nan], 1.0, 1.0, 47.0),
+    lambda: osc.series_pow(osc._hankel_w(1.0)[0], math.nan),
 ], ids=["tail_abs_pow-p", "tail_abs_pow-p-array", "tail_abs_pow-p-inf", "tail_abs_pow-T",
         "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T", "power_tail",
-        "power_tail-T", "power_tail-array"])
+        "power_tail-T", "power_tail-array", "tail_product-p", "tail_product-T",
+        "tail_product-amps", "series_pow"])
 def test_non_finite_input_is_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -465,10 +465,21 @@ class TestProductMoment:
 
     @pytest.mark.parametrize("d", range(12, 63, 2))
     def test_high_d_matches_two_coeff(self, d):
-        # the tail's Hankel expansion holds only for t >> nu^2, so it starts at nu^2/2 from
-        # d = 22 on; starting at 46 left d = 40 2.4e-9 and d = 62 8.0e-2 off the 2F1
+        # the tail's Hankel expansion holds only for t >> nu^2, so it starts at 4 nu^2 from
+        # d = 9 on; starting at 46 left d = 40 2.4e-9 and d = 62 8.0e-2 off the 2F1
         for b in (1.0, 0.95, 0.7, 0.3, 0.05):
             for p in (0.5, 1.0, 2.0, 3.5):
+                exact = float(_two_coeff_moment(d, -p, 1.0, b))
+                assert product_moment(MomentQuery(d, -p, (1.0, b))) == pytest.approx(
+                    exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [*range(6, 31, 2), 7, 9, 15, 31])
+    def test_near_convergence_edge_matches_two_coeff(self, d):
+        # p up to 0.99 (d-1), just below n(d-1)/2: a tail start at nu^2/2 left these up to
+        # 1.5e-4 off the 2F1 (d = 22); at 4 nu^2 they are within 7.5e-14
+        for b in (1.0, 0.95):
+            for f in (0.5, 0.6, 0.8, 0.9, 0.95, 0.99):
+                p = f * (d - 1)
                 exact = float(_two_coeff_moment(d, -p, 1.0, b))
                 assert product_moment(MomentQuery(d, -p, (1.0, b))) == pytest.approx(
                     exact, rel=1e-12, abs=0.0)

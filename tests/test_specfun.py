@@ -251,6 +251,11 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])], ids=["float", "array"])
+    def test_nan_is_domain_error(self, x):
+        with pytest.raises(DomainError):
+            pochhammer(x, 2)
+
     @pytest.mark.parametrize("p", [0.3, 1.0, 2.7])
     def test_duplication(self, p):
         # (p/2)_{2k} 2^{-2k} = (p/4)_k ((p+2)/4)_k

@@ -244,6 +244,21 @@ class TestSmallLemmas:
         assert V.EULER_GAMMA - 1.0 - math.log(0.65) > 0.007
 
 
+@pytest.mark.parametrize("grid", [(0, 0), (-1, 5), (5, 0), (2.5, 3)])
+@pytest.mark.parametrize("call", [
+    lambda grid: V.verify_H_regions(grid),
+    lambda grid: V.verify_H_tilde_region(grid),
+    lambda grid: V.verify_U_less_G("i", grid),
+    lambda grid: V.verify_U_less_G("tilde", grid),
+    lambda grid: V.verify_ind_base(grid),
+], ids=["H_regions", "H_tilde_region", "U_less_G", "U_less_G_tilde", "ind_base"])
+def test_bad_grid_is_domain_error(call, grid):
+    # an empty grid checked no point, yet U < G and the inductive base reported passed;
+    # a non-integer size reached numpy
+    with pytest.raises(DomainError, match="grid"):
+        call(grid)
+
+
 class TestHRegions:
     def test_coarse_grids_pass(self):
         r = V.verify_H_regions(grid=(12, 12))
