@@ -62,7 +62,11 @@ toolkit, so that a move of one shows apart from F and product_moment: the
 Hankel coefficients W_m = i^m a_m(nu) of oscillatory._hankel_w, real and
 imaginary parts, at nu in {0, 0.5, 1, 1.5, 2, 3, 9.5, 29.5}, and Watson's
 envelope constant C of quad._bessel_envelope at F's (1, T) and at
-product_moment's (nu, 2 nu) for nu in {1.5, 3, 9.5}.
+product_moment's (nu, 2 nu) for nu in {1.5, 3, 9.5}; then F on a 6x6 mesh,
+six s in [1.05, 12] and p at six fractions of 3s/2 up to 1 - 1e-6, taken as
+one call, so that a move of F's batching across s shows; last,
+product_moment at (d, p) = (22, 18.9) with weights (1, 0.7), near
+p = n(d-1)/2, which reaches the sign-pattern tail at d >= 9.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -131,6 +135,14 @@ def large_s_points():
 def mpmath_points():
     """F where tests/test_quad.py checks it against mpmath: moderate s, then small p."""
     yield from ((16.0, 64.0), (10.0, 40.0), (1e-3, 4.0), (0.05, 1.3), (0.5, 6.1))
+
+
+def mesh_points():
+    """F's 6x6 mesh, as two flat arrays: six s log-spaced on [1.05, 12], and p at fractions
+    of 3s/2 from 1e-2 to 1 - 1e-6, so the mesh's last columns need the tail."""
+    frac = np.array([1e-2, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6])
+    p, s = np.meshgrid(frac, np.geomspace(1.05, 12.0, 6), indexing="ij")
+    return (1.5 * s * p).ravel(), s.ravel()
 
 
 def tail_abs_pow_points():
@@ -341,6 +353,10 @@ def main() -> int:
             print(f"_hankel_w nu={nu!r} m={m} {w.real.hex()} {w.imag.hex()}")
     for nu, x0 in [(1.0, T)] + [(nu, 2.0 * nu) for nu in (1.5, 3.0, 9.5)]:
         print(_line(f"_bessel_envelope nu={nu!r} x0={x0!r}", lambda: _bessel_envelope(nu, x0)))
+    p, s = mesh_points()
+    for pk, sk, v in zip(p, s, F(IntegralParams(p, s))):
+        print(f"F mesh {_args(pk, sk)} {float(v).hex()}")
+    print(_product_moment_line(22, 18.9, (1.0, 0.7)))
     return 0
 
 

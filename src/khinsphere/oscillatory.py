@@ -12,10 +12,11 @@ power tails at omega = 0, the integration-by-parts (IBP) expansion where
   expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
   M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
   non-oscillatory part: it is why truncating at any feasible T and bounding
-  the remainder fails when p is close to 3s/2.  Every p of one s is summed
-  at once, over the modes its p need, built per call with no cache, as array
-  operations over modes x powers of 1/t x p: closed-form power tails for
-  m = 0 and, since omega T = 2 m T >= 40, the IBP expansion for the others.
+  the remainder fails when p is close to 3s/2.  Every (p, s) lane of one
+  call is summed at once, over the modes its p needs, built per call with no
+  cache, as array operations over modes x powers of 1/t x lanes: closed-form
+  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
+  for the others.  F sends all its lanes, of every s, through one call.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
@@ -47,8 +48,8 @@ _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 _IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its first
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
-_I_RE = np.array([0.0, -1.0, 0.0, 1.0])[np.arange(_IBP_CAP) % 4]  # Re i^(k+1), k = 0, 1, ...
-_I_IM = np.array([1.0, 0.0, -1.0, 0.0])[np.arange(_IBP_CAP) % 4]  # Im i^(k+1)
+_IBP_GROUP = 64  # (m, lane) pairs of F's tail below which an octave of m joins the next call
+_ACCUMULATE_LANES = 200  # _sum_in_order's switch, measured: both ways took 32 us at 200 lanes
 _RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 _BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
@@ -79,9 +80,10 @@ def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
     """(series with a[0] = 1) ** exponent, by Miller's recurrence.
 
     An array of exponents adds its shape as trailing batch axes; a scalar
-    exponent runs as a one-lane batch.  Each lane does the same arithmetic as
-    the scalar call with its exponent.  A NaN or infinite exponent raises
-    DomainError.
+    exponent runs as a one-lane batch.  a is one series for every lane, or one
+    column a lane when it is 2-d (a 1-d array of exponents, one per column).
+    Each lane does the same arithmetic as the scalar call with its series and
+    exponent.  A NaN or infinite exponent raises DomainError.
     """
     exponent = np.asarray(exponent, dtype=float)
     if not np.all(np.isfinite(exponent)):
@@ -92,7 +94,8 @@ def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
     n = min(order, len(a) - 1)
     j = np.arange(1, n + 1)[:, None]
     # coef[k - 1, j - 1] = (exponent j - (k - j)) a_j, for every step k at once
-    coef = (lanes * j - (np.arange(1, order + 1)[:, None, None] - j)) * a[1:n + 1, None]
+    steps = np.arange(1, order + 1)[:, None, None]
+    coef = (lanes * j - (steps - j)) * np.reshape(a[1:n + 1], (n, -1))
     for k in range(1, order + 1):
         # the j terms of step k, added in the order j = 1, 2, ... in every lane:
         # add.accumulate is sequential, where add.reduce would pair up a lone lane
@@ -162,7 +165,7 @@ def _panel_quad(f, edges: np.ndarray, block: int = _PANEL_BLOCK):
     return np.sum(vals * w * half)
 
 
-def _ibp_series(mu, x) -> np.ndarray:
+def _ibp_series(mu, x, max_bytes: int = 0) -> np.ndarray:
     """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, for mu < 0 and |x| >= 40
     broadcast together: the IBP expansion E(mu, omega, T) = e^(ix) T^mu/omega sum_k ...
     at x = omega T.
@@ -174,21 +177,50 @@ def _ibp_series(mu, x) -> np.ndarray:
     |x|, bounds every lane's |c_k|, so the block ends where its |c_k| falls
     below _IBP_REL; where that never happens, at 50 + 1.5 max|mu| terms (at
     most _IBP_CAP), in which every lane with |x| >= 40 and 0 < -mu <= 160 was
-    measured to stop.
+    measured to stop.  With max_bytes, the lanes along the last axis run in
+    blocks whose terms take at most that many bytes.
+
+    Each lane's real and imaginary parts are summed in the order k = 0, 1, ...,
+    outside BLAS, and a stopped lane's later terms are exact zeros: so a lane's
+    value is the same bits whichever lanes share its block, and however deep
+    the block runs.
     """
     shape = np.broadcast_shapes(np.shape(mu), np.shape(x))
     mu_slow = np.min(mu)
     slow = np.abs(np.cumprod((mu_slow - _IBP_K[:-1]) / np.min(np.abs(x))))  # |c_1|, |c_2|, ...
     below = np.flatnonzero(slow < _IBP_REL)
     size = int(below[0]) + 1 if len(below) else min(_IBP_CAP, math.ceil(50.0 - 1.5 * mu_slow))
+    step = max(1, max_bytes // (8 * size * math.prod(shape[:-1]))) if max_bytes else math.inf
+    if shape and shape[-1] > step:  # lanes along the last axis, in blocks
+        mu, x = np.broadcast_arrays(mu, x)
+        return np.concatenate([_ibp_series(mu[..., lo:lo + step], x[..., lo:lo + step])
+                               for lo in range(0, shape[-1], step)], axis=-1)
     k = _IBP_K[:size].reshape((size,) + (1,) * len(shape))
     c = np.empty((size,) + shape)
     c[0] = 1.0
     np.cumprod((mu - k[:-1]) / x, axis=0, out=c[1:])
     turn = np.maximum(np.floor(np.abs(x) + mu) + 1.0, 1.0)  # the first k >= 1 with k - mu > |x|
     c *= (k <= turn) & (np.abs(c) >= _IBP_REL)
-    c = c.reshape(size, -1)
-    return (_I_RE[:size] @ c + 1j * (_I_IM[:size] @ c)).reshape(shape)
+    c[1::4] *= -1.0  # i^(k+1) = i, -1, -i, 1 for k = 0, 1, 2, 3 (mod 4)
+    c[2::4] *= -1.0
+    return _sum_in_order(c[1::2], shape) + 1j * _sum_in_order(c[0::2], shape)
+
+
+def _sum_in_order(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added in that order in every lane of the given shape.
+
+    np.add.accumulate runs its loop over the lanes inside numpy, which is the
+    quicker for fewer than _ACCUMULATE_LANES lanes; more lanes add one row at
+    a time.  Both give the same bits.
+    """
+    if not len(rows):
+        return np.zeros(shape)
+    if rows[0].size < _ACCUMULATE_LANES:
+        return np.add.accumulate(rows)[-1]
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def _near_resonant(mu0: float, w: np.ndarray, T: float, beyond: complex) -> np.ndarray:
@@ -286,11 +318,25 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
 # tails
 # ----------------------------------------------------------------------------
 
-def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
-    """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined."""
-    step = max(1, _BLOCK_BYTES // (8 * per_p))
-    blocks = [fn(p[lo:lo + step]) for lo in range(0, len(p), step)]
+def _in_blocks(fn, p: np.ndarray, per_p) -> np.ndarray:
+    """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined.
+
+    per_p is one count, or one count per element of p in decreasing order, so
+    that each block is sized by its first element.
+    """
+    blocks, lo = [], 0
+    while lo < len(p):
+        hi = lo + max(1, _BLOCK_BYTES // (8 * int(per_p[lo] if np.ndim(per_p) else per_p)))
+        blocks.append(fn(p[lo:hi]))
+        lo = hi
     return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _distinct(s: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of the 1-d array s, sorted, as floats, and the index of each
+    element among them (not np.unique, which imports numpy.ma)."""
+    values = sorted(set(s.tolist()))
+    return values, np.searchsorted(values, s)
 
 
 def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
@@ -305,8 +351,9 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     infeasible for p near 3s/2, so it is always kept.  Each p stops after the
     first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
     and at m = 80 at the latest; each call builds only the modes up to its
-    largest last mode, with no cache.  The modes x powers of 1/t x p block is
-    evaluated as array operations, p in blocks of bounded memory.
+    largest last mode, with no cache.  The lanes x modes x powers of 1/t block
+    is evaluated as array operations, in blocks of bounded memory.  F calls
+    the same kernel, ``_abs_pow_lanes``, with one lane per (p, s) pair.
 
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
     the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
@@ -325,58 +372,107 @@ def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
     diverges = pa >= 1.5 * s
     if diverges.any():
         raise DomainError(f"tail diverges: p={pa.flat[np.argmax(diverges)]} >= 3s/2={1.5 * s}")
-    mu = pa.reshape(-1) - 1.0 - 1.5 * s
-    pref = (8.0 / math.pi) ** (s / 2.0)
-    last, ms, cms, sers = _abs_pow_plan(mu, s, T, tol, pref)
-    out = _in_blocks(lambda k: _abs_pow_block(mu[k], last[k], T, pref, ms, cms, sers),
-                     np.arange(len(mu)), (ORDER + 1) * len(ms))
+    abs_cos_fourier(s, 0)  # s > _TAIL_S_MAX raises, even for an empty p
+    out = _abs_pow_lanes(pa.reshape(-1), np.full(pa.size, float(s)), T, tol)
     return float(out[0]) if pa.ndim == 0 else out
 
 
-def _abs_pow_plan(mu: np.ndarray, s: float, T: float, tol: float,
-                  pref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The last mode of each mu = p - 1 - 3s/2 (pref = (8/pi)^(s/2)), the modes m = 0..(largest
-    last), their c_m, and the series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2), one column a
-    mode, built together: one batched power of W and one batched product."""
-    cms = abs_cos_fourier(s, 80)
-    zero = np.flatnonzero(cms == 0.0)  # even s: the Fourier series is a finite sum
-    cms = cms[:zero[0] if len(zero) else len(cms)]
+def _abs_pow_lanes(p: np.ndarray, s: np.ndarray, T: float, tol: float) -> np.ndarray:
+    """tail_abs_pow for each lane (p[i], s[i]) of two 1-d arrays whose inputs are checked.
+
+    The scalars of one s, (8/pi)^(s/2) and its log, are taken once per distinct
+    s with Python's pow and math.log; the plan is built once for all lanes, and
+    the lanes are summed in blocks of bounded memory.  A lane's value does not
+    depend on which lanes share its call.
+    """
+    if not len(p):
+        return np.empty(0)
+    mu = p - 1.0 - 1.5 * s
+    s_set, at = _distinct(s)
+    prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
+    last, cms, col0, sers = _abs_pow_plan(mu, s_set, at, T, tol, prefs)
+    log_pref = np.array([math.log(x) for x in prefs])[at]
+    # the lanes by decreasing last mode, each block sized for its first
+    by_last = np.argsort(-last, kind="stable")
+    out = np.empty(len(mu))
+    out[by_last] = _in_blocks(
+        lambda k: _abs_pow_block(mu[k], last[k], col0[at[k]], cms[:, at[k]], log_pref[k], T, sers),
+        by_last, (ORDER + 1) * (last[by_last] + 1))
+    return out
+
+
+def _abs_pow_plan(mu: np.ndarray, s_set: list, at: np.ndarray, T: float, tol: float,
+                  prefs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plan of the lanes mu = p - 1 - 3s/2, s = s_set[at] and pref = (8/pi)^(s/2) of s_set.
+
+    Returns each lane's last mode; c_m for m = 0..(largest last), one column a
+    distinct s, 0 past its nonzero ones; for each distinct s, the column of its
+    m = 0 series; and the series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2),
+    one column for each distinct s and each m up to its lanes' largest last,
+    built together: one batched power of W and one batched product.
+    """
+    cms = np.zeros((81, len(s_set)))
+    n_modes = np.empty(len(s_set), dtype=int)
+    for i, x in enumerate(s_set):
+        c = abs_cos_fourier(x, 80)
+        zero = np.flatnonzero(c == 0.0)  # even s: the Fourier series is a finite sum
+        n_modes[i] = zero[0] if len(zero) else len(c)
+        cms[:n_modes[i], i] = c[:n_modes[i]]
     mcol = np.arange(len(cms))[:, None]
+    pref = np.asarray(prefs)
 
-    def last_modes(mub):  # the first m >= 2 whose bound is below tol/10, else the last
+    def last_modes(k):  # the first m >= 2 whose bound is below tol/10, else the last nonzero
         # (the bound's m = 0 row divides by 1, not 0, and is never read)
-        bound = pref * np.abs(cms)[:, None] * T**mub / (2.0 * np.maximum(mcol, 1))
-        small = (mcol >= 2) & (bound < 0.1 * tol)
-        return np.where(small.any(axis=0), np.argmax(small, axis=0), len(cms) - 1)
+        a = at[k]
+        bound = pref[a] * np.abs(cms[:, a]) * T ** mu[k] / (2.0 * np.maximum(mcol, 1))
+        small = (mcol >= 2) & (mcol < n_modes[a]) & (bound < 0.1 * tol)
+        return np.where(small.any(axis=0), np.argmax(small, axis=0), n_modes[a] - 1)
 
-    last = _in_blocks(last_modes, mu, len(cms))
-    m = np.arange(int(last.max(initial=0)) + 1)
-    powers = series_pow(_hankel_w(1.0)[0], np.concatenate([s / 2.0 + m, s / 2.0 - m]))
-    sers = series_mul(powers[:, :len(m)], np.conj(powers[:, len(m):]))
-    sers *= np.array([1, 1j, -1, -1j])[m % 4]  # e^(-3im pi/2) = i^m
-    return last, m, cms[m], sers
+    last = _in_blocks(last_modes, np.arange(len(mu)), len(cms))
+    top = np.zeros(len(s_set), dtype=int)
+    np.maximum.at(top, at, last)
+    counts = top + 1
+    col0 = np.cumsum(counts) - counts
+    m = np.arange(counts.sum()) - np.repeat(col0, counts)
+    half = np.repeat([x / 2.0 for x in s_set], counts)
+
+    def mode_series(c):  # one row a column c; series_pow's steps hold 2 ORDER^2 complex a row,
+        # a block of them at most 2 _BLOCK_BYTES: every mode of one s in one block
+        powers = series_pow(_hankel_w(1.0)[0], np.concatenate([half[c] + m[c], half[c] - m[c]]))
+        ser = series_mul(powers[:, :len(c)], np.conj(powers[:, len(c):]))
+        return (ser * np.array([1, 1j, -1, -1j])[m[c] % 4]).T  # e^(-3im pi/2) = i^m
+
+    sers = _in_blocks(mode_series, np.arange(len(m)), 2 * ORDER * ORDER).T
+    return last, cms[:top.max() + 1], col0, sers
 
 
-def _abs_pow_block(mu: np.ndarray, last: np.ndarray, T: float, pref: float, ms: np.ndarray,
-                   cms: np.ndarray, sers: np.ndarray) -> np.ndarray:
-    """tail_abs_pow for a 1-d block of mu = p - 1 - 3s/2, their last modes and the plan."""
-    # per mode and p: sum_j Re[ser_j E(mu - j, 2m, T)] / T^mu, summed over j in order
+def _abs_pow_block(mu: np.ndarray, last: np.ndarray, col0: np.ndarray, cms: np.ndarray,
+                   log_pref: np.ndarray, T: float, sers: np.ndarray) -> np.ndarray:
+    """tail_abs_pow for a 1-d block of lanes: mu = p - 1 - 3s/2, the last mode, the column of
+    the m = 0 series in sers, c_m (one column a lane) and log (8/pi)^(s/2)."""
+    # per mode and lane: sum_j Re[ser_j E(mu - j, 2m, T)] / T^mu, summed over j in order
     j = np.arange(ORDER + 1.0)[:, None]
-    per_mode = np.zeros((len(ms), len(mu)))
-    per_mode[0] = np.add.accumulate(sers[:, :1].real * (-T ** (1.0 - j) / (mu - j + 1.0)))[-1]
-    mi, pi = np.nonzero(ms[1:, None] <= last)  # the (m, p) pairs, sorted by m
+    per_mode = np.zeros((int(last.max()) + 1, len(mu)))
+    per_mode[0] = np.add.accumulate(sers[:, col0].real * (-T ** (1.0 - j) / (mu - j + 1.0)))[-1]
+    mi, pi = np.nonzero(np.arange(1, len(per_mode))[:, None] <= last)  # the (m, lane) pairs, by m
     mi += 1
-    omega = 2.0 * ms[mi]
-    # one IBP block per octave of m: a block runs as deep as its lowest m needs
-    cuts = np.searchsorted(mi, [1, 2, 4, 8, 16, 32, 64, math.inf])
-    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T)
+    omega = 2.0 * mi
+    # one IBP call per octave of m, which runs as deep as its slowest lane, and an octave of
+    # fewer than _IBP_GROUP pairs joins the next: a lane's bits do not depend on its group
+    # (grouping by a predicted depth was measured slower)
+    cuts = [0]
+    for c in np.searchsorted(mi, [2, 4, 8, 16, 32, 64]).tolist():
+        if c - cuts[-1] >= _IBP_GROUP:
+            cuts.append(c)
+    cuts.append(len(mi))
+    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T, _BLOCK_BYTES)
                              for a, b in zip(cuts[:-1], cuts[1:]) if b > a], axis=1)
     tails = np.exp(1j * omega * T) / omega * T**-j * series
-    per_mode[mi, pi] = np.add.accumulate((sers[:, mi] * tails).real)[-1]
-    # sum over modes in order (the modes beyond each p's last add exact zeros), then scale
+    per_mode[mi, pi] = np.add.accumulate((sers[:, col0[pi] + mi] * tails).real)[-1]
+    # sum over modes in order (the modes beyond each lane's last add exact zeros), then scale
     # by pref T^mu as one exp: at s = 141, p = 23.51, T^mu alone is subnormal
-    scale = np.exp(mu * math.log(T) + math.log(pref))
-    return scale * np.add.accumulate(cms[:, None] * per_mode)[-1]
+    scale = np.exp(mu * math.log(T) + log_pref)
+    return scale * np.add.accumulate(cms[:len(per_mode)] * per_mode)[-1]
 
 
 def tail_product(amps, nu: float, p: float, T: float) -> float:

@@ -7,9 +7,11 @@ toward the zero j_1,1 sqrt(s); fixed panels graded toward the zeros of J_1
 up to T ~ 47, built once; all panels summed in logs; and beyond T the
 asymptotic Watson-expansion tail from ``oscillatory``, summed to 1e-10
 absolute and dropped where Watson's envelope bounds it below 1e-13 of F.
-Where the tail is needed and s > 141, F raises DomainError.  Per distinct
-s, F sums every p of that s as array operations.  No error estimate is
-returned.
+Where the tail is needed and s > 141, F raises DomainError.  F takes every
+(p, s) of a call as one lane of one array pass: the head series and the
+first-arch nodes are built for a block of distinct s at once and the tail
+for every lane at once, and only the head and log panel sums run per
+distinct s.  No error estimate is returned.
 
 G, U, H, G_tilde and H_tilde are closed forms (or differences with F) that
 take arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p)
@@ -39,8 +41,8 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
-                          series_pow)
+from .oscillatory import (_BLOCK_BYTES, _PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad,
+                          _panel_rule, series_pow)
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_norm_const, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -128,16 +130,12 @@ def _series_head(b: np.ndarray, p, a0: float):
     return np.sum(b * a0**e / e, axis=-1)
 
 
-def _arch_head_coeffs(s: float) -> np.ndarray:
-    """The series of jj_1(u/sqrt(s))^s in u^2."""
-    c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS)) / s ** np.arange(_HEAD_TERMS)
-    return series_pow(c, s, _HEAD_TERMS - 1)
-
-
-def _arch_head(p, s: float):
-    """int_0^(1/2) jj_1(u/sqrt(s))^s u^(p-1) du, F's head in u = t sqrt(s), integrated
-    term by term; p may be an array."""
-    return _series_head(_arch_head_coeffs(s), p, _HEAD_U)
+def _arch_head_coeffs(s_vals: list) -> np.ndarray:
+    """The series of jj_1(u/sqrt(s))^s in u^2 for each s of s_vals, one row an s, from one
+    series power."""
+    c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS))
+    c = c / np.asarray(s_vals)[:, None] ** np.arange(_HEAD_TERMS)
+    return series_pow(c.T, s_vals, _HEAD_TERMS - 1).T
 
 
 @lru_cache(maxsize=1)
@@ -158,21 +156,31 @@ def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
             np.log(w * half).ravel(), T)
 
 
-def _arch_panels(s: float) -> tuple[np.ndarray, np.ndarray]:
-    """F's panels on jj_1's first arch beyond the head, u in [1/2, u1], u1 = j_1,1 sqrt(s):
-    log t and s log jj_1 + log(w half) at the nodes, flat, in t = u/sqrt(s).
+def _arch_panels(s_vals: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """F's panels on jj_1's first arch beyond the head, u in [1/2, u1], u1 = j_1,1 sqrt(s), for
+    each s of s_vals: log t and s log jj_1 + log(w half) at the nodes, flat, in t = u/sqrt(s).
 
     The panels are about 1/2 wide in u.  The last is graded toward u1, where
     jj_1^s ~ (j_1,1 - t)^s: it is split at u1 - L _GRADE_RATIO^k,
-    k = 1.._GRADE_LEVELS, L its width.
+    k = 1.._GRADE_LEVELS, L its width.  The nodes of every s go through one
+    ``_jj_vec`` call.
     """
-    u1 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0]) * math.sqrt(s)  # j_1,1, cached
-    edges = np.linspace(_HEAD_U, u1, math.ceil(2.0 * (u1 - _HEAD_U)) + 1)
-    grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
-    un, uw, uh = _panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24)
-    log_root_s = 0.5 * math.log(s)
-    log_g = s * np.log(_jj_vec(1.0, un / math.sqrt(s))) + (np.log(uw * uh) - log_root_s)
-    return (np.log(un) - log_root_s).ravel(), log_g.ravel()
+    j11 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0])  # cached
+    rules, ts = [], []
+    for s in s_vals:
+        u1 = j11 * math.sqrt(s)
+        edges = np.linspace(_HEAD_U, u1, math.ceil(2.0 * (u1 - _HEAD_U)) + 1)
+        grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
+        rules.append(_panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24))
+        ts.append(rules[-1][0].ravel() / math.sqrt(s))
+    log_jj = np.log(_jj_vec(1.0, np.concatenate(ts)))
+    out, lo = [], 0
+    for s, (un, uw, uh) in zip(s_vals, rules):
+        log_root_s = 0.5 * math.log(s)
+        log_g = s * log_jj[lo:lo + un.size].reshape(un.shape) + (np.log(uw * uh) - log_root_s)
+        out.append(((np.log(un) - log_root_s).ravel(), log_g.ravel()))
+        lo += un.size
+    return out
 
 
 def F(params: IntegralParams):
@@ -187,49 +195,69 @@ def F(params: IntegralParams):
     |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4), Watson's
     envelope ``_bessel_envelope(1, T)``, so the tail is at most
     C^s T^(p-3s/2) / (3s/2-p).  It is dropped where that is at most 1e-13 of
-    the rest, and otherwise taken from one ``tail_abs_pow`` call for all
-    such p of one s.
+    the rest, and otherwise taken from one tail call (``tail_abs_pow``'s
+    kernel) for every (p, s) that needs it.
 
-    The work that depends only on s is done once per distinct s of
-    ``params``, and the sums for all p of that s as array operations.
+    Every (p, s) of ``params`` is one lane of one array pass, and each lane's
+    value is the same bits as its scalar call: the head series and the
+    first-arch nodes are built for a block of distinct s at once, and the
+    tail's plan and sums for every lane at once.  Only the head and log panel
+    sums run once per distinct s, as a row's length sets its rounding.
     Returns a float for scalar params, else an array of their broadcast shape.
 
     F raises DomainError where it exceeds the float range, and where s > 141
     and the tail is needed: the tail's Fourier coefficients overflow there.
     That is a band just below p = 3s/2: 3s/2 - p below about 8 at s = 150,
-    5 at s = 500 and 0.3 at s = 1000.  F is never inf or nan.
+    5 at s = 500 and 0.3 at s = 1000.  Either error names the first such
+    (p, s) in array order.  F is never inf or nan.
     """
     p, s = np.broadcast_arrays(params.p, params.s)
     _require(p < 1.5 * s, DivergenceError, "F diverges for p={p} >= 3s/2={s}", p, 1.5 * s)
     pf, sf = p.ravel(), s.ravel()
-    out = np.empty(pf.shape)
-    for s_val in sorted(set(sf.tolist())):  # not np.unique, which imports numpy.ma
-        at = sf == s_val
-        out[at] = _F_at_s(pf[at], float(s_val))
-    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)
-
-
-def _F_at_s(p: np.ndarray, s: float) -> np.ndarray:
-    """F at one s for every p of a 1-d array: the head, all panels in one log sum, the tail."""
-    log_t_mid, log_jj_mid, log_wh_mid, T = _middle_plan()
-    log_t_arch, log_g_arch = _arch_panels(s)
-    log_panels = _log_panel_sum(np.concatenate([log_g_arch, s * log_jj_mid + log_wh_mid]),
-                                np.concatenate([log_t_arch, log_t_mid]), p)
-    head = _arch_head(p, s)  # 0 where it underflows
-    log_head = np.log(head, out=np.full(len(p), -np.inf), where=head > 0.0)
-    log_main = np.logaddexp(log_head - 0.5 * p * math.log(s), log_panels)
+    s_set, at = osc._distinct(sf)
+    T = _middle_plan()[3]
+    head, log_panels = _head_and_panels(pf, s_set, at)  # the head is 0 where it underflows
+    log_head = np.log(head, out=np.full(len(pf), -np.inf), where=head > 0.0)
+    log_s = np.array([math.log(x) for x in s_set])[at]  # math.log: np.log may differ by an ulp
+    log_main = np.logaddexp(log_head - 0.5 * pf * log_s, log_panels)
 
     c_env = _bessel_envelope(1.0, T)
-    log_tail_bound = s * math.log(c_env) + (p - 1.5 * s) * math.log(T) - np.log(1.5 * s - p)
+    log_tail_bound = sf * math.log(c_env) + (pf - 1.5 * sf) * math.log(T) - np.log(1.5 * sf - pf)
     need_tail = log_tail_bound - log_main > math.log(_REL_CUT)
-    _require((log_main < _LOG_FLOAT_MAX) & ~(need_tail & (s > _TAIL_S_MAX)), DomainError,
+    _require((log_main < _LOG_FLOAT_MAX) & ~(need_tail & (sf > _TAIL_S_MAX)), DomainError,
              "F(p={p}, s={s}) is out of reach: beyond the float range, or the tail is needed"
-             " and s > 141", p, s)
+             " and s > 141", pf, sf)
     # the head is added outside the logs: a round trip through them costs |log F| ulps
-    vals = head * s ** (-0.5 * p) + np.exp(log_panels)
+    vals = head * sf ** (-0.5 * pf) + np.exp(log_panels)
     if need_tail.any():
-        vals[need_tail] += osc.tail_abs_pow(p[need_tail], s, T, tol=_TAIL_TOL)
-    return vals
+        vals[need_tail] += osc._abs_pow_lanes(pf[need_tail], sf[need_tail], T, _TAIL_TOL)
+    return float(vals[0]) if p.ndim == 0 else vals.reshape(p.shape)
+
+
+def _head_and_panels(p: np.ndarray, s_set: list,
+                     at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F's head and the log of its panel sum on [1/(2 sqrt(s)), T], the first arch beyond the
+    head and then [j_1,1, T], for each lane p of s = s_set[at].
+
+    The head series and the first-arch nodes come once for a block of distinct
+    s; then each s sums the head series and the panels of its lanes, as a
+    row's length sets its rounding.
+    """
+    log_t_mid, log_jj_mid, log_wh_mid, _ = _middle_plan()
+    head, log_panels = np.empty(len(p)), np.empty(len(p))
+    # a block of s whose first-arch nodes, at most those of the largest s, fit _BLOCK_BYTES
+    u1 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0]) * math.sqrt(s_set[-1])
+    step = max(1, _BLOCK_BYTES // (8 * 24 * (math.ceil(2.0 * u1) + _GRADE_LEVELS)))
+    for lo in range(0, len(s_set), step):
+        block = s_set[lo:lo + step]
+        for k, (s, coeffs, (log_t, log_g)) in enumerate(
+                zip(block, _arch_head_coeffs(block), _arch_panels(block)), start=lo):
+            lanes = at == k
+            pk = p[lanes]
+            head[lanes] = _series_head(coeffs, pk, _HEAD_U)
+            log_panels[lanes] = _log_panel_sum(np.concatenate([log_g, s * log_jj_mid + log_wh_mid]),
+                                               np.concatenate([log_t, log_t_mid]), pk)
+    return head, log_panels
 
 
 def _log_panel_sum(log_g: np.ndarray, log_t: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -217,6 +217,16 @@ class TestIbpSeries:
         x = rng.choice([-1.0, 1.0], 30) * np.geomspace(40.0, 10.0 ** rng.uniform(2.0, 5.0), 30)
         self._check(mu, x)
 
+    @pytest.mark.parametrize("block", [9, 16, 100, 729])
+    def test_lane_alone_equals_lane_in_block(self, block):
+        # each lane is summed in order and its stopped terms are exact zeros, so its bits
+        # depend neither on the lanes beside it nor on how deep their block runs
+        rng = np.random.default_rng(block)
+        mu, x = rng.uniform(-30.0, -1.0, block), rng.uniform(40.0, 3000.0, block)
+        got = osc._ibp_series(mu, x)
+        alone = [osc._ibp_series(mu[i:i + 1], x[i:i + 1])[0] for i in range(block)]
+        assert np.array_equal(got, alone)
+
     @staticmethod
     def _check(mu, x):
         got = osc._ibp_series(mu, x)
@@ -414,9 +424,13 @@ def _abs_pow_setup_by_mode(s):
 
 
 def _plan(p, s, T, tol):
-    """_abs_pow_plan for the p of an array, as tail_abs_pow calls it."""
+    """_abs_pow_plan for the p of an array at one s, as tail_abs_pow calls it: each p's last
+    mode, the modes m = 0..(largest last), their c_m and their series."""
     mu = np.asarray(p, dtype=float) - 1.0 - 1.5 * s
-    return osc._abs_pow_plan(mu, s, T, tol, (8.0 / math.pi) ** (s / 2.0))
+    last, cms, col0, sers = osc._abs_pow_plan(mu, [s], np.zeros(len(mu), dtype=int), T, tol,
+                                              [(8.0 / math.pi) ** (s / 2.0)])
+    assert list(col0) == [0]
+    return last, np.arange(sers.shape[1]), cms[:, 0], sers
 
 
 def _last_mode_by_mode(p, s, T, tol):
@@ -489,7 +503,8 @@ def _p_grid(s):
 
 
 # tail_abs_pow(_p_grid(s), s, TestTailAbsPowArray.T, tol=1e-10) as float.hex, recorded with
-# every nonzero Fourier mode of s built: building only the modes the p sum moves no bit
+# every nonzero Fourier mode of s built: building only the modes the p sum moves no bit;
+# the s = 141 row, with the IBP series summed in order, term by term
 TAIL_PINS = {
     1.05: [
         "0x1.9255b60fbad03p-10", "0x1.2a2e229bbb2fap-9", "0x1.bb82e1395b5b0p-9",
@@ -522,9 +537,9 @@ TAIL_PINS = {
         "-0x0.0p+0", "-0x0.0218889e1928cp-1022", "-0x1.fbc57473d6df2p-964",
         "-0x1.47b8eacbcdbacp-898", "-0x1.9c86cb4ae257cp-833", "-0x1.08683afea1529p-767",
         "-0x1.576dd3ce9da40p-702", "-0x1.afc95697d5410p-637", "-0x1.0365de012ce28p-571",
-        "-0x1.2072229ac26a4p-506", "-0x1.10e43a5a61caep-441", "0x1.d7b4d5f7ce7b2p-378",
-        "0x1.7ee1351442dd3p-310", "0x1.a1c721932d5eap-244", "0x1.c5f9fd9bf2ea1p-178",
-        "0x1.026cb925d3077p-111", "0x1.41f2cef00ba87p-45", "0x1.01440475f93bfp+22",
+        "-0x1.2072229ac26a3p-506", "-0x1.10e43a5a61cadp-441", "0x1.d7b4d5f7ce7aap-378",
+        "0x1.7ee1351442dd6p-310", "0x1.a1c721932d5eap-244", "0x1.c5f9fd9bf2ea1p-178",
+        "0x1.026cb925d3078p-111", "0x1.41f2cef00ba87p-45", "0x1.01440475f93bfp+22",
         "0x1.5fcbd50b5200dp+104",
     ],
 }
@@ -580,11 +595,15 @@ class TestTailAbsPowArray:
         ps = _p_grid(s)
         got = F(IntegralParams(ps, s))
 
-        def per_p(p, s, T, tol):
-            return np.array([_tail_abs_pow_by_mode(float(pk), s, T, tol) for pk in p])
-        monkeypatch.setattr(osc, "tail_abs_pow", per_p)
+        calls = []
+
+        def per_lane(p, s, T, tol):  # F's tail kernel: one lane per (p, s)
+            calls.append(len(p))
+            return np.array([_tail_abs_pow_by_mode(float(pk), float(sk), T, tol)
+                             for pk, sk in zip(p, s)])
+        monkeypatch.setattr(osc, "_abs_pow_lanes", per_lane)
         ref = F(IntegralParams(ps, s))
-        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert calls and np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 class TestTails:

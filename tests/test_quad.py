@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from khinsphere import oscillatory as osc
+from khinsphere import quad
 from khinsphere.constants import C2, MomentQuery, normalizers
 from khinsphere.errors import DivergenceError, DomainError, ToleranceError
 from khinsphere.oscillatory import _panel_quad
@@ -32,6 +33,7 @@ from khinsphere.quad import (
 )
 from khinsphere.sample import _two_coeff_moment
 from khinsphere.specfun import _jj_vec, gamma, hyp2f1
+from khinsphere.verify import verify_H_regions, verify_H_tilde_region
 
 IP = IntegralParams
 
@@ -118,6 +120,29 @@ class TestBatch:
             for j in range(3):
                 assert got[i, j] == F(IP(float(p[i, j]), float(s[i, j])))
         assert isinstance(F(IP(1.0, 2.0)), float)
+
+    @pytest.mark.parametrize("verifier", [verify_H_regions, verify_H_tilde_region])
+    def test_F_on_region_mesh_equals_scalar_calls(self, verifier, monkeypatch):
+        # the 12 x 12 mesh of the lemma sweep: 12-23 distinct s in one F call
+        calls = []
+
+        def recording_F(params):
+            calls.append((params, F(params)))
+            return calls[-1][1]
+        monkeypatch.setattr(quad, "F", recording_F)
+        verifier((12, 12))
+        (params, got), = calls
+        assert len(set(params.s.tolist())) >= 12
+        for p, s, v in zip(params.p, params.s, got):
+            assert v == F(IP(float(p), float(s)))
+
+    def test_out_of_reach_names_first_element_in_array_order(self):
+        # both need the tail with s > 141; the first in array order has the larger s
+        with pytest.raises(DomainError) as scalar:
+            F(IP(224.0, 150.0))
+        with pytest.raises(DomainError) as batch:
+            F(IP(np.array([224.0, 217.0]), np.array([150.0, 145.0])))
+        assert str(batch.value) == str(scalar.value)
 
     @pytest.mark.parametrize("fn, bad", [
         (F, (2.0, 1.2)), (H, (3.5, 4.0)), (H, (2.0, 1.2)), (U, (3.0, 2.0)),
@@ -229,14 +254,15 @@ class TestHead:
         # int_0^(1/2) g(u) u^(p-1) du = (2^(-p)/p) int_0^1 g(v^(1/p)/2) dv with
         # g(u) = jj_1(u/sqrt(s))^s; for these p the power 1/p is an integer, so
         # the substituted integrand is smooth and plain panels nail it
-        from khinsphere.quad import _arch_head, _panel_quad
+        from khinsphere.quad import _HEAD_U, _arch_head_coeffs, _panel_quad, _series_head
         from khinsphere.specfun import jj1
 
         def smooth(v):
             return jj1(0.5 * v ** (1.0 / p) / math.sqrt(s)) ** s * 0.5**p / p
 
         oracle = _panel_quad(smooth, np.linspace(0.0, 1.0, 80))
-        assert _arch_head(p, s) == pytest.approx(oracle, rel=1e-11)
+        head = _series_head(_arch_head_coeffs([s])[0], p, _HEAD_U)
+        assert head == pytest.approx(oracle, rel=1e-11)
 
 
 class TestG:
