@@ -49,7 +49,6 @@ _IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its fir
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
 _IBP_GROUP = 64  # (m, lane) pairs of F's tail below which an octave of m joins the next call
-_ACCUMULATE_LANES = 200  # _sum_in_order's switch, measured: both ways took 32 us at 200 lanes
 _RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 _BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
@@ -165,7 +164,7 @@ def _panel_quad(f, edges: np.ndarray, block: int = _PANEL_BLOCK):
     return np.sum(vals * w * half)
 
 
-def _ibp_series(mu, x, max_bytes: int = 0) -> np.ndarray:
+def _ibp_series(mu, x) -> np.ndarray:
     """sum_k i^(k+1) c_k, c_0 = 1, c_(k+1) = c_k (mu-k)/x, for mu < 0 and |x| >= 40
     broadcast together: the IBP expansion E(mu, omega, T) = e^(ix) T^mu/omega sum_k ...
     at x = omega T.
@@ -177,8 +176,7 @@ def _ibp_series(mu, x, max_bytes: int = 0) -> np.ndarray:
     |x|, bounds every lane's |c_k|, so the block ends where its |c_k| falls
     below _IBP_REL; where that never happens, at 50 + 1.5 max|mu| terms (at
     most _IBP_CAP), in which every lane with |x| >= 40 and 0 < -mu <= 160 was
-    measured to stop.  With max_bytes, the lanes along the last axis run in
-    blocks whose terms take at most that many bytes.
+    measured to stop.
 
     Each lane's real and imaginary parts are summed in the order k = 0, 1, ...,
     outside BLAS, and a stopped lane's later terms are exact zeros: so a lane's
@@ -190,11 +188,6 @@ def _ibp_series(mu, x, max_bytes: int = 0) -> np.ndarray:
     slow = np.abs(np.cumprod((mu_slow - _IBP_K[:-1]) / np.min(np.abs(x))))  # |c_1|, |c_2|, ...
     below = np.flatnonzero(slow < _IBP_REL)
     size = int(below[0]) + 1 if len(below) else min(_IBP_CAP, math.ceil(50.0 - 1.5 * mu_slow))
-    step = max(1, max_bytes // (8 * size * math.prod(shape[:-1]))) if max_bytes else math.inf
-    if shape and shape[-1] > step:  # lanes along the last axis, in blocks
-        mu, x = np.broadcast_arrays(mu, x)
-        return np.concatenate([_ibp_series(mu[..., lo:lo + step], x[..., lo:lo + step])
-                               for lo in range(0, shape[-1], step)], axis=-1)
     k = _IBP_K[:size].reshape((size,) + (1,) * len(shape))
     c = np.empty((size,) + shape)
     c[0] = 1.0
@@ -207,16 +200,9 @@ def _ibp_series(mu, x, max_bytes: int = 0) -> np.ndarray:
 
 
 def _sum_in_order(rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """rows[0] + rows[1] + ..., added in that order in every lane of the given shape.
-
-    np.add.accumulate runs its loop over the lanes inside numpy, which is the
-    quicker for fewer than _ACCUMULATE_LANES lanes; more lanes add one row at
-    a time.  Both give the same bits.
-    """
+    """rows[0] + rows[1] + ..., added one row at a time in every lane of the given shape."""
     if not len(rows):
         return np.zeros(shape)
-    if rows[0].size < _ACCUMULATE_LANES:
-        return np.add.accumulate(rows)[-1]
     total = rows[0].copy()
     for row in rows[1:]:
         total += row
@@ -318,17 +304,10 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
 # tails
 # ----------------------------------------------------------------------------
 
-def _in_blocks(fn, p: np.ndarray, per_p) -> np.ndarray:
-    """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined.
-
-    per_p is one count, or one count per element of p in decreasing order, so
-    that each block is sized by its first element.
-    """
-    blocks, lo = [], 0
-    while lo < len(p):
-        hi = lo + max(1, _BLOCK_BYTES // (8 * int(per_p[lo] if np.ndim(per_p) else per_p)))
-        blocks.append(fn(p[lo:hi]))
-        lo = hi
+def _in_blocks(fn, p: np.ndarray, per_p: int) -> np.ndarray:
+    """fn over blocks of p whose len x per_p float temporaries stay within _BLOCK_BYTES, joined."""
+    step = max(1, _BLOCK_BYTES // (8 * per_p))
+    blocks = [fn(p[lo:lo + step]) for lo in range(0, len(p), step)]
     return np.concatenate(blocks) if blocks else np.empty(0)
 
 
@@ -336,69 +315,62 @@ def _distinct(s: np.ndarray) -> tuple[list, np.ndarray]:
     """The distinct values of the 1-d array s, sorted, as floats, and the index of each
     element among them (not np.unique, which imports numpy.ma)."""
     values = sorted(set(s.tolist()))
-    return values, np.searchsorted(values, s)
+    return values, np.array(values).searchsorted(s)
 
 
-def tail_abs_pow(p, s: float, T: float, tol: float = 1e-12):
-    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1, for a
-    scalar p (a float back) or every p of a 1-d array (an array back) at one s.
+def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
+    """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1, for scalar
+    p and s (a float back) or every (p, s) of arrays that broadcast together (an
+    array of their shape back).
 
     With W = P + iQ = M e^(i phi) from the Hankel series,
     jj_1 = sqrt(8/pi) t^(-3/2) M(t) cos(chi + phi(t)), chi = t - 3 pi/4, so
     |jj_1|^s = (8/pi)^(s/2) t^(-3s/2) sum_m c_m Re[W^(s/2+m) conj(W)^(s/2-m)
     e^(2 i m chi)], integrated term by term.  The m = 0 term, M^s with no
     oscillation, is exactly the slow part that makes naive truncation
-    infeasible for p near 3s/2, so it is always kept.  Each p stops after the
-    first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
-    and at m = 80 at the latest; each call builds only the modes up to its
-    largest last mode, with no cache.  The lanes x modes x powers of 1/t block
-    is evaluated as array operations, in blocks of bounded memory.  F calls
-    the same kernel, ``_abs_pow_lanes``, with one lane per (p, s) pair.
+    infeasible for p near 3s/2, so it is always kept.  Each (p, s) stops after
+    the first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
+    and at m = 80 at the latest; each call builds only the modes up to the
+    largest last mode of each s, with no cache.  The scalars of one s,
+    (8/pi)^(s/2) and its log, are taken once per distinct s with Python's pow and
+    math.log; one plan serves every lane, and the lanes x modes x powers of 1/t
+    block is evaluated as array operations, in blocks of bounded memory.  A
+    lane's value does not depend on which lanes share its call.  F sends all
+    its lanes, of every s, through one call.
 
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
     the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
     exp, so no intermediate is subnormal where the result is not.  T < 20 raises
     DomainError, and so do NaN, p >= 3s/2 (naming the first such element), an
-    infinite p and s > _TAIL_S_MAX (141); an empty p gives an empty array.
+    infinite p or s and s > _TAIL_S_MAX (141); an empty p gives an empty array.
     Near s = 1 with p near 3s/2, where the modes decay slowest, F with this
     tail at F's tol of 1e-10 was at most 2.2e-11 off an mpmath oracle, at
     (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
     """
     if not 2.0 * T >= _IBP_MIN_PHASE:  # NaN too
         raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g}, got T={T}")
-    pa = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(pa)):
-        raise DomainError(f"tail_abs_pow needs finite p, got p={p!r}")
-    diverges = pa >= 1.5 * s
+    pa, sa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=float))
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(s))):
+        raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")
+    if np.any(np.asarray(s) > _TAIL_S_MAX):  # an empty p too
+        raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s!r}")
+    diverges = pa >= 1.5 * sa
     if diverges.any():
-        raise DomainError(f"tail diverges: p={pa.flat[np.argmax(diverges)]} >= 3s/2={1.5 * s}")
-    abs_cos_fourier(s, 0)  # s > _TAIL_S_MAX raises, even for an empty p
-    out = _abs_pow_lanes(pa.reshape(-1), np.full(pa.size, float(s)), T, tol)
-    return float(out[0]) if pa.ndim == 0 else out
-
-
-def _abs_pow_lanes(p: np.ndarray, s: np.ndarray, T: float, tol: float) -> np.ndarray:
-    """tail_abs_pow for each lane (p[i], s[i]) of two 1-d arrays whose inputs are checked.
-
-    The scalars of one s, (8/pi)^(s/2) and its log, are taken once per distinct
-    s with Python's pow and math.log; the plan is built once for all lanes, and
-    the lanes are summed in blocks of bounded memory.  A lane's value does not
-    depend on which lanes share its call.
-    """
-    if not len(p):
-        return np.empty(0)
-    mu = p - 1.0 - 1.5 * s
-    s_set, at = _distinct(s)
-    prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
-    last, cms, col0, sers = _abs_pow_plan(mu, s_set, at, T, tol, prefs)
-    log_pref = np.array([math.log(x) for x in prefs])[at]
-    # the lanes by decreasing last mode, each block sized for its first
-    by_last = np.argsort(-last, kind="stable")
-    out = np.empty(len(mu))
-    out[by_last] = _in_blocks(
-        lambda k: _abs_pow_block(mu[k], last[k], col0[at[k]], cms[:, at[k]], log_pref[k], T, sers),
-        by_last, (ORDER + 1) * (last[by_last] + 1))
-    return out
+        k = np.argmax(diverges)
+        raise DomainError(f"tail diverges: p={pa.flat[k]} >= 3s/2={1.5 * sa.flat[k]}")
+    out = np.empty(pa.size)
+    if pa.size:
+        mu = pa.ravel() - 1.0 - 1.5 * sa.ravel()
+        s_set, at = _distinct(sa.ravel())
+        prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
+        last, cms, col0, sers = _abs_pow_plan(mu, s_set, at, T, tol, prefs)
+        log_pref = np.array([math.log(x) for x in prefs])[at]
+        # the lanes by decreasing last mode, so the lanes of a block need about as many modes
+        by_last = np.argsort(-last, kind="stable")
+        out[by_last] = _in_blocks(
+            lambda k: _abs_pow_block(mu[k], last[k], col0[at[k]], cms[:, at[k]], log_pref[k], T, sers),
+            by_last, (ORDER + 1) * (int(last.max()) + 1))
+    return float(out[0]) if pa.ndim == 0 else out.reshape(pa.shape)
 
 
 def _abs_pow_plan(mu: np.ndarray, s_set: list, at: np.ndarray, T: float, tol: float,
@@ -465,7 +437,7 @@ def _abs_pow_block(mu: np.ndarray, last: np.ndarray, col0: np.ndarray, cms: np.n
         if c - cuts[-1] >= _IBP_GROUP:
             cuts.append(c)
     cuts.append(len(mi))
-    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T, _BLOCK_BYTES)
+    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T)
                              for a, b in zip(cuts[:-1], cuts[1:]) if b > a], axis=1)
     tails = np.exp(1j * omega * T) / omega * T**-j * series
     per_mode[mi, pi] = np.add.accumulate((sers[:, col0[pi] + mi] * tails).real)[-1]

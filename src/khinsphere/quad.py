@@ -195,8 +195,8 @@ def F(params: IntegralParams):
     |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4), Watson's
     envelope ``_bessel_envelope(1, T)``, so the tail is at most
     C^s T^(p-3s/2) / (3s/2-p).  It is dropped where that is at most 1e-13 of
-    the rest, and otherwise taken from one tail call (``tail_abs_pow``'s
-    kernel) for every (p, s) that needs it.
+    the rest, and otherwise taken from one ``tail_abs_pow`` call for every
+    (p, s) that needs it.
 
     Every (p, s) of ``params`` is one lane of one array pass, and each lane's
     value is the same bits as its scalar call: the head series and the
@@ -230,7 +230,7 @@ def F(params: IntegralParams):
     # the head is added outside the logs: a round trip through them costs |log F| ulps
     vals = head * sf ** (-0.5 * pf) + np.exp(log_panels)
     if need_tail.any():
-        vals[need_tail] += osc._abs_pow_lanes(pf[need_tail], sf[need_tail], T, _TAIL_TOL)
+        vals[need_tail] += osc.tail_abs_pow(pf[need_tail], sf[need_tail], T, _TAIL_TOL)
     return float(vals[0]) if p.ndim == 0 else vals.reshape(p.shape)
 
 

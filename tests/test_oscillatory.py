@@ -503,8 +503,12 @@ def _p_grid(s):
 
 
 # tail_abs_pow(_p_grid(s), s, TestTailAbsPowArray.T, tol=1e-10) as float.hex, recorded with
-# every nonzero Fourier mode of s built: building only the modes the p sum moves no bit;
-# the s = 141 row, with the IBP series summed in order, term by term
+# every nonzero Fourier mode of s built: building only the modes the p sum moves no bit.
+# The s = 141 row was re-recorded when the IBP series began to sum each lane in order,
+# term by term, rather than through a BLAS product.  Five entries moved, by at most
+# 9.6e-16 relative; before that, entries 9, 10, 11, 12 and 15 (from 0) read
+# -0x1.2072229ac26a4p-506, -0x1.10e43a5a61caep-441, 0x1.d7b4d5f7ce7b2p-378,
+# 0x1.7ee1351442dd3p-310 and 0x1.026cb925d3077p-111.
 TAIL_PINS = {
     1.05: [
         "0x1.9255b60fbad03p-10", "0x1.2a2e229bbb2fap-9", "0x1.bb82e1395b5b0p-9",
@@ -574,11 +578,30 @@ class TestTailAbsPowArray:
         got = osc.tail_abs_pow(ps, 1.3, self.T)
         assert np.array_equal(got[250:], osc.tail_abs_pow(ps[250:], 1.3, self.T))
 
+    def test_array_s_equals_one_call_per_s(self):
+        # lanes of several s in one call, in mixed order, each the bits of its own s's call
+        ss = [1.05, 2.0, 2.5, 11.3, 141.0]
+        ps, s = np.concatenate([_p_grid(x) for x in ss]), np.repeat(ss, 19)
+        order = np.random.default_rng(3).permutation(len(ps))
+        got = osc.tail_abs_pow(ps[order], s[order], self.T, tol=1e-10)
+        ref = np.concatenate([osc.tail_abs_pow(_p_grid(x), x, self.T, tol=1e-10) for x in ss])
+        assert np.array_equal(got, ref[order])
+
+    def test_p_and_s_broadcast(self):
+        ps = _p_grid(1.3)[:, None]
+        got = osc.tail_abs_pow(ps, np.array([1.3, 2.0]), self.T)
+        assert got.shape == (19, 2)
+        assert np.array_equal(got[:, 1], osc.tail_abs_pow(ps[:, 0], 2.0, self.T))
+
     def test_divergent_element_is_named(self):
         with pytest.raises(DomainError, match=r"p=3\.5 >= 3s/2=3"):
             osc.tail_abs_pow(np.array([1.0, 3.5, 2.9, 4.0]), 2.0, self.T)
+        with pytest.raises(DomainError, match=r"p=3\.5 >= 3s/2=3\.0"):
+            osc.tail_abs_pow(np.array([1.0, 3.5, 4.0]), np.array([2.0, 2.0, 1.0]), self.T)
         with pytest.raises(DomainError, match="s <= 141"):
             osc.tail_abs_pow(np.array([1.0, 2.0]), 150.0, self.T)
+        with pytest.raises(DomainError, match="s <= 141"):
+            osc.tail_abs_pow(np.array([]), 150.0, self.T)
 
     def test_short_T_is_domain_error(self):
         with pytest.raises(DomainError, match="T >= 20"):
@@ -597,11 +620,11 @@ class TestTailAbsPowArray:
 
         calls = []
 
-        def per_lane(p, s, T, tol):  # F's tail kernel: one lane per (p, s)
+        def per_lane(p, s, T, tol):  # F's tail call: one lane per (p, s)
             calls.append(len(p))
             return np.array([_tail_abs_pow_by_mode(float(pk), float(sk), T, tol)
                              for pk, sk in zip(p, s)])
-        monkeypatch.setattr(osc, "_abs_pow_lanes", per_lane)
+        monkeypatch.setattr(osc, "tail_abs_pow", per_lane)
         ref = F(IntegralParams(ps, s))
         assert calls and np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
@@ -708,6 +731,8 @@ class TestTails:
     lambda: osc.tail_abs_pow(np.array([1.0, math.nan]), 2.0, 47.0),
     lambda: osc.tail_abs_pow(-math.inf, 2.0, 47.0),
     lambda: osc.tail_abs_pow(1.0, 2.0, math.nan),
+    lambda: osc.tail_abs_pow(1.0, math.nan, 47.0),
+    lambda: osc.tail_abs_pow(np.array([]), math.inf, 47.0),
     lambda: osc.exp_power_tail(math.nan, 1.0, 47.0),
     lambda: osc.exp_power_tail(-2.0, math.nan, 47.0),
     lambda: osc.exp_power_tail(-2.0, 1.0, math.nan),
@@ -719,6 +744,7 @@ class TestTails:
     lambda: osc.tail_product([1.0, math.nan], 1.0, 1.0, 47.0),
     lambda: osc.series_pow(osc._hankel_w(1.0)[0], math.nan),
 ], ids=["tail_abs_pow-p", "tail_abs_pow-p-array", "tail_abs_pow-p-inf", "tail_abs_pow-T",
+        "tail_abs_pow-s", "tail_abs_pow-s-inf",
         "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T", "power_tail",
         "power_tail-T", "power_tail-array", "tail_product-p", "tail_product-T",
         "tail_product-amps", "series_pow"])
