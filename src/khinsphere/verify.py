@@ -307,9 +307,7 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     def f(q):
         return -math.log(2.0) - math.log(1.0 - 0.5 * (2.0 / 3.0) ** q)
 
-    g8 = g(0.125)
-    gp8 = -digamma(2.0 - 0.125)
-    ell = lambda q: g8 + gp8 * (q - 0.125)
+    ell = _tangent(g, lambda q: -digamma(2.0 - q), 0.125)
     points += [(0.125, -2.0), (0.35, -2.0), (0.35, -3.0)]
     margins += [ell(0.125) - f(0.125) - 0.0005,
                 ell(0.35) - f(0.35) - 0.0003,
