@@ -193,7 +193,7 @@ def D(p):
     """Ratio Gamma(3-p) / (Gamma(2-p/2)^2 Gamma(3-p/2)); D(2) = 1, pole at 3.  p may be an array."""
     if not np.all((2.0 <= p) & (p < 3.0)):
         raise DomainError(f"D requires 2 <= p < 3, got {p}")
-    _check_pole(float(np.min(3.0 - p)), "D")
+    _check_pole(float(np.min(3.0 - p, initial=math.inf)), "D")
     return gamma(3.0 - p) / (gamma(2.0 - p / 2.0) ** 2 * gamma(3.0 - p / 2.0))
 
 

@@ -213,6 +213,8 @@ def F(params: IntegralParams):
     """
     p, s = np.broadcast_arrays(params.p, params.s)
     _require(p < 1.5 * s, DivergenceError, "F diverges for p={p} >= 3s/2={s}", p, 1.5 * s)
+    if p.size == 0:
+        return np.empty(p.shape)
     pf, sf = p.ravel(), s.ravel()
     s_set, at = osc._distinct(sf)
     T = _middle_plan()[3]

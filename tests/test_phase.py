@@ -164,6 +164,15 @@ class TestQStar:
         results = P._q_star_batch(range(1, 80))
         assert [r.d for r in results] == list(range(1, 80))
 
+    @pytest.mark.parametrize("d", [146, 2**40])
+    def test_no_bracket_past_reach_builds_no_grid(self, d):
+        # the left-edge walk finds no point left of the root; at d = 2**40 a scan
+        # grid of 100 (d + 1) points would be an 800 TiB request
+        assert len(P.scan_sign_changes(145)) == 1
+        assert P.scan_sign_changes(d) == []
+        with pytest.raises(NoBracketError, match=f"no sign change found for d={d}$"):
+            P.q_star(d)
+
     def test_float_resolution_message(self):
         # at d = 120 no tol reaches the residual bound: the bracket is one float wide
         with pytest.raises(ToleranceError, match="out of reach at float resolution"):

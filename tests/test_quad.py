@@ -121,7 +121,13 @@ class TestBatch:
                 assert got[i, j] == F(IP(float(p[i, j]), float(s[i, j])))
         assert isinstance(F(IP(1.0, 2.0)), float)
 
-    @pytest.mark.parametrize("verifier", [verify_H_regions, verify_H_tilde_region])
+    @pytest.mark.parametrize("fn", [F, H, H_tilde])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input_gives_empty_array(self, fn, shape):
+        got = fn(IP(np.full(shape, 2.5), np.full(shape, 3.0)))
+        assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == float
+
+    @pytest.mark.parametrize("verifier",[verify_H_regions, verify_H_tilde_region])
     def test_F_on_region_mesh_equals_scalar_calls(self, verifier, monkeypatch):
         # the 12 x 12 mesh of the lemma sweep: 12-23 distinct s in one F call
         calls = []
