@@ -66,7 +66,9 @@ product_moment's (nu, 2 nu) for nu in {1.5, 3, 9.5}; then F on a 6x6 mesh,
 six s in [1.05, 12] and p at six fractions of 3s/2 up to 1 - 1e-6, taken as
 one call, so that a move of F's batching across s shows; last,
 product_moment at (d, p) = (22, 18.9) with weights (1, 0.7), near
-p = n(d-1)/2, which reaches the sign-pattern tail at d >= 9.
+p = n(d-1)/2, which reaches the sign-pattern tail at d >= 9; last,
+log_gamma at x in {0.5, 1.5, 2.5, 10, 60.5, 1e6, 1e300}, so that a move of
+log Gamma at x >= 1/2 shows apart from q_star and the verifiers.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -357,6 +359,8 @@ def main() -> int:
     for pk, sk, v in zip(p, s, F(IntegralParams(p, s))):
         print(f"F mesh {_args(pk, sk)} {float(v).hex()}")
     print(_product_moment_line(22, 18.9, (1.0, 0.7)))
+    for x in (0.5, 1.5, 2.5, 10.0, 60.5, 1e6, 1e300):
+        print(_line(f"log_gamma {_args(x)}", lambda: log_gamma(x)))
     return 0
 
 

@@ -109,12 +109,9 @@ def _left_edge(d: int) -> float | None:
     """x = (q + d - 1)/2 at the left edge of d's scan, or None if there is none.
 
     The root approaches -(d-1) exponentially fast, so the left edge must
-    adapt: walk x = 5e-4 / 4^k toward 0 until h q < 0 there (left of the
-    root), one scalar h a step, on log_gamma's float path (about 1.2 steps
-    a d over 5..60).  For d = 1, q = 2x > 0 and h < 0 at 5e-4: no step.
-    The walk ends at its first x below 1e-9, 4.8e-10; from d = 146 the root
-    lies left of that too, and None means that no point of the walk is left
-    of the root.
+    adapt: walk x = 5e-4 / 4^k toward 0, down to 4.8e-10, until h q < 0 there
+    (left of the root), one scalar h a step, on log_gamma's float path (about
+    1.2 steps a d over 5..60).  For d = 1, q = 2x > 0 and h < 0 at 5e-4.
     """
     x_left = 5e-4
     while (2.0 * x_left - (d - 1)) * _h_at(d, x_left) >= 0:
@@ -158,9 +155,8 @@ def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
     x form are slices, at offsets 0, 100 and 100 (d-1), of one table per left
     edge, shared by every d with that edge.  The sign is sign(h) sign(q).
     The grid runs to q < 2, that is x up to (d+1)/2, past h_tilde's domain
-    check, so its formula is taken directly.  Where _left_edge finds no
-    point left of the root, both are empty: there is no bracket, and the
-    grid of 100 (d + 1) points is not built.
+    check, so its formula is taken directly.  Without a left edge both are
+    empty: there is no bracket, and the grid is not built.
     """
     x_left = _left_edge(d)
     if x_left is None:
@@ -201,9 +197,8 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
     tol rescues some (d = 80 and 100 at 1e-13); for others (d = 120, 140,
     145) the bracket becomes one float wide first, and the message says
     so.  From d = 146 the root lies left of x = (q + d - 1)/2 = 1e-9, where
-    the scan's left edge stops, so NoBracketError is raised, at any such d
-    without building a scan grid.  A tol not in (0, inf), NaN too, raises
-    DomainError.
+    the scan's left edge stops, so NoBracketError is raised, with no scan
+    grid built.  A tol not in (0, inf), NaN too, raises DomainError.
     """
     return _q_star_batch([d], tol)[0]
 

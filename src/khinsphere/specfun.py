@@ -1,7 +1,8 @@
-"""Scalar special functions: gamma family, normalized Bessel functions, Gauss 2F1.
+"""Special functions: gamma family, normalized Bessel functions, Gauss 2F1.
 
-Everything here is pure and array-capable (numpy broadcasting); scalar inputs
-give scalar outputs. The normalized Bessel function ``jj(nu, t)`` is
+Every function is pure and array-capable (numpy broadcasting); scalar inputs
+give scalar outputs.  Gamma and log Gamma are math.gamma and math.lgamma
+elementwise.  The normalized Bessel function ``jj(nu, t)`` is
 2^nu Gamma(nu+1) t^(-nu) J_nu(t), the characteristic function of a vector
 uniform on the unit sphere S^(d-1) at radius t, with nu = d/2 - 1.  It has
 one evaluator on one switch: a power series where t < max(5, nu) and, above,
@@ -40,20 +41,6 @@ _SERIES_CUT = 1e-18
 # batch or a verifier grid reuses a handful of sets, each a few KB
 _SETUP_CACHE = 32
 
-# Lanczos approximation of log_gamma, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
@@ -71,16 +58,6 @@ def _horner(cs, x):
         acc *= x
         acc += c
     return acc
-
-
-def _lanczos_log(x):
-    """log Gamma(x) by the Lanczos sum, for finite x >= 0.5, a float or an array."""
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc = acc + c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(acc)
 
 
 def _gamma1(x: float) -> float:
@@ -113,42 +90,27 @@ def gamma(x):
 
 
 def log_gamma(x):
-    """log Gamma(x) for x > 0, stable for large x; log Gamma(inf) = inf.
+    """log Gamma(x) for x > 0: math.lgamma elementwise.
 
-    The Lanczos sum on x >= 1/2; below, log Gamma(x+1) - log x, taken as
-    -log(x / Gamma(x+1)) with Gamma(x+1) in [0.88, 1] from gamma.  It stays
-    on Lanczos rather than math.lgamma because a switch would move last bits
-    (by up to 3e-15 relative on the q_star scan lattice) in constants, verify
-    and the goldens.  Speed no longer decides it: the q_star scans read about
-    22k points a pass from shared tables, which Lanczos builds 3-4 times
-    faster than math.lgamma elementwise, but the rest of asymptotic_check
-    makes small calls, and over all of it math.lgamma was about 15% faster.
-    A float (np.float64 too) takes a scalar path that sums the same series
-    in Python floats, about 20 times faster than a 0-d array; it takes its
-    logs with np.log, not math.log, which differs in the last bit on about 2
-    points in 10^4, so both paths agree bit for bit.
+    log Gamma(x) exceeds the largest float for x > 2.56e305 and is inf there,
+    log_gamma(inf) = inf included, without a warning.  x <= 0 and NaN raise
+    DomainError.  A scalar input returns a float.
     """
-    if isinstance(x, float):
+    if isinstance(x, float):  # np.float64 too: the array set-up costs 30 times math.lgamma's
         if not x > 0.0:  # NaN too
             raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-        x = float(x)  # np.float64 arithmetic costs 10 times a float's
-        if x < 0.5:
-            return float(-np.log(x / _gamma1(x + 1.0)))
-        return float(_lanczos_log(x)) if x < math.inf else math.inf
+        try:
+            return math.lgamma(x)
+        except OverflowError:  # log Gamma(x) above the largest float: x > 2.56e305
+            return math.inf
     arr, scalar = _as_array(x)
-    if scalar:
-        return log_gamma(float(arr))
     if not np.all(arr > 0):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    big = (arr >= 0.5) & (arr < math.inf)
-    if np.all(big):
-        return _lanczos_log(arr)
-    out = np.full_like(arr, math.inf)  # left at inf where x = inf
-    small = arr < 0.5
-    xs = arr[small]
-    out[small] = -np.log(xs / gamma(xs + 1.0))
-    out[big] = _lanczos_log(arr[big])
-    return out
+    try:  # the builtin itself: a Python wrapper per element cost 10-30% more on 12k points
+        out = np.fromiter(map(math.lgamma, arr.ravel().tolist()), float, arr.size)
+    except OverflowError:
+        out = np.fromiter(map(log_gamma, arr.ravel().tolist()), float, arr.size)
+    return _maybe_scalar(out.reshape(arr.shape), scalar)
 
 
 # Bernoulli numbers B_2 .. B_14 for the psi asymptotic series.

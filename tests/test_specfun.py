@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -142,26 +143,39 @@ class TestGamma:
                 assert g == pytest.approx(float(mpmath.gamma(x)), rel=1e-15, abs=0.0)
 
 
-def _lanczos_array_reference(x):
-    """log Gamma on x >= 1/2 as the array path summed it before the float path existed."""
-    z = x - 1.0
-    acc = np.full_like(z, specfun._LANCZOS[0])
-    for i, c in enumerate(specfun._LANCZOS[1:], start=1):
-        acc = acc + c / (z + i)
-    t = z + specfun._LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(acc)
-
-
 class TestLogGamma:
     def test_float_path_equals_array_path_bit_for_bit(self):
+        # every path is math.lgamma, for a float, an np.float64, a 0-d array and an array
         rng = np.random.default_rng(11)
-        xs = np.concatenate([[0.5, 1.0, 2.0, 171.6], rng.uniform(0.5, 10.0, 4000),
-                             np.exp(rng.uniform(math.log(0.5), math.log(1e6), 8000))])
-        ref = _lanczos_array_reference(xs).view(np.int64)
+        xs = np.concatenate([[1e-9, 0.49, 0.5, 1.0, 2.0, 171.6], rng.uniform(0.5, 10.0, 4000),
+                             np.exp(rng.uniform(math.log(1e-9), math.log(1e6), 8000))])
+        ref = np.array([math.lgamma(x) for x in xs.tolist()]).view(np.int64)
         assert np.array_equal(log_gamma(xs).view(np.int64), ref)
+        assert np.array_equal(log_gamma(xs.reshape(6, -1)).ravel().view(np.int64), ref)
         for wrap in (float, np.float64, np.array):
             got = np.array([log_gamma(wrap(x)) for x in xs.tolist()])
             assert np.array_equal(got.view(np.int64), ref), wrap
+
+    def test_against_mpmath(self):
+        # seeded points over [1e-9, 1e300], within 2e-15 max(1, |log Gamma|) of 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(34)
+        xs = np.concatenate([np.exp(rng.uniform(math.log(1e-9), math.log(1e300), 1000)),
+                             rng.uniform(1e-9, 20.0, 1000)])
+        got = log_gamma(xs)
+        with mpmath.workdps(30):
+            for x, g in zip(xs.tolist(), got.tolist()):
+                exact = float(mpmath.loggamma(x))
+                assert g == pytest.approx(exact, abs=2e-15 * max(1.0, abs(exact)), rel=0.0), x
+
+    @pytest.mark.parametrize("x", [2.6e305, 1e308, sys.float_info.max])
+    def test_overflow_is_inf_without_warning(self, x):
+        # log Gamma(x) is above the largest float from x = 2.56e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_gamma(x) == math.inf
+            assert log_gamma(np.float64(x)) == math.inf
+            assert log_gamma(np.array([2.0, x])).tolist() == [0.0, math.inf]
 
     @pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.array([2.0, v])])
     def test_infinity_and_nan(self, wrap):
