@@ -68,7 +68,12 @@ one call, so that a move of F's batching across s shows; last,
 product_moment at (d, p) = (22, 18.9) with weights (1, 0.7), near
 p = n(d-1)/2, which reaches the sign-pattern tail at d >= 9; last,
 log_gamma at x in {0.5, 1.5, 2.5, 10, 60.5, 1e6, 1e300}, so that a move of
-log Gamma at x >= 1/2 shows apart from q_star and the verifiers.
+log Gamma at x >= 1/2 shows apart from q_star and the verifiers; last, the
+reports (passed, min_margin and witnesses) of the verifiers at the inputs of
+perfbench's lemma sweep, H and H~ on a 12x12 grid, U < G i, ii, iii and tilde
+on 25x25, bisubharmonic at d = 5..10 with p = (d-4)/2 and appendix_claims at
+d in {5, 10, 20, 40}, and of two_coeff at d in {3, 5, 6} with p = (d-2)/2
+and p = d-2.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -79,7 +84,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from khinsphere import oscillatory, phase, sample  # noqa: E402
+from khinsphere import oscillatory, phase, sample, verify  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import MomentQuery, _even_moments, _two_coeff_moment  # noqa: E402
 from khinsphere.errors import KhinsphereError  # noqa: E402
@@ -198,6 +203,29 @@ def tiny_weight_lines():
     label = f"check_khinchin p=2.9 {_args(*coeffs)} seed=1"
     yield from (f"{label} estimate {e.estimate.hex()}", f"{label} se {e.std_error.hex()}",
                 f"{label} route {e.route}")
+
+
+def witness_lines(name, report):
+    """The witness lines of one verifier report: point and margin of each."""
+    for k, (point, margin) in enumerate(report.witnesses):
+        yield (f"verify {name} witness {k} point {' '.join(float(x).hex() for x in point)} "
+               f"margin {float(margin).hex()}")
+
+
+def bench_reports():
+    """(label, report) of the verifiers at the lemma sweep's inputs, then of two_coeff."""
+    yield "H_regions grid=(12, 12)", verify.verify_H_regions((12, 12))
+    yield "H_tilde grid=(12, 12)", verify.verify_H_tilde_region((12, 12))
+    for case in ("i", "ii", "iii", "tilde"):
+        yield f"U_less_G_{case} grid=(25, 25)", verify.verify_U_less_G(case, (25, 25))
+    for d in range(5, 11):
+        yield f"bisubharmonic d={d} p={0.5 * (d - 4.0)!r}", verify.verify_bisubharmonic(
+            d, 0.5 * (d - 4.0))
+    for d in (5, 10, 20, 40):
+        yield f"appendix_claims d={d}", phase.verify_appendix_claims(d)
+    for d in (3, 5, 6):
+        for p in (0.5 * (d - 2.0), d - 2.0):
+            yield f"two_coeff d={d} p={p!r}", verify.verify_two_coeff_bounds(d, p)
 
 
 def q_star_bracket_lines(ds):
@@ -323,9 +351,8 @@ def main() -> int:
     for t in (0.0, 0.5, 2.0, 5.0, 8.0, 9.91, 10.0, 12.0, 20.0):
         print(_line(f"jj1_prime {_args(t)}", lambda: jj1_prime(t)))
     for name, report in reports.items():
-        for k, (point, margin) in enumerate(report.witnesses):
-            print(f"verify {name} witness {k} point {' '.join(float(x).hex() for x in point)} "
-                  f"margin {float(margin).hex()}")
+        for line in witness_lines(name, report):
+            print(line)
     for line in q_star_bracket_lines(range(1, 61)):
         print(line)
     for nu, ts in jj_switch_points():
@@ -361,6 +388,10 @@ def main() -> int:
     print(_product_moment_line(22, 18.9, (1.0, 0.7)))
     for x in (0.5, 1.5, 2.5, 10.0, 60.5, 1e6, 1e300):
         print(_line(f"log_gamma {_args(x)}", lambda: log_gamma(x)))
+    for name, report in bench_reports():
+        print(f"verify {name} passed={report.passed} min_margin {float(report.min_margin).hex()}")
+        for line in witness_lines(name, report):
+            print(line)
     return 0
 
 

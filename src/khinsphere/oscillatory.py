@@ -267,10 +267,11 @@ def _exp_tails(mu0: float, omega: np.ndarray, T: float) -> np.ndarray:
 
 def exp_power_tail(mu: float, omega: float, T: float) -> complex:
     """int_T^inf t^mu e^(i omega t) dt for mu < 0, and mu < -1 when omega ~ 0: the
-    one-lane case of the kernel behind ``tail_product``, for finite omega and finite T > 0.
-    Any other input, NaN too, raises DomainError."""
-    if not (mu < 0.0 and math.isfinite(omega) and 0.0 < T < math.inf):
-        raise DomainError(f"exp_power_tail needs mu < 0, finite omega, 0 < T < inf: {mu}, {omega}, {T}")
+    one-lane case of the kernel behind ``tail_product``, for finite mu, finite omega and
+    finite T > 0.  Any other input, NaN or -inf too, raises DomainError."""
+    if not (-math.inf < mu < 0.0 and math.isfinite(omega) and 0.0 < T < math.inf):
+        raise DomainError(f"exp_power_tail needs finite mu < 0, finite omega, 0 < T < inf: "
+                          f"{mu}, {omega}, {T}")
     if abs(omega) < _RESONANT:
         return complex(power_tail(mu, T))
     if omega < 0:

@@ -268,45 +268,26 @@ def verify_appendix_claims(d: int) -> VerificationReport:
     """
     if d < 5:
         raise DomainError(f"appendix claims require d >= 5, got {d}")
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
-
-    xs = np.linspace(1e-3, 1.0 - 1e-3, _APPENDIX_GRID)
-    h2 = trigamma(xs) - trigamma(xs + 0.5) - trigamma(xs + (d - 1) / 2.0)
-    i = int(np.argmin(h2))
-    points.append((1.0, float(xs[i])))
-    margins.append(float(h2[i]) - 0.06)
-    points.append((1.0, -1.0))
-    margins.append(5.0 - math.pi**2 / 2.0 - 0.06)  # analytic floor of the claim
-
-    xs = np.linspace(1.0 + 1e-6, (d - 1) / 2.0 - 1e-9, _APPENDIX_GRID)
-    h1 = math.log(d) + digamma(xs) - digamma(xs + 0.5) - digamma(xs + (d - 1) / 2.0)
-    i = int(np.argmin(h1))
-    points.append((2.0, float(xs[i])))
-    margins.append(float(h1[i]))
+    x2 = np.linspace(1e-3, 1.0 - 1e-3, _APPENDIX_GRID)
+    h2 = trigamma(x2) - trigamma(x2 + 0.5) - trigamma(x2 + (d - 1) / 2.0)
+    i2 = int(np.argmin(h2))
+    x1 = np.linspace(1.0 + 1e-6, (d - 1) / 2.0 - 1e-9, _APPENDIX_GRID)
+    h1 = math.log(d) + digamma(x1) - digamma(x1 + 0.5) - digamma(x1 + (d - 1) / 2.0)
+    i1 = int(np.argmin(h1))
     xf = np.linspace(1.0 + 1e-9, 1.07, 50)
     fvals = np.log(1.0 + 0.5 / xf) + 0.25 / xf - (digamma(xf + 0.5) - digamma(xf))
-    i = int(np.argmin(fvals))
-    points.append((2.0, float(xf[i])))
-    margins.append(float(fvals[i]) - 0.003)
-
-    points.append((3.0, 0.5))
-    margins.append(-h_tilde(d, 0.5))
+    i_f = int(np.argmin(fvals))
     fprime_52 = math.log(2.0) - 1.0 + 0.2  # f'(u) = log 2 - 1 + 1/(2u) at u = 5/2
-    points.append((3.0, 2.5))
-    margins.append(-0.1 - fprime_52)
     f_52 = math.log(math.sqrt(2.0 * math.pi) * 2.0**1.5 * math.exp(-2.5 + 1.0 / 30.0) * math.sqrt(2.5))
-    points.append((3.0, -2.5))
-    margins.append(-0.04 - f_52)
-
     eps = 1e-6
-    points.append((4.0, 0.0))
-    margins.append(h_d(d, eps) / eps)
-    points.append((4.0, -0.0))
-    margins.append(h_d(d, -eps) / (-eps))
-
     region = f"d={d}: claims 1-3 with printed floors, plus h_d'(0) > 0"
-    return _make_report("appendix_claims", region, (_APPENDIX_GRID,), points, margins)
+    return _make_report("appendix_claims", region, (_APPENDIX_GRID,),
+                        ((1.0, x2[i2]), h2[i2] - 0.06),
+                        ((1.0, -1.0), 5.0 - math.pi**2 / 2.0 - 0.06),  # analytic floor of the claim
+                        ((2.0, x1[i1]), h1[i1]), ((2.0, xf[i_f]), fvals[i_f] - 0.003),
+                        ((3.0, 0.5), -h_tilde(d, 0.5)), ((3.0, 2.5), -0.1 - fprime_52),
+                        ((3.0, -2.5), -0.04 - f_52),
+                        ((4.0, 0.0), h_d(d, eps) / eps), ((4.0, -0.0), h_d(d, -eps) / (-eps)))
 
 
 def asymptotic_check(d_range) -> VerificationReport:
@@ -322,8 +303,6 @@ def asymptotic_check(d_range) -> VerificationReport:
         raise DomainError("asymptotic check supports 5 <= d <= 60")
     target = -(1.0 - math.log(2.0)) / 2.0
     alphas = {r.d: (r.q_star + r.d - 1.0) / 2.0 for r in _q_star_batch(d_range, tol=1e-12)}
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
     lo, hi = _FIT_RANGE
     fit_ds = [d for d in d_range if lo <= d <= hi]
     if len(fit_ds) < 3:
@@ -331,12 +310,10 @@ def asymptotic_check(d_range) -> VerificationReport:
     ys = np.array([math.log(alphas[d]) - math.log(d) for d in fit_ds])
     xs = np.array(fit_ds, dtype=float)
     slope, _ = np.polyfit(xs, ys, 1)
-    points.append((float(slope), target))
-    margins.append(_SLOPE_TOL_REL - abs(slope / target - 1.0))
-    for d in d_range:
-        if d >= 10:
-            points.append((float(d), alphas[d]))
-            margins.append(0.5 - alphas[d])
+    big = [d for d in d_range if d >= 10]
+    alpha = np.array([alphas[d] for d in big], dtype=float)
     region = (f"d in {d_range[0]}..{d_range[-1]}, fit on [{lo}, {hi}]; "
               f"slope={slope:.5f} vs target={target:.5f}")
-    return _make_report("appendix_asymptotics", region, (len(d_range),), points, margins)
+    return _make_report("appendix_asymptotics", region, (len(d_range),),
+                        ((slope, target), _SLOPE_TOL_REL - abs(slope / target - 1.0)),
+                        ((np.array(big, dtype=float), alpha), 0.5 - alpha))

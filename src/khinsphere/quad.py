@@ -139,9 +139,9 @@ def _arch_head_coeffs(s_vals: list) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """F's panels on [j_1,1, T], which neither p nor s changes: log t, log|jj_1| and
-    log(w half) at the nodes, flat, and T.
+    log(w half) at the nodes, flat, then the ends T and j_1,1 (F's one source of each).
 
     The panels are graded toward each zero of J_1 in [j_1,1, T], and T is the
     first zero at or beyond _TAIL_START.
@@ -153,7 +153,7 @@ def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
                            + [[T]])
     nodes, w, half = _panel_rule(edges)
     return (np.log(nodes).ravel(), np.log(np.abs(_jj_vec(1.0, nodes))).ravel(),
-            np.log(w * half).ravel(), T)
+            np.log(w * half).ravel(), T, float(zs[0]))
 
 
 def _arch_panels(s_vals: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -165,7 +165,7 @@ def _arch_panels(s_vals: list) -> list[tuple[np.ndarray, np.ndarray]]:
     k = 1.._GRADE_LEVELS, L its width.  The nodes of every s go through one
     ``_jj_vec`` call.
     """
-    j11 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0])  # cached
+    j11 = _middle_plan()[4]
     rules, ts = [], []
     for s in s_vals:
         u1 = j11 * math.sqrt(s)
@@ -245,10 +245,10 @@ def _head_and_panels(p: np.ndarray, s_set: list,
     s; then each s sums the head series and the panels of its lanes, as a
     row's length sets its rounding.
     """
-    log_t_mid, log_jj_mid, log_wh_mid, _ = _middle_plan()
+    log_t_mid, log_jj_mid, log_wh_mid, _, j11 = _middle_plan()
     head, log_panels = np.empty(len(p)), np.empty(len(p))
     # a block of s whose first-arch nodes, at most those of the largest s, fit _BLOCK_BYTES
-    u1 = float(jnu_zeros(1.0, _TAIL_START + 4.5)[0]) * math.sqrt(s_set[-1])
+    u1 = j11 * math.sqrt(s_set[-1])
     step = max(1, _BLOCK_BYTES // (8 * 24 * (math.ceil(2.0 * u1) + _GRADE_LEVELS)))
     for lo in range(0, len(s_set), step):
         block = s_set[lo:lo + step]

@@ -13,6 +13,12 @@ becomes an identity, which is checked instead.  Only the region verifiers
 interpolation verifiers (Tables 2-3, interpolation~) compare tangent lines,
 each built by ``_tangent``, with the one-sided bounds on F that ``quad``
 constructs at fixed subdivision counts.
+
+Every verifier gives its evidence in one form, checks handed to
+``_make_report``: a check is a pair (point columns, margins) whose columns
+broadcast against its margins.  A grid passes its mesh arrays, as in
+((p, s), H(IntegralParams(p, s))), and each certificate its coordinates and
+one margin.  Only the two witnesses become tuples of floats.
 """
 from __future__ import annotations
 
@@ -89,20 +95,35 @@ class VerificationReport:
 
 
 def _make_report(lemma_id: str, region: str, grid: tuple[int, ...],
-                 points: Sequence[Sequence[float]], margins: Sequence[float]) -> VerificationReport:
-    """The report of margins[i] at points[i]: min_margin and its min/max witnesses.
+                 *checks: tuple[tuple, float | np.ndarray]) -> VerificationReport:
+    """The report of every check: min_margin and its min/max witnesses.
 
-    points is a sequence of tuples or an (N, k) float array, margins a list or
-    an array; only the two witness points become tuples of floats.
+    A check is a pair (columns, margins): margins a float or an array, and
+    columns the point's coordinates, each a float or an array that
+    broadcasts against margins.  A grid check passes its mesh arrays, a
+    certificate its coordinates and one margin.  Points count in check
+    order, and in C order within a check, so a tie goes to the first; only
+    the two witness points become tuples of floats.
     """
-    margins = np.asarray(margins, dtype=float)
+    flat = [np.asarray(m, dtype=float).ravel() for _, m in checks]
+    margins = np.concatenate(flat)
     if not np.all(np.isfinite(margins)):
         raise ConvergenceError(f"{lemma_id}: non-finite margin encountered")
-    i_min = int(np.argmin(margins))
-    i_max = int(np.argmax(margins))
-    witnesses = [(tuple(map(float, points[i_min])), float(margins[i_min]))]
+
+    def witness(i: int) -> tuple[tuple[float, ...], float]:
+        for (columns, m), f in zip(checks, flat):  # find the check of point i
+            if i < f.size:
+                break
+            i -= f.size
+        shape = np.shape(m)
+        at = np.unravel_index(i, shape)
+        return (tuple(float(np.broadcast_to(c, shape)[at] if isinstance(c, np.ndarray) else c)
+                      for c in columns), float(f[i]))
+
+    i_min, i_max = int(np.argmin(margins)), int(np.argmax(margins))
+    witnesses = [witness(i_min)]
     if i_max != i_min:
-        witnesses.append((tuple(map(float, points[i_max])), float(margins[i_max])))
+        witnesses.append(witness(i_max))
     mm = float(margins[i_min])
     return VerificationReport(lemma_id=lemma_id, region=region, grid=grid,
                               passed=mm > 0, min_margin=mm, witnesses=tuple(witnesses))
@@ -127,7 +148,7 @@ class PhiFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
+        if not np.all(x >= 0):  # NaN too
             raise DomainError("Phi_p is defined for x >= 0")
         # the reflected branch is only used for x <= 1; clamp its argument so
         # the unused lane of np.where stays finite for x > 3
@@ -174,7 +195,7 @@ def verify_H_regions(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
     p, s = np.concatenate([pa[keep], pb]), np.concatenate([sa[keep], sb])
     region = ("(a) p in [1e-3, 2], s in [2, 12] minus the (2,2) corner; "
               "(b) p in [1e-3, 1/4], s in [1.3, 12]")
-    return _make_report("H_regions", region, grid, list(zip(p, s)), H(IntegralParams(p, s)))
+    return _make_report("H_regions", region, grid, ((p, s), H(IntegralParams(p, s))))
 
 
 def verify_H_tilde_region(grid: tuple[int, int] = (60, 60)) -> VerificationReport:
@@ -183,8 +204,7 @@ def verify_H_tilde_region(grid: tuple[int, int] = (60, 60)) -> VerificationRepor
     p, s = _mesh(2.0 + np.geomspace(1e-3, 1.0 - 1e-3, np_),
                  np.concatenate([[2.0 + 1e-3], np.geomspace(2.0 + 1e-2, 12.0, ns - 1)]))
     region = "p in [2+1e-3, 3-1e-3], s in [2+1e-3, 12]"
-    return _make_report("H_tilde_region", region, grid, list(zip(p, s)),
-                        H_tilde(IntegralParams(p, s)))
+    return _make_report("H_tilde_region", region, grid, ((p, s), H_tilde(IntegralParams(p, s))))
 
 
 def _check_grid(grid: tuple[int, int]) -> tuple[int, int]:
@@ -232,17 +252,16 @@ def verify_U_less_G(case: str, grid: tuple[int, int] = (50, 50)) -> Verification
         raise DomainError(f"case must be one of i, ii, iii, tilde; got {case!r}")
     pk, sk, dp_floor, ds_floor, corner_floor = _UG_CASES[case]
     p, s = _mesh(np.geomspace(1e-3, pk, grid[0]), np.geomspace(sk, 12.0, grid[1]))
-    points: list[tuple[float, ...]] = list(zip(p, s))
-    margins = list(G(IntegralParams(p, s)) - U(IntegralParams(p, s)))
     # certificate pieces (floors from the monotonicity proof)
     ak = _ug_A(pk, sk)
     dp_bound = -0.5 * math.log(sk) + 0.5 * digamma(pk / 2.0 + 2.0)
     ds_bound = _LOG_A - (pk / 2.0 + 2.0) / sk
     corner = sk * _LOG_A + math.log(ak) - (pk / 2.0 + 2.0) * math.log(sk) + log_gamma(pk / 2.0 + 2.0)
-    points += [(pk, sk, 1.0), (pk, sk, 2.0), (pk, sk, 3.0)]
-    margins += [dp_floor - dp_bound, ds_bound - ds_floor, corner - corner_floor]
     region = f"case {case}: p in (0, {pk}], s in [{sk}, 12] with derivative/corner certificate"
-    return _make_report(f"U_less_G_{case}", region, grid, points, margins)
+    return _make_report(f"U_less_G_{case}", region, grid,
+                        ((p, s), G(IntegralParams(p, s)) - U(IntegralParams(p, s))),
+                        ((pk, sk, 1.0), dp_floor - dp_bound), ((pk, sk, 2.0), ds_bound - ds_floor),
+                        ((pk, sk, 3.0), corner - corner_floor))
 
 
 def _verify_U_less_G_tilde(grid: tuple[int, int]) -> VerificationReport:
@@ -259,15 +278,13 @@ def _verify_U_less_G_tilde(grid: tuple[int, int]) -> VerificationReport:
 
     p, s = _mesh(2.0 + np.geomspace(1e-3, 1.0 - 1e-3, grid[0]),
                  np.geomspace(8.0 / 3.0, 12.0, grid[1]))
-    points: list[tuple[float, ...]] = list(zip(p, s))
-    margins = list(G_tilde(IntegralParams(p, s)) - U(IntegralParams(p, s)))
     # the paper's two tangents with their printed difference floors
     floors = ((2.0, 2.0, 0.017), (2.0, 2.5, 0.076), (2.5, 2.5, 1.19), (2.5, 3.0, 3.77))
-    for v, u, floor in floors:
-        points.append((v, u))
-        margins.append((_tangent(R, Rp, v)(u) - L(u)) - floor)
     region = "case tilde: p in (2,3), s in [8/3, 12] with the two tangent certificates"
-    return _make_report("U_less_G_tilde", region, grid, points, margins)
+    return _make_report("U_less_G_tilde", region, grid,
+                        ((p, s), G_tilde(IntegralParams(p, s)) - U(IntegralParams(p, s))),
+                        *(((v, u), (_tangent(R, Rp, v)(u) - L(u)) - floor)
+                          for v, u, floor in floors))
 
 
 # ----------------------------------------------------------------------------
@@ -280,25 +297,19 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
     h_q(t) = Gamma(2-q) (2 - ((3-t)/2)^(-q)) - (1 - q(1-q)/2 t - q^2(1-q^2)/12 t^2)
     vanishes at (q,t) = (1,1), so the q-axis is clipped at 1 - 1e-3; the
     proof's sub-certificates (concavity floor 0.3175, tangent margins
-    0.0005 / 0.0003, the -0.124 bound, and part (B) on all of [0,1]) are
-    included as extra margin entries.
+    0.0005 / 0.0003, the -0.124 bound, and part (B) on all of [0,1]) follow
+    the grid, one check each.
     """
     nq, nt = _check_grid(grid)
-    qs = np.linspace(0.125, 1.0 - 1e-3, nq)
-    ts = np.linspace(0.0, 1.0, nt)
-    Q, T = np.meshgrid(qs, ts, indexing="ij")
-    R = gamma(2.0 - qs)[:, None] * (2.0 - ((3.0 - T) / 2.0) ** (-Q))  # Gamma once per q row
-    poly = 1.0 - Q * (1.0 - Q) / 2.0 * T - Q**2 * (1.0 - Q**2) / 12.0 * T**2
-    hvals = R - poly
-    points: list[tuple[float, float]] = []  # the certificates, after the grid points
-    margins: list[float] = []
+    q = np.linspace(0.125, 1.0 - 1e-3, nq)[:, None]  # a column and a row: the mesh broadcasts
+    t = np.linspace(0.0, 1.0, nt)
+    R = gamma(2.0 - q) * (2.0 - ((3.0 - t) / 2.0) ** (-q))  # Gamma once per q row
+    poly = 1.0 - q * (1.0 - q) / 2.0 * t - q**2 * (1.0 - q**2) / 12.0 * t**2
 
     # concavity floor: Gamma(2-q) - (3/2)^(q+1) q(1-q) > 0.3175 on (0,1)
     qg = np.linspace(1e-3, 1.0 - 1e-3, 400)
     conc = gamma(2.0 - qg) - 1.5 ** (qg + 1.0) * qg * (1.0 - qg)
     i = int(np.argmin(conc))
-    points.append((float(qg[i]), -1.0))
-    margins.append(float(conc[i]) - 0.3175)
 
     # part (A): tangent of g(q) = log Gamma(2-q) at q = 1/8 versus f
     def g(q):
@@ -308,22 +319,18 @@ def verify_ind_base(grid: tuple[int, int] = (200, 200)) -> VerificationReport:
         return -math.log(2.0) - math.log(1.0 - 0.5 * (2.0 / 3.0) ** q)
 
     ell = _tangent(g, lambda q: -digamma(2.0 - q), 0.125)
-    points += [(0.125, -2.0), (0.35, -2.0), (0.35, -3.0)]
-    margins += [ell(0.125) - f(0.125) - 0.0005,
-                ell(0.35) - f(0.35) - 0.0003,
-                -0.124 - f(0.35)]
 
     # part (B): log Gamma(2-q) + q(1-q)/2 + q^2(1-q^2)/12 >= 0 on all of [0,1]
     qb = np.linspace(0.0, 1.0, 402)[1:-1]
     fb = log_gamma(2.0 - qb) + qb * (1.0 - qb) / 2.0 + qb**2 * (1.0 - qb**2) / 12.0
-    i = int(np.argmin(fb))
-    points.append((float(qb[i]), -4.0))
-    margins.append(float(fb[i]))
+    j = int(np.argmin(fb))
 
     region = "q in [1/8, 1-1e-3], t in [0, 1]; plus concavity/tangent/part-(B) certificates"
-    return _make_report("ind_base", region, grid,
-                        np.vstack((np.column_stack((Q.ravel(), T.ravel())), points)),
-                        np.concatenate((hvals.ravel(), margins)))
+    return _make_report("ind_base", region, grid, ((q, t), R - poly),
+                        ((qg[i], -1.0), conc[i] - 0.3175),
+                        ((0.125, -2.0), ell(0.125) - f(0.125) - 0.0005),
+                        ((0.35, -2.0), ell(0.35) - f(0.35) - 0.0003),
+                        ((0.35, -3.0), -0.124 - f(0.35)), ((qb[j], -4.0), fb[j]))
 
 
 def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:
@@ -340,19 +347,17 @@ def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:
     degenerate = abs(p - (d - 2.0)) < 1e-12
     ts = np.linspace(1e-3, 1.0 - 1e-3, _N_GRID)
     mvals = _two_coeff_2f1(d, -p, ts)
-    blocks = []  # (tag, t, margins): the quadratic bound, "<= 1", then monotonicity
+    checks = []  # ((t, tag), margins): the quadratic bound, "<= 1", then monotonicity
     if d == 4 and p <= 2.0:
         # the gap is O(p^2 t^3); below double resolution for tiny p, hence the
         # 1e-15 rounding allowance
         quad_bound = 1.0 - p * (2.0 - p) / 8.0 * ts - p**2 * (4.0 - p**2) / 192.0 * ts**2
-        blocks.append((0.0, ts, quad_bound - mvals + 1e-15))
-    blocks.append((1.0, ts, 1e-13 - np.abs(1.0 - mvals) if degenerate else 1.0 - mvals))
-    blocks.append((2.0, ts[:-1], mvals[:-1] - mvals[1:] + 1e-13))
-    points = np.vstack([np.column_stack((t, np.full(len(t), tag))) for tag, t, _ in blocks])
-    margins = np.concatenate([m for _, _, m in blocks])
+        checks.append(((ts, 0.0), quad_bound - mvals + 1e-15))
+    checks.append(((ts, 1.0), 1e-13 - np.abs(1.0 - mvals) if degenerate else 1.0 - mvals))
+    checks.append(((ts[:-1], 2.0), mvals[:-1] - mvals[1:] + 1e-13))
     tag = " (degenerate boundary p=d-2)" if degenerate else ""
     region = f"d={d}, p={p}, t in [1e-3, 1-1e-3]{tag}"
-    return _make_report("two_coeff_bounds", region, (_N_GRID,), points, margins)
+    return _make_report("two_coeff_bounds", region, (_N_GRID,), *checks)
 
 
 def verify_bisubharmonic(d: int, p: float) -> VerificationReport:
@@ -367,8 +372,7 @@ def verify_bisubharmonic(d: int, p: float) -> VerificationReport:
     if not 0.0 < p <= d - 4.0:
         raise DomainError(f"requires 0 < p <= d-4, got p={p}")
     degenerate = abs(p - (d - 4.0)) < 1e-12
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
+    checks = []
     A = (p - d + 2.0) * (p - d + 4.0)
     xs = np.linspace(0.0, 10.0, _N_GRID)
     for delta in _BISUB_DELTAS:
@@ -377,35 +381,21 @@ def verify_bisubharmonic(d: int, p: float) -> VerificationReport:
         disc = B * B - 4.0 * A * C
         formula = 8.0 * delta**2 * (d + 2.0) * (p + 4.0) * (p - d + 4.0)
         scale = max(abs(disc), abs(formula), 1.0)
-        points.append((delta, 0.0))
-        margins.append(1e-9 * scale - abs(disc - formula))
         quartic = A * xs**4 + B * xs**2 + C
         i = int(np.argmin(quartic))
-        points.append((delta, float(xs[i])))
-        margins.append(float(quartic[i]))
+        checks += [((delta, 0.0), 1e-9 * scale - abs(disc - formula)), ((delta, xs[i]), quartic[i])]
         if not degenerate:
-            points.append((delta, 1.0))
-            margins.append(A)
-            points.append((delta, 2.0))
-            margins.append(-disc)
+            checks += [((delta, 1.0), A), ((delta, 2.0), -disc)]
     tag = " (degenerate boundary p=d-4)" if degenerate else ""
     region = f"d={d}, p={p}, deltas={_BISUB_DELTAS}, |x| in [0, 10]{tag}"
-    return _make_report("bisubharmonic", region, (_N_GRID,), points, margins)
+    return _make_report("bisubharmonic", region, (_N_GRID,), *checks)
 
 
 def verify_small_lemmas() -> VerificationReport:
     """(13/20)^q < Gamma(2-q); extended midpoint concavity of Phi_p; the
     projection chain a1^(-p) <= (13/10)^(p/2) <= 2^(p/2) Gamma(2-p/2)."""
-    points: list[tuple[float, ...]] = []
-    margins: list[float] = []
     qs = np.linspace(1e-3, 2.0 - 1e-3, _N_GRID)
-    vals = gamma(2.0 - qs) - 0.65**qs
-    for q, v in zip(qs, vals):
-        points.append((float(q), 0.0))
-        margins.append(float(v))
     fp0 = EULER_GAMMA - 1.0 - math.log(13.0 / 20.0)
-    points.append((0.0, 0.0))
-    margins.append(fp0 - 0.007)
 
     # midpoint concavity is non-strict: reflection pairs a+ = 2 - a- give exact
     # equality, so the margins carry a 1e-14 rounding allowance
@@ -414,24 +404,20 @@ def verify_small_lemmas() -> VerificationReport:
     ap = np.linspace(ams + 0.02, 2.0 - ams, 25, axis=1).ravel()  # row i: a+ for a- = ams[i]
     mid = 0.5 * (am + ap)
     keep = mid <= 1.0
-    am, ap, mid = am[keep].tolist(), ap[keep].tolist(), mid[keep]
-    for p in (0.3, 1.0, 2.5):
+    am, ap, mid = am[keep], ap[keep], mid[keep]
+
+    def concavity(p):
         phi = PhiFunction(p)
-        points += [(p, a, b) for a, b in zip(am, ap)]
-        margins += (phi(mid) - 0.5 * (phi(am) + phi(ap)) + 1e-14).tolist()
+        return (p, am, ap), phi(mid) - 0.5 * (phi(am) + phi(ap)) + 1e-14
 
     ps = np.linspace(1e-3, 0.25, 100)
-    chain = 2.0 ** (ps / 2.0) * gamma(2.0 - ps / 2.0) - 1.3 ** (ps / 2.0)
-    for p, v in zip(ps, chain):
-        points.append((float(p), -1.0))
-        margins.append(float(v))
     a1 = math.sqrt(10.0 / 13.0) * (1.0 + 1e-9)
-    for p in ps:
-        points.append((float(p), -2.0))
-        margins.append(float(1.3 ** (p / 2.0) - a1 ** (-p)))
-
     region = "Gamma lower bound on (0,2); Phi_p midpoint concavity; projection chain p in (0, 1/4]"
-    return _make_report("small_lemmas", region, (_N_GRID,), points, margins)
+    return _make_report("small_lemmas", region, (_N_GRID,),
+                        ((qs, 0.0), gamma(2.0 - qs) - 0.65**qs), ((0.0, 0.0), fp0 - 0.007),
+                        *(concavity(p) for p in (0.3, 1.0, 2.5)),
+                        ((ps, -1.0), 2.0 ** (ps / 2.0) * gamma(2.0 - ps / 2.0) - 1.3 ** (ps / 2.0)),
+                        ((ps, -2.0), 1.3 ** (ps / 2.0) - a1 ** (-ps)))
 
 
 # ----------------------------------------------------------------------------
@@ -473,33 +459,27 @@ def table3_margins() -> tuple[np.ndarray, np.ndarray, float]:
     return 1e4 * left, 1e4 * right, float(ell0_margin)
 
 
-def _floor_margins(columns, offset: int) -> tuple[list, list]:
-    """Points (row + offset, side) and margins value - floor of (values, floors) columns."""
-    points, margins = [], []
-    for side, (values, floors) in enumerate(columns):
-        for i, (v, fl) in enumerate(zip(values, floors)):
-            points.append((float(i + offset), float(side)))
-            margins.append(float(v - fl))
-    return points, margins
+def _floor_checks(left, right, offset: int) -> list:
+    """One check a side of (values, floors) pairs: points (row + offset, side), margins
+    value - floor."""
+    return [((np.arange(len(values)) + float(offset), float(side)), values - np.asarray(floors))
+            for side, (values, floors) in enumerate((left, right))]
 
 
 def verify_table2() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-3-scaled) floors."""
     left, right = table2_margins()
-    points, margins = _floor_margins(((left, TABLE2_FLOORS_LEFT), (right, TABLE2_FLOORS_RIGHT)), 0)
-    return _make_report("table2", f"12 subintervals of [0.8, 2], m={_M_S83}", (12,), points,
-                        margins)
+    return _make_report("table2", f"12 subintervals of [0.8, 2], m={_M_S83}", (12,),
+                        *_floor_checks((left, TABLE2_FLOORS_LEFT), (right, TABLE2_FLOORS_RIGHT), 0))
 
 
 def verify_table3() -> VerificationReport:
     """Computed tangent margins meet the printed (1e-4-scaled) floors, and the
     p <= 0.02 tangent margin exceeds 1e-5."""
     left, right, ell0 = table3_margins()
-    points, margins = _floor_margins(((left, TABLE3_FLOORS_LEFT), (right, TABLE3_FLOORS_RIGHT)), 1)
-    points.append((0.02, 2.0))
-    margins.append(ell0 - 1e-5)
     return _make_report("table3", f"6 subintervals of [0.02, 0.25] plus ell_0, m={_M_S13}", (6,),
-                        points, margins)
+                        *_floor_checks((left, TABLE3_FLOORS_LEFT), (right, TABLE3_FLOORS_RIGHT), 1),
+                        ((0.02, 2.0), ell0 - 1e-5))
 
 
 def verify_interpolation_tilde() -> VerificationReport:
@@ -515,21 +495,14 @@ def verify_interpolation_tilde() -> VerificationReport:
     def Rp(p: float) -> float:
         return -1.0 / 6.0 + math.log(2.0) + 0.5 * digamma(p / 2.0) + _dlog_D(p)
 
-    points, margins = [], []
-    for p, cap in ((2.0, 0.35), (2.5, 0.56), (3.0, 0.96)):
-        points.append((p, 0.0))
-        margins.append(cap - math.log(_tilde_F_upper(p)))
     r1, r2 = _tangent(R, Rp, 2.0), _tangent(R, Rp, 2.5)
-    for val, floor, pt in ((r1(2.0), 0.359, 2.0), (r1(2.5), 0.58, 2.5), (r2(3.0), 1.48, 3.0)):
-        points.append((pt, 1.0))
-        margins.append(val - floor)
-    # chain: tangents beat the bound at the interval endpoints
-    for fn, pts in ((r1, (2.0, 2.5)), (r2, (2.5, 3.0))):
-        for p in pts:
-            points.append((p, 2.0))
-            margins.append(fn(p) - math.log(_tilde_F_upper(p)))
+    caps = ((2.0, 0.35), (2.5, 0.56), (3.0, 0.96))
+    floors = ((r1, 2.0, 0.359), (r1, 2.5, 0.58), (r2, 3.0, 1.48))
+    chain = ((r1, 2.0), (r1, 2.5), (r2, 2.5), (r2, 3.0))  # tangents beat the bound at the ends
     return _make_report("interpolation_tilde", "p in [2, 3], two tangents at 2 and 2.5", (2,),
-                        points, margins)
+                        *(((p, 0.0), cap - math.log(_tilde_F_upper(p))) for p, cap in caps),
+                        *(((p, 1.0), fn(p) - floor) for fn, p, floor in floors),
+                        *(((p, 2.0), fn(p) - math.log(_tilde_F_upper(p))) for fn, p in chain))
 
 
 def h_sign_chart(points: Sequence[tuple[float, float]]) -> list[dict]:

@@ -736,6 +736,8 @@ class TestTails:
     lambda: osc.exp_power_tail(math.nan, 1.0, 47.0),
     lambda: osc.exp_power_tail(-2.0, math.nan, 47.0),
     lambda: osc.exp_power_tail(-2.0, 1.0, math.nan),
+    lambda: osc.exp_power_tail(-math.inf, 1.0, 47.0),
+    lambda: osc.exp_power_tail(-math.inf, 0.0, 47.0),
     lambda: osc.power_tail(math.nan, 47.0),
     lambda: osc.power_tail(-2.0, math.nan),
     lambda: osc.power_tail(np.array([-2.0, math.nan]), 47.0),
@@ -745,7 +747,8 @@ class TestTails:
     lambda: osc.series_pow(osc._hankel_w(1.0)[0], math.nan),
 ], ids=["tail_abs_pow-p", "tail_abs_pow-p-array", "tail_abs_pow-p-inf", "tail_abs_pow-T",
         "tail_abs_pow-s", "tail_abs_pow-s-inf",
-        "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T", "power_tail",
+        "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T",
+        "exp_power_tail-mu-inf", "exp_power_tail-mu-inf-resonant", "power_tail",
         "power_tail-T", "power_tail-array", "tail_product-p", "tail_product-T",
         "tail_product-amps", "series_pow"])
 def test_non_finite_input_is_domain_error(call):

@@ -311,9 +311,11 @@ class TestAsymptotics:
         seen = {}
         make = P._make_report
 
-        def spy(lemma_id, region, grid, points, margins):
-            seen["points"] = points
-            return make(lemma_id, region, grid, points, margins)
+        def spy(lemma_id, region, grid, *checks):
+            # every check's points, in order, as tuples of floats
+            seen["points"] = [pt for columns, m in checks for pt in zip(
+                *(np.broadcast_to(c, np.shape(m)).ravel().tolist() for c in columns))]
+            return make(lemma_id, region, grid, *checks)
 
         monkeypatch.setattr(P, "_make_report", spy)
         P.asymptotic_check(range(5, 61))

@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khinsphere import verify as V
-from khinsphere.errors import DomainError
+from khinsphere.errors import ConvergenceError, DomainError
+
+
+def _flatten(checks):
+    """_make_report's checks as one list of point tuples and one of margins, in order."""
+    points, margins = [], []
+    for columns, m in checks:
+        m = np.asarray(m, dtype=float)
+        points += zip(*(np.broadcast_to(c, m.shape).ravel().tolist() for c in columns))
+        margins += m.ravel().tolist()
+    return points, margins
 
 
 class TestReport:
@@ -23,6 +33,36 @@ class TestReport:
         assert isinstance(d["witnesses"], list)
         assert set(d["witnesses"][0]) == {"point", "margin"}
         json.dumps(d)  # serializable
+
+
+class TestMakeReport:
+    def test_tie_across_checks_goes_to_first(self):
+        r = V._make_report("x", "r", (1,), ((np.array([1.0, 2.0]), 0.0), np.array([3.0, 1.0])),
+                           ((5.0, 1.0), 1.0), ((6.0, 1.0), 3.0))
+        assert r.witnesses == (((2.0, 0.0), 1.0), ((1.0, 0.0), 3.0))
+
+    def test_scalar_coordinate_broadcasts(self):
+        r = V._make_report("x", "r", (3,), ((np.array([1.0, 2.0, 3.0]), 7.0),
+                                            np.array([3.0, 1.0, 2.0])))
+        assert r.witnesses == (((2.0, 7.0), 1.0), ((1.0, 7.0), 3.0))
+        # a column and a row broadcast to the margins' mesh, in C order
+        q, t = np.array([[0.1], [0.2]]), np.array([10.0, 20.0, 30.0])
+        r = V._make_report("x", "r", (2, 3), ((q, t, -1.0), q * t))
+        assert r.witnesses == (((0.1, 10.0, -1.0), 1.0), ((0.2, 30.0, -1.0), 6.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_in_any_check(self, bad):
+        with pytest.raises(ConvergenceError):
+            V._make_report("x", "r", (1,), ((1.0,), 1.0), ((np.array([1.0, 2.0]),),
+                                                           np.array([0.5, bad])))
+
+    def test_witness_coordinates_are_floats(self):
+        r = V._make_report("x", "r", (2,), ((np.float64(-0.0), np.array([1.0, 2.0])),
+                                            np.array([2.0, 1.0])), ((-0.0, 4), 0.5))
+        assert r.witnesses == (((-0.0, 4.0), 0.5), ((-0.0, 1.0), 2.0))
+        assert all(type(x) is float for point, _ in r.witnesses for x in point)
+        assert all(math.copysign(1.0, point[0]) == -1.0 for point, _ in r.witnesses)
+        assert all(type(m) is float for _, m in r.witnesses)
 
 
 class TestTangentChord:
@@ -57,6 +97,11 @@ class TestPhi:
     def test_example_midpoint(self):
         phi = V.PhiFunction(1.0)
         assert 0.5 * (phi(0.2) + phi(1.4)) <= phi(0.8)
+
+    @pytest.mark.parametrize("x", [math.nan, -1.0, [0.5, math.nan], [0.5, -1e-300]])
+    def test_outside_domain(self, x):
+        with pytest.raises(DomainError):
+            V.PhiFunction(1.0)(x)
 
 
 class TestPhiHypothesis:
@@ -116,9 +161,9 @@ class TestIndBase:
         seen = {}
         make = V._make_report
 
-        def spy(lemma_id, region, grid, points, margins):
-            seen.update(points=points, margins=margins)
-            return make(lemma_id, region, grid, points, margins)
+        def spy(lemma_id, region, grid, *checks):
+            seen["points"], seen["margins"] = _flatten(checks)
+            return make(lemma_id, region, grid, *checks)
 
         monkeypatch.setattr(V, "_make_report", spy)
         r = V.verify_ind_base()
@@ -132,7 +177,7 @@ class TestIndBase:
         n = len(ref_points)
         assert np.array_equal(seen["margins"][:n], ref_margins)
         # the certificate rows after the grid come from unchanged scalar code
-        ref_points += [tuple(row) for row in seen["points"][n:].tolist()]
+        ref_points += seen["points"][n:]
         ref_margins += list(seen["margins"][n:])
         i_min, i_max = int(np.argmin(ref_margins)), int(np.argmax(ref_margins))
         assert r.min_margin == ref_margins[i_min]
@@ -213,9 +258,9 @@ class TestSmallLemmas:
         seen = {}
         make = V._make_report
 
-        def spy(lemma_id, region, grid, points, margins):
-            seen.update(points=points, margins=margins)
-            return make(lemma_id, region, grid, points, margins)
+        def spy(lemma_id, region, grid, *checks):
+            seen["points"], seen["margins"] = _flatten(checks)
+            return make(lemma_id, region, grid, *checks)
 
         monkeypatch.setattr(V, "_make_report", spy)
         V.verify_small_lemmas()
