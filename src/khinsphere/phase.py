@@ -310,10 +310,10 @@ def asymptotic_check(d_range) -> VerificationReport:
     ys = np.array([math.log(alphas[d]) - math.log(d) for d in fit_ds])
     xs = np.array(fit_ds, dtype=float)
     slope, _ = np.polyfit(xs, ys, 1)
-    big = [d for d in d_range if d >= 10]
-    alpha = np.array([alphas[d] for d in big], dtype=float)
+    late = [d for d in d_range if d >= 10]
+    alpha = np.array([alphas[d] for d in late], dtype=float)
     region = (f"d in {d_range[0]}..{d_range[-1]}, fit on [{lo}, {hi}]; "
               f"slope={slope:.5f} vs target={target:.5f}")
     return _make_report("appendix_asymptotics", region, (len(d_range),),
                         ((slope, target), _SLOPE_TOL_REL - abs(slope / target - 1.0)),
-                        ((np.array(big, dtype=float), alpha), 0.5 - alpha))
+                        ((np.array(late, dtype=float), alpha), 0.5 - alpha))
