@@ -73,7 +73,9 @@ reports (passed, min_margin and witnesses) of the verifiers at the inputs of
 perfbench's lemma sweep, H and H~ on a 12x12 grid, U < G i, ii, iii and tilde
 on 25x25, bisubharmonic at d = 5..10 with p = (d-4)/2 and appendix_claims at
 d in {5, 10, 20, 40}, and of two_coeff at d in {3, 5, 6} with p = (d-2)/2
-and p = d-2.
+and p = d-2; last, product_moment at (d, p) = (16, 13.5) with weights
+(1, 0.7) and at (12, 10.4), (20, 18) and (40, 37) with (1, 0.95), near
+p = n(d-1)/2, where like (22, 18.9) above they reach the sign-pattern tail.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -392,6 +394,9 @@ def main() -> int:
         print(f"verify {name} passed={report.passed} min_margin {float(report.min_margin).hex()}")
         for line in witness_lines(name, report):
             print(line)
+    for d, p, coeffs in ((16, 13.5, (1.0, 0.7)), (12, 10.4, (1.0, 0.95)), (20, 18.0, (1.0, 0.95)),
+                         (40, 37.0, (1.0, 0.95))):
+        print(_product_moment_line(d, p, coeffs))
     return 0
 
 

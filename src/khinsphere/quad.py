@@ -8,10 +8,9 @@ up to T ~ 47, built once; all panels summed in logs; and beyond T the
 asymptotic Watson-expansion tail from ``oscillatory``, summed to 1e-10
 absolute and dropped where Watson's envelope bounds it below 1e-13 of F.
 Where the tail is needed and s > 141, F raises DomainError.  F takes every
-(p, s) of a call as one lane of one array pass: the head series and the
-first-arch nodes are built for a block of distinct s at once and the tail
-for every lane at once, and only the head and log panel sums run per
-distinct s.  No error estimate is returned.
+(p, s) of a call as one lane of one array pass: the head and panels run per
+distinct s and the tail is one call for every lane.  No error estimate is
+returned.
 
 G, U, H, G_tilde and H_tilde are closed forms (or differences with F) that
 take arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p)
@@ -41,8 +40,8 @@ import numpy as np
 from . import oscillatory as osc
 from .constants import D, MomentQuery, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
-from .oscillatory import (_BLOCK_BYTES, _PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad,
-                          _panel_rule, series_pow)
+from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
+                          series_pow)
 from .specfun import gamma, jj1_prime, jnu_zeros, _jj_norm_const, _jj_series_coeffs, _jj_vec
 
 __all__ = [
@@ -70,7 +69,7 @@ _TAIL_TOL = 1e-10  # absolute tolerance of F's asymptotic tail
 # J_nu(t) is about (4 nu^2/(8t))^m/m! of the first while 2m - 1 < 2 nu: at t = 4 nu^2 the
 # first one dropped, m = ORDER + 1 = 9, is about 8^-9/9! = 2e-14 of it (at nu^2/2, 1/9! = 2.8e-6)
 _TAIL_NU2 = 4.0
-_MAX_PANELS = 200_000  # product_moment's panel budget
+_MAX_PANELS = 200_000  # panel budget of product_moment, and of F's first arch
 # product_moment's panel width times the bandwidth Omega = sum_k a_k.  The 24-point
 # Gauss-Legendre remainder on a panel of half-width h (DLMF 3.5(v)) is at most
 # 8.9e-76 (Omega h)^48 h for a factor e^(i Omega t); at Omega h = 16 that is 5.6e-18 h.
@@ -156,31 +155,26 @@ def _middle_plan() -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
             np.log(w * half).ravel(), T, float(zs[0]))
 
 
-def _arch_panels(s_vals: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """F's panels on jj_1's first arch beyond the head, u in [1/2, u1], u1 = j_1,1 sqrt(s), for
-    each s of s_vals: log t and s log jj_1 + log(w half) at the nodes, flat, in t = u/sqrt(s).
+def _arch_panel_count(s):
+    """How many panels ``_arch_panels(s)`` takes, for a float or an array s."""
+    return np.ceil(2.0 * (_middle_plan()[4] * np.sqrt(s) - _HEAD_U)) + _GRADE_LEVELS
+
+
+def _arch_panels(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """F's panels on jj_1's first arch beyond the head, u in [1/2, u1], u1 = j_1,1 sqrt(s):
+    log t and s log jj_1 + log(w half) at the nodes, flat, in t = u/sqrt(s).
 
     The panels are about 1/2 wide in u.  The last is graded toward u1, where
     jj_1^s ~ (j_1,1 - t)^s: it is split at u1 - L _GRADE_RATIO^k,
-    k = 1.._GRADE_LEVELS, L its width.  The nodes of every s go through one
-    ``_jj_vec`` call.
+    k = 1.._GRADE_LEVELS, L its width.
     """
-    j11 = _middle_plan()[4]
-    rules, ts = [], []
-    for s in s_vals:
-        u1 = j11 * math.sqrt(s)
-        edges = np.linspace(_HEAD_U, u1, math.ceil(2.0 * (u1 - _HEAD_U)) + 1)
-        grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
-        rules.append(_panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24))
-        ts.append(rules[-1][0].ravel() / math.sqrt(s))
-    log_jj = np.log(_jj_vec(1.0, np.concatenate(ts)))
-    out, lo = [], 0
-    for s, (un, uw, uh) in zip(s_vals, rules):
-        log_root_s = 0.5 * math.log(s)
-        log_g = s * log_jj[lo:lo + un.size].reshape(un.shape) + (np.log(uw * uh) - log_root_s)
-        out.append(((np.log(un) - log_root_s).ravel(), log_g.ravel()))
-        lo += un.size
-    return out
+    u1 = _middle_plan()[4] * math.sqrt(s)
+    edges = np.linspace(_HEAD_U, u1, int(_arch_panel_count(s)) - _GRADE_LEVELS + 1)
+    grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
+    un, uw, uh = _panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24)
+    log_root_s = 0.5 * math.log(s)
+    log_jj = np.log(_jj_vec(1.0, un.ravel() / math.sqrt(s)))
+    return np.log(un.ravel()) - log_root_s, s * log_jj + (np.log(uw * uh).ravel() - log_root_s)
 
 
 def F(params: IntegralParams):
@@ -199,23 +193,25 @@ def F(params: IntegralParams):
     (p, s) that needs it.
 
     Every (p, s) of ``params`` is one lane of one array pass, and each lane's
-    value is the same bits as its scalar call: the head series and the
-    first-arch nodes are built for a block of distinct s at once, and the
-    tail's plan and sums for every lane at once.  Only the head and log panel
-    sums run once per distinct s, as a row's length sets its rounding.
+    value is the same bits as its scalar call: the head and panels run once
+    per distinct s (``_head_and_panels``), as a row's length sets its
+    rounding, and the tail is one ``tail_abs_pow`` call for every lane.
     Returns a float for scalar params, else an array of their broadcast shape.
 
     F raises DomainError where it exceeds the float range, and where s > 141
     and the tail is needed: the tail's Fourier coefficients overflow there.
     That is a band just below p = 3s/2: 3s/2 - p below about 8 at s = 150,
-    5 at s = 500 and 0.3 at s = 1000.  Either error names the first such
+    5 at s = 500 and 0.3 at s = 1000.  It raises DomainError as well where
+    s is above about 6.8e8, whose first arch would need more than 200,000
+    panels (_MAX_PANELS); at s = 6.81e8, F(1, s) takes 0.4 s and lifts the
+    peak RSS to 257 MB on a 2-core Xeon.  Each error names the first such
     (p, s) in array order.  F is never inf or nan.
     """
     p, s = np.broadcast_arrays(params.p, params.s)
     _require(p < 1.5 * s, DivergenceError, "F diverges for p={p} >= 3s/2={s}", p, 1.5 * s)
-    if p.size == 0:
-        return np.empty(p.shape)
     pf, sf = p.ravel(), s.ravel()
+    _require(_arch_panel_count(sf) <= _MAX_PANELS, DomainError, "F(p={p}, s={s}) is out of reach:"
+             f" its first arch needs more than {_MAX_PANELS} panels", pf, sf)
     s_set, at = osc._distinct(sf)
     T = _middle_plan()[3]
     head, log_panels = _head_and_panels(pf, s_set, at)  # the head is 0 where it underflows
@@ -241,24 +237,18 @@ def _head_and_panels(p: np.ndarray, s_set: list,
     """F's head and the log of its panel sum on [1/(2 sqrt(s)), T], the first arch beyond the
     head and then [j_1,1, T], for each lane p of s = s_set[at].
 
-    The head series and the first-arch nodes come once for a block of distinct
-    s; then each s sums the head series and the panels of its lanes, as a
-    row's length sets its rounding.
+    The head coefficients of every s come from one series power; then each s
+    in turn sums the head series and the panels of its lanes (its first arch,
+    then ``_middle_plan``'s), as a row's length sets its rounding.
     """
-    log_t_mid, log_jj_mid, log_wh_mid, _, j11 = _middle_plan()
+    log_t_mid, log_jj_mid, log_wh_mid = _middle_plan()[:3]
     head, log_panels = np.empty(len(p)), np.empty(len(p))
-    # a block of s whose first-arch nodes, at most those of the largest s, fit _BLOCK_BYTES
-    u1 = j11 * math.sqrt(s_set[-1])
-    step = max(1, _BLOCK_BYTES // (8 * 24 * (math.ceil(2.0 * u1) + _GRADE_LEVELS)))
-    for lo in range(0, len(s_set), step):
-        block = s_set[lo:lo + step]
-        for k, (s, coeffs, (log_t, log_g)) in enumerate(
-                zip(block, _arch_head_coeffs(block), _arch_panels(block)), start=lo):
-            lanes = at == k
-            pk = p[lanes]
-            head[lanes] = _series_head(coeffs, pk, _HEAD_U)
-            log_panels[lanes] = _log_panel_sum(np.concatenate([log_g, s * log_jj_mid + log_wh_mid]),
-                                               np.concatenate([log_t, log_t_mid]), pk)
+    for k, (s, coeffs) in enumerate(zip(s_set, _arch_head_coeffs(s_set))):
+        lanes = at == k
+        head[lanes] = _series_head(coeffs, p[lanes], _HEAD_U)
+        log_t, log_g = _arch_panels(s)
+        log_panels[lanes] = _log_panel_sum(np.concatenate([log_g, s * log_jj_mid + log_wh_mid]),
+                                           np.concatenate([log_t, log_t_mid]), p[lanes])
     return head, log_panels
 
 

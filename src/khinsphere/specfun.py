@@ -540,21 +540,16 @@ def _bisect(f, a, b, tol: float):
 
 
 def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
-    """Positive zeros of J_nu (equivalently of jj_nu) up to t_max, ascending; each
+    """Positive zeros of J_nu (equivalently of jj_nu) up to ceil(t_max), ascending; each
     bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide.
     nu is one of jj's orders, as jj checks on that grid, and t_max finite, else DomainError."""
     if not math.isfinite(t_max):
         raise DomainError(f"jnu_zeros requires a finite t_max, got {t_max}")
-    return np.asarray(_jnu_zeros_cached(float(nu), math.ceil(t_max)))
-
-
-@lru_cache(maxsize=32)
-def _jnu_zeros_cached(nu: float, t_cap: int) -> tuple:
-    step = 0.25
-    grid = np.arange(step, t_cap + step, step)
+    nu, t_cap = float(nu), math.ceil(t_max)
+    grid = np.arange(0.25, t_cap + 0.25, 0.25)
     vals = jj(nu, grid)  # jj's order check
     on_grid = grid[:-1][vals[:-1] == 0.0]
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     a, b, _ = _bisect(lambda lanes, t: _jj_vec(nu, t), grid[i], grid[i + 1], 0.0)
     zeros = np.sort(np.concatenate([on_grid, 0.5 * (a + b)]))
-    return tuple(float(z) for z in zeros if z <= t_cap)
+    return zeros[zeros <= t_cap]

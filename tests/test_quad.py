@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,10 +80,14 @@ class TestF:
             F(IP(2.0, 1.2))
 
     def test_large_s_gaussian_limit(self):
-        # s^(p/2) F(p, s) -> int_0^inf e^(-t^2/8) t^(p-1) dt = 2^(3p/2-1) Gamma(p/2)
-        s = 1e4
-        limit = 2.0 ** (3 * 0.25 - 1.0) * gamma(0.25)
-        assert s**0.25 * F(IP(0.5, s)) == pytest.approx(limit, abs=1e-3)
+        # s^(p/2) F(p, s) -> int_0^inf e^(-t^2/8) t^(p-1) dt = 2^(3p/2-1) Gamma(p/2), times
+        # 1 - p(p+2)/(24 s) + O(s^-2): log jj_1(x) = -x^2/8 - x^4/384 + O(x^6), and E u^4 =
+        # 16 p(p+2) under e^(-u^2/8) u^(p-1).  The residual times s^2 is at most 0.017 for
+        # s <= 1e5; at s = 1e6 the residual is 1.1e-12, F's rounding
+        for s in (1e3, 1e4, 1e5, 1e6):
+            for p in (0.5, 1.0, 2.0):
+                ratio = s ** (p / 2) * F(IP(p, s)) / (2.0 ** (1.5 * p - 1.0) * gamma(p / 2))
+                assert abs(ratio - (1.0 - p * (p + 2.0) / (24.0 * s))) <= 0.05 / s**2 + 2e-12, (p, s)
 
     def test_holder_interpolation(self):
         # F(p,s) <= F(p,2)^((8-3s)/2) F(p,8/3)^((3s-6)/2) for s in [2, 8/3]
@@ -241,6 +246,30 @@ class TestLargeS:
     def test_integer_s(self):
         # s ** arange(n) in the large-s head overflowed int64 for an integer s
         assert F(IP(1, 200)) == F(IP(1.0, 200.0))
+
+    @pytest.mark.parametrize("s", [1e20, 1e300])
+    def test_huge_s_is_domain_error(self, s):
+        # the first arch takes ceil(2 (j_1,1 sqrt(s) - 1/2)) + 10 panels: under a 2 GiB
+        # address-space limit F raised MemoryError at s = 1e20 (one array of 571 GiB), and at
+        # 1e300 a bare ValueError after an overflow warning in the head coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="first arch needs more than 200000 panels"):
+                F(IP(1.0, s))
+
+    def test_huge_s_bound_is_the_panel_budget(self):
+        # s above about 6.8e8 needs more panels than product_moment's budget; 1e8 stays in reach
+        assert quad._arch_panel_count(6.81e8) <= quad._MAX_PANELS < quad._arch_panel_count(6.82e8)
+        with pytest.raises(DomainError):
+            F(IP(1.0, 6.82e8))
+        assert math.isfinite(F(IP(1.0, 1e8)))
+
+    def test_huge_s_names_first_element_in_array_order(self):
+        with pytest.raises(DomainError) as scalar:
+            F(IP(2.0, 1e12))
+        with pytest.raises(DomainError) as batch:
+            F(IP(np.array([1.0, 2.0, 1.0]), np.array([2.0, 1e12, 1e20])))
+        assert str(batch.value) == str(scalar.value)
 
     def test_finite_or_domain_error_up_to_s_1000(self):
         for s in np.geomspace(1.0, 1000.0, 25):
