@@ -75,7 +75,13 @@ on 25x25, bisubharmonic at d = 5..10 with p = (d-4)/2 and appendix_claims at
 d in {5, 10, 20, 40}, and of two_coeff at d in {3, 5, 6} with p = (d-2)/2
 and p = d-2; last, product_moment at (d, p) = (16, 13.5) with weights
 (1, 0.7) and at (12, 10.4), (20, 18) and (40, 37) with (1, 0.95), near
-p = n(d-1)/2, where like (22, 18.9) above they reach the sign-pattern tail.
+p = n(d-1)/2, where like (22, 18.9) above they reach the sign-pattern tail;
+last, product_moment with one dominant weight, where it sums the series in
+E|v|^(2k): weights (1, 1e-5) at (d, p) = (8, 6.9), (8, 6.5), (7, 5.9),
+(6, 4.9) and (4, 2.9), (1, 1e-5, 1e-5) at (8, 6.9), (1, 1.4e-5, 1.9e-5) at
+(8, 6.986), (1, 0.05) at (22, 18.9), (30, 26.1) and (62, 60.39), and
+(1, 0.3) at (62, 60.39), then (1, 1e-5) at the 15 (d, p) of DOMINANT_NAN,
+where the quadrature returned NaN.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -108,6 +114,9 @@ N_TAIL_PRODUCT = 60
 N_TAIL_PRODUCT_LARGE = 20
 N_PRODUCT_MOMENT = 150
 N_PRODUCT_MOMENT_SMALL = 12
+DOMINANT_NAN = [(52, 50.49), (54, 50.35), (54, 52.47), (56, 49.5), (56, 52.25), (56, 54.45),
+                (58, 51.3), (58, 54.15), (58, 56.43), (60, 53.1), (60, 56.05), (60, 58.41),
+                (62, 54.9), (62, 57.95), (62, 60.39)]
 
 
 def _line(label: str, fn) -> str:
@@ -397,6 +406,13 @@ def main() -> int:
     for d, p, coeffs in ((16, 13.5, (1.0, 0.7)), (12, 10.4, (1.0, 0.95)), (20, 18.0, (1.0, 0.95)),
                          (40, 37.0, (1.0, 0.95))):
         print(_product_moment_line(d, p, coeffs))
+    for d, p, coeffs in ((8, 6.9, (1.0, 1e-5)), (8, 6.5, (1.0, 1e-5)), (7, 5.9, (1.0, 1e-5)),
+                         (6, 4.9, (1.0, 1e-5)), (4, 2.9, (1.0, 1e-5)), (8, 6.9, (1.0, 1e-5, 1e-5)),
+                         (8, 6.986, (1.0, 1.4e-5, 1.9e-5)), (22, 18.9, (1.0, 0.05)),
+                         (30, 26.1, (1.0, 0.05)), (62, 60.39, (1.0, 0.05)), (62, 60.39, (1.0, 0.3))):
+        print(_product_moment_line(d, p, coeffs))
+    for d, p in DOMINANT_NAN:
+        print(_product_moment_line(d, p, (1.0, 1e-5)))
     return 0
 
 

@@ -102,7 +102,8 @@ def _even_moments(d: int, weights, K: int) -> list[float]:
     sample._abs_sums), its odd moments 0 and E x^(2i) = (1/2)_i/(d/2)_i.  So
     E|v + b xi|^(2k) = sum over i, l of C(k, 2i) C(k - 2i, l) (4b^2)^i E x^(2i)
     b^(2(k - 2i - l)) E|v|^(2(l + i)): positive terms only, nothing cancels.
-    No weights give 1, 0, ..., 0.
+    No weights give 1, 0, ..., 0.  Pure Python, O(len(weights) K^3), for two callers:
+    estimate_moments' control variates (K = 2) and product_moment's series (K >= 17 at rho = 0.3).
     """
     ex = [1.0]
     for i in range(1, K // 2 + 1):

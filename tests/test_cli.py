@@ -100,14 +100,23 @@ class TestMomentVerb:
         assert routes["hypergeometric"] == float(_two_coeff_moment(2, -p, a, b))
 
     def test_panel_budget_leaves_quadrature_empty(self, capsys):
-        # the 1e-8 weight takes the panels past their budget (ToleranceError); the other
-        # routes still print
-        code, out, _ = _run(["moment", "--d", "4", "--p", "0.5", "--coeffs", "1,1e-8",
+        # next to the pair (1, 1), the 1e-8 weight takes the panels past their budget
+        # (156,250,009 panels, ToleranceError); Monte Carlo still prints
+        code, out, _ = _run(["moment", "--d", "4", "--p", "2.5", "--coeffs", "1,1,1e-8",
                              "--n", "1000"], capsys)
         assert code == 0
         rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
         assert rows["quadrature"] == ""
-        assert rows["hypergeometric"] == "1.000000000000"
+        assert rows["hypergeometric"] == ""
+        assert float(rows["monte_carlo"]) > 0
+
+    def test_dominant_weight_quadrature_row_is_series(self, capsys):
+        # one weight 1e-8 of the other: the quadrature row is product_moment's series
+        code, out, _ = _run(["moment", "--d", "4", "--p", "0.5", "--coeffs", "1,1e-8",
+                             "--n", "1000"], capsys)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert rows["quadrature"] == rows["hypergeometric"] == "1.000000000000"
 
     def test_tiny_weight_next_to_equal_pair(self, capsys):
         # three nonzero weights: no 2F1, and the quadrature raises rather than give the pair's

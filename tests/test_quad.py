@@ -613,6 +613,105 @@ class TestProductMoment:
             _moment_edges(1.0, 1e7, 6.0)
 
 
+# weights (1, 1e-5): the panels ran to 25/a_min = 2.5e6, where t^(p-1) overflowed to NaN
+_OVERFLOW_INPUTS = [(52, 50.49), (54, 50.35), (54, 52.47), (56, 49.5), (56, 52.25), (56, 54.45),
+                    (58, 51.3), (58, 54.15), (58, 56.43), (60, 53.1), (60, 56.05), (60, 58.41),
+                    (62, 54.9), (62, 57.95), (62, 60.39)]
+
+# one dominant weight, where the panels and the tail cancelled pieces far larger than the
+# result: the quadrature gave -235.58, 0.2561, 1.0630, 1.0009009, 0.99999998251, -467.04,
+# -3.45e7, -2.70e32 and 229.59 for values within 2% of 1
+_DOMINANT_PAIRS = [(8, 6.9, 1e-5), (8, 6.5, 1e-5), (7, 5.9, 1e-5), (6, 4.9, 1e-5), (4, 2.9, 1e-5),
+                   (22, 18.9, 0.05), (30, 26.1, 0.05), (62, 60.39, 0.05), (62, 60.39, 0.3)]
+
+# E|V|^(-p) for three weights as a 1-D integral over the angle phi between the two largest:
+# |a1 xi1 + a2 xi2|^2 = (a1 - a2)^2 + 4 a1 a2 sin^2(phi/2), phi with density c_d sin^(d-2) phi,
+# and the 2F1 moment of that radius with a3; mpmath 1.3.0 at 30 digits (45 digits agree)
+_THREE_WEIGHT_VALUES = [(8, 6.9, (1.0, 1e-5, 1e-5), "1.00000000007762500001127"),
+                        (8, 6.986, (1.0, 1.4e-5, 1.9e-5), "1.000000000239795323349813"),
+                        (5, 3.9, (1.0, 1e-7, 2e-7), "1.00000000000001755")]
+
+
+def _three_weight_integral(mpmath, d, p, weights):
+    a1, a2, a3 = (mpmath.mpf(a) for a in sorted(weights, reverse=True))
+    d, p = mpmath.mpf(d), mpmath.mpf(p)
+    c_d = mpmath.gamma(d / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma((d - 1) / 2))
+
+    def integrand(phi):
+        r = mpmath.sqrt((a1 - a2) ** 2 + 4 * a1 * a2 * mpmath.sin(phi / 2) ** 2)
+        big, small = max(r, a3), min(r, a3)
+        return (c_d * mpmath.sin(phi) ** (d - 2) * big ** -p
+                * mpmath.hyp2f1(p / 2, (p - d + 2) / 2, d / 2, (small / big) ** 2))
+
+    kink = (a3 - (a1 - a2)) * (a3 + (a1 - a2)) / (4 * a1 * a2)  # sin^2(phi/2) where r = a3
+    cuts = [0, 2 * mpmath.asin(mpmath.sqrt(kink)), mpmath.pi] if 0 < kink < 1 else [0, mpmath.pi]
+    return mpmath.quad(integrand, cuts)
+
+
+class TestDominantSeries:
+    """sum_(k>=2) a_k <= 0.3 a_1: product_moment sums the 2F1 series in E|v|^(2k)."""
+
+    @pytest.mark.parametrize("d,p", _OVERFLOW_INPUTS)
+    def test_overflow_inputs_match_two_coeff(self, d, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = product_moment(MomentQuery(d, -p, (1.0, 1e-5)))
+        assert val == pytest.approx(float(_two_coeff_moment(d, -p, 1.0, 1e-5)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,p,b", _DOMINANT_PAIRS)
+    def test_dominant_pair_matches_two_coeff(self, d, p, b):
+        val = product_moment(MomentQuery(d, -p, (1.0, b)))
+        assert val == pytest.approx(float(_two_coeff_moment(d, -p, 1.0, b)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [*range(6, 63, 2), 7, 9, 15, 31])
+    def test_high_d_grid_matches_two_coeff(self, d):
+        # the grid of test_near_convergence_edge_matches_two_coeff with the small weights
+        for b in (0.3, 0.05, 1e-5):
+            for f in (0.5, 0.6, 0.8, 0.9, 0.95, 0.99):
+                p = f * (d - 1)
+                exact = float(_two_coeff_moment(d, -p, 1.0, b))
+                assert product_moment(MomentQuery(d, -p, (1.0, b))) == pytest.approx(
+                    exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,p,weights,value", _THREE_WEIGHT_VALUES)
+    def test_three_weights_match_recorded_integral(self, d, p, weights, value):
+        assert product_moment(MomentQuery(d, -p, weights)) == pytest.approx(
+            float(value), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,p,weights,value", _THREE_WEIGHT_VALUES)
+    def test_recorded_integral_against_mpmath(self, d, p, weights, value):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            assert abs(_three_weight_integral(mpmath, d, p, weights) - mpmath.mpf(value)) < 1e-22
+
+    @pytest.mark.parametrize("d,p,weights,bits", [
+        (4, 1.5, (1.0, 0.3001), "0x1.fb96b6f4d64b9p-1"),
+        (4, 2.5, (1.0, 0.2, 0.1001), "0x1.020eb50be60bep+0"),
+        (8, 6.0, (1.0, 0.1, 0.1, 0.1001), "0x1.000000000009ep+0"),
+    ])
+    def test_just_above_rho_max_keeps_quadrature_bits(self, d, p, weights, bits, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("the series ran above _RHO_MAX")
+
+        monkeypatch.setattr(quad, "_dominant_series", no_series)
+        assert product_moment(MomentQuery(d, -p, weights)).hex() == bits
+
+    def test_rho_max_takes_series(self, monkeypatch):
+        calls = []
+        series = quad._dominant_series
+        monkeypatch.setattr(quad, "_dominant_series", lambda *a: calls.append(a) or series(*a))
+        val = product_moment(MomentQuery(4, -1.5, (1.0, 0.3)))
+        assert len(calls) == 1 and calls[0][3] == quad._RHO_MAX
+        assert val == pytest.approx(float(_two_coeff_moment(4, -1.5, 1.0, 0.3)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,p", [(150, 45.0), (200, 100.0), (400, 200.0)])
+    def test_high_order_coefficients_counted(self, d, p):
+        # below k = -beta the coefficients of the series grow: K = 17 from rho alone left
+        # (150, 45), (200, 100) and (400, 200) 2.8e-13, 2.1e-10 and 2.2e-3 off the 2F1
+        val = product_moment(MomentQuery(d, -p, (1.0, 0.3)))
+        assert val == pytest.approx(float(_two_coeff_moment(d, -p, 1.0, 0.3)), rel=1e-12, abs=0.0)
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("nu,x0", [
         *[pytest.param(nu, 2.0 * nu if nu > 0.5 else 0.0, id=repr(nu))
