@@ -386,7 +386,7 @@ def product_moment(query: MomentQuery) -> float:
         )
     rho = math.fsum(amps[1:]) / amps[0]
     if rho <= _RHO_MAX:
-        return float(_dominant_series(d, p, amps, rho) * (amps[0] * norm) ** (-p))
+        return _dominant_series(d, p, amps, rho) * (amps[0] * norm) ** (-p)
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
     a0 = 1.0
