@@ -81,7 +81,11 @@ E|v|^(2k): weights (1, 1e-5) at (d, p) = (8, 6.9), (8, 6.5), (7, 5.9),
 (6, 4.9) and (4, 2.9), (1, 1e-5, 1e-5) at (8, 6.9), (1, 1.4e-5, 1.9e-5) at
 (8, 6.986), (1, 0.05) at (22, 18.9), (30, 26.1) and (62, 60.39), and
 (1, 0.3) at (62, 60.39), then (1, 1e-5) at the 15 (d, p) of DOMINANT_NAN,
-where the quadrature returned NaN.
+where the quadrature returned NaN; last, hyp2f1 at mc-khinchin's d = 4
+parameters (a, b, c) = (p/2, (p-2)/2, 2), p in {0.5, 1.5, 2.5}, at t in
+{0.51, 0.7, 0.9995, 1 - 1e-9}, each t as a float and the four as one array,
+so that a move of the 1 - t branch's Horner sums shows apart from the
+Monte Carlo lines.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -106,7 +110,7 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
-from khinsphere.specfun import gamma, jj, jj1_prime, jnu_zeros, log_gamma  # noqa: E402
+from khinsphere.specfun import gamma, hyp2f1, jj, jj1_prime, jnu_zeros, log_gamma  # noqa: E402
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -413,6 +417,13 @@ def main() -> int:
         print(_product_moment_line(d, p, coeffs))
     for d, p in DOMINANT_NAN:
         print(_product_moment_line(d, p, (1.0, 1e-5)))
+    ts = (0.51, 0.7, 0.9995, 1.0 - 1e-9)
+    for p in (0.5, 1.5, 2.5):
+        abc = (p / 2.0, (p - 2.0) / 2.0, 2.0)
+        for t in ts:
+            print(_line(f"hyp2f1 {_args(*abc)} t={t!r}", lambda: hyp2f1(*abc, t)))
+        for t, v in zip(ts, hyp2f1(*abc, np.array(ts))):
+            print(f"hyp2f1 array {_args(*abc)} t={t!r} {float(v).hex()}")
     return 0
 
 

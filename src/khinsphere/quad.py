@@ -341,7 +341,8 @@ def product_moment(query: MomentQuery) -> float:
 
     Every other input goes to the quadrature: a series head on [0, 1], Gauss
     panels up to T, and the sign-pattern tail beyond T = max(46, 4 nu^2, 25/a_min)
-    (weights scaled to |a| = 1).
+    (weights scaled to |a| = 1).  It raises DomainError where kappa_{p,d} leaves the float
+    range: kappa is 0 at (d, p) = (300, 150) and (344, 1), NaN at (400, 1) and (360, 2).
     The panels are sized by the integrand's bandwidth: its frequencies are at
     most Omega = sum_k a_k, and a panel of width 32/Omega spans at most 16
     radians of every factor on each side of its centre.  There the 24-point
@@ -389,6 +390,8 @@ def product_moment(query: MomentQuery) -> float:
         return _dominant_series(d, p, amps, rho) * (amps[0] * norm) ** (-p)
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
+    if not 0.0 < kappa < math.inf:  # NaN too
+        raise DomainError(f"product_moment's quadrature needs 0 < kappa < inf, got {kappa} at d={d}")
     a0 = 1.0
     T_full = max(_TAIL_START, _TAIL_NU2 * nu * nu, 25.0 / amps[-1])
     T_env = _envelope_cut(amps, nu, p, _REL_CUT / kappa)

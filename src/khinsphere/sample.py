@@ -233,7 +233,11 @@ def _last_step(d: int, r, w, v):
     r holds one row of m copies of |v| per uniform V.  Stratum j takes the
     angle theta_j = pi (j + V)/m and the cosine -cos(theta_j), so
     B_j = sin^2(theta_j/2), and 1 - B_j = cos^2(theta_j/2) is the square of
-    sin(pi (m - j - V)/(2m)): both keep their relative accuracy.  The angle of
+    sin(pi (m - j - V)/(2m)).  With delta = pi/(2m), both sines, sin(j delta + V delta)
+    and sin((m-1-j) delta + (1-V) delta), come by angle addition from the sin(k delta),
+    k = 0..m, and the sin and cos of V delta and (1 - V) delta (1 - V is exact for the
+    generator's multiples of 2^-53): four trigonometric calls per V, not 2m.  Every
+    product is nonnegative, so both keep their relative accuracy.  The angle of
     the cosine has density sin^(d-2)(theta)/I_(d-2) on [0, pi], I_k the
     Wallis integral of sin^k, so the score at theta_j takes the weight
     omega_j = pi sin^(d-2)(theta_j)/I_(d-2)
@@ -244,13 +248,16 @@ def _last_step(d: int, r, w, v):
     kappa = 1.0 if d % 2 == 0 else 0.5 * math.pi  # pi/I_(d-2), by I_k = I_(k-2) (k-1)/k
     for k in range(2 + d % 2, d - 1, 2):
         kappa *= k / (k - 1.0)
-    j = np.arange(m)
-    s = j + v[:, None]
-    c = (m - j) - v[:, None]
-    for x in (s, c):
-        x *= 0.5 * np.pi / m
-        np.sin(x, out=x)
-    omega = s * c
+    delta = 0.5 * np.pi / m
+    t = np.sin(delta * np.arange(m + 1))  # sin(j delta), and cos(j delta) = t[m - j]
+    alpha, beta = v[:, None] * delta, (1.0 - v[:, None]) * delta
+    s = np.cos(alpha) * t[:-1]
+    omega = np.sin(alpha) * t[:0:-1]
+    s += omega
+    c = np.cos(beta) * t[-2::-1]
+    np.multiply(np.sin(beta), t[1:], out=omega)
+    c += omega
+    np.multiply(s, c, out=omega)
     omega *= 2.0
     omega **= d - 2
     omega *= kappa

@@ -52,8 +52,9 @@ def _maybe_scalar(arr, scalar):
 
 
 def _horner(cs, x):
-    """sum_k cs[k] x^k for coefficients cs in ascending order."""
-    acc = np.full_like(x, cs[-1])
+    """sum_k cs[k] x^k for coefficients cs in ascending order; rows of series at one x, cs[k] of
+    shape (rows, 1), in one pass, row i of the result by the steps of a pass of its own."""
+    acc = np.full(np.broadcast(cs[-1], x).shape, cs[-1])
     for c in cs[-2::-1]:
         acc *= x
         acc += c
@@ -386,9 +387,10 @@ def _lgamma_slopes(x0, h, n: int):
 def _near_one_setup(a: float, b: float, c: float):
     """The parameter-only part of _hyp2f1_near_one for c-a-b >= -1/2.
 
-    Returns (m, eps, h, head, k, cs, cs_nu), the arrays read-only: the
-    regular head is h * sum_j head_j w^j (m > 0 only), and the paired terms
-    are k w^m sum_j w^j (cs_j (w^eps - 1)/eps + cs_nu_j w^eps).
+    Returns (m, eps, h, head, k, rows), the arrays read-only: the regular
+    head is h * sum_j head_j w^j (m > 0 only), and the paired terms are
+    k w^m sum_j w^j (cs_j (w^eps - 1)/eps + cs_nu_j w^eps), with cs and cs_nu
+    stacked as _horner's rows, rows[j] = ((cs_j,), (cs_nu_j,)).
     """
     s = math.fsum((c, -a, -b))  # exact c-a-b, which may be tiny
     m = round(s)
@@ -409,9 +411,9 @@ def _near_one_setup(a: float, b: float, c: float):
                       -(np.exp(eps * mu) + 1.0) / (eps if eps else 1.0))
     k = -((-1) ** m) * pre * math.gamma(1.0 + eps) * (pochhammer(a, m) * pochhammer(b, m)
                                                      / math.factorial(m))
-    cs_nu = cs * nu
-    cs_nu.setflags(write=False)
-    return m, eps, h, head, k, cs, cs_nu
+    rows = np.stack((cs, cs * nu), axis=1)[:, :, None]
+    rows.setflags(write=False)
+    return m, eps, h, head, k, rows
 
 
 def _hyp2f1_near_one(a: float, b: float, c: float, w):
@@ -423,21 +425,21 @@ def _hyp2f1_near_one(a: float, b: float, c: float, w):
     differences of log Gamma in eps (_lgamma_slopes) and expm1.  The result is
     one formula, as accurate at eps = 1e-9 as at eps = 1/2, and at eps = 0 it
     is the logarithmic case 15.8.10 with its digamma terms.  Everything that
-    depends on (a, b, c) alone comes from _near_one_setup's cache.
+    depends on (a, b, c) alone comes from _near_one_setup's cache.  The paired
+    series cs and cs_nu are two rows of one Horner pass over the 1-D w.
     """
     s = math.fsum((c, -a, -b))
     if round(s) < 0:  # Euler's transformation makes c-a-b positive
         return w**s * _hyp2f1_near_one(c - a, c - b, c, w)
-    m, eps, h, head, k, cs, cs_nu = _near_one_setup(a, b, c)
+    m, eps, h, head, k, rows = _near_one_setup(a, b, c)
     # k w^m (e sum cs_j w^j + w^eps sum cs_nu_j w^j), e = (w^eps - 1)/eps,
     # in place, so that few arrays of len(w) are alive at once
     e = np.log(w)
     e *= _exprel(eps * e)
-    tail = _horner(cs, w)
+    tail, nu_sum = _horner(rows, w)
     tail *= e
-    e = w**eps
-    e *= _horner(cs_nu, w)
-    tail += e
+    nu_sum *= w**eps
+    tail += nu_sum
     e = w**m
     e *= k
     tail *= e
@@ -454,7 +456,8 @@ def hyp2f1(a: float, b: float, c: float, t):
     - t <= 1/2: the power series in t, cut at a fixed length.
     - 1/2 < t < 1: the connection formula in w = 1-t (DLMF 15.8.4), written
       so that it holds uniformly as c-a-b approaches an integer and reduces
-      to the logarithmic case 15.8.10 at an integer (_hyp2f1_near_one).
+      to the logarithmic case 15.8.10 at an integer (_hyp2f1_near_one); its
+      two paired series share one Horner pass, half the numpy calls of two.
     - a or b a nonpositive integer: the polynomial, on all of [0, 1]; c-a or
       c-b one: (1-t)^(c-a-b) times a polynomial (Euler's transformation).
     - t = 1: the Gauss sum Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)),

@@ -648,6 +648,22 @@ def _three_weight_integral(mpmath, d, p, weights):
     return mpmath.quad(integrand, cuts)
 
 
+class TestKappaRange:
+    """The quadrature's normalizer kappa_(p,d) leaves the float range at high d."""
+
+    # kappa underflows to 0 at the first two (a bare ZeroDivisionError once), and its
+    # Gammas overflow at the last two (NaN returned, without an error, once)
+    @pytest.mark.parametrize("d,p", [(300, 150.0), (344, 1.0), (400, 1.0), (360, 2.0)])
+    def test_kappa_out_of_range_raises(self, d, p):
+        with pytest.raises(DomainError, match="kappa"):
+            product_moment(MomentQuery(d, -p, (1.0, 0.5)))
+
+    def test_kappa_in_range_near_the_edge(self):
+        # kappa = 1.6e-130 at (150, 75): the guard lets it through to the quadrature
+        assert 0.0 < normalizers(75.0, 150).kappa < 1e-100
+        assert math.isfinite(product_moment(MomentQuery(150, -75.0, (1.0, 0.5))))
+
+
 class TestDominantSeries:
     """sum_(k>=2) a_k <= 0.3 a_1: product_moment sums the 2F1 series in E|v|^(2k)."""
 

@@ -430,6 +430,36 @@ class TestStrata:
         assert 0.8 <= zs.std(ddof=1) <= 1.2
         assert np.abs(zs).max() < 4.5
 
+
+class TestStrataEnds:
+    """_last_step's B_j = s_j^2 and 1 - B_j = c_j^2 where V is at the ends of [0, 1) and at
+    1/2, against 40 digits: each within 8 ulp relative."""
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_against_mpmath(self, d, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        v = np.array([0.0, 2.0**-53, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+        seen = {}  # _last_step hands _add_vector B_j and B_j (1 - B_j) = s_j^2 c_j^2
+
+        def spy(r, w, b, bb):
+            seen.update(b=b.copy(), bb=bb.copy())
+
+        monkeypatch.setattr(S, "_add_vector", spy)
+        m = S._STRATA
+        S._last_step(d, np.ones((len(v), m)), 1.0, v)
+        tol = 8.0 * 2.0**-52
+        for i, vi in enumerate(v):
+            for j in range(m):
+                half = mpmath.pi * (j + mpmath.mpf(float(vi))) / (2 * m)
+                exact_b, exact_c = mpmath.sin(half) ** 2, mpmath.cos(half) ** 2
+                b, bb = mpmath.mpf(float(seen["b"][i, j])), mpmath.mpf(float(seen["bb"][i, j]))
+                assert abs(b - exact_b) <= tol * exact_b, (vi, j)
+                assert abs(bb - exact_b * exact_c) <= tol * exact_b * exact_c, (vi, j)
+                if b > 0:  # 1 - B_j itself; B_0 = 0 exactly at V = 0
+                    assert abs(bb / b - exact_c) <= tol * exact_c, (vi, j)
+
+
 class TestSteinhausCrossCheck:
     def test_d2_product_moment_vs_mc(self):
         # d=2 (Steinhaus): the nu=0 quadrature route against sampling

@@ -575,12 +575,12 @@ class TestHyp2f1:
         a, b, c = 1.25, 0.25, 2.0
         hyp2f1(a, b, c, np.array([0.3, 0.9]))
         assert not specfun._ratio_coeffs(a, b, c, 1.0).flags.writeable
-        m, eps, h, head, k, cs, cs_nu = specfun._near_one_setup(a, b, c)
-        assert not cs.flags.writeable and not cs_nu.flags.writeable
+        m, eps, h, head, k, rows = specfun._near_one_setup(a, b, c)
+        assert not rows.flags.writeable
         head = specfun._near_one_setup(0.25, -0.25, 2.0)[3]  # m = 2: a regular head
         assert head is not None and not head.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            cs[0] = 2.0
+            rows[0] = 2.0
 
     def test_divergence_at_one(self):
         with pytest.raises(DivergenceError):
@@ -659,6 +659,75 @@ class TestHyp2f1Mpmath:
         for t in _NEAR_ONE:
             ref = float(mpmath.hyp2f1(a, b, c, t))
             assert hyp2f1(a, b, c, t) == pytest.approx(ref, rel=HYP2F1_RTOL)
+
+
+def _horner_1d(cs, x):
+    acc = np.full_like(x, cs[-1])
+    for c in cs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _near_one_two_passes(a, b, c, w):
+    """_hyp2f1_near_one's formula with cs and cs_nu summed by a Horner pass each."""
+    s = math.fsum((c, -a, -b))
+    if round(s) < 0:
+        return w**s * _near_one_two_passes(c - a, c - b, c, w)
+    m, eps, h, head, k, rows = specfun._near_one_setup(a, b, c)
+    cs, cs_nu = rows[:, 0, 0], rows[:, 1, 0]
+    e = np.log(w)
+    e *= specfun._exprel(eps * e)
+    tail = _horner_1d(cs, w)
+    tail *= e
+    e = w**eps
+    e *= _horner_1d(cs_nu, w)
+    tail += e
+    e = w**m
+    e *= k
+    tail *= e
+    out = np.zeros_like(w)
+    if m > 0:
+        out += h * _horner_1d(head, w)
+    out += tail
+    return out
+
+
+# the d = 4 sphere family at the p of the Monte Carlo check, and c-a-b within 1e-9 of an
+# integer (the logarithmic case), on both sides, with a regular head (m > 0) and with
+# Euler's transformation (m < 0)
+_PAIRED_PARAMS = ([_sphere_params(4, q) for q in (-0.5, -1.5, -2.5, -2.9)]
+                  + [(1.25, 0.75 - gap, 2.0) for gap in (1e-9, -1e-9, 0.0)]
+                  + [(0.5, 0.5 - gap, 2.0) for gap in (1e-9, -1e-9)]
+                  + [(1.5, 1.5 + gap, 2.0) for gap in (1e-9, -1e-9)])
+
+
+class TestPairedHorner:
+    """The paired series of the 1 - t branch, summed as two rows of one Horner pass, keep
+    the bits of a pass each."""
+
+    @pytest.mark.parametrize("a,b,c", _PAIRED_PARAMS)
+    def test_array_bit_identical(self, a, b, c):
+        rng = np.random.default_rng(38)
+        w = np.concatenate([0.5 - 0.5 * rng.random(5000),  # (0, 1/2]
+                            0.5 * np.exp(rng.uniform(math.log(1e-15), 0.0, 5000))])
+        got = specfun._hyp2f1_near_one(a, b, c, w)
+        assert got.tobytes() == _near_one_two_passes(a, b, c, w).tobytes()
+
+    @pytest.mark.parametrize("a,b,c", _PAIRED_PARAMS)
+    def test_scalar_and_0d_bit_identical(self, a, b, c):
+        for t in (0.51, 0.7, 0.9995, 1.0 - 1e-9):
+            ref = _near_one_two_passes(a, b, c, np.array([1.0 - t]))[0]
+            assert hyp2f1(a, b, c, t).hex() == ref.hex()
+            assert hyp2f1(a, b, c, np.array(t)).hex() == ref.hex()
+
+    def test_rows_summed_as_their_own_passes(self):
+        cs = specfun._near_one_setup(0.75, -0.25, 2.0)[5]
+        x = np.linspace(0.0, 0.5, 7)
+        both = specfun._horner(cs, x)
+        assert both.shape == (2, 7)
+        for row, col in zip(both, (cs[:, 0, 0], cs[:, 1, 0])):
+            assert row.tobytes() == _horner_1d(col, x).tobytes()
 
 
 @pytest.mark.parametrize("call", [
