@@ -52,8 +52,8 @@ def _maybe_scalar(arr, scalar):
 
 
 def _horner(cs, x):
-    """sum_k cs[k] x^k for coefficients cs in ascending order; rows of series at one x, cs[k] of
-    shape (rows, 1), in one pass, row i of the result by the steps of a pass of its own."""
+    """sum_k cs[k] x^k for coefficients cs in ascending order.  With cs[k] of shape (rows, 1),
+    one pass sums rows of series at one x; row i gets exactly the steps of a pass of its own."""
     acc = np.full(np.broadcast(cs[-1], x).shape, cs[-1])
     for c in cs[-2::-1]:
         acc *= x

@@ -721,14 +721,6 @@ class TestPairedHorner:
             assert hyp2f1(a, b, c, t).hex() == ref.hex()
             assert hyp2f1(a, b, c, np.array(t)).hex() == ref.hex()
 
-    def test_rows_summed_as_their_own_passes(self):
-        cs = specfun._near_one_setup(0.75, -0.25, 2.0)[5]
-        x = np.linspace(0.0, 0.5, 7)
-        both = specfun._horner(cs, x)
-        assert both.shape == (2, 7)
-        for row, col in zip(both, (cs[:, 0, 0], cs[:, 1, 0])):
-            assert row.tobytes() == _horner_1d(col, x).tobytes()
-
 
 @pytest.mark.parametrize("call", [
     lambda: jj(1.0, math.nan),
