@@ -85,7 +85,9 @@ where the quadrature returned NaN; last, hyp2f1 at mc-khinchin's d = 4
 parameters (a, b, c) = (p/2, (p-2)/2, 2), p in {0.5, 1.5, 2.5}, at t in
 {0.51, 0.7, 0.9995, 1 - 1e-9}, each t as a float and the four as one array,
 so that a move of the 1 - t branch's Horner sums shows apart from the
-Monte Carlo lines.
+Monte Carlo lines; last, inputs at the edge of the float range or infinite:
+G and U at (p, s) = (800, 600) and (300, 2), K and kappa of normalizers at
+(p, d) = (1, 400), tail_abs_pow at T = inf and h_d(4, inf).
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -98,12 +100,19 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from khinsphere import oscillatory, phase, sample, verify  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
-from khinsphere.constants import MomentQuery, _even_moments, _two_coeff_moment  # noqa: E402
+from khinsphere.constants import (  # noqa: E402
+    MomentQuery,
+    _even_moments,
+    _two_coeff_moment,
+    normalizers,
+)
 from khinsphere.errors import KhinsphereError  # noqa: E402
 from khinsphere.quad import (  # noqa: E402
     _TAIL_TOL,
     F,
+    G,
     IntegralParams,
+    U,
     _bessel_envelope,
     _middle_plan,
     product_moment,
@@ -424,6 +433,15 @@ def main() -> int:
             print(_line(f"hyp2f1 {_args(*abc)} t={t!r}", lambda: hyp2f1(*abc, t)))
         for t, v in zip(ts, hyp2f1(*abc, np.array(ts))):
             print(f"hyp2f1 array {_args(*abc)} t={t!r} {float(v).hex()}")
+    for fn in (G, U):
+        for p, s in ((800.0, 600.0), (300.0, 2.0)):
+            print(_line(f"{fn.__name__} {_args(p, s)}", lambda: fn(IntegralParams(p, s))))
+    for name in ("K", "kappa"):
+        print(_line(f"normalizers p=1.0 d=400 {name}",
+                    lambda: getattr(normalizers(1.0, 400), name)))
+    print(_line(f"tail_abs_pow {_args(1.0, 2.0)} T=inf",
+                lambda: oscillatory.tail_abs_pow(1.0, 2.0, np.inf)))
+    print(_line("h_d d=4 q=inf", lambda: phase.h_d(4, np.inf)))
     return 0
 
 

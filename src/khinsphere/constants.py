@@ -175,7 +175,10 @@ def C_infty(p: float) -> float:
 def normalizers(p: float, d: int) -> NormalizerSet:
     """Constants K, kappa (0 < p < d) and beta (0 < p < 1) of the moment formulas.
 
-    kappa = K * |S^(d-1)|, with |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2).
+    kappa = K * |S^(d-1)|, with |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2).  Where
+    a constant is inf or NaN, as at (p, d) = (1, 400), where Gamma((d-p)/2)
+    and Gamma(d/2) overflow, DomainError is raised; a kappa that underflows
+    to 0, as at (1, 344), is returned.
     """
     _check_dim(d)
     if not 0.0 < p < d:
@@ -187,6 +190,9 @@ def normalizers(p: float, d: int) -> NormalizerSet:
     beta = None
     if g_beta:
         beta = math.sqrt(math.pi) * g_dp / (g_beta[0] * g_d)
+    if not all(map(math.isfinite, (K, kappa, 0.0 if beta is None else beta))):
+        raise DomainError(f"normalizers leave the float range at p={p}, d={d}: "
+                          f"K={K}, kappa={kappa}, beta={beta}")
     return NormalizerSet(K=K, kappa=kappa, beta=beta)
 
 

@@ -341,15 +341,17 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
 
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
     the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
-    exp, so no intermediate is subnormal where the result is not.  T < 20 raises
-    DomainError, and so do NaN, p >= 3s/2 (naming the first such element), an
-    infinite p or s and s > _TAIL_S_MAX (141); an empty p gives an empty array.
+    exp, so no intermediate is subnormal where the result is not.  A T outside
+    20 <= T < inf raises DomainError, and so do NaN, p >= 3s/2 (naming the
+    first such element), an infinite p or s and s > _TAIL_S_MAX (141); an
+    empty p gives an empty array.
     Near s = 1 with p near 3s/2, where the modes decay slowest, F with this
     tail at F's tol of 1e-10 was at most 2.2e-11 off an mpmath oracle, at
     (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
     """
-    if not 2.0 * T >= _IBP_MIN_PHASE:  # NaN too
-        raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g}, got T={T}")
+    if not _IBP_MIN_PHASE <= 2.0 * T < math.inf:  # NaN too
+        raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g} and T < inf, "
+                          f"got T={T}")
     pa, sa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=float))
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(s))):
         raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")

@@ -12,10 +12,10 @@ one-dimension case.
 
 The scans share their log Gamma values.  d's grid, 0.01 apart in q, is
 x_left + j/200 in x, and the three log Gamma arguments of the x form lie on
-the lattice x_left + k/200.  Every d with the same left edge reads them from
-one lazily built table: the 188k grid points of d = 5..60 take log Gamma at
-26k points, in two tables.  The tests check every grid point's sign for
-d = 1..160 against the q form, h_d / q.
+the lattice x_left + k/200.  A call builds one table per left edge, as long
+as its largest d needs, and keeps none: the 188k grid points of d = 5..60
+take log Gamma at 22,600 points, in two tables.  The tests check every grid
+point's sign for d = 1..160 against the q form, h_d / q.
 """
 from __future__ import annotations
 
@@ -68,9 +68,12 @@ def h_d(d, q) -> float:
     """log(c_{d,2}(q)^q) - log(c_{d,inf}(q)^q); opposite sign to c2-cinf for q<0.
 
     d and q broadcast against each other.  A float q takes log_gamma's
-    float path for each of the four log Gamma terms.
+    float path for each of the four log Gamma terms.  A non-finite d or q
+    raises DomainError.
     """
     qa = q if isinstance(q, float) else np.asarray(q, dtype=float)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(qa))):
+        raise DomainError(f"h_d requires finite d and q, got d={d!r}, q={q!r}")
     val = (-qa * math.log(2.0) + qa / 2.0 * np.log(d)
            + 2.0 * log_gamma(d / 2.0) + log_gamma(d + qa - 1.0)
            - 2.0 * log_gamma((d + qa) / 2.0) - log_gamma(d + qa / 2.0 - 1.0))
@@ -112,7 +115,9 @@ def _left_edge(d: int) -> float | None:
     adapt: walk x = 5e-4 / 4^k toward 0, down to 4.8e-10, until h q < 0 there
     (left of the root), one scalar h a step, on log_gamma's float path (about
     1.2 steps a d over 5..60).  For d = 1, q = 2x > 0 and h < 0 at 5e-4.
+    A d that is not a positive integer raises DomainError.
     """
+    _check_dim(d)
     x_left = 5e-4
     while (2.0 * x_left - (d - 1)) * _h_at(d, x_left) >= 0:
         if x_left <= 1e-9:
@@ -122,29 +127,18 @@ def _left_edge(d: int) -> float | None:
 
 
 _LATTICE_STEPS = 200  # lattice points per unit of x: the grid's 0.01 in q
-_LATTICE_CHUNK = 2000  # a table grows by whole chunks, about 10 dimensions each
-# log_gamma(x_left + k/200) for k < len, one table per left edge.  The walk of
-# _left_edge gives at most 11 edges (two for d <= 60), and a table grows only
-# when a larger d asks, to the 200 d + 200 points that d needs, rounded up to
-# a whole chunk.
-_LATTICE_LOG_GAMMA: dict[float, np.ndarray] = {}
 
 
-def _lattice_log_gamma(x_left: float, n: int) -> np.ndarray:
-    """log_gamma(x_left + k/200) for k < n (the table may be longer), built lazily.
-
-    A larger d extends the table by the entries it lacks, up to a whole
-    chunk, so that a scan over ascending d extends it about once in 10
-    dimensions (one extension a d cost 2-4 ms more over d = 5..60).
-    log_gamma is elementwise, so each entry is the one a single call over
-    all k would give.
-    """
-    table = _LATTICE_LOG_GAMMA.get(x_left, np.empty(0))
-    if table.size < n:
-        k = np.arange(table.size, -(-n // _LATTICE_CHUNK) * _LATTICE_CHUNK)
-        table = _LATTICE_LOG_GAMMA[x_left] = np.concatenate(
-            (table, log_gamma(x_left + k / _LATTICE_STEPS)))
-    return table
+def _lattices(ds) -> list[tuple[float, np.ndarray] | None]:
+    """(x_left, table) for each d of ds, or None without a left edge (_left_edge): one table
+    log_gamma(x_left + k/200) per edge, of 200 (D+1) entries for D its largest d, as a d
+    reads its grid, at most 100 (d+1) points, and the grid shifted by 100 (d-1)."""
+    edges, top = [_left_edge(d) for d in ds], {}
+    for d, x_left in zip(ds, edges):
+        top[x_left] = max(top.get(x_left, 0), d)
+    tables = {x: log_gamma(x + np.arange(_LATTICE_STEPS * (d + 1)) / _LATTICE_STEPS)
+              for x, d in top.items() if x is not None}
+    return [None if x is None else (x, tables[x]) for x in edges]
 
 
 def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,34 +146,37 @@ def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
     The grid is qs = -(d-1) + 2 x_left + 0.01 j up to 2 (1e-3 + 0.01 j for
     d = 1), x_left + j/200 in x, so the three log Gamma columns of h_tilde's
-    x form are slices, at offsets 0, 100 and 100 (d-1), of one table per left
-    edge, shared by every d with that edge.  The sign is sign(h) sign(q).
-    The grid runs to q < 2, that is x up to (d+1)/2, past h_tilde's domain
-    check, so its formula is taken directly.  Without a left edge both are
-    empty: there is no bracket, and the grid is not built.
+    x form are slices, at offsets 0, 100 and 100 (d-1), of one table built
+    for d (_lattices).  The sign is sign(h) sign(q).  The grid runs to q < 2,
+    x up to (d+1)/2, past h_tilde's domain check, so its formula is taken
+    directly.  Without a left edge both are empty, and nothing is built.
     """
-    x_left = _left_edge(d)
-    if x_left is None:
+    return _lattice_signs(d, _lattices([d])[0])
+
+
+def _lattice_signs(d: int, lattice) -> tuple[np.ndarray, np.ndarray]:
+    """_scan_signs(d) from d's (x_left, table) of _lattices, or None."""
+    if lattice is None:
         return np.empty(0), np.empty(0)
+    x_left, table = lattice
     qs = np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
     n, half = qs.size, _LATTICE_STEPS // 2
-    table = _lattice_log_gamma(x_left, n + half * (d - 1))
     h = _h_x(x_left + np.arange(n) / _LATTICE_STEPS, *_h_x_consts(d),
              *(table[k:k + n] for k in (0, half, half * (d - 1))))
     keep = np.abs(qs) > 1e-6  # skip the removable singularity at q = 0
     return qs[keep], (np.sign(h) * np.sign(qs))[keep]
 
 
-def scan_sign_changes(d: int) -> list[tuple[float, float]]:
-    """Brackets where c_two - c_inf changes sign over the standard scan grid.
-
-    One sign a grid point (_scan_signs), for every d from a log Gamma table
-    shared by the dimensions with the same left edge.
-    """
-    _check_dim(d)
-    qs, sgn = _scan_signs(d)
+def _sign_changes(d: int, lattice) -> list[tuple[float, float]]:
+    """The brackets where d's scan signs change, from d's lattice of _lattices."""
+    qs, sgn = _lattice_signs(d, lattice)
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     return [(float(qs[i]), float(qs[i + 1])) for i in idx]
+
+
+def scan_sign_changes(d: int) -> list[tuple[float, float]]:
+    """Brackets where c_two - c_inf changes sign over the standard scan grid (_scan_signs)."""
+    return _sign_changes(d, _lattices([d])[0])
 
 
 def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
@@ -206,24 +203,25 @@ def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
 def _q_star_batch(ds, tol: float = 1e-12) -> list[PhaseTransitionResult]:
     """q_star for every d of ds, with one bisection over all of them at once.
 
-    Each d is scanned for its own bracket, by one scan_sign_changes call a d;
-    the scans read log Gamma from the tables they share (_lattice_log_gamma).
-    Then specfun._bisect halves every bracket in the same step, on the
-    scan's formula: the sign of log c_two - log c_inf is sign(h) sign(q), with
-    h in h_tilde's x form, x = (q + d - 1)/2, and one log_gamma call a step
-    on x, x + 1/2 and x + (d-1)/2 stacked over the lanes still open.  A lane
-    stops at an exact zero, at width tol or when its bracket is one float
-    wide, so each root is the one a bisection of its d alone would give.
-    The error raised is the one a loop of single solves over ds, in order,
-    would raise first.
+    Each d is scanned for its own bracket (_sign_changes) from the table of
+    its left edge, one for all d on the edge (_lattices).  Then specfun._bisect
+    halves every bracket in the same step, on the scan's formula: the sign of
+    log c_two - log c_inf is sign(h) sign(q), with h in h_tilde's x form,
+    x = (q + d - 1)/2, and one log_gamma call a step on x, x + 1/2 and
+    x + (d-1)/2 stacked over the lanes still open.  A lane stops at an exact
+    zero, at width tol or when its bracket is one float wide, so each root
+    is the one a bisection of its d alone would give.  The error raised is
+    the one a loop of single solves over ds, in order, would raise first,
+    except that every d is checked before any scan: an invalid d raises
+    DomainError even after a d without a bracket.
     """
     if not 0.0 < tol < math.inf:  # NaN too
         raise DomainError(f"tol must be positive and finite, got {tol}")
     ds = list(ds)
     brackets: list[tuple[float, float]] = []
     scan_error = None
-    for d in ds:
-        found = scan_sign_changes(d)
+    for d, lattice in zip(ds, _lattices(ds)):
+        found = _sign_changes(d, lattice)
         if len(found) != 1:
             scan_error = (MultipleRootsError(f"multiple sign changes for d={d}: {found}") if found
                           else NoBracketError(f"no sign change found for d={d}"))

@@ -266,10 +266,33 @@ def _log_panel_sum(log_g: np.ndarray, log_t: np.ndarray, p: np.ndarray) -> np.nd
     return _in_blocks(block, p, len(log_t))
 
 
-def G(params: IntegralParams):
-    """G(p, s) = int_0^inf e^(-s t^2/8) t^(p-1) dt = s^(-p/2) 2^(3p/2-1) Gamma(p/2)."""
-    p, s = params.p, params.s
+def _in_float_range(name: str, formula, p, s):
+    """formula(), with DomainError naming the first (p, s) where it is inf or NaN, as where a
+    factor overflows (a float pow raises OverflowError there, an array one gives inf)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = formula()
+    except OverflowError:
+        val = math.inf
+    _require(np.isfinite(val), DomainError, name + "(p={p}, s={s}) is out of reach: beyond the"
+             " float range", p, s)
+    return val
+
+
+def _g(p, s):
+    """G's closed form, unchecked."""
     return s ** (-p / 2.0) * 2.0 ** (1.5 * p - 1.0) * gamma(p / 2.0)
+
+
+def G(params: IntegralParams):
+    """G(p, s) = int_0^inf e^(-s t^2/8) t^(p-1) dt = s^(-p/2) 2^(3p/2-1) Gamma(p/2).
+
+    G raises DomainError where a factor or the value leaves the float range:
+    for every p above 343.2, where Gamma(p/2) overflows, and from p = 242.3
+    at s = 1 or 269.3 at s = 2, where the value does.
+    """
+    p, s = params.p, params.s
+    return _in_float_range("G", lambda: _g(p, s), p, s)
 
 
 def H(params: IntegralParams):
@@ -281,14 +304,20 @@ def H(params: IntegralParams):
 
 
 def U(params: IntegralParams):
-    """The explicit upper envelope of F built from the two jj_1 bounds."""
+    """The explicit upper envelope of F built from the two jj_1 bounds.
+
+    Like G, U raises DomainError where a factor or the value leaves the float range.
+    """
     p, s = params.p, params.s
     _require(p < 1.5 * s, DivergenceError, "U has a pole at p = 3s/2; got p={p}, s={s}", p, s)
-    first = 4.0**p * (2.0 * math.pi * math.sqrt(15.0)) ** (-s / 2.0) / (1.5 * s - p)
-    h = p / 2.0  # Gamma(h + 2) = Gamma(h) h (h+1), and Gamma(h + 4) on from it
-    rise = h * (h + 1.0)
-    second = G(params) * (1.0 - rise / (6.0 * s) + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
-    return first + second
+
+    def formula():
+        first = 4.0**p * (2.0 * math.pi * math.sqrt(15.0)) ** (-s / 2.0) / (1.5 * s - p)
+        h = p / 2.0  # Gamma(h + 2) = Gamma(h) h (h+1), and Gamma(h + 4) on from it
+        rise = h * (h + 1.0)
+        return first + _g(p, s) * (1.0 - rise / (6.0 * s)
+                                   + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
+    return _in_float_range("U", formula, p, s)
 
 
 def G_tilde(params: IntegralParams):

@@ -517,7 +517,9 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
     uniform on B^(d-2)).  Both sums come from the radial chain: U_k = rho_k
     theta_k with rho_k = V_k^(1/(d-2)), V_k uniform on [0, 1], and theta_k
     uniform on S^(d-3), so the ball chain runs with weights a_k rho_k and
-    the cosine of S^(d-3), which at d = 3 is -1 or 1.
+    the cosine of S^(d-3), which at d = 3 is -1 or 1.  Where both standard
+    errors are 0, as when q is so small that every |sum|^q rounds to 1, z is
+    0 if the ratio equals the expected value and +-inf, a failure, otherwise.
     """
     if d < 3:
         raise DomainError(f"requires d >= 3, got {d}")
@@ -537,7 +539,8 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
     ratio = mb / ms
     sigma = abs(ratio) * math.sqrt((sb / mb) ** 2 + (ss / ms) ** 2)
     expected = (d - 2.0) / (d - 2.0 + q)
-    z = (ratio - expected) / sigma
+    gap = ratio - expected
+    z = gap / sigma if sigma > 0.0 else (0.0 if gap == 0.0 else math.copysign(math.inf, gap))
     return BallSphereReport(d=d, q=q, ratio=ratio, expected=expected, sigma=sigma,
                             z=z, passed=abs(z) <= 4.0)
 

@@ -159,6 +159,17 @@ class TestNormalizers:
         with pytest.raises(DomainError):
             normalizers(4.0, 4)
 
+    @pytest.mark.parametrize("p,d", [(1.0, 400), (0.5, 400), (2.0, 360)])
+    def test_non_finite_constant_raises(self, p, d):
+        # K = inf and kappa = NaN (and beta = NaN at p = 0.5) were returned without an error
+        with pytest.raises(DomainError, match="kappa"):
+            normalizers(p, d)
+
+    def test_kappa_underflow_is_a_value(self):
+        # Gamma(d/2) alone overflows: kappa is 0, which product_moment rejects itself
+        ns = normalizers(1.0, 344)
+        assert ns.kappa == 0.0 and math.isfinite(ns.K)
+
 
 class TestD:
     def test_at_two(self):

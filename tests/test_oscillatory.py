@@ -731,6 +731,7 @@ class TestTails:
     lambda: osc.tail_abs_pow(np.array([1.0, math.nan]), 2.0, 47.0),
     lambda: osc.tail_abs_pow(-math.inf, 2.0, 47.0),
     lambda: osc.tail_abs_pow(1.0, 2.0, math.nan),
+    lambda: osc.tail_abs_pow(1.0, 2.0, math.inf),
     lambda: osc.tail_abs_pow(1.0, math.nan, 47.0),
     lambda: osc.tail_abs_pow(np.array([]), math.inf, 47.0),
     lambda: osc.exp_power_tail(math.nan, 1.0, 47.0),
@@ -746,6 +747,7 @@ class TestTails:
     lambda: osc.tail_product([1.0, math.nan], 1.0, 1.0, 47.0),
     lambda: osc.series_pow(osc._hankel_w(1.0)[0], math.nan),
 ], ids=["tail_abs_pow-p", "tail_abs_pow-p-array", "tail_abs_pow-p-inf", "tail_abs_pow-T",
+        "tail_abs_pow-T-inf",
         "tail_abs_pow-s", "tail_abs_pow-s-inf",
         "exp_power_tail-mu", "exp_power_tail-omega", "exp_power_tail-T",
         "exp_power_tail-mu-inf", "exp_power_tail-mu-inf-resonant", "power_tail",

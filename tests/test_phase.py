@@ -150,15 +150,18 @@ class TestQStar:
             qs, sgn = P._scan_signs(d)
             assert np.array_equal(sgn, np.sign(P.h_d(d, qs) / qs)), d
 
-    def test_lattice_table_grows_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(P, "_LATTICE_LOG_GAMMA", {})
-        small = P._lattice_log_gamma(5e-4, 150).copy()
-        table = P._lattice_log_gamma(5e-4, 10_001)
-        assert P._lattice_log_gamma(5e-4, 400) is table
-        assert small.size >= 150 and table.size >= 10_001
-        ref = log_gamma(5e-4 + np.arange(table.size) / 200)  # one call over all k
-        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
-        assert np.array_equal(small.view(np.int64), ref[:small.size].view(np.int64))
+    def test_one_table_per_left_edge(self):
+        # d = 5..51 share the edge 5e-4 and d = 52..60 the edge 1.25e-4; each table holds
+        # 200 (D+1) entries for its largest d, each the one log_gamma gives at that point
+        lattices = P._lattices(range(5, 61))
+        tables = dict(lattices)
+        assert sorted(tables) == [1.25e-4, 5e-4]
+        assert [x for x, _ in lattices] == [5e-4] * 47 + [1.25e-4] * 9
+        assert all(t is tables[x] for x, t in lattices)
+        assert sum(t.size for t in tables.values()) == 22_600
+        for x, t in tables.items():
+            ref = log_gamma(x + np.arange(t.size) / 200)  # one call over all k
+            assert np.array_equal(t.view(np.int64), ref.view(np.int64))
 
     def test_reach_at_default_tol(self):
         results = P._q_star_batch(range(1, 80))
@@ -197,7 +200,8 @@ class TestQStar:
         assert b == np.nextafter(a, math.inf)
 
     def test_batch_equals_single(self):
-        ds = [1, 4, 7, 30]
+        # both left edges, 5e-4 up to d = 51 and 1.25e-4 from d = 52, and the boundary
+        ds = [1, 4, 7, 30, 51, 52, 60]
         assert P._q_star_batch(ds) == [P.q_star(d) for d in ds]
         assert P._q_star_batch([]) == []
 
@@ -270,6 +274,13 @@ class TestHTilde:
             second = np.diff(vals, 2) / h**2
             assert np.min(second) > 0.06 * (1.0 - 1e-3)
 
+    @pytest.mark.parametrize("d,q", [(4, math.inf), (math.inf, 1.0), (4, -math.inf),
+                                     (4, math.nan), (np.array([4, 5]), np.array([1.0, math.inf]))])
+    def test_h_d_non_finite_is_domain_error(self, d, q):
+        # h_d(4, inf) and h_d(inf, 1) returned NaN with RuntimeWarnings
+        with pytest.raises(DomainError, match="finite d and q"):
+            P.h_d(d, q)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             P.h_tilde(5, 0.0)
@@ -331,8 +342,8 @@ class TestAsymptotics:
 
 
 def _no_bracket_at(bad, monkeypatch):
-    scan = P.scan_sign_changes
-    monkeypatch.setattr(P, "scan_sign_changes", lambda d: [] if d == bad else scan(d))
+    scan = P._sign_changes
+    monkeypatch.setattr(P, "_sign_changes", lambda d, lattice: [] if d == bad else scan(d, lattice))
 
 
 class TestBatchErrors:
@@ -346,9 +357,9 @@ class TestBatchErrors:
             P.asymptotic_check(range(5, 61))
 
     def test_multiple_roots_inside_range(self, monkeypatch):
-        scan = P.scan_sign_changes
-        monkeypatch.setattr(P, "scan_sign_changes",
-                            lambda d: scan(d) * 2 if d == 7 else scan(d))
+        scan = P._sign_changes
+        monkeypatch.setattr(P, "_sign_changes",
+                            lambda d, lattice: scan(d, lattice) * 2 if d == 7 else scan(d, lattice))
         with pytest.raises(MultipleRootsError, match="multiple sign changes for d=7: "):
             P._q_star_batch(range(5, 13))
 
@@ -362,6 +373,12 @@ class TestBatchErrors:
         _no_bracket_at(9, monkeypatch)
         with pytest.raises(NoBracketError, match="d=9"):
             P._q_star_batch(range(9, 13), tol=1e-3)
+
+    def test_invalid_d_raises_before_any_scan(self, monkeypatch):
+        # every d is checked before the scans, so an invalid d wins over an earlier bracket failure
+        _no_bracket_at(9, monkeypatch)
+        with pytest.raises(DomainError, match="positive integer"):
+            P._q_star_batch([9, 4.5])
 
     def test_bad_tol(self):
         with pytest.raises(DomainError, match="tol must be positive"):

@@ -316,6 +316,28 @@ class TestG:
         for p, s in ((0.7, 3.3), (2.1, 1.6)):
             assert G(IP(p, s)) == pytest.approx(s ** (-p / 2.0) * G(IP(p, 1.0)), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("p,s", [(300.0, 2.0), (250.0, 1.0)])
+    def test_value_above_float_range(self, p, s):
+        # G(300, 2) was inf; U is past its pole there
+        with pytest.raises(DomainError, match=rf"G\(p={p}, s={s}\) is out of reach"):
+            G(IP(p, s))
+
+
+@pytest.mark.parametrize("fn", [G, U], ids=["G", "U"])
+class TestFloatRange:
+    """G and U raise DomainError beyond the float range, where F at (800, 600) is 4.43e96."""
+
+    # (800, 600) raised a bare OverflowError as floats and gave NaN as arrays; at
+    # (400, 600) and (344, 300) Gamma(p/2) overflows and the value was NaN
+    @pytest.mark.parametrize("p,s", [(800.0, 600.0), (400.0, 600.0), (344.0, 300.0)])
+    def test_scalar_and_array(self, fn, p, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
+                fn(IP(p, s))
+            with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
+                fn(IP(np.array([1.0, p, 2.0]), np.array([2.0, s, 2.0])))
+
 
 class TestH:
     def test_value_1_2(self):

@@ -690,6 +690,12 @@ class TestBallSphere:
         with pytest.raises(DomainError):
             S.ball_sphere_identity(4, -2.0, (1.0,), 1000)
 
+    def test_zero_sigma(self):
+        # at q = 1e-17 every |sum|^q rounds to 1 and both standard errors are 0 (a bare
+        # ZeroDivisionError once); the ratio equals the expected 2/(2 + q) = 1, so z = 0
+        rep = S.ball_sphere_identity(4, 1e-17, (1.0, 0.5), 1000)
+        assert (rep.sigma, rep.ratio, rep.expected, rep.z, rep.passed) == (0.0, 1.0, 1.0, 0.0, True)
+
 
 class TestPolydisc:
     def test_axis_direction(self):
