@@ -87,7 +87,9 @@ parameters (a, b, c) = (p/2, (p-2)/2, 2), p in {0.5, 1.5, 2.5}, at t in
 so that a move of the 1 - t branch's Horner sums shows apart from the
 Monte Carlo lines; last, inputs at the edge of the float range or infinite:
 G and U at (p, s) = (800, 600) and (300, 2), K and kappa of normalizers at
-(p, d) = (1, 400), tail_abs_pow at T = inf and h_d(4, inf).
+(p, d) = (1, 400), tail_abs_pow at T = inf and h_d(4, inf); last, G and U
+at (300, 250) and (343, 300), where s^(-p/2) underflows first, and the
+entry points at a dimension of inf, 4.5 or 5.5 (dimension_calls).
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -104,6 +106,8 @@ from khinsphere.constants import (  # noqa: E402
     MomentQuery,
     _even_moments,
     _two_coeff_moment,
+    c_inf,
+    c_two,
     normalizers,
 )
 from khinsphere.errors import KhinsphereError  # noqa: E402
@@ -137,6 +141,33 @@ def _line(label: str, fn) -> str:
         return f"{label} {float(fn()).hex()}"
     except KhinsphereError as exc:
         return f"{label} {type(exc).__name__}"
+
+
+def dimension_calls():
+    """(label, call) at a dimension that is not a positive integer: inf, 4.5 or 5.5."""
+    inf = np.inf
+    return [
+        ("MomentQuery d=inf q=-1.0 norm", lambda: MomentQuery(inf, -1.0, (1.0, 0.5)).norm),
+        ("c_two d=inf q=1.0", lambda: c_two(inf, 1.0)),
+        ("c_inf d=inf q=1.0", lambda: c_inf(inf, 1.0)),
+        ("h_tilde d=inf x=1.0", lambda: phase.h_tilde(inf, 1.0)),
+        ("h_tilde d=4.5 x=1.0", lambda: phase.h_tilde(4.5, 1.0)),
+        ("q_star d=inf", lambda: phase.q_star(inf).q_star),
+        ("ball_sphere_identity d=inf expected",
+         lambda: sample.ball_sphere_identity(inf, 1.0, (1.0, 0.5), 10).expected),
+        ("verify_two_coeff_bounds d=inf min_margin",
+         lambda: verify.verify_two_coeff_bounds(inf, 1.0).min_margin),
+        ("verify_two_coeff_bounds d=4.5 min_margin",
+         lambda: verify.verify_two_coeff_bounds(4.5, 1.0).min_margin),
+        ("verify_bisubharmonic d=inf min_margin",
+         lambda: verify.verify_bisubharmonic(inf, 1.0).min_margin),
+        ("verify_bisubharmonic d=5.5 min_margin",
+         lambda: verify.verify_bisubharmonic(5.5, 1.0).min_margin),
+        ("verify_appendix_claims d=inf min_margin",
+         lambda: phase.verify_appendix_claims(inf).min_margin),
+        ("verify_appendix_claims d=5.5 min_margin",
+         lambda: phase.verify_appendix_claims(5.5).min_margin),
+    ]
 
 
 def _args(*xs) -> str:
@@ -442,6 +473,11 @@ def main() -> int:
     print(_line(f"tail_abs_pow {_args(1.0, 2.0)} T=inf",
                 lambda: oscillatory.tail_abs_pow(1.0, 2.0, np.inf)))
     print(_line("h_d d=4 q=inf", lambda: phase.h_d(4, np.inf)))
+    for fn in (G, U):
+        for p, s in ((300.0, 250.0), (343.0, 300.0)):
+            print(_line(f"{fn.__name__} {_args(p, s)}", lambda: fn(IntegralParams(p, s))))
+    for label, call in dimension_calls():
+        print(_line(label, call))
     return 0
 
 

@@ -28,7 +28,7 @@ from .quad import (
     U,
     product_moment,
 )
-from .sample import SampleStats, estimate_moment, polydisc_slice_volume, sample_sphere
+from .sample import SampleStats, estimate_moment, polydisc_slice_volume
 from .specfun import digamma, gamma, hyp2f1, jj, jj1, log_gamma, pochhammer
 from .verify import VerificationReport
 

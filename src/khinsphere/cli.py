@@ -3,7 +3,9 @@
 Output is byte-stable for a fixed command line (fixed decimal formats, sorted
 JSON keys, deterministic seeds), so golden-file tests are meaningful.
 Exit codes: 0 ok, 1 invalid arguments, 2 verification failure, 3 numeric
-failure.
+failure.  main is the one entry point: argparse's choices reject an unknown
+verb or format, and each verb's handler takes its options as a dict
+(--seed among them) and the output format.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,24 +28,7 @@ from .errors import (
 )
 from .quad import product_moment
 
-__all__ = ["RunConfig", "LEMMAS", "run", "table_writer", "main"]
-
-_VERBS = ("constants", "qstar", "moment", "verify", "slice", "mc", "tables")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    output_format: str = "csv"
-    output_path: str | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.command not in _VERBS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.output_format not in ("json", "csv"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
+__all__ = ["LEMMAS", "table_writer", "main"]
 
 
 def _jdump(obj) -> str:
@@ -99,8 +83,8 @@ def _run_qstar(params: dict, fmt: str) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_moment(params: dict, fmt: str, seed: int) -> tuple[int, str]:
-    d, p = int(params["d"]), float(params["p"])
+def _run_moment(params: dict, fmt: str) -> tuple[int, str]:
+    d, p, seed = int(params["d"]), float(params["p"]), int(_param(params, "seed", 0))
     coeffs = _parse_coeffs(params["coeffs"])
     n = int(_param(params, "n", 200_000))
     query = MomentQuery(d, -p, coeffs)
@@ -188,8 +172,8 @@ def _run_slice(params: dict, fmt: str) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_mc(params: dict, fmt: str, seed: int) -> tuple[int, str]:
-    d, p = int(params["d"]), float(params["p"])
+def _run_mc(params: dict, fmt: str) -> tuple[int, str]:
+    d, p, seed = int(params["d"]), float(params["p"]), int(_param(params, "seed", 0))
     coeffs = _parse_coeffs(params["coeffs"])
     n = int(_param(params, "n", 100_000))
     stats = sample.estimate_moment(MomentQuery(d, -p, coeffs), n, seed=seed)
@@ -203,51 +187,41 @@ def _run_mc(params: dict, fmt: str, seed: int) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
+def _margin_rows(rows, scale: str, left, right, floors_left, floors_right) -> list[str]:
+    """The row header, computed margins and printed floors of Table 2 or 3, in units of scale."""
+    return (["row," + ",".join(str(i) for i in rows)]
+            + [f"computed_{side}_{scale}," + ",".join(f"{v:.3f}" for v in vals)
+               for side, vals in (("left", left), ("right", right))]
+            + [f"floor_{side}_{scale}," + ",".join(str(v) for v in vals)
+               for side, vals in (("left", floors_left), ("right", floors_right))])
+
+
 def table_writer(which: int) -> str:
     """Byte-stable CSV reproduction of the three numeric tables."""
     if which == 1:
         lines = ["d,q_star"] + [f"{r.d},{r.q_star:.6f}" for r in phase._q_star_batch(range(1, 13))]
-        return "\n".join(lines) + "\n"
-    if which == 2:
-        left, right = verify.table2_margins()
-        lines = ["row," + ",".join(str(i) for i in range(12))]
-        lines.append("computed_left_x1e3," + ",".join(f"{v:.3f}" for v in left))
-        lines.append("computed_right_x1e3," + ",".join(f"{v:.3f}" for v in right))
-        lines.append("floor_left_x1e3," + ",".join(str(v) for v in verify.TABLE2_FLOORS_LEFT))
-        lines.append("floor_right_x1e3," + ",".join(str(v) for v in verify.TABLE2_FLOORS_RIGHT))
-        return "\n".join(lines) + "\n"
-    if which == 3:
+    elif which == 2:
+        lines = _margin_rows(range(12), "x1e3", *verify.table2_margins(),
+                             verify.TABLE2_FLOORS_LEFT, verify.TABLE2_FLOORS_RIGHT)
+    elif which == 3:
         left, right, ell0 = verify.table3_margins()
-        lines = ["row," + ",".join(str(i) for i in range(1, 7))]
-        lines.append("computed_left_x1e4," + ",".join(f"{v:.3f}" for v in left))
-        lines.append("computed_right_x1e4," + ",".join(f"{v:.3f}" for v in right))
-        lines.append("floor_left_x1e4," + ",".join(str(v) for v in verify.TABLE3_FLOORS_LEFT))
-        lines.append("floor_right_x1e4," + ",".join(str(v) for v in verify.TABLE3_FLOORS_RIGHT))
+        lines = _margin_rows(range(1, 7), "x1e4", left, right,
+                             verify.TABLE3_FLOORS_LEFT, verify.TABLE3_FLOORS_RIGHT)
         lines.append(f"ell0_margin_at_0.02,{ell0:.6e}")
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"tables are 1, 2 or 3; got {which}")
+    else:
+        raise DomainError(f"tables are 1, 2 or 3; got {which}")
+    return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch one command; returns (exit_code, serialized output)."""
-    seed = config.seed if config.seed is not None else 0
-    fmt = config.output_format
-    p = config.params
-    if config.command == "constants":
-        return _run_constants(p, fmt)
-    if config.command == "qstar":
-        return _run_qstar(p, fmt)
-    if config.command == "moment":
-        return _run_moment(p, fmt, seed)
-    if config.command == "verify":
-        return _run_verify(p, fmt)
-    if config.command == "slice":
-        return _run_slice(p, fmt)
-    if config.command == "mc":
-        return _run_mc(p, fmt, seed)
-    if config.command == "tables":
-        return 0, table_writer(int(p["which"]))
-    raise DomainError(f"unknown command {config.command!r}")
+_VERB_HANDLERS = {
+    "constants": _run_constants,
+    "qstar": _run_qstar,
+    "moment": _run_moment,
+    "verify": _run_verify,
+    "slice": _run_slice,
+    "mc": _run_mc,
+    "tables": lambda params, fmt: (0, table_writer(params["which"])),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -314,10 +288,8 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         params = {k: v for k, v in vars(ns).items()
-                  if k not in ("format", "output", "seed", "command") and v is not None}
-        config = RunConfig(command=ns.command, params=params, output_format=ns.format,
-                           output_path=ns.output, seed=ns.seed)
-        code, text = run(config)
+                  if k not in ("format", "output", "command") and v is not None}
+        code, text = _VERB_HANDLERS[ns.command](params, ns.format)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -327,8 +299,8 @@ def main(argv=None) -> int:
     except KhinsphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+    if ns.output:
+        with open(ns.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -211,6 +211,8 @@ def best_constant_status(d: int, q: float) -> str:
     on the ranges still open (e.g. -(d-1) < q < -(d-4) for d >= 5).
     """
     _check_dim(d)
+    if math.isnan(q):
+        raise DomainError(f"best_constant_status is undefined at q={q}")
     if q >= 2.0:
         return "proven"  # the constant is 1 there
     if d == 1:
@@ -225,9 +227,9 @@ def best_constant_status(d: int, q: float) -> str:
 
 
 def _check_dim(d) -> None:
-    """Every entry of d (a scalar or an array) is a positive integer."""
+    """Every entry of d (a scalar or an array) is a positive integer, so finite."""
     da = np.asarray(d)
-    if not ((da >= 1) & (da == np.floor(da))).all():
+    if not ((da >= 1) & (da == np.floor(da)) & np.isfinite(da)).all():
         raise DomainError(f"dimension must be a positive integer, got {d}")
 
 

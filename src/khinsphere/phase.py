@@ -8,7 +8,8 @@ found together: each d is scanned for its bracket, then one bisection
 (specfun._bisect) halves every bracket per step.  Both take the sign of
 log c_two - log c_inf as sign(h) sign(q), with h in h_tilde's x form,
 x = (q + d - 1)/2, which holds for every d >= 1.  q_star(d) is the batch's
-one-dimension case.
+one-dimension case, and the scan has no entry point of its own: q_star
+raises unless d's scan finds exactly one bracket.
 
 The scans share their log Gamma values.  d's grid, 0.01 apart in q, is
 x_left + j/200 in x, and the three log Gamma arguments of the x form lie on
@@ -34,7 +35,6 @@ __all__ = [
     "h_d",
     "h_tilde",
     "q_star",
-    "scan_sign_changes",
     "verify_appendix_claims",
     "asymptotic_check",
 ]
@@ -82,6 +82,7 @@ def h_d(d, q) -> float:
 
 def h_tilde(d: int, x) -> float:
     """h_d rewritten through x = (q + d - 1)/2 in (0, (d-1)/2), all in log space."""
+    _check_dim(d)
     if d < 2:
         raise DomainError(f"h_tilde requires d >= 2, got {d}")
     xa = x if isinstance(x, float) else np.asarray(x, dtype=float)  # a float: log_gamma's float path
@@ -141,21 +142,17 @@ def _lattices(ds) -> list[tuple[float, np.ndarray] | None]:
     return [None if x is None else (x, tables[x]) for x in edges]
 
 
-def _scan_signs(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_signs(d: int, lattice) -> tuple[np.ndarray, np.ndarray]:
     """(qs, signs): d's scan grid and the sign of log c_two - log c_inf on it.
 
     The grid is qs = -(d-1) + 2 x_left + 0.01 j up to 2 (1e-3 + 0.01 j for
     d = 1), x_left + j/200 in x, so the three log Gamma columns of h_tilde's
-    x form are slices, at offsets 0, 100 and 100 (d-1), of one table built
-    for d (_lattices).  The sign is sign(h) sign(q).  The grid runs to q < 2,
-    x up to (d+1)/2, past h_tilde's domain check, so its formula is taken
-    directly.  Without a left edge both are empty, and nothing is built.
+    x form are slices, at offsets 0, 100 and 100 (d-1), of the table of d's
+    left edge: lattice is d's (x_left, table) of _lattices.  The sign is
+    sign(h) sign(q).  The grid runs to q < 2, x up to (d+1)/2, past h_tilde's
+    domain check, so its formula is taken directly.  Without a left edge
+    (lattice None) both are empty.
     """
-    return _lattice_signs(d, _lattices([d])[0])
-
-
-def _lattice_signs(d: int, lattice) -> tuple[np.ndarray, np.ndarray]:
-    """_scan_signs(d) from d's (x_left, table) of _lattices, or None."""
     if lattice is None:
         return np.empty(0), np.empty(0)
     x_left, table = lattice
@@ -172,11 +169,6 @@ def _sign_changes(d: int, lattice) -> list[tuple[float, float]]:
     qs, sgn = _lattice_signs(d, lattice)
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     return [(float(qs[i]), float(qs[i + 1])) for i in idx]
-
-
-def scan_sign_changes(d: int) -> list[tuple[float, float]]:
-    """Brackets where c_two - c_inf changes sign over the standard scan grid (_scan_signs)."""
-    return _sign_changes(d, _lattices([d])[0])
 
 
 def q_star(d: int, tol: float = 1e-12) -> PhaseTransitionResult:
@@ -264,6 +256,7 @@ def verify_appendix_claims(d: int) -> VerificationReport:
     Claim 3: h_tilde(1/2) < 0, with the Stirling-chain values f'(5/2) < -0.1
     and f(5/2) < -0.04.  Also h_d'(0) > 0 by one-sided differences.
     """
+    _check_dim(d)
     if d < 5:
         raise DomainError(f"appendix claims require d >= 5, got {d}")
     x2 = np.linspace(1e-3, 1.0 - 1e-3, _APPENDIX_GRID)

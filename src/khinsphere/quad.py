@@ -34,6 +34,7 @@ inflation rather than directed rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ from .constants import D, MomentQuery, _even_moments, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
 from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
                           series_pow)
-from .specfun import gamma, jj1_prime, jnu_zeros, _jj_norm_const, _jj_series_coeffs, _jj_vec
+from .specfun import gamma, jnu_zeros, log_gamma, _jj_norm_const, _jj_series_coeffs, _jj_vec
 
 __all__ = [
     "IntegralParams",
@@ -280,8 +281,16 @@ def _in_float_range(name: str, formula, p, s):
 
 
 def _g(p, s):
-    """G's closed form, unchecked."""
-    return s ** (-p / 2.0) * 2.0 ** (1.5 * p - 1.0) * gamma(p / 2.0)
+    """G's closed form, unchecked.  Where s^(-p/2) is below the normal floats and the product
+    is finite (0 or subnormal), the product is taken in logs instead, with one exp."""
+    decay = s ** (-p / 2.0)
+    val = decay * 2.0 ** (1.5 * p - 1.0) * gamma(p / 2.0)
+    low = decay < sys.float_info.min
+    if not (low.any() if isinstance(low, np.ndarray) else low):  # no numpy call for a float
+        return val
+    logs = -p / 2.0 * np.log(s) + (1.5 * p - 1.0) * math.log(2.0) + log_gamma(p / 2.0)
+    val = np.where(low & np.isfinite(val), np.exp(logs), val)
+    return float(val) if val.ndim == 0 else val
 
 
 def G(params: IntegralParams):
@@ -289,7 +298,8 @@ def G(params: IntegralParams):
 
     G raises DomainError where a factor or the value leaves the float range:
     for every p above 343.2, where Gamma(p/2) overflows, and from p = 242.3
-    at s = 1 or 269.3 at s = 2, where the value does.
+    at s = 1 or 269.3 at s = 2, where the value does.  Where s^(-p/2) alone
+    underflows, as at (p, s) = (300, 250), the value is taken in logs (_g).
     """
     p, s = params.p, params.s
     return _in_float_range("G", lambda: _g(p, s), p, s)
@@ -533,36 +543,24 @@ def _abs_jj1_grid(lo: float, hi: float, m: int, offset: float) -> np.ndarray:
     return np.abs(_jj_vec(1.0, lo + (k + offset) / m))
 
 
+def _sup_weighted_sum(vals: np.ndarray, p: float, lo: float, m: int) -> float:
+    """sum_k vals[k] max(t_k^(p-1), t_(k+1)^(p-1)) / m, t_k = lo + k/m: the sup of t^(p-1)
+    on each cell [t_k, t_(k+1)] weighted by the cell's value of the other factor."""
+    k = np.arange(len(vals))
+    sup_t = np.maximum((lo + k / m) ** (p - 1.0), (lo + (k + 1) / m) ** (p - 1.0))
+    return float(np.sum(vals * sup_t) / m)
+
+
 def _riemann_monotone(p: float, s: float, lo: float, hi: float, m: int) -> float:
     """Endpoint-max Riemann upper bound; valid where jj_1 is monotone (<= 5.13)."""
     vals = _abs_jj1_grid(lo, hi, m, 0.0) ** s
-    sup_j = np.maximum(vals[:-1], vals[1:])
-    k = np.arange(len(sup_j))
-    tl, tr = lo + k / m, lo + (k + 1) / m
-    sup_t = np.maximum(tl ** (p - 1.0), tr ** (p - 1.0))
-    return float(np.sum(sup_j * sup_t) / m)
+    return _sup_weighted_sum(np.maximum(vals[:-1], vals[1:]), p, lo, m)
 
 
 def _midpoint_deriv(p: float, s: float, lo: float, hi: float, m: int, dsup: float) -> float:
     """Midpoint Riemann sum plus dsup/(2m) times (hi - lo) lo^(p-1); valid for p <= 1."""
-    vals = _abs_jj1_grid(lo, hi, m, 0.5)[:-1] ** s
-    k = np.arange(len(vals))
-    tl = lo + k / m
-    sup_t = np.maximum(tl ** (p - 1.0), (lo + (k + 1) / m) ** (p - 1.0))
-    main = float(np.sum(vals * sup_t) / m)
+    main = _sup_weighted_sum(_abs_jj1_grid(lo, hi, m, 0.5)[:-1] ** s, p, lo, m)
     return main + dsup / (2.0 * m) * ((hi - lo) * lo ** (p - 1.0))
-
-
-def _deriv_sup_abs_pow(s: float) -> float:
-    """Sampled max of |d/dt |jj_1(t)|^s| on [5, 10], times 1.05; not a bound.
-
-    No certificate uses it.  It backs the test that the paper's 0.06 (Table 3,
-    s = 1.3) sits above the sampled sup, until a rigorous enclosure of that
-    constant replaces the test.
-    """
-    t = np.linspace(5.0, 10.0, 8001)
-    vals = s * np.abs(_jj_vec(1.0, t)) ** (s - 1.0) * np.abs(jj1_prime(t))
-    return float(np.max(vals) * 1.05)
 
 
 def _s83_head_riemann(p: float) -> float:

@@ -1,4 +1,4 @@
-"""Monte Carlo machinery: sphere sampling and Rao-Blackwellised moment estimates.
+"""Monte Carlo machinery: Rao-Blackwellised moment estimates from the radial chain.
 
 The sampling experiments are artifact plumbing (the underlying results are
 theorems); they provide statistical cross-checks of the quadrature and
@@ -58,7 +58,6 @@ __all__ = [
     "KhinchinEntry",
     "KhinchinReport",
     "BallSphereReport",
-    "sample_sphere",
     "estimate_moment",
     "estimate_moments",
     "check_khinchin",
@@ -99,29 +98,6 @@ class SampleStats:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
-def sample_sphere(d: int, size: int | None = None, rng: np.random.Generator | None = None,
-                  seed: int = 0) -> np.ndarray:
-    """Uniform points on S^(d-1): normalized standard Gaussians.
-
-    Returns shape (d,) for size=None, else (size, d).
-    """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if size is not None and size < 0:
-        raise DomainError(f"size must be >= 0, got {size}")
-    gen = rng if rng is not None else _rng(seed)
-    n = 1 if size is None else int(size)
-    x = gen.standard_normal((n, d))
-    norms = np.linalg.norm(x, axis=1)
-    bad = norms < 1e-150
-    while np.any(bad):  # probability-zero degenerate draws
-        x[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(x[bad], axis=1)
-        bad = norms < 1e-150
-    x /= norms[:, None]
-    return x[0] if size is None else x
 
 
 def _sin2_pi_offset(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -168,7 +168,7 @@ def trigamma(x):
 
 def pochhammer(x, k: int):
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1; a NaN x raises DomainError."""
-    if k < 0 or k != int(k):
+    if not (0 <= k < math.inf and k == int(k)):  # NaN and inf too
         raise DomainError(f"pochhammer requires integer k >= 0, got {k!r}")
     arr, scalar = _as_array(x)
     if not np.all(arr == arr):  # NaN

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import D, _two_coeff_2f1
+from .constants import D, _check_dim, _two_coeff_2f1
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quad import (
     G,
@@ -342,6 +342,7 @@ def verify_two_coeff_bounds(d: int, p: float) -> VerificationReport:
     identically 1 (degenerate boundary), so there "<= 1" is checked as
     |moment - 1| <= 1e-13 and the differences vanish.
     """
+    _check_dim(d)
     if not 0.0 < p <= d - 2:
         raise DomainError(f"requires 0 < p <= d-2, got p={p}, d={d}")
     degenerate = abs(p - (d - 2.0)) < 1e-12
@@ -367,6 +368,7 @@ def verify_bisubharmonic(d: int, p: float) -> VerificationReport:
     so the quartic has no real root; at p = d-4 the discriminant vanishes
     (degenerate boundary) and only positivity of the quartic is asserted.
     """
+    _check_dim(d)
     if d < 5:
         raise DomainError(f"requires d >= 5, got {d}")
     if not 0.0 < p <= d - 4.0:

@@ -4,9 +4,8 @@ import pathlib
 
 import pytest
 
-from khinsphere.cli import RunConfig, main, run, table_writer
+from khinsphere.cli import main, table_writer
 from khinsphere.constants import _two_coeff_moment
-from khinsphere.errors import DomainError
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -152,7 +151,9 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize("lemma", ["two_coeff", "bisubharmonic", "small_lemmas",
                                        "ind_base", "table2", "table3",
-                                       "interpolation_tilde", "appendix_claims", "asymptotics"])
+                                       "interpolation_tilde", "appendix_claims", "asymptotics",
+                                       "H_regions", "H_tilde", "U_less_G_i", "U_less_G_ii",
+                                       "U_less_G_iii", "U_less_G_tilde"])
     def test_cheap_lemmas_pass(self, lemma, capsys):
         code, out, _ = _run(["--format", "json", "verify", "--lemma", lemma], capsys)
         assert code == 0
@@ -277,13 +278,14 @@ class TestErrors:
 
 
 class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RunConfig(command="nope")
-        with pytest.raises(DomainError):
-            RunConfig(command="qstar", output_format="xml")
+    """A run's configuration, verb and output format, as main checks and dispatches it."""
 
-    def test_programmatic_run(self):
-        code, text = run(RunConfig(command="tables", params={"which": 1}))
+    def test_validation(self, capsys):
+        assert _run(["nope"], capsys)[0] == 1
+        code, _, err = _run(["--format", "xml", "qstar"], capsys)
+        assert code == 1 and "xml" in err
+
+    def test_programmatic_run(self, capsys):
+        code, out, _ = _run(["tables", "--which", "1"], capsys)
         assert code == 0
-        assert text.startswith("d,q_star")
+        assert out.startswith("d,q_star")

@@ -16,7 +16,10 @@ from khinsphere.constants import (
     normalizers,
 )
 from khinsphere.errors import DomainError, PoleError
+from khinsphere.phase import h_tilde, q_star, verify_appendix_claims
+from khinsphere.sample import ball_sphere_identity
 from khinsphere.specfun import gamma, hyp2f1
+from khinsphere.verify import verify_bisubharmonic, verify_two_coeff_bounds
 
 
 class TestCTwo:
@@ -229,7 +232,36 @@ class TestClosedMoment:
         assert _closed_moment(MomentQuery(4, -2.0, (-2.0, 1e-13))) == (0.25, "hypergeometric")
 
 
+# every entry point that takes a dimension requires a positive integer, so a finite one:
+# at d = inf each returned NaN, a report or a bare error, and at 4.5 or 5.5 a report
+DIMENSION_CALLS = {
+    "MomentQuery-inf": lambda: MomentQuery(math.inf, -1.0, (1.0, 0.5)),
+    "c_two-inf": lambda: c_two(math.inf, 1.0),
+    "c_inf-inf": lambda: c_inf(math.inf, 1.0),
+    "h_tilde-inf": lambda: h_tilde(math.inf, 1.0),
+    "h_tilde-4.5": lambda: h_tilde(4.5, 1.0),
+    "q_star-inf": lambda: q_star(math.inf),
+    "ball_sphere_identity-inf": lambda: ball_sphere_identity(math.inf, 1.0, (1.0, 0.5), 10),
+    "verify_two_coeff_bounds-inf": lambda: verify_two_coeff_bounds(math.inf, 1.0),
+    "verify_two_coeff_bounds-4.5": lambda: verify_two_coeff_bounds(4.5, 1.0),
+    "verify_bisubharmonic-inf": lambda: verify_bisubharmonic(math.inf, 1.0),
+    "verify_bisubharmonic-5.5": lambda: verify_bisubharmonic(5.5, 1.0),
+    "verify_appendix_claims-inf": lambda: verify_appendix_claims(math.inf),
+    "verify_appendix_claims-5.5": lambda: verify_appendix_claims(5.5),
+}
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS.values(), ids=DIMENSION_CALLS.keys())
+def test_dimension_must_be_a_positive_integer(call):
+    with pytest.raises(DomainError, match="dimension must be a positive integer"):
+        call()
+
+
 class TestStatus:
+    def test_nan_q(self):
+        with pytest.raises(DomainError):
+            best_constant_status(4, math.nan)
+
     def test_known_ranges(self):
         assert best_constant_status(4, -2.5) == "proven"
         assert best_constant_status(2, -0.5) == "conjectural"

@@ -106,8 +106,8 @@ class TestQStar:
         assert abs(root - 1.84) < abs(root - 1.82)
 
     def test_unique_sign_change_d1_to_12(self):
-        for d in range(1, 13):
-            assert len(P.scan_sign_changes(d)) == 1
+        for d, lattice in zip(range(1, 13), P._lattices(range(1, 13))):
+            assert len(P._sign_changes(d, lattice)) == 1
 
     def test_high_dim_bracket(self):
         # q_d* in (-(d-1), -(d-2)) for d >= 5
@@ -135,19 +135,20 @@ class TestQStar:
     def test_scan_grid_equals_array_walk(self):
         # reference: the left-edge walk with every h_tilde taken on the array path;
         # d = 1 keeps its edge at 5e-4, q = 1e-3, with no walk
-        for d in range(1, 61):
+        for d, lattice in zip(range(1, 61), P._lattices(range(1, 61))):
             x_left = 5e-4
             while d > 1 and P.h_tilde(d, np.array([x_left]))[0] <= 0 and x_left > 1e-9:
                 x_left /= 4.0
             qs = np.arange(-(d - 1) + 2.0 * x_left, 2.0 - 1e-3, 0.01)
             ref = qs[np.abs(qs) > 1e-6]
-            assert np.array_equal(P._scan_signs(d)[0].view(np.int64), ref.view(np.int64)), d
+            grid = P._lattice_signs(d, lattice)[0]
+            assert np.array_equal(grid.view(np.int64), ref.view(np.int64)), d
 
     def test_lattice_signs_equal_log_ratio(self):
         # every sign of every scan grid, not only at the brackets, against the q form
         # log c_two - log c_inf = h_d / q; about 0.7 s
-        for d in range(1, 161):
-            qs, sgn = P._scan_signs(d)
+        for d, lattice in zip(range(1, 161), P._lattices(range(1, 161))):
+            qs, sgn = P._lattice_signs(d, lattice)
             assert np.array_equal(sgn, np.sign(P.h_d(d, qs) / qs)), d
 
     def test_one_table_per_left_edge(self):
@@ -171,8 +172,8 @@ class TestQStar:
     def test_no_bracket_past_reach_builds_no_grid(self, d):
         # the left-edge walk finds no point left of the root; at d = 2**40 a scan
         # grid of 100 (d + 1) points would be an 800 TiB request
-        assert len(P.scan_sign_changes(145)) == 1
-        assert P.scan_sign_changes(d) == []
+        assert len(P._sign_changes(145, P._lattices([145])[0])) == 1
+        assert P._lattices([d]) == [None]
         with pytest.raises(NoBracketError, match=f"no sign change found for d={d}$"):
             P.q_star(d)
 
@@ -210,7 +211,7 @@ class TestQStar:
             with pytest.raises(DomainError):
                 P.q_star(d)
             with pytest.raises(DomainError):
-                P.scan_sign_changes(d)
+                P._lattices([d])
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,11 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    def test_infinite_k(self):
+        # int(inf) raised a bare OverflowError
+        with pytest.raises(DomainError):
+            pochhammer(1.0, math.inf)
+
     @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])], ids=["float", "array"])
     def test_nan_is_domain_error(self, x):
         with pytest.raises(DomainError):
