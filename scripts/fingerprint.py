@@ -89,7 +89,14 @@ Monte Carlo lines; last, inputs at the edge of the float range or infinite:
 G and U at (p, s) = (800, 600) and (300, 2), K and kappa of normalizers at
 (p, d) = (1, 400), tail_abs_pow at T = inf and h_d(4, inf); last, G and U
 at (300, 250) and (343, 300), where s^(-p/2) underflows first, and the
-entry points at a dimension of inf, 4.5 or 5.5 (dimension_calls).
+entry points at a dimension of inf, 4.5 or 5.5 (dimension_calls); last, G
+and U at (400, 600) and (344, 300), where Gamma(p/2) overflows, and the
+inputs at the edge of the float range and of the work budget
+(float_range_calls): the weights' norm, product_moment, estimate_moment and
+the closed moment at weights whose squares leave the normal floats,
+check_khinchin and ball_sphere_identity at 1e-300 weights, hyp2f1's
+terminating branch above the largest float, tail_abs_pow at p = s = 1e-300
+and at (0.1, 0.2), and jnu_zeros and pochhammer beyond their stated bounds.
 An input that raises prints the exception's class name.  Takes under a
 minute.
 """
@@ -104,6 +111,7 @@ from khinsphere import oscillatory, phase, sample, verify  # noqa: E402
 from khinsphere.cli import LEMMAS, table_writer  # noqa: E402
 from khinsphere.constants import (  # noqa: E402
     MomentQuery,
+    _closed_moment,
     _even_moments,
     _two_coeff_moment,
     c_inf,
@@ -123,7 +131,15 @@ from khinsphere.quad import (  # noqa: E402
     table2_log_bound,
     table3_scaled_bound,
 )
-from khinsphere.specfun import gamma, hyp2f1, jj, jj1_prime, jnu_zeros, log_gamma  # noqa: E402
+from khinsphere.specfun import (  # noqa: E402
+    gamma,
+    hyp2f1,
+    jj,
+    jj1_prime,
+    jnu_zeros,
+    log_gamma,
+    pochhammer,
+)
 from khinsphere.verify import TABLE2_EDGES, TABLE3_EDGES  # noqa: E402
 
 SEED = 20221
@@ -168,6 +184,35 @@ def dimension_calls():
         ("verify_appendix_claims d=5.5 min_margin",
          lambda: phase.verify_appendix_claims(5.5).min_margin),
     ]
+
+
+def float_range_calls():
+    """(label, call) at the edge of the float range and of the work budget: weights whose
+    squares leave the normal floats, closed forms whose factors do, and unbounded work."""
+    T = _middle_plan()[3]
+    calls = [(f"MomentQuery {_args(*c)} norm", lambda c=c: MomentQuery(4, -1.5, c).norm)
+             for c in ((1e-300, 1e-300), (1e300, 1e300, 1e300), (1e-160, 1e-160, 0.5e-160))]
+    for c in ((1e-300, 1e-300), (1e-300,), (1e-300, 1e-302, 1e-302), (1e300, 1e300, 1e300),
+              (1e-160, 1e-160, 0.5e-160)):
+        calls.append((f"product_moment d=4 p=1.5 {_args(*c)}",
+                      lambda c=c: product_moment(MomentQuery(4, -1.5, c))))
+        calls.append((f"estimate_moment d=4 q=-1.5 {_args(*c)} seed=2 estimate",
+                      lambda c=c: sample.estimate_moment(MomentQuery(4, -1.5, c), 2000, 2).estimate))
+    for q, c in ((-1.5, (1e-300, 1e-300)), (2.0, (1e300, 1.0)), (100.0, (10.0 ** -3.2,) * 2)):
+        calls.append((f"_closed_moment d=4 q={q!r} {_args(*c)}",
+                      lambda q=q, c=c: _closed_moment(MomentQuery(4, q, c))[0]))
+    return calls + [
+        ("check_khinchin p=1.5 1e-300 x3 estimate",
+         lambda: sample.check_khinchin(4, 1.5, [(1e-300,) * 3], 2000).entries[0].estimate),
+        ("ball_sphere_identity d=4 q=1.5 1e-300 1e-300 ratio",
+         lambda: sample.ball_sphere_identity(4, 1.5, (1e-300, 1e-300), 2000, 2).ratio),
+        ("hyp2f1 0.5 1000.0 2.0 t=0.7", lambda: hyp2f1(0.5, 1000.0, 2.0, 0.7)),
+        ("hyp2f1 -1.45 1000.0 2.0 t=0.7", lambda: hyp2f1(-1.45, 1000.0, 2.0, 0.7)),
+        (f"tail_abs_pow 1e-300 1e-300 T={T!r}", lambda: oscillatory.tail_abs_pow(1e-300, 1e-300, T)),
+        (f"tail_abs_pow 0.1 0.2 T={T!r}", lambda: oscillatory.tail_abs_pow(0.1, 0.2, T)),
+    ] + [(f"jnu_zeros nu={nu!r} t_max={t!r} count", lambda nu=nu, t=t: len(jnu_zeros(nu, t)))
+         for nu, t in ((0.0, 1e300), (0.0, 1e8), (-1.0, 1e8), (1e-300, 1e8), (0.5, 1e4))] + [
+        (f"pochhammer 0.5 k={k}", lambda k=k: pochhammer(0.5, k)) for k in (10**6, 10**8)]
 
 
 def _args(*xs) -> str:
@@ -215,11 +260,12 @@ def tail_abs_pow_points():
 
 
 def estimate_moments_lines():
-    """estimate_moments at 10^4 samples, seed d: four weights, q = -(d-1)/2 and q = 1."""
+    """estimate_moment at 10^4 samples, seed d: four weights, q = -(d-1)/2 and q = 1, labelled
+    estimate_moments as when one call took both q on shared samples."""
     coeffs = (1.0, 0.8, 0.6, 0.5)
     for d in (3, 4, 5, 8):
-        qs = (-0.5 * (d - 1), 1.0)
-        for q, st in zip(qs, sample.estimate_moments(d, coeffs, qs, 10_000, seed=d)):
+        for q in (-0.5 * (d - 1), 1.0):
+            st = sample.estimate_moment(MomentQuery(d, q, coeffs), 10_000, seed=d)
             label = f"estimate_moments d={d} q={q!r} {_args(*coeffs)} seed={d}"
             yield f"{label} estimate {st.estimate.hex()}"
             yield f"{label} se {st.std_error.hex()}"
@@ -477,6 +523,11 @@ def main() -> int:
         for p, s in ((300.0, 250.0), (343.0, 300.0)):
             print(_line(f"{fn.__name__} {_args(p, s)}", lambda: fn(IntegralParams(p, s))))
     for label, call in dimension_calls():
+        print(_line(label, call))
+    for fn in (G, U):
+        for p, s in ((400.0, 600.0), (344.0, 300.0)):
+            print(_line(f"{fn.__name__} {_args(p, s)}", lambda: fn(IntegralParams(p, s))))
+    for label, call in float_range_calls():
         print(_line(label, call))
     return 0
 

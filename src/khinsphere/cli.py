@@ -36,13 +36,11 @@ def _jdump(obj) -> str:
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
+    """The weights of --coeffs; MomentQuery checks that they are finite and not all zero."""
     try:
-        coeffs = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise DomainError(f"could not parse coefficients {text!r}") from exc
-    if not all(math.isfinite(a) for a in coeffs):
-        raise DomainError(f"coefficients must be finite, got {text!r}")
-    return coeffs
 
 
 def _param(params: dict, key: str, default):
@@ -156,11 +154,8 @@ def _report_csv(report) -> str:
 
 
 def _run_slice(params: dict, fmt: str) -> tuple[int, str]:
-    coeffs = np.asarray(_parse_coeffs(params["coeffs"]), dtype=float)
-    nrm = float(np.linalg.norm(coeffs))
-    if nrm == 0:
-        raise DomainError("coefficients must not all be zero")
-    coeffs = coeffs / nrm  # the slice direction is scale-free
+    query = MomentQuery(4, -2.0, _parse_coeffs(params["coeffs"]))  # weights not all zero
+    coeffs = np.asarray(query.coeffs) / query.norm  # the slice direction is scale-free
     n = len(coeffs)
     vol = sample.polydisc_slice_volume(coeffs)
     lo, hi = math.pi ** (n - 1), 2.0 * math.pi ** (n - 1)

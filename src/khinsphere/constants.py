@@ -9,12 +9,13 @@ so does _closed_moment, the one choice of a closed route for E|sum a_k xi_k|^q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specfun import _as_array, gamma, hyp2f1, log_gamma
+from .specfun import _as_array, _power_product, gamma, hyp2f1, log_gamma
 
 __all__ = [
     "MomentQuery",
@@ -58,8 +59,20 @@ class MomentQuery:
             raise DomainError("coefficients must not all be zero")
 
     @property
+    def _scale(self) -> float:
+        """1.0 where sum a_k^2 is a normal float, else the largest |a_k|, over which it is."""
+        ss = sum(a * a for a in self.coeffs)
+        return 1.0 if sys.float_info.min <= ss < math.inf else max(map(abs, self.coeffs))
+
+    @property
     def norm(self) -> float:
-        return math.sqrt(sum(a * a for a in self.coeffs))
+        """|a| = sqrt(sum a_k^2), the one place it is taken: as summed where sum a_k^2 is a normal
+        float, else over _scale; DomainError where |a| is above the largest float."""
+        scale = self._scale
+        norm = scale * math.sqrt(sum((a / scale) * (a / scale) for a in self.coeffs))
+        if norm == math.inf:
+            raise DomainError(f"the weights' norm is above the largest float, coeffs={self.coeffs}")
+        return norm
 
 
 def _two_coeff_2f1(d: int, q: float, t):
@@ -77,20 +90,25 @@ def _two_coeff_moment(d: int, q: float, a, b):
     hi, t = np.maximum(a, b), np.minimum(a, b)
     t /= hi
     t *= t  # (m/M)^2, in place, as the Monte Carlo scoring holds a chunk of samples
-    f = _two_coeff_2f1(d, q, t)
-    hi **= q
-    hi *= f
-    return hi
+    return _power_product(((hi, q),), coeff=_two_coeff_2f1(d, q, t))
+
+
+def _in_range(query: MomentQuery, value) -> float:
+    """value, E|sum a_k xi_k|^q of query or its error, as a float; DomainError if not finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"E|sum a_k xi_k|^q of {query} is above the largest float: {value}")
+    return float(value)
 
 
 def _closed_moment(query: MomentQuery) -> tuple[float, str] | None:
     """(E|sum a_k xi_k|^q, route): |a|^q ("exact") for one nonzero weight, however small,
-    the 2F1 of _two_coeff_moment ("hypergeometric") for two, None for more."""
+    the 2F1 of _two_coeff_moment ("hypergeometric") for two, None for more; both take the
+    power through _power_product, and a value above the largest float raises DomainError."""
     nz = [a for a in query.coeffs if a != 0.0]
     if len(nz) == 1:
-        return float(np.abs(nz[0]) ** query.q), "exact"
+        return _in_range(query, _power_product(((np.abs(nz[0]), query.q),))), "exact"
     if len(nz) == 2:
-        return float(_two_coeff_moment(query.d, query.q, *nz)), "hypergeometric"
+        return _in_range(query, _two_coeff_moment(query.d, query.q, *nz)), "hypergeometric"
     return None
 
 
@@ -103,7 +121,7 @@ def _even_moments(d: int, weights, K: int) -> list[float]:
     E|v + b xi|^(2k) = sum over i, l of C(k, 2i) C(k - 2i, l) (4b^2)^i E x^(2i)
     b^(2(k - 2i - l)) E|v|^(2(l + i)): positive terms only, nothing cancels.
     No weights give 1, 0, ..., 0.  Pure Python, O(len(weights) K^3), for two callers:
-    estimate_moments' control variates (K = 2) and product_moment's series (K >= 17 at rho = 0.3).
+    estimate_moment's control variates (K = 2) and product_moment's series (K >= 17 at rho = 0.3).
     """
     ex = [1.0]
     for i in range(1, K // 2 + 1):

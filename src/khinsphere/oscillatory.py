@@ -9,14 +9,9 @@ power tails at omega = 0, the integration-by-parts (IBP) expansion where
 |omega| T >= 40, and Gauss panels up to |omega| t = 40 in between.  Two consumers:
 
 * ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
-  expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
-  M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
-  non-oscillatory part: it is why truncating at any feasible T and bounding
-  the remainder fails when p is close to 3s/2.  Every (p, s) lane of one
-  call is summed at once, over the modes its p needs, built per call with no
-  cache, as array operations over modes x powers of 1/t x lanes: closed-form
-  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
-  for the others.  F sends all its lanes, of every s, through one call.
+  expansion of |cos theta|^s, every (p, s) lane of one call at once.  Its
+  m = 0 term, the slow non-oscillatory part, is why truncating at any
+  feasible T and bounding the remainder fails when p is close to 3s/2.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
@@ -342,9 +337,9 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
     Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
     the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
     exp, so no intermediate is subnormal where the result is not.  A T outside
-    20 <= T < inf raises DomainError, and so do NaN, p >= 3s/2 (naming the
-    first such element), an infinite p or s and s > _TAIL_S_MAX (141); an
-    empty p gives an empty array.
+    20 <= T < inf raises DomainError, and so do NaN, p >= 3s/2 or mu rounding
+    to -1 or above, as at p = s = 1e-300 (naming the first such element), an
+    infinite p or s and s > _TAIL_S_MAX (141); an empty p gives an empty array.
     Near s = 1 with p near 3s/2, where the modes decay slowest, F with this
     tail at F's tol of 1e-10 was at most 2.2e-11 off an mpmath oracle, at
     (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
@@ -357,13 +352,14 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
         raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")
     if np.any(np.asarray(s) > _TAIL_S_MAX):  # an empty p too
         raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s!r}")
-    diverges = pa >= 1.5 * sa
+    mu = pa.ravel() - 1.0 - 1.5 * sa.ravel()
+    diverges = (pa.ravel() >= 1.5 * sa.ravel()) | (mu >= -1.0)
     if diverges.any():
         k = np.argmax(diverges)
-        raise DomainError(f"tail diverges: p={pa.flat[k]} >= 3s/2={1.5 * sa.flat[k]}")
+        raise DomainError(f"tail diverges: p={pa.flat[k]} >= 3s/2={1.5 * sa.flat[k]}, or "
+                          f"p - 1 - 3s/2 = {mu[k]} is not below -1 in floats")
     out = np.empty(pa.size)
     if pa.size:
-        mu = pa.ravel() - 1.0 - 1.5 * sa.ravel()
         s_set, at = _distinct(sa.ravel())
         prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
         last, cms, col0, sers = _abs_pow_plan(mu, s_set, at, T, tol, prefs)

@@ -1,28 +1,16 @@
 """The section-3 integral functionals and the product-Bessel moment integral.
 
-F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt takes one route for every s: on
-jj_1's first arch, in u = t sqrt(s), a power-series head on u <= 1/2 (it
-handles the t^(p-1) singularity exactly) and Gauss-Legendre panels graded
-toward the zero j_1,1 sqrt(s); fixed panels graded toward the zeros of J_1
-up to T ~ 47, built once; all panels summed in logs; and beyond T the
-asymptotic Watson-expansion tail from ``oscillatory``, summed to 1e-10
-absolute and dropped where Watson's envelope bounds it below 1e-13 of F.
-Where the tail is needed and s > 141, F raises DomainError.  F takes every
-(p, s) of a call as one lane of one array pass: the head and panels run per
-distinct s and the tail is one call for every lane.  No error estimate is
-returned.
+F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt takes one route for every s (see
+F): a series head and Gauss-Legendre panels on jj_1's first arch, fixed
+panels up to T ~ 47, and beyond T the asymptotic tail from ``oscillatory``,
+every (p, s) of a call in one array pass.  No error estimate is returned.
 
 G, U, H, G_tilde and H_tilde are closed forms (or differences with F) that
-take arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p)
-through the product formula, except where one weight dominates: there
-product_moment sums the 2F1 series over the exact even moments of the others.
-Elsewhere the panels are sized by the integrand's
-bandwidth sum_k a_k (width 32/sum_k a_k, where the 24-point Gauss-Legendre
-remainder is below 5.6e-18 of the half-width, graded by 1.5 from t = 1 up
-to that width), all factors are evaluated in one call per block of panels,
-and there are at most 200,000 panels (ToleranceError beyond).  The panels
-stop early, and the asymptotic tail is skipped, where an explicit
-Bessel-envelope bound puts everything beyond below 1e-13 of the result.
+take arrays as well; G and U take their factors through specfun's float-range
+rule.  product_moment evaluates E|sum a_k xi_k|^(-p) by the same pattern
+through the product formula, on panels sized by the integrand's bandwidth,
+or, where one weight dominates, by the 2F1 series over the exact even
+moments of the others.
 
 The one-sided bounds on F behind Tables 2-3 (``table2_log_bound``,
 ``table3_scaled_bound``) and interpolation~ follow the paper's hand
@@ -34,18 +22,17 @@ inflation rather than directed rounding.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import oscillatory as osc
-from .constants import D, MomentQuery, _even_moments, normalizers
+from .constants import D, MomentQuery, _even_moments, _in_range, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
 from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
                           series_pow)
-from .specfun import gamma, jnu_zeros, log_gamma, _jj_norm_const, _jj_series_coeffs, _jj_vec
+from .specfun import _jj_norm_const, _jj_series_coeffs, _jj_vec, _power_product, jnu_zeros
 
 __all__ = [
     "IntegralParams",
@@ -267,42 +254,22 @@ def _log_panel_sum(log_g: np.ndarray, log_t: np.ndarray, p: np.ndarray) -> np.nd
     return _in_blocks(block, p, len(log_t))
 
 
-def _in_float_range(name: str, formula, p, s):
-    """formula(), with DomainError naming the first (p, s) where it is inf or NaN, as where a
-    factor overflows (a float pow raises OverflowError there, an array one gives inf)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = formula()
-    except OverflowError:
-        val = math.inf
-    _require(np.isfinite(val), DomainError, name + "(p={p}, s={s}) is out of reach: beyond the"
-             " float range", p, s)
-    return val
-
-
 def _g(p, s):
-    """G's closed form, unchecked.  Where s^(-p/2) is below the normal floats and the product
-    is finite (0 or subnormal), the product is taken in logs instead, with one exp."""
-    decay = s ** (-p / 2.0)
-    val = decay * 2.0 ** (1.5 * p - 1.0) * gamma(p / 2.0)
-    low = decay < sys.float_info.min
-    if not (low.any() if isinstance(low, np.ndarray) else low):  # no numpy call for a float
-        return val
-    logs = -p / 2.0 * np.log(s) + (1.5 * p - 1.0) * math.log(2.0) + log_gamma(p / 2.0)
-    val = np.where(low & np.isfinite(val), np.exp(logs), val)
-    return float(val) if val.ndim == 0 else val
+    """G's closed form s^(-p/2) 2^(3p/2-1) Gamma(p/2), through _power_product's float-range rule."""
+    return _power_product(((s, -p / 2.0), (2.0, 1.5 * p - 1.0)), (p / 2.0,))
 
 
 def G(params: IntegralParams):
     """G(p, s) = int_0^inf e^(-s t^2/8) t^(p-1) dt = s^(-p/2) 2^(3p/2-1) Gamma(p/2).
 
-    G raises DomainError where a factor or the value leaves the float range:
-    for every p above 343.2, where Gamma(p/2) overflows, and from p = 242.3
-    at s = 1 or 269.3 at s = 2, where the value does.  Where s^(-p/2) alone
-    underflows, as at (p, s) = (300, 250), the value is taken in logs (_g).
-    """
+    A factor that leaves the normal floats, as Gamma(p/2) for p > 343.2 or s^(-p/2) at
+    (300, 250), sends the product to logs (_power_product): G(800, 600) = 7.57e115.  A
+    value above the largest float, as at (300, 2) and (2000, 1334), raises DomainError."""
     p, s = params.p, params.s
-    return _in_float_range("G", lambda: _g(p, s), p, s)
+    val = _g(p, s)
+    _require(np.isfinite(val), DomainError,
+             "G(p={p}, s={s}) is out of reach: beyond the float range", p, s)
+    return val
 
 
 def H(params: IntegralParams):
@@ -314,20 +281,19 @@ def H(params: IntegralParams):
 
 
 def U(params: IntegralParams):
-    """The explicit upper envelope of F built from the two jj_1 bounds.
-
-    Like G, U raises DomainError where a factor or the value leaves the float range.
-    """
+    """The explicit upper envelope of F built from the two jj_1 bounds; its power products
+    take G's float-range rule, and a value above the largest float raises DomainError."""
     p, s = params.p, params.s
     _require(p < 1.5 * s, DivergenceError, "U has a pole at p = 3s/2; got p={p}, s={s}", p, s)
-
-    def formula():
-        first = 4.0**p * (2.0 * math.pi * math.sqrt(15.0)) ** (-s / 2.0) / (1.5 * s - p)
-        h = p / 2.0  # Gamma(h + 2) = Gamma(h) h (h+1), and Gamma(h + 4) on from it
-        rise = h * (h + 1.0)
-        return first + _g(p, s) * (1.0 - rise / (6.0 * s)
-                                   + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
-    return _in_float_range("U", formula, p, s)
+    first = _power_product(((4.0, p), (2.0 * math.pi * math.sqrt(15.0), -s / 2.0)))
+    h = p / 2.0  # Gamma(h + 2) = Gamma(h) h (h+1), and Gamma(h + 4) on from it
+    rise = h * (h + 1.0)
+    with np.errstate(all="ignore"):
+        val = first / (1.5 * s - p) + _g(p, s) * (1.0 - rise / (6.0 * s)
+                                                  + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
+    _require(np.isfinite(val), DomainError,
+             "U(p={p}, s={s}) is out of reach: beyond the float range", p, s)
+    return val
 
 
 def G_tilde(params: IntegralParams):
@@ -361,6 +327,7 @@ def product_moment(query: MomentQuery) -> float:
     a weight eps |a| moves the moment by O(eps^(d-1-p)): at (4, 2.9, (1, 1, 1e-13))
     the pair alone gives 6.6226, 4.6% above Monte Carlo's 6.3290 +- 0.00004.
     There the panels would reach 25/eps, and past 200,000 of them raise ToleranceError.
+    Every route scales by |a|^(-p) through _power_product: DomainError above the float range.
 
     Where one weight dominates, rho = sum_(k>=2) a_k / a_1 <= _RHO_MAX = 0.3, there is
     no integral: with A = a_1 and v the sum of the other weighted vectors (|v| <= rho A),
@@ -417,8 +384,8 @@ def product_moment(query: MomentQuery) -> float:
     if len(amps) == 2 and p > d - 2 and amps[0] - amps[1] <= 1e-6:  # next to an equal pair
         amps = sorted((abs(a) / norm for a in query.coeffs if a != 0.0), reverse=True)
     n = len(amps)
-    if n == 1:
-        return float(norm ** (-p))  # single sphere vector: |a xi| = |a|
+    if n == 1:  # single sphere vector: |a xi| = |a|
+        return _in_range(query, _power_product(((norm, -p),)))
     if p >= n * (d - 1) / 2.0:
         raise ConvergenceError(
             f"integral not absolutely convergent: p={p} >= n(d-1)/2={n * (d - 1) / 2.0};"
@@ -426,7 +393,8 @@ def product_moment(query: MomentQuery) -> float:
         )
     rho = math.fsum(amps[1:]) / amps[0]
     if rho <= _RHO_MAX:
-        return _dominant_series(d, p, amps, rho) * (amps[0] * norm) ** (-p)
+        return _in_range(query, _power_product(((amps[0] * norm, -p),),
+                                               coeff=_dominant_series(d, p, amps, rho)))
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
     if not 0.0 < kappa < math.inf:  # NaN too
@@ -445,7 +413,7 @@ def product_moment(query: MomentQuery) -> float:
     edges = _moment_edges(a0, T, _PANEL_OMEGA_H / sum(amps))
     middle = _panel_quad(integrand, edges, block=max(1, _PANEL_BLOCK // n))
     tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
-    return float(kappa * (head + middle + tail) * norm ** (-p))
+    return _in_range(query, _power_product(((norm, -p),), coeff=kappa * (head + middle + tail)))
 
 
 def _dominant_series(d: int, p: float, amps, rho: float) -> float:

@@ -5,24 +5,15 @@ theorems); they provide statistical cross-checks of the quadrature and
 closed-form routes.  The RNG is Philox (counter-based) so that streams are
 reproducible: identical seed and configuration give bit-identical results.
 
-Moments E|sum a_k xi_k|^q are estimated by conditioning on every vector but
-the one with the largest weight A (Rao-Blackwellisation, Casella & Robert
-1996).  By rotation invariance, given v = the sum of the others,
-E[|v + A xi|^q | v] is the two-coefficient moment of (|v|, A), a bounded
-2F1 value for every q > -(d-1).  Each score thus has finite variance, and
-the plain mean with its CLT standard error holds on the whole domain.  The
-last cosine of the chain behind v is stratified: each partial sum takes
-_STRATA scores, one from each of as many equal-width strata of the
-cosine's angle, each weighted by the angle's density over the uniform one,
-so the cusp of the score at |v| = A is resolved per partial sum rather than
-sampled (Cochran, Sampling Techniques, ch. 5).  The group means then take
-control variates (Lavenberg & Welch, Management Science 27(3), 1981): the
-weighted powers mean(omega u^i), i = 0, 1, 2, of u = (|v|/A)^2, whose
-means are exact (E|v|^(2k) from the radial chain's even moments), regressed
-out on the same groups.  On unit sets of 3 to 6 weights at d = 4 the two
-together cut the variance per score below the plain mean's by a median
-factor of 2200 at q = -0.5, 320 at q = -1.5 and 31 at q = -2.5, with no
-extra 2F1 call.  Both exact moments are imported from constants.
+estimate_moment conditions on every vector but the one with the largest
+weight A (Rao-Blackwellisation, Casella & Robert 1996): given v, the sum of
+the others, E[|v + A xi|^q | v] is the bounded two-coefficient 2F1 moment of
+(|v|, A) for every q > -(d-1), so the plain mean with its CLT standard error
+holds on the whole domain.  Its strata of the last cosine and its control
+variates with exact means (both exact moments come from constants) cut the
+variance per score below the plain mean's, on unit sets of 3 to 6 weights at
+d = 4, by a median factor of 2200 at q = -0.5, 320 at q = -1.5 and 31 at
+q = -2.5, with no extra 2F1 call.
 
 Only norms of sums are ever needed, so no vector is drawn: the radial chain
 adds one weighted vector at a time through |v + a xi|^2 = |v|^2 + a^2 +
@@ -31,12 +22,6 @@ Archimedes' projection, distributed as the first coordinate of a uniform
 point in B^(d-2): x = 2 Beta((d-1)/2, (d-1)/2) - 1.  A vector thus costs
 two uniforms (Ulrich's form of the symmetric Beta; G. Ulrich, JRSS C 33(2),
 1984), not d normals and a norm.
-
-check_khinchin runs its sampled sets concurrently, one thread a set, up to
-the number of usable CPUs.  Each set draws from its own generator, and numpy
-releases the interpreter lock in its fills and ufuncs, so every result is
-the same whatever the scheduling or the core count; peak memory covers up
-to that many sets in flight, each scored _CHUNK samples at a time.
 """
 from __future__ import annotations
 
@@ -48,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C2, C_infty, MomentQuery, _closed_moment, _even_moments, _two_coeff_moment
+from .constants import (C2, C_infty, MomentQuery, _closed_moment, _even_moments, _in_range,
+                        _two_coeff_moment)
 from .errors import DomainError
 from .quad import product_moment
-from .specfun import HYP2F1_RTOL
+from .specfun import HYP2F1_RTOL, _power_product
 
 __all__ = [
     "SampleStats",
@@ -59,7 +45,6 @@ __all__ = [
     "KhinchinReport",
     "BallSphereReport",
     "estimate_moment",
-    "estimate_moments",
     "check_khinchin",
     "ball_sphere_identity",
     "polydisc_slice_volume",
@@ -69,9 +54,9 @@ __all__ = [
 # samples a pass of the cosine draws and of the 2F1 scoring holds at once;
 # check_khinchin keeps up to one set a usable CPU in flight
 _CHUNK = 1 << 15
-# control variates mean(omega u^j) - E u^j, j = 0.._CV_TERMS, of estimate_moments
+# control variates mean(omega u^j) - E u^j, j = 0.._CV_TERMS, of estimate_moment
 _CV_TERMS = 2
-# equal-width strata of the angle of each partial sum's last cosine in estimate_moments
+# equal-width strata of the angle of each partial sum's last cosine in estimate_moment
 _STRATA = 8
 
 
@@ -79,7 +64,7 @@ _STRATA = 8
 class SampleStats:
     """One Monte Carlo estimate.  method "plain-mean": the mean of the stratified groups of
     Rao-Blackwellised scores after their control-variate adjustment, with a CLT standard
-    error from the residuals (see estimate_moments); the label tells it from the
+    error from the residuals (see estimate_moment); the label tells it from the
     median-of-means that once served the heavy-tailed moments.  n_samples is the number of
     2F1 scores taken, the requested number rounded down to whole groups."""
 
@@ -197,12 +182,6 @@ def _abs_sums(d: int, weights, n: int, gen: np.random.Generator) -> np.ndarray:
     return r
 
 
-def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> SampleStats:
-    """Monte Carlo estimate of E|sum a_k xi_k|^q (Rao-Blackwellised, stratified, with control
-    variates; see estimate_moments)."""
-    return estimate_moments(query.d, query.coeffs, [query.q], n_samples, seed)[0]
-
-
 def _last_step(d: int, r, w, v):
     """r[:, j] <- |v + w xi_j| in place, the cosine of xi_j in stratum j of m; returns the weights.
 
@@ -244,8 +223,10 @@ def _last_step(d: int, r, w, v):
     return omega
 
 
-def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[SampleStats]:
-    """Estimates of E|sum a_k xi_k|^q for several q on shared samples.
+def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> SampleStats:
+    """Monte Carlo estimate of E|sum a_k xi_k|^q: Rao-Blackwellised, stratified, with control
+    variates.  The draws, strata and control-variate columns do not depend on q, so calls
+    that differ only in q share their samples.
 
     Every score is the exact conditional moment given the sum v of every
     weighted vector but the one with the largest weight A:
@@ -256,13 +237,11 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     The chain's last cosine is stratified (Cochran, Sampling Techniques,
     ch. 5).  With b the largest of the other weights, the chain runs over the
     rest for N = n_samples // m partial sums w, m = _STRATA.  Each w takes
-    one uniform V and m angles theta_j = pi (j + V)/m, one in each of m
-    equal strata of [0, pi]: the score g_j at |w + b xi_j|, xi_j at the
-    angle theta_j, takes the weight omega_j = sqrt(pi) Gamma(d/2)/
-    Gamma((d-1)/2) sin^(d-2)(theta_j), the angle's density over the uniform
-    one (_last_step).  The group score G = mean_j(omega_j g_j) is unbiased
+    one score g_j at |w + b xi_j| in each of m equal strata of the angle of
+    xi_j, weighted by omega_j, the angle's density over the uniform one
+    (_last_step).  The group score G = mean_j(omega_j g_j) is unbiased
     for E[g | w] and resolves the cusp of g at |v| = A per partial sum.
-    n_samples counts 2F1 scores per q; N m are taken, and
+    n_samples counts 2F1 scores; N m are taken, and
     SampleStats.n_samples reports that number.  m = 1, one score a group
     with weight 1 and the last cosine drawn by the chain, is the degenerate
     case: at d = 1, with at most one nonzero other weight, or with
@@ -286,13 +265,15 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     with a CLT standard error.  The scores are taken _CHUNK at a time and no
     sum uses BLAS, so every estimate is bit-identical whatever the thread
     count.
+
+    The chain runs on the weights over MomentQuery._scale (1 where sum a_k^2 is
+    a normal float), and estimate and standard error are scaled back by its
+    q-th power through _power_product: DomainError above the largest float.
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
-    qs = [float(q) for q in qs]
-    for q in qs:
-        MomentQuery(d, q, tuple(coeffs))  # validates domain
-    coeffs = np.asarray(coeffs, dtype=float)
+    d, q, scale = query.d, query.q, query._scale
+    coeffs = np.asarray(query.coeffs, dtype=float) / scale
     top = int(np.argmax(np.abs(coeffs)))
     big = abs(coeffs[top])
     others = np.delete(coeffs, top)
@@ -304,7 +285,7 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
     v = gen.random(n) if m > 1 else None
     eu = _even_moments(d, others / big, _CV_TERMS)  # E u^i
     raw = np.empty((_CV_TERMS + 1, n))  # mean_j(omega_j u_j^i) of each group
-    gs = np.empty((len(qs), n))
+    gs = np.empty(n)
     step = _CHUNK // m
     for i in range(0, n, step):
         rows = slice(i, i + step)
@@ -321,10 +302,9 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
             raw[k, rows] = np.mean(p, axis=1)
             p *= u
         del u, p  # before the 2F1 scoring, which holds several chunk-sized arrays
-        for a, q in enumerate(qs):
-            g = _two_coeff_moment(d, q, big, r)
-            g *= omega
-            gs[a, rows] = np.mean(g, axis=1)
+        g = _two_coeff_moment(d, q, big, r)
+        g *= omega
+        gs[rows] = np.mean(g, axis=1)
     cols = []  # (z, sum of squares, mean of X) of each kept column, orthogonal to those before
     for k in range(_CV_TERMS + 1):
         mean = float(np.mean(raw[k]))
@@ -337,20 +317,16 @@ def estimate_moments(d: int, coeffs, qs, n_samples: int, seed: int = 0) -> list[
         ss = float(np.sum(z * z))
         if ss > 1e-10 * float(np.sum(raw[k] * raw[k])) and len(cols) < n - 2:
             cols.append((z, ss, mean))
-    out = []
-    for g in gs:
-        est = float(np.mean(g))
-        e = g - est
-        for z, ss, mean in cols:
-            f = float(np.sum(z * e)) / ss
-            e -= f * z
-            est -= f * mean
-        rss = float(np.sum(e * e))
-        se = math.hypot(math.sqrt(rss / (n - 1 - len(cols))) / math.sqrt(n),
-                        HYP2F1_RTOL * abs(est))
-        out.append(SampleStats(n_samples=n * m, estimate=est, std_error=se,
-                               method="plain-mean", seed=seed))
-    return out
+    est = _in_range(query, np.mean(gs))
+    e = gs - est
+    for z, ss, mean in cols:
+        f = float(np.sum(z * e)) / ss
+        e -= f * z
+        est -= f * mean
+    rss = float(np.sum(e * e))
+    se = math.hypot(math.sqrt(rss / (n - 1 - len(cols))) / math.sqrt(n), HYP2F1_RTOL * abs(est))
+    est, se = (_in_range(query, _power_product(((scale, q),), coeff=x)) for x in (est, se))
+    return SampleStats(n_samples=n * m, estimate=est, std_error=se, method="plain-mean", seed=seed)
 
 
 def normal_isf(alpha: float) -> float:
@@ -392,7 +368,8 @@ def _map_threads(fn, jobs: list) -> list:
     """[fn(*job) for job in jobs] on min(len(jobs), usable CPUs) threads, the caller's included.
 
     Jobs are handed out in order; the first failed job in list order has its
-    error re-raised here, once every thread has stopped.
+    error re-raised here, once every thread has stopped.  numpy releases the
+    interpreter lock in its fills and ufuncs, so Monte Carlo sets overlap.
     """
     results, errors = [None] * len(jobs), [None] * len(jobs)
     todo, lock = iter(range(len(jobs))), threading.Lock()
@@ -423,9 +400,10 @@ def _map_threads(fn, jobs: list) -> list:
 
 
 def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) -> KhinchinReport:
-    """Check E|sum a_k xi_k|^(-p) <= C(p) (sum a_k^2)^(-p/2) at d=4.
+    """Check E|sum a_k xi_k|^(-p) <= C(p) |a|^(-p) at d=4, |a| = MomentQuery.norm.
 
-    C(p) is C_infty for p <= 2 and C2 for p > 2.  Sets with one or two
+    C(p) is C_infty for p <= 2 and C2 for p > 2, and the bound takes |a|^(-p)
+    through _power_product.  Sets with one or two
     nonzero weights, however small, take the exact or the hypergeometric route
     of constants._closed_moment; such an entry is violated when it exceeds the
     bound by more than 1e-9 relative plus 1e-12, and its margin_sigma is then
@@ -454,8 +432,7 @@ def check_khinchin(d: int, p: float, coeff_sets, n_samples: int, seed: int = 0) 
     entries = []
     for i, (query, c) in enumerate(zip(queries, closed)):
         coeffs = query.coeffs
-        norm2 = sum(a * a for a in coeffs)
-        bound = const * norm2 ** (-p / 2.0)
+        bound = _power_product(((query.norm, -p),), coeff=const)
         if c is not None:
             est, route = c
             se = 0.0
@@ -503,7 +480,8 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
         raise DomainError(f"requires q > -(d-2), got q={q}")
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
-    coeffs = MomentQuery(d, q, coeffs).coeffs  # q = 0, non-finite or all-zero weights raise
+    query = MomentQuery(d, q, coeffs)  # q = 0, non-finite or all-zero weights raise
+    coeffs = [a / query._scale for a in query.coeffs]  # the ratio is scale-free
     gen = _rng(seed)
     sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
     radii = gen.random((len(coeffs), n_samples)) ** (1.0 / (d - 2))

@@ -2,16 +2,16 @@
 
 Every function is pure and array-capable (numpy broadcasting); scalar inputs
 give scalar outputs.  Gamma and log Gamma are math.gamma and math.lgamma
-elementwise.  The normalized Bessel function ``jj(nu, t)`` is
-2^nu Gamma(nu+1) t^(-nu) J_nu(t), the characteristic function of a vector
-uniform on the unit sphere S^(d-1) at radius t, with nu = d/2 - 1.  It has
-one evaluator on one switch: a power series where t < max(5, nu) and, above,
-Cephes' large-argument J0/J1 with forward recurrence, stable there as t > nu.
-jj_1' = -(t/4) jj_2 (DLMF 10.6.6) comes from the same evaluator.
+elementwise.  The normalized Bessel function ``jj(nu, t)``, one evaluator on
+one switch, is the characteristic function of a vector uniform on the unit
+sphere S^(d-1) at radius t, with nu = d/2 - 1.  _power_product is the closed
+forms' one rule for the float range.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,8 @@ __all__ = [
 # _SERIES_CUT times its largest term
 HYP2F1_RTOL = 1e-13
 _SERIES_CUT = 1e-18
+_POCHHAMMER_K_MAX = 10_000  # largest k of pochhammer, checked before any product
+_ZEROS_T_MAX = 1e4  # largest t_max of jnu_zeros, checked before the grid is built
 # hyp2f1's parameter-only set-up is cached per parameter set; a Monte Carlo
 # batch or a verifier grid reuses a handful of sets, each a few KB
 _SETUP_CACHE = 32
@@ -114,6 +116,35 @@ def log_gamma(x):
     return _maybe_scalar(out.reshape(arr.shape), scalar)
 
 
+def _power_product(powers, gammas=(), coeff=None):
+    """prod b^e over powers (b > 0, or 0 with e >= 0) times prod Gamma(x), x > 0, times coeff: the
+    closed forms' one float-range rule; the inputs broadcast.  Where every factor is a normal
+    float, the product as written, left to right and coeff last, with no numpy call for float
+    input; elsewhere, lane by lane, one exp of the sum of the factors' logs and of coeff's
+    binary exponent, times coeff's mantissa.  Beyond the largest float it is +-inf, below the
+    normal ones 0 or subnormal, and it never warns."""
+    floats = all(type(x) is float for pair in powers for x in pair)
+    with contextlib.nullcontext() if floats else np.errstate(all="ignore"):
+        try:
+            factors = [b ** e for b, e in powers]
+        except OverflowError:  # a float power above the largest float
+            factors = [math.inf]
+        factors += [gamma(x) for x in gammas]
+        normal = [(sys.float_info.min <= f) & (f < math.inf) for f in factors]  # bools for floats
+        val = factors[0]  # a fresh array or a scalar: multiplied in place where shapes allow
+        for f in factors[1:] + ([] if coeff is None else [coeff]):
+            inplace = isinstance(val, np.ndarray) and val.shape == np.broadcast(val, f).shape
+            val = np.multiply(val, f, out=val) if inplace else val * f
+    if all(ok if type(ok) is bool else ok.all() for ok in normal):
+        return val
+    with np.errstate(all="ignore"):
+        logs = sum(e * np.log(b) for b, e in powers) + sum(log_gamma(x) for x in gammas)
+        mantissa, exponent = np.frexp(1.0 if coeff is None else coeff)
+        out = np.exp(logs) if coeff is None else np.exp(logs + exponent * math.log(2.0)) * mantissa
+        out = np.where(np.logical_and.reduce(normal), val, out)
+    return float(out) if out.ndim == 0 else out
+
+
 # Bernoulli numbers B_2 .. B_14 for the psi asymptotic series.
 _BERNOULLI = (
     1.0 / 6.0,
@@ -167,9 +198,10 @@ def trigamma(x):
 
 
 def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1; a NaN x raises DomainError."""
-    if not (0 <= k < math.inf and k == int(k)):  # NaN and inf too
-        raise DomainError(f"pochhammer requires integer k >= 0, got {k!r}")
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), (x)_0 = 1, for integer 0 <= k <= 10^4
+    (_POCHHAMMER_K_MAX); a larger k, checked before any product, and a NaN x raise DomainError."""
+    if not (0 <= k <= _POCHHAMMER_K_MAX and k == int(k)):  # NaN and inf too
+        raise DomainError(f"pochhammer requires integer 0 <= k <= {_POCHHAMMER_K_MAX}, got {k!r}")
     arr, scalar = _as_array(x)
     if not np.all(arr == arr):  # NaN
         raise DomainError(f"pochhammer is undefined at NaN, in {x!r}")
@@ -291,6 +323,11 @@ def jj1_prime(t):
     return -(t / 4.0) * jj(2.0, t)
 
 
+def _check_order(nu: float) -> None:
+    if not (0.0 <= nu < math.inf and 2.0 * nu == round(2.0 * nu)):  # NaN too
+        raise DomainError(f"jj's order must be a multiple of 1/2 with nu >= 0, got nu={nu}")
+
+
 def jj(nu: float, t):
     """Normalized Bessel jj_nu(t) = 2^nu Gamma(nu+1) t^(-nu) J_nu(t).
 
@@ -302,8 +339,7 @@ def jj(nu: float, t):
     about 1e-14 up to nu = 30, and worse beyond, as the series cancels near
     t = nu (1e-12 at nu = 50).
     """
-    if not (0.0 <= nu < math.inf and 2.0 * nu == round(2.0 * nu)):  # NaN too
-        raise DomainError(f"jj's order must be a multiple of 1/2 with nu >= 0, got nu={nu}")
+    _check_order(nu)
     arr, scalar = _as_array(t)
     if not np.all((arr >= 0.0) & (arr < math.inf)):  # NaN too
         raise DomainError(f"jj requires finite t >= 0, got {t!r}")
@@ -458,8 +494,8 @@ def hyp2f1(a: float, b: float, c: float, t):
       so that it holds uniformly as c-a-b approaches an integer and reduces
       to the logarithmic case 15.8.10 at an integer (_hyp2f1_near_one); its
       two paired series share one Horner pass, half the numpy calls of two.
-    - a or b a nonpositive integer: the polynomial, on all of [0, 1]; c-a or
-      c-b one: (1-t)^(c-a-b) times a polynomial (Euler's transformation).
+    - a or b a nonpositive integer: the polynomial, on all of [0, 1]; c-a or c-b one:
+      (1-t)^(c-a-b) times a polynomial (Euler), by _power_product; DomainError above range.
     - t = 1: the Gauss sum Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)),
       which requires c-a-b > 0 (DivergenceError otherwise).
 
@@ -485,15 +521,16 @@ def hyp2f1(a: float, b: float, c: float, t):
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError(f"hyp2f1 implemented for t in [0,1], got {t}")
     s = math.fsum((c, -a, -b))  # exact c-a-b, which may be tiny
-    for p1, p2 in ((a, b), (b, a)):
+    for p1, p2, power in ((a, b, 0.0), (b, a, 0.0), (c - a, c - b, s), (c - b, c - a, s)):
         if _nonpos_int(p1):
-            return _maybe_scalar(_horner(_ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1)), arr), scalar)
-    for p1, p2 in ((c - a, c - b), (c - b, c - a)):
-        if _nonpos_int(p1):
-            if s < 0 and np.any(arr == 1.0):
+            if power < 0 and np.any(arr == 1.0):
                 raise DivergenceError(f"hyp2f1 diverges at t=1 when c-a-b={s} < 0")
-            poly = _horner(_ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1)), arr)
-            return _maybe_scalar((1.0 - arr) ** s * poly, scalar)
+            with np.errstate(all="ignore"):
+                poly = _horner(_ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1)), arr)
+            out = poly if power == 0.0 else _power_product(((1.0 - arr, s),), coeff=poly)
+            if not np.all(np.isfinite(out)):
+                raise DomainError(f"hyp2f1({a}, {b}; {c}; t) is above the largest float at t={t}")
+            return _maybe_scalar(out, scalar)
     # each branch gathers its t by index (take) and scatters by index (put),
     # which costs a fraction of boolean-mask indexing on large arrays
     flat, out = arr.ravel(), np.empty(arr.shape)
@@ -544,13 +581,14 @@ def _bisect(f, a, b, tol: float):
 
 def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
     """Positive zeros of J_nu (equivalently of jj_nu) up to ceil(t_max), ascending; each
-    bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide.
-    nu is one of jj's orders, as jj checks on that grid, and t_max finite, else DomainError."""
-    if not math.isfinite(t_max):
-        raise DomainError(f"jnu_zeros requires a finite t_max, got {t_max}")
+    bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide.  nu is one of
+    jj's orders and t_max <= 10^4 (_ZEROS_T_MAX), both checked first, else DomainError."""
+    _check_order(nu)
+    if not t_max <= _ZEROS_T_MAX:  # NaN too
+        raise DomainError(f"jnu_zeros requires t_max <= {_ZEROS_T_MAX:g}, got {t_max}")
     nu, t_cap = float(nu), math.ceil(t_max)
     grid = np.arange(0.25, t_cap + 0.25, 0.25)
-    vals = jj(nu, grid)  # jj's order check
+    vals = jj(nu, grid)
     on_grid = grid[:-1][vals[:-1] == 0.0]
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     a, b, _ = _bisect(lambda lanes, t: _jj_vec(nu, t), grid[i], grid[i + 1], 0.0)

@@ -173,7 +173,8 @@ class TestAcceptance:
             for s in np.linspace(2.0, 12.0, 40):
                 ok &= math.exp(-p * (s - 2) / 4) <= s ** (-p / 2) * 2.0 ** (p / 2) + 1e-15
         # Jensen floor and norm monotonicity on sampled sums
-        st2, st1 = sample.estimate_moments(4, (0.6, 0.8), [-2.0, -1.0], 200_000, seed=77)
+        st2, st1 = (sample.estimate_moment(MomentQuery(4, q, (0.6, 0.8)), 200_000, seed=77)
+                    for q in (-2.0, -1.0))
         ok &= st2.estimate >= 1.0 - 4.0 * st2.std_error
         n2 = st2.estimate ** (-0.5)
         n1 = 1.0 / st1.estimate

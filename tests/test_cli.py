@@ -190,6 +190,22 @@ class TestSliceVerb:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("coeffs", ["1e-300,1e-300", "1e300,1e300", "3e-310,-3e-310"])
+    def test_direction_at_any_scale(self, coeffs, capsys):
+        # the norm underflowed ("coefficients must not all be zero") or overflowed
+        assert _run(["slice", "--coeffs", coeffs], capsys) == _run(["slice", "--coeffs", "1,1"],
+                                                                   capsys)
+
+
+class TestAboveTheLargestFloat:
+    @pytest.mark.parametrize("verb", ["moment", "mc"])
+    def test_error_line(self, verb, capsys):
+        # moment ended in a ZeroDivisionError traceback; mc printed inf,inf and exited 0
+        code, out, err = _run([verb, "--p", "1.5", "--coeffs", "1e-300,1e-300", "--n", "200"],
+                              capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "above the largest float" in err
+
 
 class TestMcVerb:
     def test_stats(self, capsys):

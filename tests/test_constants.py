@@ -218,6 +218,23 @@ class TestMomentQuery:
                 MomentQuery(d, q, coeffs)
 
 
+class TestNorm:
+    @pytest.mark.parametrize("coeffs", [(0.6, 0.8), (1.0, 2.5e-4), (3.0, -1e-200, 7.5), (1e150,)])
+    def test_summed_as_it_stands_in_the_normal_range(self, coeffs):
+        assert MomentQuery(4, -1.0, coeffs).norm == math.sqrt(sum(a * a for a in coeffs))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_scaled_by_the_largest_weight_elsewhere(self, scale):
+        # sum a_k^2 underflowed to 0 (a bare ZeroDivisionError in product_moment) or
+        # overflowed to inf (every weight dropped)
+        norm = MomentQuery(4, -1.0, (scale, -scale, 0.0, scale)).norm
+        assert norm == pytest.approx(math.sqrt(3.0) * scale, rel=1e-15)
+
+    def test_above_the_largest_float(self):
+        with pytest.raises(DomainError, match="norm is above the largest float"):
+            MomentQuery(4, -1.0, (1.5e308, 1.5e308)).norm
+
+
 class TestClosedMoment:
     def test_routes_by_nonzero_weights(self):
         assert _closed_moment(MomentQuery(4, -2.5, (0.0, -0.5))) == (0.5 ** -2.5, "exact")
@@ -230,6 +247,22 @@ class TestClosedMoment:
         # 1/max^2 exactly (Newton's theorem)
         assert _closed_moment(MomentQuery(4, -2.0, (1.0, 1e-13))) == (1.0, "hypergeometric")
         assert _closed_moment(MomentQuery(4, -2.0, (-2.0, 1e-13))) == (0.25, "hypergeometric")
+
+    @pytest.mark.parametrize("q,coeffs", [(-1.5, (1e-300, 1e-300)), (2.0, (1e300, 1.0)),
+                                          (-1.5, (1e-300,))])
+    def test_above_the_largest_float(self, q, coeffs):
+        # the first two returned inf with an overflow warning
+        with pytest.raises(DomainError, match="above the largest float"):
+            _closed_moment(MomentQuery(4, q, coeffs))
+
+    def test_power_in_logs_where_it_alone_leaves_the_range(self):
+        # M^q = 1e-320 is subnormal, the 2F1 7.7e27: the product, 7.7e-293, a normal float,
+        # had the subnormal's 5 digits
+        mpmath = pytest.importorskip("mpmath")
+        a = 10.0 ** -3.2
+        got = _closed_moment(MomentQuery(4, 100.0, (a, a)))[0]
+        exact = mpmath.mpf(a) ** 100 * float(_two_coeff_moment(4, 100.0, 1.0, 1.0))
+        assert got == pytest.approx(float(exact), rel=1e-13)
 
 
 # every entry point that takes a dimension requires a positive integer, so a finite one:

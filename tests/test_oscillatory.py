@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -602,6 +603,18 @@ class TestTailAbsPowArray:
             osc.tail_abs_pow(np.array([1.0, 2.0]), 150.0, self.T)
         with pytest.raises(DomainError, match="s <= 141"):
             osc.tail_abs_pow(np.array([]), 150.0, self.T)
+
+    @pytest.mark.parametrize("T", [20.0, 47.90146088705, 1e6])
+    def test_p_next_to_3s_2_at_tiny_s(self, T):
+        # p - 1 - 3s/2 rounds to -1 at p = s = 1e-300: a divide-by-zero warning, then a bare
+        # ValueError, as no lane had a mode m >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="is not below -1"):
+                osc.tail_abs_pow(1e-300, 1e-300, T)
+
+    def test_small_s_keeps_its_bits(self):
+        assert osc.tail_abs_pow(0.1, 0.2, self.T).hex() == "0x1.1e3eac5a0ba23p+1"  # as before
 
     def test_short_T_is_domain_error(self):
         with pytest.raises(DomainError, match="T >= 20"):

@@ -339,14 +339,41 @@ class TestG:
             G(IP(p, s))
 
 
-@pytest.mark.parametrize("fn", [G, U], ids=["G", "U"])
-class TestFloatRange:
-    """G and U raise DomainError beyond the float range, where F at (800, 600) is 4.43e96."""
+def _mp_g_u(p, s):
+    """G(p, s) and U(p, s) in mpmath at 30 digits, as floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        p, s = mpmath.mpf(p), mpmath.mpf(s)
+        h = p / 2
+        g = s ** (-h) * mpmath.mpf(2) ** (1.5 * p - 1) * mpmath.gamma(h)
+        first = mpmath.mpf(4) ** p * (2 * mpmath.pi * mpmath.sqrt(15)) ** (-s / 2) / (1.5 * s - p)
+        u = first + g * (1 - h * (h + 1) / (6 * s) + h * (h + 1) * (h + 2) * (h + 3) / (72 * s * s))
+        return float(g), float(u)
 
-    # (800, 600) raised a bare OverflowError as floats and gave NaN as arrays; at
-    # (400, 600) and (344, 300) Gamma(p/2) overflows and the value was NaN
+
+class TestFloatRange:
+    """Where a factor of G or U leaves the float range but the value does not, the value is
+    taken in logs: F at (800, 600) is 4.43e96, G 7.57e115 and U 7.25e118."""
+
+    # G and U raised DomainError here: Gamma(p/2) overflows at all three, 4^p too at (800, 600),
+    # and s^(-p/2) underflows at (400, 600).  The log path's error, about |e ln b| 2^-53 for
+    # each power b^e, was 1.17e-13 at (400, 600) and (800, 600) against mpmath
+    @pytest.mark.parametrize("fn", [G, U], ids=["G", "U"])
     @pytest.mark.parametrize("p,s", [(800.0, 600.0), (400.0, 600.0), (344.0, 300.0)])
     def test_scalar_and_array(self, fn, p, s):
+        exact = dict(zip((G, U), _mp_g_u(p, s)))[fn]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = fn(IP(p, s))
+            lanes = fn(IP(np.array([1.0, p, 2.0]), np.array([2.0, s, 2.0])))
+        assert scalar == pytest.approx(exact, rel=2e-13, abs=0.0)
+        assert lanes[1] == scalar and lanes[0] == fn(IP(1.0, 2.0))
+        assert U(IP(p, s)) >= F(IP(p, s))
+
+    # log G is 788 at (2000, 1334) and 807 at (300, 2), where U is past its pole
+    @pytest.mark.parametrize("fn,p,s", [(G, 2000.0, 1334.0), (U, 2000.0, 1334.0), (G, 300.0, 2.0)],
+                             ids=["G-2000-1334", "U-2000-1334", "G-300-2"])
+    def test_value_above_float_range(self, fn, p, s):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
@@ -700,6 +727,31 @@ class TestKappaRange:
         # kappa = 1.6e-130 at (150, 75): the guard lets it through to the quadrature
         assert 0.0 < normalizers(75.0, 150).kappa < 1e-100
         assert math.isfinite(product_moment(MomentQuery(150, -75.0, (1.0, 0.5))))
+
+
+class TestWeightScale:
+    """E|sum a_k xi_k|^(-p) = |a|^(-p) times the moment at unit norm, on every route, where
+    sum a_k^2 leaves the normal floats too: it underflowed to 0 (a bare ZeroDivisionError)
+    or overflowed (every weight dropped, a ConvergenceError)."""
+
+    # one weight, a dominant one (the series) and three equal ones (the quadrature)
+    @pytest.mark.parametrize("unit", [(1.0,), (1.0, 0.01, 0.01), (1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e200])
+    def test_homogeneous(self, unit, scale):
+        mpmath = pytest.importorskip("mpmath")
+        at_unit = product_moment(MomentQuery(4, -1.5, unit))
+        norm = mpmath.sqrt(mpmath.fsum(mpmath.mpf(a) ** 2 for a in unit))
+        got = product_moment(MomentQuery(4, -1.5, tuple(a * scale for a in unit)))
+        assert got == pytest.approx(float(at_unit * (norm * scale) ** -1.5 * norm ** 1.5),
+                                    rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("coeffs", [(1e-300,), (1e-300, 1e-300), (1e-300, 1e-302, 1e-302)])
+    def test_above_the_largest_float(self, coeffs):
+        with pytest.raises(DomainError, match="above the largest float"):
+            product_moment(MomentQuery(4, -1.5, coeffs))
+
+    def test_underflow(self):
+        assert product_moment(MomentQuery(4, -1.5, (1e300, 1e300, 1e300))) == 0.0
 
 
 class TestDominantSeries:

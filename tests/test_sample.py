@@ -102,7 +102,7 @@ class TestRadialChain:
         qs = [-2.5, -1.0, 2.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = S.estimate_moments(4, coeffs, qs, 100_000, seed=3)
+            stats = [S.estimate_moment(MomentQuery(4, q, coeffs), 100_000, seed=3) for q in qs]
         # E|S|^2 = sum a_k^2
         exact = [product_moment(MomentQuery(4, q, coeffs)) for q in qs[:2]] + [float(len(coeffs))]
         for st_, ex in zip(stats, exact):
@@ -111,6 +111,23 @@ class TestRadialChain:
 
 
 class TestEstimateMoment:
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_weights_beyond_the_normal_squares(self, scale):
+        # sum a_k^2 subnormal or inf: the chain runs on the weights over the largest, 1.0 here,
+        # and estimate and se are scaled back by scale^q; before, the chain squared subnormals
+        # or overflowed with a warning
+        unit = S.estimate_moment(MomentQuery(4, -1.5, (1.0, 1.0, 0.5)), 2000, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = S.estimate_moment(MomentQuery(4, -1.5, (scale, scale, 0.5 * scale)), 2000, seed=3)
+        assert got.estimate == unit.estimate * scale ** -1.5
+        assert got.std_error == unit.std_error * scale ** -1.5
+
+    def test_above_the_largest_float(self):
+        # the scores overflowed: inf, inf, and khinsphere mc exited 0
+        with pytest.raises(DomainError, match="above the largest float"):
+            S.estimate_moment(MomentQuery(4, -1.5, (1e-300, 1e-300, 1e-300)), 200, seed=1)
+
     def test_unit_vector_exact(self):
         st_ = S.estimate_moment(MomentQuery(4, -1.0, (1.0,)), 50_000, seed=2)
         assert st_.estimate == pytest.approx(1.0, abs=4.0 * st_.std_error + 1e-12)
@@ -142,9 +159,9 @@ class TestEstimateMoment:
         monkeypatch.setattr(S, "_cosine_betas", no_draws)
         # three nonzero weights, so that the radial chain draws one cosine
         with pytest.raises(DomainError):
-            S.estimate_moments(4, (0.6, 0.6, 0.5), [1.0], n_samples)
+            S.estimate_moment(MomentQuery(4, 1.0, (0.6, 0.6, 0.5)), n_samples)
         with pytest.raises(AssertionError, match="drawn"):  # the patched draw is the one used
-            S.estimate_moments(4, (0.6, 0.6, 0.5), [1.0], 2)
+            S.estimate_moment(MomentQuery(4, 1.0, (0.6, 0.6, 0.5)), 2)
 
     @pytest.mark.parametrize("n, rel_se", [(3, 1e-3), (4, 2.2e-3), (5, 3e-3), (6, 3.7e-3)])
     def test_rao_blackwell_heavy_tail(self, n, rel_se):
@@ -173,7 +190,7 @@ class TestEstimateMoment:
         # ||S||_q nondecreasing in q, on shared samples
         d, coeffs = 4, (0.5, 0.5, math.sqrt(0.5))
         qs = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
-        stats = S.estimate_moments(d, coeffs, qs, 200_000, seed=9)
+        stats = [S.estimate_moment(MomentQuery(d, q, coeffs), 200_000, seed=9) for q in qs]
         norms = [s.estimate ** (1.0 / q) for s, q in zip(stats, qs)]
         sigma = [abs(s.std_error * n / (q * s.estimate)) for s, q, n in zip(stats, qs, norms)]
         for i in range(len(qs) - 1):
@@ -192,9 +209,10 @@ class TestEstimateMoment:
         # among two-coefficient splits (x, 1-x), the even split minimizes
         # E|sum|^q for q in (0,2)
         q = 1.0
-        base = S.estimate_moments(4, (math.sqrt(0.5), math.sqrt(0.5)), [q], 200_000, seed=31)[0]
+        base = S.estimate_moment(MomentQuery(4, q, (math.sqrt(0.5), math.sqrt(0.5))), 200_000, seed=31)
         for x in (0.65, 0.8, 0.95):
-            other = S.estimate_moments(4, (math.sqrt(x), math.sqrt(1 - x)), [q], 200_000, seed=32)[0]
+            other = S.estimate_moment(MomentQuery(4, q, (math.sqrt(x), math.sqrt(1 - x))), 200_000,
+                                      seed=32)
             assert base.estimate <= other.estimate + 4.0 * (base.std_error + other.std_error)
 
 
@@ -265,7 +283,7 @@ class TestControlVariates:
         for n in range(3, 7):
             coeffs = rng.uniform(0.5, 1.0, n)
             coeffs /= np.linalg.norm(coeffs)
-            st_ = S.estimate_moments(d, coeffs, [-p], n_samples, seed=n)[0]
+            st_ = S.estimate_moment(MomentQuery(d, -p, coeffs), n_samples, seed=n)
             top = int(np.argmax(coeffs))
             r = S._abs_sums(d, np.delete(coeffs, top), n_samples, S._rng(n))
             g = S._two_coeff_moment(d, -p, coeffs[top], r)
@@ -273,14 +291,14 @@ class TestControlVariates:
 
     def test_two_samples_give_plain_mean(self):
         d, q, coeffs = 4, -1.5, (0.5, 0.6, 0.7)
-        st_ = S.estimate_moments(d, coeffs, [q], 2, seed=5)[0]
+        st_ = S.estimate_moment(MomentQuery(d, q, coeffs), 2, seed=5)
         g = S._two_coeff_moment(d, q, 0.7, S._abs_sums(d, np.array([0.5, 0.6]), 2, S._rng(5)))
         est = float(np.mean(g))
         se = math.hypot(float(np.std(g, ddof=1)) / math.sqrt(2), HYP2F1_RTOL * abs(est))
         assert (st_.estimate, st_.std_error) == (est, se)  # bit for bit
 
     def test_three_samples_finite_se(self):
-        st_ = S.estimate_moments(4, (0.5, 0.6, 0.7), [-1.5], 3, seed=5)[0]
+        st_ = S.estimate_moment(MomentQuery(4, -1.5, (0.5, 0.6, 0.7)), 3, seed=5)
         assert math.isfinite(st_.estimate)
         assert math.isfinite(st_.std_error) and st_.std_error > 0.0
 
@@ -308,7 +326,7 @@ class TestControlVariates:
         # sum a^2 within the se floor; the residual sum of squares, a difference of sums of
         # squares, vanishes to sqrt(machine epsilon) of the plain mean's
         coeffs, n_samples = (0.9, 0.5, 0.4, 0.3), 50_000
-        st_ = S.estimate_moments(d, coeffs, [2.0], n_samples, seed=d)[0]
+        st_ = S.estimate_moment(MomentQuery(d, 2.0, coeffs), n_samples, seed=d)
         norm2 = math.fsum(a * a for a in coeffs)
         assert abs(st_.estimate - norm2) <= HYP2F1_RTOL * norm2
         g = S._two_coeff_moment(d, 2.0, 0.9, S._abs_sums(d, np.array(coeffs[1:]), n_samples,
@@ -351,9 +369,9 @@ class TestStrata:
     def test_scores_taken(self):
         # n_samples counts 2F1 scores: whole groups of _STRATA, or one a group when m = 1
         coeffs = (0.5, 0.6, 0.7, 0.8)
-        assert S.estimate_moments(4, coeffs, [-1.0], 1001, seed=1)[0].n_samples == 1000
-        assert S.estimate_moments(4, coeffs, [-1.0], 15, seed=1)[0].n_samples == 15
-        assert S.estimate_moments(1, coeffs, [-0.5], 1001, seed=1)[0].n_samples == 1001
+        assert S.estimate_moment(MomentQuery(4, -1.0, coeffs), 1001, seed=1).n_samples == 1000
+        assert S.estimate_moment(MomentQuery(4, -1.0, coeffs), 15, seed=1).n_samples == 15
+        assert S.estimate_moment(MomentQuery(1, -0.5, coeffs), 1001, seed=1).n_samples == 1001
 
     def test_near_exact_fit_calibrated(self):
         # three weights with the other two summing below A: the chain's partial sum is
@@ -656,6 +674,14 @@ class TestBallSphere:
         # ZeroDivisionError once); the ratio equals the expected 2/(2 + q) = 1, so z = 0
         rep = S.ball_sphere_identity(4, 1e-17, (1.0, 0.5), 1000)
         assert (rep.sigma, rep.ratio, rep.expected, rep.z, rep.passed) == (0.0, 1.0, 1.0, 0.0, True)
+
+
+    def test_weights_beyond_the_normal_squares(self):
+        # the ratio is scale-free: at 1e-300 both moments underflowed and 0/0 raised a bare
+        # ZeroDivisionError, and at q < 0 both overflowed to a NaN ratio
+        for q in (1.5, -1.5):
+            tiny = S.ball_sphere_identity(4, q, (1e-300, 1e-300), 2000, seed=4)
+            assert tiny == S.ball_sphere_identity(4, q, (1.0, 1.0), 2000, seed=4)
 
 
 class TestPolydisc:

@@ -265,6 +265,14 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    def test_largest_k(self):
+        # k = 10^6 looped for 1.2 s to return inf with a warning, and k = 10^8 ran past 5 s
+        with np.errstate(over="ignore"):
+            assert pochhammer(0.5, specfun._POCHHAMMER_K_MAX) == math.inf
+        for k in (10_001, 10**6, 10**8):
+            with pytest.raises(DomainError, match="k <= 10000"):
+                pochhammer(0.5, k)
+
     def test_infinite_k(self):
         # int(inf) raised a bare OverflowError
         with pytest.raises(DomainError):
@@ -405,6 +413,17 @@ class TestJJ:
         with pytest.raises(DomainError):
             jnu_zeros(nu, 12.0)
 
+    @pytest.mark.parametrize("nu,t_max", [(0.0, 1e300), (0.0, 1e8), (-1.0, 1e8), (1e-300, 1e8)])
+    def test_zeros_checked_before_the_grid(self, nu, t_max, monkeypatch):
+        # t_max = 1e300 raised a bare ValueError and 1e8 asked for a 2.98 GiB grid, whatever nu
+        monkeypatch.setattr(specfun.np, "arange", None)  # a grid built first would fail here
+        with pytest.raises(DomainError):
+            jnu_zeros(nu, t_max)
+
+    def test_zeros_at_the_largest_t_max(self):
+        zs = jnu_zeros(0.5, specfun._ZEROS_T_MAX)
+        assert len(zs) == 3183 and zs[-1] == pytest.approx(3183 * math.pi, rel=1e-14)
+
     def test_prime_matches_mpmath(self):
         # jj_1' = -(t/4) jj_2 = -2 J2(t)/t, across jj_2's switch to the recurrence at t = 5
         mpmath = pytest.importorskip("mpmath")
@@ -513,6 +532,16 @@ class TestPochhammerSplit:
 class TestHyp2f1:
     def test_at_zero(self):
         assert hyp2f1(0.3, -0.7, 2.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("a", [0.5, -1.45])
+    def test_terminating_above_the_largest_float(self, a):
+        # c - b = -998: (1 - t)^(c-a-b) = 0.3^-998.5 overflowed and the value read -inf, where
+        # it is +3.79e517 (a = 0.5) and +7.42e510 (a = -1.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.7, np.array([0.1, 0.7])):
+                with pytest.raises(DomainError, match="above the largest float"):
+                    hyp2f1(a, 1000.0, 2.0, t)
 
     def test_log_closed_form(self):
         # 2F1(1,1;2;t) = -log(1-t)/t
