@@ -154,8 +154,9 @@ def _report_csv(report) -> str:
 
 
 def _run_slice(params: dict, fmt: str) -> tuple[int, str]:
-    query = MomentQuery(4, -2.0, _parse_coeffs(params["coeffs"]))  # weights not all zero
-    coeffs = np.asarray(query.coeffs) / query.norm  # the slice direction is scale-free
+    query = MomentQuery(4, -2.0, _parse_coeffs(params["coeffs"]))  # the slice volume's moment
+    c, unit = query._scaled_norm()  # the slice direction is scale-free: any finite scale works
+    coeffs = np.asarray(query.coeffs) / c / unit
     n = len(coeffs)
     vol = sample.polydisc_slice_volume(coeffs)
     lo, hi = math.pi ** (n - 1), 2.0 * math.pi ** (n - 1)

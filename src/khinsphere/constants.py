@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .specfun import _as_array, _power_product, gamma, hyp2f1, log_gamma
+from .specfun import _as_array, _in_range, _power_product, gamma, hyp2f1, log_gamma
 
 __all__ = [
     "MomentQuery",
@@ -58,18 +58,20 @@ class MomentQuery:
         if not any(a != 0.0 for a in self.coeffs):
             raise DomainError("coefficients must not all be zero")
 
-    @property
-    def _scale(self) -> float:
-        """1.0 where sum a_k^2 is a normal float, else the largest |a_k|, over which it is."""
+    def _scaled_norm(self) -> tuple[float, float]:
+        """(c, |a / c|): c = 1.0 where sum a_k^2 is a normal float, else the largest |a_k|."""
         ss = sum(a * a for a in self.coeffs)
-        return 1.0 if sys.float_info.min <= ss < math.inf else max(map(abs, self.coeffs))
+        if sys.float_info.min <= ss < math.inf:
+            return 1.0, math.sqrt(ss)
+        c = max(map(abs, self.coeffs))
+        return c, math.sqrt(sum((a / c) * (a / c) for a in self.coeffs))
 
     @property
     def norm(self) -> float:
         """|a| = sqrt(sum a_k^2), the one place it is taken: as summed where sum a_k^2 is a normal
-        float, else over _scale; DomainError where |a| is above the largest float."""
-        scale = self._scale
-        norm = scale * math.sqrt(sum((a / scale) * (a / scale) for a in self.coeffs))
+        float, else over the largest |a_k| (_scaled_norm); DomainError above the largest float."""
+        c, unit = self._scaled_norm()
+        norm = c * unit
         if norm == math.inf:
             raise DomainError(f"the weights' norm is above the largest float, coeffs={self.coeffs}")
         return norm
@@ -93,23 +95,18 @@ def _two_coeff_moment(d: int, q: float, a, b):
     return _power_product(((hi, q),), coeff=_two_coeff_2f1(d, q, t))
 
 
-def _in_range(query: MomentQuery, value) -> float:
-    """value, E|sum a_k xi_k|^q of query or its error, as a float; DomainError if not finite."""
-    if not math.isfinite(value):
-        raise DomainError(f"E|sum a_k xi_k|^q of {query} is above the largest float: {value}")
-    return float(value)
-
-
 def _closed_moment(query: MomentQuery) -> tuple[float, str] | None:
     """(E|sum a_k xi_k|^q, route): |a|^q ("exact") for one nonzero weight, however small,
     the 2F1 of _two_coeff_moment ("hypergeometric") for two, None for more; both take the
     power through _power_product, and a value above the largest float raises DomainError."""
     nz = [a for a in query.coeffs if a != 0.0]
     if len(nz) == 1:
-        return _in_range(query, _power_product(((np.abs(nz[0]), query.q),))), "exact"
-    if len(nz) == 2:
-        return _in_range(query, _two_coeff_moment(query.d, query.q, *nz)), "hypergeometric"
-    return None
+        val, route = _power_product(((np.abs(nz[0]), query.q),)), "exact"
+    elif len(nz) == 2:
+        val, route = _two_coeff_moment(query.d, query.q, *nz), "hypergeometric"
+    else:
+        return None
+    return _in_range(val, "E|sum a_k xi_k|^q", **vars(query)), route
 
 
 def _even_moments(d: int, weights, K: int) -> list[float]:

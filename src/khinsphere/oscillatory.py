@@ -9,9 +9,14 @@ power tails at omega = 0, the integration-by-parts (IBP) expansion where
 |omega| T >= 40, and Gauss panels up to |omega| t = 40 in between.  Two consumers:
 
 * ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
-  expansion of |cos theta|^s, every (p, s) lane of one call at once.  Its
-  m = 0 term, the slow non-oscillatory part, is why truncating at any
-  feasible T and bounding the remainder fails when p is close to 3s/2.
+  expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
+  M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
+  non-oscillatory part: it is why truncating at any feasible T and bounding
+  the remainder fails when p is close to 3s/2.  Every (p, s) lane of one
+  call is summed at once, over the modes its p needs, built per call with no
+  cache, as array operations over modes x powers of 1/t x lanes: closed-form
+  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
+  for the others.  F sends all its lanes, of every s, through one call.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.

@@ -1,16 +1,28 @@
 """The section-3 integral functionals and the product-Bessel moment integral.
 
-F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt takes one route for every s (see
-F): a series head and Gauss-Legendre panels on jj_1's first arch, fixed
-panels up to T ~ 47, and beyond T the asymptotic tail from ``oscillatory``,
-every (p, s) of a call in one array pass.  No error estimate is returned.
+F(p,s) = int_0^inf |jj_1(t)|^s t^(p-1) dt takes one route for every s: on
+jj_1's first arch, in u = t sqrt(s), a power-series head on u <= 1/2 (it
+handles the t^(p-1) singularity exactly) and Gauss-Legendre panels graded
+toward the zero j_1,1 sqrt(s); fixed panels graded toward the zeros of J_1
+up to T ~ 47, built once; all panels summed in logs; and beyond T the
+asymptotic Watson-expansion tail from ``oscillatory``, summed to 1e-10
+absolute and dropped where Watson's envelope bounds it below 1e-13 of F.
+Where the tail is needed and s > 141, F raises DomainError.  F takes every
+(p, s) of a call as one lane of one array pass: the head and panels run per
+distinct s and the tail is one call for every lane.  No error estimate is
+returned.
 
 G, U, H, G_tilde and H_tilde are closed forms (or differences with F) that
-take arrays as well; G and U take their factors through specfun's float-range
-rule.  product_moment evaluates E|sum a_k xi_k|^(-p) by the same pattern
-through the product formula, on panels sized by the integrand's bandwidth,
-or, where one weight dominates, by the 2F1 series over the exact even
-moments of the others.
+take arrays as well.  The same pattern evaluates E|sum a_k xi_k|^(-p)
+through the product formula, except where one weight dominates: there
+product_moment sums the 2F1 series over the exact even moments of the others.
+Elsewhere the panels are sized by the integrand's
+bandwidth sum_k a_k (width 32/sum_k a_k, where the 24-point Gauss-Legendre
+remainder is below 5.6e-18 of the half-width, graded by 1.5 from t = 1 up
+to that width), all factors are evaluated in one call per block of panels,
+and there are at most 200,000 panels (ToleranceError beyond).  The panels
+stop early, and the asymptotic tail is skipped, where an explicit
+Bessel-envelope bound puts everything beyond below 1e-13 of the result.
 
 The one-sided bounds on F behind Tables 2-3 (``table2_log_bound``,
 ``table3_scaled_bound``) and interpolation~ follow the paper's hand
@@ -28,11 +40,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import oscillatory as osc
-from .constants import D, MomentQuery, _even_moments, _in_range, normalizers
+from .constants import D, MomentQuery, _even_moments, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
 from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
                           series_pow)
-from .specfun import _jj_norm_const, _jj_series_coeffs, _jj_vec, _power_product, jnu_zeros
+from .specfun import (_in_range, _jj_norm_const, _jj_series_coeffs, _jj_vec, _power_product,
+                      jnu_zeros)
 
 __all__ = [
     "IntegralParams",
@@ -265,11 +278,7 @@ def G(params: IntegralParams):
     A factor that leaves the normal floats, as Gamma(p/2) for p > 343.2 or s^(-p/2) at
     (300, 250), sends the product to logs (_power_product): G(800, 600) = 7.57e115.  A
     value above the largest float, as at (300, 2) and (2000, 1334), raises DomainError."""
-    p, s = params.p, params.s
-    val = _g(p, s)
-    _require(np.isfinite(val), DomainError,
-             "G(p={p}, s={s}) is out of reach: beyond the float range", p, s)
-    return val
+    return _in_range(_g(params.p, params.s), "G", p=params.p, s=params.s)
 
 
 def H(params: IntegralParams):
@@ -291,9 +300,7 @@ def U(params: IntegralParams):
     with np.errstate(all="ignore"):
         val = first / (1.5 * s - p) + _g(p, s) * (1.0 - rise / (6.0 * s)
                                                   + rise * (h + 2.0) * (h + 3.0) / (72.0 * s * s))
-    _require(np.isfinite(val), DomainError,
-             "U(p={p}, s={s}) is out of reach: beyond the float range", p, s)
-    return val
+    return _in_range(val, "U", p=p, s=s)
 
 
 def G_tilde(params: IntegralParams):
@@ -385,7 +392,7 @@ def product_moment(query: MomentQuery) -> float:
         amps = sorted((abs(a) / norm for a in query.coeffs if a != 0.0), reverse=True)
     n = len(amps)
     if n == 1:  # single sphere vector: |a xi| = |a|
-        return _in_range(query, _power_product(((norm, -p),)))
+        return _in_range(_power_product(((norm, -p),)), "E|sum a_k xi_k|^q", **vars(query))
     if p >= n * (d - 1) / 2.0:
         raise ConvergenceError(
             f"integral not absolutely convergent: p={p} >= n(d-1)/2={n * (d - 1) / 2.0};"
@@ -393,8 +400,8 @@ def product_moment(query: MomentQuery) -> float:
         )
     rho = math.fsum(amps[1:]) / amps[0]
     if rho <= _RHO_MAX:
-        return _in_range(query, _power_product(((amps[0] * norm, -p),),
-                                               coeff=_dominant_series(d, p, amps, rho)))
+        val = _power_product(((amps[0] * norm, -p),), coeff=_dominant_series(d, p, amps, rho))
+        return _in_range(val, "E|sum a_k xi_k|^q", **vars(query))
     nu = d / 2.0 - 1.0
     kappa = normalizers(p, d).kappa
     if not 0.0 < kappa < math.inf:  # NaN too
@@ -413,7 +420,8 @@ def product_moment(query: MomentQuery) -> float:
     edges = _moment_edges(a0, T, _PANEL_OMEGA_H / sum(amps))
     middle = _panel_quad(integrand, edges, block=max(1, _PANEL_BLOCK // n))
     tail = 0.0 if cut else osc.tail_product(amps, nu, p, T)
-    return _in_range(query, _power_product(((norm, -p),), coeff=kappa * (head + middle + tail)))
+    val = _power_product(((norm, -p),), coeff=kappa * (head + middle + tail))
+    return _in_range(val, "E|sum a_k xi_k|^q", **vars(query))
 
 
 def _dominant_series(d: int, p: float, amps, rho: float) -> float:

@@ -5,15 +5,24 @@ theorems); they provide statistical cross-checks of the quadrature and
 closed-form routes.  The RNG is Philox (counter-based) so that streams are
 reproducible: identical seed and configuration give bit-identical results.
 
-estimate_moment conditions on every vector but the one with the largest
-weight A (Rao-Blackwellisation, Casella & Robert 1996): given v, the sum of
-the others, E[|v + A xi|^q | v] is the bounded two-coefficient 2F1 moment of
-(|v|, A) for every q > -(d-1), so the plain mean with its CLT standard error
-holds on the whole domain.  Its strata of the last cosine and its control
-variates with exact means (both exact moments come from constants) cut the
-variance per score below the plain mean's, on unit sets of 3 to 6 weights at
-d = 4, by a median factor of 2200 at q = -0.5, 320 at q = -1.5 and 31 at
-q = -2.5, with no extra 2F1 call.
+Moments E|sum a_k xi_k|^q are estimated by conditioning on every vector but
+the one with the largest weight A (Rao-Blackwellisation, Casella & Robert
+1996).  By rotation invariance, given v = the sum of the others,
+E[|v + A xi|^q | v] is the two-coefficient moment of (|v|, A), a bounded
+2F1 value for every q > -(d-1).  Each score thus has finite variance, and
+the plain mean with its CLT standard error holds on the whole domain.  The
+last cosine of the chain behind v is stratified: each partial sum takes
+_STRATA scores, one from each of as many equal-width strata of the
+cosine's angle, each weighted by the angle's density over the uniform one,
+so the cusp of the score at |v| = A is resolved per partial sum rather than
+sampled (Cochran, Sampling Techniques, ch. 5).  The group means then take
+control variates (Lavenberg & Welch, Management Science 27(3), 1981): the
+weighted powers mean(omega u^i), i = 0, 1, 2, of u = (|v|/A)^2, whose
+means are exact (E|v|^(2k) from the radial chain's even moments), regressed
+out on the same groups.  On unit sets of 3 to 6 weights at d = 4 the two
+together cut the variance per score below the plain mean's by a median
+factor of 2200 at q = -0.5, 320 at q = -1.5 and 31 at q = -2.5, with no
+extra 2F1 call.  Both exact moments are imported from constants.
 
 Only norms of sums are ever needed, so no vector is drawn: the radial chain
 adds one weighted vector at a time through |v + a xi|^2 = |v|^2 + a^2 +
@@ -22,6 +31,12 @@ Archimedes' projection, distributed as the first coordinate of a uniform
 point in B^(d-2): x = 2 Beta((d-1)/2, (d-1)/2) - 1.  A vector thus costs
 two uniforms (Ulrich's form of the symmetric Beta; G. Ulrich, JRSS C 33(2),
 1984), not d normals and a norm.
+
+check_khinchin runs its sampled sets concurrently, one thread a set, up to
+the number of usable CPUs.  Each set draws from its own generator, and numpy
+releases the interpreter lock in its fills and ufuncs, so every result is
+the same whatever the scheduling or the core count; peak memory covers up
+to that many sets in flight, each scored _CHUNK samples at a time.
 """
 from __future__ import annotations
 
@@ -33,11 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (C2, C_infty, MomentQuery, _closed_moment, _even_moments, _in_range,
-                        _two_coeff_moment)
+from .constants import C2, C_infty, MomentQuery, _closed_moment, _even_moments, _two_coeff_moment
 from .errors import DomainError
 from .quad import product_moment
-from .specfun import HYP2F1_RTOL, _power_product
+from .specfun import HYP2F1_RTOL, _in_range, _power_product
 
 __all__ = [
     "SampleStats",
@@ -237,9 +251,11 @@ def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> Sample
     The chain's last cosine is stratified (Cochran, Sampling Techniques,
     ch. 5).  With b the largest of the other weights, the chain runs over the
     rest for N = n_samples // m partial sums w, m = _STRATA.  Each w takes
-    one score g_j at |w + b xi_j| in each of m equal strata of the angle of
-    xi_j, weighted by omega_j, the angle's density over the uniform one
-    (_last_step).  The group score G = mean_j(omega_j g_j) is unbiased
+    one uniform V and m angles theta_j = pi (j + V)/m, one in each of m
+    equal strata of [0, pi]: the score g_j at |w + b xi_j|, xi_j at the
+    angle theta_j, takes the weight omega_j = sqrt(pi) Gamma(d/2)/
+    Gamma((d-1)/2) sin^(d-2)(theta_j), the angle's density over the uniform
+    one (_last_step).  The group score G = mean_j(omega_j g_j) is unbiased
     for E[g | w] and resolves the cusp of g at |v| = A per partial sum.
     n_samples counts 2F1 scores; N m are taken, and
     SampleStats.n_samples reports that number.  m = 1, one score a group
@@ -266,13 +282,13 @@ def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> Sample
     sum uses BLAS, so every estimate is bit-identical whatever the thread
     count.
 
-    The chain runs on the weights over MomentQuery._scale (1 where sum a_k^2 is
-    a normal float), and estimate and standard error are scaled back by its
-    q-th power through _power_product: DomainError above the largest float.
+    The chain runs on the weights over c of MomentQuery._scaled_norm (1 where
+    sum a_k^2 is a normal float), and estimate and standard error are scaled back
+    by c^q through _power_product: DomainError above the largest float.
     """
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
-    d, q, scale = query.d, query.q, query._scale
+    d, q, scale = query.d, query.q, query._scaled_norm()[0]
     coeffs = np.asarray(query.coeffs, dtype=float) / scale
     top = int(np.argmax(np.abs(coeffs)))
     big = abs(coeffs[top])
@@ -317,15 +333,18 @@ def estimate_moment(query: MomentQuery, n_samples: int, seed: int = 0) -> Sample
         ss = float(np.sum(z * z))
         if ss > 1e-10 * float(np.sum(raw[k] * raw[k])) and len(cols) < n - 2:
             cols.append((z, ss, mean))
-    est = _in_range(query, np.mean(gs))
-    e = gs - est
-    for z, ss, mean in cols:
-        f = float(np.sum(z * e)) / ss
-        e -= f * z
-        est -= f * mean
-    rss = float(np.sum(e * e))
+    # scores past the float range give inf or NaN here, unwarned, for the one check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = float(np.mean(gs))
+        e = gs - est
+        for z, ss, mean in cols:
+            f = float(np.sum(z * e)) / ss
+            e -= f * z
+            est -= f * mean
+        rss = float(np.sum(e * e))
     se = math.hypot(math.sqrt(rss / (n - 1 - len(cols))) / math.sqrt(n), HYP2F1_RTOL * abs(est))
-    est, se = (_in_range(query, _power_product(((scale, q),), coeff=x)) for x in (est, se))
+    est, se = (_in_range(_power_product(((scale, q),), coeff=x), "E|sum a_k xi_k|^q", **vars(query))
+               for x in (est, se))
     return SampleStats(n_samples=n * m, estimate=est, std_error=se, method="plain-mean", seed=seed)
 
 
@@ -368,8 +387,7 @@ def _map_threads(fn, jobs: list) -> list:
     """[fn(*job) for job in jobs] on min(len(jobs), usable CPUs) threads, the caller's included.
 
     Jobs are handed out in order; the first failed job in list order has its
-    error re-raised here, once every thread has stopped.  numpy releases the
-    interpreter lock in its fills and ufuncs, so Monte Carlo sets overlap.
+    error re-raised here, once every thread has stopped.
     """
     results, errors = [None] * len(jobs), [None] * len(jobs)
     todo, lock = iter(range(len(jobs))), threading.Lock()
@@ -481,7 +499,8 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples for a standard error, got {n_samples}")
     query = MomentQuery(d, q, coeffs)  # q = 0, non-finite or all-zero weights raise
-    coeffs = [a / query._scale for a in query.coeffs]  # the ratio is scale-free
+    scale = query._scaled_norm()[0]
+    coeffs = [a / scale for a in query.coeffs]  # the ratio is scale-free
     gen = _rng(seed)
     sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
     radii = gen.random((len(coeffs), n_samples)) ** (1.0 / (d - 2))

@@ -2,17 +2,20 @@
 
 Every function is pure and array-capable (numpy broadcasting); scalar inputs
 give scalar outputs.  Gamma and log Gamma are math.gamma and math.lgamma
-elementwise.  The normalized Bessel function ``jj(nu, t)``, one evaluator on
-one switch, is the characteristic function of a vector uniform on the unit
-sphere S^(d-1) at radius t, with nu = d/2 - 1.  _power_product is the closed
-forms' one rule for the float range.
+elementwise.  The normalized Bessel function ``jj(nu, t)`` is
+2^nu Gamma(nu+1) t^(-nu) J_nu(t), the characteristic function of a vector
+uniform on the unit sphere S^(d-1) at radius t, with nu = d/2 - 1.  It has
+one evaluator on one switch: a power series where t < max(5, nu) and, above,
+Cephes' large-argument J0/J1 with forward recurrence, stable there as t > nu.
+jj_1' = -(t/4) jj_2 (DLMF 10.6.6) comes from the same evaluator.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -130,19 +133,31 @@ def _power_product(powers, gammas=(), coeff=None):
         except OverflowError:  # a float power above the largest float
             factors = [math.inf]
         factors += [gamma(x) for x in gammas]
-        normal = [(sys.float_info.min <= f) & (f < math.inf) for f in factors]  # bools for floats
-        val = factors[0]  # a fresh array or a scalar: multiplied in place where shapes allow
-        for f in factors[1:] + ([] if coeff is None else [coeff]):
-            inplace = isinstance(val, np.ndarray) and val.shape == np.broadcast(val, f).shape
-            val = np.multiply(val, f, out=val) if inplace else val * f
-    if all(ok if type(ok) is bool else ok.all() for ok in normal):
+        val = reduce(operator.mul, factors if coeff is None else factors + [coeff])
+        normal = reduce(operator.and_, [(sys.float_info.min <= f) & (f < math.inf) for f in factors])
+    if normal if type(normal) is bool else normal.all():  # a bool for float factors
         return val
     with np.errstate(all="ignore"):
         logs = sum(e * np.log(b) for b, e in powers) + sum(log_gamma(x) for x in gammas)
         mantissa, exponent = np.frexp(1.0 if coeff is None else coeff)
         out = np.exp(logs) if coeff is None else np.exp(logs + exponent * math.log(2.0)) * mantissa
-        out = np.where(np.logical_and.reduce(normal), val, out)
+        out = np.where(normal, val, out)
     return float(out) if out.ndim == 0 else out
+
+
+def _in_range(value, name: str, **inputs):
+    """value, a float if it is one number, where it is finite; else DomainError "name(inputs) is
+    out of reach: above the largest float", quoting array inputs at the first lane not finite."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    ok = np.isfinite(value)
+    if ok.all():
+        return value if ok.ndim else float(value)
+    at = int(np.argmin(ok))
+    quoted = (np.broadcast_to(x, ok.shape).flat[at] if isinstance(x, np.ndarray) and x.ndim else x
+              for x in inputs.values())
+    args = ", ".join(f"{k}={x}" for k, x in zip(inputs, quoted))
+    raise DomainError(f"{name}({args}) is out of reach: above the largest float")
 
 
 # Bernoulli numbers B_2 .. B_14 for the psi asymptotic series.
@@ -528,9 +543,7 @@ def hyp2f1(a: float, b: float, c: float, t):
             with np.errstate(all="ignore"):
                 poly = _horner(_ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1)), arr)
             out = poly if power == 0.0 else _power_product(((1.0 - arr, s),), coeff=poly)
-            if not np.all(np.isfinite(out)):
-                raise DomainError(f"hyp2f1({a}, {b}; {c}; t) is above the largest float at t={t}")
-            return _maybe_scalar(out, scalar)
+            return _in_range(out, "hyp2f1", a=a, b=b, c=c, t=arr)  # a float for a scalar t
     # each branch gathers its t by index (take) and scatters by index (put),
     # which costs a fraction of boolean-mask indexing on large arrays
     flat, out = arr.ravel(), np.empty(arr.shape)

@@ -190,10 +190,13 @@ class TestSliceVerb:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(2.0 * math.pi, abs=1e-6)
 
-    @pytest.mark.parametrize("coeffs", ["1e-300,1e-300", "1e300,1e300", "3e-310,-3e-310"])
-    def test_direction_at_any_scale(self, coeffs, capsys):
-        # the norm underflowed ("coefficients must not all be zero") or overflowed
-        assert _run(["slice", "--coeffs", coeffs], capsys) == _run(["slice", "--coeffs", "1,1"],
+    @pytest.mark.parametrize("coeffs,unit", [("1e-300,1e-300", "1,1"), ("1e300,1e300", "1,1"),
+                                             ("3e-310,-3e-310", "1,1"),
+                                             ("1e308,1e308,1e308,1e308", "1,1,1,1")])
+    def test_direction_at_any_scale(self, coeffs, unit, capsys):
+        # the norm underflowed ("coefficients must not all be zero") or overflowed; |a| = 2e308,
+        # itself above the largest float, exited 1
+        assert _run(["slice", "--coeffs", coeffs], capsys) == _run(["slice", "--coeffs", unit],
                                                                    capsys)
 
 

@@ -355,19 +355,23 @@ class TestFloatRange:
     """Where a factor of G or U leaves the float range but the value does not, the value is
     taken in logs: F at (800, 600) is 4.43e96, G 7.57e115 and U 7.25e118."""
 
-    # G and U raised DomainError here: Gamma(p/2) overflows at all three, 4^p too at (800, 600),
-    # and s^(-p/2) underflows at (400, 600).  The log path's error, about |e ln b| 2^-53 for
-    # each power b^e, was 1.17e-13 at (400, 600) and (800, 600) against mpmath
+    # G and U raised DomainError at the first three: Gamma(p/2) overflows there, 4^p too at
+    # (800, 600), and s^(-p/2) underflows at (400, 600) and (300, 250).  The log path's error,
+    # about |e ln b| 2^-53 for each power b^e, was 1.17e-13 at (400, 600) and (800, 600) against
+    # mpmath.  A float p with an array s, or the reverse, mixes 0-d and 1-d factors
     @pytest.mark.parametrize("fn", [G, U], ids=["G", "U"])
-    @pytest.mark.parametrize("p,s", [(800.0, 600.0), (400.0, 600.0), (344.0, 300.0)])
+    @pytest.mark.parametrize("p,s", [(800.0, 600.0), (400.0, 600.0), (344.0, 300.0),
+                                     (300.0, 250.0)])
     def test_scalar_and_array(self, fn, p, s):
         exact = dict(zip((G, U), _mp_g_u(p, s)))[fn]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scalar = fn(IP(p, s))
             lanes = fn(IP(np.array([1.0, p, 2.0]), np.array([2.0, s, 2.0])))
+            mixed = [fn(IP(p, np.array([s]))), fn(IP(np.array([p]), s))]
         assert scalar == pytest.approx(exact, rel=2e-13, abs=0.0)
         assert lanes[1] == scalar and lanes[0] == fn(IP(1.0, 2.0))
+        assert [x.shape for x in mixed] == [(1,), (1,)] and mixed[0][0] == mixed[1][0] == scalar
         assert U(IP(p, s)) >= F(IP(p, s))
 
     # log G is 788 at (2000, 1334) and 807 at (300, 2), where U is past its pole
@@ -380,6 +384,10 @@ class TestFloatRange:
                 fn(IP(p, s))
             with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
                 fn(IP(np.array([1.0, p, 2.0]), np.array([2.0, s, 2.0])))
+            with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
+                fn(IP(p, np.array([s])))
+            with pytest.raises(DomainError, match=rf"\(p={p}, s={s}\) is out of reach"):
+                fn(IP(np.array([p]), s))
 
 
 class TestH:
