@@ -8,15 +8,11 @@ power integrals E(mu, omega, T) = int_T^inf t^mu e^(i omega t) dt are closed-for
 power tails at omega = 0, the integration-by-parts (IBP) expansion where
 |omega| T >= 40, and Gauss panels up to |omega| t = 40 in between.  Two consumers:
 
-* ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, via the Fourier
-  expansion of |cos theta|^s; writing W = M e^(i phi), the m-th term carries
-  M^s e^(2 i m phi) = W^(s/2+m) conj(W)^(s/2-m).  The m = 0 term is the slow
-  non-oscillatory part: it is why truncating at any feasible T and bounding
-  the remainder fails when p is close to 3s/2.  Every (p, s) lane of one
-  call is summed at once, over the modes its p needs, built per call with no
-  cache, as array operations over modes x powers of 1/t x lanes: closed-form
-  power tails for m = 0 and, since omega T = 2 m T >= 40, the IBP expansion
-  for the others.  F sends all its lanes, of every s, through one call.
+* ``tail_abs_pow``:  int_T^inf |jj_1(t)|^s t^(p-1) dt, in v = t + phi(t) with
+  W = M e^(i phi): a smooth amplitude v^mu sum_j e_j v^(-j), one fixed table for
+  every mode, times |cos(v - 3pi/4)|^s = c_0 + sum_m c_m cos(2 m theta).  The
+  c_0 part, the slow one that defeats truncation for p near 3s/2, is closed;
+  the rest takes one integration by parts over every mode at once.
 * ``tail_product``:  int_T^inf prod_k jj_nu(a_k t) t^(p-1) dt, via the
   sign-vector expansion of a product of cosines; resonant sign patterns
   (sum of +-a_k near zero) produce the slowly decaying non-oscillatory part.
@@ -24,11 +20,11 @@ power tails at omega = 0, the integration-by-parts (IBP) expansion where
   n - 1 steps of two Toeplitz-matrix products, and all their power
   integrals come from one array pass (``_exp_tails``): one block of IBP
   terms for every pattern with |omega| T >= 40 and one panel grid for every
-  near-resonant pattern.  Both stop each IBP series relative to its first term.
+  near-resonant pattern.  It stops each IBP series relative to its first term.
 
 Series are represented as float/complex arrays c with c[j] the coefficient
-of t^(-j), truncated at ORDER; further axes, where present, index a batch of
-series.
+of t^(-j), truncated at ORDER (2 ORDER in 1/v for the amplitude table);
+further axes, where present, index a batch of series.
 """
 from __future__ import annotations
 
@@ -48,7 +44,8 @@ _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 _IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its first
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
-_IBP_GROUP = 64  # (m, lane) pairs of F's tail below which an octave of m joins the next call
+_REACH = 1e-14  # a tail_abs_pow lane whose terms turn above this fraction of its c_0 part raises
+_AB = (ORDER + 1) * (ORDER + 2) // 2  # the (a, b) columns of _amplitude_table
 _RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 _BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
@@ -319,41 +316,68 @@ def _distinct(s: np.ndarray) -> tuple[list, np.ndarray]:
     return values, np.array(values).searchsorted(s)
 
 
+def _series_log(g: np.ndarray) -> np.ndarray:
+    """log of the series g, g[0] = 1, from g f' = g'."""
+    f = np.zeros_like(g)
+    for n in range(1, len(g)):
+        f[n] = g[n] - np.dot(np.arange(1, n) * f[1:n], g[n - 1:0:-1]) / n
+    return f
+
+
+@lru_cache(maxsize=1)
+def _amplitude_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, a, b): tail_abs_pow's amplitude is v^mu sum_k e_k v^(-2k), k <= ORDER, with
+    e_k = sum_i E[k, i] mu^a_i s^b_i / (a_i! b_i!).  In x = 1/t, v = t h(x), h = 1 + x phi;
+    as x = h(x)/v, Lagrange-Buermann gives e_k = [x^2k] h^(2k-1-mu) M^s, so E[k, i] =
+    [x^2k] h^(2k-1) (-log h)^a_i (log M)^b_i, with W = _hankel_w(1.0) zero past x^ORDER.
+    The series are even (kept in x^2) and both logs start at x^2, so a + b <= k."""
+    w = np.zeros(2 * ORDER + 1, dtype=complex)
+    w[:ORDER + 1] = _hankel_w(1.0)[0]
+    log_w = _series_log(w)
+    h = np.append(1.0, log_w.imag[1::2])
+    neg_log_h, pa, pb = -_series_log(h), [np.eye(1, ORDER + 1)[0]], [np.eye(1, ORDER + 1)[0]]
+    for _ in range(ORDER):
+        pa.append(np.convolve(pa[-1], neg_log_h)[:ORDER + 1])
+        pb.append(np.convolve(pb[-1], log_w.real[0::2])[:ORDER + 1])
+    a, b = np.array([(i, j) for i in range(ORDER + 1) for j in range(ORDER + 1 - i)]).T
+    prods = series_mul(np.array(pa)[a].T, np.array(pb)[b].T)  # column i: (-log h)^a_i (log M)^b_i
+    table, h_pow, h2 = [prods[0]], h, np.convolve(h, h)  # h_pow = h^(2k-1), from k = 1
+    for k in range(1, ORDER + 1):
+        table.append(h_pow[:k + 1] @ prods[k::-1])
+        h_pow = np.convolve(h_pow, h2)[:ORDER + 1]
+    return np.array(table), a, b
+
+
 def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
     """int_T^inf |jj_1(t)|^s t^(p-1) dt via the Hankel expansion of J_1, for scalar
     p and s (a float back) or every (p, s) of arrays that broadcast together (an
     array of their shape back).
 
-    With W = P + iQ = M e^(i phi) from the Hankel series,
-    jj_1 = sqrt(8/pi) t^(-3/2) M(t) cos(chi + phi(t)), chi = t - 3 pi/4, so
-    |jj_1|^s = (8/pi)^(s/2) t^(-3s/2) sum_m c_m Re[W^(s/2+m) conj(W)^(s/2-m)
-    e^(2 i m chi)], integrated term by term.  The m = 0 term, M^s with no
-    oscillation, is exactly the slow part that makes naive truncation
-    infeasible for p near 3s/2, so it is always kept.  Each (p, s) stops after
-    the first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below tol/10,
-    and at m = 80 at the latest; each call builds only the modes up to the
-    largest last mode of each s, with no cache.  The scalars of one s,
-    (8/pi)^(s/2) and its log, are taken once per distinct s with Python's pow and
-    math.log; one plan serves every lane, and the lanes x modes x powers of 1/t
-    block is evaluated as array operations, in blocks of bounded memory.  A
-    lane's value does not depend on which lanes share its call.  F sends all
-    its lanes, of every s, through one call.
+    With W = M e^(i phi), jj_1 = sqrt(8/pi) t^(-3/2) M cos(theta), theta = v - 3pi/4,
+    v = t + phi(t), and |cos theta|^s = c_0 + sum_m c_m cos(2 m theta); in v the
+    amplitude is t^mu M^s dt/dv = b(v) = v^mu sum_j e_j v^(-j), mu = p - 1 - 3s/2.  The
+    integral is (8/pi)^(s/2) [c_0 sum_j e_j v_T^(mu-j+1) / (j-1-mu)
+    + sum_n (-1)^n b^(n-1)(v_T) G_n(theta_T)], one integration by parts over every mode
+    at once, with G_n = sum_(1<=m<=last) c_m cos(2 m theta - n pi/2) / (2m)^n.  A lane's
+    last mode is the first m >= 2 whose bound (8/pi)^(s/2) |c_m| T^mu / (2m) is below
+    tol/10 (m = 80 at most); its n series stops where a bound of its terms is below
+    1e-18 of its c_0 part, or where they turn.  Every sum runs in order in each lane,
+    outside BLAS, with exact zeros past the lane's stop, so a lane's bits do not depend
+    on its call; F sends all its lanes through one call.  (8/pi)^(s/2) T^mu scales the
+    sum as one exp.  Every lane of s in [1, 141] in reach is within 1e-14 of a per-mode
+    reference carried to 2 ORDER in 1/t (tests/test_oscillatory.py).
 
-    Every mode m >= 1 has omega T = 2 m T >= 40, so its power integrals take
-    the IBP expansion, in units of T^mu: (8/pi)^(s/2) T^mu scales the sum as one
-    exp, so no intermediate is subnormal where the result is not.  A T outside
-    20 <= T < inf raises DomainError, and so do NaN, p >= 3s/2 or mu rounding
-    to -1 or above, as at p = s = 1e-300 (naming the first such element), an
-    infinite p or s and s > _TAIL_S_MAX (141); an empty p gives an empty array.
-    Near s = 1 with p near 3s/2, where the modes decay slowest, F with this
-    tail at F's tol of 1e-10 was at most 2.2e-11 off an mpmath oracle, at
-    (p, s) = (1.5, 1.05) and (1.57, 1.05) (tests/test_quad.py).
+    Reach: a lane whose n terms turn before they fall below 1e-14 of its c_0 part raises
+    DomainError, naming the first such lane; at F's T ~ 47.9 that starts near |mu| = 30,
+    as |mu| nears 2 v_T, and F's lanes keep |mu| < 10.  So do T outside 20 <= T < inf,
+    NaN, p >= 3s/2 or mu rounding to -1 or above (as at p = s = 1e-300), an infinite p
+    or s and s > _TAIL_S_MAX (141); an empty p gives an empty array.
     """
     if not _IBP_MIN_PHASE <= 2.0 * T < math.inf:  # NaN too
         raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g} and T < inf, "
                           f"got T={T}")
     pa, sa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=float))
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(s))):
+    if not (np.isfinite(pa).all() and np.isfinite(s).all()):
         raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")
     if np.any(np.asarray(s) > _TAIL_S_MAX):  # an empty p too
         raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s!r}")
@@ -367,88 +391,81 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
     if pa.size:
         s_set, at = _distinct(sa.ravel())
         prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
-        last, cms, col0, sers = _abs_pow_plan(mu, s_set, at, T, tol, prefs)
-        log_pref = np.array([math.log(x) for x in prefs])[at]
-        # the lanes by decreasing last mode, so the lanes of a block need about as many modes
-        by_last = np.argsort(-last, kind="stable")
-        out[by_last] = _in_blocks(
-            lambda k: _abs_pow_block(mu[k], last[k], col0[at[k]], cms[:, at[k]], log_pref[k], T, sers),
-            by_last, (ORDER + 1) * (int(last.max()) + 1))
+        cms, last = _last_modes(mu, s_set, at, T, tol, prefs)
+        v, table = _mode_table(float(T))
+        # (8/pi)^(s/2) T^mu as one exp, then (v/T)^mu
+        scale = np.exp(mu * math.log(T) + np.array([math.log(x) for x in prefs])[at])
+        scale *= np.exp(mu * math.log1p((v - T) / T))
+        lanes = np.argsort(at, kind="stable")  # the lanes of one s together: few s a block
+        with np.errstate(over="ignore", invalid="ignore"):  # a lane far out of reach
+            out[lanes] = scale[lanes] * _in_blocks(
+                lambda k: _tail_lanes(mu[k], sa.ravel()[k], at[k], last[k], cms, v, table),
+                lanes, (ORDER + 1) * (_AB + table.shape[1]) + 6 * table.shape[1])
+        if np.isnan(out).any():
+            k = np.argmax(np.isnan(out))
+            raise DomainError(f"tail_abs_pow(p={pa.flat[k]}, s={sa.flat[k]}) is out of reach: its "
+                              f"terms turn at T={T} before they fall below {_REACH:g} of the "
+                              f"c_0 part, as p - 1 - 3s/2 = {mu[k]} is too far below -1")
     return float(out[0]) if pa.ndim == 0 else out.reshape(pa.shape)
 
 
-def _abs_pow_plan(mu: np.ndarray, s_set: list, at: np.ndarray, T: float, tol: float,
-                  prefs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The plan of the lanes mu = p - 1 - 3s/2, s = s_set[at] and pref = (8/pi)^(s/2) of s_set.
+def _last_modes(mu: np.ndarray, s_set: list, at: np.ndarray, T: float, tol: float,
+                prefs: list) -> tuple[np.ndarray, np.ndarray]:
+    """c_0..c_80 of each s of s_set (columns; for even s, 0 past s/2), and the last mode of
+    each lane mu = p - 1 - 3s/2, s = s_set[at], pref = (8/pi)^(s/2) of s_set: the first
+    m >= 2 whose bound pref |c_m| T^mu / (2m) is below tol/10, else 80.  |c_m| falls with m,
+    so the bound does, and the last mode is 2 plus the count of m >= 2 at or above tol/10."""
+    cms, m = np.array([abs_cos_fourier(x, 80) for x in s_set]).T, np.arange(2.0, 81.0)[:, None]
 
-    Returns each lane's last mode; c_m for m = 0..(largest last), one column a
-    distinct s, 0 past its nonzero ones; for each distinct s, the column of its
-    m = 0 series; and the series of W^(s/2+m) conj(W)^(s/2-m) e^(-3im pi/2),
-    one column for each distinct s and each m up to its lanes' largest last,
-    built together: one batched power of W and one batched product.
-    """
-    cms = np.zeros((81, len(s_set)))
-    n_modes = np.empty(len(s_set), dtype=int)
-    for i, x in enumerate(s_set):
-        c = abs_cos_fourier(x, 80)
-        zero = np.flatnonzero(c == 0.0)  # even s: the Fourier series is a finite sum
-        n_modes[i] = zero[0] if len(zero) else len(c)
-        cms[:n_modes[i], i] = c[:n_modes[i]]
-    mcol = np.arange(len(cms))[:, None]
-    pref = np.asarray(prefs)
+    def above(k):
+        bound = np.asarray(prefs)[at[k]] * np.abs(cms[2:, at[k]]) * T ** mu[k] / (2.0 * m)
+        return np.count_nonzero(bound >= 0.1 * tol, axis=0)
 
-    def last_modes(k):  # the first m >= 2 whose bound is below tol/10, else the last nonzero
-        # (the bound's m = 0 row divides by 1, not 0, and is never read)
-        a = at[k]
-        bound = pref[a] * np.abs(cms[:, a]) * T ** mu[k] / (2.0 * np.maximum(mcol, 1))
-        small = (mcol >= 2) & (mcol < n_modes[a]) & (bound < 0.1 * tol)
-        return np.where(small.any(axis=0), np.argmax(small, axis=0), n_modes[a] - 1)
-
-    last = _in_blocks(last_modes, np.arange(len(mu)), len(cms))
-    top = np.zeros(len(s_set), dtype=int)
-    np.maximum.at(top, at, last)
-    counts = top + 1
-    col0 = np.cumsum(counts) - counts
-    m = np.arange(counts.sum()) - np.repeat(col0, counts)
-    half = np.repeat([x / 2.0 for x in s_set], counts)
-
-    def mode_series(c):  # one row a column c; series_pow's steps hold 2 ORDER^2 complex a row,
-        # a block of them at most 2 _BLOCK_BYTES: every mode of one s in one block
-        powers = series_pow(_hankel_w(1.0)[0], np.concatenate([half[c] + m[c], half[c] - m[c]]))
-        ser = series_mul(powers[:, :len(c)], np.conj(powers[:, len(c):]))
-        return (ser * np.array([1, 1j, -1, -1j])[m[c] % 4]).T  # e^(-3im pi/2) = i^m
-
-    sers = _in_blocks(mode_series, np.arange(len(m)), 2 * ORDER * ORDER).T
-    return last, cms[:top.max() + 1], col0, sers
+    return cms, np.minimum(2 + _in_blocks(above, np.arange(len(mu)), len(cms)), 80)
 
 
-def _abs_pow_block(mu: np.ndarray, last: np.ndarray, col0: np.ndarray, cms: np.ndarray,
-                   log_pref: np.ndarray, T: float, sers: np.ndarray) -> np.ndarray:
-    """tail_abs_pow for a 1-d block of lanes: mu = p - 1 - 3s/2, the last mode, the column of
-    the m = 0 series in sers, c_m (one column a lane) and log (8/pi)^(s/2)."""
-    # per mode and lane: sum_j Re[ser_j E(mu - j, 2m, T)] / T^mu, summed over j in order
-    j = np.arange(ORDER + 1.0)[:, None]
-    per_mode = np.zeros((int(last.max()) + 1, len(mu)))
-    per_mode[0] = np.add.accumulate(sers[:, col0].real * (-T ** (1.0 - j) / (mu - j + 1.0)))[-1]
-    mi, pi = np.nonzero(np.arange(1, len(per_mode))[:, None] <= last)  # the (m, lane) pairs, by m
-    mi += 1
-    omega = 2.0 * mi
-    # one IBP call per octave of m, which runs as deep as its slowest lane, and an octave of
-    # fewer than _IBP_GROUP pairs joins the next: a lane's bits do not depend on its group
-    # (grouping by a predicted depth was measured slower)
-    cuts = [0]
-    for c in np.searchsorted(mi, [2, 4, 8, 16, 32, 64]).tolist():
-        if c - cuts[-1] >= _IBP_GROUP:
-            cuts.append(c)
-    cuts.append(len(mi))
-    series = np.concatenate([_ibp_series(mu[pi[a:b]] - j, omega[a:b] * T)
-                             for a, b in zip(cuts[:-1], cuts[1:]) if b > a], axis=1)
-    tails = np.exp(1j * omega * T) / omega * T**-j * series
-    per_mode[mi, pi] = np.add.accumulate((sers[:, col0[pi] + mi] * tails).real)[-1]
-    # sum over modes in order (the modes beyond each lane's last add exact zeros), then scale
-    # by pref T^mu as one exp: at s = 141, p = 23.51, T^mu alone is subnormal
-    scale = np.exp(mu * math.log(T) + log_pref)
-    return scale * np.add.accumulate(cms[:len(per_mode)] * per_mode)[-1]
+@lru_cache(maxsize=4)
+def _mode_table(T: float) -> tuple[float, np.ndarray]:
+    """(v_T, Re(e^(2 i m theta_T) i^n) / (2m)^n) for m = 0..80 (rows, 0 at m = 0) and
+    n = 1..2 v_T + 2 (columns, at most _IBP_CAP), where every lane's terms have turned."""
+    v = T + cmath.phase(complex(_hankel_w(1.0)[0] @ T ** -np.arange(ORDER + 1.0)))
+    n, m = np.arange(1, min(_IBP_CAP, int(2.0 * v) + 2) + 1), np.arange(81)[:, None]
+    phases = (np.exp(2j * (v - 0.75 * math.pi) * m) * np.array([1, 1j, -1, -1j])[n % 4]).real
+    return v, phases * np.divide(0.5, m, out=np.zeros(m.shape), where=m > 0) ** n
+
+
+def _tail_lanes(mu: np.ndarray, s: np.ndarray, at: np.ndarray, last: np.ndarray,
+                cms: np.ndarray, v: float, table: np.ndarray) -> np.ndarray:
+    """tail_abs_pow in units of v^mu (8/pi)^(s/2) for a block of lanes mu, s, with their
+    column at of cms and last mode; NaN for a lane out of reach."""
+    amp, a, b = _amplitude_table()
+    depth, k = table.shape[1], np.arange(ORDER + 1.0)[:, None]
+    # q[i] = mu (mu-1) ... (mu-i+1) / v^i, mu^a / a! and s^b / b!, each one cumprod
+    q, mu_pow, s_pow = np.ones((depth + 2 * ORDER, len(mu))), *np.ones((2, ORDER + 1, len(mu)))
+    q[1:] = (mu - np.arange(depth + 2.0 * ORDER - 1.0)[:, None]) / v
+    mu_pow[1:], s_pow[1:] = mu / k[1:], s / k[1:]
+    for x in q, mu_pow, s_pow:
+        np.multiply.accumulate(x, axis=0, out=x)
+    e = np.add.accumulate(amp[:, :, None] * (mu_pow[a] * s_pow[b]), axis=1)[:, -1]
+    e *= v ** (-2.0 * k)  # e_k v^(-2k)
+    c_0 = cms[0, at] * v * np.add.accumulate(e / (2.0 * k - 1.0 - mu), axis=0)[-1]
+    # a bound of term n: its k = 0 part q[n-1] times sum_(m<=last) |c_m| (2m)^-n
+    n, rest = np.arange(1.0, depth + 1.0)[:, None], np.cumsum(np.abs(cms), axis=0)
+    rest = rest[last, at] - rest[1, at]  # sum_(2<=m<=last) |c_m|
+    bound = np.abs(q[:depth]) * (np.abs(cms[1, at]) * 0.5**n + rest * 0.25**n)
+    stop = bound < _IBP_REL * np.abs(c_0)  # stop[i]: the terms n <= i are summed
+    stop[1:] |= bound[1:] > bound[:-1]
+    count = np.argmax(stop, axis=0)
+    reached = stop.any(axis=0) & ((bound < _REACH * np.abs(c_0)) & (n <= count + 1)).any(axis=0)
+    # term n, b^(n-1)(v) / v^mu = sum_k e_k v^(-2k) q[n-1+2k] / q[2k], summed over k in order
+    size = max(int(count.max()), 1)
+    d = np.add.accumulate((e / q[0:2 * ORDER + 1:2])[:, None]
+                          * q[2 * np.arange(ORDER + 1)[:, None] + np.arange(size)], axis=0)[-1]
+    # (-1)^n G_n(theta_T): each lane's running sum over m = 1..last of its s, in order
+    s_cols, col = _distinct(at)
+    sums = np.cumsum(cms[:, s_cols, None] * table[:, None, :size], axis=0)[last, col].T
+    osc = np.add.accumulate(d * sums * (n[:size] <= count), axis=0)[-1]
+    return np.where(reached, c_0 + osc, np.nan)
 
 
 def tail_product(amps, nu: float, p: float, T: float) -> float:

@@ -194,7 +194,7 @@ def F(params: IntegralParams):
     envelope ``_bessel_envelope(1, T)``, so the tail is at most
     C^s T^(p-3s/2) / (3s/2-p).  It is dropped where that is at most 1e-13 of
     the rest, and otherwise taken from one ``tail_abs_pow`` call for every
-    (p, s) that needs it.
+    (p, s) that needs it; those keep |p - 1 - 3s/2| < 10, well in its reach.
 
     Every (p, s) of ``params`` is one lane of one array pass, and each lane's
     value is the same bits as its scalar call: the head and panels run once

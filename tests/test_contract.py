@@ -45,9 +45,11 @@ CALLS = {
     "estimate_moment-tiny2": lambda: sample.estimate_moment(MomentQuery(4, -1.5, TINY2), 200).estimate,
     "estimate_moment-huge3": lambda: sample.estimate_moment(MomentQuery(4, -1.5, HUGE3), 200).estimate,
     "ball_sphere_identity-tiny2": lambda: sample.ball_sphere_identity(4, 1.5, TINY2, 200).ratio,
+    "ball_sphere_identity-q700": lambda: sample.ball_sphere_identity(4, 700.0, (1, 1, 1), 1000).z,
     "hyp2f1-0.5": lambda: specfun.hyp2f1(0.5, 1000.0, 2.0, 0.7),
     "hyp2f1--1.45": lambda: specfun.hyp2f1(-1.45, 1000.0, 2.0, 0.7),
     "tail_abs_pow-tiny": lambda: oscillatory.tail_abs_pow(1e-300, 1e-300, _middle_plan()[3]),
+    "tail_abs_pow-out-of-reach": lambda: oscillatory.tail_abs_pow(23.51, 141.0, _middle_plan()[3]),
     "jnu_zeros-1e300": lambda: specfun.jnu_zeros(0.0, 1e300),
     "jnu_zeros-1e8": lambda: specfun.jnu_zeros(0.0, 1e8),
     "jnu_zeros-nu-1": lambda: specfun.jnu_zeros(-1.0, 1e8),

@@ -543,6 +543,21 @@ class TestHyp2f1:
                 with pytest.raises(DomainError, match="above the largest float"):
                     hyp2f1(a, 1000.0, 2.0, t)
 
+    @pytest.mark.parametrize("b", [20.0, 40.0, 60.0, 100.0])
+    def test_euler_polynomial_that_cancels_raises(self, b):
+        # c - b a nonpositive integer: (1 - t)^(c-a-b) times an alternating polynomial, which
+        # read 1.8e-12 (b = 20), 4.4e-7, 1.1% and a factor 7e7 (b = 100) off mpmath, unflagged
+        for t in (0.7, np.array([0.1, 0.7])):
+            with pytest.raises(DomainError, match="Euler's polynomial cancels"):
+                hyp2f1(0.5, b, 2.0, t)
+
+    @pytest.mark.parametrize("b", [2.0, 3.0, 4.0, 5.0])
+    def test_euler_polynomial_within_its_bound_matches_mpmath(self, b):
+        mpmath = pytest.importorskip("mpmath")
+        for t in (0.1, 0.5, 0.7, 0.95):
+            ref = float(mpmath.hyp2f1(0.5, b, 2.0, t))
+            assert hyp2f1(0.5, b, 2.0, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_log_closed_form(self):
         # 2F1(1,1;2;t) = -log(1-t)/t
         assert hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-10)
