@@ -45,7 +45,6 @@ _IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its fir
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
 _REACH = 1e-14  # a tail_abs_pow lane whose terms turn above this fraction of its c_0 part raises
-_AB = (ORDER + 1) * (ORDER + 2) // 2  # the (a, b) columns of _amplitude_table
 _RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
 _BLOCK_BYTES = 1 << 17  # per-p temporaries: glibc's default mmap threshold, so RSS stays put
@@ -400,7 +399,7 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
         with np.errstate(over="ignore", invalid="ignore"):  # a lane far out of reach
             out[lanes] = scale[lanes] * _in_blocks(
                 lambda k: _tail_lanes(mu[k], sa.ravel()[k], at[k], last[k], cms, v, table),
-                lanes, (ORDER + 1) * (_AB + table.shape[1]) + 6 * table.shape[1])
+                lanes, (ORDER + 1) * (len(_amplitude_table()[1]) + table.shape[1]) + 6 * table.shape[1])
         if np.isnan(out).any():
             k = np.argmax(np.isnan(out))
             raise DomainError(f"tail_abs_pow(p={pa.flat[k]}, s={sa.flat[k]}) is out of reach: its "

@@ -488,10 +488,10 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
     uniform on B^(d-2)).  Both sums come from the radial chain: U_k = rho_k
     theta_k with rho_k = V_k^(1/(d-2)), V_k uniform on [0, 1], and theta_k
     uniform on S^(d-3), so the ball chain runs with weights a_k rho_k and
-    the cosine of S^(d-3), which at d = 3 is -1 or 1.  Where |sum|^q leaves the
-    float range (q = 700), both sets are in units of the largest.  Where both standard
-    errors are 0, as when q is so small that every |sum|^q rounds to 1, z is
-    0 if the ratio equals the expected value and +-inf, a failure, otherwise.
+    the cosine of S^(d-3), which at d = 3 is -1 or 1.  DomainError where |sum|^q
+    leaves the float range (q = 700).  Where both standard errors are 0, as when q
+    is so small that every |sum|^q rounds to 1, z is 0 if the ratio equals the
+    expected value and +-inf, a failure, otherwise.
     """
     if d < 3:
         raise DomainError(f"requires d >= 3, got {d}")
@@ -503,14 +503,11 @@ def ball_sphere_identity(d: int, q: float, coeffs, n_samples: int, seed: int = 0
     scale = query._scaled_norm()[0]
     coeffs = [a / scale for a in query.coeffs]  # the ratio is scale-free
     gen = _rng(seed)
-    sphere = _abs_sums(d, coeffs, n_samples, gen)
-    radii = gen.random((len(coeffs), n_samples)) ** (1.0 / (d - 2))
-    ball = _abs_sums(d - 2, [a * rho for a, rho in zip(coeffs, radii)], n_samples, gen)
-    with np.errstate(over="ignore"):
-        sphere_vals, ball_vals = sphere ** q, ball ** q
-    if not (np.isfinite(sphere_vals).all() and np.isfinite(ball_vals).all()):
-        unit = max(sphere.max(), ball.max()) if q > 0 else min(sphere.min(), ball.min())
-        sphere_vals, ball_vals = (sphere / unit) ** q, (ball / unit) ** q
+    with np.errstate(over="ignore"):  # |sum|^q above the largest float raises DomainError
+        sphere_vals = _abs_sums(d, coeffs, n_samples, gen) ** q
+        radii = gen.random((len(coeffs), n_samples)) ** (1.0 / (d - 2))
+        ball_vals = _abs_sums(d - 2, [a * rho for a, rho in zip(coeffs, radii)], n_samples, gen) ** q
+    _in_range(max(sphere_vals.max(), ball_vals.max()), "ball_sphere_identity", d=d, q=q)
 
     mb, ms = float(np.mean(ball_vals)), float(np.mean(sphere_vals))
     sb = float(np.std(ball_vals, ddof=1) / math.sqrt(n_samples))

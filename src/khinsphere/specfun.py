@@ -40,7 +40,6 @@ __all__ = [
 # _SERIES_CUT times its largest term
 HYP2F1_RTOL = 1e-13
 _SERIES_CUT = 1e-18
-_JJ_DROP = 2.0 ** -70  # jj's series drops the terms that sum below this at the call's largest t^2
 _POCHHAMMER_K_MAX = 10_000  # largest k of pochhammer, checked before any product
 _ZEROS_T_MAX = 1e4  # largest t_max of jnu_zeros, checked before the grid is built
 # hyp2f1's parameter-only set-up is cached per parameter set; a Monte Carlo
@@ -308,16 +307,22 @@ def _jj_series_coeffs(nu: float, n_terms: int = 48) -> tuple:
     return tuple(cs)
 
 
+@lru_cache(maxsize=64)
+def _jj_terms(nu: float) -> int:
+    """Terms of jj_nu's series kept, 48 at most: the dropped ones sum below 2^-70 at the top of
+    its range, t = max(5, nu), so a lane's count does not depend on the other t of its call."""
+    k = np.arange(1.0, 48.0)
+    terms = np.cumprod(np.append(1.0, max(25.0, nu * nu) / (4.0 * k * (nu + k))))  # |c_k| t^2k
+    return int(np.count_nonzero(np.cumsum(terms[::-1]) >= 2.0**-70))
+
+
 def _jj_vec(nu: float, t):
     """jj_nu on t >= 0, array input: the series where t < max(5, nu), else the recurrence."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     lo = t < max(5.0, nu)
     if np.any(lo):
-        x, cs, k = t[lo] * t[lo], _jj_series_coeffs(nu), np.arange(1.0, 48.0)
-        terms = np.cumprod(np.append(1.0, x.max() / (4.0 * k * (nu + k))))  # |c_k| max(x)^k
-        dropped = np.cumsum(terms[::-1])[::-1] < _JJ_DROP  # dropped[n]: the terms k >= n
-        out[lo] = _horner(cs[:np.argmax(dropped)] if dropped[-1] else cs, x)
+        out[lo] = _horner(_jj_series_coeffs(nu)[:_jj_terms(nu)], t[lo] * t[lo])
     hi = ~lo
     if np.any(hi):
         th = t[hi]
@@ -351,7 +356,7 @@ def jj(nu: float, t):
     """Normalized Bessel jj_nu(t) = 2^nu Gamma(nu+1) t^(-nu) J_nu(t).
 
     A power series where t < max(5, nu), for every order, cut where the terms
-    dropped sum below 2^-70 at the call's largest t^2, and at 48 terms; beyond it
+    dropped sum below 2^-70 at t = max(5, nu), and at 48 terms; beyond it
     large-argument J0/J1 with forward recurrence; scalar and array
     input share this one evaluator.  Orders are the sphere family nu = d/2 - 1,
     multiples of 1/2, and t is finite and >= 0; any other nu or t (NaN and inf
@@ -516,8 +521,8 @@ def hyp2f1(a: float, b: float, c: float, t):
       two paired series share one Horner pass, half the numpy calls of two.
     - a or b a nonpositive integer: the polynomial, on all of [0, 1]; c-a or c-b one:
       (1-t)^(c-a-b) times a polynomial (Euler), by _power_product; DomainError above range
-      and where Horner's rounding bound on that polynomial exceeds HYP2F1_RTOL (b >= 7 at
-      hyp2f1(0.5, b, 2, 0.7)).
+      and where Higham's running bound on that polynomial's rounding exceeds HYP2F1_RTOL
+      (b >= 10 at hyp2f1(0.5, b, 2, 0.7)).
     - t = 1: the Gauss sum Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)),
       which requires c-a-b > 0 (DivergenceError otherwise).
 
@@ -548,16 +553,16 @@ def hyp2f1(a: float, b: float, c: float, t):
             if power < 0 and np.any(arr == 1.0):
                 raise DivergenceError(f"hyp2f1 diverges at t=1 when c-a-b={s} < 0")
             cs = _ratio_coeffs(p1, p2, c, 1.0, n_max=round(-p1))
-            with np.errstate(all="ignore"):
-                poly = _horner(cs, arr)
-                # Euler's: Horner's rounding is at most 2 n u sum |c_k| t^k at degree n (Higham 5.1)
-                bound = (2 * (len(cs) - 1) * 2.0**-53 * _horner(np.abs(cs), arr) / np.abs(poly)
-                         if power else 0.0)
+            poly, run = np.full(arr.shape, cs[-1]), np.full(arr.shape, abs(cs[-1]) / 2.0)
+            with np.errstate(all="ignore"):  # Horner, and Higham's running bound (Algorithm 5.1)
+                for ck in cs[-2::-1]:
+                    poly = poly * arr + ck
+                    run = run * arr + np.abs(poly)
             out = poly if power == 0.0 else _power_product(((1.0 - arr, s),), coeff=poly)
             out = _in_range(out, "hyp2f1", a=a, b=b, c=c, t=arr)  # a float for a scalar t
-            if not np.all(bound <= HYP2F1_RTOL):  # NaN too
-                raise DomainError(f"hyp2f1({a}, {b}, {c}, t={t!r}): Euler's polynomial cancels, "
-                                  f"its rounding bound {np.max(bound):.2g} exceeds {HYP2F1_RTOL:g}")
+            if power and not np.all((2.0 * run - np.abs(poly)) * 2.0**-53 <= HYP2F1_RTOL * abs(poly)):
+                raise DomainError(f"hyp2f1({a}, {b}, {c}, t={t!r}): Euler's polynomial cancels: "
+                                  f"its rounding bound exceeds {HYP2F1_RTOL:g}")
             return out
     # each branch gathers its t by index (take) and scatters by index (put),
     # which costs a fraction of boolean-mask indexing on large arrays

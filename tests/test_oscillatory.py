@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -517,12 +518,6 @@ def _p_grid(s):
     return np.linspace(0.01, 1.5 * s - 1e-4, 19)
 
 
-def _reach_grid(s):
-    """19 p up to within 1e-4 of 3s/2 with p - 1 - 3s/2 >= -21, inside the kernel's reach at
-    F's T: _p_grid(s) for s <= 13.3."""
-    return np.linspace(max(0.01, 1.5 * s - 20.0), 1.5 * s - 1e-4, 19)
-
-
 # tail_abs_pow(_p_grid(s), s, TestTailAbsPowArray.T, tol=1e-10) as float.hex, one lane at a
 # time, None where the lane is out of reach (DomainError).  Re-recorded when the kernel
 # began to integrate by parts in v = t + phi(t) over every mode at once: CHANGES.md lists
@@ -561,10 +556,10 @@ TAIL_PINS = {
 }
 
 
-def _lanes(s, T, tol=1e-10):
-    """tail_abs_pow of each p of _p_grid(s), one call a lane, None where out of reach."""
+def _lanes(s, T, tol=1e-10, ps=None):
+    """tail_abs_pow of each p of ps (_p_grid(s)), one call a lane, None where out of reach."""
     out = []
-    for p in _p_grid(s):
+    for p in _p_grid(s) if ps is None else ps:
         try:
             out.append(osc.tail_abs_pow(float(p), s, T, tol=tol))
         except DomainError as err:
@@ -578,13 +573,14 @@ class TestTailAbsPowArray:
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_matches_per_p_reference(self, s):
-        # every lane within |mu| <= 20 is in reach, and every lane in reach is within 1e-14
-        # of the per-mode reference carried to 2 ORDER
-        ps = _p_grid(s)
-        got = _lanes(s, self.T)
+        # the reach ends between mu = -31 and -29.5 (at -30.8 to -29.9 over S_GRID): every
+        # lane above is in reach, every lane below raises, and every lane in reach is within
+        # 1e-14 of the per-mode reference carried to 2 ORDER, mu = -29.5 too
+        ps = np.append(_p_grid(s), 1.5 * s - 28.5)
+        got = _lanes(s, self.T, ps=ps)
         mus = ps - 1.0 - 1.5 * s
-        assert all(g is not None for g, mu in zip(got, mus) if mu >= -20.0)
-        assert all(g is None for g, mu in zip(got, mus) if mu < -40.0)
+        assert all(g is not None for g, mu in zip(got, mus) if mu >= -29.5)
+        assert all(g is None for g, mu in zip(got, mus) if mu < -31.0)
         for p, g in zip(ps, got):
             if g is not None:
                 ref = _tail_abs_pow_by_mode(float(p), s, self.T, tol=1e-10)
@@ -595,12 +591,21 @@ class TestTailAbsPowArray:
 
     @pytest.mark.parametrize("s", [1.3, 2.0, 100.0])
     def test_scalar_p_is_a_float_equal_to_its_array_element(self, s):
-        ps = _reach_grid(s)
-        got = osc.tail_abs_pow(ps, s, self.T)
+        # the array call takes the lanes in reach; a lane out of reach (k = 0 and 7 at
+        # s = 100) raises as a scalar call
+        ps = _p_grid(s)
+        reach = np.array([g is not None for g in _lanes(s, self.T, tol=1e-12)])
+        got = np.full(len(ps), np.nan)
+        got[reach] = osc.tail_abs_pow(ps[reach], s, self.T)
         for k in (0, 7, 18):
+            if not reach[k]:
+                with pytest.raises(DomainError, match="out of reach"):
+                    osc.tail_abs_pow(float(ps[k]), s, self.T)
+                continue
             one = osc.tail_abs_pow(float(ps[k]), s, self.T)
             assert type(one) is float
             assert one == got[k]
+        assert reach.all() == (s < 100.0)
 
     @pytest.mark.parametrize("s", sorted(TAIL_PINS))
     def test_pinned_bits(self, s):
@@ -619,12 +624,24 @@ class TestTailAbsPowArray:
 
     def test_array_s_equals_one_call_per_s(self):
         # lanes of several s in one call, in mixed order, each the bits of its own s's call
+        # over its lanes in reach; each lane out of reach (16 at s = 141) raises in that
+        # mixed batch and is named
         ss = [1.05, 2.0, 2.5, 11.3, 141.0]
-        ps, s = np.concatenate([_reach_grid(x) for x in ss]), np.repeat(ss, 19)
+        ps, s = np.concatenate([_p_grid(x) for x in ss]), np.repeat(ss, 19)
+        reach = np.array([g is not None for x in ss for g in _lanes(x, self.T)])
         order = np.random.default_rng(3).permutation(len(ps))
+        order = order[reach[order]]
         got = osc.tail_abs_pow(ps[order], s[order], self.T, tol=1e-10)
-        ref = np.concatenate([osc.tail_abs_pow(_reach_grid(x), x, self.T, tol=1e-10) for x in ss])
+        ref = np.full(len(ps), np.nan)
+        for x in ss:
+            at = np.flatnonzero(reach & (s == x))
+            ref[at] = osc.tail_abs_pow(ps[at], x, self.T, tol=1e-10)
         assert np.array_equal(got, ref[order])
+        assert np.count_nonzero(~reach) == 16
+        for k in np.flatnonzero(~reach):
+            batch = np.insert(order, len(order) // 2, k)
+            with pytest.raises(DomainError, match=re.escape(f"p={ps[k]}, s={s[k]}) is out")):
+                osc.tail_abs_pow(ps[batch], s[batch], self.T, tol=1e-10)
 
     def test_p_and_s_broadcast(self):
         ps = _p_grid(1.3)[:, None]

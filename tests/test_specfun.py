@@ -350,6 +350,16 @@ class TestJJ:
             step = jj(nu, edge + eps) - jj(nu, edge - eps)
             assert step == pytest.approx(2.0 * eps * slope, rel=0, abs=2e-14), nu
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
+    def test_element_equals_its_scalar_call(self, nu):
+        # a lane's bits do not depend on its call: small t next to t near the top of the
+        # series' range, zeros of jj_nu among them, and t past it
+        zeros = jnu_zeros(nu, 12.0)
+        t = np.concatenate([[0.0, 1e-3, 0.5, 2.0], zeros, zeros + 1e-9, [4.9, 4.999, 5.0, 11.0]])
+        for part in (t, t[:4], t[4:], t[::-1]):
+            vals = jj(nu, part)
+            assert [v.hex() for v in vals.tolist()] == [jj(nu, float(x)).hex() for x in part]
+
     def test_series_vs_large_branch(self):
         # the two evaluation routes agree where both are valid (jj_1 is the kernel above t = 5)
         from khinsphere.specfun import _bessel_j01, _horner, _jj_series_coeffs
@@ -543,18 +553,20 @@ class TestHyp2f1:
                 with pytest.raises(DomainError, match="above the largest float"):
                     hyp2f1(a, 1000.0, 2.0, t)
 
-    @pytest.mark.parametrize("b", [20.0, 40.0, 60.0, 100.0])
-    def test_euler_polynomial_that_cancels_raises(self, b):
+    @pytest.mark.parametrize("b, t", [(20.0, 0.7), (40.0, 0.7), (60.0, 0.7), (100.0, 0.7),
+                                      (10.0, 0.7), (9.0, 0.95)])
+    def test_euler_polynomial_that_cancels_raises(self, b, t):
         # c - b a nonpositive integer: (1 - t)^(c-a-b) times an alternating polynomial, which
-        # read 1.8e-12 (b = 20), 4.4e-7, 1.1% and a factor 7e7 (b = 100) off mpmath, unflagged
-        for t in (0.7, np.array([0.1, 0.7])):
+        # read 1.8e-12 (b = 20), 4.4e-7, 1.1% and a factor 7e7 (b = 100) off mpmath, unflagged;
+        # b = 10 at 0.7 and b = 9 at 0.95 are where the running bound first exceeds 1e-13
+        for x in (t, np.array([0.1, t])):
             with pytest.raises(DomainError, match="Euler's polynomial cancels"):
-                hyp2f1(0.5, b, 2.0, t)
+                hyp2f1(0.5, b, 2.0, x)
 
-    @pytest.mark.parametrize("b", [2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("b", [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
     def test_euler_polynomial_within_its_bound_matches_mpmath(self, b):
         mpmath = pytest.importorskip("mpmath")
-        for t in (0.1, 0.5, 0.7, 0.95):
+        for t in (0.1, 0.5, 0.7, 0.95)[:4 if b < 9.0 else 3]:
             ref = float(mpmath.hyp2f1(0.5, b, 2.0, t))
             assert hyp2f1(0.5, b, 2.0, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
