@@ -312,7 +312,8 @@ def _jj_terms(nu: float) -> int:
     """Terms of jj_nu's series kept, 48 at most: the dropped ones sum below 2^-70 at the top of
     its range, t = max(5, nu), so a lane's count does not depend on the other t of its call."""
     k = np.arange(1.0, 48.0)
-    terms = np.cumprod(np.append(1.0, max(25.0, nu * nu) / (4.0 * k * (nu + k))))  # |c_k| t^2k
+    with np.errstate(over="ignore"):  # |c_k| t^2k, inf at huge orders, which keep all 48
+        terms = np.cumprod(np.append(1.0, max(25.0, nu * nu) / (4.0 * k * (nu + k))))
     return int(np.count_nonzero(np.cumsum(terms[::-1]) >= 2.0**-70))
 
 

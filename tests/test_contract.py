@@ -50,6 +50,7 @@ CALLS = {
     "hyp2f1--1.45": lambda: specfun.hyp2f1(-1.45, 1000.0, 2.0, 0.7),
     "tail_abs_pow-tiny": lambda: oscillatory.tail_abs_pow(1e-300, 1e-300, _middle_plan()[3]),
     "tail_abs_pow-out-of-reach": lambda: oscillatory.tail_abs_pow(23.51, 141.0, _middle_plan()[3]),
+    "jj-nu-1e150": lambda: specfun.jj(1e150, 1.0),
     "jnu_zeros-1e300": lambda: specfun.jnu_zeros(0.0, 1e300),
     "jnu_zeros-1e8": lambda: specfun.jnu_zeros(0.0, 1e8),
     "jnu_zeros-nu-1": lambda: specfun.jnu_zeros(-1.0, 1e8),
