@@ -44,6 +44,8 @@ _IBP_MIN_PHASE = 40.0  # use integration by parts when |omega| T exceeds this
 _IBP_REL = 1e-18  # an IBP series stops at a term below this fraction of its first
 _IBP_CAP = 200  # terms at most in one IBP series
 _IBP_K = np.arange(_IBP_CAP, dtype=float)
+_K = np.arange(ORDER + 1.0)[:, None]  # tail_abs_pow's amplitude index k, as a column
+_2K_1, _TWO_M = 2.0 * _K - 1.0, np.arange(4.0, 162.0, 2.0)[:, None]  # 2k - 1; 2m, m = 2..80
 _REACH = 1e-14  # a tail_abs_pow lane whose terms turn above this fraction of its c_0 part raises
 _RESONANT = 1e-13  # a pattern frequency below this counts as 0
 _PANEL_BLOCK = 4096  # panels per block of _panel_quad
@@ -69,34 +71,6 @@ def series_mul(a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         hi = min(len(b), order + 1 - i)
         out[i:i + hi] += a[i] * b[:hi]
     return out
-
-
-def series_pow(a: np.ndarray, exponent, order: int = ORDER) -> np.ndarray:
-    """(series with a[0] = 1) ** exponent, by Miller's recurrence.
-
-    An array of exponents adds its shape as trailing batch axes; a scalar
-    exponent runs as a one-lane batch.  a is one series for every lane, or one
-    column a lane when it is 2-d (a 1-d array of exponents, one per column).
-    Each lane does the same arithmetic as the scalar call with its series and
-    exponent.  A NaN or infinite exponent raises DomainError.
-    """
-    exponent = np.asarray(exponent, dtype=float)
-    if not np.all(np.isfinite(exponent)):
-        raise DomainError(f"series_pow needs a finite exponent, got {exponent!r}")
-    lanes = exponent.reshape(-1)
-    out = np.zeros((order + 1, lanes.size), dtype=np.result_type(a, lanes))
-    out[0] = 1.0
-    n = min(order, len(a) - 1)
-    j = np.arange(1, n + 1)[:, None]
-    # coef[k - 1, j - 1] = (exponent j - (k - j)) a_j, for every step k at once
-    steps = np.arange(1, order + 1)[:, None, None]
-    coef = (lanes * j - (steps - j)) * np.reshape(a[1:n + 1], (n, -1))
-    for k in range(1, order + 1):
-        # the j terms of step k, added in the order j = 1, 2, ... in every lane:
-        # add.accumulate is sequential, where add.reduce would pair up a lone lane
-        terms = coef[k - 1, :k] * out[k - 1::-1][:n]
-        np.divide(np.add.accumulate(terms)[-1], k, out=out[k])
-    return out.reshape((order + 1,) + exponent.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -294,7 +268,7 @@ def abs_cos_fourier(s: float, m_max: int) -> np.ndarray:
     ratio = (h - m + 1.0) / (h + m)
     ratio[:1] *= 2.0
     c0 = gamma(s + 1.0) / (2.0**s * gamma(h + 1.0) ** 2)
-    return np.cumprod(np.concatenate([[c0], ratio]))
+    return np.concatenate([[c0], ratio]).cumprod()
 
 
 # ----------------------------------------------------------------------------
@@ -376,29 +350,32 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
         raise DomainError(f"tail_abs_pow needs T >= {_IBP_MIN_PHASE / 2.0:g} and T < inf, "
                           f"got T={T}")
     pa, sa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=float))
-    if not (np.isfinite(pa).all() and np.isfinite(s).all()):
-        raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")
-    if np.any(np.asarray(s) > _TAIL_S_MAX):  # an empty p too
-        raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s!r}")
-    mu = pa.ravel() - 1.0 - 1.5 * sa.ravel()
-    diverges = (pa.ravel() >= 1.5 * sa.ravel()) | (mu >= -1.0)
-    if diverges.any():
-        k = np.argmax(diverges)
-        raise DomainError(f"tail diverges: p={pa.flat[k]} >= 3s/2={1.5 * sa.flat[k]}, or "
-                          f"p - 1 - 3s/2 = {mu[k]} is not below -1 in floats")
+    pf, sf = pa.ravel(), sa.ravel()
+    with np.errstate(invalid="ignore"):  # inf - inf, named below
+        mu = pf - 1.0 - 1.5 * sf
+    if not (pf.size and (np.isfinite(pf) & (sf <= _TAIL_S_MAX) & (pf < 1.5 * sf) & (mu < -1.0)).all()):
+        if not (np.isfinite(pa).all() and np.isfinite(s).all()):
+            raise DomainError(f"tail_abs_pow needs finite p and s, got p={p!r}, s={s!r}")
+        if np.any(np.asarray(s) > _TAIL_S_MAX):  # an empty p too
+            raise DomainError(f"the |jj_1|^s tail kernel supports s <= {_TAIL_S_MAX:g}, got s={s!r}")
+        diverges = (pf >= 1.5 * sf) | (mu >= -1.0)
+        if diverges.any():
+            k = np.argmax(diverges)
+            raise DomainError(f"tail diverges: p={pa.flat[k]} >= 3s/2={1.5 * sa.flat[k]}, or "
+                              f"p - 1 - 3s/2 = {mu[k]} is not below -1 in floats")
     out = np.empty(pa.size)
     if pa.size:
-        s_set, at = _distinct(sa.ravel())
-        prefs = [(8.0 / math.pi) ** (x / 2.0) for x in s_set]
-        cms, last = _last_modes(mu, s_set, at, T, tol, prefs)
-        v, table = _mode_table(float(T))
+        s_set, at = _distinct(sf)
+        prefs = np.array([(8.0 / math.pi) ** (x / 2.0) for x in s_set])
+        cms = np.array([abs_cos_fourier(x, 80) for x in s_set]).T  # for even s, 0 past s/2
+        v, table = _mode_table(float(T))[:2]
         # (8/pi)^(s/2) T^mu as one exp, then (v/T)^mu
         scale = np.exp(mu * math.log(T) + np.array([math.log(x) for x in prefs])[at])
         scale *= np.exp(mu * math.log1p((v - T) / T))
         lanes = np.argsort(at, kind="stable")  # the lanes of one s together: few s a block
         with np.errstate(over="ignore", invalid="ignore"):  # a lane far out of reach
             out[lanes] = scale[lanes] * _in_blocks(
-                lambda k: _tail_lanes(mu[k], sa.ravel()[k], at[k], last[k], cms, v, table),
+                lambda k: _tail_lanes(mu[k], sf[k], at[k], cms, prefs, T, tol),
                 lanes, (ORDER + 1) * (len(_amplitude_table()[1]) + table.shape[1]) + 6 * table.shape[1])
         if np.isnan(out).any():
             k = np.argmax(np.isnan(out))
@@ -408,61 +385,62 @@ def tail_abs_pow(p, s, T: float, tol: float = 1e-12):
     return float(out[0]) if pa.ndim == 0 else out.reshape(pa.shape)
 
 
-def _last_modes(mu: np.ndarray, s_set: list, at: np.ndarray, T: float, tol: float,
-                prefs: list) -> tuple[np.ndarray, np.ndarray]:
-    """c_0..c_80 of each s of s_set (columns; for even s, 0 past s/2), and the last mode of
-    each lane mu = p - 1 - 3s/2, s = s_set[at], pref = (8/pi)^(s/2) of s_set: the first
-    m >= 2 whose bound pref |c_m| T^mu / (2m) is below tol/10, else 80.  |c_m| falls with m,
-    so the bound does, and the last mode is 2 plus the count of m >= 2 at or above tol/10."""
-    cms, m = np.array([abs_cos_fourier(x, 80) for x in s_set]).T, np.arange(2.0, 81.0)[:, None]
-
-    def above(k):
-        bound = np.asarray(prefs)[at[k]] * np.abs(cms[2:, at[k]]) * T ** mu[k] / (2.0 * m)
-        return np.count_nonzero(bound >= 0.1 * tol, axis=0)
-
-    return cms, np.minimum(2 + _in_blocks(above, np.arange(len(mu)), len(cms)), 80)
-
-
 @lru_cache(maxsize=4)
-def _mode_table(T: float) -> tuple[float, np.ndarray]:
-    """(v_T, Re(e^(2 i m theta_T) i^n) / (2m)^n) for m = 0..80 (rows, 0 at m = 0) and
-    n = 1..2 v_T + 2 (columns, at most _IBP_CAP), where every lane's terms have turned."""
+def _mode_table(T: float) -> tuple:
+    """What every lane of tail_abs_pow at T shares: v_T; Re(e^(2 i m theta_T) i^n) / (2m)^n for
+    m = 0..80 (rows, 0 at m = 0) and n = 1..2 v_T + 2 (columns, at most _IBP_CAP), where every
+    lane's terms have turned; then, for ``_tail_lanes``, the steps 0, 1, ... of q, v_T^(-2k),
+    n as a column with 0.5^n and 0.25^n, and the rows 2k + n - 1 of q that term n reads."""
     v = T + cmath.phase(complex(_hankel_w(1.0)[0] @ T ** -np.arange(ORDER + 1.0)))
     n, m = np.arange(1, min(_IBP_CAP, int(2.0 * v) + 2) + 1), np.arange(81)[:, None]
     phases = (np.exp(2j * (v - 0.75 * math.pi) * m) * np.array([1, 1j, -1, -1j])[n % 4]).real
-    return v, phases * np.divide(0.5, m, out=np.zeros(m.shape), where=m > 0) ** n
+    return (v, phases * np.divide(0.5, m, out=np.zeros(m.shape), where=m > 0) ** n,
+            np.arange(len(n) + 2.0 * ORDER - 1.0)[:, None], v ** (-2.0 * _K), n[:, None],
+            0.5 ** n[:, None], 0.25 ** n[:, None], 2 * np.arange(ORDER + 1)[:, None] + n - 1)
 
 
-def _tail_lanes(mu: np.ndarray, s: np.ndarray, at: np.ndarray, last: np.ndarray,
-                cms: np.ndarray, v: float, table: np.ndarray) -> np.ndarray:
+def _last_modes(mu: np.ndarray, abs_c: np.ndarray, prefs: np.ndarray, T: float,
+                tol: float) -> np.ndarray:
+    """The last mode of each lane mu = p - 1 - 3s/2, with |c_m| of its s a column of abs_c (rows
+    m = 0..80), pref = (8/pi)^(s/2): the first m >= 2 whose bound pref |c_m| T^mu / (2m) is below
+    tol/10, else 80.  The bound falls with m, as |c_m| does: so 2 plus the count at or above."""
+    return np.minimum(2 + (prefs * abs_c[2:] * T ** mu / _TWO_M >= 0.1 * tol).sum(axis=0), 80)
+
+
+def _tail_lanes(mu: np.ndarray, s: np.ndarray, at: np.ndarray, cms: np.ndarray,
+                prefs: np.ndarray, T: float, tol: float) -> np.ndarray:
     """tail_abs_pow in units of v^mu (8/pi)^(s/2) for a block of lanes mu, s, with their
-    column at of cms and last mode; NaN for a lane out of reach."""
+    column at of cms, the c_m (rows) of each s, and of prefs, its (8/pi)^(s/2); NaN for a
+    lane out of reach."""
+    v, table, steps, v_pow, n, half_n, quarter_n, rows = _mode_table(T)
     amp, a, b = _amplitude_table()
-    depth, k = table.shape[1], np.arange(ORDER + 1.0)[:, None]
-    # q[i] = mu (mu-1) ... (mu-i+1) / v^i, mu^a / a! and s^b / b!, each one cumprod
-    q, mu_pow, s_pow = np.ones((depth + 2 * ORDER, len(mu))), *np.ones((2, ORDER + 1, len(mu)))
-    q[1:] = (mu - np.arange(depth + 2.0 * ORDER - 1.0)[:, None]) / v
-    mu_pow[1:], s_pow[1:] = mu / k[1:], s / k[1:]
-    for x in q, mu_pow, s_pow:
-        np.multiply.accumulate(x, axis=0, out=x)
+    c, depth = cms[:, at], table.shape[1]
+    abs_c = np.abs(c)
+    last = _last_modes(mu, abs_c, prefs[at], T, tol)
+    top = int(last.max()) + 1  # the modes that any lane sums
+    # q[i] = mu (mu-1) ... (mu-i+1) / v^i, mu^a / a! and s^b / b!, from one cumprod
+    x = np.ones((3, len(steps) + 1, len(mu)))
+    x[0, 1:] = (mu - steps) / v
+    x[1:, 1:ORDER + 1] = np.array((mu, s))[:, None] / _K[1:]
+    q, mu_pow, s_pow = np.multiply.accumulate(x, axis=1, out=x)[0], x[1, :ORDER + 1], x[2, :ORDER + 1]
     e = np.add.accumulate(amp[:, :, None] * (mu_pow[a] * s_pow[b]), axis=1)[:, -1]
-    e *= v ** (-2.0 * k)  # e_k v^(-2k)
-    c_0 = cms[0, at] * v * np.add.accumulate(e / (2.0 * k - 1.0 - mu), axis=0)[-1]
+    e *= v_pow  # e_k v^(-2k)
+    c_0 = c[0] * v * np.add.accumulate(e / (_2K_1 - mu), axis=0)[-1]
     # a bound of term n: its k = 0 part q[n-1] times sum_(m<=last) |c_m| (2m)^-n
-    n, rest = np.arange(1.0, depth + 1.0)[:, None], np.cumsum(np.abs(cms), axis=0)
-    rest = rest[last, at] - rest[1, at]  # sum_(2<=m<=last) |c_m|
-    bound = np.abs(q[:depth]) * (np.abs(cms[1, at]) * 0.5**n + rest * 0.25**n)
-    stop = bound < _IBP_REL * np.abs(c_0)  # stop[i]: the terms n <= i are summed
+    rest = np.add.accumulate(abs_c[:top], axis=0)
+    rest = rest[last, np.arange(len(mu))] - rest[1]  # sum_(2<=m<=last) |c_m|
+    bound = np.abs(q[:depth]) * (abs_c[1] * half_n + rest * quarter_n)
+    abs_c_0 = np.abs(c_0)
+    stop = bound < _IBP_REL * abs_c_0  # stop[i]: the terms n <= i are summed
     stop[1:] |= bound[1:] > bound[:-1]
     count = np.argmax(stop, axis=0)
-    reached = stop.any(axis=0) & ((bound < _REACH * np.abs(c_0)) & (n <= count + 1)).any(axis=0)
+    reached = stop.any(axis=0) & ((bound < _REACH * abs_c_0) & (n <= count + 1)).any(axis=0)
     # term n, b^(n-1)(v) / v^mu = sum_k e_k v^(-2k) q[n-1+2k] / q[2k], summed over k in order
     size = max(int(count.max()), 1)
-    d = np.add.accumulate((e / q[0:2 * ORDER + 1:2])[:, None]
-                          * q[2 * np.arange(ORDER + 1)[:, None] + np.arange(size)], axis=0)[-1]
+    d = np.add.accumulate((e / q[0:2 * ORDER + 1:2])[:, None] * q[rows[:, :size]], axis=0)[-1]
     # (-1)^n G_n(theta_T): each lane's running sum over m = 1..last of its s, in order
     s_cols, col = _distinct(at)
-    sums = np.cumsum(cms[:, s_cols, None] * table[:, None, :size], axis=0)[last, col].T
+    sums = np.add.accumulate(cms[:top, s_cols, None] * table[:top, None, :size], axis=0)[last, col].T
     osc = np.add.accumulate(d * sums * (n[:size] <= count), axis=0)[-1]
     return np.where(reached, c_0 + osc, np.nan)
 

@@ -259,14 +259,17 @@ def verify_appendix_claims(d: int) -> VerificationReport:
     _check_dim(d)
     if d < 5:
         raise DomainError(f"appendix claims require d >= 5, got {d}")
+    shifts = np.array([[0.0], [0.5], [(d - 1) / 2.0]])  # each grid's shifts, one call a grid
     x2 = np.linspace(1e-3, 1.0 - 1e-3, _APPENDIX_GRID)
-    h2 = trigamma(x2) - trigamma(x2 + 0.5) - trigamma(x2 + (d - 1) / 2.0)
+    h2 = np.subtract.reduce(trigamma(x2 + shifts))  # psi'(x) - psi'(x + 1/2) - psi'(x + (d-1)/2)
     i2 = int(np.argmin(h2))
     x1 = np.linspace(1.0 + 1e-6, (d - 1) / 2.0 - 1e-9, _APPENDIX_GRID)
-    h1 = math.log(d) + digamma(x1) - digamma(x1 + 0.5) - digamma(x1 + (d - 1) / 2.0)
+    psi = digamma(x1 + shifts)
+    h1 = math.log(d) + psi[0] - psi[1] - psi[2]
     i1 = int(np.argmin(h1))
     xf = np.linspace(1.0 + 1e-9, 1.07, 50)
-    fvals = np.log(1.0 + 0.5 / xf) + 0.25 / xf - (digamma(xf + 0.5) - digamma(xf))
+    psi = digamma(xf + shifts[:2])
+    fvals = np.log(1.0 + 0.5 / xf) + 0.25 / xf - (psi[1] - psi[0])
     i_f = int(np.argmin(fvals))
     fprime_52 = math.log(2.0) - 1.0 + 0.2  # f'(u) = log 2 - 1 + 1/(2u) at u = 5/2
     f_52 = math.log(math.sqrt(2.0 * math.pi) * 2.0**1.5 * math.exp(-2.5 + 1.0 / 30.0) * math.sqrt(2.5))

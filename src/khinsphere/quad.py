@@ -43,7 +43,7 @@ from . import oscillatory as osc
 from .constants import D, MomentQuery, _even_moments, normalizers
 from .errors import ConvergenceError, DivergenceError, DomainError, ToleranceError
 from .oscillatory import (_PANEL_BLOCK, _TAIL_S_MAX, _in_blocks, _panel_quad, _panel_rule,
-                          series_pow)
+                          _series_log)
 from .specfun import (_in_range, _jj_norm_const, _jj_series_coeffs, _jj_vec, _power_product,
                       jnu_zeros)
 
@@ -100,16 +100,16 @@ class IntegralParams:
             object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
             object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
         p, s = self.p, self.s
-        _require(np.isfinite(p) & np.isfinite(s), DomainError,
-                 "p and s must be finite, got p={p}, s={s}", p, s)
-        _require(p > 0, DomainError, "p must be positive, got {p}", p, s)
-        _require(s >= 1, DomainError, "s must be >= 1, got {s}", p, s)
+        if not np.asarray((0 < p) & (p < math.inf) & (1 <= s) & (s < math.inf)).all():  # NaN too
+            _require(np.isfinite(p) & np.isfinite(s), DomainError,
+                     "p and s must be finite, got p={p}, s={s}", p, s)
+            _require(p > 0, DomainError, "p must be positive, got {p}", p, s)
+            _require(s >= 1, DomainError, "s must be >= 1, got {s}", p, s)
 
 
 def _require(ok, error: type, message: str, p, s) -> None:
     """Raise error, quoting the first (p, s) element where ok fails, if any does."""
-    ok = np.asarray(ok)
-    if not np.all(ok):
+    if not np.asarray(ok).all():
         ok, p, s = np.broadcast_arrays(ok, p, s)
         i = int(np.argmin(ok))
         raise error(message.format(p=p.flat[i], s=s.flat[i]))
@@ -130,15 +130,30 @@ def _graded_edges(a: float, b: float) -> np.ndarray:
 def _series_head(b: np.ndarray, p, a0: float):
     """int_0^a0 sum_k b[k] t^(2k) t^(p-1) dt, integrated term by term; p may be an array."""
     e = 2 * np.arange(len(b)) + np.asarray(p, dtype=float)[..., None]
-    return np.sum(b * a0**e / e, axis=-1)
+    return (b * a0**e / e).sum(axis=-1)
+
+
+@lru_cache(maxsize=1)
+def _head_table() -> np.ndarray:
+    """B[k, m]: the u^(2k) coefficient of jj_1(u/sqrt(s))^s is sum_m B[k, m] s^(-m), for every s.
+
+    With L the log of jj_1's series in t^2, jj_1(u/sqrt(s))^s = exp(s L(u^2/s)), whose term
+    (s L(u^2/s))^n / n! puts L^n[k] / n! at u^(2k) s^(n-k): so B[k, k-n] = L^n[k] / n!.  The
+    coefficients of L are all negative (its roots are the zeros of J_1), so each sum of L^n
+    has terms of one sign."""
+    log_c = _series_log(np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS)))
+    powers = [np.eye(1, _HEAD_TERMS)[0]]  # L^n / n!, n = 0, 1, ..., cut at u^(2 _HEAD_TERMS - 2)
+    for n in range(1, _HEAD_TERMS):
+        powers.append(np.convolve(powers[-1], log_c)[:_HEAD_TERMS] / n)
+    k, m = np.indices((_HEAD_TERMS, _HEAD_TERMS))
+    return np.tril(np.array(powers)[np.maximum(k - m, 0), k])  # B[k, m] = 0 for m > k
 
 
 def _arch_head_coeffs(s_vals: list) -> np.ndarray:
-    """The series of jj_1(u/sqrt(s))^s in u^2 for each s of s_vals, one row an s, from one
-    series power."""
-    c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS))
-    c = c / np.asarray(s_vals)[:, None] ** np.arange(_HEAD_TERMS)
-    return series_pow(c.T, s_vals, _HEAD_TERMS - 1).T
+    """The series of jj_1(u/sqrt(s))^s in u^2 for each s of s_vals, one row an s: the rows of
+    ``_head_table`` against s^(-m), summed in the order m = 0, 1, ... in every row."""
+    terms = np.asarray(s_vals, dtype=float)[:, None, None] ** -np.arange(_HEAD_TERMS) * _head_table()
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 @lru_cache(maxsize=1)
@@ -172,10 +187,10 @@ def _arch_panels(s: float) -> tuple[np.ndarray, np.ndarray]:
     jj_1^s ~ (j_1,1 - t)^s: it is split at u1 - L _GRADE_RATIO^k,
     k = 1.._GRADE_LEVELS, L its width.
     """
-    u1 = _middle_plan()[4] * math.sqrt(s)
-    edges = np.linspace(_HEAD_U, u1, int(_arch_panel_count(s)) - _GRADE_LEVELS + 1)
-    grade = u1 - (u1 - edges[-2]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
-    un, uw, uh = _panel_rule(np.concatenate([edges[:-1], grade, [u1]]), order=24)
+    u1, n = _middle_plan()[4] * math.sqrt(s), int(_arch_panel_count(s)) - _GRADE_LEVELS
+    edges = np.arange(float(n)) * ((u1 - _HEAD_U) / n) + _HEAD_U  # linspace's, without u1
+    grade = u1 - (u1 - edges[-1]) * _GRADE_RATIO ** np.arange(1.0, _GRADE_LEVELS + 1.0)
+    un, uw, uh = _panel_rule(np.concatenate([edges, grade, [u1]]), order=24)
     log_root_s = 0.5 * math.log(s)
     log_jj = np.log(_jj_vec(1.0, un.ravel() / math.sqrt(s)))
     return np.log(un.ravel()) - log_root_s, s * log_jj + (np.log(uw * uh).ravel() - log_root_s)
@@ -186,9 +201,10 @@ def F(params: IntegralParams):
 
     One route for every s.  On jj_1's first arch, t <= j_1,1, the variable
     is u = t sqrt(s), where jj_1(u/sqrt(s))^s ~ e^(-u^2/8): a series head on
-    u <= 1/2, then Gauss panels about 1/2 wide, the last graded toward the
-    zero u = j_1,1 sqrt(s).  On [j_1,1, T] come fixed panels graded toward
-    each zero of J_1, T ~ 47.  All panels are summed in logs, scaled by their
+    u <= 1/2, its 12 coefficients in u^2 read at 1/s from one fixed table of
+    polynomials (``_head_table``), then Gauss panels about 1/2 wide, the last
+    graded toward the zero u = j_1,1 sqrt(s).  On [j_1,1, T] come fixed panels
+    graded toward each zero of J_1, T ~ 47.  All panels are summed in logs, scaled by their
     largest term, so large p neither overflows nor underflows.  Beyond T,
     |jj_1(t)| <= C t^(-3/2) with C = sqrt(8/pi) (T^2/(T^2-1))^(1/4), Watson's
     envelope ``_bessel_envelope(1, T)``, so the tail is at most
@@ -241,9 +257,9 @@ def _head_and_panels(p: np.ndarray, s_set: list,
     """F's head and the log of its panel sum on [1/(2 sqrt(s)), T], the first arch beyond the
     head and then [j_1,1, T], for each lane p of s = s_set[at].
 
-    The head coefficients of every s come from one series power; then each s
-    in turn sums the head series and the panels of its lanes (its first arch,
-    then ``_middle_plan``'s), as a row's length sets its rounding.
+    The head coefficients of every s come from one product with ``_head_table``; then each
+    s in turn sums the head series and the panels of its lanes (its first arch, then
+    ``_middle_plan``'s), as a row's length sets its rounding.
     """
     log_t_mid, log_jj_mid, log_wh_mid = _middle_plan()[:3]
     head, log_panels = np.empty(len(p)), np.empty(len(p))
@@ -261,9 +277,9 @@ def _log_panel_sum(log_g: np.ndarray, log_t: np.ndarray, p: np.ndarray) -> np.nd
     def block(pb):
         log_f = np.multiply.outer(pb - 1.0, log_t)
         log_f += log_g
-        scale = np.max(log_f, axis=1, keepdims=True)
+        scale = log_f.max(axis=1, keepdims=True)
         log_f -= scale
-        return np.log(np.sum(np.exp(log_f, out=log_f), axis=1)) + scale[:, 0]
+        return np.log(np.exp(log_f, out=log_f).sum(axis=1)) + scale[:, 0]
     return _in_blocks(block, p, len(log_t))
 
 

@@ -42,6 +42,7 @@ HYP2F1_RTOL = 1e-13
 _SERIES_CUT = 1e-18
 _POCHHAMMER_K_MAX = 10_000  # largest k of pochhammer, checked before any product
 _ZEROS_T_MAX = 1e4  # largest t_max of jnu_zeros, checked before the grid is built
+_NU_MAX = 150.0  # largest order of jj: from nu = 150.5 on, 2^nu Gamma(nu+1) overflows
 # hyp2f1's parameter-only set-up is cached per parameter set; a Monte Carlo
 # batch or a verifier grid reuses a handful of sets, each a few KB
 _SETUP_CACHE = 32
@@ -86,10 +87,11 @@ def gamma(x):
             raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
         return _gamma1(x)
     arr, scalar = _as_array(x)
-    if np.isnan(arr).any():
-        raise DomainError(f"gamma is undefined at NaN, in {x!r}")
-    if np.any((arr <= 0) & (arr == np.floor(arr))):
-        raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
+    if not (arr > 0).all():  # NaN and the poles too
+        if np.isnan(arr).any():
+            raise DomainError(f"gamma is undefined at NaN, in {x!r}")
+        if ((arr <= 0) & (arr == np.floor(arr))).any():
+            raise PoleError(f"gamma pole at nonpositive integer in {x!r}")
     if scalar:
         return _gamma1(float(arr))
     return np.fromiter(map(_gamma1, arr.ravel().tolist()), float, arr.size).reshape(arr.shape)
@@ -173,16 +175,15 @@ _BERNOULLI = (
 
 
 def _shift_up(arr, term):
-    """(x, s): a copy of arr shifted up by 1 until >= 8, where the asymptotic series of
-    digamma and trigamma has ~1e-16 error, and s, the sum of term(x) over the steps."""
-    arr = arr.copy()
-    out = np.zeros_like(arr)
-    while True:
-        small = arr < 8.0
-        if not np.any(small):
-            return arr, out
-        out[small] += term(arr[small])
-        arr[small] += 1.0
+    """(x, s): arr shifted up by 1 until >= 8, where the asymptotic series of digamma and trigamma
+    has ~1e-16 error, and s, the sum of term(x) over the steps: all (at most 8) shifts in one
+    cumulative sum along a stacked axis, and the steps' terms summed along it in order."""
+    xs = np.ones((9,) + arr.shape)  # arr and 8 unit steps, summed in place
+    xs[0] = arr
+    small = np.add.accumulate(xs, axis=0, out=xs) < 8.0
+    steps = term(xs) * small  # the terms of the steps taken, the others 0
+    return (np.take_along_axis(xs, small.sum(axis=0)[None], axis=0)[0],
+            np.add.accumulate(steps, axis=0, out=steps)[-1])
 
 
 def digamma(x):
@@ -312,8 +313,7 @@ def _jj_terms(nu: float) -> int:
     """Terms of jj_nu's series kept, 48 at most: the dropped ones sum below 2^-70 at the top of
     its range, t = max(5, nu), so a lane's count does not depend on the other t of its call."""
     k = np.arange(1.0, 48.0)
-    with np.errstate(over="ignore"):  # |c_k| t^2k, inf at huge orders, which keep all 48
-        terms = np.cumprod(np.append(1.0, max(25.0, nu * nu) / (4.0 * k * (nu + k))))
+    terms = np.cumprod(np.append(1.0, max(25.0, nu * nu) / (4.0 * k * (nu + k))))  # |c_k| t^2k
     return int(np.count_nonzero(np.cumsum(terms[::-1]) >= 2.0**-70))
 
 
@@ -322,10 +322,10 @@ def _jj_vec(nu: float, t):
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     lo = t < max(5.0, nu)
-    if np.any(lo):
+    if lo.any():
         out[lo] = _horner(_jj_series_coeffs(nu)[:_jj_terms(nu)], t[lo] * t[lo])
     hi = ~lo
-    if np.any(hi):
+    if hi.any():
         th = t[hi]
         jn = _bessel_j_order(nu, th)
         out[hi] = _jj_norm_const(nu) * th ** (-nu) * jn
@@ -349,8 +349,8 @@ def jj1_prime(t):
 
 
 def _check_order(nu: float) -> None:
-    if not (0.0 <= nu < math.inf and 2.0 * nu == round(2.0 * nu)):  # NaN too
-        raise DomainError(f"jj's order must be a multiple of 1/2 with nu >= 0, got nu={nu}")
+    if not (0.0 <= nu <= _NU_MAX and 2.0 * nu == round(2.0 * nu)):  # NaN too
+        raise DomainError(f"jj's order must be a multiple of 1/2 in [0, {_NU_MAX:g}], got nu={nu}")
 
 
 def jj(nu: float, t):
@@ -360,8 +360,9 @@ def jj(nu: float, t):
     dropped sum below 2^-70 at t = max(5, nu), and at 48 terms; beyond it
     large-argument J0/J1 with forward recurrence; scalar and array
     input share this one evaluator.  Orders are the sphere family nu = d/2 - 1,
-    multiples of 1/2, and t is finite and >= 0; any other nu or t (NaN and inf
-    too) raises DomainError.  Against mpmath: within 2e-15 absolute for nu <= 9,
+    multiples of 1/2 up to 150 (_NU_MAX: beyond, 2^nu Gamma(nu+1) overflows), and t is
+    finite and >= 0; any other nu or t (NaN and inf too) raises DomainError before any
+    work.  Against mpmath: within 2e-15 absolute for nu <= 9,
     about 1e-14 up to nu = 30, and worse beyond, as the series cancels near
     t = nu (1e-12 at nu = 50).
     """
@@ -616,7 +617,8 @@ def _bisect(f, a, b, tol: float):
 def jnu_zeros(nu: float, t_max: float) -> np.ndarray:
     """Positive zeros of J_nu (equivalently of jj_nu) up to ceil(t_max), ascending; each
     bisected (_bisect) from a sign change on a grid 1/4 apart to one float wide.  nu is one of
-    jj's orders and t_max <= 10^4 (_ZEROS_T_MAX), both checked first, else DomainError."""
+    jj's orders, multiples of 1/2 up to 150, and t_max <= 10^4 (_ZEROS_T_MAX), both checked
+    first, else DomainError."""
     _check_order(nu)
     if not t_max <= _ZEROS_T_MAX:  # NaN too
         raise DomainError(f"jnu_zeros requires t_max <= {_ZEROS_T_MAX:g}, got {t_max}")

@@ -230,8 +230,9 @@ _LOG_A = 0.5 * math.log(2.0 * math.pi) + 0.25 * math.log(15.0)
 
 
 def _dlog_D(p: float) -> float:
-    """d/dp log D(p)."""
-    return -digamma(3.0 - p) + digamma(2.0 - p / 2.0) + 0.5 * digamma(3.0 - p / 2.0)
+    """d/dp log D(p), from one digamma call."""
+    a, b, c = digamma(np.array([3.0 - p, 2.0 - p / 2.0, 3.0 - p / 2.0]))
+    return float(-a + b + 0.5 * c)
 
 
 def _ug_A(p: float, s: float) -> float:
@@ -513,15 +514,15 @@ def h_sign_chart(points: Sequence[tuple[float, float]]) -> list[dict]:
     Where F diverges (p >= 3s/2), H = -inf and the sign is recorded as -1.
     The convergent points are evaluated together, grouped by s.
     """
-    p, s = (np.array([pt[i] for pt in points], dtype=float) for i in (0, 1))
-    vals = np.full(len(points), -math.inf)
+    p, s = np.array(points, dtype=float).reshape(len(points), 2).T
     conv = p < 1.5 * s
-    if np.any(conv):
+    vals = np.where(conv, 0.0, -math.inf)
+    if conv.any():
         vals[conv] = H(IntegralParams(p[conv], s[conv]))
-    for i in np.flatnonzero(~conv):
+    for i in (~conv).nonzero()[0]:
         try:
             H(IntegralParams(p[i], s[i]))  # H's domain check; inside it, F diverges
         except DivergenceError:
             pass
-    return [{"p": pt[0], "s": pt[1], "H": float(v), "sign": int(np.sign(v))}
-            for pt, v in zip(points, vals)]
+    return [{"p": pt[0], "s": pt[1], "H": v, "sign": int(sign)}
+            for pt, v, sign in zip(points, vals.tolist(), np.sign(vals).tolist())]

@@ -51,6 +51,10 @@ CALLS = {
     "tail_abs_pow-tiny": lambda: oscillatory.tail_abs_pow(1e-300, 1e-300, _middle_plan()[3]),
     "tail_abs_pow-out-of-reach": lambda: oscillatory.tail_abs_pow(23.51, 141.0, _middle_plan()[3]),
     "jj-nu-1e150": lambda: specfun.jj(1e150, 1.0),
+    "jj-nu-150.5": lambda: specfun.jj(150.5, 1.0),
+    "jj-nu-1e5": lambda: specfun.jj(1e5, 1e5 + 1.0),
+    "jj-nu-1e6": lambda: specfun.jj(1e6, 1e6),
+    "jnu_zeros-nu-150.5": lambda: specfun.jnu_zeros(150.5, 200.0),
     "jnu_zeros-1e300": lambda: specfun.jnu_zeros(0.0, 1e300),
     "jnu_zeros-1e8": lambda: specfun.jnu_zeros(0.0, 1e8),
     "jnu_zeros-nu-1": lambda: specfun.jnu_zeros(-1.0, 1e8),

@@ -299,6 +299,20 @@ class TestHead:
         head = _series_head(_arch_head_coeffs([s])[0], p, _HEAD_U)
         assert head == pytest.approx(oracle, rel=1e-11)
 
+    def test_head_table_matches_series_power(self):
+        # the head's closed-form table against a series power of jj_1's own series, each s
+        # alone, and each row of one call for every s the same bits as its call alone
+        from test_oscillatory import series_pow
+
+        from khinsphere.quad import _HEAD_TERMS, _arch_head_coeffs
+        from khinsphere.specfun import _jj_series_coeffs
+        s_vals = [1.0, 1.05, 2.0, 3.58, 12.0, 141.0, 1e4, 6.8e8]
+        rows = _arch_head_coeffs(s_vals)
+        for s, row in zip(s_vals, rows):
+            c = np.asarray(_jj_series_coeffs(1.0, _HEAD_TERMS)) / s ** np.arange(_HEAD_TERMS)
+            assert row[:6] == pytest.approx(series_pow(c, s, 5), rel=1e-13, abs=0.0), s
+            assert np.array_equal(row, _arch_head_coeffs([s])[0])
+
 
 class TestG:
     def test_examples(self):
@@ -897,6 +911,55 @@ class TestEq23:
         for p in np.linspace(0.1, 3.0, 12):
             for s in np.linspace(2.0, 12.0, 30):
                 assert math.exp(-p * (s - 2.0) / 4.0) <= s ** (-p / 2.0) * 2.0 ** (p / 2.0) + 1e-15
+
+
+T_TAIL = quad._middle_plan()[3]
+NAN = math.nan
+# each invalid input, alone and in a batch whose first bad lane is not lane 0, with the error
+# class and message the entry checks give
+ENTRY_ERRORS = [
+    (lambda: IP(NAN, 2.0), DomainError, "p and s must be finite, got p=nan, s=2.0"),
+    (lambda: IP(0.0, 2.0), DomainError, "p must be positive, got 0.0"),
+    (lambda: IP(1.0, 0.5), DomainError, "s must be >= 1, got 0.5"),
+    (lambda: IP(np.array([1.0, 0.5, -1.0, NAN]), np.array([2.0, 2.0, 0.5, 2.0])), DomainError,
+     "p and s must be finite, got p=nan, s=2.0"),
+    (lambda: IP(np.array([1.0, 0.5, -1.0, 2.0]), np.array([2.0, 0.5, 2.0, 2.0])), DomainError,
+     "p must be positive, got -1.0"),
+    (lambda: IP(np.array([1.0, 0.5, 1.0]), np.array([2.0, 2.0, 0.9])), DomainError,
+     "s must be >= 1, got 0.9"),
+    (lambda: F(IP(3.0, 2.0)), DivergenceError, "F diverges for p=3.0 >= 3s/2=3.0"),
+    (lambda: F(IP(np.array([1.0, 2.0, 3.5, 4.0]), 2.0)), DivergenceError,
+     "F diverges for p=3.5 >= 3s/2=3.0"),
+    (lambda: F(IP(224.0, 150.0)), DomainError, "F(p=224.0, s=150.0) is out of reach: beyond the"
+     " float range, or the tail is needed and s > 141"),
+    (lambda: F(IP(np.array([1.0, 224.0, 239.0]), np.array([2.0, 150.0, 160.0]))), DomainError,
+     "F(p=224.0, s=150.0) is out of reach: beyond the float range, or the tail is needed and s > 141"),
+    (lambda: H(IP(3.0, 2.5)), DomainError, "H requires 0 < p < 3 and s > 1, got IntegralParams(p=3.0, s=2.5)"),
+    (lambda: H(IP(1.0, 1.0)), DomainError, "H requires 0 < p < 3 and s > 1, got IntegralParams(p=1.0, s=1.0)"),
+    (lambda: H(IP(np.array([1.0, 2.0, 3.5]), 3.0)), DomainError,
+     "H requires 0 < p < 3 and s > 1, got IntegralParams(p=3.5, s=3.0)"),
+    (lambda: H(IP(np.array([1.0, 2.0, 2.9]), np.array([2.0, 1.2, 1.5]))), DivergenceError,
+     "F diverges for p=2.0 >= 3s/2=1.7999999999999998"),
+    (lambda: osc.tail_abs_pow(NAN, 2.0, T_TAIL), DomainError,
+     "tail_abs_pow needs finite p and s, got p=nan, s=2.0"),
+    (lambda: osc.tail_abs_pow(3.0, 2.0, T_TAIL), DomainError,
+     "tail diverges: p=3.0 >= 3s/2=3.0, or p - 1 - 3s/2 = -1.0 is not below -1 in floats"),
+    (lambda: osc.tail_abs_pow(1.0, 150.0, T_TAIL), DomainError,
+     "the |jj_1|^s tail kernel supports s <= 141, got s=150.0"),
+    (lambda: osc.tail_abs_pow(np.array([1.0, 0.5, NAN]), 2.0, T_TAIL), DomainError,
+     "tail_abs_pow needs finite p and s, got p=array([1. , 0.5, nan]), s=2.0"),
+    (lambda: osc.tail_abs_pow(np.array([1.0, 0.5, 3.5, 4.0]), 2.0, T_TAIL), DomainError,
+     "tail diverges: p=3.5 >= 3s/2=3.0, or p - 1 - 3s/2 = -0.5 is not below -1 in floats"),
+    (lambda: osc.tail_abs_pow(1.0, np.array([2.0, 2.0, 150.0]), T_TAIL), DomainError,
+     "the |jj_1|^s tail kernel supports s <= 141, got s=array([  2.,   2., 150.])"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", ENTRY_ERRORS)
+def test_entry_check_names_the_first_bad_lane(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestTypes:

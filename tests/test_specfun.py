@@ -255,6 +255,28 @@ class TestTrigamma:
                 trigamma(x)
 
 
+def _shift_up_loop(arr, term):
+    """digamma's and trigamma's shift one step at a time, every lane below 8 at once: the
+    reference of specfun._shift_up."""
+    arr, out = arr.copy(), np.zeros_like(arr)
+    while (small := arr < 8.0).any():
+        out[small] += term(arr[small])
+        arr[small] += 1.0
+    return arr, out
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_shift_up_equals_one_step_at_a_time(fn, monkeypatch):
+    # 10^4 seeded x, from 1e-8 past the shift's end at 8, as an array and one at a time
+    rng = np.random.default_rng(43)
+    x = np.concatenate([10.0 ** rng.uniform(-8.0, -3.0, 2000), rng.uniform(1e-3, 8.0, 5000),
+                        rng.uniform(8.0, 1e3, 2996), [1.0, 7.0, np.nextafter(8.0, 0.0), 8.0]])
+    got, one = fn(x), [fn(float(v)) for v in x[::97]]
+    monkeypatch.setattr(specfun, "_shift_up", _shift_up_loop)
+    assert np.array_equal(got, fn(x))
+    assert one == [fn(float(v)) for v in x[::97]]
+
+
 class TestPochhammer:
     def test_examples(self):
         assert pochhammer(2.5, 0) == 1.0

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -351,6 +354,19 @@ class TestHRegions:
         assert rows[2]["H"] == -math.inf and rows[5]["H"] == -math.inf
         with pytest.raises(DomainError):  # outside H's domain, divergent or not
             V.h_sign_chart([(1.0, 3.0), (3.5, 2.0)])
+
+    def test_sign_chart_point_equals_its_lane_in_the_sweep(self, monkeypatch):
+        # the 40 seeded chart points of the lemma-sweep benchmark (a box, just inside
+        # p = 3s/2 and the divergent zone), one at a time and in one call
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("sweep_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        pts = [op.args[0] for op in workloads.sweep_ops(1)[1:] if op.kind == "chart"]
+        assert len(pts) == 40 and any(p >= 1.5 * s for p, s in pts)
+        for pt, row in zip(pts, V.h_sign_chart(pts)):
+            assert V.h_sign_chart([pt]) == [row]
 
     def test_sign_chart_records_without_claim(self):
         rows = V.h_sign_chart([(1.9, 1.05), (1.0, 2.0)])
